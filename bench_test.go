@@ -137,47 +137,6 @@ func BenchmarkFigure11_OpenGeMM_128(b *testing.B) { benchFigure11(b, 128) }
 func BenchmarkFigure11_OpenGeMM_256(b *testing.B) { benchFigure11(b, 256) }
 func BenchmarkFigure11_OpenGeMM_512(b *testing.B) { benchFigure11(b, 512) }
 
-// Engine comparison on the heaviest figure cell: the same experiment
-// executed end-to-end (compile + simulate) under each simulator engine.
-// Metrics must match BenchmarkFigure11_OpenGeMM_512 exactly — the engines
-// are differential-tested to be observationally identical — only the wall
-// time may differ. (Host-loop-isolated engine ratios live in the
-// BenchmarkSim_* micro-benchmarks under internal/sim; this cell also
-// carries the accelerator functional model, which both engines share.)
-func benchFigure11Engine(b *testing.B, n int, engine configwall.Engine) {
-	t := configwall.OpenGeMMTarget()
-	opts := configwall.RunOptions{SkipVerify: true, Engine: engine}
-	var base configwall.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		base, err = configwall.RunTiledMatmul(t, configwall.Baseline, n, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// The optimized run only feeds the speedup metric; keep it out of the
-	// timed region — ns/op and instrs/sec measure the baseline cell only.
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(base.HostInstrs)*float64(b.N)/secs, "instrs/sec")
-	}
-	opt, err := configwall.RunTiledMatmul(t, configwall.AllOptimizations, n, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(opt.OpsPerCycle()/base.OpsPerCycle(), "speedup")
-}
-
-func BenchmarkFigure11_OpenGeMM_512_RefEngine(b *testing.B) {
-	benchFigure11Engine(b, 512, configwall.EngineRef)
-}
-func BenchmarkFigure11_OpenGeMM_512_FastEngine(b *testing.B) {
-	benchFigure11Engine(b, 512, configwall.EngineFast)
-}
-func BenchmarkFigure11_OpenGeMM_512_CompiledEngine(b *testing.B) {
-	benchFigure11Engine(b, 512, configwall.EngineCompiled)
-}
-
 // Figure 12: the four pipeline variants on the roofline, per size.
 func benchFigure12(b *testing.B, p configwall.Pipeline, n int) {
 	t := configwall.OpenGeMMTarget()

@@ -9,13 +9,11 @@
 //	cwbench -cache-dir .cwcache  # persist results; reruns recompute nothing
 //	cwbench -cache-dir .cwcache -shard 0/4   # precompute 1/4 of the grid
 //	cwbench -cache-stats       # report cache hit/miss/run counters
-//	cwbench -engine fast       # run every experiment on the fast engine
+//	cwbench -engine ref        # run every experiment on the reference interpreter
 //	cwbench -cache-dir .cwcache -store-ls    # list the stored entries
 //	cwbench -cpuprofile cw.pprof -only fig11  # pprof profile of a real sweep
 //	cwbench -memprofile heap.pprof -only fig11  # post-GC heap profile at exit
 //	cwbench -alloc-stats       # per-figure allocs/op and B/op on stderr
-//	cwbench -bench-json BENCH.json            # micro-suite report (JSON)
-//	cwbench -bench-compare BENCH_8.json       # fail on >20% regression
 //	cwbench -calibrate model.json             # fit the analytical tier,
 //	                                          # print constants + held-out
 //	                                          # error report, write model
@@ -167,24 +165,17 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "directory of the persistent experiment-result store (empty = in-memory only)")
 	shardSpec := flag.String("shard", "", "precompute shard i/m of the figure grid into -cache-dir and render nothing (e.g. 0/4)")
 	cacheStats := flag.Bool("cache-stats", false, "print runner cache statistics after the run")
-	engineName := flag.String("engine", "ref", "simulator engine for every experiment ("+strings.Join(sim.EngineNames(), "|")+")")
+	engineName := flag.String("engine", sim.Engine(0).String(), "simulator engine for every experiment ("+strings.Join(sim.EngineNames(), "|")+")")
 	storeLS := flag.Bool("store-ls", false, "list the entries of -cache-dir (sorted by cache key) and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-GC live objects) to this file at exit")
 	allocStats := flag.Bool("alloc-stats", false, "report per-figure allocation statistics (allocs/op, B/op) on stderr")
-	benchJSON := flag.String("bench-json", "", "run the fixed micro-benchmark suite, write a JSON report to this file, and exit")
-	benchCompare := flag.String("bench-compare", "", "run the micro-benchmark suite and exit non-zero on >20% regression against this baseline JSON")
 	calibrate := flag.String("calibrate", "", "fit the analytical tier against the simulator, print constants + held-out error report, write the model JSON here, and exit (non-zero on band violation)")
 	calibrateSeed := flag.Int64("calibrate-seed", 1, "train/holdout split seed for -calibrate and in-process -fidelity calibration")
 	fidelity := flag.String("fidelity", "full", "prediction tier for figure sweeps (full|screen|topk, DESIGN.md §10)")
 	topK := flag.Int("topk", 8, "cells simulated per figure grid with -fidelity topk")
 	modelPath := flag.String("model", "", "calibrated analytic model JSON for -fidelity screen/topk (empty = calibrate in-process first)")
 	flag.Parse()
-
-	if *benchJSON != "" || *benchCompare != "" {
-		runBenchMode(*benchJSON, *benchCompare)
-		return
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

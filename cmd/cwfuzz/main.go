@@ -3,10 +3,10 @@
 // Baseline pipeline and every optimization pipeline on the co-simulator,
 // and checks observational equivalence plus the paper's metamorphic claims
 // (internal/difftest). Every compiled program additionally executes on
-// every registered simulator engine (reference interpreter, predecoded
-// fast engine and block-compiled engine, DESIGN.md §6, §8) and any
-// disagreement in counters, final memory or summarized trace is a
-// divergence — engine equivalence is a standing campaign invariant. The
+// every registered simulator engine (reference interpreter and predecoded
+// fast engine, DESIGN.md §6) and any disagreement in counters, final
+// memory or summarized trace is a divergence — engine equivalence is a
+// standing campaign invariant. The
 // static config-state checker (internal/analysis) runs as a pre-oracle on
 // every pipeline: statically rejected cases are reported without
 // co-simulation, and every co-simulated case's dynamic outcome is

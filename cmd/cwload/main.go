@@ -47,7 +47,7 @@ func main() {
 	workloads := flag.String("workloads", core.WorkloadMatmul, "comma-separated workload mix")
 	pipelines := flag.String("pipelines", "base,all", "comma-separated pipeline mix")
 	sizes := flag.String("sizes", "16,32", "comma-separated size mix")
-	engineName := flag.String("engine", "ref", "simulator engine ("+strings.Join(sim.EngineNames(), "|")+")")
+	engineName := flag.String("engine", sim.Engine(0).String(), "simulator engine ("+strings.Join(sim.EngineNames(), "|")+")")
 	zipfS := flag.Float64("zipf", 1.4, "zipf skew parameter (> 1; larger = hotter hot set)")
 	seed := flag.Int64("seed", 1, "request-mix seed")
 	verify := flag.Bool("verify", true, "assert responses for one cell are byte-identical")

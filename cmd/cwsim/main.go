@@ -4,8 +4,7 @@
 //
 //	cwsim -target opengemm -pipeline all -n 64 -timeline
 //	cwsim -target gemmini -workload rectmm -pipeline base -n 128 -asm
-//	cwsim -target opengemm -n 256 -engine fast       # predecoded fast engine
-//	cwsim -target opengemm -n 256 -engine compiled   # block-compiled engine
+//	cwsim -target opengemm -n 256 -engine ref   # reference interpreter
 //	cwsim -list
 //
 // Targets and workloads resolve through the experiment registry, so
@@ -30,7 +29,7 @@ func main() {
 	targetName := flag.String("target", "opengemm", "accelerator platform ("+strings.Join(core.TargetNames(), "|")+")")
 	workloadName := flag.String("workload", core.WorkloadMatmul, "workload ("+strings.Join(core.WorkloadNames(), "|")+")")
 	pipelineName := flag.String("pipeline", "all", "pipeline: base | dedup | overlap | all")
-	engineName := flag.String("engine", "ref", "simulator engine ("+strings.Join(sim.EngineNames(), "|")+"); identical results, different speed")
+	engineName := flag.String("engine", sim.Engine(0).String(), "simulator engine ("+strings.Join(sim.EngineNames(), "|")+"); identical results, different speed")
 	n := flag.Int("n", 64, "workload sweep size")
 	timeline := flag.Bool("timeline", false, "print the execution timeline (Figure 7 style)")
 	width := flag.Int("timeline-width", 100, "timeline width in characters")

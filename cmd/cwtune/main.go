@@ -48,7 +48,7 @@ func main() {
 	workloadFlag := flag.String("workload", "", "comma-separated workload filter (empty = all registered)")
 	pipelineFlag := flag.String("pipeline", "", "comma-separated pipeline filter (empty = all)")
 	maxSize := flag.Int("max-size", 0, "drop cells with sweep size above this (0 = the registry's cap)")
-	engine := flag.String("engine", "", "simulator engine ("+strings.Join(sim.EngineNames(), "|")+"; empty = ref)")
+	engine := flag.String("engine", sim.Engine(0).String(), "simulator engine ("+strings.Join(sim.EngineNames(), "|")+")")
 	cacheDir := flag.String("cache-dir", "", "persistent store for the in-process daemon (ignored with -url)")
 	noValidate := flag.Bool("no-validate", false, "skip measuring winners at the held-out sizes")
 	flag.Parse()
@@ -58,10 +58,8 @@ func main() {
 		fatal("%v", err)
 	}
 	var opts core.RunOptions
-	if *engine != "" {
-		if opts.Engine, err = sim.EngineByName(*engine); err != nil {
-			fatal("%v", err)
-		}
+	if opts.Engine, err = sim.EngineByName(*engine); err != nil {
+		fatal("%v", err)
 	}
 
 	ctx := context.Background()

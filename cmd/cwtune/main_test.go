@@ -18,7 +18,7 @@ var testInfo = serve.RegistryInfo{
 	Targets:   []string{"gemmini", "opengemm"},
 	Workloads: []string{"matmul", "matvec", "rectmm"},
 	Pipelines: []string{"base", "dedup", "overlap", "all"},
-	Engines:   []string{"ref", "fast", "compiled"},
+	Engines:   []string{"ref", "fast"},
 	MaxN:      1024,
 	Sizes: map[string]map[string][]int{
 		"matmul": {"gemmini": {16, 32, 48, 64}, "opengemm": {8, 16, 24, 32, 48, 64}},

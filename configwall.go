@@ -88,21 +88,20 @@ type RunOptions = core.RunOptions
 // Engine selects the simulator execution engine for a run.
 type Engine = sim.Engine
 
-// Simulator engines. All produce byte-identical results — the
+// Simulator engines. Both produce byte-identical results — the
 // differential oracle continuously enforces it — but the fast engine
-// executes a predecoded program form with block-batched accounting, and the
-// compiled engine goes further, translating basic blocks into chains of
-// pre-resolved closures (DESIGN.md §6, §8).
+// executes a predecoded program form with block-batched accounting
+// (DESIGN.md §6).
 const (
-	// EngineRef is the reference interpreter.
-	EngineRef = sim.EngineRef
-	// EngineFast is the predecoded fast engine.
+	// EngineFast is the predecoded fast engine: the zero value, so what
+	// RunOptions{} runs.
 	EngineFast = sim.EngineFast
-	// EngineCompiled is the block-compiled engine.
-	EngineCompiled = sim.EngineCompiled
+	// EngineRef is the reference interpreter the fast engine is verified
+	// against; it runs only when named.
+	EngineRef = sim.EngineRef
 )
 
-// EngineByName parses an engine name ("ref", "fast" or "compiled").
+// EngineByName parses an engine name ("ref" or "fast").
 func EngineByName(name string) (Engine, error) { return sim.EngineByName(name) }
 
 // EngineNames lists the registered engine names in definition order.

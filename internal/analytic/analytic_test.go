@@ -346,6 +346,23 @@ func TestPredictErrors(t *testing.T) {
 	}
 }
 
+// TestPredictAllocs: the screening tier is cheap because a prediction is
+// closed-form — two small allocations per cell, which is what lets a
+// full-grid screen run thousands of cells per simulated one. The count is
+// machine-independent, so it gates here rather than in a timed benchmark.
+func TestPredictAllocs(t *testing.T) {
+	model, _, _ := calibrated(t)
+	e := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.AllOptimizations, N: 32}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := model.Predict(e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("Model.Predict allocates %.0f times per cell, want <= 2", allocs)
+	}
+}
+
 // TestPredictedSavings: the model must predict that AllOptimizations
 // saves cycles over Baseline on a config-bound cell — the qualitative
 // claim the whole paper rests on.

@@ -255,11 +255,11 @@ type RunOptions struct {
 	RecordTrace bool
 	// SkipVerify skips the golden-model comparison (for benchmarks).
 	SkipVerify bool
-	// Engine selects the simulator execution engine (default: the
-	// reference interpreter). Both engines produce byte-identical
-	// results — the differential oracle enforces it — but they are
-	// cached and fingerprinted separately so cross-engine comparisons
-	// never serve one engine's run to the other.
+	// Engine selects the simulator execution engine (default: the fast
+	// engine). Both engines produce byte-identical results — the
+	// differential oracle enforces it — but they are cached and
+	// fingerprinted separately so cross-engine comparisons never serve
+	// one engine's run to the other.
 	Engine sim.Engine
 	// Fidelity selects how much simulation a Runner invests in the
 	// answer (default FidelityFull). Deliberately excluded from cache
@@ -341,9 +341,8 @@ func getExecContext() *execContext {
 	return ctx
 }
 
-// putExecContext recycles the context. The device is dropped (it is
-// per-run state), but the machine's compiled-program memo stays with the
-// context so repeated runs reuse it.
+// putExecContext recycles the context. The device is dropped: it is
+// per-run state.
 func putExecContext(ctx *execContext) {
 	ctx.mc.Device = nil
 	execPool.Put(ctx)

@@ -9,6 +9,7 @@ package core_test
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"configwall/internal/core"
@@ -43,22 +44,42 @@ func TestResultsIdenticalAcrossEngines(t *testing.T) {
 	}
 }
 
+// TestFigureOutputsIdenticalAcrossEngines pins the paper: Figures 10 and 11
+// at their default sizes must render the same text under the reference
+// interpreter and under the zero-value engine every default path runs,
+// with the headline geomeans cwbench prints, and the §4.6 worked example
+// keeps Table 1's configuration footprint. A simplification that drifts
+// the reproduction fails here rather than silently.
 func TestFigureOutputsIdenticalAcrossEngines(t *testing.T) {
-	sizes := []int{16, 32}
-	render := func(engine sim.Engine) (string, float64) {
-		rows, err := core.Figure11(sizes, core.RunOptions{SkipVerify: true, Engine: engine})
+	render := func(opts core.RunOptions) (fig10, fig11 string) {
+		opts.SkipVerify = true
+		ctx, r := context.Background(), core.NewRunner(0)
+		rows10, err := core.Figure10With(ctx, r, core.Figure10Sizes, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return core.RenderFigure11(rows), core.Fig11Geomean(rows)
+		rows11, err := core.Figure11With(ctx, r, core.Figure11Sizes, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.RenderFigure10(rows10), core.RenderFigure11(rows11)
 	}
-	refOut, refG := render(sim.EngineRef)
-	fastOut, fastG := render(sim.EngineFast)
-	if refOut != fastOut {
-		t.Errorf("Figure 11 rendering differs between engines:\nref:\n%s\nfast:\n%s", refOut, fastOut)
+	ref10, ref11 := render(core.RunOptions{Engine: sim.EngineRef})
+	def10, def11 := render(core.RunOptions{})
+	if ref10 != def10 {
+		t.Errorf("Figure 10 rendering differs between engines:\nref:\n%s\ndefault:\n%s", ref10, def10)
 	}
-	if refG != fastG {
-		t.Errorf("Figure 11 geomean differs: ref %v, fast %v", refG, fastG)
+	if ref11 != def11 {
+		t.Errorf("Figure 11 rendering differs between engines:\nref:\n%s\ndefault:\n%s", ref11, def11)
+	}
+	if want := "geomean uplift: 28.5%"; !strings.Contains(def10, want) {
+		t.Errorf("Figure 10 lost its headline %q:\n%s", want, def10)
+	}
+	if want := "geomean speedup: 1.94x"; !strings.Contains(def11, want) {
+		t.Errorf("Figure 11 lost its headline %q:\n%s", want, def11)
+	}
+	if e := core.Section46Example(); e.ConfigBytes != 2560 || e.ConfigInstrs != 160 {
+		t.Errorf("worked example = %.0f config bytes / %d RoCC instructions, want 2560 / 160", e.ConfigBytes, e.ConfigInstrs)
 	}
 }
 

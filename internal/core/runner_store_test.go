@@ -395,9 +395,12 @@ func TestFingerprintKeyDistinct(t *testing.T) {
 	}
 	// Engines are kept separate even though their results are identical —
 	// a cross-engine comparison must never be served a shared cell.
-	e := core.FingerprintKey(core.Experiment{Target: "t", Workload: "w", N: 1}, core.RunOptions{Engine: sim.EngineFast})
+	e := core.FingerprintKey(core.Experiment{Target: "t", Workload: "w", N: 1}, core.RunOptions{Engine: sim.EngineRef})
 	if a == e {
 		t.Error("distinct engines share a fingerprint")
+	}
+	if f := core.FingerprintKey(core.Experiment{Target: "t", Workload: "w", N: 1}, core.RunOptions{Engine: sim.EngineFast}); a != f {
+		t.Error("zero-value options and the named default engine are different cells")
 	}
 	// Pipeline.String() collapses unnamed values to "base"; the numeric key
 	// must still separate them from Baseline.

@@ -19,14 +19,13 @@
 //     a bounded allowance for overlap's prologue and dead final-iteration
 //     staging writes on tiny jobs),
 //
-// plus the simulator's own engine-equivalence invariant (DESIGN.md §6, §8) —
+// plus the simulator's own engine-equivalence invariant (DESIGN.md §6) —
 //
 //   - every compiled program (baseline and each optimized pipeline)
 //     executes identically on every registered simulator engine: the
-//     reference interpreter, the predecoded fast engine and the
-//     block-compiled engine must produce the same Counters, the same
-//     final memory image, the same summarized trace and the same
-//     launch effects.
+//     reference interpreter and the predecoded fast engine must produce
+//     the same Counters, the same final memory image, the same
+//     summarized trace and the same launch effects.
 //
 // A failing case is a Divergence; the shrinker (shrink.go) reduces the
 // module while the divergence reproduces.
@@ -86,10 +85,9 @@ const (
 	KindConfigWrites
 	// KindCycles: the optimized pipeline ran slower than allowed.
 	KindCycles
-	// KindEngine: an optimized simulator engine (fast or compiled)
-	// disagreed with the reference engine on the same compiled program
-	// (counters, final memory or summarized trace) — a simulator bug,
-	// not a compiler bug.
+	// KindEngine: the fast simulator engine disagreed with the reference
+	// engine on the same compiled program (counters, final memory or
+	// summarized trace) — a simulator bug, not a compiler bug.
 	KindEngine
 	// KindStatic: the static config-state checker proved the optimized
 	// pre-lowering module diverges from the original program's intent; in
@@ -188,9 +186,8 @@ type Options struct {
 	// SkipEngineCrossCheck disables the standing simulator-engine
 	// equivalence invariant: by default every compiled program (baseline
 	// and each optimized pipeline) runs on every registered engine —
-	// reference, fast and compiled — and any disagreement in Counters,
-	// final memory or the summarized trace is reported as a KindEngine
-	// divergence.
+	// reference and fast — and any disagreement in Counters, final memory
+	// or the summarized trace is reported as a KindEngine divergence.
 	SkipEngineCrossCheck bool
 	// Static selects how the static config-state checker participates in
 	// the oracle; the zero value is StaticPreOracle.
@@ -473,10 +470,10 @@ func hasSemanticDivergence(divs []Divergence) bool {
 // Execute clones m, runs the pass pipeline, compiles and simulates it with
 // the program's inputs, returning the observation. On failure the Kind
 // reports which stage failed. With crossCheck set, the compiled program
-// additionally runs on every non-reference simulator engine (fast and
-// compiled), and any disagreement with the reference observation
-// (Counters, final memory, summarized trace, launch effects) returns a
-// KindEngine error alongside the still valid reference Execution.
+// additionally runs on every non-reference simulator engine, and any
+// disagreement with the reference observation (Counters, final memory,
+// summarized trace, launch effects) returns a KindEngine error alongside
+// the still valid reference Execution.
 func Execute(t core.Target, m *ir.Module, prog irgen.Program, pm *ir.PassManager, mutate func(*ir.Module) error, crossCheck bool) (Execution, Kind, error) {
 	clone, _, kind, err := runPasses(m, pm, mutate)
 	if err != nil {

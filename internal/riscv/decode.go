@@ -68,38 +68,6 @@ type Decoded struct {
 	CostName string
 }
 
-// Block is one maximal batchable straight-line run in a decoded program:
-// the unit the block-batched engines account in O(1) and the compiled
-// engine lowers to a closure chain (internal/sim).
-type Block struct {
-	// Start is the index of the run's first instruction.
-	Start int32
-	// Len is the run's instruction count (== Instrs[Start].BlockLen).
-	Len int32
-	// Cycles is the run's summed cycle cost (== Instrs[Start].BlockCycles).
-	Cycles uint64
-}
-
-// Blocks partitions the program into its maximal batchable runs, in program
-// order. Instructions outside every run (device ops, HALT, sync-class
-// polls, unknown opcodes) are not covered. Within a run the per-instruction
-// BlockLen/BlockCycles metadata describes the *suffix* starting there, so a
-// branch into the middle of a run is itself a valid run entry — engines and
-// compilers may enter at any covered index, not just Start.
-func (d *Decoded) Blocks() []Block {
-	var blocks []Block
-	for pc := 0; pc < len(d.Instrs); {
-		di := &d.Instrs[pc]
-		if di.BlockLen == 0 {
-			pc++
-			continue
-		}
-		blocks = append(blocks, Block{Start: int32(pc), Len: di.BlockLen, Cycles: di.BlockCycles})
-		pc += int(di.BlockLen)
-	}
-	return blocks
-}
-
 // PlainOp reports whether op is ordinary host computation or control flow
 // — everything up to JAL. Device ops (CUSTOM, CSRRW, CSRRS), HALT and
 // unknown opcodes need individual engine handling (stalls, launches, run

@@ -79,42 +79,6 @@ func TestDecodeBlockStopsAtProgramEnd(t *testing.T) {
 	}
 }
 
-// TestBlocksPartition: Blocks must return exactly the maximal runs (one
-// per run head, not one per suffix), in program order, consistent with the
-// per-instruction BlockLen/BlockCycles metadata.
-func TestBlocksPartition(t *testing.T) {
-	a := riscv.NewAssembler()
-	a.Emit(riscv.Instr{Op: riscv.LI, Rd: 5, Imm: 1})                 // 0: run [0,3)
-	a.Emit(riscv.Instr{Op: riscv.ADD, Rd: 6, Rs1: 5, Rs2: 5})        // 1
-	a.Emit(riscv.Instr{Op: riscv.BEQ, Rs1: 5, Rs2: 6, Label: "out"}) // 2
-	a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 1})                 // 3: not covered
-	a.Label("out")
-	a.Emit(riscv.Instr{Op: riscv.SUB, Rd: 7, Rs1: 6, Rs2: 5}) // 4: run [4,5)
-	a.Emit(riscv.Instr{Op: riscv.HALT})                       // 5: not covered
-	p := mustFinish(t, a)
-
-	d := riscv.Decode(p, riscv.FlatCost{PerInstr: 2, ModelName: "flat2"})
-	got := d.Blocks()
-	want := []riscv.Block{
-		{Start: 0, Len: 3, Cycles: 6},
-		{Start: 4, Len: 1, Cycles: 2},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Blocks() = %+v, want %+v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Blocks()[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	// Suffix property inside the first run: entering at 1 must describe
-	// the 2-instruction tail, the contract mid-run branch entries rely on.
-	if d.Instrs[1].BlockLen != 2 || d.Instrs[1].BlockCycles != 4 {
-		t.Errorf("suffix at 1 = (%d, %d), want (2, 4)",
-			d.Instrs[1].BlockLen, d.Instrs[1].BlockCycles)
-	}
-}
-
 // TestFinishRejectsUnlabeledControlFlow: a branch with no label used to
 // slip through Finish with no Targets entry, and the reference engine
 // would silently jump to the map zero value (instruction 0) while the

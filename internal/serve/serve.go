@@ -300,15 +300,22 @@ func (rq RunRequest) resolve(maxN int) (core.Experiment, core.RunOptions, error)
 	if rq.N > maxN {
 		return e, opts, fmt.Errorf("n %d is above the server cap of %d", rq.N, maxN)
 	}
-	eng := sim.EngineRef
-	if rq.Engine != "" {
-		if eng, err = sim.EngineByName(rq.Engine); err != nil {
-			return e, opts, err
-		}
+	eng, err := requestEngine(rq.Engine)
+	if err != nil {
+		return e, opts, err
 	}
 	e = core.Experiment{Target: rq.Target, Workload: rq.Workload, Pipeline: p, N: rq.N}
 	opts = core.RunOptions{RecordTrace: rq.RecordTrace, SkipVerify: rq.SkipVerify, Engine: eng}
 	return e, opts, nil
+}
+
+// requestEngine resolves a request's engine field; a request that names
+// none runs the zero-value engine, the same cell core.RunOptions{} names.
+func requestEngine(name string) (sim.Engine, error) {
+	if name == "" {
+		return 0, nil
+	}
+	return sim.EngineByName(name)
 }
 
 // parseRunRequest decodes GET query parameters or a POST JSON body.
@@ -553,12 +560,9 @@ func (rq SweepRequest) resolve(maxCells, maxN int) ([]core.Experiment, core.RunO
 			return nil, opts, fmt.Errorf("size %d is above the server cap of %d", n, maxN)
 		}
 	}
-	eng := sim.EngineRef
-	if rq.Engine != "" {
-		var err error
-		if eng, err = sim.EngineByName(rq.Engine); err != nil {
-			return nil, opts, err
-		}
+	eng, err := requestEngine(rq.Engine)
+	if err != nil {
+		return nil, opts, err
 	}
 	exps := core.Sweep(rq.Targets, rq.Workloads, pipes, rq.Sizes)
 	if len(exps) > maxCells {

@@ -734,6 +734,31 @@ func TestHealthzAndDrain(t *testing.T) {
 	}
 }
 
+// TestRunWithoutEngineIsDefaultCell: a request that names no engine is the
+// cell zero-value RunOptions names, so it is answered from the memo a
+// direct Runner.Run(…, RunOptions{}) filled — the daemon and the library
+// agree on the default engine.
+func TestRunWithoutEngineIsDefaultCell(t *testing.T) {
+	runner := core.NewRunner(0)
+	if _, err := runner.Run(context.Background(), testExp, core.RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	_, ts, _ := newTestServer(t, serve.Options{Runner: runner})
+	url := fmt.Sprintf("%s/v1/run?target=%s&workload=%s&pipeline=%s&n=%d", ts.URL, testExp.Target, testExp.Workload, testExp.Pipeline, testExp.N)
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if stats := runner.Snapshot(); stats.Runs != 1 || stats.MemHits != 1 {
+		t.Errorf("after Run + engine-less GET: %s; want 1 run and 1 memory hit", stats)
+	}
+}
+
 // TestWarmFromStore boots a server over a store another runner populated
 // and checks requests are answered without any simulation.
 func TestWarmFromStore(t *testing.T) {
@@ -743,7 +768,7 @@ func TestWarmFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	exps := []core.Experiment{testExp, {Target: "gemmini", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16}}
-	opts := core.RunOptions{Engine: sim.EngineFast}
+	opts := core.RunOptions{Engine: sim.EngineRef}
 	first := core.NewRunnerWith(core.RunnerOptions{Store: st})
 	if _, err := first.RunAll(context.Background(), exps, opts); err != nil {
 		t.Fatal(err)

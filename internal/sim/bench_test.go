@@ -3,9 +3,9 @@ package sim_test
 // Simulator-engine micro-benchmarks: the same program measured on the
 // reference interpreter and the predecoded fast engine, reporting
 // simulated host instructions per second. These isolate interpreter
-// throughput — the ceiling on every figure sweep and fuzz campaign — from
-// compile and accelerator-model cost. CI runs them (with -benchtime=1x)
-// in the bench job next to the figure benchmarks; compare engines with
+// throughput from compile and accelerator-model cost, on loops no workload
+// contains; the same comparison on real cells is the sim.ref_run_ns /
+// sim.fast_run_ns rows of `go run ./bench -trace 1`. Compare engines with
 //
 //	go test -bench 'Sim_.*Engine' -benchtime 2s ./internal/sim | benchstat ...
 
@@ -128,26 +128,17 @@ func BenchmarkSim_RefEngine_ALU(b *testing.B) {
 func BenchmarkSim_FastEngine_ALU(b *testing.B) {
 	benchEngine(b, sim.EngineFast, buildALULoop(benchIters), nil)
 }
-func BenchmarkSim_CompiledEngine_ALU(b *testing.B) {
-	benchEngine(b, sim.EngineCompiled, buildALULoop(benchIters), nil)
-}
 func BenchmarkSim_RefEngine_Mem(b *testing.B) {
 	benchEngine(b, sim.EngineRef, buildMemLoop(benchIters), nil)
 }
 func BenchmarkSim_FastEngine_Mem(b *testing.B) {
 	benchEngine(b, sim.EngineFast, buildMemLoop(benchIters), nil)
 }
-func BenchmarkSim_CompiledEngine_Mem(b *testing.B) {
-	benchEngine(b, sim.EngineCompiled, buildMemLoop(benchIters), nil)
-}
 func BenchmarkSim_RefEngine_Config(b *testing.B) {
 	benchEngine(b, sim.EngineRef, buildConfigLoop(benchIters), benchDevice{})
 }
 func BenchmarkSim_FastEngine_Config(b *testing.B) {
 	benchEngine(b, sim.EngineFast, buildConfigLoop(benchIters), benchDevice{})
-}
-func BenchmarkSim_CompiledEngine_Config(b *testing.B) {
-	benchEngine(b, sim.EngineCompiled, buildConfigLoop(benchIters), benchDevice{})
 }
 
 // BenchmarkSim_Decode isolates predecode cost (paid once per Run on the

@@ -217,8 +217,13 @@ func TestEngineByName(t *testing.T) {
 			t.Errorf("EngineByName(%q) = %v, %v", eng.String(), got, err)
 		}
 	}
-	if _, err := sim.EngineByName("turbo"); err == nil {
-		t.Error("EngineByName must reject unknown engines")
+	if _, err := sim.EngineByName("compiled"); err == nil || !strings.Contains(err.Error(), "valid engines: ref, fast") {
+		t.Errorf("EngineByName(\"compiled\") = %v, want an error listing ref, fast", err)
+	}
+	// The zero value is the engine every default path runs; ref is
+	// reachable only by naming it.
+	if def := sim.Engine(0); def != sim.EngineFast {
+		t.Errorf("default engine = %s, want fast", def)
 	}
 }
 

@@ -101,7 +101,7 @@ type Segment struct {
 	End   uint64
 }
 
-// Engine selects a Machine execution engine. All engines implement the
+// Engine selects a Machine execution engine. Both engines implement the
 // same architectural and timing semantics and are continuously
 // cross-checked by the differential oracle (internal/difftest); they
 // differ only in how much work the hot loop does per executed instruction.
@@ -109,47 +109,37 @@ type Engine uint8
 
 // Execution engines.
 const (
+	// EngineFast, the zero value and so the default everywhere, executes
+	// a predecoded program form (riscv.Decode): pre-resolved branch
+	// targets, prefetched cycle costs, and basic-block-batched
+	// counter/trace accounting (fast.go).
+	EngineFast Engine = iota
 	// EngineRef is the reference interpreter: one instruction at a time,
-	// cost model consulted per instruction. It is the semantics baseline
-	// the other engines are verified against.
-	EngineRef Engine = iota
-	// EngineFast executes a predecoded program form (riscv.Decode):
-	// pre-resolved branch targets, prefetched cycle costs, and
-	// basic-block-batched counter/trace accounting.
-	EngineFast
-	// EngineCompiled executes a closure-compiled form (Machine.Compile):
-	// each maximal straight-line block is lowered to a chain of per-op
-	// closures with pre-resolved register pointers, immediates and branch
-	// targets, so steady-state execution runs closure-to-closure with no
-	// per-instruction dispatch switch (see compiled.go).
-	EngineCompiled
+	// cost model consulted per instruction. It exists as the semantics
+	// baseline the default engine is verified against and runs only when
+	// named.
+	EngineRef
 )
 
 func (e Engine) String() string {
-	switch e {
-	case EngineFast:
-		return "fast"
-	case EngineCompiled:
-		return "compiled"
+	if e == EngineRef {
+		return "ref"
 	}
-	return "ref"
+	return "fast"
 }
 
-// EngineByName parses an engine name ("ref", "fast" or "compiled").
+// Engines lists the available engines, reference first.
+var Engines = []Engine{EngineRef, EngineFast}
+
+// EngineByName parses an engine name ("ref" or "fast").
 func EngineByName(name string) (Engine, error) {
-	switch name {
-	case "ref":
-		return EngineRef, nil
-	case "fast":
-		return EngineFast, nil
-	case "compiled":
-		return EngineCompiled, nil
+	for _, e := range Engines {
+		if e.String() == name {
+			return e, nil
+		}
 	}
-	return EngineRef, fmt.Errorf("sim: unknown engine %q (valid engines: %s)", name, strings.Join(EngineNames(), ", "))
+	return 0, fmt.Errorf("sim: unknown engine %q (valid engines: %s)", name, strings.Join(EngineNames(), ", "))
 }
-
-// Engines lists the available engines.
-var Engines = []Engine{EngineRef, EngineFast, EngineCompiled}
 
 // EngineNames lists the parseable engine names in Engines order; commands
 // use it to build flag usage text and fail-fast error listings.
@@ -167,7 +157,7 @@ type Machine struct {
 	Cost   riscv.CostModel
 	Device accel.Device
 
-	// Engine selects the execution engine used by Run (default EngineRef).
+	// Engine selects the execution engine used by Run (default EngineFast).
 	Engine Engine
 
 	// Regs is the architectural register file; Regs[0] stays zero.
@@ -186,14 +176,6 @@ type Machine struct {
 	now       uint64
 	busyUntil uint64
 	lastJob   accel.Launch
-
-	// compiled memoizes the EngineCompiled lowering of the last program Run
-	// executed, so repeated runs of the same (unmutated) program skip
-	// decode and compile — the decode-once-run-many contract sweeps rely
-	// on. Invalidated when the program pointer, memory or cost model
-	// changes.
-	compiled     *Compiled
-	compiledProg *riscv.Program
 }
 
 // NewMachine builds a machine around the given memory, cost model and
@@ -249,22 +231,10 @@ func (mc *Machine) reset() {
 // reusing a Machine is safe; on error, Cycles still reflects the time
 // reached so partial runs are not reported as zero-cycle.
 func (mc *Machine) Run(p *riscv.Program) error {
-	switch mc.Engine {
-	case EngineFast:
-		return mc.RunDecoded(riscv.Decode(p, mc.Cost))
-	case EngineCompiled:
-		c := mc.compiled
-		if c == nil || mc.compiledProg != p || c.mem != mc.Mem || c.costName != mc.Cost.Name() {
-			var err error
-			c, err = mc.Compile(riscv.Decode(p, mc.Cost))
-			if err != nil {
-				return err
-			}
-			mc.compiled, mc.compiledProg = c, p
-		}
-		return mc.RunCompiled(c)
+	if mc.Engine == EngineRef {
+		return mc.runRef(p)
 	}
-	return mc.runRef(p)
+	return mc.RunDecoded(riscv.Decode(p, mc.Cost))
 }
 
 // runRef is the reference interpreter loop.

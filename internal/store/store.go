@@ -30,7 +30,12 @@ import (
 // (experiment, options, result) record, which is what lets a serving
 // daemon warm its runner from the store at boot without knowing which
 // sweeps produced it.
-const SchemaVersion = 2
+//
+// v3 changed no field: it retires every v2 entry because the engine
+// numbering behind "engine=%d" in the key and Options.Engine in the
+// envelope changed (the fast engine became the zero value), and a v2 cell
+// simulated by the reference interpreter must not be served as a fast one.
+const SchemaVersion = 3
 
 // envelope is the on-disk JSON document. Key is stored redundantly (the
 // path already encodes it) so loads can reject hash collisions and

@@ -95,6 +95,10 @@ func TestOptionsChangeKey(t *testing.T) {
 
 // TestSchemaMismatchInvalidates rewrites a stored entry with a foreign
 // schema version; the load must degrade to a miss, not return stale data.
+// The literal v2 envelope is what the previous layout wrote for this cell
+// when the reference interpreter simulated it: "engine=0" and "Engine":0
+// meant ref then and mean the fast engine now, so serving it would hand a
+// ref-simulated cell to a fast-engine request.
 func TestSchemaMismatchInvalidates(t *testing.T) {
 	s := openStore(t)
 	opts := core.RunOptions{}
@@ -111,11 +115,23 @@ func TestSchemaMismatchInvalidates(t *testing.T) {
 	if bumped == string(data) {
 		t.Fatalf("schema marker not found in %s", data)
 	}
-	if err := os.WriteFile(path, []byte(bumped), 0o644); err != nil {
-		t.Fatal(err)
+	const v2 = `{"schema":2,"key":"schema=2;target=opengemm;workload=matmul;pipeline=3;n=16;trace=false;skipverify=false;engine=0",` +
+		`"experiment":{"Target":"opengemm","Workload":"matmul","Pipeline":3,"N":16},` +
+		`"options":{"RecordTrace":false,"SkipVerify":false,"Engine":0,"Fidelity":0},` +
+		`"result":{"Target":"opengemm","Workload":"matmul","Pipeline":3,"N":16,"Cycles":1}}`
+	if want := "schema=2;" + core.FingerprintKey(exp, opts); !strings.Contains(v2, want) {
+		t.Fatalf("literal v2 envelope does not carry this cell's key %q", want)
 	}
-	if _, ok, err := s.Load(exp, opts); ok || err != nil {
-		t.Errorf("schema-mismatched entry: ok=%v err=%v, want miss with nil error", ok, err)
+	for name, foreign := range map[string]string{"future schema": bumped, "v2 envelope": v2} {
+		if err := os.WriteFile(path, []byte(foreign), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := s.Load(exp, opts); ok || err != nil {
+			t.Errorf("%s: ok=%v err=%v, want miss with nil error", name, ok, err)
+		}
+		if keys, err := s.Keys(); len(keys) != 0 || err != nil {
+			t.Errorf("%s: Keys = %v, %v; want the entry skipped", name, keys, err)
+		}
 	}
 }
 
@@ -250,7 +266,7 @@ func TestKeysAndEach(t *testing.T) {
 	}{
 		{core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16}, core.RunOptions{}},
 		{core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.AllOptimizations, N: 32}, core.RunOptions{SkipVerify: true}},
-		{core.Experiment{Target: "gemmini", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16}, core.RunOptions{Engine: sim.EngineFast}},
+		{core.Experiment{Target: "gemmini", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16}, core.RunOptions{Engine: sim.EngineRef}},
 	}
 	want := map[string]core.Result{}
 	for i, c := range cells {
