@@ -33,13 +33,20 @@ func SupportedSizes(t Target, w Workload, candidates []int) []int {
 	return out
 }
 
-// sizeFeasible reports whether w builds for t at size n.
-func sizeFeasible(t Target, w Workload, n int) bool {
+// sizeFeasible reports whether w builds for t at size n. A Build that
+// panics at a probed size does not support it: one broken externally
+// registered workload must not take discovery down for every other pair.
+func sizeFeasible(t Target, w Workload, n int) (ok bool) {
 	if shape, ok := workload.ShapeByName(w.Name); ok && t.MatmulTiling != nil {
 		mDim, kDim, nDim := shape.Dims(n)
 		_, err := t.MatmulTiling(mDim, kDim, nDim)
 		return err == nil
 	}
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
 	_, err := w.Build(t, n)
 	return err == nil
 }

@@ -37,6 +37,28 @@ func TestSupportedSizes(t *testing.T) {
 	}
 }
 
+// TestSupportedSizesPanickingBuild: a workload whose Build panics at a
+// probed size is reported as not supporting that size — the probe must not
+// let the panic escape into the daemon's registry endpoint.
+func TestSupportedSizesPanickingBuild(t *testing.T) {
+	tgt, err := core.LookupTarget("opengemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := core.Workload{
+		Name: "panics-at-16",
+		Build: func(_ core.Target, n int) (core.Instance, error) {
+			if n == 16 {
+				panic("kaboom")
+			}
+			return core.Instance{}, nil
+		},
+	}
+	if got, want := core.SupportedSizes(tgt, w, []int{8, 16, 24}), []int{8, 24}; !reflect.DeepEqual(got, want) {
+		t.Errorf("SupportedSizes with a Build that panics at 16 = %v, want %v", got, want)
+	}
+}
+
 // TestSupportedSizesBuildProbeAgreement: the closed-form tiling path and
 // the real Build probe must agree on feasibility for the built-ins — the
 // registry endpoint answers from the cheap path, the daemon executes the

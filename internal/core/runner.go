@@ -80,6 +80,9 @@ type cell struct {
 	done chan struct{}
 	res  Result
 	err  error
+	// shed marks a cell whose leader was refused admission: it carries no
+	// result, it is already out of the map, and its waiters re-claim.
+	shed bool
 }
 
 func newCell() *cell { return &cell{done: make(chan struct{})} }
@@ -90,6 +93,18 @@ func (c *cell) claim() bool {
 	won := false
 	c.win.Do(func() { won = true })
 	return won
+}
+
+// PanicError is what a cell reports when compiling or simulating it
+// panicked: the panic is contained to the callers waiting on that cell,
+// and the cell is dropped rather than memoized, so a retry recomputes.
+type PanicError struct {
+	Exp   Experiment
+	Value any // the recovered panic value
+}
+
+func (p *PanicError) Error() string {
+	return fmt.Sprintf("core: panic computing %s: %v", p.Exp, p.Value)
 }
 
 // lruEntry pairs a cell with its key so eviction can delete the map entry.
@@ -255,31 +270,52 @@ func (r *Runner) storeError(op string, e Experiment, err error) {
 // Run executes one experiment, memoized: the first request for a cell
 // consults the persistent store, then compiles and simulates on a store
 // miss; every later request (including a concurrent duplicate) returns the
-// stored result. Fresh results are saved back to the store.
+// stored result. Fresh results are saved back to the store. It is
+// RunAdmitted with no admission step.
+func (r *Runner) Run(ctx context.Context, e Experiment, opts RunOptions) (Result, error) {
+	res, err, _ := r.RunAdmitted(ctx, e, opts, nil)
+	return res, err
+}
+
+// RunAdmitted is Run with an admission step inside the cell claim — the
+// single coalescing point a serving layer needs. Only the goroutine that
+// claims the cell (the leader; led reports it) calls admit, and it holds
+// what admit granted until the cell is published, then calls release;
+// every concurrent duplicate waits on the cell and never touches
+// admission. A nil admit admits everything.
 //
 // The context governs waiting, not computing: a request that arrives while
-// the cell is in flight waits cancellably for it, and a request whose
-// context is already cancelled returns immediately — but once a goroutine
-// has claimed a cell it computes to completion (the deterministic result
-// serves every later request, including requests whose owner gave up).
+// the cell is in flight waits cancellably for it, a leader queued inside
+// admit is cancelled by its own ctx, and a request whose context is
+// already cancelled returns immediately — but once a leader is admitted it
+// computes to completion (the deterministic result serves every later
+// request, including requests whose owner gave up).
+//
+// A leader that admit refuses returns admit's error to its own caller
+// only: the cell is un-published and its waiters re-claim, so one of them
+// leads next under its own admit and context. A panic in the admitted
+// section (or in admit) is recovered and reported to the leader and the
+// current waiters as a *PanicError; the cell is dropped, never memoized
+// and never written to the store.
 //
 // opts.Fidelity routes the request before the memo machinery:
 // FidelityScreen answers purely analytically (never touching cells or the
 // store, never simulating), and FidelityCached serves an existing
 // memoized/stored result or falls back to a prediction. Predictions are
 // never memoized — the cell map holds only simulated ground truth.
-func (r *Runner) Run(ctx context.Context, e Experiment, opts RunOptions) (Result, error) {
+func (r *Runner) RunAdmitted(ctx context.Context, e Experiment, opts RunOptions, admit func(context.Context) (release func(), err error)) (res Result, err error, led bool) {
 	if err := ctx.Err(); err != nil {
-		return Result{}, err
+		return Result{}, err, false
 	}
 	switch opts.Fidelity {
 	case FidelityScreen:
-		return r.predict(e)
+		res, err = r.predict(e)
+		return res, err, true
 	case FidelityCached:
 		full := opts
 		full.Fidelity = FidelityFull
 		if res, ok := r.Peek(e, full); ok {
-			return *res, nil
+			return *res, nil, true
 		}
 		if r.store != nil {
 			res, ok, err := r.store.Load(e, full)
@@ -291,24 +327,72 @@ func (r *Runner) Run(ctx context.Context, e Experiment, opts RunOptions) (Result
 				// Publish for the next request; a racing claim wins and
 				// this copy is discarded.
 				r.Preload(e, full, res)
-				return res, nil
+				return res, nil, true
 			default:
 				r.bump(func(s *CacheStats) { s.StoreMisses++ })
 			}
 		}
-		return r.predict(e)
+		res, err = r.predict(e)
+		return res, err, true
 	}
-	c, _ := r.cell(keyOf(e, opts))
-	if c.claim() {
-		c.res, c.err = r.compute(e, opts)
+	k := keyOf(e, opts)
+	for {
+		c, _ := r.cell(k)
+		if c.claim() {
+			res, err = r.lead(ctx, k, c, e, opts, admit)
+			return res, err, true
+		}
+		select {
+		case <-c.done:
+			if !c.shed {
+				return c.res, c.err, false
+			}
+			// The leader was refused admission; lead or follow the next
+			// attempt, unless this caller has given up as well.
+			if err := ctx.Err(); err != nil {
+				return Result{}, err, false
+			}
+		case <-ctx.Done():
+			return Result{}, ctx.Err(), false
+		}
+	}
+}
+
+// lead resolves a cell this goroutine claimed and closes done on every
+// path, so no waiter is ever left behind.
+func (r *Runner) lead(ctx context.Context, k cacheKey, c *cell, e Experiment, opts RunOptions, admit func(context.Context) (func(), error)) (res Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			c.res, c.err = Result{}, &PanicError{Exp: e, Value: p}
+			res, err = c.res, c.err
+			r.drop(k, c)
+		}
 		close(c.done)
-		return c.res, c.err
+	}()
+	if admit != nil {
+		release, aerr := admit(ctx)
+		if aerr != nil {
+			c.shed = true
+			r.drop(k, c)
+			return Result{}, aerr
+		}
+		// Deferred after the recover above, so it runs first: whatever admit
+		// granted is given back before any waiter wakes, panic or not.
+		defer release()
 	}
-	select {
-	case <-c.done:
-		return c.res, c.err
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
+	c.res, c.err = r.compute(e, opts)
+	return c.res, c.err
+}
+
+// drop removes c from the cell map (unless the LRU already evicted it, or
+// replaced it), so the next request for k starts a fresh cell. It must run
+// before done is closed: a woken waiter looks k up again.
+func (r *Runner) drop(k cacheKey, c *cell) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if el, ok := r.cells[k]; ok && el.Value.(*lruEntry).c == c {
+		delete(r.cells, k)
+		r.lru.Remove(el)
 	}
 }
 
@@ -514,36 +598,6 @@ func (r *Runner) Warm(ctx context.Context, exps []Experiment, opts RunOptions) i
 	return warmed
 }
 
-// Missing filters exps down to the cells that would actually compute: not
-// in the in-memory map and not loadable from the store. It is the planning
-// half of sweep resume — after a crash, Missing lists the unfinished
-// cells. A cancelled context stops the scan and returns the list so far.
-func (r *Runner) Missing(ctx context.Context, exps []Experiment, opts RunOptions) []Experiment {
-	var missing []Experiment
-	for _, e := range exps {
-		if ctx.Err() != nil {
-			return missing
-		}
-		k := keyOf(e, opts)
-		r.mu.Lock()
-		_, inMem := r.cells[k]
-		r.mu.Unlock()
-		if inMem {
-			continue
-		}
-		if r.store != nil {
-			_, ok, err := r.store.Load(e, opts)
-			if err != nil {
-				r.storeError("load", e, err)
-			} else if ok {
-				continue
-			}
-		}
-		missing = append(missing, e)
-	}
-	return missing
-}
-
 // RunAll executes the experiments concurrently on the worker pool and
 // returns their results in input order — results[i] belongs to exps[i], so
 // parallel output is byte-identical to a serial (workers = 1) run. On
@@ -610,6 +664,13 @@ func ParallelEach(ctx context.Context, n, workers int, fn func(i int)) error {
 	done := ctx.Done()
 dispatch:
 	for i := 0; i < n; i++ {
+		// select picks among ready cases at random, so an idle worker alone
+		// would let a cancelled context still dispatch; look at it first.
+		select {
+		case <-done:
+			break dispatch
+		default:
+		}
 		select {
 		case idx <- i:
 		case <-done:

@@ -216,9 +216,9 @@ func TestShardPartition(t *testing.T) {
 }
 
 // TestShardedSweepThenResume drives the full split-grid workflow: two
-// shard processes fill one store, a third process finds nothing missing
-// and serves the whole grid without computing; and after a *partial* run
-// (one shard only), Missing names exactly the other shard's cells.
+// shard processes fill one store, a third process serves the whole grid
+// without computing; and after a *partial* run (one shard only), a resumed
+// run of the whole grid computes exactly the other shard's cells.
 func TestShardedSweepThenResume(t *testing.T) {
 	opts := core.RunOptions{SkipVerify: true}
 	grid := core.Figure12Experiments([]int{8, 16})
@@ -238,24 +238,18 @@ func TestShardedSweepThenResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resume planning: a fresh runner reports exactly shard 1 missing.
+	// Resume: a fresh runner over the whole grid loads shard 0 from the
+	// store and computes exactly shard 1.
 	resumed := diskRunner(t, dir, 0)
-	missing := resumed.Missing(context.Background(), grid, opts)
-	if !reflect.DeepEqual(missing, shard1) {
-		t.Errorf("Missing after partial sweep = %v, want %v", missing, shard1)
-	}
 	if _, err := resumed.RunAll(context.Background(), grid, opts); err != nil {
 		t.Fatal(err)
 	}
-	if s := resumed.Snapshot(); int(s.Runs) != len(shard1) {
-		t.Errorf("resume computed %d cells, want %d (only the missing shard)", s.Runs, len(shard1))
+	if s := resumed.Snapshot(); int(s.Runs) != len(shard1) || int(s.StoreHits) != len(shard0) {
+		t.Errorf("resume: %+v, want %d runs (only the missing shard) and %d store hits", s, len(shard1), len(shard0))
 	}
 
-	// Final render pass: everything stored, nothing missing or computed.
+	// Final render pass: everything stored, nothing computed.
 	final := diskRunner(t, dir, 0)
-	if missing := final.Missing(context.Background(), grid, opts); len(missing) != 0 {
-		t.Errorf("complete store still reports %d missing cells", len(missing))
-	}
 	if _, err := final.RunAll(context.Background(), grid, opts); err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,11 @@ package core_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -289,6 +292,158 @@ func TestRunWaiterCancellation(t *testing.T) {
 	}
 	if s := r.Snapshot(); s.Runs != 1 {
 		t.Errorf("Runs = %d, want 1 (waiter cancellation must not duplicate work)", s.Runs)
+	}
+}
+
+var panickyOnce sync.Once
+
+// panickyExp names a cell whose Build panics. The workload is registered
+// once (the registry is global) and panics at n == 7 only; every other size
+// is a plain error, so the registry-wide probes of other tests never trip
+// it.
+func panickyExp(t *testing.T) core.Experiment {
+	t.Helper()
+	panickyOnce.Do(func() {
+		err := core.RegisterWorkload(core.Workload{
+			Name:        "panicky",
+			Description: "test workload whose build panics at n=7",
+			Build: func(_ core.Target, n int) (core.Instance, error) {
+				if n == 7 {
+					panic("kaboom")
+				}
+				return core.Instance{}, fmt.Errorf("panicky: unsupported size %d", n)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	return core.Experiment{Target: "opengemm", Workload: "panicky", Pipeline: core.Baseline, N: 7}
+}
+
+// waitMemHits waits until n requests have found an existing cell in r —
+// the observable moment a follower attaches to an in-flight cell.
+func waitMemHits(t *testing.T, r *core.Runner, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for r.Snapshot().MemHits < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d followers attached", r.Snapshot().MemHits, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunPanicContained: a cell whose Build panics answers every
+// concurrent caller — the leader and the waiters — with a *PanicError
+// instead of hanging them, and the cell is dropped, not memoized: Peek
+// misses and a later Run attempts the cell again.
+func TestRunPanicContained(t *testing.T) {
+	e := panickyExp(t)
+	st := &blockingStore{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	r := core.NewRunnerWith(core.RunnerOptions{Workers: 4, Store: st})
+
+	const callers = 8
+	errs := make(chan error, callers)
+	run := func() {
+		_, err := r.Run(context.Background(), e, core.RunOptions{})
+		errs <- err
+	}
+	go run()
+	<-st.entered // the leader has claimed the cell and is inside compute
+	for i := 1; i < callers; i++ {
+		go run()
+	}
+	waitMemHits(t, r, callers-1)
+	close(st.release)
+
+	for i := 0; i < callers; i++ {
+		select {
+		case err := <-errs:
+			var pe *core.PanicError
+			if !errors.As(err, &pe) || pe.Exp != e || !strings.Contains(err.Error(), "kaboom") {
+				t.Errorf("caller %d: err = %v, want a *PanicError for %s carrying the panic value", i, err, e)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("caller %d still blocked on the panicked cell", i)
+		}
+	}
+	if _, ok := r.Peek(e, core.RunOptions{}); ok {
+		t.Error("Peek hit a panicked cell")
+	}
+	if n := r.CacheSize(); n != 0 {
+		t.Errorf("CacheSize = %d after the panic, want 0 (the cell must be dropped)", n)
+	}
+	before := r.Snapshot().StoreMisses
+	var pe *core.PanicError
+	if _, err := r.Run(context.Background(), e, core.RunOptions{}); !errors.As(err, &pe) {
+		t.Errorf("retry: err = %v, want a fresh *PanicError", err)
+	}
+	if after := r.Snapshot().StoreMisses; after != before+1 {
+		t.Errorf("retry consulted the store %d times, want 1 (a memoized panic would not re-attempt)", after-before)
+	}
+}
+
+// TestRunAdmittedReclaim: when the leader is refused admission, the error
+// is the leader's alone — its waiters re-claim the cell, exactly one of
+// them leads (and is the only one put through admission), the cell is
+// simulated once and every waiter gets the result.
+func TestRunAdmittedReclaim(t *testing.T) {
+	r := core.NewRunner(4)
+	e := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 8}
+	opts := core.RunOptions{}
+	want, err := core.RunExperiment(e, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	errShed := errors.New("shed")
+	queued, refuse := make(chan struct{}), make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err, led := r.RunAdmitted(context.Background(), e, opts, func(context.Context) (func(), error) {
+			close(queued)
+			<-refuse
+			return nil, errShed
+		})
+		if !led {
+			t.Error("the first caller did not lead")
+		}
+		leaderErr <- err
+	}()
+	<-queued // the leader has claimed the cell and is inside admission
+
+	const followers = 8
+	var admits, released, leds atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < followers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err, led := r.RunAdmitted(context.Background(), e, opts, func(context.Context) (func(), error) {
+				admits.Add(1)
+				return func() { released.Add(1) }, nil
+			})
+			if led {
+				leds.Add(1)
+			}
+			if err != nil || res.Counters != want.Counters {
+				t.Errorf("follower %d: res %+v err %v, want the simulated result", i, res.Counters, err)
+			}
+		}(i)
+	}
+	waitMemHits(t, r, followers)
+	close(refuse)
+
+	if err := <-leaderErr; !errors.Is(err, errShed) {
+		t.Errorf("refused leader returned %v, want its admission error", err)
+	}
+	wg.Wait()
+	if a, rel, l := admits.Load(), released.Load(), leds.Load(); a != 1 || rel != 1 || l != 1 {
+		t.Errorf("%d admissions, %d releases, %d leaders among the followers; want 1 each", a, rel, l)
+	}
+	if s := r.Snapshot(); s.Runs != 1 {
+		t.Errorf("Runs = %d, want 1", s.Runs)
 	}
 }
 

@@ -58,7 +58,7 @@ const (
 	// admission state is taken — the panic-recovery middleware's case.
 	ServeHandlerPanic Site = "serve.handler.panic"
 	// ServeRunPanic fires a panic on the run path after an admission slot
-	// is held — recovery must release the slot and the flight entry.
+	// is held — recovery must release the slot and drop the claimed cell.
 	ServeRunPanic Site = "serve.run.panic"
 )
 

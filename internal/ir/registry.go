@@ -49,8 +49,17 @@ func (i OpInfo) HasTrait(t Trait) bool {
 }
 
 var (
-	registryMu sync.RWMutex
-	registry   = map[string]OpInfo{}
+	// registryMu is read-locked by every worker on every Lookup, and each
+	// RLock writes its reader count. The padding keeps that write off the
+	// cache lines of whatever the linker places next to it: in builds where
+	// that was runtime.writeBarrier — read on every pointer store — two
+	// workers ran cold small cells 17% slower (bench sweep_small, PR 13).
+	registryMu struct {
+		_ [64]byte
+		sync.RWMutex
+		_ [64]byte
+	}
+	registry = map[string]OpInfo{}
 )
 
 // Register adds an op kind to the global registry. Registering the same name

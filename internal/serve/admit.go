@@ -22,9 +22,13 @@ var (
 // admission bounds how much experiment computation the server attempts at
 // once: at most `concurrency` computations execute, at most `depth` more
 // wait for a slot (each with a timeout), and everything beyond that is
-// rejected outright. Coalesced duplicates never enter admission (see
-// flightGroup), so the bound is on *distinct* in-flight cells.
+// rejected outright. Coalesced duplicates never enter admission (only the
+// goroutine that claims a cell in core.Runner.RunAdmitted does), so the
+// bound is on *distinct* in-flight cells.
 type admission struct {
+	// base is the server's lifetime; once it ends every wait fails.
+	base context.Context
+
 	slots       chan struct{} // capacity = concurrency; holding a token = executing
 	tickets     chan struct{} // capacity = concurrency + depth; bounds waiters
 	timeout     time.Duration
@@ -38,8 +42,9 @@ type admission struct {
 	holdEWMA time.Duration
 }
 
-func newAdmission(concurrency, depth int, timeout time.Duration) *admission {
+func newAdmission(base context.Context, concurrency, depth int, timeout time.Duration) *admission {
 	return &admission{
+		base:        base,
 		slots:       make(chan struct{}, concurrency),
 		tickets:     make(chan struct{}, concurrency+depth),
 		timeout:     timeout,
@@ -88,7 +93,8 @@ func (a *admission) retryAfterSeconds() int {
 
 // acquire claims an execution slot with request semantics: it rejects with
 // ErrQueueFull when the queue is at capacity, waits at most the queue
-// timeout for a slot (ErrQueueTimeout), and aborts if ctx is cancelled.
+// timeout for a slot (ErrQueueTimeout), and aborts if ctx is cancelled or
+// the server closes.
 // On success the returned release must be called exactly once.
 func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 	select {
@@ -108,11 +114,15 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 	case <-ctx.Done():
 		<-a.tickets
 		return nil, ctx.Err()
+	case <-a.base.Done():
+		<-a.tickets
+		return nil, a.base.Err()
 	}
 }
 
 // acquireWait claims an execution slot with batch semantics: it bypasses
-// the queue bound and waits indefinitely (until ctx cancels). Sweep cells
+// the queue bound and waits indefinitely (until ctx cancels or the server
+// closes). Sweep cells
 // use it — a batch applies backpressure by trickling results out as slots
 // free up, not by rejecting its own cells.
 func (a *admission) acquireWait(ctx context.Context) (release func(), err error) {
@@ -122,6 +132,8 @@ func (a *admission) acquireWait(ctx context.Context) (release func(), err error)
 		return func() { a.recordHold(time.Since(start)); <-a.slots }, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	case <-a.base.Done():
+		return nil, a.base.Err()
 	}
 }
 

@@ -121,7 +121,7 @@ func (m *metrics) render(sb *strings.Builder, g gauges) {
 	fmt.Fprintf(sb, "# TYPE cwserve_coalesced_total counter\n")
 	fmt.Fprintf(sb, "cwserve_coalesced_total %d\n", m.coalesced)
 
-	fmt.Fprintf(sb, "# HELP cwserve_panics_recovered_total Panics contained by the serving recovery layers (handler middleware and flight group).\n")
+	fmt.Fprintf(sb, "# HELP cwserve_panics_recovered_total Panics contained by the serving recovery layers (handler middleware and the runner's cell leader).\n")
 	fmt.Fprintf(sb, "# TYPE cwserve_panics_recovered_total counter\n")
 	fmt.Fprintf(sb, "cwserve_panics_recovered_total %d\n", m.panics)
 

@@ -70,8 +70,8 @@ func TestHandlerPanicRecovery(t *testing.T) {
 }
 
 // TestRunPanicRecovery: a panic fired while an admission slot is held is
-// contained by the flight group, the slot and the flight entry are
-// released, and a retry of the same cell succeeds.
+// contained by the runner's cell leader, the slot is released and the
+// cell dropped, and a retry of the same cell succeeds.
 func TestRunPanicRecovery(t *testing.T) {
 	plan := fault.New(1, map[fault.Site]fault.Rule{fault.ServeRunPanic: {Rate: 1, Max: 1}})
 	_, _, client := newTestServer(t, serve.Options{Fault: plan, Concurrency: 1})
@@ -83,7 +83,7 @@ func TestRunPanicRecovery(t *testing.T) {
 	}
 
 	// With Concurrency 1, a leaked slot would wedge this retry forever;
-	// a leaked flight entry would replay the poisoned error.
+	// a memoized panic would replay the poisoned error.
 	got, err := client.RunRaw(context.Background(), testExp, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)

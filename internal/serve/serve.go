@@ -7,9 +7,10 @@
 //
 // The layering (DESIGN.md §7):
 //
-//	HTTP handlers → flightGroup (coalesce identical in-flight requests)
-//	             → admission (bounded concurrency + queue, 429 backpressure)
-//	             → core.Runner (memoization, worker pool, persistent store)
+//	HTTP handlers → core.Runner cell claim (coalesce identical in-flight
+//	                requests; memoization, worker pool, persistent store)
+//	                  → admission, for the goroutine that won the claim
+//	                    (bounded concurrency + queue, 429 backpressure)
 //
 // Endpoints:
 //
@@ -88,7 +89,6 @@ const (
 type Server struct {
 	runner        *core.Runner
 	admit         *admission
-	flight        *flightGroup
 	met           *metrics
 	mux           *http.ServeMux
 	maxSweepCells int
@@ -101,8 +101,11 @@ type Server struct {
 	sizesOnce sync.Once
 	sizes     map[string]map[string][]int
 
-	baseCtx  context.Context
-	cancel   context.CancelFunc
+	// inflight counts the cells whose leader is queued for or holding an
+	// admission slot (the cwserve_inflight_cells gauge).
+	inflight atomic.Int64
+
+	cancel   context.CancelFunc // ends the admission's base context (Close)
 	draining atomic.Bool
 }
 
@@ -137,19 +140,14 @@ func New(opts Options) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		runner:        opts.Runner,
-		admit:         newAdmission(conc, depth, timeout),
-		flight:        newFlightGroup(ctx),
+		admit:         newAdmission(ctx, conc, depth, timeout),
 		met:           newMetrics(),
 		mux:           http.NewServeMux(),
 		maxSweepCells: maxCells,
 		maxN:          maxN,
 		fault:         opts.Fault,
-		baseCtx:       ctx,
 		cancel:        cancel,
 	}
-	// Panics recovered by the flight group (a poisoned workload, an
-	// injected run-path fault) count alongside handler-level recoveries.
-	s.flight.onPanic = s.met.panicked
 	s.mux.HandleFunc("/v1/run", s.instrument("run", s.handleRun))
 	s.mux.HandleFunc("/v1/sweep", s.instrument("sweep", s.handleSweep))
 	s.mux.HandleFunc("/v1/registry", s.instrument("registry", s.handleRegistry))
@@ -200,9 +198,9 @@ func (s *Server) Close() { s.cancel() }
 // panic recovery: a panicking handler answers 500 (when nothing has been
 // written yet) instead of killing the connection with no response, the
 // recovery is counted in cwserve_panics_recovered_total, and the daemon
-// stays up. Admission slots and flight entries never leak across a panic
-// — their releases are deferred, and deferred calls run during the
-// unwind before the recovery here sees it.
+// stays up. Admission slots never leak across a panic — their releases
+// are deferred, and deferred calls run during the unwind before the
+// recovery here sees it.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
@@ -361,53 +359,45 @@ func boolParam(v string) (bool, error) {
 	return strconv.ParseBool(v)
 }
 
-// execute runs one validated cell through the full serving stack:
-// coalescing, then admission, then the memoized runner. wait selects
-// batch admission semantics (sweep cells block for slots instead of
-// 429ing). reqCtx governs only this caller's wait: the computation runs
-// on the flight leader's context, which outlives any single request and
-// cancels only when the server closes or every attached request has gone
-// away — so a cell wanted by anyone keeps going, and a cell wanted by
-// no one stops consuming queue positions and workers.
-func (s *Server) execute(reqCtx context.Context, e core.Experiment, opts core.RunOptions, wait bool) (core.Result, error, bool) {
-	key := core.FingerprintKey(e, opts)
-	wasCoalesced := false
-	for {
-		res, err, coalesced := s.flight.do(reqCtx, key, func(runCtx context.Context) (core.Result, error) {
-			var release func()
-			var aerr error
-			if wait {
-				release, aerr = s.admit.acquireWait(runCtx)
-			} else {
-				release, aerr = s.admit.acquire(runCtx)
-			}
-			if aerr != nil {
-				return core.Result{}, aerr
-			}
-			defer release()
-			// Injected after the slot is held and its release deferred: the
-			// unwind runs the deferred release, the flight group's recover
-			// contains the panic as this cell's error, and its deferred map
-			// cleanup removes the entry — the recovery contract the chaos
-			// campaign asserts (no leaked slots, no leaked flight entries).
-			if s.fault.Fire(fault.ServeRunPanic) {
-				panic("fault: injected run-path panic")
-			}
-			return s.runner.Run(runCtx, e, opts)
-		})
-		if coalesced && !wasCoalesced {
-			wasCoalesced = true
-			s.met.coalesce()
-		}
-		// A batch cell may have attached to a request-mode leader that was
-		// shed by admission control; rejection is the request contract,
-		// not the batch one, so retry — the failed call is gone from the
-		// flight map and the retry starts (or joins) a waiting leader.
-		if wait && coalesced && (errors.Is(err, ErrQueueFull) || errors.Is(err, ErrQueueTimeout)) && reqCtx.Err() == nil {
-			continue
-		}
-		return res, err, wasCoalesced
+// execute runs one validated cell through the serving stack: the runner's
+// cell claim coalesces, and only the goroutine that wins it is put through
+// admission. wait selects batch admission semantics (sweep cells block for
+// slots instead of 429ing). reqCtx governs this caller's waiting — for the
+// cell as a follower, for a slot as the leader; an admitted cell computes
+// to completion whoever is still listening.
+func (s *Server) execute(reqCtx context.Context, e core.Experiment, opts core.RunOptions, wait bool) (core.Result, error) {
+	acquire := s.admit.acquire
+	if wait {
+		acquire = s.admit.acquireWait
 	}
+	res, err, led := s.runner.RunAdmitted(reqCtx, e, opts, func(ctx context.Context) (func(), error) {
+		s.inflight.Add(1)
+		release, err := acquire(ctx)
+		if err != nil {
+			s.inflight.Add(-1)
+			return nil, err
+		}
+		done := func() { release(); s.inflight.Add(-1) }
+		// Injected with the slot held: the unwind runs the deferred release
+		// and the runner publishes the panic as this cell's error and drops
+		// the cell — the recovery contract the chaos campaign asserts (no
+		// leaked slots, no leaked cells).
+		if s.fault.Fire(fault.ServeRunPanic) {
+			defer done()
+			panic("fault: injected run-path panic")
+		}
+		return done, nil
+	})
+	var pe *core.PanicError
+	switch {
+	case !led:
+		s.met.coalesce()
+	case errors.As(err, &pe):
+		// A poisoned workload or an injected run-path fault counts
+		// alongside handler-level recoveries.
+		s.met.panicked()
+	}
+	return res, err
 }
 
 // writeRunError maps an execution error onto an HTTP status.
@@ -451,16 +441,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Cached fast path: a completed cell answers with one runner map
-	// lookup and a pooled response encode — no fingerprint computation,
-	// no flight-group handshake, no admission slot. The Peek result is
-	// the shared cached Result; writeJSON only reads it.
+	// lookup and a pooled response encode — no cell claim, no admission
+	// slot. The Peek result is the shared cached Result; writeJSON only
+	// reads it.
 	if cached, ok := s.runner.Peek(e, opts); ok {
 		if err := writeJSON(w, cached); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 		return
 	}
-	res, err, _ := s.execute(r.Context(), e, opts, false)
+	res, err := s.execute(r.Context(), e, opts, false)
 	if err != nil {
 		s.writeRunError(w, r, err)
 		return
@@ -594,19 +584,28 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	stream := rq.Stream == nil || *rq.Stream
+	var preds []core.Result // the analytic answer of every cell
+	var sim []int           // the cells to simulate
 	switch rq.Fidelity {
-	case "screen":
-		s.screenSweep(w, r, exps, stream)
-	case "topk":
-		s.topkSweep(w, r, exps, opts, rq.TopK, stream)
-	default:
-		s.met.sweepTier(tierSimulated, len(exps))
-		if stream {
-			s.streamSweep(w, r, exps, opts)
+	case "screen", "topk":
+		if preds, err = s.runner.Screen(r.Context(), exps); err != nil {
+			// Prediction failures are grid problems (an uncalibrated workload,
+			// a size the target's tiling rejects), not server faults.
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		s.arraySweep(w, r, exps, opts)
+		// "screen" simulates nothing, "topk" only the k cells with the best
+		// predicted ops/cycle.
+		if rq.Fidelity == "topk" {
+			sim = core.TopKByPredictedPerf(preds, rq.TopK)
+		}
+	default:
+		sim = make([]int, len(exps))
+		for i := range sim {
+			sim[i] = i
+		}
 	}
+	s.writeSweep(w, r, exps, opts, preds, sim, stream)
 }
 
 // Sweep fidelity tiers, as exposed in cwserve_sweep_cells_total{tier=...}.
@@ -643,130 +642,6 @@ func (s *Server) checkFidelity(rq SweepRequest) error {
 	return nil
 }
 
-// screenSweep answers the whole grid from the analytical tier: zero
-// simulations, zero admission slots, every result marked Analytic.
-func (s *Server) screenSweep(w http.ResponseWriter, r *http.Request, exps []core.Experiment, stream bool) {
-	preds, err := s.runner.Screen(r.Context(), exps)
-	if err != nil {
-		// Prediction failures are grid problems (an uncalibrated workload,
-		// a size the target's tiling rejects), not server faults.
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.met.sweepTier(tierAnalytic, len(exps))
-	s.writeSweepResults(w, exps, preds, stream)
-}
-
-// topkSweep screens the grid analytically, then simulates only the k
-// cells with the best predicted ops/cycle through the normal serving
-// stack (coalescing + batch admission), merging simulated results over
-// their predictions.
-func (s *Server) topkSweep(w http.ResponseWriter, r *http.Request, exps []core.Experiment, opts core.RunOptions, k int, stream bool) {
-	preds, err := s.runner.Screen(r.Context(), exps)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	chosen := core.TopKByPredictedPerf(preds, k)
-	s.met.sweepTier(tierAnalytic, len(exps)-len(chosen))
-	s.met.sweepTier(tierSimulated, len(chosen))
-	sub := make([]core.Experiment, len(chosen))
-	for i, idx := range chosen {
-		sub[i] = exps[idx]
-	}
-
-	if !stream {
-		ctx, cancel := context.WithCancel(r.Context())
-		defer cancel()
-		ch := s.runSweep(ctx, sub, opts)
-		for oc := range ch {
-			if oc.err != nil {
-				cancel()
-				for range ch {
-				}
-				s.writeRunError(w, r, fmt.Errorf("experiment %s: %w", sub[oc.index], oc.err))
-				return
-			}
-			preds[chosen[oc.index]] = oc.res
-		}
-		if r.Context().Err() != nil {
-			return // client went away mid-sweep
-		}
-		s.writeSweepResults(w, exps, preds, false)
-		return
-	}
-
-	// Streaming: the analytic tier is instant, so its events go out first
-	// (grid order); simulated winners follow in completion order.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	isChosen := make(map[int]bool, len(chosen))
-	for _, idx := range chosen {
-		isChosen[idx] = true
-	}
-	for i := range preds {
-		if isChosen[i] {
-			continue
-		}
-		idx := i
-		if enc.Encode(SweepEvent{Index: &idx, Experiment: &exps[i], Result: &preds[i]}) != nil {
-			return
-		}
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-	failed := 0
-	ch := s.runSweep(r.Context(), sub, opts)
-	for oc := range ch {
-		idx := chosen[oc.index]
-		ev := SweepEvent{Index: &idx, Experiment: &exps[idx]}
-		if oc.err != nil {
-			failed++
-			ev.Error = oc.err.Error()
-		} else {
-			ev.Result = &oc.res
-		}
-		if enc.Encode(ev) != nil {
-			for range ch {
-			}
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	enc.Encode(SweepEvent{Done: true, Cells: len(exps), Failed: failed, Status: trailerStatus(failed)})
-}
-
-// writeSweepResults renders an already-complete result set, either as
-// NDJSON events in grid order or as one JSON array.
-func (s *Server) writeSweepResults(w http.ResponseWriter, exps []core.Experiment, results []core.Result, stream bool) {
-	if stream {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		enc := json.NewEncoder(w)
-		for i := range results {
-			idx := i
-			if enc.Encode(SweepEvent{Index: &idx, Experiment: &exps[i], Result: &results[i]}) != nil {
-				return
-			}
-		}
-		enc.Encode(SweepEvent{Done: true, Cells: len(exps), Status: trailerStatus(0)})
-		return
-	}
-	body, err := json.Marshal(results)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Write(body)
-}
-
 // cellOutcome is one finished sweep cell, sent from the workers to the
 // response writer.
 type cellOutcome struct {
@@ -775,21 +650,22 @@ type cellOutcome struct {
 	err   error
 }
 
-// runSweep executes the grid on a bounded worker pool through the serving
-// stack (flight + batch admission + runner) and sends each outcome on the
-// returned channel as it completes. The channel is closed when the sweep
-// is done or the context cancels.
-func (s *Server) runSweep(ctx context.Context, exps []core.Experiment, opts core.RunOptions) <-chan cellOutcome {
+// runSweep executes the cells of the grid listed in sim on a bounded
+// worker pool through the serving stack (runner cell claim + batch
+// admission) and sends each outcome, under its grid index, on the returned
+// channel as it completes. The channel is closed when the sweep is done or
+// the context cancels.
+func (s *Server) runSweep(ctx context.Context, exps []core.Experiment, sim []int, opts core.RunOptions) <-chan cellOutcome {
 	out := make(chan cellOutcome)
 	go func() {
 		defer close(out)
-		core.ParallelEach(ctx, len(exps), s.runner.Workers(), func(i int) {
-			res, err, _ := s.execute(ctx, exps[i], opts, true)
+		core.ParallelEach(ctx, len(sim), s.runner.Workers(), func(j int) {
+			res, err := s.execute(ctx, exps[sim[j]], opts, true)
 			// The send races the writer abandoning the response; a
 			// cancelled context unblocks the worker so no goroutine
 			// outlives the request.
 			select {
-			case out <- cellOutcome{index: i, res: res, err: err}:
+			case out <- cellOutcome{index: sim[j], res: res, err: err}:
 			case <-ctx.Done():
 			}
 		})
@@ -797,16 +673,75 @@ func (s *Server) runSweep(ctx context.Context, exps []core.Experiment, opts core
 	return out
 }
 
-// streamSweep writes one NDJSON SweepEvent per cell in completion order,
-// flushing after every line, then a final summary event.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, exps []core.Experiment, opts core.RunOptions) {
+// writeSweep answers one grid: the cells listed in sim (ascending grid
+// indices) are simulated through runSweep — zero admission slots for the
+// rest, whose answer is already in ready (nil when sim is the whole grid).
+//
+// Streaming writes one NDJSON SweepEvent per cell, then the trailer: the
+// ready cells first, in grid order (the analytic tier is instant), then the
+// simulated ones in completion order, flushing after every line. The array
+// form waits for the whole grid and responds with one JSON array of
+// results in input order; any failed cell fails the whole request.
+func (s *Server) writeSweep(w http.ResponseWriter, r *http.Request, exps []core.Experiment, opts core.RunOptions, ready []core.Result, sim []int, stream bool) {
+	s.met.sweepTier(tierAnalytic, len(exps)-len(sim))
+	s.met.sweepTier(tierSimulated, len(sim))
+
+	if !stream {
+		results := ready
+		if results == nil {
+			results = make([]core.Result, len(exps))
+		}
+		ctx, cancel := context.WithCancel(r.Context())
+		defer cancel()
+		ch := s.runSweep(ctx, exps, sim, opts)
+		for oc := range ch {
+			if oc.err != nil {
+				// One failed cell fails the request: stop dispatching the
+				// rest and drain what's in flight.
+				cancel()
+				for range ch {
+				}
+				s.writeRunError(w, r, fmt.Errorf("experiment %s: %w", exps[oc.index], oc.err))
+				return
+			}
+			results[oc.index] = oc.res
+		}
+		if r.Context().Err() != nil {
+			return // client went away mid-sweep
+		}
+		body, err := json.Marshal(results)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
+		return
+	}
+
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-
 	enc := json.NewEncoder(w)
+	if ready != nil {
+		next := 0 // position in sim of the next simulated index
+		for i := range ready {
+			if next < len(sim) && sim[next] == i {
+				next++
+				continue
+			}
+			idx := i
+			if enc.Encode(SweepEvent{Index: &idx, Experiment: &exps[i], Result: &ready[i]}) != nil {
+				return
+			}
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
 	failed := 0
-	ch := s.runSweep(r.Context(), exps, opts)
+	ch := s.runSweep(r.Context(), exps, sim, opts)
 	for oc := range ch {
 		i := oc.index
 		ev := SweepEvent{Index: &i, Experiment: &exps[i]}
@@ -828,38 +763,6 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, exps []core
 		}
 	}
 	enc.Encode(SweepEvent{Done: true, Cells: len(exps), Failed: failed, Status: trailerStatus(failed)})
-}
-
-// arraySweep waits for the whole grid and responds with one JSON array of
-// results in input order; any failed cell fails the whole request.
-func (s *Server) arraySweep(w http.ResponseWriter, r *http.Request, exps []core.Experiment, opts core.RunOptions) {
-	results := make([]core.Result, len(exps))
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	ch := s.runSweep(ctx, exps, opts)
-	for oc := range ch {
-		if oc.err != nil {
-			// One failed cell fails the request: stop dispatching the
-			// rest and drain what's in flight.
-			cancel()
-			for range ch {
-			}
-			s.writeRunError(w, r, fmt.Errorf("experiment %s: %w", exps[oc.index], oc.err))
-			return
-		}
-		results[oc.index] = oc.res
-	}
-	if err := r.Context().Err(); err != nil {
-		return // client went away mid-sweep
-	}
-	body, err := json.Marshal(results)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Write(body)
 }
 
 // RegistryInfo is the response of GET /v1/registry: everything a
@@ -999,7 +902,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.render(&sb, gauges{
 		queueDepth: s.admit.queued(),
 		slotsBusy:  s.admit.busy(),
-		inflight:   s.flight.inflight(),
+		inflight:   int(s.inflight.Load()),
 		cacheCells: s.runner.CacheSize(),
 	})
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

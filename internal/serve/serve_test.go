@@ -887,6 +887,40 @@ func TestAcceptanceLoadGen(t *testing.T) {
 	}
 }
 
+// TestCloseUnblocksQueuedRequest: Close ends a wait for an admission slot
+// — the queued request answers 503 instead of riding out the queue
+// timeout — while the admitted cell still computes to completion.
+func TestCloseUnblocksQueuedRequest(t *testing.T) {
+	st := &slowStore{delay: 300 * time.Millisecond}
+	runner := core.NewRunnerWith(core.RunnerOptions{Workers: 4, Store: st})
+	sv, _, c := newTestServer(t, serve.Options{Runner: runner, Concurrency: 1})
+
+	occupied := make(chan error, 1)
+	go func() {
+		_, err := c.RunRaw(context.Background(), testExp, core.RunOptions{})
+		occupied <- err
+	}()
+	time.Sleep(100 * time.Millisecond) // let the first request take the slot
+
+	queued := make(chan error, 1)
+	go func() {
+		other := testExp
+		other.N = 16
+		_, err := c.RunRaw(context.Background(), other, core.RunOptions{})
+		queued <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let the second request queue
+	sv.Close()
+
+	se, ok := (<-queued).(*serve.StatusError)
+	if !ok || se.Code != http.StatusServiceUnavailable {
+		t.Errorf("queued request at Close: %v, want a 503 StatusError", se)
+	}
+	if err := <-occupied; err != nil {
+		t.Errorf("admitted request at Close: %v, want it to complete", err)
+	}
+}
+
 // TestMaxNCap rejects huge-n requests up front: a claimed cell always
 // computes to completion, so admission-time is the only place to stop an
 // O(n^3) simulation from wedging a slot for hours.
@@ -918,23 +952,36 @@ func TestMaxNCap(t *testing.T) {
 }
 
 // TestPanicContainment: a cell whose build panics must produce a 500 for
-// that request — never take down the daemon — and leave the server
-// serving other cells.
+// that request — never take down the daemon — every time it is asked for:
+// with one slot, a panicked cell left claimed (or its slot left held)
+// would hang the second request and starve the healthy cell behind it.
 func TestPanicContainment(t *testing.T) {
 	registerPanicky(t)
-	_, ts, c := newTestServer(t, serve.Options{})
-	resp, err := http.Get(ts.URL + "/v1/run?target=opengemm&workload=panicky&pipeline=base&n=8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "panic") {
-		t.Errorf("panicking cell: %d %q, want 500 mentioning the panic", resp.StatusCode, body)
+	_, ts, c := newTestServer(t, serve.Options{Concurrency: 1})
+	hc := &http.Client{Timeout: 2 * time.Second}
+	for i := 0; i < 3; i++ {
+		resp, err := hc.Get(ts.URL + "/v1/run?target=opengemm&workload=panicky&pipeline=base&n=8")
+		if err != nil {
+			t.Fatalf("request %d for the panicking cell: %v", i, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "panic computing") {
+			t.Errorf("panicking cell, request %d: %d %q, want 500 mentioning the panic", i, resp.StatusCode, body)
+		}
 	}
 	// The daemon survived and still serves healthy cells.
 	if _, err := c.RunRaw(context.Background(), testExp, core.RunOptions{}); err != nil {
 		t.Errorf("healthy cell after a panicking one: %v", err)
+	}
+	metrics, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gauge := range []string{"cwserve_slots_busy", "cwserve_inflight_cells", "cwserve_queue_depth"} {
+		if v := metricValue(t, metrics, gauge); v != "0" {
+			t.Errorf("%s = %s after the panics, want 0", gauge, v)
+		}
 	}
 }
 
@@ -957,9 +1004,9 @@ func registerPanicky(t *testing.T) {
 }
 
 // TestSweepSurvivesRequestModeRejection: a sweep cell that coalesces onto
-// a /v1/run flight leader shed by admission control must not inherit the
-// 429 — batch cells wait for slots, so the sweep retries with batch
-// semantics and completes.
+// a /v1/run cell leader shed by admission control must not inherit the
+// 429 — batch cells wait for slots, so the sweep cell re-claims the cell,
+// leads it with batch semantics and completes.
 func TestSweepSurvivesRequestModeRejection(t *testing.T) {
 	st := &slowStore{delay: 400 * time.Millisecond}
 	runner := core.NewRunnerWith(core.RunnerOptions{Workers: 4, Store: st})
