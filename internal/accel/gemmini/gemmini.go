@@ -197,15 +197,17 @@ func DefaultCost() CostParams {
 // Model is the simulated device state.
 type Model struct {
 	cost CostParams
-	// regs holds the raw (rs1, rs2) pair last written per funct7.
-	regs map[uint32][2]uint64
+	// regs holds the raw (rs1, rs2) pair last written per configuration
+	// funct7 (everything below FnLoopWS).
+	regs [FnLoopWS][2]uint64
+	mac  accel.MAC
 	// Launches counts completed launches.
 	Launches uint64
 }
 
 // New returns a fresh Gemmini model with the given timing parameters.
 func New(cost CostParams) *Model {
-	return &Model{cost: cost, regs: map[uint32][2]uint64{}}
+	return &Model{cost: cost}
 }
 
 // Name implements accel.Device.
@@ -214,9 +216,13 @@ func (m *Model) Name() string { return Name }
 // Scheme implements accel.Device: Gemmini configures sequentially.
 func (m *Model) Scheme() accel.Scheme { return accel.Sequential }
 
-// WriteConfig implements accel.Device.
+// WriteConfig implements accel.Device. Only configuration instructions have
+// a register pair; the payload of a launch, a fence or an unknown funct7 is
+// dropped.
 func (m *Model) WriteConfig(id uint32, lo, hi uint64) {
-	m.regs[id] = [2]uint64{lo, hi}
+	if id < uint32(len(m.regs)) {
+		m.regs[id] = [2]uint64{lo, hi}
+	}
 }
 
 // ConfigBytes implements accel.Device: every RoCC instruction carries two
@@ -233,23 +239,40 @@ func (m *Model) IsFence(id uint32) bool { return id == FnFence }
 // host uses the fence.
 func (m *Model) StatusID() (uint32, bool) { return 0, false }
 
-// field extracts a named field from the written registers per the Sequence
-// descriptor.
-func (m *Model) field(name string) uint64 {
+// slot is a FieldSlot resolved against Sequence: the register that holds
+// the field and how to cut it out.
+type slot struct {
+	funct7 uint32
+	reg    int
+	offset uint
+	mask   uint64
+}
+
+// The fields Launch decodes, resolved once at package init.
+var (
+	slotI, slotJ, slotK      = mustSlot("I"), mustSlot("J"), mustSlot("K")
+	slotA, slotB             = mustSlot("A"), mustSlot("B")
+	slotD, slotC             = mustSlot("D"), mustSlot("C")
+	slotStrideA, slotStrideB = mustSlot("stride_A"), mustSlot("stride_B")
+	slotStrideD, slotStrideC = mustSlot("stride_D"), mustSlot("stride_C")
+	slotATrans, slotBTrans   = mustSlot("A_transpose"), mustSlot("B_transpose")
+	slotAct                  = mustSlot("act")
+)
+
+func mustSlot(field string) slot {
 	for _, ci := range Sequence {
 		for _, s := range ci.Slots {
-			if s.Field != name {
-				continue
+			if s.Field == field {
+				return slot{ci.Funct7, s.Reg, s.Offset, ^uint64(0) >> (64 - s.Bits)}
 			}
-			pair := m.regs[ci.Funct7]
-			v := pair[s.Reg] >> s.Offset
-			if s.Bits < 64 {
-				v &= (1 << s.Bits) - 1
-			}
-			return v
 		}
 	}
-	return 0
+	panic("gemmini: Sequence has no field " + field)
+}
+
+// field extracts a field from the written registers.
+func (m *Model) field(s slot) uint64 {
+	return m.regs[s.funct7][s.reg] >> s.offset & s.mask
 }
 
 // Launch implements accel.Device: decodes the weight-stationary matmul
@@ -259,20 +282,20 @@ func (m *Model) field(name string) uint64 {
 // its address is nonzero) is (16*I)x(16*J) int32, C is (16*I)x(16*J) int8
 // after the activation, all with the configured row strides in bytes.
 func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
-	i := m.field("I")
-	j := m.field("J")
-	k := m.field("K")
+	i := m.field(slotI)
+	j := m.field(slotJ)
+	k := m.field(slotK)
 	if i == 0 || j == 0 || k == 0 {
 		return accel.Launch{}, accel.ErrBadConfig(Name, "zero loop bounds I=%d J=%d K=%d", i, j, k)
 	}
-	if m.field("A_transpose") != 0 || m.field("B_transpose") != 0 {
+	if m.field(slotATrans) != 0 || m.field(slotBTrans) != 0 {
 		return accel.Launch{}, accel.ErrBadConfig(Name, "transposed operands not supported by this model")
 	}
-	a, b := m.field("A"), m.field("B")
-	d, c := m.field("D"), m.field("C")
-	strideA, strideB := m.field("stride_A"), m.field("stride_B")
-	strideD, strideC := m.field("stride_D"), m.field("stride_C")
-	act := m.field("act")
+	a, b := m.field(slotA), m.field(slotB)
+	d, c := m.field(slotD), m.field(slotC)
+	strideA, strideB := m.field(slotStrideA), m.field(slotStrideB)
+	strideD, strideC := m.field(slotStrideD), m.field(slotStrideC)
+	act := m.field(slotAct)
 	if a == 0 || b == 0 || c == 0 {
 		return accel.Launch{}, accel.ErrBadConfig(Name, "null matrix address A=%#x B=%#x C=%#x", a, b, c)
 	}
@@ -281,14 +304,14 @@ func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
 	cols := int(j) * Dim
 	depth := int(k) * Dim
 
-	// Row-buffered fast path: one hoisted bounds check per matrix row
-	// (mem.Region) instead of one checked access per MAC operand, and the
-	// inner loop runs over raw byte slices. The accumulation order per
-	// output element — bias first, then x ascending — matches the
-	// element-at-a-time loop exactly, so results are bit-identical; the
-	// traffic counters are applied in bulk below with the per-access
-	// totals of the naive loop, so the memory metrics are identical too.
-	accRow := make([]int32, cols)
+	// One hoisted bounds check per matrix row (mem.Region) instead of one
+	// checked access per MAC operand, and the MACs themselves in the shared
+	// lane-paired kernel (accel.MAC), which is bit-identical to the
+	// element-at-a-time loop for every input. Bias, activation, saturation
+	// and the store stay here; the traffic counters are applied in bulk
+	// below with the per-access totals of the element-at-a-time loop, so
+	// the memory metrics are identical too.
+	accRow := m.mac.Load(mm, b, strideB, depth, cols, 0)
 	for r := 0; r < rows; r++ {
 		if d != 0 {
 			drow := mm.Region(d+uint64(r)*strideD, uint64(cols)*4)
@@ -296,25 +319,15 @@ func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
 				accRow[cc] = int32(binary.LittleEndian.Uint32(drow[4*cc:]))
 			}
 		} else {
-			for cc := range accRow {
-				accRow[cc] = 0
-			}
+			clear(accRow)
 		}
-		arow := mm.Region(a+uint64(r)*strideA, uint64(depth))
-		for x := 0; x < depth; x++ {
-			brow := mm.Region(b+uint64(x)*strideB, uint64(cols))
-			av := int32(int8(arow[x]))
-			if av == 0 {
-				continue // contributes exactly 0 to every accumulator
-			}
-			for cc, bv := range brow {
-				accRow[cc] += av * int32(int8(bv))
-			}
-		}
-		crow := mm.Region(c+uint64(r)*strideC, uint64(cols))
+		m.mac.Row(accRow, mm.Region(a+uint64(r)*strideA, uint64(depth)), 0)
+		cAddr := c + uint64(r)*strideC
+		crow := mm.Region(cAddr, uint64(cols))
 		for cc, acc := range accRow {
 			crow[cc] = saturate(applyAct(acc, act))
 		}
+		m.mac.Stored(cAddr, uint64(cols))
 	}
 	// Modeled traffic of the per-element loop: one A and one B byte per
 	// MAC, a 4-byte bias read per output when D is configured, one C byte

@@ -73,15 +73,18 @@ func DefaultCost() CostParams { return CostParams{PipelineCycles: 5} }
 
 // Model is the simulated device state.
 type Model struct {
-	cost    CostParams
-	staging map[uint32]uint32
+	cost CostParams
+	// staging holds the configuration CSRs (CsrPtrA up to CsrFlags),
+	// indexed by id - CsrPtrA.
+	staging [CsrLaunch - CsrPtrA]uint32
+	mac     accel.MAC
 	// Launches counts completed launches.
 	Launches uint64
 }
 
 // New returns a fresh OpenGeMM model.
 func New(cost CostParams) *Model {
-	return &Model{cost: cost, staging: map[uint32]uint32{}}
+	return &Model{cost: cost}
 }
 
 // Name implements accel.Device.
@@ -91,9 +94,16 @@ func (m *Model) Name() string { return Name }
 func (m *Model) Scheme() accel.Scheme { return accel.Concurrent }
 
 // WriteConfig implements accel.Device: CSR writes stage the low 32 bits.
+// The value written to the launch CSR, or to an address outside the
+// configuration port, is dropped.
 func (m *Model) WriteConfig(id uint32, lo, _ uint64) {
-	m.staging[id] = uint32(lo)
+	if i := id - CsrPtrA; i < uint32(len(m.staging)) {
+		m.staging[i] = uint32(lo)
+	}
 }
+
+// csr returns the staged value of a configuration CSR.
+func (m *Model) csr(id uint32) uint32 { return m.staging[id-CsrPtrA] }
 
 // ConfigBytes implements accel.Device: 32-bit CSRs carry 4 bytes.
 func (m *Model) ConfigBytes(uint32) uint64 { return 4 }
@@ -112,53 +122,42 @@ func (m *Model) StatusID() (uint32, bool) { return CsrBusy, true }
 // executes C[m*8, n*8] (int32) = A[m*8, k*8] (int8) x B[k*8, n*8] (int8)
 // with the configured byte strides.
 func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
-	mTiles := uint64(m.staging[CsrM])
-	kTiles := uint64(m.staging[CsrK])
-	nTiles := uint64(m.staging[CsrN])
+	mTiles := uint64(m.csr(CsrM))
+	kTiles := uint64(m.csr(CsrK))
+	nTiles := uint64(m.csr(CsrN))
 	if mTiles == 0 || kTiles == 0 || nTiles == 0 {
 		return accel.Launch{}, accel.ErrBadConfig(Name, "zero tile counts m=%d k=%d n=%d", mTiles, kTiles, nTiles)
 	}
-	a := uint64(m.staging[CsrPtrA])
-	b := uint64(m.staging[CsrPtrB])
-	c := uint64(m.staging[CsrPtrC])
+	a := uint64(m.csr(CsrPtrA))
+	b := uint64(m.csr(CsrPtrB))
+	c := uint64(m.csr(CsrPtrC))
 	if a == 0 || b == 0 || c == 0 {
 		return accel.Launch{}, accel.ErrBadConfig(Name, "null pointer a=%#x b=%#x c=%#x", a, b, c)
 	}
-	strideA := uint64(m.staging[CsrStrideA])
-	strideB := uint64(m.staging[CsrStrideB])
-	strideC := uint64(m.staging[CsrStrideC])
-	subA := int32(int8(m.staging[CsrSubtractions]))
-	subB := int32(int8(m.staging[CsrSubtractions] >> 8))
+	strideA := uint64(m.csr(CsrStrideA))
+	strideB := uint64(m.csr(CsrStrideB))
+	strideC := uint64(m.csr(CsrStrideC))
+	subA := int32(int8(m.csr(CsrSubtractions)))
+	subB := int32(int8(m.csr(CsrSubtractions) >> 8))
 
 	rows := int(mTiles) * MeshRow
 	cols := int(nTiles) * MeshCol
 	depth := int(kTiles) * TileK
 
-	// Row-buffered fast path (see the Gemmini model for the full
-	// rationale): hoisted per-row bounds checks via mem.Region, raw-slice
-	// inner loops, identical per-element accumulation order (x ascending),
+	// Hoisted per-row bounds checks via mem.Region, the MACs in the shared
+	// lane-paired kernel (see the Gemmini model for the full rationale),
 	// and bulk traffic accounting matching the per-access totals of the
 	// element-at-a-time loop bit for bit.
-	accRow := make([]int32, cols)
+	accRow := m.mac.Load(mm, b, strideB, depth, cols, subB)
 	for r := 0; r < rows; r++ {
-		for cc := range accRow {
-			accRow[cc] = 0
-		}
-		arow := mm.Region(a+uint64(r)*strideA, uint64(depth))
-		for x := 0; x < depth; x++ {
-			brow := mm.Region(b+uint64(x)*strideB, uint64(cols))
-			av := int32(int8(arow[x])) - subA
-			if av == 0 {
-				continue // contributes exactly 0 to every accumulator
-			}
-			for cc, bv := range brow {
-				accRow[cc] += av * (int32(int8(bv)) - subB)
-			}
-		}
-		crow := mm.Region(c+uint64(r)*strideC, uint64(cols)*4)
+		clear(accRow)
+		m.mac.Row(accRow, mm.Region(a+uint64(r)*strideA, uint64(depth)), subA)
+		cAddr := c + uint64(r)*strideC
+		crow := mm.Region(cAddr, uint64(cols)*4)
 		for cc, acc := range accRow {
 			binary.LittleEndian.PutUint32(crow[4*cc:], uint32(acc))
 		}
+		m.mac.Stored(cAddr, uint64(cols)*4)
 	}
 	elems := uint64(rows) * uint64(cols)
 	mm.AddTraffic(2*elems*uint64(depth), 4*elems)

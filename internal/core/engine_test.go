@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"configwall/internal/core"
+	"configwall/internal/mem"
 	"configwall/internal/roofline"
 	"configwall/internal/sim"
 	"configwall/internal/trace"
+	"configwall/internal/workload"
 )
 
 // TestAllPipelinesVerifyFunctionally is the repository's central soundness
@@ -316,5 +318,68 @@ func TestCountersArithmetic(t *testing.T) {
 	}
 	if c.RawConfigBW() != 5 {
 		t.Errorf("RawConfigBW = %v", c.RawConfigBW())
+	}
+}
+
+// TestBufferTrafficMatchesPerElementAccess pins the traffic counters after
+// a matmul instance's Init and Verify to what one checked store per input
+// byte and one checked load per compared output element leave behind: the
+// bulk mem.Region paths must be indistinguishable from them.
+func TestBufferTrafficMatchesPerElementAccess(t *testing.T) {
+	const n = 32
+	a := make([]int8, n*n)
+	b := make([]int8, n*n)
+	workload.Fill(a, 1)
+	workload.Fill(b, 2)
+	golden := workload.MatmulInt8MKN(a, b, n, n, n)
+
+	for _, target := range []core.Target{core.GemminiTarget(), core.OpenGeMMTarget()} {
+		w, err := core.LookupWorkload(core.WorkloadMatmul)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := w.Build(target, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mm := mem.New(1 << 20)
+		const aBase, cBase = 0x1000, 0x8000
+
+		inst.Buffers[0].Init(mm, aBase)
+		if mm.BytesRead != 0 || mm.BytesWritten != n*n {
+			t.Errorf("%s: Init traffic = %d read / %d written, want 0 / %d", target.Name, mm.BytesRead, mm.BytesWritten, n*n)
+		}
+		for i, v := range a {
+			if got := int8(mm.Read8(aBase + uint64(i))); got != v {
+				t.Fatalf("%s: Init wrote A[%d] = %d, want %d", target.Name, i, got, v)
+			}
+		}
+
+		width := uint64(target.OutputBytes)
+		for i, v := range golden {
+			if width == 1 {
+				mm.Write8(cBase+uint64(i), uint8(workload.SaturateInt8(v)))
+			} else {
+				mm.Write32(cBase+4*uint64(i), uint32(v))
+			}
+		}
+		mm.ResetCounters()
+		if err := inst.Buffers[2].Verify(mm, cBase); err != nil {
+			t.Fatalf("%s: %v", target.Name, err)
+		}
+		if mm.BytesRead != n*n*width || mm.BytesWritten != 0 {
+			t.Errorf("%s: Verify traffic = %d read / %d written, want %d / 0", target.Name, mm.BytesRead, mm.BytesWritten, n*n*width)
+		}
+
+		// A mismatch at element i stops after i+1 loads.
+		const bad = 100
+		mm.Write8(cBase+bad*width, mm.Read8(cBase+bad*width)^0x40)
+		mm.ResetCounters()
+		if err := inst.Buffers[2].Verify(mm, cBase); err == nil || !strings.HasPrefix(err.Error(), "C[100] = ") {
+			t.Errorf("%s: corrupted C[100]: err = %v", target.Name, err)
+		}
+		if mm.BytesRead != (bad+1)*width {
+			t.Errorf("%s: failing Verify read %d bytes, want %d", target.Name, mm.BytesRead, (bad+1)*width)
+		}
 	}
 }

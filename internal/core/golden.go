@@ -1,0 +1,70 @@
+package core
+
+import "sync"
+
+// goldenMemoBudget bounds the bytes of golden products the process keeps
+// (n = 1024, the serve cap, is 4 MiB). It is a constant, not a knob: past it
+// the memo forgets everything and starts again.
+const goldenMemoBudget = 32 << 20
+
+// productMemo keeps the golden int32 product of each matmul shape. The
+// matmul-family instances fill A and B from fixed seeds, so the product is
+// a pure function of (M, K, N) and every target x pipeline cell of a shape
+// can be refereed against one computation of it. The memo only shares the
+// referee's answer: the product still comes from the naive loop in
+// internal/workload and every cell still compares every output element.
+//
+// Entries are immutable once computed and are handed out by reference;
+// callers must not write to them.
+type productMemo struct {
+	mu      sync.Mutex
+	entries map[[3]int]*memoEntry
+	bytes   int
+	// Pads the memo's one global to a cache line. The linker sorts data
+	// symbols by size, so a new global moves every larger one behind it by
+	// its own rounded size: at 24 bytes that was 32 bytes for 336 symbols,
+	// runtime.sched among them, and serve_hot — which runs none of this
+	// code — leaned 6–8% worse at p99. At 64 bytes every data symbol keeps
+	// its offset within a line (go tool nm -n -size, as for ir.registryMu)
+	// and the lean halves; CHANGES.md PR 15 has the runs.
+	_ [40]byte
+}
+
+type memoEntry struct {
+	once    sync.Once
+	product []int32
+}
+
+// goldenProducts is the process-wide memo behind matmulInstance.
+var goldenProducts productMemo
+
+// get returns the product of shape (m, k, n), running compute at most once
+// per entry however many goroutines ask. A shape that would take the memo
+// past its budget drops every entry first; one that alone exceeds the budget
+// is computed and not kept.
+func (pm *productMemo) get(m, k, n int, compute func() []int32) []int32 {
+	key := [3]int{m, k, n}
+	size := 4 * m * n
+
+	pm.mu.Lock()
+	e := pm.entries[key]
+	if e == nil {
+		if pm.bytes+size > goldenMemoBudget {
+			pm.entries, pm.bytes = nil, 0
+		}
+		if size > goldenMemoBudget {
+			pm.mu.Unlock()
+			return compute()
+		}
+		if pm.entries == nil {
+			pm.entries = map[[3]int]*memoEntry{}
+		}
+		e = &memoEntry{}
+		pm.entries[key] = e
+		pm.bytes += size
+	}
+	pm.mu.Unlock()
+
+	e.once.Do(func() { e.product = compute() })
+	return e.product
+}

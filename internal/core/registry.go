@@ -8,6 +8,7 @@ package core
 // code (e.g. examples/customaccel) registers its own at startup.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -195,7 +196,8 @@ func matmulWorkload(shape workload.Shape) Workload {
 }
 
 // matmulInstance builds the M x K x N matmul instance for a target: the IR
-// module, deterministic input matrices, and golden-model verification of C.
+// module, deterministic input matrices, and golden-model verification of C
+// (the golden product is shared per shape through goldenProducts).
 // Any target that provides the MatmulMKN hook participates — the built-ins
 // and externally registered accelerators alike.
 func matmulInstance(t Target, shapeName string, mDim, kDim, nDim int) (Instance, error) {
@@ -221,7 +223,9 @@ func matmulInstance(t Target, shapeName string, mDim, kDim, nDim int) (Instance,
 			{
 				Bytes: uint64(mDim * nDim * outBytes),
 				Verify: func(mm *mem.Memory, base uint64) error {
-					golden := workload.MatmulInt8MKN(a, b, mDim, kDim, nDim)
+					golden := goldenProducts.get(mDim, kDim, nDim, func() []int32 {
+						return workload.MatmulInt8MKN(a, b, mDim, kDim, nDim)
+					})
 					return verifyMatmulOutput(mm, base, golden, outBytes)
 				},
 			},
@@ -229,36 +233,43 @@ func matmulInstance(t Target, shapeName string, mDim, kDim, nDim int) (Instance,
 	}, nil
 }
 
-// int8InputBuffer wraps a pre-filled int8 slice as an input buffer.
+// int8InputBuffer wraps a pre-filled int8 slice as an input buffer. Init
+// copies it through one mem.Region view and accounts the traffic of the
+// byte-at-a-time stores it stands for.
 func int8InputBuffer(data []int8) Buffer {
 	return Buffer{
 		Bytes: uint64(len(data)),
 		Init: func(mm *mem.Memory, base uint64) {
+			dst := mm.Region(base, uint64(len(data)))
 			for i, v := range data {
-				mm.Write8(base+uint64(i), uint8(v))
+				dst[i] = uint8(v)
 			}
+			mm.AddTraffic(0, uint64(len(data)))
 		},
 	}
 }
 
 // verifyMatmulOutput compares the simulated C buffer against the golden
-// int32 product, at the target's output width (int8 saturated or int32).
+// int32 product, at the target's output width (int8 saturated or int32). It
+// reads C through one mem.Region view and accounts one checked load per
+// element compared, up to and including the first mismatch.
 func verifyMatmulOutput(memory *mem.Memory, cBase uint64, golden []int32, outBytes int) error {
+	if outBytes != 1 && outBytes != 4 {
+		return fmt.Errorf("unsupported output width %d", outBytes)
+	}
+	c := memory.Region(cBase, uint64(len(golden)*outBytes))
+	compared := func(elems int) { memory.AddTraffic(uint64(elems*outBytes), 0) }
 	for i, want := range golden {
-		switch outBytes {
-		case 1:
-			got := int8(memory.Read8(cBase + uint64(i)))
-			if got != workload.SaturateInt8(want) {
+		if outBytes == 1 {
+			if got := int8(c[i]); got != workload.SaturateInt8(want) {
+				compared(i + 1)
 				return fmt.Errorf("C[%d] = %d, want %d (saturated from %d)", i, got, workload.SaturateInt8(want), want)
 			}
-		case 4:
-			got := int32(memory.Read32(cBase + uint64(4*i)))
-			if got != want {
-				return fmt.Errorf("C[%d] = %d, want %d", i, got, want)
-			}
-		default:
-			return fmt.Errorf("unsupported output width %d", outBytes)
+		} else if got := int32(binary.LittleEndian.Uint32(c[4*i:])); got != want {
+			compared(i + 1)
+			return fmt.Errorf("C[%d] = %d, want %d", i, got, want)
 		}
 	}
+	compared(len(golden))
 	return nil
 }
