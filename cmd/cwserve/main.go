@@ -76,7 +76,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cacheDir := flag.String("cache-dir", "", "directory of the persistent experiment-result store (empty = in-memory only)")
 	workers := flag.Int("workers", 0, "experiment worker-pool bound (0 = GOMAXPROCS)")
-	maxCells := flag.Int("max-cells", 0, "LRU bound on the in-memory cell map (0 = unbounded)")
+	maxCells := flag.Int("max-cells", 0, "LRU bound on the in-memory cell map, counting claimed cells: leaders still queued for a slot take an entry (0 = unbounded)")
 	concurrency := flag.Int("concurrency", 0, "max distinct experiment cells computing at once (0 = worker bound)")
 	queueDepth := flag.Int("queue-depth", 0, "max distinct-cell requests waiting for a slot (0 = default 64, negative = no queue)")
 	queueTimeout := flag.Duration("queue-timeout", 0, "max queue wait before a 429 (0 = default 30s)")

@@ -45,16 +45,11 @@ package configwall
 import (
 	"context"
 
-	"configwall/internal/analytic"
 	"configwall/internal/core"
-	"configwall/internal/difftest"
-	"configwall/internal/fault"
-	"configwall/internal/irgen"
 	"configwall/internal/roofline"
 	"configwall/internal/serve"
 	"configwall/internal/sim"
 	"configwall/internal/store"
-	"configwall/internal/tune"
 )
 
 // Pipeline selects which of the paper's optimizations run.
@@ -148,9 +143,6 @@ const (
 // names are an error. Registered targets are addressable by name in
 // Experiments without touching the engine.
 func RegisterTarget(t Target) error { return core.RegisterTarget(t) }
-
-// LookupTarget resolves a registered target by name.
-func LookupTarget(name string) (Target, error) { return core.LookupTarget(name) }
 
 // TargetNames lists the registered targets, sorted.
 func TargetNames() []string { return core.TargetNames() }
@@ -253,107 +245,6 @@ func EffectiveConfigBW(configBytes, tCalc, tSet float64) float64 {
 // Geomean returns the geometric mean, the paper's summary statistic.
 func Geomean(xs []float64) float64 { return core.Geomean(xs) }
 
-// --- The analytical prediction tier (internal/analytic) ---
-//
-// The simulation-free third tier of DESIGN.md §10: per-target roofline
-// constants plus per-(workload, pipeline) curves fitted against the
-// simulator on a seeded training grid and validated on held-out cells.
-// A calibrated model plugs into a Runner as its Predictor, unlocking
-// multi-fidelity sweeps (screen / top-K) that answer most cells in
-// microseconds.
-
-// Fidelity selects a Run's prediction tier: FidelityFull simulates
-// (memoized + stored), FidelityScreen answers purely analytically, and
-// FidelityCached serves cached ground truth or falls back to a prediction.
-type Fidelity = core.Fidelity
-
-// Fidelity tiers; parse wire names with FidelityByName.
-const (
-	FidelityFull   = core.FidelityFull
-	FidelityScreen = core.FidelityScreen
-	FidelityCached = core.FidelityCached
-)
-
-// FidelityByName resolves a fidelity tier from its wire name ("full",
-// "screen" or "cached").
-func FidelityByName(name string) (Fidelity, error) { return core.FidelityByName(name) }
-
-// Predictor is a simulation-free estimator of experiment results; install
-// one on a Runner (RunnerOptions.Predictor or Runner.SetPredictor) to
-// serve FidelityScreen/FidelityCached requests.
-type Predictor = core.Predictor
-
-// AnalyticModel is a calibrated analytical-tier model; it implements
-// Predictor and round-trips through JSON (WriteFile / ReadAnalyticModel).
-type AnalyticModel = analytic.Model
-
-// AnalyticSpec configures one calibration run (grid, seed, error band).
-type AnalyticSpec = analytic.Spec
-
-// AnalyticBand is the documented held-out prediction error band.
-type AnalyticBand = analytic.Band
-
-// AnalyticReport is the held-out error report of one calibration run;
-// Clean reports whether every target honors the band.
-type AnalyticReport = analytic.Report
-
-// CalibrateAnalytic fits the analytical tier against the simulator on a
-// seeded training grid and validates it on held-out cells. The returned
-// model is usable regardless of band violations; callers that must
-// enforce the band check Report.Clean.
-func CalibrateAnalytic(ctx context.Context, r *Runner, spec AnalyticSpec) (*AnalyticModel, *AnalyticReport, error) {
-	return analytic.Calibrate(ctx, r, spec)
-}
-
-// ReadAnalyticModel loads a model written by AnalyticModel.WriteFile (or
-// cwbench -calibrate).
-func ReadAnalyticModel(path string) (*AnalyticModel, error) { return analytic.ReadModel(path) }
-
-// TopKByPredictedPerf ranks predicted results by ops/cycle and returns
-// the indices of the k best, in ascending input order — the selection
-// half of a multi-fidelity sweep (see Runner.Screen and Runner.RunTopK).
-func TopKByPredictedPerf(preds []Result, k int) []int {
-	return core.TopKByPredictedPerf(preds, k)
-}
-
-// --- Differential verification (internal/irgen + internal/difftest) ---
-//
-// The fuzzing subsystem behind cmd/cwfuzz: seeded random accfg programs
-// checked for observational equivalence between the Baseline pipeline and
-// every optimization pipeline on the co-simulator.
-
-// FuzzProgram is one generated differential test case.
-type FuzzProgram = irgen.Program
-
-// DiffOptions tunes a differential check.
-type DiffOptions = difftest.Options
-
-// DiffReport is the outcome of one differential check.
-type DiffReport = difftest.Report
-
-// GenerateFuzzProgram builds the seeded random accfg program for a
-// registered target's accelerator. The same (target, seed) pair always
-// yields a byte-identical module and inputs.
-func GenerateFuzzProgram(target string, seed int64) (FuzzProgram, error) {
-	prof, err := irgen.ProfileFor(target)
-	if err != nil {
-		return FuzzProgram{}, err
-	}
-	return irgen.Generate(prof, seed)
-}
-
-// DiffCheck compiles and co-simulates the program through Baseline and
-// every optimization pipeline, asserting observational equivalence and the
-// metamorphic counter bounds.
-func DiffCheck(t Target, prog FuzzProgram, opts DiffOptions) DiffReport {
-	return difftest.Check(t, prog, opts)
-}
-
-// FuzzSeed derives the per-program generator seed used by cwfuzz campaigns.
-func FuzzSeed(campaign int64, target string, index int) int64 {
-	return irgen.DeriveSeed(campaign, target, index)
-}
-
 // --- Experiment serving (internal/serve) ---
 //
 // The serving subsystem behind cmd/cwserve and cmd/cwload: an HTTP JSON
@@ -381,15 +272,6 @@ type ServeClient = serve.Client
 // "http://127.0.0.1:8080").
 func NewServeClient(base string) *ServeClient { return serve.NewClient(base) }
 
-// ServeRunRequest is the /v1/run request document.
-type ServeRunRequest = serve.RunRequest
-
-// ServeSweepRequest is the /v1/sweep request document.
-type ServeSweepRequest = serve.SweepRequest
-
-// ServeSweepEvent is one NDJSON event of a streaming sweep.
-type ServeSweepEvent = serve.SweepEvent
-
 // LoadGenOptions configures a zipf-skewed load-generation run.
 type LoadGenOptions = serve.LoadGenOptions
 
@@ -401,147 +283,4 @@ type LoadGenReport = serve.LoadGenReport
 // daemon and reports throughput and latency.
 func LoadGen(ctx context.Context, c *ServeClient, o LoadGenOptions) (LoadGenReport, error) {
 	return serve.LoadGen(ctx, c, o)
-}
-
-// --- Fault injection & resilience (internal/fault, DESIGN.md §11) ---
-//
-// The robustness subsystem behind cmd/cwchaos: a seeded deterministic
-// fault-injection plan threaded through the store, the HTTP transport and
-// the serving daemon, plus the self-healing client layers (retry with
-// capped jittered backoff, sweep resume) that the chaos campaigns verify
-// against the byte-identity and no-duplicate-simulation invariants.
-
-// FaultSite names one injection point (e.g. "store.save.torn",
-// "transport.reset", "serve.run.panic").
-type FaultSite = fault.Site
-
-// Injection sites threaded through the store, transport and daemon.
-const (
-	FaultStoreSaveFail        = fault.StoreSaveFail
-	FaultStoreSaveTorn        = fault.StoreSaveTorn
-	FaultStoreLoadErr         = fault.StoreLoadErr
-	FaultStoreLoadSlow        = fault.StoreLoadSlow
-	FaultTransportReset       = fault.TransportReset
-	FaultTransportTimeout     = fault.TransportTimeout
-	FaultTransportUnavailable = fault.TransportUnavailable
-	FaultTransportTruncate    = fault.TransportTruncate
-	FaultServeHandlerPanic    = fault.ServeHandlerPanic
-	FaultServeRunPanic        = fault.ServeRunPanic
-)
-
-// FaultRule schedules one site: fire probability, warm-up passages, total
-// budget and (for slow sites) the injected delay.
-type FaultRule = fault.Rule
-
-// FaultPlan is an installed fault schedule with per-site seeded decision
-// streams. A nil *FaultPlan is valid and permanently quiet.
-type FaultPlan = fault.Plan
-
-// NewFaultPlan builds a deterministic fault plan: each site draws from its
-// own RNG seeded by (seed, site), so schedules replay exactly.
-func NewFaultPlan(seed int64, rules map[FaultSite]FaultRule) *FaultPlan {
-	return fault.New(seed, rules)
-}
-
-// FaultStore wraps a result store with scheduled save/load failures, torn
-// writes and slow loads.
-type FaultStore = fault.Store
-
-// FaultTransport wraps an http.RoundTripper with scheduled connection
-// resets, timeouts, synthesized 503s and response-body truncation.
-type FaultTransport = fault.Transport
-
-// RetryPolicy drives the serve client's self-healing layer: capped
-// exponential backoff with deterministic jitter, honoring Retry-After.
-type RetryPolicy = serve.RetryPolicy
-
-// Retryable reports whether an error from the serve client is worth
-// retrying on an idempotent request.
-func Retryable(err error) bool { return serve.Retryable(err) }
-
-// --- Configuration search (internal/tune, DESIGN.md §12) ---
-//
-// The search subsystem behind cmd/cwtune: pluggable strategies over the
-// (target × workload × pipeline × size) space, discovered from a daemon's
-// /v1/registry, measured through the self-healing client, compared under
-// equal budgets against an exhaustive ground truth, and validated on a
-// seeded held-out split the search never sees.
-
-// TuneStrategy is one pluggable configuration searcher.
-type TuneStrategy = tune.Strategy
-
-// TuneStrategyByName resolves a registered strategy ("exhaustive",
-// "random", "halving", "flash"); unknown names fail listing the valid
-// ones.
-func TuneStrategyByName(name string) (TuneStrategy, error) { return tune.StrategyByName(name) }
-
-// TuneStrategyNames lists the registered search strategies, sorted.
-func TuneStrategyNames() []string { return tune.StrategyNames() }
-
-// TuneSession is the budget ledger between a strategy and its evaluator:
-// memoized measurements, distinct-cell budget accounting and incumbent
-// tracking.
-type TuneSession = tune.Session
-
-// NewTuneSession builds a session over space with a distinct-cell budget
-// (<= 0 means the whole space) and a seed for the strategy's randomness.
-func NewTuneSession(space []Experiment, eval TuneEvaluator, budget int, seed int64) *TuneSession {
-	return tune.NewSession(space, eval, budget, seed)
-}
-
-// TuneEvaluator is how strategies measure cells (HTTP client or
-// in-process runner).
-type TuneEvaluator = tune.Evaluator
-
-// TuneClientEvaluator measures through a cwserve daemon via the retry
-// layer; its Screen issues fidelity=screen sweeps against the daemon's
-// analytic tier.
-type TuneClientEvaluator = tune.ClientEvaluator
-
-// TuneRunnerEvaluator measures directly against an in-process Runner.
-type TuneRunnerEvaluator = tune.RunnerEvaluator
-
-// TuneSpace is a discovered search space: searchable cells plus the
-// held-out validation cells excluded from every search.
-type TuneSpace = tune.Space
-
-// TuneFilters restricts a discovered search space by names and size.
-type TuneFilters = tune.Filters
-
-// TuneSpaceFromRegistry expands a daemon's registry response into a
-// search space with a seeded held-out split.
-func TuneSpaceFromRegistry(info ServeRegistryInfo, f TuneFilters, seed int64) (TuneSpace, error) {
-	return tune.SpaceFromRegistry(info, f, seed)
-}
-
-// TuneConfig configures one search campaign.
-type TuneConfig = tune.Config
-
-// TuneOutcome is one strategy's campaign result (sims, sims-to-best,
-// winner, held-out validation).
-type TuneOutcome = tune.Outcome
-
-// TuneReport is a finished campaign; String renders the deterministic
-// report, WallSummary the stderr-only timings.
-type TuneReport = tune.Report
-
-// RunTuneCampaign runs the configured strategies under equal budgets
-// against an exhaustive ground truth and validates the winners on the
-// held-out cells.
-func RunTuneCampaign(ctx context.Context, cfg TuneConfig) (*TuneReport, error) {
-	return tune.Run(ctx, cfg)
-}
-
-// ServeRegistryInfo is the /v1/registry response: registered names,
-// server caps, analytic-tier availability and per-(workload, target)
-// feasible size grids.
-type ServeRegistryInfo = serve.RegistryInfo
-
-// DefaultSizeGrid is the probe grid registry size discovery answers from.
-var DefaultSizeGrid = core.DefaultSizeGrid
-
-// SupportedSizes filters candidate sweep sizes down to those workload w
-// can actually build for target t.
-func SupportedSizes(t Target, w Workload, candidates []int) []int {
-	return core.SupportedSizes(t, w, candidates)
 }

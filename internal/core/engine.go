@@ -296,19 +296,6 @@ func (f Fidelity) String() string {
 	return "full"
 }
 
-// FidelityByName resolves a fidelity tier from its wire name.
-func FidelityByName(name string) (Fidelity, error) {
-	switch name {
-	case "", "full":
-		return FidelityFull, nil
-	case "screen":
-		return FidelityScreen, nil
-	case "cached":
-		return FidelityCached, nil
-	}
-	return FidelityFull, fmt.Errorf("unknown fidelity %q (valid: full, screen, cached)", name)
-}
-
 const (
 	memorySize = 64 << 20
 	bufferBase = 1 << 20

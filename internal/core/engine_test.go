@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -138,7 +139,7 @@ func TestOverlapDoesNotApplySequentially(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	rows, err := core.Figure10([]int{32, 64, 128}, core.RunOptions{SkipVerify: true})
+	rows, err := core.Figure10With(context.Background(), core.NewRunner(0), []int{32, 64, 128}, core.RunOptions{SkipVerify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestFigure11Shape(t *testing.T) {
-	rows, err := core.Figure11([]int{16, 32, 64}, core.RunOptions{SkipVerify: true})
+	rows, err := core.Figure11With(context.Background(), core.NewRunner(0), []int{16, 32, 64}, core.RunOptions{SkipVerify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestFigure11Shape(t *testing.T) {
 }
 
 func TestFigure12PointsMoveAsPredicted(t *testing.T) {
-	data, err := core.Figure12([]int{64}, core.RunOptions{SkipVerify: true})
+	data, err := core.Figure12With(context.Background(), core.NewRunner(0), []int{64}, core.RunOptions{SkipVerify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

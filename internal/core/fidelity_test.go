@@ -217,30 +217,3 @@ func TestRunTopKMergesTiers(t *testing.T) {
 		}
 	}
 }
-
-// TestFidelityByName pins the wire names.
-func TestFidelityByName(t *testing.T) {
-	for name, want := range map[string]core.Fidelity{
-		"":       core.FidelityFull,
-		"full":   core.FidelityFull,
-		"screen": core.FidelityScreen,
-		"cached": core.FidelityCached,
-	} {
-		got, err := core.FidelityByName(name)
-		if err != nil || got != want {
-			t.Errorf("FidelityByName(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := core.FidelityByName("topk"); err == nil {
-		t.Errorf("FidelityByName(topk) accepted; top-k is a sweep strategy, not a run fidelity")
-	}
-	for f, want := range map[core.Fidelity]string{
-		core.FidelityFull:   "full",
-		core.FidelityScreen: "screen",
-		core.FidelityCached: "cached",
-	} {
-		if got := f.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", f, got, want)
-		}
-	}
-}

@@ -66,12 +66,6 @@ type Fig10Row struct {
 	AccfgCounters    Result
 }
 
-// Figure10 runs the Gemmini weight-stationary tiled matmuls and applies the
-// paper's attainable-performance methodology, on a fresh concurrent runner.
-func Figure10(sizes []int, opts RunOptions) ([]Fig10Row, error) {
-	return Figure10With(context.Background(), NewRunner(0), sizes, opts)
-}
-
 // Figure10Experiments lists the grid cells Figure 10 measures, in the
 // order Figure10With consumes them; sharded precomputation partitions this
 // list.
@@ -86,8 +80,10 @@ func Figure10Experiments(sizes []int) []Experiment {
 	return exps
 }
 
-// Figure10With is Figure10 on a caller-provided runner, so consecutive
-// figures share the experiment cache (and its persistent store, if any).
+// Figure10With runs the Gemmini weight-stationary tiled matmuls and applies
+// the paper's attainable-performance methodology. The runner is the
+// caller's, so consecutive figures share the experiment cache (and its
+// persistent store, if any).
 func Figure10With(ctx context.Context, r *Runner, sizes []int, opts RunOptions) ([]Fig10Row, error) {
 	results, err := r.RunAll(ctx, Figure10Experiments(sizes), opts)
 	if err != nil {
@@ -143,12 +139,6 @@ type Fig11Row struct {
 	OptCounters  Result
 }
 
-// Figure11 runs the OpenGeMM tiled matmuls and measures cycle-accurate
-// performance (the paper's §6.2 methodology), on a fresh concurrent runner.
-func Figure11(sizes []int, opts RunOptions) ([]Fig11Row, error) {
-	return Figure11With(context.Background(), NewRunner(0), sizes, opts)
-}
-
 // Figure11Experiments lists the grid cells Figure 11 measures, in the
 // order Figure11With consumes them.
 func Figure11Experiments(sizes []int) []Experiment {
@@ -162,8 +152,8 @@ func Figure11Experiments(sizes []int) []Experiment {
 	return exps
 }
 
-// Figure11With is Figure11 on a caller-provided runner, so consecutive
-// figures share the experiment cache (and its persistent store, if any).
+// Figure11With runs the OpenGeMM tiled matmuls and measures cycle-accurate
+// performance (the paper's §6.2 methodology) on the caller's runner.
 func Figure11With(ctx context.Context, r *Runner, sizes []int, opts RunOptions) ([]Fig11Row, error) {
 	results, err := r.RunAll(ctx, Figure11Experiments(sizes), opts)
 	if err != nil {
@@ -214,21 +204,15 @@ type Fig12Data struct {
 	Points []roofline.Series // one series per pipeline variant
 }
 
-// Figure12 measures OpenGeMM under all four pipeline variants and places
-// the results on the configuration roofline, on a fresh concurrent runner.
-func Figure12(sizes []int, opts RunOptions) (Fig12Data, error) {
-	return Figure12With(context.Background(), NewRunner(0), sizes, opts)
-}
-
 // Figure12Experiments lists the grid cells Figure 12 measures (every
 // pipeline variant at every size), in the order Figure12With consumes them.
 func Figure12Experiments(sizes []int) []Experiment {
 	return Sweep([]string{opengemm.Name}, []string{WorkloadMatmul}, Pipelines, sizes)
 }
 
-// Figure12With is Figure12 on a caller-provided runner, so consecutive
-// figures share the experiment cache (Figure 11 and Figure 12 share their
-// base/all cells at common sizes).
+// Figure12With measures OpenGeMM under all four pipeline variants and places
+// the results on the configuration roofline. On a runner shared with
+// Figure11With the base/all cells at common sizes are computed once.
 func Figure12With(ctx context.Context, r *Runner, sizes []int, opts RunOptions) (Fig12Data, error) {
 	t, err := LookupTarget(opengemm.Name)
 	if err != nil {

@@ -25,7 +25,7 @@ type productMemo struct {
 	// its own rounded size: at 24 bytes that was 32 bytes for 336 symbols,
 	// runtime.sched among them, and serve_hot — which runs none of this
 	// code — leaned 6–8% worse at p99. At 64 bytes every data symbol keeps
-	// its offset within a line (go tool nm -n -size, as for ir.registryMu)
+	// its offset within a line (go tool nm -n -size)
 	// and the lean halves; CHANGES.md PR 15 has the runs.
 	_ [40]byte
 }

@@ -10,8 +10,10 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"configwall/internal/ir"
 	"configwall/internal/mem"
@@ -52,29 +54,73 @@ type Workload struct {
 	Build func(t Target, n int) (Instance, error)
 }
 
-var registry = struct {
-	sync.RWMutex
-	targets   map[string]Target
-	workloads map[string]Workload
-}{
-	targets:   map[string]Target{},
-	workloads: map[string]Workload{},
+// table is one name-keyed registry. Registries are written a handful of
+// times at start-up (package init, an embedder's main) and read on every
+// request and every cold cell, so the map is immutable and published
+// through an atomic pointer: add copies it under mu and swaps the copy in,
+// readers load the pointer and take no lock. Register before you look up:
+// a reader sees exactly the registrations that completed before its load.
+type table[T any] struct {
+	kind string // "target" or "workload", for error messages
+	mu   sync.Mutex
+	m    atomic.Pointer[map[string]T]
 }
+
+// snapshot returns the current map (nil before the first add); no one
+// writes to it.
+func (t *table[T]) snapshot() map[string]T {
+	if p := t.m.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+func (t *table[T]) add(name string, v T) error {
+	if name == "" {
+		return fmt.Errorf("registry: cannot register %s with empty name", t.kind)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old := t.snapshot()
+	if _, dup := old[name]; dup {
+		return fmt.Errorf("registry: %s %q already registered", t.kind, name)
+	}
+	next := make(map[string]T, len(old)+1)
+	maps.Copy(next, old)
+	next[name] = v
+	t.m.Store(&next)
+	return nil
+}
+
+// get returns the entry registered under name; the error for unknown names
+// lists the valid ones.
+func (t *table[T]) get(name string) (T, error) {
+	v, ok := t.snapshot()[name]
+	if !ok {
+		return v, fmt.Errorf("registry: unknown %s %q (registered: %v)", t.kind, name, t.names())
+	}
+	return v, nil
+}
+
+// names returns the registered names, sorted.
+func (t *table[T]) names() []string {
+	m := t.snapshot()
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+var (
+	targets   = table[Target]{kind: "target"}
+	workloads = table[Workload]{kind: "workload"}
+)
 
 // RegisterTarget adds a target platform to the registry. Registering a
 // duplicate or unnamed target is an error.
-func RegisterTarget(t Target) error {
-	if t.Name == "" {
-		return fmt.Errorf("registry: cannot register target with empty name")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.targets[t.Name]; dup {
-		return fmt.Errorf("registry: target %q already registered", t.Name)
-	}
-	registry.targets[t.Name] = t
-	return nil
-}
+func RegisterTarget(t Target) error { return targets.add(t.Name, t) }
 
 // MustRegisterTarget is RegisterTarget, panicking on error (for init-time
 // registration).
@@ -86,48 +132,19 @@ func MustRegisterTarget(t Target) {
 
 // LookupTarget returns the registered target with the given name; the error
 // for unknown names lists the valid ones.
-func LookupTarget(name string) (Target, error) {
-	registry.RLock()
-	defer registry.RUnlock()
-	t, ok := registry.targets[name]
-	if !ok {
-		return Target{}, fmt.Errorf("registry: unknown target %q (registered: %v)", name, targetNamesLocked())
-	}
-	return t, nil
-}
+func LookupTarget(name string) (Target, error) { return targets.get(name) }
 
 // TargetNames returns the registered target names, sorted.
-func TargetNames() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	return targetNamesLocked()
-}
-
-func targetNamesLocked() []string {
-	names := make([]string, 0, len(registry.targets))
-	for n := range registry.targets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func TargetNames() []string { return targets.names() }
 
 // RegisterWorkload adds a workload to the registry. Registering a
 // duplicate, unnamed, or builderless workload is an error.
 func RegisterWorkload(w Workload) error {
-	if w.Name == "" {
-		return fmt.Errorf("registry: cannot register workload with empty name")
-	}
-	if w.Build == nil {
+	// An unnamed workload is reported as unnamed (by add), builder or not.
+	if w.Name != "" && w.Build == nil {
 		return fmt.Errorf("registry: workload %q has no Build function", w.Name)
 	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.workloads[w.Name]; dup {
-		return fmt.Errorf("registry: workload %q already registered", w.Name)
-	}
-	registry.workloads[w.Name] = w
-	return nil
+	return workloads.add(w.Name, w)
 }
 
 // MustRegisterWorkload is RegisterWorkload, panicking on error (for
@@ -140,31 +157,10 @@ func MustRegisterWorkload(w Workload) {
 
 // LookupWorkload returns the registered workload with the given name; the
 // error for unknown names lists the valid ones.
-func LookupWorkload(name string) (Workload, error) {
-	registry.RLock()
-	defer registry.RUnlock()
-	w, ok := registry.workloads[name]
-	if !ok {
-		return Workload{}, fmt.Errorf("registry: unknown workload %q (registered: %v)", name, workloadNamesLocked())
-	}
-	return w, nil
-}
+func LookupWorkload(name string) (Workload, error) { return workloads.get(name) }
 
 // WorkloadNames returns the registered workload names, sorted.
-func WorkloadNames() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	return workloadNamesLocked()
-}
-
-func workloadNamesLocked() []string {
-	names := make([]string, 0, len(registry.workloads))
-	for n := range registry.workloads {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func WorkloadNames() []string { return workloads.names() }
 
 // WorkloadMatmul is the paper's square tiled matmul; WorkloadRectMM and
 // WorkloadMatvec are the rectangular and panel variants.

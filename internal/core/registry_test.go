@@ -1,7 +1,10 @@
 package core_test
 
 import (
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"configwall/internal/core"
@@ -67,16 +70,90 @@ func TestRegisterWorkloadDuplicate(t *testing.T) {
 func TestLookupUnknownListsValidNames(t *testing.T) {
 	if _, err := core.LookupTarget("not-a-target"); err == nil {
 		t.Error("unknown target lookup must fail")
-	} else if !strings.Contains(err.Error(), "gemmini") {
-		t.Errorf("unknown-target error should list registered names: %v", err)
+	} else if want := fmt.Sprintf("(registered: %v)", core.TargetNames()); !strings.Contains(err.Error(), want) || !strings.Contains(want, "gemmini opengemm") {
+		t.Errorf("unknown-target error should list the registered names, sorted: %v, want ... %s", err, want)
 	}
 	if _, err := core.LookupWorkload("not-a-workload"); err == nil {
 		t.Error("unknown workload lookup must fail")
-	} else if !strings.Contains(err.Error(), "matmul") {
-		t.Errorf("unknown-workload error should list registered names: %v", err)
+	} else if want := fmt.Sprintf("(registered: %v)", core.WorkloadNames()); !strings.Contains(err.Error(), want) || !strings.Contains(want, "matmul matvec") {
+		t.Errorf("unknown-workload error should list the registered names, sorted: %v, want ... %s", err, want)
 	}
 	if _, err := core.RunExperiment(core.Experiment{Target: "nope", Workload: "matmul"}, core.RunOptions{}); err == nil {
 		t.Error("experiment with unknown target must fail")
+	}
+}
+
+// targetSeq keeps the targets these tests register unique for the life of
+// the process: the registry is global and CI runs the package with -count=2.
+var targetSeq atomic.Int64
+
+// TestRegisterTargetWhileLooking: writers publish fresh targets while
+// readers resolve cells the way RunExperiment and serve's request decoding
+// do. Under -race this is the proof that look-ups need no lock; every reader
+// must keep seeing the built-ins, complete, and a writer must see its own
+// target as soon as RegisterTarget returns.
+func TestRegisterTargetWhileLooking(t *testing.T) {
+	const writers, readers, rounds = 2, 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				name := fmt.Sprintf("regtest-%d", targetSeq.Add(1))
+				if err := core.RegisterTarget(core.Target{Name: name, PeakOps: float64(i)}); err != nil {
+					t.Error(err)
+				}
+				if got, err := core.LookupTarget(name); err != nil || got.Name != name || got.PeakOps != float64(i) {
+					t.Errorf("LookupTarget(%s) right after RegisterTarget = %+v, %v", name, got, err)
+				}
+				if err := core.RegisterTarget(core.Target{Name: name}); err == nil {
+					t.Errorf("second RegisterTarget(%s) succeeded", name)
+				}
+			}
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				tgt, err := core.LookupTarget("opengemm")
+				if err != nil || tgt.NewDevice == nil || tgt.MatmulMKN == nil {
+					t.Errorf("LookupTarget(opengemm) = %+v, %v", tgt, err)
+				}
+				if _, err := core.LookupWorkload(core.WorkloadMatmul); err != nil {
+					t.Error(err)
+				}
+				names := core.TargetNames()
+				for j := 1; j < len(names); j++ {
+					if names[j-1] >= names[j] {
+						t.Errorf("TargetNames not sorted and distinct: %v", names)
+						break
+					}
+				}
+				if _, err := core.RunExperiment(core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.AllOptimizations, N: 8}, core.RunOptions{SkipVerify: true}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestLookupHitDoesNotAllocate pins the per-request path: serve resolves
+// both names on every /v1/run, RunExperiment on every cold cell.
+func TestLookupHitDoesNotAllocate(t *testing.T) {
+	var tgt core.Target
+	var w core.Workload
+	if n := testing.AllocsPerRun(100, func() {
+		tgt, _ = core.LookupTarget("gemmini")
+		w, _ = core.LookupWorkload(core.WorkloadRectMM)
+	}); n != 0 {
+		t.Errorf("LookupTarget + LookupWorkload allocate %.0f times on a hit, want 0", n)
+	}
+	if tgt.Name != "gemmini" || w.Name != core.WorkloadRectMM {
+		t.Errorf("looked up %q, %q", tgt.Name, w.Name)
 	}
 }
 

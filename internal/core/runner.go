@@ -223,8 +223,9 @@ func (r *Runner) Snapshot() CacheStats {
 	return r.stats
 }
 
-// cell returns the memo cell for k, creating (and LRU-accounting) it on a
-// miss; created reports whether this call created it.
+// cell returns the memo cell for k, creating it on a miss; created reports
+// whether this call created it. Every call is one request: it counts a
+// memory hit or a memory miss.
 func (r *Runner) cell(k cacheKey) (c *cell, created bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -235,6 +236,13 @@ func (r *Runner) cell(k cacheKey) (c *cell, created bool) {
 	}
 	r.stats.MemMisses++
 	c = newCell()
+	r.insert(k, c)
+	return c, true
+}
+
+// insert adds c to the cell map as the most recently used entry and
+// applies the LRU bound. The caller holds r.mu and has checked k is absent.
+func (r *Runner) insert(k cacheKey, c *cell) {
 	r.cells[k] = r.lru.PushFront(&lruEntry{key: k, c: c})
 	if r.maxCells > 0 {
 		for r.lru.Len() > r.maxCells {
@@ -247,7 +255,6 @@ func (r *Runner) cell(k cacheKey) (c *cell, created bool) {
 			r.stats.Evictions++
 		}
 	}
-	return c, true
 }
 
 func (r *Runner) bump(f func(*CacheStats)) {
@@ -323,7 +330,7 @@ func (r *Runner) RunAdmitted(ctx context.Context, e Experiment, opts RunOptions,
 			case err != nil:
 				r.storeError("load", e, err)
 			case ok:
-				r.bump(func(s *CacheStats) { s.StoreHits++ })
+				r.bump(func(s *CacheStats) { s.MemMisses++; s.StoreHits++ })
 				// Publish for the next request; a racing claim wins and
 				// this copy is discarded.
 				r.Preload(e, full, res)
@@ -548,22 +555,31 @@ func (r *Runner) RunTopK(ctx context.Context, exps []Experiment, opts RunOptions
 
 // Preload publishes an already-materialized result into the in-memory cell
 // map without consulting the store or computing anything; it reports
-// whether the cell was unclaimed and is now served from res. Serving
-// layers use it to warm a runner from a store enumeration at boot.
+// whether the cell was absent and is now served from res. Serving layers
+// use it to warm a runner from a store enumeration at boot. A preloaded
+// cell is not a request: no hit, miss or store counter moves (only
+// Evictions, if the insert pushes the map past its bound).
 func (r *Runner) Preload(e Experiment, opts RunOptions, res Result) bool {
-	c, _ := r.cell(keyOf(e, opts))
-	if !c.claim() {
-		return false
-	}
+	c := newCell()
+	c.claim()
 	c.res = res
 	close(c.done)
+	k := keyOf(e, opts)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.cells[k]; ok {
+		return false
+	}
+	r.insert(k, c)
 	return true
 }
 
 // Warm populates the in-memory cell map from the persistent store without
 // computing anything, and returns how many cells it loaded. Cells already
 // in memory, absent from the store, or unreadable are skipped; a cancelled
-// context stops the scan early. A Runner with no store warms nothing.
+// context stops the scan early. A Runner with no store warms nothing. Like
+// Preload, a warm load is not a request and counts as neither a memory
+// miss nor a store hit; a load that fails still counts a StoreError.
 func (r *Runner) Warm(ctx context.Context, exps []Experiment, opts RunOptions) int {
 	if r.store == nil {
 		return 0
@@ -585,13 +601,9 @@ func (r *Runner) Warm(ctx context.Context, exps []Experiment, opts RunOptions) i
 			r.storeError("load", e, err)
 			continue
 		}
-		if !ok {
-			continue
-		}
 		// A concurrent Run may have claimed the cell between the lookups;
-		// its claim wins and this load is discarded.
-		if r.Preload(e, opts, res) {
-			r.bump(func(s *CacheStats) { s.StoreHits++ })
+		// its cell stays and this load is discarded.
+		if ok && r.Preload(e, opts, res) {
 			warmed++
 		}
 	}

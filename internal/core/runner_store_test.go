@@ -292,6 +292,65 @@ func TestWarmPreloads(t *testing.T) {
 	}
 }
 
+// TestWarmedCellsAreNotRequests: cells put in memory at boot — by Warm, or by
+// the Preload-per-store-entry loop Server.WarmFromStore runs — leave the
+// request counters at zero and CacheStats' two stated invariants intact,
+// before and after real traffic.
+func TestWarmedCellsAreNotRequests(t *testing.T) {
+	opts := core.RunOptions{SkipVerify: true}
+	exps := core.Figure11Experiments([]int{8, 16})
+	cold := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.AllOptimizations, N: 24}
+	invariants := func(t *testing.T, s core.CacheStats, requests uint64) {
+		t.Helper()
+		if got := s.MemHits + s.MemMisses; got != requests {
+			t.Errorf("MemHits+MemMisses = %d, want %d requests (%+v)", got, requests, s)
+		}
+		if s.Runs != s.MemMisses-s.StoreHits {
+			t.Errorf("Runs = %d, want MemMisses-StoreHits = %d (%+v)", s.Runs, s.MemMisses-s.StoreHits, s)
+		}
+	}
+	warmers := map[string]func(*core.Runner) (int, error){
+		"Warm": func(r *core.Runner) (int, error) {
+			return r.Warm(context.Background(), exps, opts), nil
+		},
+		"Preload": func(r *core.Runner) (int, error) {
+			n := 0
+			err := r.Store().(*store.DiskStore).Each(func(e store.Entry) error {
+				if r.Preload(e.Experiment, e.Options, e.Result) {
+					n++
+				}
+				return nil
+			})
+			return n, err
+		},
+	}
+	for name, warm := range warmers {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := diskRunner(t, dir, 0).RunAll(context.Background(), exps, opts); err != nil {
+				t.Fatal(err)
+			}
+			r := diskRunner(t, dir, 0)
+			if n, err := warm(r); err != nil || n != len(exps) {
+				t.Fatalf("warmed %d cells (err %v), want %d", n, err, len(exps))
+			}
+			if s := r.Snapshot(); s != (core.CacheStats{}) {
+				t.Errorf("stats after warming = %+v, want all zero", s)
+			}
+			// Every warmed cell twice (hits), one cell nobody stored (a run).
+			mix := append(append(append([]core.Experiment{}, exps...), exps...), cold)
+			if _, err := r.RunAll(context.Background(), mix, opts); err != nil {
+				t.Fatal(err)
+			}
+			s := r.Snapshot()
+			invariants(t, s, uint64(len(mix)))
+			if s.MemMisses != 1 || s.StoreHits != 0 || s.Runs != 1 {
+				t.Errorf("after the mix: %+v, want 1 miss, 0 store hits, 1 run", s)
+			}
+		})
+	}
+}
+
 // flakyStore fails every operation: the runner must degrade to computing
 // and counting errors, never abort the sweep.
 type flakyStore struct {

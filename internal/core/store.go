@@ -25,7 +25,10 @@ type Store interface {
 // CacheStats counts how the runner satisfied experiment requests; use
 // Runner.Snapshot to read them. Requests = MemHits + MemMisses, and every
 // memory miss resolves to either a StoreHit or a fresh Run (Runs ==
-// MemMisses - StoreHits when no store errors occur).
+// MemMisses - StoreHits when no store errors occur). Cells put in memory
+// ahead of any request (Runner.Preload, Runner.Warm) are not requests and
+// count as neither hits nor misses: a freshly warmed runner has served zero
+// requests.
 type CacheStats struct {
 	// MemHits counts requests answered by the in-memory cell map.
 	MemHits uint64

@@ -95,22 +95,24 @@ func (v *Value) removeUse(op *Op, index int) {
 // follow MLIR's generic operation structure.
 type Op struct {
 	name     string
+	kind     *OpInfo // registered kind of name, resolved by NewOp; nil when unregistered
 	operands []*Value
 	results  []*Value
 	attrs    map[string]Attribute
 	regions  []*Region
 
-	block      *Op // unused placeholder to keep struct layout clear
 	parent     *Block
 	prev, next *Op
 }
 
 // NewOp creates a detached operation. resultTypes determines the number and
 // types of results. The op must be inserted into a block (Block.Append /
-// InsertBefore) before the program is printed or verified.
+// InsertBefore) before the program is printed or verified. The op's kind is
+// looked up here, once: see Register for the ordering rule that follows.
 func NewOp(name string, operands []*Value, resultTypes []Type) *Op {
 	op := &Op{
 		name:  name,
+		kind:  kinds()[name],
 		attrs: map[string]Attribute{},
 	}
 	for i, v := range operands {

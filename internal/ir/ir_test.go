@@ -16,6 +16,16 @@ import (
 // setup/launch/await cluster — the canonical shape from paper Figure 6/9.
 func buildSampleModule(t testing.TB) *ir.Module {
 	t.Helper()
+	m := sampleModule()
+	if err := ir.Verify(m); err != nil {
+		t.Fatalf("sample module does not verify: %v", err)
+	}
+	return m
+}
+
+// sampleModule is buildSampleModule without the verification, for
+// goroutines that may not call t.Fatal.
+func sampleModule() *ir.Module {
 	m := ir.NewModule()
 	f := fnc.NewFunc("kernel", ir.FuncType([]ir.Type{ir.I64}, nil))
 	m.Append(f.Op)
@@ -36,9 +46,6 @@ func buildSampleModule(t testing.TB) *ir.Module {
 	accfg.NewAwait(lb2, launch.Token())
 	scf.NewYield(lb2)
 	fnc.NewReturn(b)
-	if err := ir.Verify(m); err != nil {
-		t.Fatalf("sample module does not verify: %v", err)
-	}
 	return m
 }
 

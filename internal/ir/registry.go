@@ -2,8 +2,10 @@ package ir
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Trait is a structural property of an op kind used by generic passes.
@@ -48,47 +50,63 @@ func (i OpInfo) HasTrait(t Trait) bool {
 	return false
 }
 
+// The op-kind table is written a handful of times at start-up (the dialect
+// packages' init functions, an embedder's main) and read on every op of
+// every pass on every worker. It is therefore an immutable map published
+// through one atomic pointer: Register copies it under registerMu and
+// swaps the copy in; readers load the pointer and take no lock.
 var (
-	// registryMu is read-locked by every worker on every Lookup, and each
-	// RLock writes its reader count. The padding keeps that write off the
-	// cache lines of whatever the linker places next to it: in builds where
-	// that was runtime.writeBarrier — read on every pointer store — two
-	// workers ran cold small cells 17% slower (bench sweep_small, PR 13).
-	registryMu struct {
-		_ [64]byte
-		sync.RWMutex
-		_ [64]byte
-	}
-	registry = map[string]OpInfo{}
+	registerMu sync.Mutex
+	opKinds    atomic.Pointer[map[string]*OpInfo]
 )
+
+// kinds returns the current snapshot of the table: a map no one writes,
+// nil before the first Register.
+//
+//cwlint:hotpath
+func kinds() map[string]*OpInfo {
+	if p := opKinds.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
 
 // Register adds an op kind to the global registry. Registering the same name
 // twice panics — dialects own their prefixes.
+//
+// Register before you build: NewOp resolves the op's kind once, when the op
+// is constructed. An op built before its kind was registered stays
+// unregistered for its whole life (impure, no folder, no verifier), however
+// the registration is timed against later queries; ops built afterwards —
+// clones of the earlier op included — see the kind.
 func Register(info OpInfo) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[info.Name]; dup {
+	registerMu.Lock()
+	defer registerMu.Unlock()
+	old := kinds()
+	if _, dup := old[info.Name]; dup {
 		panic(fmt.Sprintf("ir: duplicate registration of op %q", info.Name))
 	}
-	registry[info.Name] = info
+	next := make(map[string]*OpInfo, len(old)+1)
+	maps.Copy(next, old)
+	next[info.Name] = &info
+	opKinds.Store(&next)
 }
 
 // Lookup returns the OpInfo for name. Unregistered names return a zero
 // OpInfo with ok=false; generic passes then treat the op conservatively
-// (impure, unknown semantics).
+// (impure, unknown semantics). It is the by-name query for listings; code
+// holding an *Op asks the op (IsPure, IsTerminator, IsConstant).
 func Lookup(name string) (OpInfo, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	info, ok := registry[name]
-	return info, ok
+	if k := kinds()[name]; k != nil {
+		return *k, true
+	}
+	return OpInfo{}, false
 }
 
 // RegisteredOps returns all registered op names, sorted.
 func RegisteredOps() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
+	var names []string
+	for n := range kinds() {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -98,22 +116,22 @@ func RegisteredOps() []string {
 // IsPure reports whether the op has no side effects. The "volatile" unit
 // attribute (used to model the paper's volatile-asm baseline) forces an op
 // to be treated as impure regardless of its registered traits.
+//
+//cwlint:hotpath
 func IsPure(op *Op) bool {
-	if op.HasAttr("volatile") {
-		return false
-	}
-	info, ok := Lookup(op.Name())
-	return ok && info.HasTrait(TraitPure)
+	return op.kind != nil && op.kind.HasTrait(TraitPure) && !op.HasAttr("volatile")
 }
 
 // IsTerminator reports whether op is a registered block terminator.
+//
+//cwlint:hotpath
 func IsTerminator(op *Op) bool {
-	info, ok := Lookup(op.Name())
-	return ok && info.HasTrait(TraitTerminator)
+	return op.kind != nil && op.kind.HasTrait(TraitTerminator)
 }
 
 // IsConstant reports whether op materializes a compile-time constant.
+//
+//cwlint:hotpath
 func IsConstant(op *Op) bool {
-	info, ok := Lookup(op.Name())
-	return ok && info.HasTrait(TraitConstant)
+	return op.kind != nil && op.kind.HasTrait(TraitConstant)
 }

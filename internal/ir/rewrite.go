@@ -74,22 +74,20 @@ func tryFold(op *Op) bool {
 		// compiler must emit them verbatim, so no folding either.
 		return false
 	}
-	info, ok := Lookup(op.Name())
-	if !ok || info.Fold == nil {
+	if op.kind == nil || op.kind.Fold == nil {
 		return false
 	}
-	repls, inPlace := info.Fold(op)
+	repls, inPlace := op.kind.Fold(op)
 	if inPlace {
 		return true
 	}
 	if repls == nil {
 		return false
 	}
-	for i, r := range repls {
+	for _, r := range repls {
 		if r == nil {
 			return false // partial folds unsupported
 		}
-		_ = i
 	}
 	for i, r := range repls {
 		op.Result(i).ReplaceAllUsesWith(r)

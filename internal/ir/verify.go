@@ -39,16 +39,15 @@ func verifyOp(op *Op, visible map[*Value]bool) error {
 			return fmt.Errorf("op %s: operand %d missing from use list", op.Name(), i)
 		}
 	}
-	if info, ok := Lookup(op.Name()); ok && info.Verify != nil {
-		if err := info.Verify(op); err != nil {
+	if op.kind != nil && op.kind.Verify != nil {
+		if err := op.kind.Verify(op); err != nil {
 			return fmt.Errorf("op %s: %w", op.Name(), err)
 		}
 	}
 	for _, r := range op.Results() {
 		visible[r] = true
 	}
-	info, registered := Lookup(op.Name())
-	isolated := registered && info.HasTrait(TraitIsolated)
+	isolated := op.kind != nil && op.kind.HasTrait(TraitIsolated)
 	for ri := 0; ri < op.NumRegions(); ri++ {
 		blk := op.Region(ri).Block()
 		var scope map[*Value]bool

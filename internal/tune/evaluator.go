@@ -139,22 +139,3 @@ func gridShape(exps []core.Experiment, idxs []int) (pipes []string, sizes []int,
 	}
 	return pipes, sizes, len(seenCell) == len(pipes)*len(sizes)
 }
-
-// RunnerEvaluator measures directly against an in-process core.Runner —
-// the test path, and what an embedded tuner without a daemon would use.
-type RunnerEvaluator struct {
-	Runner *core.Runner
-	Opts   core.RunOptions
-}
-
-// Measure runs one cell at full fidelity.
-func (re *RunnerEvaluator) Measure(ctx context.Context, e core.Experiment) (core.Result, error) {
-	opts := re.Opts
-	opts.Fidelity = core.FidelityFull
-	return re.Runner.Run(ctx, e, opts)
-}
-
-// Screen predicts every cell with the runner's analytic tier.
-func (re *RunnerEvaluator) Screen(ctx context.Context, exps []core.Experiment) ([]core.Result, error) {
-	return re.Runner.Screen(ctx, exps)
-}
