@@ -61,7 +61,7 @@ func verifySetup(op *ir.Op) error {
 	if _, ok := op.StringAttrValue("accelerator"); !ok {
 		return fmt.Errorf("missing 'accelerator' attribute")
 	}
-	fields := s.FieldNames()
+	nFields := s.NumFields()
 	nOperands := op.NumOperands()
 	if s.HasInState() {
 		nOperands--
@@ -73,15 +73,22 @@ func verifySetup(op *ir.Op) error {
 			return fmt.Errorf("input state is for accelerator %q, setup is for %q", st.Accelerator, s.Accelerator())
 		}
 	}
-	if len(fields) != nOperands {
-		return fmt.Errorf("%d field names but %d field operands", len(fields), nOperands)
+	if nFields != nOperands {
+		return fmt.Errorf("%d field names but %d field operands", nFields, nOperands)
 	}
-	seen := map[string]bool{}
-	for _, f := range fields {
-		if seen[f] {
-			return fmt.Errorf("duplicate field %q", f)
+	// A setup names a handful of fields: compare them pairwise instead of
+	// building a set on every verification.
+	elems := s.fieldElems()
+	for i, e := range elems {
+		f, ok := e.(ir.StringAttr)
+		if !ok {
+			continue
 		}
-		seen[f] = true
+		for _, earlier := range elems[:i] {
+			if g, ok := earlier.(ir.StringAttr); ok && g.Value == f.Value {
+				return fmt.Errorf("duplicate field %q", f.Value)
+			}
+		}
 	}
 	if op.NumResults() != 1 {
 		return fmt.Errorf("expects exactly one state result")
@@ -191,19 +198,39 @@ func (s Setup) FieldNames() []string {
 	return a.StringList()
 }
 
+// fieldElems returns the elements of the "fields" attribute in place; like
+// FieldNames, readers skip any that is not a string.
+func (s Setup) fieldElems() []ir.Attribute {
+	a, _ := s.Op.Attr("fields").(ir.ArrayAttr)
+	return a.Elems
+}
+
 // NumFields returns the number of configured fields.
-func (s Setup) NumFields() int { return len(s.FieldNames()) }
+func (s Setup) NumFields() int {
+	n := 0
+	for _, e := range s.fieldElems() {
+		if _, ok := e.(ir.StringAttr); ok {
+			n++
+		}
+	}
+	return n
+}
 
 // FieldValue returns the SSA value written to the named field, or nil.
 func (s Setup) FieldValue(name string) *ir.Value {
-	base := 0
+	i := 0
 	if s.HasInState() {
-		base = 1
+		i = 1
 	}
-	for i, f := range s.FieldNames() {
-		if f == name {
-			return s.Op.Operand(base + i)
+	for _, e := range s.fieldElems() {
+		f, ok := e.(ir.StringAttr)
+		if !ok {
+			continue
 		}
+		if f.Value == name {
+			return s.Op.Operand(i)
+		}
+		i++
 	}
 	return nil
 }

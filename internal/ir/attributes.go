@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -26,7 +27,7 @@ func IntAttr(v int64) IntegerAttr { return IntegerAttr{Value: v, Type: I64} }
 func IndexAttr(v int64) IntegerAttr { return IntegerAttr{Value: v, Type: Index} }
 
 func (a IntegerAttr) String() string {
-	return fmt.Sprintf("%d : %s", a.Value, a.Type)
+	return strconv.FormatInt(a.Value, 10) + " : " + a.Type.String()
 }
 
 // StringAttr holds a string constant.
@@ -34,7 +35,7 @@ type StringAttr struct {
 	Value string
 }
 
-func (a StringAttr) String() string { return fmt.Sprintf("%q", a.Value) }
+func (a StringAttr) String() string { return strconv.Quote(a.Value) }
 
 // BoolAttr holds a boolean constant.
 type BoolAttr struct {

@@ -55,25 +55,19 @@ func (v *Value) SetName(name string) { v.name = name }
 // Name returns the printing hint (may be empty).
 func (v *Value) Name() string { return v.name }
 
-// ReplaceAllUsesWith rewrites every use of v to read new instead.
+// ReplaceAllUsesWith rewrites every use of v to read new instead. The uses
+// move to new in the order v recorded them.
 func (v *Value) ReplaceAllUsesWith(new *Value) {
 	if v == new {
 		return
 	}
-	for _, u := range v.Uses() {
-		u.Op.SetOperand(u.Index, new)
+	uses := v.uses
+	v.uses = nil
+	for _, u := range uses {
+		u.Op.operands[u.Index] = new
 	}
-}
-
-// ReplaceUsesIf rewrites uses of v to read new where pred approves the use.
-func (v *Value) ReplaceUsesIf(new *Value, pred func(Use) bool) {
-	if v == new {
-		return
-	}
-	for _, u := range v.Uses() {
-		if pred(u) {
-			u.Op.SetOperand(u.Index, new)
-		}
+	if new != nil {
+		new.uses = append(new.uses, uses...)
 	}
 }
 
@@ -98,11 +92,15 @@ type Op struct {
 	kind     *OpInfo // registered kind of name, resolved by NewOp; nil when unregistered
 	operands []*Value
 	results  []*Value
-	attrs    map[string]Attribute
+	attrs    map[string]Attribute // nil until the first SetAttr
 	regions  []*Region
 
 	parent     *Block
 	prev, next *Op
+	// order is the op's position key in parent: strictly increasing along
+	// the list, meaningful only while parent.ordered is set (see
+	// Block.renumber).
+	order int
 }
 
 // NewOp creates a detached operation. resultTypes determines the number and
@@ -110,19 +108,24 @@ type Op struct {
 // InsertBefore) before the program is printed or verified. The op's kind is
 // looked up here, once: see Register for the ordering rule that follows.
 func NewOp(name string, operands []*Value, resultTypes []Type) *Op {
-	op := &Op{
-		name:  name,
-		kind:  kinds()[name],
-		attrs: map[string]Attribute{},
-	}
-	for i, v := range operands {
-		op.operands = append(op.operands, v)
-		if v != nil {
-			v.addUse(op, i)
+	op := &Op{name: name, kind: kinds()[name]}
+	if len(operands) > 0 {
+		op.operands = make([]*Value, len(operands))
+		for i, v := range operands {
+			op.operands[i] = v
+			if v != nil {
+				v.addUse(op, i)
+			}
 		}
 	}
-	for i, t := range resultTypes {
-		op.results = append(op.results, &Value{typ: t, def: op, index: i})
+	if n := len(resultTypes); n > 0 {
+		// One block for all results: they live and die with the op.
+		vals := make([]Value, n)
+		op.results = make([]*Value, n)
+		for i, t := range resultTypes {
+			vals[i] = Value{typ: t, def: op, index: i}
+			op.results[i] = &vals[i]
+		}
 	}
 	return op
 }
@@ -239,7 +242,12 @@ func (op *Op) EraseResult(i int) {
 func (op *Op) Attr(key string) Attribute { return op.attrs[key] }
 
 // SetAttr stores an attribute under key.
-func (op *Op) SetAttr(key string, a Attribute) { op.attrs[key] = a }
+func (op *Op) SetAttr(key string, a Attribute) {
+	if op.attrs == nil {
+		op.attrs = make(map[string]Attribute)
+	}
+	op.attrs[key] = a
+}
 
 // RemoveAttr deletes the attribute stored under key.
 func (op *Op) RemoveAttr(key string) { delete(op.attrs, key) }
@@ -380,14 +388,21 @@ func (op *Op) MoveAfter(other *Op) {
 }
 
 // IsBefore reports whether op appears strictly before other within the same
-// block. Both ops must share a block.
+// block. Both ops must share a block; the answer is false otherwise. It is
+// a compare of the two ops' order keys, so the first query after the block
+// was reordered renumbers the block: a read here can write, and a module
+// belongs to one goroutine at a time.
+//
+//cwlint:hotpath
 func (op *Op) IsBefore(other *Op) bool {
-	for o := op.next; o != nil; o = o.next {
-		if o == other {
-			return true
-		}
+	b := op.parent
+	if b == nil || other.parent != b {
+		return false
 	}
-	return false
+	if !b.ordered {
+		b.renumber()
+	}
+	return op.order < other.order
 }
 
 // IsAncestorOf reports whether other is nested (at any depth) inside op.
@@ -420,8 +435,11 @@ func (op *Op) Clone(mapping map[*Value]*Value) *Op {
 		types[i] = r.typ
 	}
 	cl := NewOp(op.name, operands, types)
-	for k, v := range op.attrs {
-		cl.attrs[k] = v
+	if len(op.attrs) > 0 {
+		cl.attrs = make(map[string]Attribute, len(op.attrs))
+		for k, v := range op.attrs {
+			cl.attrs[k] = v
+		}
 	}
 	for i, r := range op.results {
 		cl.results[i].name = r.name
@@ -430,7 +448,7 @@ func (op *Op) Clone(mapping map[*Value]*Value) *Op {
 	for _, region := range op.regions {
 		nr := cl.AddRegion()
 		src := region.Block()
-		for _, arg := range src.Args() {
+		for _, arg := range src.args {
 			na := nr.Block().AddArg(arg.typ)
 			na.name = arg.name
 			mapping[arg] = na
@@ -459,6 +477,20 @@ type Block struct {
 	region      *Region
 	args        []*Value
 	first, last *Op
+	// ordered records that the ops' order keys increase strictly along the
+	// list. Appending keeps it and unlinking cannot break it; inserting
+	// anywhere but at the end clears it, and the next Op.IsBefore renumbers.
+	ordered bool
+}
+
+// renumber assigns order keys 0, 1, 2, ... along the list.
+func (b *Block) renumber() {
+	n := 0
+	for op := b.first; op != nil; op = op.next {
+		op.order = n
+		n++
+	}
+	b.ordered = true
 }
 
 // Region returns the region containing this block.
@@ -540,13 +572,17 @@ func (b *Block) Append(op *Op) {
 	op.prev = b.last
 	if b.last != nil {
 		b.last.next = op
+		op.order = b.last.order + 1
 	} else {
 		b.first = op
+		op.order = 0
+		b.ordered = true
 	}
 	b.last = op
 }
 
 func (b *Block) insertBefore(op, ref *Op) {
+	b.ordered = false
 	op.parent = b
 	op.next = ref
 	op.prev = ref.prev
@@ -559,6 +595,7 @@ func (b *Block) insertBefore(op, ref *Op) {
 }
 
 func (b *Block) insertAfter(op, ref *Op) {
+	b.ordered = false
 	op.parent = b
 	op.prev = ref
 	op.next = ref.next
@@ -570,23 +607,50 @@ func (b *Block) insertAfter(op, ref *Op) {
 	ref.next = op
 }
 
-// Walk visits op and every op nested within its regions in pre-order. The
-// callback may erase the visited op (but not its siblings).
+// Walk visits op and every op nested within its regions in pre-order. It
+// follows the blocks' linked lists and copies nothing; the one thing it
+// holds on to is each op's successor, read before the callback sees the op.
+// The contract that follows from that:
+//
+//   - The callback may erase, move or rewrite the op it is visiting. The
+//     op's regions are walked next, as the callback left them, and the walk
+//     resumes at the successor the op had before the callback (an op moved
+//     to a place still ahead of the walk is met again there).
+//   - The callback may insert ops before or after the visited op. They are
+//     not visited: those before are behind the walk, those after sit in
+//     front of a successor already read.
+//   - The callback must not erase or move an op that is still ahead of the
+//     walk in the same block — a later sibling of the visited op or of one
+//     of its ancestors. The walk meets the rest of the block as it then is,
+//     so an op erased further on is just not visited and one moved is
+//     visited where it ends up; but if it is the successor the walk holds
+//     that left the block, Walk panics rather than end the block early, and
+//     if that successor moved within the block the walk follows it and
+//     skips what lay between, undetected. Loops that mutate siblings
+//     iterate over Block.Ops, which is a snapshot.
+//
+//cwlint:hotpath
 func Walk(op *Op, fn func(*Op)) {
 	// Capture regions before the callback in case it erases op.
 	regions := op.regions
 	fn(op)
 	for _, r := range regions {
-		for _, o := range r.Block().Ops() {
-			Walk(o, fn)
-		}
+		WalkBlock(r.block, fn)
 	}
 }
 
-// WalkBlock visits every op in the block (and nested regions) in pre-order.
+// WalkBlock visits every op in the block (and nested regions) in pre-order,
+// under Walk's contract.
+//
+//cwlint:hotpath
 func WalkBlock(b *Block, fn func(*Op)) {
-	for _, op := range b.Ops() {
+	for op := b.first; op != nil; {
+		next := op.next
 		Walk(op, fn)
+		if next != nil && next.parent != b {
+			panic("ir: Walk callback removed the visited op's successor from its block")
+		}
+		op = next
 	}
 }
 
@@ -615,8 +679,8 @@ func (m *Module) Append(op *Op) { m.Block().Append(op) }
 // Funcs returns the fnc.func ops in the module, in order.
 func (m *Module) Funcs() []*Op {
 	var out []*Op
-	for _, op := range m.Block().Ops() {
-		if op.Name() == "fnc.func" {
+	for op := m.Block().first; op != nil; op = op.next {
+		if op.name == "fnc.func" {
 			out = append(out, op)
 		}
 	}
@@ -625,9 +689,12 @@ func (m *Module) Funcs() []*Op {
 
 // FindFunc returns the fnc.func with the given symbol name, or nil.
 func (m *Module) FindFunc(name string) *Op {
-	for _, f := range m.Funcs() {
-		if sym, ok := f.StringAttrValue("sym_name"); ok && sym == name {
-			return f
+	for op := m.Block().first; op != nil; op = op.next {
+		if op.name != "fnc.func" {
+			continue
+		}
+		if sym, ok := op.StringAttrValue("sym_name"); ok && sym == name {
+			return op
 		}
 	}
 	return nil

@@ -2,7 +2,9 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Pass transforms a module. Passes are the unit of composition in the
@@ -66,8 +68,10 @@ func (pm *PassManager) Passes() []string {
 
 // Run executes the pipeline on m.
 func (pm *PassManager) Run(m *Module) error {
+	// One count per pass boundary: a pass's "after" is the next one's
+	// "before" (verification and CheckEach do not change the module).
+	before := CountOps(m)
 	for _, p := range pm.passes {
-		before := CountOps(m)
 		var snapshot *Module
 		if pm.CheckEach != nil {
 			snapshot = m.Clone()
@@ -86,9 +90,38 @@ func (pm *PassManager) Run(m *Module) error {
 			}
 		}
 		after := CountOps(m)
-		pm.Stats = append(pm.Stats, fmt.Sprintf("%-32s ops: %4d -> %4d", p.Name(), before, after))
+		pm.Stats = append(pm.Stats, statLine(p.Name(), before, after))
+		before = after
 	}
 	return nil
+}
+
+// statLine renders fmt.Sprintf("%-32s ops: %4d -> %4d", pass, before, after)
+// without fmt. The line is part of every stored and served Result, so it
+// must stay byte-identical to that format.
+//
+//cwlint:hotpath
+func statLine(pass string, before, after int) string {
+	var buf [64]byte
+	b := append(buf[:0], pass...)
+	for n := utf8.RuneCountInString(pass); n < 32; n++ {
+		b = append(b, ' ')
+	}
+	b = append(b, " ops: "...)
+	b = appendPadded(b, before)
+	b = append(b, " -> "...)
+	b = appendPadded(b, after)
+	return string(b)
+}
+
+// appendPadded appends n in decimal, right-aligned to four columns (%4d).
+func appendPadded(b []byte, n int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	for i := len(d); i < 4; i++ {
+		b = append(b, ' ')
+	}
+	return append(b, d...)
 }
 
 // String renders the pipeline like "a,b,c".
@@ -97,13 +130,23 @@ func (pm *PassManager) String() string {
 }
 
 // CountOps counts all ops in the module (excluding builtin.module itself).
-func CountOps(m *Module) int {
+//
+//cwlint:hotpath
+func CountOps(m *Module) int { return countNested(m.op) }
+
+// countNested counts the ops inside op's regions, at any depth.
+//
+//cwlint:hotpath
+func countNested(op *Op) int {
 	n := 0
-	m.Walk(func(op *Op) {
-		if op.Name() != "builtin.module" {
-			n++
+	for _, r := range op.regions {
+		for o := r.block.first; o != nil; o = o.next {
+			if o.name != "builtin.module" {
+				n++
+			}
+			n += countNested(o)
 		}
-	})
+	}
 	return n
 }
 

@@ -109,7 +109,7 @@ func (p *printer) printRegion(r *Region, indent string) {
 	if blk.NumArgs() > 0 {
 		p.sb.WriteString(inner)
 		p.sb.WriteString("^(")
-		for i, a := range blk.Args() {
+		for i, a := range blk.args {
 			if i > 0 {
 				p.sb.WriteString(", ")
 			}

@@ -28,9 +28,10 @@ func (p PatternFunc) MatchAndRewrite(op *Op, b *Builder) bool { return p.Fn(op, 
 // greedy pattern rewrite driver). Returns whether anything changed.
 func ApplyPatternsGreedy(root *Op, patterns []RewritePattern) bool {
 	changedEver := false
+	var ops []*Op
 	for iter := 0; iter < 100; iter++ {
 		changed := false
-		var ops []*Op
+		ops = ops[:0]
 		Walk(root, func(op *Op) {
 			if op != root {
 				ops = append(ops, op)
@@ -101,19 +102,15 @@ func tryFold(op *Op) bool {
 // erased.
 func eraseTriviallyDead(root *Op) bool {
 	erased := false
+	var dead []*Op
 	for {
-		var dead []*Op
+		dead = dead[:0]
 		Walk(root, func(op *Op) {
 			if op == root || op.Block() == nil {
 				return
 			}
-			if !IsPure(op) {
+			if !IsPure(op) || op.hasUses() {
 				return
-			}
-			for _, r := range op.Results() {
-				if r.NumUses() > 0 {
-					return
-				}
 			}
 			dead = append(dead, op)
 		})
@@ -123,19 +120,20 @@ func eraseTriviallyDead(root *Op) bool {
 		// Erase in reverse walk order so users die before producers.
 		for i := len(dead) - 1; i >= 0; i-- {
 			op := dead[i]
-			if op.Block() == nil {
-				continue
-			}
-			live := false
-			for _, r := range op.Results() {
-				if r.NumUses() > 0 {
-					live = true
-				}
-			}
-			if !live {
+			if op.Block() != nil && !op.hasUses() {
 				op.Erase()
 				erased = true
 			}
 		}
 	}
+}
+
+// hasUses reports whether any result of op is read.
+func (op *Op) hasUses() bool {
+	for _, r := range op.results {
+		if len(r.uses) > 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -11,6 +11,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -28,7 +29,22 @@ type IntegerType struct {
 	Width int
 }
 
-func (t IntegerType) String() string { return fmt.Sprintf("i%d", t.Width) }
+func (t IntegerType) String() string {
+	// The widths in use are constants; verifiers and CSE ask on every pass.
+	switch t.Width {
+	case 1:
+		return "i1"
+	case 8:
+		return "i8"
+	case 16:
+		return "i16"
+	case 32:
+		return "i32"
+	case 64:
+		return "i64"
+	}
+	return "i" + strconv.Itoa(t.Width)
+}
 
 // Common integer types.
 var (
@@ -60,7 +76,7 @@ type StateType struct {
 }
 
 func (t StateType) String() string {
-	return fmt.Sprintf("!accfg.state<%q>", t.Accelerator)
+	return "!accfg.state<" + strconv.Quote(t.Accelerator) + ">"
 }
 
 // TokenType is !accfg.token<"accel">: an in-flight accelerator launch that
@@ -70,7 +86,7 @@ type TokenType struct {
 }
 
 func (t TokenType) String() string {
-	return fmt.Sprintf("!accfg.token<%q>", t.Accelerator)
+	return "!accfg.token<" + strconv.Quote(t.Accelerator) + ">"
 }
 
 // MemRefType is a minimal ranked memref: a shaped buffer of integers.
@@ -165,10 +181,19 @@ func (t FunctionType) Equal(o FunctionType) bool {
 	return t.String() == o.String()
 }
 
-// TypesEqual reports whether two types are identical.
+// TypesEqual reports whether two types are identical: they render the same.
+// Equal values of the scalar and accfg types — every comparison the
+// verifiers make on a well-formed module — are recognised without
+// rendering anything.
 func TypesEqual(a, b Type) bool {
 	if a == nil || b == nil {
 		return a == b
+	}
+	switch a.(type) {
+	case IntegerType, IndexType, StateType, TokenType:
+		if a == b {
+			return true
+		}
 	}
 	return a.String() == b.String()
 }

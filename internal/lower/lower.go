@@ -257,8 +257,8 @@ func StripAccfgTypes(m *ir.Module, accelerator string) error {
 		op.Erase()
 	}
 	for _, op := range launches {
-		for _, r := range op.Results() {
-			if r.NumUses() > 0 {
+		for i := 0; i < op.NumResults(); i++ {
+			if op.Result(i).NumUses() > 0 {
 				return fmt.Errorf("strip-accfg: launch token still used outside await")
 			}
 		}
@@ -302,8 +302,8 @@ func StripAccfgTypes(m *ir.Module, accelerator string) error {
 	}
 	// Phase 5: erase setups.
 	for _, op := range setups {
-		for _, r := range op.Results() {
-			if r.NumUses() > 0 {
+		for i := 0; i < op.NumResults(); i++ {
+			if op.Result(i).NumUses() > 0 {
 				return fmt.Errorf("strip-accfg: setup state still in use after stripping")
 			}
 		}

@@ -7,9 +7,8 @@
 package passes
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"configwall/internal/ir"
 )
@@ -33,63 +32,106 @@ func CSE() ir.Pass {
 	return ir.PassFunc{
 		PassName: "cse",
 		Fn: func(m *ir.Module) error {
+			c := cse{seen: map[string]*ir.Op{}, ids: map[*ir.Value]int{}}
 			for _, f := range m.Funcs() {
-				cseBlock(f.Region(0).Block(), map[string]*ir.Op{})
+				c.block(f.Region(0).Block())
+				c.leave(0)
 			}
 			return nil
 		},
 	}
 }
 
-// opKey builds a structural hash key for a pure op: name, operand
-// identities, attributes and result types.
-func opKey(op *ir.Op) string {
-	var sb strings.Builder
-	sb.WriteString(op.Name())
-	sb.WriteByte('(')
-	for _, o := range op.Operands() {
-		fmt.Fprintf(&sb, "%p,", o)
-	}
-	sb.WriteByte(')')
-	keys := op.AttrKeys()
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "{%s=%s}", k, op.Attr(k).String())
-	}
-	for _, r := range op.Results() {
-		sb.WriteString(r.Type().String())
-		sb.WriteByte(';')
-	}
-	return sb.String()
+// cse is the state of one CSE run: the table of available expressions,
+// scoped like MLIR's — a nested region sees what its enclosing scopes
+// defined before it and nothing leaks back out. It is one map for the whole
+// run; trail records the keys each open scope added so that leaving the
+// scope can take them out again.
+type cse struct {
+	seen  map[string]*ir.Op
+	trail []string
+	ids   map[*ir.Value]int // operand identity: values numbered on first sight
+	key   []byte            // scratch for the key being built
 }
 
-// cseBlock deduplicates pure ops in a block. seen maps structural keys to
-// the first defining op; nested regions inherit the map by copy so values
-// from enclosing scopes can be reused, mirroring MLIR's scoped CSE.
-func cseBlock(b *ir.Block, seen map[string]*ir.Op) {
-	for _, op := range b.Ops() {
-		if op.Block() == nil {
-			continue
+// opKey builds the structural key of a pure op into c.key: name, operand
+// identities, attributes and result types.
+//
+//cwlint:hotpath
+func (c *cse) opKey(op *ir.Op) {
+	k := append(c.key[:0], op.Name()...)
+	k = append(k, '(')
+	for i := 0; i < op.NumOperands(); i++ {
+		v := op.Operand(i)
+		id, ok := c.ids[v]
+		if !ok {
+			id = len(c.ids)
+			c.ids[v] = id
 		}
+		k = strconv.AppendInt(k, int64(id), 10)
+		k = append(k, ',')
+	}
+	k = append(k, ')')
+	keys := op.AttrKeys()
+	if len(keys) > 1 {
+		sort.Strings(keys)
+	}
+	for _, name := range keys {
+		k = append(k, '{')
+		k = append(k, name...)
+		k = append(k, '=')
+		if a, ok := op.Attr(name).(ir.IntegerAttr); ok {
+			// The one attribute every constant carries: spell it here
+			// rather than through a String per op per run.
+			k = strconv.AppendInt(k, a.Value, 10)
+			k = append(k, " : "...)
+			k = append(k, a.Type.String()...)
+		} else {
+			k = append(k, op.Attr(name).String()...)
+		}
+		k = append(k, '}')
+	}
+	for i := 0; i < op.NumResults(); i++ {
+		k = append(k, op.Result(i).Type().String()...)
+		k = append(k, ';')
+	}
+	c.key = k
+}
+
+// block deduplicates pure ops in a block against the table, descending
+// into regions with a scope each. It erases only the op it is looking at,
+// so reading the successor first is enough.
+func (c *cse) block(b *ir.Block) {
+	var next *ir.Op
+	for op := b.First(); op != nil; op = next {
+		next = op.Next()
 		if ir.IsPure(op) && op.NumRegions() == 0 && op.NumResults() > 0 {
-			key := opKey(op)
-			if prev, ok := seen[key]; ok {
-				for i, r := range op.Results() {
-					r.ReplaceAllUsesWith(prev.Result(i))
+			c.opKey(op)
+			if prev, ok := c.seen[string(c.key)]; ok {
+				for i := 0; i < op.NumResults(); i++ {
+					op.Result(i).ReplaceAllUsesWith(prev.Result(i))
 				}
 				op.Erase()
 				continue
 			}
-			seen[key] = op
+			key := string(c.key)
+			c.seen[key] = op
+			c.trail = append(c.trail, key)
 		}
 		for ri := 0; ri < op.NumRegions(); ri++ {
-			inner := make(map[string]*ir.Op, len(seen))
-			for k, v := range seen {
-				inner[k] = v
-			}
-			cseBlock(op.Region(ri).Block(), inner)
+			mark := len(c.trail)
+			c.block(op.Region(ri).Block())
+			c.leave(mark)
 		}
 	}
+}
+
+// leave closes a scope: every key added since the trail was mark long goes.
+func (c *cse) leave(mark int) {
+	for _, key := range c.trail[mark:] {
+		delete(c.seen, key)
+	}
+	c.trail = c.trail[:mark]
 }
 
 // LICM returns the loop-invariant-code-motion pass: pure ops inside scf.for
@@ -110,7 +152,8 @@ func LICM() ir.Pass {
 
 func licmWalk(b *ir.Block) bool {
 	changed := false
-	for _, op := range b.Ops() {
+	// Hoisted ops land in front of op, behind this loop.
+	for op := b.First(); op != nil; op = op.Next() {
 		for ri := 0; ri < op.NumRegions(); ri++ {
 			if licmWalk(op.Region(ri).Block()) {
 				changed = true
@@ -120,7 +163,9 @@ func licmWalk(b *ir.Block) bool {
 			continue
 		}
 		body := op.Region(0).Block()
-		for _, inner := range body.Ops() {
+		var next *ir.Op
+		for inner := body.First(); inner != nil; inner = next {
+			next = inner.Next()
 			if inner == body.Last() {
 				continue // never move the terminator
 			}
@@ -139,7 +184,8 @@ func licmWalk(b *ir.Block) bool {
 
 // definedInside reports whether any operand of op is defined within loop.
 func definedInside(op *ir.Op, loop *ir.Op) bool {
-	for _, o := range op.Operands() {
+	for i := 0; i < op.NumOperands(); i++ {
+		o := op.Operand(i)
 		var defOp *ir.Op
 		if o.IsBlockArg() {
 			parent := o.OwnerBlock().ParentOp()

@@ -46,7 +46,9 @@ func HoistLoopInvariantFields() ir.Pass {
 func hoistFromLoop(loop *ir.Op) bool {
 	body := loop.Region(0).Block()
 	changed := false
-	for _, op := range body.Ops() {
+	// The rewrite adds a setup in front of the loop and drops operands of
+	// op; the body's op list stays as it is.
+	for op := body.First(); op != nil; op = op.Next() {
 		s, ok := accfg.AsSetup(op)
 		if !ok || !s.HasInState() {
 			continue

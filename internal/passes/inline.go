@@ -93,8 +93,8 @@ func inlineCall(m *ir.Module, call *ir.Op) error {
 	}
 
 	mapping := map[*ir.Value]*ir.Value{}
-	for i, arg := range body.Args() {
-		mapping[arg] = call.Operand(i)
+	for i := 0; i < body.NumArgs(); i++ {
+		mapping[body.Arg(i)] = call.Operand(i)
 	}
 	b := ir.Before(call)
 	for op := body.First(); op != nil && op != ret; op = op.Next() {

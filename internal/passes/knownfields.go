@@ -82,14 +82,15 @@ func AnalyzeFields(f *ir.Op) *FieldStates {
 	// Collect every state-typed SSA value in the function.
 	var stateValues []*ir.Value
 	ir.Walk(f, func(op *ir.Op) {
-		for _, r := range op.Results() {
-			if _, ok := r.Type().(ir.StateType); ok {
+		for i := 0; i < op.NumResults(); i++ {
+			if r := op.Result(i); isState(r) {
 				stateValues = append(stateValues, r)
 			}
 		}
 		for ri := 0; ri < op.NumRegions(); ri++ {
-			for _, a := range op.Region(ri).Block().Args() {
-				if _, ok := a.Type().(ir.StateType); ok {
+			blk := op.Region(ri).Block()
+			for i := 0; i < blk.NumArgs(); i++ {
+				if a := blk.Arg(i); isState(a) {
 					stateValues = append(stateValues, a)
 				}
 			}
@@ -114,6 +115,11 @@ func AnalyzeFields(f *ir.Op) *FieldStates {
 		}
 	}
 	return fs
+}
+
+func isState(v *ir.Value) bool {
+	_, ok := v.Type().(ir.StateType)
+	return ok
 }
 
 // transfer recomputes the lattice element for one state value from its

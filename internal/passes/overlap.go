@@ -74,7 +74,7 @@ func pipelineLoop(loop *ir.Op, concurrent func(string) bool) bool {
 
 	// Find the pattern ops at depth 1.
 	var setupOp, launchOp, awaitOp *ir.Op
-	for _, op := range body.Ops() {
+	for op := body.First(); op != nil; op = op.Next() {
 		switch op.Name() {
 		case accfg.OpSetup:
 			if setupOp != nil {
@@ -107,7 +107,7 @@ func pipelineLoop(loop *ir.Op, concurrent func(string) bool) bool {
 	// body blocks pipelining. Both hazards are the shared interference
 	// query; the toggled walk below exists only for the bug-replay tests.
 	unsafe := false
-	for _, op := range body.Ops() {
+	for op := body.First(); op != nil; op = op.Next() {
 		if op == setupOp || op == launchOp || op == awaitOp {
 			continue
 		}
@@ -262,8 +262,8 @@ func pureInputSlice(setupOp *ir.Op, body *ir.Block, allowedArgs map[*ir.Value]bo
 			return false
 		}
 		needed[def] = true
-		for _, o := range def.Operands() {
-			if !visit(o) {
+		for i := 0; i < def.NumOperands(); i++ {
+			if !visit(def.Operand(i)) {
 				return false
 			}
 		}
@@ -275,7 +275,7 @@ func pureInputSlice(setupOp *ir.Op, body *ir.Block, allowedArgs map[*ir.Value]bo
 		}
 	}
 	var out []*ir.Op
-	for _, o := range body.Ops() {
+	for o := body.First(); o != nil; o = o.Next() {
 		if needed[o] {
 			out = append(out, o)
 		}
@@ -394,15 +394,15 @@ func movableSlice(op *ir.Op, barrier *ir.Op) ([]*ir.Op, bool) {
 			return false
 		}
 		needed[def] = true
-		for _, o := range def.Operands() {
-			if !visit(o) {
+		for i := 0; i < def.NumOperands(); i++ {
+			if !visit(def.Operand(i)) {
 				return false
 			}
 		}
 		return true
 	}
-	for _, operand := range op.Operands() {
-		if !visit(operand) {
+	for i := 0; i < op.NumOperands(); i++ {
+		if !visit(op.Operand(i)) {
 			return nil, false
 		}
 	}

@@ -449,6 +449,60 @@ func TestCSEEnablesDedup(t *testing.T) {
 	}
 }
 
+// TestCSEScopes pins the scoping of CSE's one table: a region reuses what
+// its enclosing scopes defined before it, and what it defines itself is
+// gone again when the region ends — for its sibling region and for the
+// code after the op alike (either reuse would break dominance, which the
+// verifier behind runPipeline would report).
+func TestCSEScopes(t *testing.T) {
+	m := ir.NewModule()
+	f := fnc.NewFunc("f", ir.FuncType([]ir.Type{ir.I1}, nil))
+	m.Append(f.Op)
+	b := ir.AtEnd(f.Body())
+	use := func(b *ir.Builder, vs ...*ir.Value) { b.Create("test.use", vs, nil) }
+
+	outer7 := arith.NewConstant(b, 7, ir.I64)
+	ifOp := scf.NewIf(b, f.Body().Arg(0))
+	tb := ir.AtEnd(ifOp.Then())
+	use(tb, arith.NewConstant(tb, 7, ir.I64), arith.NewConstant(tb, 9, ir.I64))
+	scf.NewYield(tb)
+	eb := ir.AtEnd(ifOp.Else())
+	use(eb, arith.NewConstant(eb, 9, ir.I64), arith.NewConstant(eb, 9, ir.I64))
+	scf.NewYield(eb)
+	use(b, arith.NewConstant(b, 9, ir.I64), arith.NewConstant(b, 9, ir.I64), outer7)
+	fnc.NewReturn(b)
+
+	runPipeline(t, m, passes.CSE())
+
+	constants := func(blk *ir.Block) (sevens, nines int) {
+		for op := blk.First(); op != nil; op = op.Next() {
+			if op.Name() != arith.OpConstant {
+				continue
+			}
+			switch v, _ := op.IntAttrValue("value"); v {
+			case 7:
+				sevens++
+			case 9:
+				nines++
+			}
+		}
+		return
+	}
+	for _, tc := range []struct {
+		where         string
+		blk           *ir.Block
+		sevens, nines int
+	}{
+		{"function body", f.Body(), 1, 1},  // the two 9s after the if merge into one, not into a branch's
+		{"then region", ifOp.Then(), 0, 1}, // its 7 is the function's
+		{"else region", ifOp.Else(), 0, 1}, // its 9s merge with each other, not with then's
+	} {
+		if s7, s9 := constants(tc.blk); s7 != tc.sevens || s9 != tc.nines {
+			t.Errorf("%s keeps %d sevens and %d nines, want %d and %d:\n%s", tc.where, s7, s9, tc.sevens, tc.nines, ir.PrintModule(m))
+		}
+	}
+}
+
 func TestLICMHoistsInvariantArith(t *testing.T) {
 	m := ir.NewModule()
 	f := fnc.NewFunc("f", ir.FuncType([]ir.Type{ir.I64}, nil))

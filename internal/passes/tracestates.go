@@ -69,7 +69,9 @@ func subtreeClobbers(op *ir.Op) bool {
 // current is the state value live on entry (nil = unknown). It returns the
 // state live on exit (nil = unknown/clobbered).
 func traceBlock(b *ir.Block, accel string, current *ir.Value) *ir.Value {
-	for _, op := range b.Ops() {
+	// Anchor setups are inserted in front of the op being looked at, behind
+	// this loop.
+	for op := b.First(); op != nil; op = op.Next() {
 		switch op.Name() {
 		case accfg.OpSetup:
 			s, _ := accfg.AsSetup(op)
