@@ -57,59 +57,47 @@ func printConstants(m *analytic.Model) {
 	}
 }
 
-// setupFidelity routes the figure sweeps onto the requested prediction
-// tier. screen predicts every cell; topk pre-simulates the K cells with
-// the best predicted ops/cycle across the selected artifacts' grids and
-// renders everything else from predictions (FidelityCached serves the
-// simulated cells from the memo and falls back to the model).
+// setupFidelity answers the selected artifacts' whole grid once through the
+// analytical tier — Runner.RunTopK, k = 0 for screen: every cell predicted,
+// the k best-predicted simulated — and points the figure sweeps at a
+// private store-less runner preloaded with exactly those answers. What the
+// figures print is then a function of (flags, model): nothing the
+// simulating runner happens to hold (an in-process calibration leaves its
+// training cells there) can leak into them, and predictions never reach a
+// store.
 func setupFidelity(b *bench, name, modelPath string, seed int64, k int, only string, sharded bool) error {
 	switch name {
 	case "", "full":
 		return nil
-	case "screen", "topk":
+	case "screen":
+		k = 0
+	case "topk":
 	default:
 		return fmt.Errorf("unknown -fidelity %q (valid: full, screen, topk)", name)
 	}
 	if sharded {
 		return fmt.Errorf("-shard precomputes simulated ground truth; it does not combine with -fidelity %s", name)
 	}
-	model, err := loadOrCalibrate(b.runner, modelPath, seed)
-	if err != nil {
-		return err
+	if modelPath == "" {
+		fmt.Fprintf(os.Stderr, "cwbench: no -model given; calibrating in-process (seed %d)\n", seed)
 	}
-	b.runner.SetPredictor(model)
-	if name == "screen" {
-		b.opts.Fidelity = core.FidelityScreen
-		return nil
+	if _, _, err := analytic.Attach(context.Background(), b.runner, modelPath, seed); err != nil {
+		return err
 	}
 	grid := figureGrid(b, only)
-	if len(grid) == 0 {
+	if name == "topk" && len(grid) == 0 {
 		return fmt.Errorf("-fidelity topk: no experiment grid to rank (artifact %q has no sweep)", only)
 	}
-	if _, err := b.runner.RunTopK(context.Background(), grid, b.opts, k); err != nil {
+	answers, err := b.runner.RunTopK(context.Background(), grid, b.opts, k)
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "cwbench: fidelity topk: simulated %d of %d grid cells\n", min(k, len(grid)), len(grid))
-	b.opts.Fidelity = core.FidelityCached
+	if name == "topk" {
+		fmt.Fprintf(os.Stderr, "cwbench: fidelity topk: simulated %d of %d grid cells\n", min(k, len(grid)), len(grid))
+	}
+	b.figures = core.NewRunner(b.runner.Workers())
+	for i, e := range grid {
+		b.figures.Preload(e, b.opts, answers[i])
+	}
 	return nil
-}
-
-// loadOrCalibrate resolves the predictor for -fidelity: a committed model
-// file when given (the fast path — zero simulations before screening), an
-// in-process calibration otherwise. An in-process fit that violates its
-// own band is rejected: silently screening with an out-of-band model
-// would defeat the tier's error contract.
-func loadOrCalibrate(r *core.Runner, path string, seed int64) (*analytic.Model, error) {
-	if path != "" {
-		return analytic.ReadModel(path)
-	}
-	fmt.Fprintf(os.Stderr, "cwbench: no -model given; calibrating in-process (seed %d)\n", seed)
-	model, rep, err := analytic.Calibrate(context.Background(), r, analytic.Spec{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Clean() {
-		return nil, fmt.Errorf("in-process calibration violates its error band:\n%s", rep)
-	}
-	return model, nil
 }

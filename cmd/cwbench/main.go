@@ -13,7 +13,6 @@
 //	cwbench -cache-dir .cwcache -store-ls    # list the stored entries
 //	cwbench -cpuprofile cw.pprof -only fig11  # pprof profile of a real sweep
 //	cwbench -memprofile heap.pprof -only fig11  # post-GC heap profile at exit
-//	cwbench -alloc-stats       # per-figure allocs/op and B/op on stderr
 //	cwbench -calibrate model.json             # fit the analytical tier,
 //	                                          # print constants + held-out
 //	                                          # error report, write model
@@ -29,6 +28,12 @@
 // i-th stride of the figure grid and renders nothing — run one process per
 // shard against the same -cache-dir, then a final plain invocation renders
 // every figure from the store.
+//
+// -fidelity screen|topk answers the selected figures' whole grid once
+// through Runner.RunTopK (screen is k = 0) and renders from exactly those
+// answers, so stdout is a function of the flags and the model: the same
+// with -model FILE and with the in-process fit of the same seed, whatever
+// the calibration left in the runner (CI compares the two).
 package main
 
 import (
@@ -59,9 +64,15 @@ type artifact struct {
 
 // bench carries the shared state of one cwbench invocation.
 type bench struct {
+	// runner simulates (calibration, -shard, the cells -fidelity topk
+	// chooses) and is what -cache-stats reports.
 	runner *core.Runner
-	sizes  []int           // overrides the per-figure defaults when non-empty
-	opts   core.RunOptions // shared run options (engine selection)
+	// figures is the runner the figure sweeps read: runner itself, or under
+	// -fidelity screen/topk a private store-less runner preloaded with that
+	// one sweep's answers (setupFidelity).
+	figures *core.Runner
+	sizes   []int           // overrides the per-figure defaults when non-empty
+	opts    core.RunOptions // shared run options (engine selection)
 }
 
 func (b *bench) pick(def []int) []int {
@@ -119,7 +130,7 @@ var artifacts = []artifact{
 		return nil
 	}},
 	{name: "fig10", run: func(b *bench) error {
-		rows, err := core.Figure10With(context.Background(), b.runner, b.pick(core.Figure10Sizes), b.opts)
+		rows, err := core.Figure10With(context.Background(), b.figures, b.pick(core.Figure10Sizes), b.opts)
 		if err != nil {
 			return err
 		}
@@ -129,7 +140,7 @@ var artifacts = []artifact{
 		return core.Figure10Experiments(b.pick(core.Figure10Sizes))
 	}},
 	{name: "fig11", run: func(b *bench) error {
-		rows, err := core.Figure11With(context.Background(), b.runner, b.pick(core.Figure11Sizes), b.opts)
+		rows, err := core.Figure11With(context.Background(), b.figures, b.pick(core.Figure11Sizes), b.opts)
 		if err != nil {
 			return err
 		}
@@ -139,7 +150,7 @@ var artifacts = []artifact{
 		return core.Figure11Experiments(b.pick(core.Figure11Sizes))
 	}},
 	{name: "fig12", run: func(b *bench) error {
-		data, err := core.Figure12With(context.Background(), b.runner, b.pick(core.Figure12Sizes), b.opts)
+		data, err := core.Figure12With(context.Background(), b.figures, b.pick(core.Figure12Sizes), b.opts)
 		if err != nil {
 			return err
 		}
@@ -169,7 +180,6 @@ func main() {
 	storeLS := flag.Bool("store-ls", false, "list the entries of -cache-dir (sorted by cache key) and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-GC live objects) to this file at exit")
-	allocStats := flag.Bool("alloc-stats", false, "report per-figure allocation statistics (allocs/op, B/op) on stderr")
 	calibrate := flag.String("calibrate", "", "fit the analytical tier against the simulator, print constants + held-out error report, write the model JSON here, and exit (non-zero on band violation)")
 	calibrateSeed := flag.Int64("calibrate-seed", 1, "train/holdout split seed for -calibrate and in-process -fidelity calibration")
 	fidelity := flag.String("fidelity", "full", "prediction tier for figure sweeps (full|screen|topk, DESIGN.md §10)")
@@ -240,6 +250,7 @@ func main() {
 		return
 	}
 	b := &bench{runner: core.NewRunnerWith(ropts), opts: core.RunOptions{Engine: engine}}
+	b.figures = b.runner
 	if *sizes != "" {
 		for _, s := range strings.Split(*sizes, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
@@ -275,7 +286,7 @@ func main() {
 			}
 			ran = true
 			section(a.title)
-			if err := runArtifact(b, a, *allocStats); err != nil {
+			if err := a.run(b); err != nil {
 				fatal("%s: %v", a.name, err)
 			}
 		}
@@ -287,46 +298,6 @@ func main() {
 	if *cacheStats {
 		fmt.Fprintf(os.Stderr, "cwbench: cache: %s\n", b.runner.Snapshot())
 	}
-}
-
-// runArtifact renders one artifact; with -alloc-stats it additionally
-// brackets the render with runtime.MemStats reads and reports the figure's
-// allocation footprint on stderr — per simulated cell when the artifact has
-// a sweep (allocs/op, B/op in the figure-regeneration sense: one op = one
-// experiment cell), totals otherwise. Stats go to stderr so figure output
-// stays byte-identical with and without the flag.
-func runArtifact(b *bench, a artifact, allocStats bool) error {
-	if !allocStats {
-		return a.run(b)
-	}
-	runsBefore := b.runner.Snapshot().Runs
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := a.run(b)
-	runtime.ReadMemStats(&after)
-	allocs := after.Mallocs - before.Mallocs
-	bytes := after.TotalAlloc - before.TotalAlloc
-	if cells := b.runner.Snapshot().Runs - runsBefore; cells > 0 {
-		fmt.Fprintf(os.Stderr, "cwbench: alloc: %-9s %d cells, %.0f allocs/op, %s/op (total %d allocs, %s)\n",
-			a.name, cells, float64(allocs)/float64(cells), humanBytes(bytes/cells), allocs, humanBytes(bytes))
-	} else {
-		fmt.Fprintf(os.Stderr, "cwbench: alloc: %-9s %d allocs, %s (no simulated cells)\n",
-			a.name, allocs, humanBytes(bytes))
-	}
-	return err
-}
-
-// humanBytes renders a byte count with a binary-ish scale for log lines.
-func humanBytes(n uint64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.1f GiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%d B", n)
 }
 
 // precomputeShard runs one strided shard of the selected artifacts'

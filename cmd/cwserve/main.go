@@ -18,12 +18,11 @@
 //	     "engine","record_trace","skip_verify"}.
 //	POST /v1/sweep
 //	     Expand and run a grid: {"targets":[],"workloads":[],
-//	     "pipelines":[],"sizes":[],"engine","record_trace","skip_verify",
-//	     "stream":true|false}. With stream (the default) the response is
-//	     NDJSON: one {"index","experiment","result"|"error"} event per
-//	     cell in completion order, then {"done":true,"cells","failed"}.
-//	     With "stream":false the response is one JSON array in input
-//	     order. With -analytic the request may add "fidelity":"screen"
+//	     "pipelines":[],"sizes":[],"engine","record_trace","skip_verify"}.
+//	     The response is NDJSON: one {"index","experiment",
+//	     "result"|"error"} event per cell in completion order, then
+//	     {"done":true,"cells","failed","status"}. Unknown fields are a
+//	     400. With -analytic the request may add "fidelity":"screen"
 //	     (every cell answered analytically, zero simulations) or
 //	     "fidelity":"topk" with "top_k":K (only the K best-predicted
 //	     cells simulated); per-tier cell counts are exported as
@@ -156,35 +155,25 @@ func main() {
 	logf("drained; %s", runner.Snapshot())
 }
 
-// attachAnalytic installs the analytical prediction tier on the runner:
-// a committed model file when given, a boot-time calibration against the
-// simulator otherwise. A calibration that violates its own error band is
-// fatal — a daemon must not screen sweeps with an out-of-band model. With
-// -cache-dir the calibration cells land in the store, so the next boot's
-// fit re-simulates nothing.
+// attachAnalytic installs the analytical prediction tier on the runner
+// (analytic.Attach: a model file, or a boot-time fit that must honor its
+// band) and logs what the daemon will screen with.
 func attachAnalytic(runner *core.Runner, modelPath string, seed int64) error {
-	if modelPath != "" {
-		model, err := analytic.ReadModel(modelPath)
-		if err != nil {
-			return err
-		}
-		runner.SetPredictor(model)
-		logf("analytic tier loaded from %s (calibration seed %d)", modelPath, model.Seed)
-		return nil
+	if modelPath == "" {
+		logf("calibrating analytic tier (seed %d)", seed)
 	}
-	logf("calibrating analytic tier (seed %d)", seed)
-	model, rep, err := analytic.Calibrate(context.Background(), runner, analytic.Spec{Seed: seed})
+	model, rep, err := analytic.Attach(context.Background(), runner, modelPath, seed)
 	if err != nil {
 		return err
 	}
-	if !rep.Clean() {
-		return fmt.Errorf("boot calibration violates its error band:\n%s", rep)
+	if rep == nil {
+		logf("analytic tier loaded from %s (calibration seed %d)", modelPath, model.Seed)
+		return nil
 	}
 	for _, tr := range rep.Targets {
 		logf("analytic %s: %d held-out cells, geomean cycle error %.1f%%, max %.1f%%",
 			tr.Target, len(tr.Cells), 100*tr.GeomeanErr, 100*tr.MaxErr)
 	}
-	runner.SetPredictor(model)
 	return nil
 }
 

@@ -174,14 +174,9 @@ func bootDaemon(cacheDir string, analyticTier bool, seed int64) (*serve.Client, 
 
 	if analyticTier {
 		logf("calibrating analytic surrogate (seed %d)", seed)
-		model, rep, err := analytic.Calibrate(context.Background(), runner, analytic.Spec{Seed: seed})
-		if err != nil {
+		if _, _, err := analytic.Attach(context.Background(), runner, "", seed); err != nil {
 			return nil, nil, err
 		}
-		if !rep.Clean() {
-			return nil, nil, fmt.Errorf("surrogate calibration violates its error band:\n%s", rep)
-		}
-		runner.SetPredictor(model)
 	}
 
 	sv, err := serve.New(serve.Options{Runner: runner})

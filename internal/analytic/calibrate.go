@@ -54,8 +54,7 @@ type Spec struct {
 	Seed int64
 	// Band is the error band to validate against (zero: DefaultBand).
 	Band Band
-	// Opts are the simulator options for calibration cells (fidelity is
-	// forced to FidelityFull — calibration is ground truth by definition).
+	// Opts are the simulator options for calibration cells.
 	Opts core.RunOptions
 }
 
@@ -76,7 +75,6 @@ func (s Spec) withDefaults() Spec {
 	if s.Band == (Band{}) {
 		s.Band = DefaultBand
 	}
-	s.Opts.Fidelity = core.FidelityFull
 	return s
 }
 
@@ -271,6 +269,33 @@ func Calibrate(ctx context.Context, r *core.Runner, spec Spec) (*Model, *Report,
 	}
 	sort.Slice(report.Targets, func(i, j int) bool { return report.Targets[i].Target < report.Targets[j].Target })
 	return model, report, nil
+}
+
+// Attach installs the analytical tier on r, the one way a binary gets a
+// predictor: the model file at path when one is given, otherwise a fit
+// against r's own simulator under seed (with a store behind r the
+// calibration cells land in it, so the next fit re-simulates nothing). A
+// fit whose held-out error leaves its band is refused — screening with an
+// out-of-band model would break the tier's error contract silently. The
+// report is nil for a loaded model.
+func Attach(ctx context.Context, r *core.Runner, path string, seed int64) (*Model, *Report, error) {
+	if path != "" {
+		model, err := ReadModel(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		r.SetPredictor(model)
+		return model, nil, nil
+	}
+	model, rep, err := Calibrate(ctx, r, Spec{Seed: seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	if !rep.Clean() {
+		return nil, nil, fmt.Errorf("analytic: calibration (seed %d) violates its error band:\n%s", seed, rep)
+	}
+	r.SetPredictor(model)
+	return model, rep, nil
 }
 
 // fitCurve fits one (workload, pipeline) family from its training cells.

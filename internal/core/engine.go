@@ -25,7 +25,6 @@ import (
 	"configwall/internal/riscv"
 	"configwall/internal/roofline"
 	"configwall/internal/sim"
-	"configwall/internal/trace"
 	"configwall/internal/workload"
 )
 
@@ -249,7 +248,14 @@ func (r Result) Utilization() float64 {
 	return r.OpsPerCycle() / r.PeakOps
 }
 
-// RunOptions tweaks experiment execution.
+// RunOptions is the part of a cell's name that is not the Experiment: every
+// field changes the produced Result or must keep comparisons apart, so every
+// field keys the Runner's memo (the cache key embeds this struct), the
+// store fingerprint (FingerprintKey) and the serving wire (/v1/run
+// parameters, serve.RunRequest). A knob that does not name a cell — how to
+// route a request, how much to simulate — does not belong here; the
+// reflection test TestRunOptionsIsTheCellName fails a field that is added
+// without all three.
 type RunOptions struct {
 	// RecordTrace captures the activity timeline (costs memory).
 	RecordTrace bool
@@ -261,39 +267,6 @@ type RunOptions struct {
 	// fingerprinted separately so cross-engine comparisons never serve
 	// one engine's run to the other.
 	Engine sim.Engine
-	// Fidelity selects how much simulation a Runner invests in the
-	// answer (default FidelityFull). Deliberately excluded from cache
-	// keys and store fingerprints: predictions are never memoized or
-	// persisted, so fidelity is a per-request routing decision, not part
-	// of a cell's identity.
-	Fidelity Fidelity
-}
-
-// Fidelity is a Runner's per-request answer tier (DESIGN.md §10).
-type Fidelity int
-
-const (
-	// FidelityFull compiles and simulates (memoized + stored) — the
-	// default and the only tier that produces ground truth.
-	FidelityFull Fidelity = iota
-	// FidelityScreen never simulates: the answer is an analytical
-	// prediction from the runner's calibrated Predictor, even when a
-	// simulated result is already cached.
-	FidelityScreen
-	// FidelityCached serves a memoized or stored simulated result when
-	// one exists and otherwise falls back to an analytical prediction
-	// instead of simulating.
-	FidelityCached
-)
-
-func (f Fidelity) String() string {
-	switch f {
-	case FidelityScreen:
-		return "screen"
-	case FidelityCached:
-		return "cached"
-	}
-	return "full"
 }
 
 const (
@@ -307,7 +280,9 @@ const (
 // setup cost of small experiments, so sweeps recycle contexts through a
 // pool and reset instead of reallocating: Memory.Reset zeroes only the
 // pages the previous run dirtied, and the registers are cleared so a
-// pooled machine is indistinguishable from a fresh one.
+// pooled machine is indistinguishable from a fresh one. The machine's
+// trace buffer rides along: Machine.Run truncates it, so a traced run
+// appends into the capacity the context's last traced run grew.
 type execContext struct {
 	memory *mem.Memory
 	mc     *sim.Machine
@@ -396,16 +371,6 @@ func Run(t Target, w Workload, p Pipeline, n int, opts RunOptions) (Result, erro
 	mc.Device = t.NewDevice()
 	mc.Engine = opts.Engine
 	mc.RecordTrace = opts.RecordTrace
-	if opts.RecordTrace {
-		// Record into a pooled buffer. Results are cached and shared, so
-		// the trace is copied out below and the buffer returned to the pool
-		// for the next traced run (possibly on another context).
-		mc.Trace = trace.Buffers.Get()
-		defer func() {
-			trace.Buffers.Put(mc.Trace)
-			mc.Trace = nil
-		}()
-	}
 	for i := range inst.Buffers {
 		mc.Regs[riscv.A0+riscv.Reg(i)] = int64(bases[i])
 	}
@@ -415,6 +380,8 @@ func Run(t Target, w Workload, p Pipeline, n int, opts RunOptions) (Result, erro
 	}
 	res.Counters = mc.Counters
 	if opts.RecordTrace && len(mc.Trace) > 0 {
+		// Results are cached and shared; the buffer stays with the pooled
+		// machine (see execContext), so they get a copy.
 		res.Trace = append([]sim.Segment(nil), mc.Trace...)
 	}
 

@@ -38,9 +38,9 @@ func screenGrid() []core.Experiment {
 	)
 }
 
-// TestFidelityScreenBypassesSimulation: screen-fidelity requests must
-// never simulate, never touch the memo map, and must return the
-// predictor's Analytic result.
+// TestFidelityScreenBypassesSimulation: Screen must never simulate, never
+// touch the memo map, and must return the predictor's Analytic result —
+// even for a cell whose simulated result the memo already holds.
 func TestFidelityScreenBypassesSimulation(t *testing.T) {
 	p := &stubPredictor{}
 	r := core.NewRunnerWith(core.RunnerOptions{Workers: 2, Predictor: p})
@@ -72,59 +72,35 @@ func TestFidelityScreenBypassesSimulation(t *testing.T) {
 		t.Errorf("Screen polluted the memo map with %d cells", r.CacheSize())
 	}
 
-	// Run with explicit screen fidelity behaves identically.
-	one, err := r.Run(context.Background(), exps[0], core.RunOptions{Fidelity: core.FidelityScreen})
-	if err != nil {
-		t.Fatalf("Run(screen): %v", err)
-	}
-	if !one.Analytic {
-		t.Errorf("Run(screen) result not Analytic")
-	}
-}
-
-// TestFidelityCachedServesSimulatedThenPredicts: cached fidelity must
-// serve an existing simulated cell verbatim and fall back to prediction
-// (not simulation) on a cold cell.
-func TestFidelityCachedServesSimulatedThenPredicts(t *testing.T) {
-	p := &stubPredictor{}
-	r := core.NewRunnerWith(core.RunnerOptions{Workers: 2, Predictor: p})
-	hot := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.AllOptimizations, N: 16}
-	cold := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16}
-
-	simmed, err := r.Run(context.Background(), hot, core.RunOptions{})
-	if err != nil {
+	// A memoized simulation does not change the answer: Screen predicts.
+	if _, err := r.Run(context.Background(), exps[0], core.RunOptions{}); err != nil {
 		t.Fatalf("full run: %v", err)
 	}
-	got, err := r.Run(context.Background(), hot, core.RunOptions{Fidelity: core.FidelityCached})
+	one, err := r.Screen(context.Background(), exps[:1])
 	if err != nil {
-		t.Fatalf("cached run (hot): %v", err)
+		t.Fatalf("Screen over a memoized cell: %v", err)
 	}
-	if got.Analytic || got.Cycles != simmed.Cycles {
-		t.Errorf("cached fidelity on a hot cell returned Analytic=%v cycles=%d, want simulated cycles=%d", got.Analytic, got.Cycles, simmed.Cycles)
-	}
-
-	got, err = r.Run(context.Background(), cold, core.RunOptions{Fidelity: core.FidelityCached})
-	if err != nil {
-		t.Fatalf("cached run (cold): %v", err)
-	}
-	if !got.Analytic {
-		t.Errorf("cached fidelity on a cold cell returned a non-Analytic result without simulating")
+	if !one[0].Analytic {
+		t.Errorf("Screen served the memoized simulation instead of predicting")
 	}
 	if st := r.Snapshot(); st.Runs != 1 {
-		t.Errorf("Runs = %d, want exactly the one explicit full-fidelity run", st.Runs)
+		t.Errorf("Runs = %d, want exactly the one explicit Run", st.Runs)
 	}
 }
 
-// TestFidelityWithoutPredictor: screen/cached fidelity on a runner with
-// no predictor must fail with a diagnostic, not simulate.
+// TestFidelityWithoutPredictor: Screen and RunTopK on a runner with no
+// predictor must fail with a diagnostic, not simulate.
 func TestFidelityWithoutPredictor(t *testing.T) {
 	r := core.NewRunner(1)
-	e := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 8}
-	if _, err := r.Run(context.Background(), e, core.RunOptions{Fidelity: core.FidelityScreen}); err == nil || !strings.Contains(err.Error(), "no analytic predictor") {
-		t.Fatalf("screen without predictor: err = %v, want 'no analytic predictor'", err)
+	exps := screenGrid()
+	if _, err := r.Screen(context.Background(), exps); err == nil || !strings.Contains(err.Error(), "no analytic predictor") {
+		t.Fatalf("Screen without predictor: err = %v, want 'no analytic predictor'", err)
+	}
+	if _, err := r.RunTopK(context.Background(), exps, core.RunOptions{}, 1); err == nil || !strings.Contains(err.Error(), "no analytic predictor") {
+		t.Fatalf("RunTopK without predictor: err = %v, want 'no analytic predictor'", err)
 	}
 	if st := r.Snapshot(); st.Runs != 0 {
-		t.Errorf("failed screen still simulated %d cells", st.Runs)
+		t.Errorf("failed screens still simulated %d cells", st.Runs)
 	}
 }
 

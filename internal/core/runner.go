@@ -22,8 +22,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-
-	"configwall/internal/sim"
 )
 
 // Experiment keys one cell of the evaluation sweep by registry names.
@@ -56,19 +54,16 @@ func RunExperiment(e Experiment, opts RunOptions) (Result, error) {
 	return Run(t, w, e.Pipeline, e.N, opts)
 }
 
-// cacheKey is the memoization key: the experiment cell plus every RunOptions
-// knob that changes the produced Result or that comparisons must keep
-// separate (kept in sync with FingerprintKey; see its note on Engine).
+// cacheKey is the memoization key: the cell's whole name. It embeds
+// RunOptions rather than copying fields out of it, so a field added there
+// keys the memo without anyone remembering to (FingerprintKey, the store's
+// half of the same name, is held to it by TestRunOptionsIsTheCellName).
 type cacheKey struct {
-	exp         Experiment
-	recordTrace bool
-	skipVerify  bool
-	engine      sim.Engine
+	exp  Experiment
+	opts RunOptions
 }
 
-func keyOf(e Experiment, opts RunOptions) cacheKey {
-	return cacheKey{exp: e, recordTrace: opts.RecordTrace, skipVerify: opts.SkipVerify, engine: opts.Engine}
-}
+func keyOf(e Experiment, opts RunOptions) cacheKey { return cacheKey{exp: e, opts: opts} }
 
 // cell is one memoized experiment execution. Concurrent duplicate requests
 // collapse onto it: exactly one goroutine claims the cell and computes (or
@@ -132,8 +127,9 @@ type RunnerOptions struct {
 	// MaxCells bounds the in-memory cell map (LRU eviction); <= 0 means
 	// unbounded. Evicted cells fall back to the Store (or recompute).
 	MaxCells int
-	// Predictor, when non-nil, serves FidelityScreen/FidelityCached
-	// requests analytically. A runner without one rejects those tiers.
+	// Predictor, when non-nil, is the analytical tier Screen and RunTopK
+	// answer from. A runner without one fails those calls; Run, RunAll and
+	// RunAdmitted never consult it.
 	Predictor Predictor
 	// OnStoreError, when non-nil, observes every persistent-store
 	// operational failure the runner tolerates: op is "load" or "save".
@@ -305,42 +301,12 @@ func (r *Runner) Run(ctx context.Context, e Experiment, opts RunOptions) (Result
 // current waiters as a *PanicError; the cell is dropped, never memoized
 // and never written to the store.
 //
-// opts.Fidelity routes the request before the memo machinery:
-// FidelityScreen answers purely analytically (never touching cells or the
-// store, never simulating), and FidelityCached serves an existing
-// memoized/stored result or falls back to a prediction. Predictions are
-// never memoized — the cell map holds only simulated ground truth.
+// The answer is always simulated ground truth: RunAdmitted never consults
+// the Predictor (Screen and RunTopK do), so the cell map and the store hold
+// nothing else.
 func (r *Runner) RunAdmitted(ctx context.Context, e Experiment, opts RunOptions, admit func(context.Context) (release func(), err error)) (res Result, err error, led bool) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err, false
-	}
-	switch opts.Fidelity {
-	case FidelityScreen:
-		res, err = r.predict(e)
-		return res, err, true
-	case FidelityCached:
-		full := opts
-		full.Fidelity = FidelityFull
-		if res, ok := r.Peek(e, full); ok {
-			return *res, nil, true
-		}
-		if r.store != nil {
-			res, ok, err := r.store.Load(e, full)
-			switch {
-			case err != nil:
-				r.storeError("load", e, err)
-			case ok:
-				r.bump(func(s *CacheStats) { s.MemMisses++; s.StoreHits++ })
-				// Publish for the next request; a racing claim wins and
-				// this copy is discarded.
-				r.Preload(e, full, res)
-				return res, nil, true
-			default:
-				r.bump(func(s *CacheStats) { s.StoreMisses++ })
-			}
-		}
-		res, err = r.predict(e)
-		return res, err, true
 	}
 	k := keyOf(e, opts)
 	for {
@@ -532,10 +498,8 @@ func TopKByPredictedPerf(preds []Result, k int) []int {
 // to RunAll. The simulated subset flows through the normal memo/store
 // path, so a repeated top-k sweep re-simulates nothing.
 func (r *Runner) RunTopK(ctx context.Context, exps []Experiment, opts RunOptions, k int) ([]Result, error) {
-	full := opts
-	full.Fidelity = FidelityFull
 	if k >= len(exps) {
-		return r.RunAll(ctx, exps, full)
+		return r.RunAll(ctx, exps, opts)
 	}
 	preds, err := r.Screen(ctx, exps)
 	if err != nil {
@@ -546,7 +510,7 @@ func (r *Runner) RunTopK(ctx context.Context, exps []Experiment, opts RunOptions
 	for i, j := range top {
 		chosen[i] = exps[j]
 	}
-	simmed, err := r.RunAll(ctx, chosen, full)
+	simmed, err := r.RunAll(ctx, chosen, opts)
 	for i, j := range top {
 		preds[j] = simmed[i]
 	}

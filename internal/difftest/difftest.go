@@ -167,30 +167,20 @@ type Execution struct {
 	ProgramInstrs int
 }
 
-// Options tunes a check.
+// Options tunes a check. The engine cross-check, the static checker and the
+// cycle allowance are not options: every check runs all of them (bench's
+// dynamic-only probe calls Execute, which takes the cross-check as a
+// parameter).
 type Options struct {
 	// Pipelines to compare against Baseline; nil selects every registered
 	// optimization pipeline (dedup, overlap, all).
 	Pipelines []core.Pipeline
-	// PipelineFor overrides pass-pipeline construction (nil uses
-	// Target.PassPipeline). Tests inject broken pipelines through it.
-	PipelineFor func(t core.Target, p core.Pipeline) *ir.PassManager
 	// Mutate, when set, is applied to the cloned module of every
 	// *optimization* pipeline before its passes run — the hook the
 	// mutation tests use to model an intentionally broken pass.
 	Mutate func(m *ir.Module) error
-	// CycleSlack returns the allowed optimized-cycle excess over base for
-	// overlap pipelines on concurrent-configuration targets; nil selects
-	// DefaultCycleSlack. Non-overlap pipelines always get zero slack.
-	CycleSlack func(baseCycles uint64) uint64
-	// SkipEngineCrossCheck disables the standing simulator-engine
-	// equivalence invariant: by default every compiled program (baseline
-	// and each optimized pipeline) runs on every registered engine —
-	// reference and fast — and any disagreement in Counters, final memory
-	// or the summarized trace is reported as a KindEngine divergence.
-	SkipEngineCrossCheck bool
-	// Static selects how the static config-state checker participates in
-	// the oracle; the zero value is StaticPreOracle.
+	// Static selects what a static reject does to the rest of the check;
+	// the zero value is StaticPreOracle.
 	Static StaticMode
 }
 
@@ -207,10 +197,9 @@ const (
 	StaticPreOracle StaticMode = iota
 	// StaticAudit always co-simulates, then cross-checks the static
 	// verdict against the dynamic outcome — including for statically
-	// rejected cases, where the dynamic oracle must agree.
+	// rejected cases, where the dynamic oracle must agree. The corpus
+	// replay runs in this mode.
 	StaticAudit
-	// StaticOff disables the static checker entirely.
-	StaticOff
 )
 
 // StaticOutcome records the static verdict for one pipeline of one check.
@@ -227,13 +216,13 @@ type StaticOutcome struct {
 	Disagree bool
 }
 
-// DefaultCycleSlack bounds the overhead software pipelining may add on
+// cycleSlack bounds the overhead software pipelining may add on
 // concurrent-configuration hardware: the loop prologue setup plus the dead
 // final-iteration staging writes are static, bounded work that only pays
 // off when jobs outlast configuration streams — on the fuzzer's deliberately
 // tiny jobs it can lose a little. A real scheduling regression shows up far
-// above base/4 + 512 on these programs.
-func DefaultCycleSlack(baseCycles uint64) uint64 { return baseCycles/4 + 512 }
+// above base/4 + 512 on these programs. Non-overlap pipelines get no slack.
+func cycleSlack(baseCycles uint64) uint64 { return baseCycles/4 + 512 }
 
 // CorpusName renders the canonical corpus file name for a program, and
 // ParseCorpusName inverts it: "<accelerator>-s<seed>.ir". cwfuzz writes
@@ -324,8 +313,7 @@ type Report struct {
 	Base Execution
 	// Divergences lists every base/optimized disagreement found.
 	Divergences []Divergence
-	// Static lists the static checker's verdict per pipeline (empty when
-	// Options.Static is StaticOff).
+	// Static lists the static checker's verdict per pipeline.
 	Static []StaticOutcome
 }
 
@@ -342,30 +330,19 @@ func Check(t core.Target, prog irgen.Program, opts Options) Report {
 // reduced clones while keeping the program's inputs).
 func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) Report {
 	rep := Report{Target: t.Name, Seed: prog.Seed}
-	pipelineFor := opts.PipelineFor
-	if pipelineFor == nil {
-		pipelineFor = func(t core.Target, p core.Pipeline) *ir.PassManager { return t.PassPipeline(p) }
-	}
 	pipelines := opts.Pipelines
 	if pipelines == nil {
 		pipelines = OptimizationPipelines()
 	}
-	slack := opts.CycleSlack
-	if slack == nil {
-		slack = DefaultCycleSlack
-	}
+	baseSum := analysis.Explore(m)
 
-	crossCheck := !opts.SkipEngineCrossCheck
-	static := opts.Static != StaticOff
-	var baseSum *analysis.Summary
-	if static {
-		baseSum = analysis.Explore(m)
-	}
-
-	baseFinal, basePre, kind, err := runPasses(m, pipelineFor(t, core.Baseline), nil)
+	var baseBounds analysis.Bounds
+	baseFinal, kind, err := runPasses(m, t.PassPipeline(core.Baseline), nil, func(pre *ir.Module) {
+		baseBounds = analysis.StaticBounds(pre)
+	})
 	var base Execution
 	if err == nil {
-		base, kind, err = executeCompiled(t, baseFinal, prog, crossCheck)
+		base, kind, err = executeCompiled(t, baseFinal, prog, true)
 	}
 	if err != nil {
 		if kind != KindEngine {
@@ -378,14 +355,16 @@ func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) 
 		rep.Divergences = append(rep.Divergences, Divergence{Kind: kind, Pipeline: core.Baseline, Detail: err.Error()})
 	}
 	rep.Base = base
-	if static {
-		if d := boundsViolation(core.Baseline, basePre, base); d != nil {
-			rep.Divergences = append(rep.Divergences, *d)
-		}
+	if d := boundsViolation(core.Baseline, baseBounds, base); d != nil {
+		rep.Divergences = append(rep.Divergences, *d)
 	}
 
 	for _, p := range pipelines {
-		final, preLower, kind, err := runPasses(m, pipelineFor(t, p), opts.Mutate)
+		var sum *analysis.Summary
+		var bounds analysis.Bounds
+		final, kind, err := runPasses(m, t.PassPipeline(p), opts.Mutate, func(pre *ir.Module) {
+			sum, bounds = analysis.Explore(pre), analysis.StaticBounds(pre)
+		})
 		if err != nil {
 			rep.Divergences = append(rep.Divergences, Divergence{Kind: kind, Pipeline: p, Detail: err.Error()})
 			continue
@@ -395,21 +374,18 @@ func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) 
 		// its own witness and the case never co-simulates; anything the
 		// analysis accepted (or audit mode) proceeds to the dynamic oracle,
 		// whose semantic outcome is cross-checked against the verdict.
-		var out *StaticOutcome
-		if static {
-			v := analysis.CompareSummaries(baseSum, analysis.Explore(preLower))
-			rep.Static = append(rep.Static, StaticOutcome{
-				Pipeline: p, Verdict: v.String(), Rejected: v.Rejected(), Proved: v.Proved(),
-			})
-			out = &rep.Static[len(rep.Static)-1]
-			if out.Rejected && opts.Static == StaticPreOracle {
-				out.SimSkipped = true
-				rep.Divergences = append(rep.Divergences, Divergence{Kind: KindStatic, Pipeline: p, Detail: v.String()})
-				continue
-			}
+		v := analysis.CompareSummaries(baseSum, sum)
+		rep.Static = append(rep.Static, StaticOutcome{
+			Pipeline: p, Verdict: v.String(), Rejected: v.Rejected(), Proved: v.Proved(),
+		})
+		out := &rep.Static[len(rep.Static)-1]
+		if out.Rejected && opts.Static == StaticPreOracle {
+			out.SimSkipped = true
+			rep.Divergences = append(rep.Divergences, Divergence{Kind: KindStatic, Pipeline: p, Detail: v.String()})
+			continue
 		}
 
-		exec, kind, err := executeCompiled(t, final, prog, crossCheck)
+		exec, kind, err := executeCompiled(t, final, prog, true)
 		if err != nil {
 			rep.Divergences = append(rep.Divergences, Divergence{Kind: kind, Pipeline: p, Detail: err.Error()})
 			if kind != KindEngine {
@@ -418,24 +394,22 @@ func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) 
 			// Engine divergences leave the reference execution intact:
 			// still compare it against the baseline below.
 		}
-		semantic := compare(t, p, base, exec, slack)
+		semantic := compare(t, p, base, exec)
 		rep.Divergences = append(rep.Divergences, semantic...)
 
-		if out != nil {
-			if d := boundsViolation(p, preLower, exec); d != nil {
-				rep.Divergences = append(rep.Divergences, *d)
-			}
-			dynDiverged := hasSemanticDivergence(semantic)
-			switch {
-			case out.Rejected && !dynDiverged:
-				out.Disagree = true
-				rep.Divergences = append(rep.Divergences, Divergence{Kind: KindStaticDisagree, Pipeline: p,
-					Detail: fmt.Sprintf("statically rejected but co-simulated clean: %s", out.Verdict)})
-			case out.Proved && dynDiverged:
-				out.Disagree = true
-				rep.Divergences = append(rep.Divergences, Divergence{Kind: KindStaticDisagree, Pipeline: p,
-					Detail: fmt.Sprintf("statically proved equivalent but diverged dynamically (%s)", semantic[0].Kind)})
-			}
+		if d := boundsViolation(p, bounds, exec); d != nil {
+			rep.Divergences = append(rep.Divergences, *d)
+		}
+		dynDiverged := hasSemanticDivergence(semantic)
+		switch {
+		case out.Rejected && !dynDiverged:
+			out.Disagree = true
+			rep.Divergences = append(rep.Divergences, Divergence{Kind: KindStaticDisagree, Pipeline: p,
+				Detail: fmt.Sprintf("statically rejected but co-simulated clean: %s", out.Verdict)})
+		case out.Proved && dynDiverged:
+			out.Disagree = true
+			rep.Divergences = append(rep.Divergences, Divergence{Kind: KindStaticDisagree, Pipeline: p,
+				Detail: fmt.Sprintf("statically proved equivalent but diverged dynamically (%s)", semantic[0].Kind)})
 		}
 	}
 	return rep
@@ -444,8 +418,7 @@ func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) 
 // boundsViolation checks one execution against the static lower bounds of
 // the very pre-lowering module that was executed: the machine may never do
 // less work than the analysis proved unavoidable.
-func boundsViolation(p core.Pipeline, preLower *ir.Module, exec Execution) *Divergence {
-	b := analysis.StaticBounds(preLower)
+func boundsViolation(p core.Pipeline, b analysis.Bounds, exec Execution) *Divergence {
 	if len(exec.Launches) < b.MinLaunches || exec.ConfigInstrs < uint64(b.MinConfigInstrs) {
 		return &Divergence{Kind: KindStaticBounds, Pipeline: p,
 			Detail: fmt.Sprintf("executed %d launches / %d config instrs, static lower bounds %d / %d",
@@ -475,44 +448,43 @@ func hasSemanticDivergence(divs []Divergence) bool {
 // summarized trace, launch effects) returns a KindEngine error alongside
 // the still valid reference Execution.
 func Execute(t core.Target, m *ir.Module, prog irgen.Program, pm *ir.PassManager, mutate func(*ir.Module) error, crossCheck bool) (Execution, Kind, error) {
-	clone, _, kind, err := runPasses(m, pm, mutate)
+	clone, kind, err := runPasses(m, pm, mutate, nil)
 	if err != nil {
 		return Execution{}, kind, err
 	}
 	return executeCompiled(t, clone, prog, crossCheck)
 }
 
-// runPasses clones m, applies the optional mutation and runs the pipeline.
-// Alongside the final module it returns the pre-lowering snapshot — the
-// module as it stood entering the first lower-* pass (or the final module
-// when the pipeline never lowers): the last point where accfg launches are
-// still visible to the static checker.
-func runPasses(m *ir.Module, pm *ir.PassManager, mutate func(*ir.Module) error) (final, preLower *ir.Module, kind Kind, err error) {
+// runPasses clones m, applies the optional mutation and runs the pipeline
+// on the clone. preLower, when set, is handed the live module as it stands
+// entering the first lower-* pass (or the final module when the pipeline
+// never lowers) — the last point where accfg launches are still visible to
+// the static checker. The pipeline runs in two parts around that pass, so
+// looking costs no clone; preLower must read what it needs and keep no
+// pointer into the module, which the remaining passes go on to rewrite.
+func runPasses(m *ir.Module, pm *ir.PassManager, mutate func(*ir.Module) error, preLower func(*ir.Module)) (*ir.Module, Kind, error) {
 	clone := m.Clone()
 	if mutate != nil {
 		if err := mutate(clone); err != nil {
-			return nil, nil, KindPipelineError, fmt.Errorf("mutate: %w", err)
+			return nil, KindPipelineError, fmt.Errorf("mutate: %w", err)
 		}
 	}
-	prev := pm.CheckEach
-	pm.CheckEach = func(pass string, before, after *ir.Module) error {
-		if preLower == nil && strings.HasPrefix(pass, "lower-") {
-			preLower = before
-		}
-		if prev != nil {
-			return prev(pass, before, after)
-		}
-		return nil
+	names := pm.Passes()
+	n := 0
+	for n < len(names) && !strings.HasPrefix(names[n], "lower-") {
+		n++
 	}
-	err = pm.Run(clone)
-	pm.CheckEach = prev
-	if err != nil {
-		return nil, nil, KindPipelineError, err
+	head, tail := pm.Split(n)
+	if err := head.Run(clone); err != nil {
+		return nil, KindPipelineError, err
 	}
-	if preLower == nil {
-		preLower = clone
+	if preLower != nil {
+		preLower(clone)
 	}
-	return clone, preLower, KindNone, nil
+	if err := tail.Run(clone); err != nil {
+		return nil, KindPipelineError, err
+	}
+	return clone, KindNone, nil
 }
 
 // executeCompiled compiles and simulates one already-optimized module.
@@ -614,7 +586,7 @@ func equalExecutions(ref, got Execution, engine string) error {
 
 // compare asserts the oracle invariants of one optimized execution against
 // the baseline.
-func compare(t core.Target, p core.Pipeline, base, opt Execution, slack func(uint64) uint64) []Divergence {
+func compare(t core.Target, p core.Pipeline, base, opt Execution) []Divergence {
 	var divs []Divergence
 
 	if len(opt.Launches) != len(base.Launches) {
@@ -650,7 +622,7 @@ func compare(t core.Target, p core.Pipeline, base, opt Execution, slack func(uin
 			divs = append(divs, Divergence{Kind: KindCycles, Pipeline: p,
 				Detail: fmt.Sprintf("cycles grew: base %d, optimized %d", base.Cycles, opt.Cycles)})
 		}
-	} else if allowed := base.Cycles + slack(base.Cycles); opt.Cycles > allowed {
+	} else if allowed := base.Cycles + cycleSlack(base.Cycles); opt.Cycles > allowed {
 		divs = append(divs, Divergence{Kind: KindCycles, Pipeline: p,
 			Detail: fmt.Sprintf("cycles grew past the overlap allowance: base %d, allowed %d, optimized %d",
 				base.Cycles, allowed, opt.Cycles)})

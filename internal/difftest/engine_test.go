@@ -91,7 +91,9 @@ func TestEngineCrossCheckIsStanding(t *testing.T) {
 	}
 }
 
-// TestSkipEngineCrossCheck: the opt-out must still produce a full report.
+// TestSkipEngineCrossCheck: Execute with crossCheck off — exactly the call
+// the benchmark's dynamic-only probe makes — must still produce the full
+// reference observation, on the cheap path.
 func TestSkipEngineCrossCheck(t *testing.T) {
 	prof, err := irgen.ProfileFor("opengemm")
 	if err != nil {
@@ -105,12 +107,21 @@ func TestSkipEngineCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Check(tgt, prog, Options{SkipEngineCrossCheck: true})
-	if rep.Invalid || rep.Diverged() {
-		t.Fatalf("clean program failed with cross-check disabled: %+v", rep)
+	plain, kind, err := Execute(tgt, prog.Module, prog, tgt.PassPipeline(core.AllOptimizations), nil, false)
+	if err != nil {
+		t.Fatalf("clean program failed with cross-check disabled: %s: %v", kind, err)
 	}
 	// The opt-out must actually take the cheap path: no trace recording.
-	if rep.Base.TraceSummary != (trace.Summary{}) {
-		t.Errorf("TraceSummary populated with cross-check disabled: %+v", rep.Base.TraceSummary)
+	if plain.TraceSummary != (trace.Summary{}) {
+		t.Errorf("TraceSummary populated with cross-check disabled: %+v", plain.TraceSummary)
+	}
+	// Everything else is the observation the cross-checked run reports.
+	checked, kind, err := Execute(tgt, prog.Module, prog, tgt.PassPipeline(core.AllOptimizations), nil, true)
+	if err != nil {
+		t.Fatalf("clean program failed with cross-check enabled: %s: %v", kind, err)
+	}
+	checked.TraceSummary = trace.Summary{}
+	if err := equalExecutions(checked, plain, "ref without cross-check"); err != nil {
+		t.Errorf("cross-check changes the reference observation: %v", err)
 	}
 }

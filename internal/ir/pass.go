@@ -66,6 +66,17 @@ func (pm *PassManager) Passes() []string {
 	return names
 }
 
+// Split returns two managers that run pm's first n passes and the rest
+// under pm's VerifyEach and CheckEach, each logging its own Stats. Running
+// head then tail is running pm, with a point in between where the caller
+// can read the live module — what CheckEach offers only at the price of a
+// clone before every pass.
+func (pm *PassManager) Split(n int) (head, tail *PassManager) {
+	head = &PassManager{passes: pm.passes[:n:n], VerifyEach: pm.VerifyEach, CheckEach: pm.CheckEach}
+	tail = &PassManager{passes: pm.passes[n:], VerifyEach: pm.VerifyEach, CheckEach: pm.CheckEach}
+	return head, tail
+}
+
 // Run executes the pipeline on m.
 func (pm *PassManager) Run(m *Module) error {
 	// One count per pass boundary: a pass's "after" is the next one's

@@ -1,9 +1,10 @@
 package lint
 
-// pooledreturn: trace buffers ([]Segment) are pooled and reused across
-// simulations (trace.Buffers), while results holding traces are cached and
-// shared indefinitely. Assigning a pooled slice straight into a Trace field
-// aliases memory the pool will hand to the next run — the canonical bug is
+// pooledreturn: trace buffers ([]Segment) are reused across simulations
+// (a pooled sim.Machine keeps its Trace and truncates it on the next Run),
+// while results holding traces are cached and shared indefinitely.
+// Assigning a machine's slice straight into a Trace field aliases memory
+// the next run on that machine overwrites — the canonical bug is
 // a cached result whose timeline silently mutates under it. The correct
 // idiom copies: res.Trace = append([]sim.Segment(nil), mc.Trace...).
 // The check flags `<expr>.Trace = <ident or selector>` where the right-hand

@@ -18,8 +18,7 @@
 //	                    byte-identical to json.Marshal of a direct
 //	                    Runner.Run result
 //	POST     /v1/sweep  a (targets × workloads × pipelines × sizes) grid;
-//	                    streams NDJSON events as cells complete, or
-//	                    returns a JSON array with "stream": false
+//	                    streams NDJSON events as cells complete
 //	GET      /v1/registry  registered targets/workloads/pipelines/engines
 //	GET      /metrics   Prometheus text: cache counters, queue gauges,
 //	                    latency histograms
@@ -474,9 +473,6 @@ type SweepRequest struct {
 	Engine      string   `json:"engine,omitempty"`
 	RecordTrace bool     `json:"record_trace,omitempty"`
 	SkipVerify  bool     `json:"skip_verify,omitempty"`
-	// Stream selects NDJSON event streaming (the default); set it to
-	// false for a single JSON array response in input order.
-	Stream *bool `json:"stream,omitempty"`
 	// Fidelity selects the prediction tier (DESIGN.md §10): "" or "full"
 	// simulates every cell; "screen" answers the whole grid from the
 	// analytical model (zero simulations, results marked Analytic);
@@ -517,8 +513,12 @@ func trailerStatus(failed int) string {
 	return "ok"
 }
 
-// resolve validates the request and expands it into the experiment grid.
-func (rq SweepRequest) resolve(maxCells, maxN int) ([]core.Experiment, core.RunOptions, error) {
+// resolve validates the request — the grid against the registry and the
+// server's caps, the fidelity/top_k combination against whether the server
+// has an analytic model — and expands it into the experiment grid. It is the
+// one place a sweep request is validated: nothing is dispatched before it
+// returns.
+func (rq SweepRequest) resolve(maxCells, maxN int, analytic bool) ([]core.Experiment, core.RunOptions, error) {
 	var opts core.RunOptions
 	if len(rq.Targets) == 0 || len(rq.Workloads) == 0 || len(rq.Pipelines) == 0 || len(rq.Sizes) == 0 {
 		return nil, opts, fmt.Errorf("sweep needs targets, workloads, pipelines and sizes (registered targets: %s; workloads: %s)",
@@ -558,6 +558,22 @@ func (rq SweepRequest) resolve(maxCells, maxN int) ([]core.Experiment, core.RunO
 	if len(exps) > maxCells {
 		return nil, opts, fmt.Errorf("sweep expands to %d cells, above the server cap of %d", len(exps), maxCells)
 	}
+	predicted := false // does the answer need the analytic model
+	switch rq.Fidelity {
+	case "", "full":
+	case "screen", "topk":
+		predicted = true
+	default:
+		return nil, opts, fmt.Errorf("unknown fidelity %q (want \"full\", \"screen\" or \"topk\")", rq.Fidelity)
+	}
+	switch {
+	case rq.Fidelity == "topk" && rq.TopK < 1:
+		return nil, opts, fmt.Errorf("fidelity \"topk\" requires top_k >= 1")
+	case rq.Fidelity != "topk" && rq.TopK != 0:
+		return nil, opts, fmt.Errorf("top_k %d requires fidelity \"topk\"", rq.TopK)
+	case predicted && !analytic:
+		return nil, opts, fmt.Errorf("fidelity %q needs a calibrated analytic model (start cwserve with -analytic)", rq.Fidelity)
+	}
 	opts = core.RunOptions{RecordTrace: rq.RecordTrace, SkipVerify: rq.SkipVerify, Engine: eng}
 	return exps, opts, nil
 }
@@ -574,16 +590,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad JSON body: %v", err), http.StatusBadRequest)
 		return
 	}
-	exps, opts, err := rq.resolve(s.maxSweepCells, s.maxN)
+	exps, opts, err := rq.resolve(s.maxSweepCells, s.maxN, s.runner.Predictor() != nil)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := s.checkFidelity(rq); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	stream := rq.Stream == nil || *rq.Stream
 	var preds []core.Result // the analytic answer of every cell
 	var sim []int           // the cells to simulate
 	switch rq.Fidelity {
@@ -605,7 +616,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			sim[i] = i
 		}
 	}
-	s.writeSweep(w, r, exps, opts, preds, sim, stream)
+	s.writeSweep(w, r, exps, opts, preds, sim)
 }
 
 // Sweep fidelity tiers, as exposed in cwserve_sweep_cells_total{tier=...}.
@@ -613,34 +624,6 @@ const (
 	tierAnalytic  = "analytic"
 	tierSimulated = "simulated"
 )
-
-// checkFidelity validates the fidelity/top_k combination against the
-// server's capabilities before any cell is dispatched.
-func (s *Server) checkFidelity(rq SweepRequest) error {
-	switch rq.Fidelity {
-	case "", "full":
-		if rq.TopK != 0 {
-			return fmt.Errorf("top_k %d requires fidelity \"topk\"", rq.TopK)
-		}
-	case "screen":
-		if rq.TopK != 0 {
-			return fmt.Errorf("top_k %d requires fidelity \"topk\"", rq.TopK)
-		}
-		if s.runner.Predictor() == nil {
-			return fmt.Errorf("fidelity %q needs a calibrated analytic model (start cwserve with -analytic)", rq.Fidelity)
-		}
-	case "topk":
-		if rq.TopK < 1 {
-			return fmt.Errorf("fidelity \"topk\" requires top_k >= 1")
-		}
-		if s.runner.Predictor() == nil {
-			return fmt.Errorf("fidelity %q needs a calibrated analytic model (start cwserve with -analytic)", rq.Fidelity)
-		}
-	default:
-		return fmt.Errorf("unknown fidelity %q (want \"full\", \"screen\" or \"topk\")", rq.Fidelity)
-	}
-	return nil
-}
 
 // cellOutcome is one finished sweep cell, sent from the workers to the
 // response writer.
@@ -677,48 +660,12 @@ func (s *Server) runSweep(ctx context.Context, exps []core.Experiment, sim []int
 // indices) are simulated through runSweep — zero admission slots for the
 // rest, whose answer is already in ready (nil when sim is the whole grid).
 //
-// Streaming writes one NDJSON SweepEvent per cell, then the trailer: the
+// The response is one NDJSON SweepEvent per cell, then the trailer: the
 // ready cells first, in grid order (the analytic tier is instant), then the
-// simulated ones in completion order, flushing after every line. The array
-// form waits for the whole grid and responds with one JSON array of
-// results in input order; any failed cell fails the whole request.
-func (s *Server) writeSweep(w http.ResponseWriter, r *http.Request, exps []core.Experiment, opts core.RunOptions, ready []core.Result, sim []int, stream bool) {
+// simulated ones in completion order, flushing after every line.
+func (s *Server) writeSweep(w http.ResponseWriter, r *http.Request, exps []core.Experiment, opts core.RunOptions, ready []core.Result, sim []int) {
 	s.met.sweepTier(tierAnalytic, len(exps)-len(sim))
 	s.met.sweepTier(tierSimulated, len(sim))
-
-	if !stream {
-		results := ready
-		if results == nil {
-			results = make([]core.Result, len(exps))
-		}
-		ctx, cancel := context.WithCancel(r.Context())
-		defer cancel()
-		ch := s.runSweep(ctx, exps, sim, opts)
-		for oc := range ch {
-			if oc.err != nil {
-				// One failed cell fails the request: stop dispatching the
-				// rest and drain what's in flight.
-				cancel()
-				for range ch {
-				}
-				s.writeRunError(w, r, fmt.Errorf("experiment %s: %w", exps[oc.index], oc.err))
-				return
-			}
-			results[oc.index] = oc.res
-		}
-		if r.Context().Err() != nil {
-			return // client went away mid-sweep
-		}
-		body, err := json.Marshal(results)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		w.Write(body)
-		return
-	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

@@ -364,40 +364,6 @@ func TestSweepStream(t *testing.T) {
 	}
 }
 
-// TestSweepArray checks the non-streaming mode returns one JSON array in
-// input order, byte-identical to marshaling the direct RunAll results.
-func TestSweepArray(t *testing.T) {
-	_, ts, _ := newTestServer(t, serve.Options{})
-	stream := false
-	rq := serve.SweepRequest{
-		Targets:   []string{"opengemm"},
-		Workloads: []string{core.WorkloadMatmul},
-		Pipelines: []string{"base", "all"},
-		Sizes:     []int{8},
-		Stream:    &stream,
-	}
-	buf, _ := json.Marshal(rq)
-	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-
-	exps := core.Sweep(rq.Targets, rq.Workloads, []core.Pipeline{core.Baseline, core.AllOptimizations}, rq.Sizes)
-	direct, err := core.NewRunner(0).RunAll(context.Background(), exps, core.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(direct)
-	if !bytes.Equal(body, want) {
-		t.Errorf("array sweep body differs from direct RunAll marshal")
-	}
-}
-
 // TestSweepValidation covers grid-level rejections: empty axes, unknown
 // names and the sweep-size cap.
 func TestSweepValidation(t *testing.T) {
@@ -422,6 +388,19 @@ func TestSweepValidation(t *testing.T) {
 	}
 	if code, body := post(big); code != http.StatusBadRequest || !strings.Contains(body, "above the server cap") {
 		t.Errorf("over-cap sweep: %d %q", code, body)
+	}
+
+	// A field the request does not have is refused by name, not ignored:
+	// a client still sending the retired "stream" switch learns why.
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
+		strings.NewReader(`{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["base"],"sizes":[8],"stream":false}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"stream"`) {
+		t.Errorf("unknown field: %d %q, want a 400 naming \"stream\"", resp.StatusCode, body)
 	}
 }
 
@@ -476,29 +455,6 @@ func TestSweepFidelityScreen(t *testing.T) {
 	metrics, _ := io.ReadAll(resp.Body)
 	if !strings.Contains(string(metrics), `cwserve_sweep_cells_total{tier="analytic"} 4`) {
 		t.Errorf("metrics missing the analytic sweep-cell counter:\n%s", metrics)
-	}
-
-	// Non-streaming screen returns the prediction array in input order.
-	stream := false
-	rq.Stream = &stream
-	buf, _ := json.Marshal(rq)
-	post, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer post.Body.Close()
-	body, _ := io.ReadAll(post.Body)
-	if post.StatusCode != http.StatusOK {
-		t.Fatalf("array screen status %d: %s", post.StatusCode, body)
-	}
-	var arr []core.Result
-	if err := json.Unmarshal(body, &arr); err != nil || len(arr) != 4 {
-		t.Fatalf("array screen body: %v (%d results)", err, len(arr))
-	}
-	for i, re := range arr {
-		if !re.Analytic {
-			t.Errorf("array screen result %d not Analytic", i)
-		}
 	}
 }
 

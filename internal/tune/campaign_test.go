@@ -133,3 +133,35 @@ func TestFlashNeedsAnalyticTier(t *testing.T) {
 		t.Fatal("flash succeeded against a daemon with no analytic tier")
 	}
 }
+
+// TestScreenNeverSimulates: a screen is a prediction whatever shape the
+// cell list has. A ragged list — two (target, workload) groups, neither a
+// full pipelines × sizes grid, one of them a single cell — must come back
+// all Analytic, in input order, with zero simulations on the daemon:
+// ragged groups are screened cell by cell as 1 × 1 sweeps, never through
+// /v1/run, which has no way to ask for a prediction and always simulates.
+func TestScreenNeverSimulates(t *testing.T) {
+	runner, _, c := newDaemon(t, sizeRankPredictor{})
+	cells := []core.Experiment{
+		{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 8},
+		{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16},
+		{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.AllOptimizations, N: 16},
+		{Target: "gemmini", Workload: core.WorkloadMatmul, Pipeline: core.DedupOnly, N: 32},
+	}
+	eval := &tune.ClientEvaluator{Client: c, Retry: serve.RetryPolicy{Seed: 1}}
+	results, err := eval.Screen(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if !res.Analytic {
+			t.Errorf("cell %s was simulated, not screened", cells[i])
+		}
+		if res.Target != cells[i].Target || res.Pipeline != cells[i].Pipeline || res.N != cells[i].N {
+			t.Errorf("result %d answers %s/%s/%d, want %s", i, res.Target, res.Pipeline, res.N, cells[i])
+		}
+	}
+	if st := runner.Snapshot(); st.Runs != 0 || st.Predictions != uint64(len(cells)) {
+		t.Errorf("daemon counters after a screen: %d runs, %d predictions; want 0, %d", st.Runs, st.Predictions, len(cells))
+	}
+}

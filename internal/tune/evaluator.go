@@ -31,22 +31,21 @@ type ClientEvaluator struct {
 	Client *serve.Client
 	// Retry is the retry/backoff policy for every request.
 	Retry serve.RetryPolicy
-	// Opts carries engine/trace/verify options; Fidelity is overridden
-	// per call (full for Measure, screen for Screen).
+	// Opts names the engine/trace/verify variant of every measured cell.
 	Opts core.RunOptions
 }
 
 // Measure runs one cell through /v1/run with retries.
 func (ce *ClientEvaluator) Measure(ctx context.Context, e core.Experiment) (core.Result, error) {
-	opts := ce.Opts
-	opts.Fidelity = core.FidelityFull
-	return ce.Client.RunWithRetry(ctx, e, opts, ce.Retry)
+	return ce.Client.RunWithRetry(ctx, e, ce.Opts, ce.Retry)
 }
 
-// Screen predicts every cell analytically. Cells are grouped by
-// (target, workload); a group that forms a full pipelines × sizes grid is
-// answered by one fidelity=screen /v1/sweep (with resume-on-truncation),
-// and ragged groups fall back to per-cell screen-fidelity /v1/run calls.
+// Screen predicts every cell analytically over one wire path:
+// fidelity=screen /v1/sweep requests (with resume-on-truncation), the only
+// request the daemon answers without simulating — /v1/run always simulates.
+// Cells are grouped by (target, workload); a group that forms a full
+// pipelines × sizes grid is one request, and a ragged group is asked cell
+// by cell as 1 × 1 grids (a single cell is always a grid).
 func (ce *ClientEvaluator) Screen(ctx context.Context, exps []core.Experiment) ([]core.Result, error) {
 	results := make([]core.Result, len(exps))
 	filled := make([]bool, len(exps))
@@ -62,23 +61,9 @@ func (ce *ClientEvaluator) Screen(ctx context.Context, exps []core.Experiment) (
 		groups[k] = append(groups[k], i)
 	}
 
-	for _, k := range keys {
-		idxs := groups[k]
-		pipes, sizes, full := gridShape(exps, idxs)
-		if !full {
-			for _, i := range idxs {
-				opts := ce.Opts
-				opts.Fidelity = core.FidelityScreen
-				res, err := ce.Client.RunWithRetry(ctx, exps[i], opts, ce.Retry)
-				if err != nil {
-					return nil, err
-				}
-				results[i] = res
-				filled[i] = true
-			}
-			continue
-		}
-
+	// sweep screens the pipes × sizes grid of group k, which covers exactly
+	// the cells idxs.
+	sweep := func(k groupKey, idxs []int, pipes []string, sizes []int) error {
 		byCell := make(map[core.Experiment]int, len(idxs))
 		for _, i := range idxs {
 			byCell[exps[i]] = i
@@ -105,8 +90,21 @@ func (ce *ClientEvaluator) Screen(ctx context.Context, exps []core.Experiment) (
 			}
 			return nil
 		})
-		if err != nil {
-			return nil, err
+		return err
+	}
+
+	for _, k := range keys {
+		idxs := groups[k]
+		if pipes, sizes, full := gridShape(exps, idxs); full {
+			if err := sweep(k, idxs, pipes, sizes); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		for _, i := range idxs {
+			if err := sweep(k, []int{i}, []string{exps[i].Pipeline.String()}, []int{exps[i].N}); err != nil {
+				return nil, err
+			}
 		}
 	}
 
