@@ -425,3 +425,41 @@ func TestInterferenceQueries(t *testing.T) {
 		t.Error("no launch is reachable after the loop")
 	}
 }
+
+// TestComparePathVisitsFieldUnionInOrder: a launch is compared over the
+// union of the field names either side wrote, each name once, in sorted
+// order — the order every finding and inconclusive line of a report is in.
+func TestComparePathVisitsFieldUnionInOrder(t *testing.T) {
+	launch := func(fs FieldState) *path {
+		return &path{events: []event{{kind: evLaunch, accel: "acc", fields: fs}}}
+	}
+	var v Verdict
+	comparePath(&v, "main", "",
+		launch(FieldState{"a": Top(), "c": Top(), "e": Top()}),
+		launch(FieldState{"d": Top(), "c": Top(), "b": Top()}))
+	if len(v.Findings) != 0 || len(v.Inconclusive) != 5 {
+		t.Fatalf("want 5 undecided fields and no finding, got %s", v)
+	}
+	for i, name := range []string{"a", "b", "c", "d", "e"} {
+		if want := "field " + name + " undecided"; !strings.Contains(v.Inconclusive[i], want) {
+			t.Errorf("line %d = %q, want it to say %q", i, v.Inconclusive[i], want)
+		}
+	}
+
+	// The first provably different name in that order is the finding,
+	// whichever side wrote it.
+	for _, tc := range []struct {
+		base, opt FieldState
+		field     string
+	}{
+		{FieldState{"m": Const(1), "z": Const(1)}, FieldState{"k": Const(2), "m": Const(1)}, "field k"},
+		{FieldState{"z": Const(1)}, FieldState{}, "field z"},
+		{FieldState{}, FieldState{"z": Const(1)}, "field z"},
+	} {
+		var v Verdict
+		comparePath(&v, "main", "", launch(tc.base), launch(tc.opt))
+		if len(v.Findings) != 1 || !strings.Contains(v.Findings[0].Detail, tc.field) {
+			t.Errorf("base %s, optimized %s: want one finding on %s, got %s", tc.base, tc.opt, tc.field, v)
+		}
+	}
+}

@@ -159,19 +159,19 @@ func comparePath(v *Verdict, fn, sig string, base, opt *path) {
 				reject("launch %d targets different accelerator: base %s, optimized %s", i, be.accel, oe.accel)
 				return
 			}
-			names := map[string]bool{}
-			for _, n := range be.fields.names() {
-				names[n] = true
-			}
-			for _, n := range oe.fields.names() {
-				names[n] = true
-			}
-			sorted := make([]string, 0, len(names))
-			for n := range names {
-				sorted = append(sorted, n)
-			}
-			sort.Strings(sorted)
-			for _, n := range sorted {
+			// Both name lists are sorted: merge them to visit the union in
+			// order, each name once.
+			bn, on := be.fields.names(), oe.fields.names()
+			for len(bn) > 0 || len(on) > 0 {
+				var n string
+				switch {
+				case len(on) == 0 || (len(bn) > 0 && bn[0] < on[0]):
+					n, bn = bn[0], bn[1:]
+				case len(bn) == 0 || on[0] < bn[0]:
+					n, on = on[0], on[1:]
+				default:
+					n, bn, on = bn[0], bn[1:], on[1:]
+				}
 				bv, ov := be.fields.get(n), oe.fields.get(n)
 				if bv.ProvablyDifferent(ov) {
 					reject("launch %d (%s) observes field %s = %s, base program configured %s", i, be.accel, n, ov, bv)

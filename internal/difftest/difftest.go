@@ -32,6 +32,8 @@
 package difftest
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -159,7 +161,9 @@ type Execution struct {
 	sim.Counters
 	// Launches is the ordered launch-effect sequence.
 	Launches []accel.Launch
-	// Mem is the final [0, stackBase) memory image.
+	// Mem is the final [0, stackBase) memory image in canonical form:
+	// trailing zero bytes dropped, every byte past its end reads as zero.
+	// It is an owned copy; nothing in it aliases the sandbox.
 	Mem []byte
 	// TraceSummary aggregates the recorded timeline per segment kind.
 	TraceSummary trace.Summary
@@ -335,6 +339,7 @@ func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) 
 		pipelines = OptimizationPipelines()
 	}
 	baseSum := analysis.Explore(m)
+	sandbox := newSandbox()
 
 	var baseBounds analysis.Bounds
 	baseFinal, kind, err := runPasses(m, t.PassPipeline(core.Baseline), nil, func(pre *ir.Module) {
@@ -342,7 +347,7 @@ func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) 
 	})
 	var base Execution
 	if err == nil {
-		base, kind, err = executeCompiled(t, baseFinal, prog, true)
+		base, kind, err = executeCompiled(t, baseFinal, prog, true, sandbox)
 	}
 	if err != nil {
 		if kind != KindEngine {
@@ -385,7 +390,7 @@ func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) 
 			continue
 		}
 
-		exec, kind, err := executeCompiled(t, final, prog, true)
+		exec, kind, err := executeCompiled(t, final, prog, true, sandbox)
 		if err != nil {
 			rep.Divergences = append(rep.Divergences, Divergence{Kind: kind, Pipeline: p, Detail: err.Error()})
 			if kind != KindEngine {
@@ -452,7 +457,7 @@ func Execute(t core.Target, m *ir.Module, prog irgen.Program, pm *ir.PassManager
 	if err != nil {
 		return Execution{}, kind, err
 	}
-	return executeCompiled(t, clone, prog, crossCheck)
+	return executeCompiled(t, clone, prog, crossCheck, newSandbox())
 }
 
 // runPasses clones m, applies the optional mutation and runs the pipeline
@@ -487,8 +492,16 @@ func runPasses(m *ir.Module, pm *ir.PassManager, mutate func(*ir.Module) error, 
 	return clone, KindNone, nil
 }
 
-// executeCompiled compiles and simulates one already-optimized module.
-func executeCompiled(t core.Target, clone *ir.Module, prog irgen.Program, crossCheck bool) (Execution, Kind, error) {
+// newSandbox allocates the arena one check simulates in. It is per program,
+// not per run: CheckModule and Execute each make one and every engine run of
+// that program starts from it with Reset, which zeroes only the pages the
+// previous run dirtied. Nothing outlives the check — no pool, no package
+// state — so two concurrent checks share nothing.
+func newSandbox() *mem.Memory { return mem.New(memorySize) }
+
+// compileProgram lays the program's buffers out from bufferBase and compiles
+// the already-optimized module with its statics placed after them.
+func compileProgram(clone *ir.Module, prog irgen.Program) (*riscv.Program, []uint64, error) {
 	bases := make([]uint64, len(prog.Buffers))
 	next := uint64(bufferBase)
 	for i, buf := range prog.Buffers {
@@ -496,17 +509,23 @@ func executeCompiled(t core.Target, clone *ir.Module, prog irgen.Program, crossC
 		next += (buf.Bytes + 63) &^ 63
 	}
 	if next >= stackBase {
-		return Execution{}, KindCompileError, fmt.Errorf("difftest: buffer arena exceeds simulated memory")
+		return nil, nil, fmt.Errorf("difftest: buffer arena exceeds simulated memory")
 	}
-
 	compiled, _, err := codegen.Compile(clone, "main", codegen.Options{StaticBase: next})
+	return compiled, bases, err
+}
+
+// executeCompiled compiles and simulates one already-optimized module in
+// the check's sandbox.
+func executeCompiled(t core.Target, clone *ir.Module, prog irgen.Program, crossCheck bool, sandbox *mem.Memory) (Execution, Kind, error) {
+	compiled, bases, err := compileProgram(clone, prog)
 	if err != nil {
 		return Execution{}, KindCompileError, err
 	}
 
 	// Trace recording is only needed for the summarized-trace comparison
 	// between engines; the plain oracle path skips its cost.
-	ref, err := simulate(t, prog, compiled, bases, sim.EngineRef, crossCheck)
+	ref, err := simulate(t, prog, compiled, bases, sim.EngineRef, crossCheck, sandbox)
 	if err != nil {
 		return Execution{}, KindSimError, err
 	}
@@ -515,7 +534,7 @@ func executeCompiled(t core.Target, clone *ir.Module, prog irgen.Program, crossC
 			if eng == sim.EngineRef {
 				continue
 			}
-			alt, err := simulate(t, prog, compiled, bases, eng, true)
+			alt, err := simulate(t, prog, compiled, bases, eng, true, sandbox)
 			if err != nil {
 				return ref, KindEngine, fmt.Errorf("%s engine failed where the reference engine succeeded: %w", eng, err)
 			}
@@ -527,14 +546,14 @@ func executeCompiled(t core.Target, clone *ir.Module, prog irgen.Program, crossC
 	return ref, KindNone, nil
 }
 
-// simulate runs one compiled program on a fresh memory/device sandbox
-// under the selected engine and captures the oracle observation.
-func simulate(t core.Target, prog irgen.Program, compiled *riscv.Program, bases []uint64, engine sim.Engine, recordTrace bool) (Execution, error) {
-	memory := mem.New(memorySize)
+// simulate runs one compiled program under the selected engine and captures
+// the oracle observation. The memory is the check's sandbox, reset here to
+// the all-zero state a new one has; the machine, the device and the launch
+// recorder are new for every run.
+func simulate(t core.Target, prog irgen.Program, compiled *riscv.Program, bases []uint64, engine sim.Engine, recordTrace bool, memory *mem.Memory) (Execution, error) {
+	memory.Reset()
 	for i, buf := range prog.Buffers {
-		for j, b := range buf.Data {
-			memory.Write8(bases[i]+uint64(j), b)
-		}
+		copy(memory.Region(bases[i], uint64(len(buf.Data))), buf.Data)
 	}
 	memory.ResetCounters()
 
@@ -552,10 +571,12 @@ func simulate(t core.Target, prog irgen.Program, compiled *riscv.Program, bases 
 		return Execution{}, err
 	}
 
+	// Everything from the last dirty page up to the stack is still zero by
+	// Reset's contract, so the image is copied out of the written part only.
 	return Execution{
 		Counters:      mc.Counters,
 		Launches:      rec.launches,
-		Mem:           memory.Snapshot(0, stackBase),
+		Mem:           trimZeros(memory.Snapshot(0, memory.DirtyEnd(stackBase))),
 		TraceSummary:  trace.Summarize(mc.Trace),
 		ProgramInstrs: len(compiled.Instrs),
 	}, nil
@@ -576,7 +597,7 @@ func equalExecutions(ref, got Execution, engine string) error {
 		}
 	}
 	if addr, ok := firstMemDiff(ref.Mem, got.Mem); ok {
-		return fmt.Errorf("engines disagree on memory at %#x: ref %#02x, %s %#02x", addr, ref.Mem[addr], engine, got.Mem[addr])
+		return fmt.Errorf("engines disagree on memory at %#x: ref %#02x, %s %#02x", addr, byteAt(ref.Mem, addr), engine, byteAt(got.Mem, addr))
 	}
 	if ref.TraceSummary != got.TraceSummary {
 		return fmt.Errorf("engines disagree on trace summary: ref %+v, %s %+v", ref.TraceSummary, engine, got.TraceSummary)
@@ -605,7 +626,7 @@ func compare(t core.Target, p core.Pipeline, base, opt Execution) []Divergence {
 
 	if addr, ok := firstMemDiff(base.Mem, opt.Mem); ok {
 		divs = append(divs, Divergence{Kind: KindMemory, Pipeline: p,
-			Detail: fmt.Sprintf("memory differs at %#x: base %#02x, optimized %#02x", addr, base.Mem[addr], opt.Mem[addr])})
+			Detail: fmt.Sprintf("memory differs at %#x: base %#02x, optimized %#02x", addr, byteAt(base.Mem, addr), byteAt(opt.Mem, addr))})
 	}
 
 	// Metamorphic bounds. Overlap software-pipelining on concurrent-config
@@ -631,21 +652,41 @@ func compare(t core.Target, p core.Pipeline, base, opt Execution) []Divergence {
 	return divs
 }
 
-// firstMemDiff returns the first differing byte offset.
+// firstMemDiff returns the first offset at which two memory images differ.
+// An image ends where its trailing zeros were dropped, so bytes past the end
+// of the shorter one compare as zero: the comparison, not the producer, owns
+// the canonical form, and images of unequal length can be equal.
 func firstMemDiff(a, b []byte) (int, bool) {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+	if bytes.Equal(a, b) {
+		return 0, false
 	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
+	for i, n := 0, max(len(a), len(b)); i < n; i++ {
+		if byteAt(a, i) != byteAt(b, i) {
 			return i, true
 		}
 	}
-	if len(a) != len(b) {
-		return n, true
-	}
 	return 0, false
+}
+
+// byteAt reads one byte of a memory image; past its end the image is zero.
+func byteAt(img []byte, i int) byte {
+	if i < len(img) {
+		return img[i]
+	}
+	return 0
+}
+
+// trimZeros drops the trailing zero bytes of img, a word at a time while it
+// can: the last dirty page is mostly zeros above the program's statics.
+func trimZeros(img []byte) []byte {
+	n := len(img)
+	for n >= 8 && binary.LittleEndian.Uint64(img[n-8:n]) == 0 {
+		n -= 8
+	}
+	for n > 0 && img[n-1] == 0 {
+		n--
+	}
+	return img[:n]
 }
 
 // recorder wraps a device to capture the launch-effect sequence.

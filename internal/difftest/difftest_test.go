@@ -1,6 +1,7 @@
 package difftest_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -163,6 +164,69 @@ func TestMutationCaughtAndShrunk(t *testing.T) {
 			}
 			t.Logf("%s: shrank %d -> %d ops in %d steps (%d attempts)", tc.target, before, sh.Ops, sh.Steps, sh.Attempts)
 		})
+	}
+}
+
+// eraseLaunches is the broken pass that drops the accelerator's work: every
+// launch of the module goes, with the awaits on its token.
+func eraseLaunches(m *ir.Module) error {
+	var ops []*ir.Op
+	for _, name := range []string{accfg.OpAwait, accfg.OpLaunch} { // users first
+		m.Walk(func(op *ir.Op) {
+			if op.Name() == name {
+				ops = append(ops, op)
+			}
+		})
+	}
+	if len(ops) == 0 {
+		return fmt.Errorf("mutation found no launch to erase")
+	}
+	for _, op := range ops {
+		op.Erase()
+	}
+	return nil
+}
+
+// TestErasedLaunchesCaught: an optimized module that launches nothing leaves
+// its output buffers as initialised, and the oracle must say so — launch
+// count and memory both. The optimized program runs in the arena the
+// baseline just wrote its results into; were that output still there, the
+// images would match and the memory verdict would be lost. The baseline
+// image in the report is the check's own copy: no later check changes it.
+func TestErasedLaunchesCaught(t *testing.T) {
+	for _, name := range core.TargetNames() {
+		tgt, prof := targetAndProfile(t, name)
+		prog, err := irgen.Generate(prof, irgen.DeriveSeed(2, name, 11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := difftest.Check(tgt, prog, difftest.Options{
+			Pipelines: []core.Pipeline{core.DedupOnly},
+			Mutate:    eraseLaunches,
+			Static:    difftest.StaticAudit, // the static reject alone would skip the run
+		})
+		if rep.Invalid {
+			t.Fatalf("%s: baseline invalid: %s", name, rep.InvalidReason)
+		}
+		kinds := map[difftest.Kind]bool{}
+		for _, d := range rep.Divergences {
+			kinds[d.Kind] = true
+		}
+		if !kinds[difftest.KindLaunchCount] || !kinds[difftest.KindMemory] {
+			t.Errorf("%s: want launch-count and memory-mismatch divergences, got %v", name, rep.Divergences)
+		}
+
+		image := bytes.Clone(rep.Base.Mem)
+		other, err := irgen.Generate(prof, irgen.DeriveSeed(2, name, 12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next := difftest.Check(tgt, other, difftest.Options{}); bytes.Equal(next.Base.Mem, image) {
+			t.Fatalf("%s: the second program leaves the same image, so it cannot show a shared one", name)
+		}
+		if !bytes.Equal(rep.Base.Mem, image) {
+			t.Errorf("%s: a later check changed this report's baseline image", name)
+		}
 	}
 }
 

@@ -54,6 +54,47 @@ func TestEqualExecutionsDiscrimination(t *testing.T) {
 			}
 		})
 	}
+
+	// Images end where their trailing zeros were dropped, so they differ in
+	// length whenever one side stored higher up than the other. A non-zero
+	// byte beyond the shorter image's end is a difference, in either order,
+	// and reads as zero on the short side; a tail of zeros nobody trimmed is
+	// not one — the comparison owns the canonical form, not the producer.
+	withTail := func(tail ...byte) Execution {
+		e := cleanExecution()
+		e.Mem = append(e.Mem, tail...)
+		return e
+	}
+	for _, tc := range []struct {
+		name     string
+		ref, got Execution
+		engine   string // "" when the two must compare equal
+		semantic string
+	}{
+		{"byte past the end of ref", cleanExecution(), withTail(0, 0x7f),
+			"engines disagree on memory at 0x4: ref 0x00, fast 0x7f", "memory differs at 0x4: base 0x00, optimized 0x7f"},
+		{"byte past the end of got", withTail(0, 0x7f), cleanExecution(),
+			"engines disagree on memory at 0x4: ref 0x7f, fast 0x00", "memory differs at 0x4: base 0x7f, optimized 0x00"},
+		{"untrimmed zero tail on got", cleanExecution(), withTail(0, 0, 0), "", ""},
+		{"untrimmed zero tail on ref", withTail(0, 0, 0), cleanExecution(), "", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := equalExecutions(tc.ref, tc.got, "fast")
+			divs := compare(core.Target{}, core.DedupOnly, tc.ref, tc.got)
+			if tc.engine == "" {
+				if err != nil || len(divs) != 0 {
+					t.Fatalf("images equal up to trailing zeros reported unequal: %v, %v", err, divs)
+				}
+				return
+			}
+			if err == nil || err.Error() != tc.engine {
+				t.Errorf("equalExecutions = %v, want %q", err, tc.engine)
+			}
+			if len(divs) != 1 || divs[0].Kind != KindMemory || divs[0].Detail != tc.semantic {
+				t.Errorf("compare = %v, want one memory divergence %q", divs, tc.semantic)
+			}
+		})
+	}
 }
 
 // TestEngineCrossCheckIsStanding: the default Options run every pipeline's

@@ -54,6 +54,24 @@ func (m *Memory) Snapshot(from, to uint64) []byte {
 	return out
 }
 
+// DirtyEnd bounds the written part of [0, to): it returns the end of the
+// last page below to that is flagged dirty, clamped to to, or 0 when none
+// is. Every byte of [DirtyEnd(to), to) has therefore been zero since New or
+// the last Reset, so a caller that wants the image of [0, to) need not read
+// past it. Like Snapshot it leaves the traffic counters and the dirty flags
+// alone, and panics when to lies outside the memory.
+func (m *Memory) DirtyEnd(to uint64) uint64 {
+	if to > uint64(len(m.data)) {
+		panic(fmt.Sprintf("mem: dirty end below %#x out of bounds (size %#x)", to, len(m.data)))
+	}
+	for p := int((to+pageSize-1)>>pageShift) - 1; p >= 0; p-- {
+		if m.dirty[p] {
+			return min(uint64(p+1)<<pageShift, to)
+		}
+	}
+	return 0
+}
+
 // ResetCounters zeroes the traffic counters.
 func (m *Memory) ResetCounters() {
 	m.BytesRead, m.BytesWritten = 0, 0

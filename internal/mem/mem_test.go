@@ -1,6 +1,7 @@
 package mem_test
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -240,4 +241,102 @@ func TestSnapshotOutOfBoundsPanics(t *testing.T) {
 		}
 	}()
 	m.Snapshot(8, 32)
+}
+
+// TestDirtyEndAgainstFullScan holds DirtyEnd to a naive scan of the whole
+// memory under random sequences of every write path and Reset, on a memory
+// whose last page is partial: for any to, no non-zero byte of [0, to) lies at
+// or above DirtyEnd(to); the answer is a page boundary or to itself; it is 0
+// after Reset; and asking moves neither the counters nor the answer.
+func TestDirtyEndAgainstFullScan(t *testing.T) {
+	const (
+		page = 1 << 16
+		size = 5*page + 1000
+	)
+	rng := rand.New(rand.NewSource(1))
+	m := mem.New(size)
+	tos := []uint64{0, 1, page - 1, page, page + 1, 3*page + 17, 5 * page, size - 1, size}
+
+	check := func(step int, afterReset bool) {
+		t.Helper()
+		image := m.Snapshot(0, size)
+		read, written := m.BytesRead, m.BytesWritten
+		for _, to := range append(tos, uint64(rng.Intn(size+1))) {
+			end := m.DirtyEnd(to)
+			if end > to || (end != to && end%page != 0) {
+				t.Fatalf("step %d: DirtyEnd(%#x) = %#x, want a page boundary at most to, or to", step, to, end)
+			}
+			if afterReset && end != 0 {
+				t.Fatalf("step %d: DirtyEnd(%#x) = %#x right after Reset, want 0", step, to, end)
+			}
+			for a := end; a < to; a++ {
+				if image[a] != 0 {
+					t.Fatalf("step %d: DirtyEnd(%#x) = %#x, but mem[%#x] = %#x", step, to, end, a, image[a])
+				}
+			}
+			if again := m.DirtyEnd(to); again != end {
+				t.Fatalf("step %d: DirtyEnd(%#x) = %#x, then %#x: it is not read-only", step, to, end, again)
+			}
+		}
+		if m.BytesRead != read || m.BytesWritten != written {
+			t.Fatalf("step %d: DirtyEnd moved the traffic counters", step)
+		}
+	}
+
+	check(0, true) // a new memory is as clean as a reset one
+	for step := 1; step <= 400; step++ {
+		// Mostly low addresses, so the high pages stay clean for a while;
+		// odd values, so every write leaves a non-zero byte behind.
+		addr := uint64(rng.Intn(size - 8))
+		if rng.Intn(3) > 0 {
+			addr %= 2 * page
+		}
+		v := rng.Uint64() | 1
+		op := rng.Intn(12)
+		switch op {
+		case 0:
+			m.Write8(addr, uint8(v))
+		case 1:
+			m.Write16(addr, uint16(v))
+		case 2:
+			m.Write32(addr, uint32(v))
+		case 3:
+			m.Write64(addr, v)
+		case 4, 5, 6, 7:
+			m.WriteSigned(addr, 8<<(op-4), int64(v))
+		case 8, 9:
+			n := uint64(rng.Intn(2*page)) + 1
+			if n > size-addr {
+				n = size - addr
+			}
+			r := m.Region(addr, n)
+			r[0], r[n-1] = 0xa5, 0x5a
+		case 10:
+			m.Region(addr, 0) // an empty view exposes nothing
+		case 11:
+			m.Reset()
+		}
+		check(step, op == 11)
+	}
+
+	// The bound is tight to the page: one byte written in page 1 ends the
+	// written part at the start of page 2, however far up the caller looks.
+	m.Reset()
+	m.Write8(page+5, 1)
+	for _, tc := range [][2]uint64{{size, 2 * page}, {2 * page, 2 * page}, {page + 9, page + 9}, {page, 0}} {
+		if got := m.DirtyEnd(tc[0]); got != tc[1] {
+			t.Errorf("one byte written at %#x: DirtyEnd(%#x) = %#x, want %#x", page+5, tc[0], got, tc[1])
+		}
+	}
+}
+
+func TestDirtyEndOutOfBoundsPanics(t *testing.T) {
+	m := mem.New(16)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "out of bounds") {
+			t.Errorf("want the mem package's own bounds panic, got %q", msg)
+		}
+	}()
+	m.DirtyEnd(17)
 }
