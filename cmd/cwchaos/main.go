@@ -153,8 +153,7 @@ func run(seed int64, n, sweeps int) int {
 	if err != nil {
 		fatal("%v", err)
 	}
-	httpSrv := &http.Server{Handler: sv}
-	go httpSrv.Serve(ln)
+	drain := sv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 	logf("daemon on %s, store in %s", base, dir)
 
@@ -299,14 +298,12 @@ func run(seed int64, n, sweeps int) int {
 		injectedPanics, counts[fault.ServeHandlerPanic].Fired, counts[fault.ServeRunPanic].Fired)
 
 	// Drain the daemon the way cwserve does on SIGTERM.
-	sv.BeginDrain()
 	shutdownCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	err = httpSrv.Shutdown(shutdownCtx)
+	err = drain(shutdownCtx)
 	cancel()
 	if err != nil {
 		c.violate("drain: %v", err)
 	}
-	sv.Close()
 
 	// Invariant — reboot-safe: a fresh fault-free daemon warms from
 	// whatever the faulted store persisted (torn entries degrade to

@@ -59,7 +59,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -131,27 +131,23 @@ func main() {
 		logf("warmed %d cells from %s", warmed, *cacheDir)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: sv}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal("%v", err)
+	}
+	shutdown := sv.Serve(ln)
 	logf("serving on %s (workers=%d)", *addr, runner.Workers())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	select {
-	case err := <-errCh:
-		fatal("%v", err)
-	case <-ctx.Done():
-	}
+	<-ctx.Done()
 
 	logf("signal received; draining (timeout %v)", *drainTimeout)
-	sv.BeginDrain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+	if err := shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logf("shutdown: %v", err)
 	}
-	sv.Close()
 	logf("drained; %s", runner.Snapshot())
 }
 

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"configwall/internal/codegen"
 	"configwall/internal/core"
 	"configwall/internal/ir"
 	"configwall/internal/sim"
@@ -70,39 +69,34 @@ func main() {
 		fatal("%v", err)
 	}
 
+	start := time.Now()
+	cell, err := core.Compile(target, wl, pipeline, *n)
+	compileWall := time.Since(start)
+	if err != nil {
+		fatal("%v", err)
+	}
 	if *asm || *irDump {
-		inst, err := wl.Build(target, *n)
-		if err != nil {
-			fatal("%v", err)
-		}
-		pm := target.PassPipeline(pipeline)
-		if err := pm.Run(inst.Module); err != nil {
-			fatal("%v", err)
-		}
+		// The cell that would run: same module, same layout, same program.
 		if *irDump {
-			fmt.Print(ir.PrintModule(inst.Module))
+			fmt.Print(ir.PrintModule(cell.Module))
 		}
 		if *asm {
-			prog, _, err := codegen.Compile(inst.Module, "main", codegen.Options{StaticBase: 32 << 20})
-			if err != nil {
-				fatal("%v", err)
-			}
-			fmt.Print(prog.Disassemble())
+			fmt.Print(cell.Prog.Disassemble())
 		}
 		return
 	}
 
-	start := time.Now()
-	res, err := core.Run(target, wl, pipeline, *n, core.RunOptions{RecordTrace: *timeline, Engine: engine})
-	elapsed := time.Since(start)
+	start = time.Now()
+	res, err := cell.Execute(core.RunOptions{RecordTrace: *timeline, Engine: engine})
+	executeWall := time.Since(start)
 	if err != nil {
 		fatal("%v", err)
 	}
 	fmt.Printf("target            %s (%s configuration)\n", res.Target, scheme(target))
 	fmt.Printf("workload          %s\n", res.Workload)
 	fmt.Printf("pipeline          %s\n", res.Pipeline)
-	fmt.Printf("engine            %s (%.2fM host instrs/sec incl. compile)\n",
-		engine, float64(res.HostInstrs)/elapsed.Seconds()/1e6)
+	fmt.Printf("engine            %s (compile %s, execute %s, %.2fM host instrs/sec of execute)\n",
+		engine, compileWall.Round(time.Microsecond), executeWall.Round(time.Microsecond), float64(res.HostInstrs)/executeWall.Seconds()/1e6)
 	fmt.Printf("sweep size        %d (ops = %d)\n", res.N, res.AccelOps)
 	fmt.Printf("total cycles      %d\n", res.Cycles)
 	fmt.Printf("performance       %.1f ops/cycle (%.1f%% of %g peak)\n", res.OpsPerCycle(), 100*res.Utilization(), res.PeakOps)

@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -195,14 +194,11 @@ func bootDaemon(cacheDir string, analyticTier bool, seed int64) (*serve.Client, 
 	if err != nil {
 		return nil, nil, err
 	}
-	httpSrv := &http.Server{Handler: sv}
-	go httpSrv.Serve(ln)
+	drain := sv.Serve(ln)
 	shutdown := func() {
-		sv.BeginDrain()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		httpSrv.Shutdown(ctx)
-		sv.Close()
+		drain(ctx)
 	}
 	return serve.NewClient("http://" + ln.Addr().String()), shutdown, nil
 }

@@ -210,11 +210,6 @@ func RunExperiment(e Experiment, opts RunOptions) (Result, error) {
 	return core.RunExperiment(e, opts)
 }
 
-// RunWorkload compiles and simulates a registered workload for a target.
-func RunWorkload(t Target, w Workload, p Pipeline, n int, opts RunOptions) (Result, error) {
-	return core.Run(t, w, p, n, opts)
-}
-
 // SweepExperiments builds the cross product of targets, workloads,
 // pipelines and sizes in deterministic row-major order.
 func SweepExperiments(targets, workloads []string, pipelines []Pipeline, sizes []int) []Experiment {

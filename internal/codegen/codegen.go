@@ -121,9 +121,6 @@ func (c *compiler) fresh() int {
 }
 
 func (c *compiler) emit(i vinstr) {
-	if i.rd == 0 && i.op != riscv.NOP {
-		// vreg ids start at 0; default zero-value fields must be explicit.
-	}
 	c.instrs = append(c.instrs, i)
 }
 

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -275,6 +276,77 @@ const (
 	stackBase  = 60 << 20
 )
 
+// Layout places a program's data in a simulated memory. With Program.Start
+// it is the cell ABI, spelled out here and nowhere else (DESIGN.md §1):
+// argument buffers from BufferBase, each size rounded up to Align (a power
+// of two; 1 packs them), static allocations after the last buffer, sp at
+// StackBase with the spill frames growing up from it.
+type Layout struct{ BufferBase, Align, StackBase uint64 }
+
+// Program is a module's "main" compiled against a Layout: the host code and
+// the addresses it was compiled for.
+type Program struct {
+	*riscv.Program
+	Layout
+	Bases      []uint64 // argument buffers, in signature order
+	StaticBase uint64   // first memref.alloc, directly after the buffers
+}
+
+// place gives buffers of the given sizes their addresses under l.
+func (l Layout) place(sizes []uint64) (Program, error) {
+	p := Program{Layout: l, Bases: make([]uint64, len(sizes)), StaticBase: l.BufferBase}
+	for i, size := range sizes {
+		p.Bases[i] = p.StaticBase
+		p.StaticBase += (size + l.Align - 1) &^ (l.Align - 1)
+	}
+	if p.StaticBase >= l.StackBase {
+		return p, errors.New("buffers exceed simulated memory")
+	}
+	return p, nil
+}
+
+// compile lowers m's "main" with its statics after the placed buffers.
+// Statics that reach the stack are an error: a store into them would land
+// among the spill frames, the one region the oracle does not compare.
+func (p *Program) compile(m *ir.Module) error {
+	prog, statics, err := codegen.Compile(m, "main", codegen.Options{StaticBase: p.StaticBase})
+	if err != nil {
+		return err
+	}
+	p.Program = prog
+	if end := p.StaticBase + statics.StaticSize; end > p.StackBase {
+		return fmt.Errorf("static allocations exceed simulated memory: [%#x, %#x) reaches the stack at %#x", p.StaticBase, end, p.StackBase)
+	}
+	return nil
+}
+
+// CompileModule places buffers of the given sizes under l and compiles the
+// already optimized module against them: the entry for a caller that brings
+// its own module and inputs (the differential oracle). Cells use Compile.
+func CompileModule(m *ir.Module, sizes []uint64, l Layout) (Program, error) {
+	p, err := l.place(sizes)
+	if err == nil {
+		err = p.compile(m)
+	}
+	return p, err
+}
+
+// Start runs the program on mc, whose memory the caller has filled and whose
+// cost model, device, engine and limits the caller has set: memory counters
+// restart, buffer i's base goes in a<i>, scalars in the registers after the
+// last base, sp at the stack base.
+func (p *Program) Start(mc *sim.Machine, scalars ...int64) error {
+	mc.Mem.ResetCounters()
+	for i, base := range p.Bases {
+		mc.Regs[riscv.A0+riscv.Reg(i)] = int64(base)
+	}
+	for i, s := range scalars {
+		mc.Regs[riscv.A0+riscv.Reg(len(p.Bases)+i)] = s
+	}
+	mc.Regs[riscv.SP] = int64(p.StackBase)
+	return mc.Run(p.Program)
+}
+
 // execContext is a reusable simulation sandbox: the 64 MiB arena and the
 // machine around it. Allocating (and faulting in) the arena dominates the
 // setup cost of small experiments, so sweeps recycle contexts through a
@@ -326,57 +398,72 @@ func RunTiledMatmul(t Target, p Pipeline, n int, opts RunOptions) (Result, error
 // model, and returns the measurements. It is the engine's single
 // experiment primitive; sweeps should go through Runner.
 func Run(t Target, w Workload, p Pipeline, n int, opts RunOptions) (Result, error) {
-	res := Result{Target: t.Name, Workload: w.Name, Pipeline: p, N: n, PeakOps: t.PeakOps}
+	c, err := Compile(t, w, p, n)
+	if err != nil {
+		return Result{Target: t.Name, Workload: w.Name, Pipeline: p, N: n, PeakOps: t.PeakOps}, err
+	}
+	return c.Execute(opts)
+}
 
+// Compiled is a cell compiled and not yet run: what is a function of
+// (target, workload, pipeline, n) alone. Nothing in it is written after
+// Compile returns, so it may be executed any number of times, under any
+// options, from any number of goroutines.
+type Compiled struct {
+	Module  *ir.Module // after the pass pipeline: what codegen saw
+	Prog    Program    // under the cell layout: what Execute runs
+	target  Target
+	buffers []Buffer // the instance's init and verify hooks
+	res     Result   // what no run changes: the name, PeakOps, PassStats, ProgramInstrs
+}
+
+// Compile builds the workload at size n for the target, runs the pipeline
+// over it and compiles it with its buffers packed from bufferBase: the half
+// of Run that RunOptions do not reach.
+func Compile(t Target, w Workload, p Pipeline, n int) (*Compiled, error) {
 	inst, err := w.Build(t, n)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	pm := t.PassPipeline(p)
 	if err := pm.Run(inst.Module); err != nil {
-		return res, fmt.Errorf("pipeline %s on %s/%s/%d: %w", p, t.Name, w.Name, n, err)
+		return nil, fmt.Errorf("pipeline %s on %s/%s/%d: %w", p, t.Name, w.Name, n, err)
 	}
-	res.PassStats = pm.Stats
-
-	// Place the buffers contiguously from bufferBase; static allocs after.
-	bases := make([]uint64, len(inst.Buffers))
-	next := uint64(bufferBase)
+	c := &Compiled{Module: inst.Module, target: t, buffers: inst.Buffers}
+	sizes := make([]uint64, len(inst.Buffers))
 	for i, buf := range inst.Buffers {
-		bases[i] = next
-		next += buf.Bytes
+		sizes[i] = buf.Bytes
 	}
-	staticBase := next
-	if staticBase >= stackBase {
-		return res, fmt.Errorf("workload %s/%d: buffers exceed simulated memory", w.Name, n)
+	if c.Prog, err = (Layout{bufferBase, 1, stackBase}).place(sizes); err != nil {
+		return nil, fmt.Errorf("workload %s/%d: %w", w.Name, n, err)
 	}
+	if err := c.Prog.compile(inst.Module); err != nil {
+		return nil, fmt.Errorf("codegen for %s/%s/%d: %w", t.Name, w.Name, n, err)
+	}
+	c.res = Result{Target: t.Name, Workload: w.Name, Pipeline: p, N: n, PeakOps: t.PeakOps,
+		PassStats: pm.Stats, ProgramInstrs: len(c.Prog.Instrs)}
+	return c, nil
+}
 
-	prog, _, err := codegen.Compile(inst.Module, "main", codegen.Options{StaticBase: staticBase})
-	if err != nil {
-		return res, fmt.Errorf("codegen for %s/%s/%d: %w", t.Name, w.Name, n, err)
-	}
-	res.ProgramInstrs = len(prog.Instrs)
-
+// Execute simulates the cell on a pooled context — buffers initialised, the
+// program started through the cell ABI — and verifies every checked buffer
+// against the golden model unless opts skip it.
+func (c *Compiled) Execute(opts RunOptions) (Result, error) {
+	res := c.res
 	ctx := getExecContext()
 	defer putExecContext(ctx)
-	memory := ctx.memory
-	for i, buf := range inst.Buffers {
+	memory, mc := ctx.memory, ctx.mc
+	for i, buf := range c.buffers {
 		if buf.Init != nil {
-			buf.Init(memory, bases[i])
+			buf.Init(memory, c.Prog.Bases[i])
 		}
 	}
-	memory.ResetCounters()
-
-	mc := ctx.mc
-	mc.Cost = t.Cost
-	mc.Device = t.NewDevice()
+	mc.Cost = c.target.Cost
+	mc.Device = c.target.NewDevice()
 	mc.Engine = opts.Engine
 	mc.RecordTrace = opts.RecordTrace
-	for i := range inst.Buffers {
-		mc.Regs[riscv.A0+riscv.Reg(i)] = int64(bases[i])
-	}
-	mc.Regs[riscv.SP] = stackBase
-	if err := mc.Run(prog); err != nil {
-		return res, fmt.Errorf("simulation of %s/%s/%s/%d: %w", t.Name, w.Name, p, n, err)
+	if err := c.Prog.Start(mc); err != nil {
+		return res, fmt.Errorf("simulation of %s/%s/%s/%d: %w", res.Target, res.Workload, res.Pipeline, res.N, err)
 	}
 	res.Counters = mc.Counters
 	if opts.RecordTrace && len(mc.Trace) > 0 {
@@ -387,12 +474,12 @@ func Run(t Target, w Workload, p Pipeline, n int, opts RunOptions) (Result, erro
 
 	if !opts.SkipVerify {
 		checked := 0
-		for i, buf := range inst.Buffers {
+		for i, buf := range c.buffers {
 			if buf.Verify == nil {
 				continue
 			}
-			if err := buf.Verify(memory, bases[i]); err != nil {
-				return res, fmt.Errorf("verification failed: %s/%s/%s/%d buffer %d: %w", t.Name, w.Name, p, n, i, err)
+			if err := buf.Verify(memory, c.Prog.Bases[i]); err != nil {
+				return res, fmt.Errorf("verification failed: %s/%s/%s/%d buffer %d: %w", res.Target, res.Workload, res.Pipeline, res.N, i, err)
 			}
 			checked++
 		}

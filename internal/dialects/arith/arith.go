@@ -303,9 +303,6 @@ func NewBinary(b *ir.Builder, name string, lhs, rhs *ir.Value) *ir.Value {
 // NewAdd builds lhs + rhs.
 func NewAdd(b *ir.Builder, lhs, rhs *ir.Value) *ir.Value { return NewBinary(b, OpAddI, lhs, rhs) }
 
-// NewSub builds lhs - rhs.
-func NewSub(b *ir.Builder, lhs, rhs *ir.Value) *ir.Value { return NewBinary(b, OpSubI, lhs, rhs) }
-
 // NewMul builds lhs * rhs.
 func NewMul(b *ir.Builder, lhs, rhs *ir.Value) *ir.Value { return NewBinary(b, OpMulI, lhs, rhs) }
 

@@ -142,14 +142,6 @@ type If struct {
 	Op *ir.Op
 }
 
-// AsIf wraps op, or returns ok=false when op is not scf.if.
-func AsIf(op *ir.Op) (If, bool) {
-	if op == nil || op.Name() != OpIf {
-		return If{}, false
-	}
-	return If{op}, true
-}
-
 // Condition returns the i1 condition operand.
 func (i If) Condition() *ir.Value { return i.Op.Operand(0) }
 

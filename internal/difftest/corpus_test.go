@@ -96,3 +96,20 @@ func TestCorpusStaticVerdicts(t *testing.T) {
 		})
 	}
 }
+
+// TestStaticsReachingTheStackAreInvalid replays a module whose one
+// memref.alloc (120 000 x i64 from 0x7800) ends past the oracle's stack base
+// and which stores to its last element. That store lands in [stackBase, …),
+// the one region no comparison reads, so before the layout check moved into
+// the seam (core.CompileModule) this replayed as clean. The file is not
+// under corpus/, which TestCorpusReplay expects clean.
+func TestStaticsReachingTheStackAreInvalid(t *testing.T) {
+	rep, err := difftest.Replay(filepath.Join("testdata", "layout", "opengemm-s1.ir"), difftest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "baseline compile-error: static allocations exceed simulated memory: [0x7800, 0xf1e00) reaches the stack at 0xf0000"
+	if !rep.Invalid || rep.InvalidReason != want {
+		t.Errorf("invalid=%v reason=%q divergences=%v, want invalid with reason %q", rep.Invalid, rep.InvalidReason, rep.Divergences, want)
+	}
+}

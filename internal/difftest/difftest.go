@@ -42,12 +42,10 @@ import (
 
 	"configwall/internal/accel"
 	"configwall/internal/analysis"
-	"configwall/internal/codegen"
 	"configwall/internal/core"
 	"configwall/internal/ir"
 	"configwall/internal/irgen"
 	"configwall/internal/mem"
-	"configwall/internal/riscv"
 	"configwall/internal/sim"
 	"configwall/internal/trace"
 )
@@ -499,33 +497,30 @@ func runPasses(m *ir.Module, pm *ir.PassManager, mutate func(*ir.Module) error, 
 // state — so two concurrent checks share nothing.
 func newSandbox() *mem.Memory { return mem.New(memorySize) }
 
-// compileProgram lays the program's buffers out from bufferBase and compiles
-// the already-optimized module with its statics placed after them.
-func compileProgram(clone *ir.Module, prog irgen.Program) (*riscv.Program, []uint64, error) {
-	bases := make([]uint64, len(prog.Buffers))
-	next := uint64(bufferBase)
+// compileProgram compiles the already-optimized module against the oracle's
+// layout: buffers 64-byte aligned from bufferBase, statics after them, sp at
+// stackBase. It differs from the cell's packed layout on purpose — minimized
+// witnesses print addresses, and these are the ones the corpus was recorded
+// under. Placement and the register convention are core's (the cell ABI).
+func compileProgram(clone *ir.Module, prog irgen.Program) (core.Program, error) {
+	sizes := make([]uint64, len(prog.Buffers))
 	for i, buf := range prog.Buffers {
-		bases[i] = next
-		next += (buf.Bytes + 63) &^ 63
+		sizes[i] = buf.Bytes
 	}
-	if next >= stackBase {
-		return nil, nil, fmt.Errorf("difftest: buffer arena exceeds simulated memory")
-	}
-	compiled, _, err := codegen.Compile(clone, "main", codegen.Options{StaticBase: next})
-	return compiled, bases, err
+	return core.CompileModule(clone, sizes, core.Layout{BufferBase: bufferBase, Align: 64, StackBase: stackBase})
 }
 
 // executeCompiled compiles and simulates one already-optimized module in
 // the check's sandbox.
 func executeCompiled(t core.Target, clone *ir.Module, prog irgen.Program, crossCheck bool, sandbox *mem.Memory) (Execution, Kind, error) {
-	compiled, bases, err := compileProgram(clone, prog)
+	compiled, err := compileProgram(clone, prog)
 	if err != nil {
 		return Execution{}, KindCompileError, err
 	}
 
 	// Trace recording is only needed for the summarized-trace comparison
 	// between engines; the plain oracle path skips its cost.
-	ref, err := simulate(t, prog, compiled, bases, sim.EngineRef, crossCheck, sandbox)
+	ref, err := simulate(t, prog, &compiled, sim.EngineRef, crossCheck, sandbox)
 	if err != nil {
 		return Execution{}, KindSimError, err
 	}
@@ -534,7 +529,7 @@ func executeCompiled(t core.Target, clone *ir.Module, prog irgen.Program, crossC
 			if eng == sim.EngineRef {
 				continue
 			}
-			alt, err := simulate(t, prog, compiled, bases, eng, true, sandbox)
+			alt, err := simulate(t, prog, &compiled, eng, true, sandbox)
 			if err != nil {
 				return ref, KindEngine, fmt.Errorf("%s engine failed where the reference engine succeeded: %w", eng, err)
 			}
@@ -549,25 +544,20 @@ func executeCompiled(t core.Target, clone *ir.Module, prog irgen.Program, crossC
 // simulate runs one compiled program under the selected engine and captures
 // the oracle observation. The memory is the check's sandbox, reset here to
 // the all-zero state a new one has; the machine, the device and the launch
-// recorder are new for every run.
-func simulate(t core.Target, prog irgen.Program, compiled *riscv.Program, bases []uint64, engine sim.Engine, recordTrace bool, memory *mem.Memory) (Execution, error) {
+// recorder are new for every run. The program starts through the cell ABI
+// (core.Program.Start) with the program's scalar P after its buffers.
+func simulate(t core.Target, prog irgen.Program, compiled *core.Program, engine sim.Engine, recordTrace bool, memory *mem.Memory) (Execution, error) {
 	memory.Reset()
 	for i, buf := range prog.Buffers {
-		copy(memory.Region(bases[i], uint64(len(buf.Data))), buf.Data)
+		copy(memory.Region(compiled.Bases[i], uint64(len(buf.Data))), buf.Data)
 	}
-	memory.ResetCounters()
 
 	rec := &recorder{Device: t.NewDevice()}
 	mc := sim.NewMachine(memory, t.Cost, rec)
 	mc.Engine = engine
 	mc.RecordTrace = recordTrace
 	mc.MaxInstrs = maxInstrs
-	for i := range prog.Buffers {
-		mc.Regs[riscv.A0+riscv.Reg(i)] = int64(bases[i])
-	}
-	mc.Regs[riscv.A0+riscv.Reg(len(prog.Buffers))] = prog.P
-	mc.Regs[riscv.SP] = stackBase
-	if err := mc.Run(compiled); err != nil {
+	if err := compiled.Start(mc, prog.P); err != nil {
 		return Execution{}, err
 	}
 

@@ -57,12 +57,12 @@ func TestReusedSandboxIndistinguishableFromFresh(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					compiled, bases, err := compileProgram(clone, prog)
+					compiled, err := compileProgram(clone, prog)
 					if err != nil {
 						t.Fatal(err)
 					}
 					runs[j] = func(eng sim.Engine, memory *mem.Memory) Execution {
-						exec, err := simulate(tgt, prog, compiled, bases, eng, true, memory)
+						exec, err := simulate(tgt, prog, &compiled, eng, true, memory)
 						if err != nil {
 							t.Fatalf("%s seed %d %s %s: %v", name, prog.Seed, p, eng, err)
 						}
@@ -87,6 +87,42 @@ func TestReusedSandboxIndistinguishableFromFresh(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestOracleLayoutIsPinned: the oracle compiles under 64-byte aligned
+// buffers from 0x1000 with sp at 0xF0000, not under the cell's packed
+// layout — corpus files and minimized witnesses carry these addresses.
+func TestOracleLayoutIsPinned(t *testing.T) {
+	layout := core.Layout{BufferBase: 0x1000, Align: 64, StackBase: 0xF0000}
+	for name, want := range map[string]core.Program{
+		"gemmini":  {Layout: layout, Bases: []uint64{0x1000, 0x2000, 0x3000, 0x4000, 0x8000}, StaticBase: 0x8800},
+		"opengemm": {Layout: layout, Bases: []uint64{0x1000, 0x2000, 0x3000, 0x7000}, StaticBase: 0x7800},
+	} {
+		tgt, err := core.LookupTarget(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := irgen.ProfileFor(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := irgen.Generate(prof, irgen.DeriveSeed(1, name, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clone, _, err := runPasses(prog.Module, tgt.PassPipeline(core.Baseline), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := compileProgram(clone, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Program = nil // the code is not what is pinned here
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: placed as %+v, want %+v", name, got, want)
 		}
 	}
 }

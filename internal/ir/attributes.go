@@ -126,14 +126,6 @@ func (a EffectsAttr) String() string {
 	return "#accfg.effects<all>"
 }
 
-// AttrsEqual reports whether two attributes are structurally identical.
-func AttrsEqual(a, b Attribute) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.String() == b.String()
-}
-
 // attrDictString renders a sorted attribute dictionary.
 func attrDictString(attrs map[string]Attribute) string {
 	if len(attrs) == 0 {

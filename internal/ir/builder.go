@@ -1,16 +1,10 @@
 package ir
 
 // Builder creates operations at a movable insertion point, mirroring MLIR's
-// OpBuilder. The zero Builder is unusable; obtain one with NewBuilder or
-// AtEnd/Before/After.
+// OpBuilder. The zero Builder is unusable; obtain one with AtEnd/Before/After.
 type Builder struct {
 	block  *Block
 	before *Op // insert before this op; nil = append at end of block
-}
-
-// NewBuilder returns a builder appending to the end of block.
-func NewBuilder(block *Block) *Builder {
-	return &Builder{block: block}
 }
 
 // AtEnd returns a builder appending at the end of block.
@@ -25,16 +19,6 @@ func Before(op *Op) *Builder {
 // keep appearing after previously created ones.
 func After(op *Op) *Builder {
 	return &Builder{block: op.Block(), before: op.Next()}
-}
-
-// SetInsertionPointToEnd moves the insertion point to the end of block.
-func (b *Builder) SetInsertionPointToEnd(block *Block) {
-	b.block, b.before = block, nil
-}
-
-// SetInsertionPointBefore moves the insertion point before op.
-func (b *Builder) SetInsertionPointBefore(op *Op) {
-	b.block, b.before = op.Block(), op
 }
 
 // Block returns the block the builder currently inserts into.
@@ -53,13 +37,4 @@ func (b *Builder) Insert(op *Op) *Op {
 // Create builds and inserts a generic op.
 func (b *Builder) Create(name string, operands []*Value, resultTypes []Type) *Op {
 	return b.Insert(NewOp(name, operands, resultTypes))
-}
-
-// CreateWithAttrs builds and inserts a generic op with attributes.
-func (b *Builder) CreateWithAttrs(name string, operands []*Value, resultTypes []Type, attrs map[string]Attribute) *Op {
-	op := NewOp(name, operands, resultTypes)
-	for k, v := range attrs {
-		op.SetAttr(k, v)
-	}
-	return b.Insert(op)
 }

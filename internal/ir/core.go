@@ -308,9 +308,6 @@ func (op *Op) ParentOp() *Op {
 // Next returns the next op in the containing block, or nil.
 func (op *Op) Next() *Op { return op.next }
 
-// Prev returns the previous op in the containing block, or nil.
-func (op *Op) Prev() *Op { return op.prev }
-
 // Remove unlinks the op from its block without dropping operand uses, so it
 // can be re-inserted elsewhere (MoveBefore/MoveAfter use this).
 func (op *Op) Remove() {
@@ -540,9 +537,6 @@ func (b *Block) First() *Op { return b.first }
 
 // Last returns the last op (by convention the terminator), or nil.
 func (b *Block) Last() *Op { return b.last }
-
-// Empty reports whether the block holds no ops.
-func (b *Block) Empty() bool { return b.first == nil }
 
 // Len counts the ops in the block.
 func (b *Block) Len() int {

@@ -34,15 +34,6 @@ func Parse(src string) (*Module, error) {
 	return m, nil
 }
 
-// MustParse is Parse that panics on error; for tests and examples.
-func MustParse(src string) *Module {
-	m, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 type tokenKind int
 
 const (
@@ -83,13 +74,6 @@ type lexer struct {
 }
 
 func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
-
-func (l *lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
 
 func (l *lexer) next() token {
 	for l.pos < len(l.src) {

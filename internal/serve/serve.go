@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -83,8 +84,9 @@ const (
 
 // Server is the experiment-serving daemon core: an http.Handler over a
 // core.Runner with request coalescing, admission control and live
-// metrics. Create one with New, mount it on an http.Server, and call
-// BeginDrain/Close around the listener's shutdown.
+// metrics. Create one with New and put it on a listener with Serve
+// (or mount it on an http.Server of your own and call BeginDrain/Close
+// around its shutdown).
 type Server struct {
 	runner        *core.Runner
 	admit         *admission
@@ -186,12 +188,25 @@ func (s *Server) WarmFromStore(ctx context.Context, st *store.DiskStore) (int, e
 // Call it before http.Server.Shutdown.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close cancels the server's base context, unblocking any computation
 // still queued for admission. Call it after http.Server.Shutdown returns.
 func (s *Server) Close() { s.cancel() }
+
+// Serve answers requests on ln from a background goroutine and returns the
+// function that stops it. That function is the whole drain sequence, in
+// order: BeginDrain, http.Server.Shutdown under ctx — requests in flight
+// finish; its error (context.DeadlineExceeded when they outlast ctx) is
+// what the function returns — then Close.
+func (s *Server) Serve(ln net.Listener) (shutdown func(ctx context.Context) error) {
+	httpSrv := &http.Server{Handler: s}
+	go httpSrv.Serve(ln)
+	return func(ctx context.Context) error {
+		s.BeginDrain()
+		err := httpSrv.Shutdown(ctx)
+		s.Close()
+		return err
+	}
+}
 
 // instrument wraps a handler with drain rejection, request metrics and
 // panic recovery: a panicking handler answers 500 (when nothing has been

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -687,6 +688,66 @@ func TestHealthzAndDrain(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("run during drain = %d, want 503", resp.StatusCode)
+	}
+}
+
+// gateStore holds every Load until release is closed, and always misses.
+type gateStore struct{ entered, release chan struct{} }
+
+func (g gateStore) Load(core.Experiment, core.RunOptions) (core.Result, bool, error) {
+	g.entered <- struct{}{}
+	<-g.release
+	return core.Result{}, false, nil
+}
+
+func (gateStore) Save(core.Experiment, core.RunOptions, core.Result) error { return nil }
+
+// TestServeListenerAndDrain: Serve answers on the listener it is given, and
+// the function it returns is the whole drain — it waits for a request that
+// is in flight, that request still gets its answer, and afterwards nothing
+// listens.
+func TestServeListenerAndDrain(t *testing.T) {
+	gate := gateStore{entered: make(chan struct{}), release: make(chan struct{})}
+	sv, err := serve.New(serve.Options{Runner: core.NewRunnerWith(core.RunnerOptions{Store: gate})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdown := sv.Serve(ln)
+	c := serve.NewClient("http://" + ln.Addr().String())
+	if err := c.Healthz(context.Background()); err != nil {
+		t.Fatalf("healthz on the served listener: %v", err)
+	}
+
+	inFlight := make(chan error, 1)
+	go func() {
+		_, err := c.Run(context.Background(), testExp, core.RunOptions{})
+		inFlight <- err
+	}()
+	<-gate.entered
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		drained <- shutdown(ctx)
+	}()
+	select {
+	case err := <-drained:
+		t.Fatalf("shutdown returned (%v) with a request in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate.release)
+	if err := <-drained; err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+	if err := <-inFlight; err != nil {
+		t.Errorf("request in flight at shutdown: %v", err)
+	}
+	if err := c.Healthz(context.Background()); err == nil {
+		t.Error("healthz answered after shutdown")
 	}
 }
 

@@ -292,21 +292,3 @@ func TestOverlapCyclesCoalescesOverlappingBusy(t *testing.T) {
 		t.Errorf("OverlapCycles = %d, want 40 (union, not double-counted)", got)
 	}
 }
-
-func BenchmarkOverlapCycles(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	segs := randomTimeline(rng, 20000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trace.OverlapCycles(segs)
-	}
-}
-
-func BenchmarkOverlapCyclesQuadraticReference(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	segs := randomTimeline(rng, 20000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		overlapCyclesQuadratic(segs)
-	}
-}

@@ -86,9 +86,6 @@ func (s *Session) Budget() int { return s.budget }
 // Sims returns how many distinct cells have been measured.
 func (s *Session) Sims() int { return len(s.order) }
 
-// Remaining returns how much budget is left.
-func (s *Session) Remaining() int { return s.budget - len(s.order) }
-
 // Order returns the distinct measured cell indices in measurement order —
 // the sequence sims-to-best-config accounting walks.
 func (s *Session) Order() []int { return s.order }
