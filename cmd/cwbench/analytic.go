@@ -20,8 +20,8 @@ import (
 // print the per-target roofline constants and the held-out error report,
 // and write the model JSON. A band violation is an error — the committed
 // band is the contract every later -fidelity consumer relies on.
-func runCalibrate(r *core.Runner, path string, seed int64) error {
-	model, rep, err := analytic.Calibrate(context.Background(), r, analytic.Spec{Seed: seed})
+func runCalibrate(r *core.Runner, path string) error {
+	model, rep, err := analytic.Calibrate(context.Background(), r, analytic.Spec{Seed: analytic.DefaultSeed})
 	if err != nil {
 		return err
 	}
@@ -65,7 +65,7 @@ func printConstants(m *analytic.Model) {
 // simulating runner happens to hold (an in-process calibration leaves its
 // training cells there) can leak into them, and predictions never reach a
 // store.
-func setupFidelity(b *bench, name, modelPath string, seed int64, k int, only string, sharded bool) error {
+func setupFidelity(b *bench, name, modelPath string, k int, only string, sharded bool) error {
 	switch name {
 	case "", "full":
 		return nil
@@ -79,9 +79,9 @@ func setupFidelity(b *bench, name, modelPath string, seed int64, k int, only str
 		return fmt.Errorf("-shard precomputes simulated ground truth; it does not combine with -fidelity %s", name)
 	}
 	if modelPath == "" {
-		fmt.Fprintf(os.Stderr, "cwbench: no -model given; calibrating in-process (seed %d)\n", seed)
+		fmt.Fprintf(os.Stderr, "cwbench: no -model given; calibrating in-process (seed %d)\n", analytic.DefaultSeed)
 	}
-	if _, _, err := analytic.Attach(context.Background(), b.runner, modelPath, seed); err != nil {
+	if _, _, err := analytic.Attach(context.Background(), b.runner, modelPath, analytic.DefaultSeed); err != nil {
 		return err
 	}
 	grid := figureGrid(b, only)

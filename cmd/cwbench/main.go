@@ -181,7 +181,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-GC live objects) to this file at exit")
 	calibrate := flag.String("calibrate", "", "fit the analytical tier against the simulator, print constants + held-out error report, write the model JSON here, and exit (non-zero on band violation)")
-	calibrateSeed := flag.Int64("calibrate-seed", 1, "train/holdout split seed for -calibrate and in-process -fidelity calibration")
 	fidelity := flag.String("fidelity", "full", "prediction tier for figure sweeps (full|screen|topk, DESIGN.md §10)")
 	topK := flag.Int("topk", 8, "cells simulated per figure grid with -fidelity topk")
 	modelPath := flag.String("model", "", "calibrated analytic model JSON for -fidelity screen/topk (empty = calibrate in-process first)")
@@ -262,12 +261,12 @@ func main() {
 	}
 
 	if *calibrate != "" {
-		if err := runCalibrate(b.runner, *calibrate, *calibrateSeed); err != nil {
+		if err := runCalibrate(b.runner, *calibrate); err != nil {
 			fatal("-calibrate: %v", err)
 		}
 		return
 	}
-	if err := setupFidelity(b, *fidelity, *modelPath, *calibrateSeed, *topK, *only, *shardSpec != ""); err != nil {
+	if err := setupFidelity(b, *fidelity, *modelPath, *topK, *only, *shardSpec != ""); err != nil {
 		fatal("%v", err)
 	}
 

@@ -17,11 +17,12 @@
 //   - no leaks: recovered panics leak no admission slots, no in-flight
 //     cells and no goroutines.
 //
-// The whole campaign derives from -seed: the fault schedule, the zipf
-// request mix and the retry jitter. The report on stdout is
-// byte-identical across same-seed reruns (wall-clock timings go to
-// stderr), so CI runs a campaign twice and diffs the two reports. Exit
-// status is non-zero if any invariant is violated.
+// Cells, sweeps and the /healthz and /metrics probes all cross the faulty
+// transport under one serve.RetryPolicy. The whole campaign derives from
+// -seed: the fault schedule, the zipf request mix and the retry jitter.
+// The report on stdout is byte-identical across same-seed reruns
+// (wall-clock timings go to stderr), so CI runs a campaign twice and diffs
+// the two reports. Exit status is non-zero if any invariant is violated.
 //
 //	cwchaos -seed 1
 //	cwchaos -seed 7 -n 5000 -sweeps 3
@@ -32,7 +33,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -277,7 +277,11 @@ func run(seed int64, n, sweeps int) int {
 	if injectedStoreErrs > 0 {
 		wantHealth = "degraded"
 	}
-	health, err := probe(client.HTTPClient, base+"/healthz")
+	// The probes cross the same faulty transport and heal through the same
+	// policy as the cells; their retries are not request-phase retries.
+	probePol := pol
+	probePol.OnRetry = nil
+	health, err := client.Healthz(ctx, probePol)
 	if err != nil {
 		c.violate("healthz probe: %v", err)
 	} else if health != wantHealth {
@@ -289,7 +293,7 @@ func run(seed int64, n, sweeps int) int {
 	// Invariant — no leaked slots or in-flight cells, and the recovered
 	// panic count matches the schedule exactly.
 	injectedPanics := counts[fault.ServeHandlerPanic].Fired + counts[fault.ServeRunPanic].Fired
-	checkMetrics(c, client.HTTPClient, base, map[string]int{
+	checkMetrics(ctx, c, client, probePol, map[string]int{
 		"cwserve_panics_recovered_total": injectedPanics,
 		"cwserve_slots_busy":             0,
 		"cwserve_inflight_cells":         0,
@@ -314,7 +318,17 @@ func run(seed int64, n, sweeps int) int {
 		c.violate("reopening the faulted store: %v", err)
 	} else {
 		runner2 := core.NewRunnerWith(core.RunnerOptions{Workers: 1, Store: disk2})
-		warmed := runner2.Warm(ctx, universe, opts)
+		sv2, err := serve.New(serve.Options{Runner: runner2})
+		if err != nil {
+			fatal("%v", err)
+		}
+		// The boot path cwserve and cwtune take: preload whatever the store
+		// can still enumerate.
+		warmed, err := sv2.WarmFromStore(ctx, disk2)
+		sv2.Close()
+		if err != nil {
+			c.violate("warming from the faulted store: %v", err)
+		}
 		rebootOK := 0
 		for _, e := range universe {
 			res, err := runner2.Run(ctx, e, opts)
@@ -381,35 +395,10 @@ func run(seed int64, n, sweeps int) int {
 	return 0
 }
 
-// probe fetches a small endpoint through the (possibly faulty) client,
-// retrying past injected faults, and returns the trimmed 200 body.
-func probe(hc *http.Client, url string) (string, error) {
-	var lastErr error
-	for attempt := 0; attempt < 8; attempt++ {
-		resp, err := hc.Get(url)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			lastErr = fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-			continue
-		}
-		return strings.TrimSpace(string(body)), nil
-	}
-	return "", fmt.Errorf("after 8 attempts: %w", lastErr)
-}
-
 // checkMetrics asserts exact values of un-labeled gauges/counters,
 // re-probing briefly so the cancelled sweep's tail can finish releasing
 // its slot before the zero-gauge assertions are judged.
-func checkMetrics(c *campaign, hc *http.Client, base string, want map[string]int) {
+func checkMetrics(ctx context.Context, c *campaign, client *serve.Client, pol serve.RetryPolicy, want map[string]int) {
 	names := make([]string, 0, len(want))
 	for name := range want {
 		names = append(names, name)
@@ -417,7 +406,7 @@ func checkMetrics(c *campaign, hc *http.Client, base string, want map[string]int
 	sort.Strings(names)
 	var bad []string
 	for deadline := time.Now().Add(2 * time.Second); ; {
-		body, err := probe(hc, base+"/metrics")
+		body, err := client.Metrics(ctx, pol)
 		if err != nil {
 			c.violate("metrics probe: %v", err)
 			return

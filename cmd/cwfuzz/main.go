@@ -63,7 +63,6 @@ func main() {
 	target := flag.String("target", "", "restrict to one registered target (default: all with a generator profile)")
 	workers := flag.Int("workers", 0, "worker-pool bound (0 = GOMAXPROCS)")
 	corpus := flag.String("corpus", "", "directory for minimized failing modules (empty = don't write)")
-	noshrink := flag.Bool("noshrink", false, "skip test-case shrinking on failures")
 	replay := flag.String("replay", "", "re-check one corpus module (<accel>-s<seed>.ir) instead of running a campaign")
 	verbose := flag.Bool("v", false, "per-program output")
 	flag.Parse()
@@ -82,7 +81,7 @@ func main() {
 
 	failed := false
 	for _, tn := range targets {
-		if !runCampaign(tn, *seed, *n, *workers, *corpus, *noshrink, *verbose) {
+		if !runCampaign(tn, *seed, *n, *workers, *corpus, *verbose) {
 			failed = true
 		}
 	}
@@ -149,7 +148,7 @@ func targetList(only string) []string {
 }
 
 // runCampaign fuzzes one target; reports whether it was clean.
-func runCampaign(tn string, seed int64, n, workers int, corpus string, noshrink, verbose bool) bool {
+func runCampaign(tn string, seed int64, n, workers int, corpus string, verbose bool) bool {
 	tgt, err := core.LookupTarget(tn)
 	if err != nil {
 		fatal("%v", err)
@@ -208,9 +207,7 @@ func runCampaign(tn string, seed int64, n, workers int, corpus string, noshrink,
 			for _, d := range r.report.Divergences {
 				fmt.Printf("  %s\n", d)
 			}
-			if !noshrink {
-				shrinkAndSave(tgt, prof, r, corpus)
-			}
+			shrinkAndSave(tgt, prof, r, corpus)
 		case verbose:
 			fmt.Printf("%s: program %d (seed %d) ok (%d setups, %d launches, %d loops, %d branches)\n",
 				tn, r.index, r.seed, r.stats.Setups, r.stats.Launches, r.stats.Loops, r.stats.Ifs)

@@ -16,13 +16,13 @@
 // difference is a serving bug. Exit status is non-zero on any transport
 // error, non-200 response or byte-identity mismatch.
 //
-// With -retry-429 (the default) workers behave like well-behaved
-// configuration-search clients under backpressure: a 429 response is not
-// an error — the worker sleeps the server's Retry-After hint (capped by
-// -retry-max-delay) and re-sends, up to -retry-max attempts per request.
-// The latency summary reports how many backpressure retries the run
-// absorbed; only requests still failing after the retries count as
-// errors.
+// Workers behave like well-behaved configuration-search clients under
+// backpressure: a 429 response is not an error — the worker waits as the
+// client's retry policy says (the server's Retry-After hint under the
+// policy's cap, serve.RetryPolicy's defaults) and re-sends. The latency
+// summary reports how many backpressure retries the run absorbed; only
+// requests still failing after the retries count as errors. The
+// /v1/registry fetch heals through the same policy.
 package main
 
 import (
@@ -32,7 +32,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"configwall/internal/core"
 	"configwall/internal/serve"
@@ -51,9 +50,6 @@ func main() {
 	zipfS := flag.Float64("zipf", 1.4, "zipf skew parameter (> 1; larger = hotter hot set)")
 	seed := flag.Int64("seed", 1, "request-mix seed")
 	verify := flag.Bool("verify", true, "assert responses for one cell are byte-identical")
-	retry429 := flag.Bool("retry-429", true, "honor 429 Retry-After with capped backoff instead of counting an error")
-	retryMax := flag.Int("retry-max", 4, "max attempts per request under 429 backpressure")
-	retryMaxDelay := flag.Duration("retry-max-delay", 2*time.Second, "cap on each backpressure backoff sleep")
 	out := flag.String("out", "", "also write the report to this file")
 	flag.Parse()
 
@@ -67,7 +63,7 @@ func main() {
 
 	targetList := splitCSV(*targets)
 	if len(targetList) == 0 {
-		info, err := client.Registry(ctx)
+		info, err := client.Registry(ctx, serve.RetryPolicy{})
 		if err != nil {
 			fatal("fetching /v1/registry from %s: %v", *url, err)
 		}
@@ -93,16 +89,14 @@ func main() {
 	fmt.Printf("cwload: %d requests, %d clients, %d-cell universe, zipf s=%g seed=%d against %s\n",
 		*n, *clients, len(exps), *zipfS, *seed, *url)
 	rep, err := serve.LoadGen(ctx, client, serve.LoadGenOptions{
-		Experiments:   exps,
-		Options:       core.RunOptions{Engine: engine},
-		Requests:      *n,
-		Clients:       *clients,
-		ZipfS:         *zipfS,
-		Seed:          *seed,
-		Verify:        *verify,
-		Retry429:      *retry429,
-		RetryMax:      *retryMax,
-		RetryMaxDelay: *retryMaxDelay,
+		Experiments: exps,
+		Options:     core.RunOptions{Engine: engine},
+		Requests:    *n,
+		Clients:     *clients,
+		ZipfS:       *zipfS,
+		Seed:        *seed,
+		Verify:      *verify,
+		Retry429:    true,
 	})
 	if err != nil {
 		fatal("%v", err)

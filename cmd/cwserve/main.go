@@ -50,8 +50,7 @@
 // With -cache-dir the runner is backed by the persistent store and, at
 // boot, warmed from it: every enumerable entry is preloaded into memory,
 // so a restarted daemon answers everything a previous life measured
-// without re-simulating (disable with -no-warm). Use cwload to
-// benchmark a running daemon.
+// without re-simulating. Use cwload to benchmark a running daemon.
 package main
 
 import (
@@ -81,11 +80,9 @@ func main() {
 	queueTimeout := flag.Duration("queue-timeout", 0, "max queue wait before a 429 (0 = default 30s)")
 	maxSweepCells := flag.Int("max-sweep-cells", 0, "cap on one sweep's expanded grid (0 = default 4096)")
 	maxN := flag.Int("max-n", 0, "cap on any requested sweep size n (0 = default 1024)")
-	noWarm := flag.Bool("no-warm", false, "skip preloading the in-memory cache from -cache-dir at boot")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on SIGTERM")
 	analyticFit := flag.Bool("analytic", false, "calibrate the analytical prediction tier at boot (enables /v1/sweep fidelity screen/topk)")
 	analyticModel := flag.String("analytic-model", "", "load a calibrated analytic model JSON (cwbench -calibrate) instead of fitting at boot; implies -analytic")
-	analyticSeed := flag.Int64("analytic-seed", 1, "train/holdout split seed for the boot-time -analytic calibration")
 	flag.Parse()
 
 	ropts := core.RunnerOptions{Workers: *workers, MaxCells: *maxCells}
@@ -106,7 +103,7 @@ func main() {
 	runner := core.NewRunnerWith(ropts)
 
 	if *analyticFit || *analyticModel != "" {
-		if err := attachAnalytic(runner, *analyticModel, *analyticSeed); err != nil {
+		if err := attachAnalytic(runner, *analyticModel); err != nil {
 			fatal("%v", err)
 		}
 	}
@@ -123,7 +120,7 @@ func main() {
 		fatal("%v", err)
 	}
 
-	if st != nil && !*noWarm {
+	if st != nil {
 		warmed, err := sv.WarmFromStore(context.Background(), st)
 		if err != nil {
 			fatal("warming from %s: %v", *cacheDir, err)
@@ -154,11 +151,11 @@ func main() {
 // attachAnalytic installs the analytical prediction tier on the runner
 // (analytic.Attach: a model file, or a boot-time fit that must honor its
 // band) and logs what the daemon will screen with.
-func attachAnalytic(runner *core.Runner, modelPath string, seed int64) error {
+func attachAnalytic(runner *core.Runner, modelPath string) error {
 	if modelPath == "" {
-		logf("calibrating analytic tier (seed %d)", seed)
+		logf("calibrating analytic tier (seed %d)", analytic.DefaultSeed)
 	}
-	model, rep, err := analytic.Attach(context.Background(), runner, modelPath, seed)
+	model, rep, err := analytic.Attach(context.Background(), runner, modelPath, analytic.DefaultSeed)
 	if err != nil {
 		return err
 	}

@@ -31,7 +31,6 @@ func main() {
 	engineName := flag.String("engine", sim.Engine(0).String(), "simulator engine ("+strings.Join(sim.EngineNames(), "|")+"); identical results, different speed")
 	n := flag.Int("n", 64, "workload sweep size")
 	timeline := flag.Bool("timeline", false, "print the execution timeline (Figure 7 style)")
-	width := flag.Int("timeline-width", 100, "timeline width in characters")
 	asm := flag.Bool("asm", false, "print the compiled host program")
 	irDump := flag.Bool("ir", false, "print the optimized IR before codegen")
 	stats := flag.Bool("stats", false, "print per-pass statistics")
@@ -116,7 +115,7 @@ func main() {
 	}
 	if *timeline {
 		fmt.Println()
-		fmt.Print(trace.Timeline(res.Trace, 0, res.Cycles, *width))
+		fmt.Print(trace.Timeline(res.Trace, 0, res.Cycles, 100)) // 100 characters wide
 	}
 }
 

@@ -11,10 +11,11 @@
 // Without -url, cwtune boots an in-process daemon (loopback listener,
 // optional persistent store) and, when the flash strategy is requested,
 // calibrates the analytic surrogate at boot exactly like cwserve
-// -analytic. All measurement traffic — including the in-process mode —
-// goes through the serve.Client retry/resume layer, so backpressure and
-// transient faults are absorbed, and concurrent tuners sharing a daemon
-// coalesce onto one simulation per distinct cell.
+// -analytic. All traffic — the /v1/registry fetch and every measurement,
+// including the in-process mode — goes through the serve.Client
+// retry/resume layer, so backpressure and transient faults are absorbed,
+// and concurrent tuners sharing a daemon coalesce onto one simulation per
+// distinct cell. Every winner is re-measured at the held-out sizes.
 //
 // The report on stdout is a pure function of (registry, seed, budget,
 // flags): rerunning with equal inputs yields byte-identical output.
@@ -49,7 +50,6 @@ func main() {
 	maxSize := flag.Int("max-size", 0, "drop cells with sweep size above this (0 = the registry's cap)")
 	engine := flag.String("engine", sim.Engine(0).String(), "simulator engine ("+strings.Join(sim.EngineNames(), "|")+")")
 	cacheDir := flag.String("cache-dir", "", "persistent store for the in-process daemon (ignored with -url)")
-	noValidate := flag.Bool("no-validate", false, "skip measuring winners at the held-out sizes")
 	flag.Parse()
 
 	strategies, err := resolveStrategies(*strategyFlag)
@@ -73,7 +73,8 @@ func main() {
 		defer shutdown()
 	}
 
-	info, err := client.Registry(ctx)
+	retry := serve.RetryPolicy{Seed: *seed}
+	info, err := client.Registry(ctx, retry)
 	if err != nil {
 		fatal("registry: %v", err)
 	}
@@ -88,11 +89,10 @@ func main() {
 
 	rep, err := tune.Run(ctx, tune.Config{
 		Space:      space,
-		Eval:       &tune.ClientEvaluator{Client: client, Retry: serve.RetryPolicy{Seed: *seed}, Opts: opts},
+		Eval:       &tune.ClientEvaluator{Client: client, Retry: retry, Opts: opts},
 		Strategies: strategies,
 		Budget:     *budget,
 		Seed:       *seed,
-		Validate:   !*noValidate,
 	})
 	if err != nil {
 		fatal("%v", err)

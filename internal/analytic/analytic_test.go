@@ -251,7 +251,8 @@ func TestCalibrateDeterminism(t *testing.T) {
 // invocations, counter-asserted.
 func TestScreenFullGridZeroSimulations(t *testing.T) {
 	model, _, _ := calibrated(t)
-	r := core.NewRunnerWith(core.RunnerOptions{Workers: 0, Predictor: model})
+	r := core.NewRunner(0)
+	r.SetPredictor(model)
 	// The Figure 11 sizes, minus those whose rectmm shape cannot build on
 	// gemmini (n=16 halves to an 8-wide output): the analytic tier shares
 	// the simulator's feasibility rules, so screening rejects exactly the
@@ -303,7 +304,9 @@ func TestTopKSweepSpeedup(t *testing.T) {
 	}
 	fullDur := time.Since(start)
 
-	topk := core.NewRunnerWith(core.RunnerOptions{Workers: 1, Predictor: model})
+	topk := core.NewRunner(1)
+
+	topk.SetPredictor(model)
 	start = time.Now()
 	res, err := topk.RunTopK(context.Background(), grid, core.RunOptions{}, 1)
 	if err != nil {

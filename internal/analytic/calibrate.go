@@ -271,6 +271,11 @@ func Calibrate(ctx context.Context, r *core.Runner, spec Spec) (*Model, *Report,
 	return model, report, nil
 }
 
+// DefaultSeed is the train/holdout split seed of every fit no campaign
+// seeds: cwbench -calibrate, cwbench -fidelity without -model, and cwserve
+// -analytic. A model file and a boot-time fit therefore agree.
+const DefaultSeed = 1
+
 // Attach installs the analytical tier on r, the one way a binary gets a
 // predictor: the model file at path when one is given, otherwise a fit
 // against r's own simulator under seed (with a store behind r the

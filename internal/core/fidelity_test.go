@@ -43,7 +43,8 @@ func screenGrid() []core.Experiment {
 // even for a cell whose simulated result the memo already holds.
 func TestFidelityScreenBypassesSimulation(t *testing.T) {
 	p := &stubPredictor{}
-	r := core.NewRunnerWith(core.RunnerOptions{Workers: 2, Predictor: p})
+	r := core.NewRunner(2)
+	r.SetPredictor(p)
 	exps := screenGrid()
 
 	res, err := r.Screen(context.Background(), exps)
@@ -148,7 +149,8 @@ func TestTopKByPredictedPerf(t *testing.T) {
 // analytic, in input order; a repeat reuses the memoized simulations.
 func TestRunTopKMergesTiers(t *testing.T) {
 	p := &stubPredictor{}
-	r := core.NewRunnerWith(core.RunnerOptions{Workers: 2, Predictor: p})
+	r := core.NewRunner(2)
+	r.SetPredictor(p)
 	exps := screenGrid() // ranking: larger N predicts faster
 
 	res, err := r.RunTopK(context.Background(), exps, core.RunOptions{}, 2)

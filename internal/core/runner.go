@@ -127,10 +127,6 @@ type RunnerOptions struct {
 	// MaxCells bounds the in-memory cell map (LRU eviction); <= 0 means
 	// unbounded. Evicted cells fall back to the Store (or recompute).
 	MaxCells int
-	// Predictor, when non-nil, is the analytical tier Screen and RunTopK
-	// answer from. A runner without one fails those calls; Run, RunAll and
-	// RunAdmitted never consult it.
-	Predictor Predictor
 	// OnStoreError, when non-nil, observes every persistent-store
 	// operational failure the runner tolerates: op is "load" or "save".
 	// The runner degrades rather than fails — a broken store means
@@ -179,7 +175,6 @@ func NewRunnerWith(opts RunnerOptions) *Runner {
 		onStoreError: opts.OnStoreError,
 		cells:        map[cacheKey]*list.Element{},
 		lru:          list.New(),
-		predictor:    opts.Predictor,
 	}
 }
 
@@ -196,9 +191,11 @@ func (r *Runner) Predictor() Predictor {
 	return r.predictor
 }
 
-// SetPredictor installs (or clears) the analytical tier; safe while the
-// runner is serving. Calibration flows use it to attach a freshly fitted
-// model to a long-lived runner.
+// SetPredictor installs (or clears) the analytical tier Screen and RunTopK
+// answer from — a runner without one fails those calls; Run, RunAll and
+// RunAdmitted never consult it. It is safe while the runner is serving:
+// analytic.Attach hands a loaded or freshly fitted model to a long-lived
+// runner through it.
 func (r *Runner) SetPredictor(p Predictor) {
 	r.mu.Lock()
 	r.predictor = p
@@ -434,7 +431,7 @@ func (r *Runner) compute(e Experiment, opts RunOptions) (Result, error) {
 func (r *Runner) predict(e Experiment) (Result, error) {
 	p := r.Predictor()
 	if p == nil {
-		return Result{}, fmt.Errorf("experiment %s: runner has no analytic predictor (set RunnerOptions.Predictor or Runner.SetPredictor)", e)
+		return Result{}, fmt.Errorf("experiment %s: runner has no analytic predictor (Runner.SetPredictor installs one)", e)
 	}
 	res, err := p.Predict(e)
 	if err != nil {
@@ -536,42 +533,6 @@ func (r *Runner) Preload(e Experiment, opts RunOptions, res Result) bool {
 	}
 	r.insert(k, c)
 	return true
-}
-
-// Warm populates the in-memory cell map from the persistent store without
-// computing anything, and returns how many cells it loaded. Cells already
-// in memory, absent from the store, or unreadable are skipped; a cancelled
-// context stops the scan early. A Runner with no store warms nothing. Like
-// Preload, a warm load is not a request and counts as neither a memory
-// miss nor a store hit; a load that fails still counts a StoreError.
-func (r *Runner) Warm(ctx context.Context, exps []Experiment, opts RunOptions) int {
-	if r.store == nil {
-		return 0
-	}
-	warmed := 0
-	for _, e := range exps {
-		if ctx.Err() != nil {
-			return warmed
-		}
-		k := keyOf(e, opts)
-		r.mu.Lock()
-		_, inMem := r.cells[k]
-		r.mu.Unlock()
-		if inMem {
-			continue
-		}
-		res, ok, err := r.store.Load(e, opts)
-		if err != nil {
-			r.storeError("load", e, err)
-			continue
-		}
-		// A concurrent Run may have claimed the cell between the lookups;
-		// its cell stays and this load is discarded.
-		if ok && r.Preload(e, opts, res) {
-			warmed++
-		}
-	}
-	return warmed
 }
 
 // RunAll executes the experiments concurrently on the worker pool and

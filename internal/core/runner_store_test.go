@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"configwall/internal/core"
+	"configwall/internal/serve"
 	"configwall/internal/sim"
 	"configwall/internal/store"
 )
@@ -258,8 +259,19 @@ func TestShardedSweepThenResume(t *testing.T) {
 	}
 }
 
-// TestWarmPreloads: Warm pulls stored cells into memory so later Run calls
-// are pure memory hits even if the store then disappears.
+// warmFromStore boots r the way cwserve and cwtune do: a server over it,
+// preloaded from the store behind it.
+func warmFromStore(r *core.Runner) (int, error) {
+	sv, err := serve.New(serve.Options{Runner: r})
+	if err != nil {
+		return 0, err
+	}
+	defer sv.Close()
+	return sv.WarmFromStore(context.Background(), r.Store().(*store.DiskStore))
+}
+
+// TestWarmPreloads: warming at boot pulls stored cells into memory so later
+// Run calls are pure memory hits even if the store then disappears.
 func TestWarmPreloads(t *testing.T) {
 	opts := core.RunOptions{SkipVerify: true}
 	exps := core.Figure11Experiments([]int{8, 16})
@@ -269,15 +281,15 @@ func TestWarmPreloads(t *testing.T) {
 	}
 
 	r := diskRunner(t, dir, 0)
-	if warmed := r.Warm(context.Background(), exps, opts); warmed != len(exps) {
-		t.Errorf("Warm = %d, want %d", warmed, len(exps))
+	if warmed, err := warmFromStore(r); err != nil || warmed != len(exps) {
+		t.Errorf("WarmFromStore = %d (err %v), want %d", warmed, err, len(exps))
 	}
 	if got := r.CacheSize(); got != len(exps) {
-		t.Errorf("CacheSize after Warm = %d, want %d", got, len(exps))
+		t.Errorf("CacheSize after warming = %d, want %d", got, len(exps))
 	}
 	// Warming again is a no-op.
-	if warmed := r.Warm(context.Background(), exps, opts); warmed != 0 {
-		t.Errorf("second Warm = %d, want 0", warmed)
+	if warmed, err := warmFromStore(r); err != nil || warmed != 0 {
+		t.Errorf("second WarmFromStore = %d (err %v), want 0", warmed, err)
 	}
 	before := r.Snapshot()
 	if _, err := r.RunAll(context.Background(), exps, opts); err != nil {
@@ -285,17 +297,17 @@ func TestWarmPreloads(t *testing.T) {
 	}
 	after := r.Snapshot()
 	if after.Runs != 0 {
-		t.Errorf("RunAll after Warm computed %d cells, want 0", after.Runs)
+		t.Errorf("RunAll after warming computed %d cells, want 0", after.Runs)
 	}
 	if after.StoreHits != before.StoreHits {
-		t.Errorf("RunAll after Warm went back to the store: %+v -> %+v", before, after)
+		t.Errorf("RunAll after warming went back to the store: %+v -> %+v", before, after)
 	}
 }
 
-// TestWarmedCellsAreNotRequests: cells put in memory at boot — by Warm, or by
-// the Preload-per-store-entry loop Server.WarmFromStore runs — leave the
-// request counters at zero and CacheStats' two stated invariants intact,
-// before and after real traffic.
+// TestWarmedCellsAreNotRequests: cells put in memory at boot — by
+// Server.WarmFromStore, or by the Preload-per-store-entry loop it runs —
+// leave the request counters at zero and CacheStats' two stated invariants
+// intact, before and after real traffic.
 func TestWarmedCellsAreNotRequests(t *testing.T) {
 	opts := core.RunOptions{SkipVerify: true}
 	exps := core.Figure11Experiments([]int{8, 16})
@@ -310,9 +322,7 @@ func TestWarmedCellsAreNotRequests(t *testing.T) {
 		}
 	}
 	warmers := map[string]func(*core.Runner) (int, error){
-		"Warm": func(r *core.Runner) (int, error) {
-			return r.Warm(context.Background(), exps, opts), nil
-		},
+		"WarmFromStore": warmFromStore,
 		"Preload": func(r *core.Runner) (int, error) {
 			n := 0
 			err := r.Store().(*store.DiskStore).Each(func(e store.Entry) error {

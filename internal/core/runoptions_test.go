@@ -62,7 +62,8 @@ func TestRunOptionsIsTheCellName(t *testing.T) {
 // and nothing they return is Analytic.
 func TestSimulatingCallsNeverPredict(t *testing.T) {
 	p := &stubPredictor{}
-	r := core.NewRunnerWith(core.RunnerOptions{Workers: 2, Predictor: p})
+	r := core.NewRunner(2)
+	r.SetPredictor(p)
 	exps := screenGrid()
 	ctx := context.Background()
 	if _, err := r.Run(ctx, exps[0], core.RunOptions{}); err != nil {
@@ -93,7 +94,8 @@ func TestSimulatingCallsNeverPredict(t *testing.T) {
 // choose comes back as a prediction, not as whatever the memo holds — the
 // hidden state cwbench -fidelity topk used to print (DESIGN.md §10).
 func TestRunTopKIgnoresMemo(t *testing.T) {
-	r := core.NewRunnerWith(core.RunnerOptions{Workers: 2, Predictor: &stubPredictor{}})
+	r := core.NewRunner(2)
+	r.SetPredictor(&stubPredictor{})
 	exps := screenGrid() // ranking: larger N predicts faster, so exps[0] (N=8) is never in the top 2
 	if _, err := r.Run(context.Background(), exps[0], core.RunOptions{}); err != nil {
 		t.Fatal(err)

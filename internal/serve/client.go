@@ -101,7 +101,13 @@ func (c *Client) runURL(e core.Experiment, opts core.RunOptions) string {
 // exact bytes json.Marshal(core.Result) produced on the server, for
 // byte-identity checks against direct Runner results.
 func (c *Client) RunRaw(ctx context.Context, e core.Experiment, opts core.RunOptions) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.runURL(e, opts), nil)
+	return c.get(ctx, c.runURL(e, opts))
+}
+
+// get issues one GET and returns the 200 body; any other status is a
+// *StatusError.
+func (c *Client) get(ctx context.Context, url string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -122,11 +128,15 @@ func (c *Client) RunRaw(ctx context.Context, e core.Experiment, opts core.RunOpt
 
 // Run executes one experiment on the server and decodes the result.
 func (c *Client) Run(ctx context.Context, e core.Experiment, opts core.RunOptions) (core.Result, error) {
-	body, err := c.RunRaw(ctx, e, opts)
-	if err != nil {
-		return core.Result{}, err
-	}
+	return decodeResult(c.RunRaw(ctx, e, opts))
+}
+
+// decodeResult decodes a /v1/run body, passing a request error through.
+func decodeResult(body []byte, err error) (core.Result, error) {
 	var res core.Result
+	if err != nil {
+		return res, err
+	}
 	if err := json.Unmarshal(body, &res); err != nil {
 		return core.Result{}, fmt.Errorf("decoding result: %w", err)
 	}
@@ -221,22 +231,24 @@ func (c *Client) Sweep(ctx context.Context, rq SweepRequest, fn func(SweepEvent)
 	return summary, nil
 }
 
-// Healthz checks the health endpoint.
-func (c *Client) Healthz(ctx context.Context) error {
-	_, err := c.getText(ctx, "/healthz")
-	return err
+// Healthz reads the health endpoint behind the retry policy and returns
+// its verdict: "ok", or "degraded" once the persistent store has failed.
+// A draining daemon answers 503, an error.
+func (c *Client) Healthz(ctx context.Context, pol RetryPolicy) (string, error) {
+	body, err := c.getText(ctx, "/healthz", pol)
+	return strings.TrimSpace(body), err
 }
 
-// Metrics fetches the raw metrics exposition.
-func (c *Client) Metrics(ctx context.Context) (string, error) {
-	return c.getText(ctx, "/metrics")
+// Metrics fetches the raw metrics exposition behind the retry policy.
+func (c *Client) Metrics(ctx context.Context, pol RetryPolicy) (string, error) {
+	return c.getText(ctx, "/metrics", pol)
 }
 
 // Registry fetches the server's registered targets, workloads, pipelines
-// and engines.
-func (c *Client) Registry(ctx context.Context) (RegistryInfo, error) {
+// and engines behind the retry policy.
+func (c *Client) Registry(ctx context.Context, pol RetryPolicy) (RegistryInfo, error) {
 	var info RegistryInfo
-	body, err := c.getText(ctx, "/v1/registry")
+	body, err := c.getText(ctx, "/v1/registry", pol)
 	if err != nil {
 		return info, err
 	}
@@ -244,24 +256,4 @@ func (c *Client) Registry(ctx context.Context) (RegistryInfo, error) {
 		return info, fmt.Errorf("decoding registry: %w", err)
 	}
 	return info, nil
-}
-
-func (c *Client) getText(ctx context.Context, path string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", statusError(resp, body)
-	}
-	return string(body), nil
 }

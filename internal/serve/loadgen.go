@@ -42,17 +42,17 @@ type LoadGenOptions struct {
 	// deterministic, so any difference is a serving bug).
 	Verify bool
 	// Retry429 makes workers honor 429 backpressure the way a well-behaved
-	// client does: sleep the server's Retry-After hint (floored by a small
-	// exponential backoff, capped by RetryMaxDelay) and re-send, instead of
-	// counting the rejection as an error. Only the final outcome of each
-	// logical request lands in the status histogram; retries are reported
-	// separately.
+	// client does: wait as Retry says (the server's Retry-After hint under
+	// the policy's cap) and re-send, instead of counting the rejection as an
+	// error. Only 429 is asked again — 5xx and transport failures stay
+	// errors, which is what a load generator is there to surface. Only the
+	// final outcome of each logical request lands in the status histogram;
+	// retries are reported separately.
 	Retry429 bool
-	// RetryMax bounds the attempts per logical request when Retry429 is
-	// set; <= 0 selects 4.
-	RetryMax int
-	// RetryMaxDelay caps each backoff sleep; <= 0 selects 2s.
-	RetryMaxDelay time.Duration
+	// Retry is the backoff policy under Retry429; the zero value is the
+	// client's default. LoadGen overwrites its OnRetry with the counter
+	// behind LoadGenReport.Retries.
+	Retry RetryPolicy
 }
 
 // LoadGenReport summarizes one load-generation run.
@@ -138,19 +138,15 @@ func LoadGen(ctx context.Context, c *Client, o LoadGenOptions) (LoadGenReport, e
 	latencies := make([]time.Duration, requests)
 	statuses := make([]int, requests)
 
-	retryMax := o.RetryMax
-	if retryMax <= 0 {
-		retryMax = 4
-	}
-	retryCap := o.RetryMaxDelay
-	if retryCap <= 0 {
-		retryCap = 2 * time.Second
-	}
-
-	var mu sync.Mutex // guards canonical + the failure counters
+	var mu sync.Mutex // guards canonical and mismatched
 	canonical := map[int][]byte{}
-	errorCount, mismatched := 0, 0
+	mismatched := 0
 	var retries atomic.Int64
+	pol := o.Retry
+	pol.OnRetry = func(int, time.Duration, error) { retries.Add(1) }
+	if !o.Retry429 {
+		pol.MaxAttempts = 1
+	}
 
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -170,46 +166,15 @@ func LoadGen(ctx context.Context, c *Client, o LoadGenOptions) (LoadGenReport, e
 				// is exactly what a well-behaved client experiences under
 				// server backpressure.
 				t0 := time.Now()
-				var body []byte
-				var err error
-				for attempt := 1; ; attempt++ {
-					body, err = c.RunRaw(ctx, o.Experiments[cell], o.Options)
-					var se *StatusError
-					if !o.Retry429 || err == nil || ctx.Err() != nil ||
-						!errors.As(err, &se) || se.Code != http.StatusTooManyRequests ||
-						attempt >= retryMax {
-						break
-					}
-					// Honor the server's drain-rate-derived hint, floored
-					// by a small exponential backoff and capped so one bad
-					// hint cannot wedge the run.
-					d := 50 * time.Millisecond << (attempt - 1)
-					if hint := time.Duration(se.RetryAfter) * time.Second; hint > d {
-						d = hint
-					}
-					if d > retryCap {
-						d = retryCap
-					}
-					retries.Add(1)
-					select {
-					case <-ctx.Done():
-					case <-time.After(d):
-					}
-				}
+				body, err := c.runRaw(ctx, o.Experiments[cell], o.Options, pol, is429)
 				latencies[i] = time.Since(t0)
-				status := http.StatusOK
+				statuses[i] = http.StatusOK
 				if err != nil {
-					status = 0
+					statuses[i] = 0 // a transport error, unless the daemon answered
 					var se *StatusError
 					if errors.As(err, &se) {
-						status = se.Code
+						statuses[i] = se.Code
 					}
-				}
-				statuses[i] = status
-				if err != nil {
-					mu.Lock()
-					errorCount++
-					mu.Unlock()
 					continue
 				}
 				if o.Verify {
@@ -232,7 +197,6 @@ func LoadGen(ctx context.Context, c *Client, o LoadGenOptions) (LoadGenReport, e
 
 	rep := LoadGenReport{
 		Requests:   requests,
-		Errors:     errorCount,
 		Mismatched: mismatched,
 		Distinct:   len(distinct),
 		Retries:    int(retries.Load()),
@@ -243,6 +207,7 @@ func LoadGen(ctx context.Context, c *Client, o LoadGenOptions) (LoadGenReport, e
 	for _, st := range statuses {
 		rep.StatusHist[st]++
 	}
+	rep.Errors = requests - rep.StatusHist[http.StatusOK]
 	sorted := append([]time.Duration(nil), latencies...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var sum time.Duration
@@ -255,6 +220,13 @@ func LoadGen(ctx context.Context, c *Client, o LoadGenOptions) (LoadGenReport, e
 	rep.P99 = percentile(sorted, 0.99)
 	rep.Max = sorted[len(sorted)-1]
 	return rep, nil
+}
+
+// is429 is the load generator's retry predicate: server backpressure and
+// nothing else.
+func is429(err error) bool {
+	var se *StatusError
+	return errors.As(err, &se) && se.Code == http.StatusTooManyRequests
 }
 
 // percentile reads the p-th percentile from an ascending-sorted slice.

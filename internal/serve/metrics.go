@@ -89,22 +89,14 @@ func (m *metrics) sweepTier(tier string, n int) {
 	m.mu.Unlock()
 }
 
-// gauges are point-in-time readings the server snapshots at render time.
-type gauges struct {
-	queueDepth int
-	slotsBusy  int
-	inflight   int
-	cacheCells int
-}
-
-// render emits the Prometheus text exposition format. Series are sorted so
-// consecutive scrapes of an idle server are byte-identical.
-func (m *metrics) render(sb *strings.Builder, g gauges) {
+// render emits the Prometheus text exposition format; gauges are the
+// server's point-in-time readings, placed after the counters. Series are
+// sorted so consecutive scrapes of an idle server are byte-identical.
+func (m *metrics) render(sb *strings.Builder, gauges []series) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	fmt.Fprintf(sb, "# HELP cwserve_requests_total Requests served, by endpoint and status code.\n")
-	fmt.Fprintf(sb, "# TYPE cwserve_requests_total counter\n")
+	header(sb, "cwserve_requests_total", "Requests served, by endpoint and status code.", "counter")
 	for _, ep := range sortedKeys(m.requests) {
 		codes := m.requests[ep]
 		sorted := make([]int, 0, len(codes))
@@ -117,44 +109,27 @@ func (m *metrics) render(sb *strings.Builder, g gauges) {
 		}
 	}
 
-	fmt.Fprintf(sb, "# HELP cwserve_coalesced_total Requests served by attaching to an in-flight identical computation.\n")
-	fmt.Fprintf(sb, "# TYPE cwserve_coalesced_total counter\n")
-	fmt.Fprintf(sb, "cwserve_coalesced_total %d\n", m.coalesced)
+	writeSeries(sb, []series{
+		{"cwserve_coalesced_total", "Requests served by attaching to an in-flight identical computation.", "counter", m.coalesced},
+		{"cwserve_panics_recovered_total", "Panics contained by the serving recovery layers (handler middleware and the runner's cell leader).", "counter", m.panics},
+	})
 
-	fmt.Fprintf(sb, "# HELP cwserve_panics_recovered_total Panics contained by the serving recovery layers (handler middleware and the runner's cell leader).\n")
-	fmt.Fprintf(sb, "# TYPE cwserve_panics_recovered_total counter\n")
-	fmt.Fprintf(sb, "cwserve_panics_recovered_total %d\n", m.panics)
-
-	fmt.Fprintf(sb, "# HELP cwserve_rejected_total Requests shed by admission control, by reason.\n")
-	fmt.Fprintf(sb, "# TYPE cwserve_rejected_total counter\n")
+	header(sb, "cwserve_rejected_total", "Requests shed by admission control, by reason.", "counter")
 	for _, r := range sortedKeys(m.rejected) {
 		fmt.Fprintf(sb, "cwserve_rejected_total{reason=%q} %d\n", r, m.rejected[r])
 	}
 
-	fmt.Fprintf(sb, "# HELP cwserve_sweep_cells_total Sweep cells answered, by fidelity tier.\n")
-	fmt.Fprintf(sb, "# TYPE cwserve_sweep_cells_total counter\n")
+	header(sb, "cwserve_sweep_cells_total", "Sweep cells answered, by fidelity tier.", "counter")
 	for _, tier := range sortedKeys(m.sweepCells) {
 		fmt.Fprintf(sb, "cwserve_sweep_cells_total{tier=%q} %d\n", tier, m.sweepCells[tier])
 	}
 
-	fmt.Fprintf(sb, "# HELP cwserve_queue_depth Request-mode admissions in the system (executing or waiting).\n")
-	fmt.Fprintf(sb, "# TYPE cwserve_queue_depth gauge\n")
-	fmt.Fprintf(sb, "cwserve_queue_depth %d\n", g.queueDepth)
-	fmt.Fprintf(sb, "# HELP cwserve_slots_busy Execution slots currently held.\n")
-	fmt.Fprintf(sb, "# TYPE cwserve_slots_busy gauge\n")
-	fmt.Fprintf(sb, "cwserve_slots_busy %d\n", g.slotsBusy)
-	fmt.Fprintf(sb, "# HELP cwserve_inflight_cells Distinct experiment cells currently computing.\n")
-	fmt.Fprintf(sb, "# TYPE cwserve_inflight_cells gauge\n")
-	fmt.Fprintf(sb, "cwserve_inflight_cells %d\n", g.inflight)
-	fmt.Fprintf(sb, "# HELP cwserve_cache_cells In-memory memoized experiment cells.\n")
-	fmt.Fprintf(sb, "# TYPE cwserve_cache_cells gauge\n")
-	fmt.Fprintf(sb, "cwserve_cache_cells %d\n", g.cacheCells)
+	writeSeries(sb, gauges)
 
 	if len(m.latency) > 0 {
 		// One HELP/TYPE pair per metric name: the exposition format
 		// forbids repeating them per label set.
-		fmt.Fprintf(sb, "# HELP cwserve_latency_seconds Request latency, by endpoint.\n")
-		fmt.Fprintf(sb, "# TYPE cwserve_latency_seconds histogram\n")
+		header(sb, "cwserve_latency_seconds", "Request latency, by endpoint.", "histogram")
 	}
 	for _, ep := range sortedKeys(m.latency) {
 		h := m.latency[ep]
@@ -167,6 +142,26 @@ func (m *metrics) render(sb *strings.Builder, g gauges) {
 		fmt.Fprintf(sb, "cwserve_latency_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ep, cum)
 		fmt.Fprintf(sb, "cwserve_latency_seconds_sum{endpoint=%q} %g\n", ep, h.sum)
 		fmt.Fprintf(sb, "cwserve_latency_seconds_count{endpoint=%q} %d\n", ep, h.count)
+	}
+}
+
+// header writes the HELP and TYPE lines that open a metric family.
+func header(sb *strings.Builder, name, help, kind string) {
+	fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+}
+
+// series is one unlabelled metric of the exposition; value is an integer,
+// or a float64 printed %g.
+type series struct {
+	name, help, kind string
+	value            any
+}
+
+// writeSeries renders unlabelled metrics, one row each.
+func writeSeries(sb *strings.Builder, rows []series) {
+	for _, m := range rows {
+		header(sb, m.name, m.help, m.kind)
+		fmt.Fprintf(sb, "%s %v\n", m.name, m.value)
 	}
 }
 

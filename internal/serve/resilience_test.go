@@ -60,7 +60,7 @@ func TestHandlerPanicRecovery(t *testing.T) {
 		t.Error("post-recovery body differs from fault-free body")
 	}
 
-	metrics, err := client.Metrics(context.Background())
+	metrics, err := client.Metrics(context.Background(), serve.RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRunPanicRecovery(t *testing.T) {
 		t.Error("post-recovery body differs from fault-free body")
 	}
 
-	metrics, err := client.Metrics(context.Background())
+	metrics, err := client.Metrics(context.Background(), serve.RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestDegradedModeServing(t *testing.T) {
 		t.Errorf("healthz = %d %q, want 200 degraded", resp.StatusCode, health)
 	}
 
-	metrics, err := client.Metrics(context.Background())
+	metrics, err := client.Metrics(context.Background(), serve.RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +184,11 @@ func TestLoadGenRetry429(t *testing.T) {
 	defer ts.Close()
 
 	opts := serve.LoadGenOptions{
-		Experiments:   []core.Experiment{testExp, {Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 8}},
-		Requests:      6,
-		Clients:       1,
-		Retry429:      true,
-		RetryMax:      3,
-		RetryMaxDelay: 5 * time.Millisecond,
+		Experiments: []core.Experiment{testExp, {Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 8}},
+		Requests:    6,
+		Clients:     1,
+		Retry429:    true,
+		Retry:       serve.RetryPolicy{MaxAttempts: 3, MaxDelay: 5 * time.Millisecond},
 	}
 	start := time.Now()
 	rep, err := serve.LoadGen(context.Background(), serve.NewClient(ts.URL), opts)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,10 +14,10 @@ import (
 
 // RetryPolicy drives the client's self-healing layer: capped exponential
 // backoff with deterministic jitter, honoring server Retry-After hints.
-// Only idempotent requests go through it — /v1/run is a memoized GET and
-// /v1/sweep replays are deduplicated by cell index — so a retry can never
-// double-apply anything; at worst it re-asks a question the server has
-// already answered from cache.
+// Only idempotent requests go through it — /v1/run is a memoized GET, the
+// probes are reads and /v1/sweep replays are deduplicated by cell index —
+// so a retry can never double-apply anything; at worst it re-asks a
+// question the server has already answered from cache.
 //
 // The zero value is usable and selects the defaults below.
 type RetryPolicy struct {
@@ -51,32 +50,25 @@ const (
 	defaultRetryMaxDelay  = 2 * time.Second
 )
 
-func (p RetryPolicy) attempts() int {
+// withDefaults resolves the zero fields.
+func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
-		return defaultRetryAttempts
+		p.MaxAttempts = defaultRetryAttempts
 	}
-	return p.MaxAttempts
-}
-
-func (p RetryPolicy) base() time.Duration {
 	if p.BaseDelay <= 0 {
-		return defaultRetryBaseDelay
+		p.BaseDelay = defaultRetryBaseDelay
 	}
-	return p.BaseDelay
-}
-
-func (p RetryPolicy) cap() time.Duration {
 	if p.MaxDelay <= 0 {
-		return defaultRetryMaxDelay
+		p.MaxDelay = defaultRetryMaxDelay
 	}
-	return p.MaxDelay
+	if p.Sleep == nil {
+		p.Sleep = sleepFor
+	}
+	return p
 }
 
-// sleep waits for d or until ctx is done, whichever comes first.
-func (p RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
-	if p.Sleep != nil {
-		return p.Sleep(ctx, d)
-	}
+// sleepFor waits for d or until ctx is done, whichever comes first.
+func sleepFor(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
@@ -90,13 +82,14 @@ func (p RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// delay computes the wait before retry number `retry` (1-based): capped
+// delay computes the wait before retry number `retry` (1-based) under a
+// policy whose defaults are resolved: capped
 // exponential backoff, deterministic jitter in [½, 1]× the backoff, and
 // the server's Retry-After hint as a floor (still under the cap).
 func (p RetryPolicy) delay(retry int, rng *rand.Rand, err error) time.Duration {
-	d := p.base() << (retry - 1)
-	if max := p.cap(); d > max || d <= 0 { // <= 0 guards shift overflow
-		d = max
+	d := p.BaseDelay << (retry - 1)
+	if d > p.MaxDelay || d <= 0 { // <= 0 guards shift overflow
+		d = p.MaxDelay
 	}
 	d = d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
 	var se *StatusError
@@ -105,10 +98,7 @@ func (p RetryPolicy) delay(retry int, rng *rand.Rand, err error) time.Duration {
 			d = hint
 		}
 	}
-	if max := p.cap(); d > max {
-		d = max
-	}
-	return d
+	return min(d, p.MaxDelay)
 }
 
 // Retryable reports whether err is worth retrying on an idempotent
@@ -134,41 +124,72 @@ func Retryable(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// RunRawWithRetry is RunRaw behind the retry policy: it re-issues the
-// (idempotent, memoized) request on retryable failures until it succeeds,
-// a permanent error surfaces, or attempts run out.
-func (c *Client) RunRawWithRetry(ctx context.Context, e core.Experiment, opts core.RunOptions, pol RetryPolicy) ([]byte, error) {
-	rng := rand.New(rand.NewSource(pol.Seed))
-	attempts := pol.attempts()
-	for attempt := 1; ; attempt++ {
-		body, err := c.RunRaw(ctx, e, opts)
-		if err == nil {
-			return body, nil
+// loop is the one retry loop: every client call that asks the daemon again
+// — RunRawWithRetry, SweepWithResume, the probes, LoadGen — runs its attempt
+// through it. It calls attempt until it succeeds, fails in a way retryable
+// turns down, or the policy's attempts run out, sleeping the policy's delay
+// in between, and returns the last attempt's error with the number of
+// attempts made. A sleep cut short by ctx ends the loop with ctx's error
+// and cut set. attempt does not escape (callers' results stay on their
+// stacks) and the jitter source is built on the first retry, so a
+// first-time success allocates nothing here.
+func (p RetryPolicy) loop(ctx context.Context, retryable func(error) bool, attempt func() error) (attempts int, cut bool, err error) {
+	p = p.withDefaults()
+	var rng *rand.Rand
+	for n := 1; ; n++ {
+		err = attempt()
+		if err == nil || !retryable(err) || n == p.MaxAttempts {
+			return n, false, err
 		}
-		if !Retryable(err) || attempt == attempts {
-			return nil, fmt.Errorf("run %s after %d attempts: %w", e, attempt, err)
+		if rng == nil {
+			rng = rand.New(rand.NewSource(p.Seed))
 		}
-		d := pol.delay(attempt, rng, err)
-		if pol.OnRetry != nil {
-			pol.OnRetry(attempt, d, err)
+		d := p.delay(n, rng, err)
+		if p.OnRetry != nil {
+			p.OnRetry(n, d, err)
 		}
-		if serr := pol.sleep(ctx, d); serr != nil {
-			return nil, serr
+		if serr := p.Sleep(ctx, d); serr != nil {
+			return n, true, serr
 		}
 	}
 }
 
+// runRaw is RunRaw asked again under pol while retryable says so.
+func (c *Client) runRaw(ctx context.Context, e core.Experiment, opts core.RunOptions, pol RetryPolicy, retryable func(error) bool) (body []byte, err error) {
+	n, cut, err := pol.loop(ctx, retryable, func() (err error) {
+		body, err = c.RunRaw(ctx, e, opts)
+		return err
+	})
+	if err != nil && !cut {
+		err = fmt.Errorf("run %s after %d attempts: %w", e, n, err)
+	}
+	return body, err
+}
+
+// RunRawWithRetry is RunRaw behind the retry policy: it re-issues the
+// (idempotent, memoized) request on retryable failures until it succeeds,
+// a permanent error surfaces, or attempts run out.
+func (c *Client) RunRawWithRetry(ctx context.Context, e core.Experiment, opts core.RunOptions, pol RetryPolicy) ([]byte, error) {
+	return c.runRaw(ctx, e, opts, pol, Retryable)
+}
+
 // RunWithRetry is Run behind the retry policy.
 func (c *Client) RunWithRetry(ctx context.Context, e core.Experiment, opts core.RunOptions, pol RetryPolicy) (core.Result, error) {
-	body, err := c.RunRawWithRetry(ctx, e, opts, pol)
-	if err != nil {
-		return core.Result{}, err
+	return decodeResult(c.RunRawWithRetry(ctx, e, opts, pol))
+}
+
+// getText fetches one of the daemon's small read-only endpoints behind the
+// retry policy, so a client's probes heal the way its cells do.
+func (c *Client) getText(ctx context.Context, path string, pol RetryPolicy) (string, error) {
+	var body []byte
+	n, cut, err := pol.loop(ctx, Retryable, func() (err error) {
+		body, err = c.get(ctx, c.Base+path)
+		return err
+	})
+	if err != nil && !cut {
+		err = fmt.Errorf("GET %s after %d attempts: %w", path, n, err)
 	}
-	var res core.Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		return core.Result{}, fmt.Errorf("decoding result: %w", err)
-	}
-	return res, nil
+	return string(body), err
 }
 
 // SweepWithResume is Sweep behind the retry policy: when the stream drops
@@ -179,45 +200,36 @@ func (c *Client) RunWithRetry(ctx context.Context, e core.Experiment, opts core.
 // server replays completed cells from its memo cache, so a resume costs
 // bandwidth, not simulation time.
 func (c *Client) SweepWithResume(ctx context.Context, rq SweepRequest, pol RetryPolicy, fn func(SweepEvent) error) (SweepSummary, error) {
-	rng := rand.New(rand.NewSource(pol.Seed))
-	attempts := pol.attempts()
 	seen := make(map[int]bool)
-	for attempt := 1; ; attempt++ {
-		var fnErr error
-		summary, err := c.Sweep(ctx, rq, func(ev SweepEvent) error {
-			if ev.Index == nil {
-				return fmt.Errorf("sweep cell event without an index")
+	var fnErr error // the caller aborted: not a stream fault, never retried
+	deliver := func(ev SweepEvent) error {
+		if ev.Index == nil {
+			return fmt.Errorf("sweep cell event without an index")
+		}
+		if seen[*ev.Index] {
+			return nil // replayed on resume; already delivered
+		}
+		if fn != nil {
+			if fnErr = fn(ev); fnErr != nil {
+				return fnErr
 			}
-			if seen[*ev.Index] {
-				return nil // replayed on resume; already delivered
-			}
-			if fn != nil {
-				if err := fn(ev); err != nil {
-					fnErr = err
-					return err
-				}
-			}
-			seen[*ev.Index] = true
-			return nil
-		})
-		if err == nil {
-			return summary, nil
 		}
-		if fnErr != nil {
-			return summary, fnErr // the caller aborted; not a stream fault
-		}
-		// A resumed stream replays every cell (the dedup above keeps fn
-		// exactly-once), so the per-attempt cell count matches the trailer
-		// again on a clean attempt.
-		if !Retryable(err) || attempt == attempts {
-			return SweepSummary{}, fmt.Errorf("sweep after %d attempts: %w", attempt, err)
-		}
-		d := pol.delay(attempt, rng, err)
-		if pol.OnRetry != nil {
-			pol.OnRetry(attempt, d, err)
-		}
-		if serr := pol.sleep(ctx, d); serr != nil {
-			return SweepSummary{}, serr
-		}
+		seen[*ev.Index] = true
+		return nil
 	}
+	// A resumed stream replays every cell (the dedup above keeps fn
+	// exactly-once), so the per-attempt cell count matches the trailer
+	// again on a clean attempt.
+	var summary SweepSummary
+	n, cut, err := pol.loop(ctx, func(err error) bool { return fnErr == nil && Retryable(err) }, func() (err error) {
+		summary, err = c.Sweep(ctx, rq, deliver)
+		return err
+	})
+	switch {
+	case err == nil, fnErr != nil:
+		return summary, fnErr
+	case cut:
+		return SweepSummary{}, err
+	}
+	return SweepSummary{}, fmt.Errorf("sweep after %d attempts: %w", n, err)
 }

@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,7 +37,7 @@ func faultyClient(ts *httptest.Server, plan *fault.Plan, retryAfter int) *serve.
 func TestZeroValueClientPools(t *testing.T) {
 	_, ts, _ := newTestServer(t, serve.Options{})
 	c := &serve.Client{Base: ts.URL}
-	if err := c.Healthz(context.Background()); err != nil {
+	if _, err := c.Healthz(context.Background(), serve.RetryPolicy{Sleep: instantSleep}); err != nil {
 		t.Fatal(err)
 	}
 	hc := serve.ClientHTTPForTest(c)
@@ -314,5 +316,117 @@ func TestSweepWithResumePropagatesFnError(t *testing.T) {
 	}
 	if retries != 0 {
 		t.Errorf("retries = %d, want 0 on caller abort", retries)
+	}
+}
+
+// scriptedDaemon is the fake daemon of TestRetryLoopIsShared: whatever is
+// asked, it answers 429 with a 30 s Retry-After, then 503, then resets the
+// connection, then 200 with ok as the body. Keep-alives are off so the
+// reset lands on a fresh connection, which the transport never replays by
+// itself. attempts counts the requests that reached it.
+func scriptedDaemon(t *testing.T, ok string) (ts *httptest.Server, attempts *atomic.Int64) {
+	t.Helper()
+	attempts = new(atomic.Int64)
+	ts = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch attempts.Add(1) {
+		case 1:
+			w.Header().Set("Retry-After", "30")
+			http.Error(w, "queue full", http.StatusTooManyRequests)
+		case 2:
+			http.Error(w, "unavailable", http.StatusServiceUnavailable)
+		case 3:
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Errorf("hijack: %v", err)
+				return
+			}
+			conn.Close()
+		default:
+			io.WriteString(w, ok)
+		}
+	}))
+	ts.Config.SetKeepAlivesEnabled(false)
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return ts, attempts
+}
+
+// TestRetryLoopIsShared: every client call that asks the daemon again does
+// it through the one loop in retry.go. The same scripted failures, under
+// the same policy, cost RunRawWithRetry, SweepWithResume and Registry the
+// same attempts and the same sleeps; LoadGen shares the loop but not the
+// predicate — it waits out the 429 and surfaces everything else.
+func TestRetryLoopIsShared(t *testing.T) {
+	ctx := context.Background()
+	const cell = `{"index":0,"experiment":{"target":"opengemm","workload":"matmul","pipeline":3,"n":8},"result":{}}`
+	callers := []struct {
+		name string
+		ok   string // the 200 body the call accepts
+		call func(c *serve.Client, pol serve.RetryPolicy) error
+	}{
+		{"RunRawWithRetry", `{}`, func(c *serve.Client, pol serve.RetryPolicy) error {
+			_, err := c.RunRawWithRetry(ctx, testExp, core.RunOptions{}, pol)
+			return err
+		}},
+		{"SweepWithResume", cell + "\n" + `{"done":true,"cells":1,"status":"ok"}` + "\n", func(c *serve.Client, pol serve.RetryPolicy) error {
+			_, err := c.SweepWithResume(ctx, serve.SweepRequest{}, pol, nil)
+			return err
+		}},
+		{"Registry", `{}`, func(c *serve.Client, pol serve.RetryPolicy) error {
+			_, err := c.Registry(ctx, pol)
+			return err
+		}},
+	}
+	var want []time.Duration
+	for _, tc := range callers {
+		ts, attempts := scriptedDaemon(t, tc.ok)
+		var sleeps []time.Duration
+		pol := serve.RetryPolicy{Seed: 7, Sleep: func(_ context.Context, d time.Duration) error {
+			sleeps = append(sleeps, d)
+			return nil
+		}}
+		if err := tc.call(serve.NewClient(ts.URL), pol); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := attempts.Load(); n != 4 {
+			t.Errorf("%s: %d attempts, want 4 (429, 503, reset, 200)", tc.name, n)
+		}
+		if len(sleeps) != 3 || sleeps[0] != 2*time.Second {
+			t.Errorf("%s: sleeps %v, want 3 with the 30s hint held to the 2s cap first", tc.name, sleeps)
+		}
+		if want == nil {
+			want = sleeps
+		} else if !reflect.DeepEqual(sleeps, want) {
+			t.Errorf("%s slept %v, %s slept %v: one policy, one seed, two sequences", tc.name, sleeps, callers[0].name, want)
+		}
+	}
+
+	// LoadGen, three requests from one worker: the 429 is retried into the
+	// 503, which is that request's outcome; the reset is the second
+	// request's; the third succeeds.
+	ts, attempts := scriptedDaemon(t, `{}`)
+	var sleeps []time.Duration
+	rep, err := serve.LoadGen(ctx, serve.NewClient(ts.URL), serve.LoadGenOptions{
+		Experiments: []core.Experiment{testExp, {Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 8}},
+		Requests:    3,
+		Clients:     1,
+		Retry429:    true,
+		Retry: serve.RetryPolicy{Seed: 7, Sleep: func(_ context.Context, d time.Duration) error {
+			sleeps = append(sleeps, d)
+			return nil
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := attempts.Load(); n != 4 {
+		t.Errorf("LoadGen: %d attempts for 3 requests, want 4", n)
+	}
+	if rep.Retries != 1 || !reflect.DeepEqual(sleeps, want[:1]) {
+		t.Errorf("LoadGen: %d retries, sleeps %v; want the 429 alone retried, after %v", rep.Retries, sleeps, want[:1])
+	}
+	wantHist := map[int]int{http.StatusServiceUnavailable: 1, 0: 1, http.StatusOK: 1}
+	if rep.Errors != 2 || !reflect.DeepEqual(rep.StatusHist, wantHist) {
+		t.Errorf("LoadGen: errors %d, hist %v; want 2 and %v (503 and the reset surfaced)", rep.Errors, rep.StatusHist, wantHist)
 	}
 }

@@ -39,7 +39,7 @@ func TestRunOptionsTravelTheWire(t *testing.T) {
 				t.Errorf("RunOptions.%s does not change Client.runURL: the daemon cannot see it", name)
 			}
 		}
-		rq, err := parseRunRequest(httptest.NewRequest("GET", c.runURL(e, opts), nil))
+		rq, err := parseRunRequest(httptest.NewRecorder(), httptest.NewRequest("GET", c.runURL(e, opts), nil))
 		if err != nil {
 			t.Fatalf("RunOptions.%s: the server cannot parse the client's URL: %v", name, err)
 		}

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -330,8 +331,27 @@ func requestEngine(name string) (sim.Engine, error) {
 	return sim.EngineByName(name)
 }
 
+// maxRequestBody bounds a POSTed request: the largest legitimate one is a
+// sweep's four name lists, a few hundred bytes.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes the one JSON value a POST body carries into v. Unknown
+// fields, a body above maxRequestBody and anything after the value are all
+// errors, so nothing is dispatched on a request the server only half read.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad JSON body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("bad JSON body: data after the request value")
+	}
+	return nil
+}
+
 // parseRunRequest decodes GET query parameters or a POST JSON body.
-func parseRunRequest(r *http.Request) (RunRequest, error) {
+func parseRunRequest(w http.ResponseWriter, r *http.Request) (RunRequest, error) {
 	var rq RunRequest
 	switch r.Method {
 	case http.MethodGet:
@@ -353,10 +373,8 @@ func parseRunRequest(r *http.Request) (RunRequest, error) {
 			return rq, fmt.Errorf("bad skipverify: %v", err)
 		}
 	case http.MethodPost:
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rq); err != nil {
-			return rq, fmt.Errorf("bad JSON body: %v", err)
+		if err := decodeBody(w, r, &rq); err != nil {
+			return rq, err
 		}
 	default:
 		return rq, errMethod
@@ -440,7 +458,7 @@ func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	rq, err := parseRunRequest(r)
+	rq, err := parseRunRequest(w, r)
 	if errors.Is(err, errMethod) {
 		http.Error(w, err.Error(), http.StatusMethodNotAllowed)
 		return
@@ -599,10 +617,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rq SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rq); err != nil {
-		http.Error(w, fmt.Sprintf("bad JSON body: %v", err), http.StatusBadRequest)
+	if err := decodeBody(w, r, &rq); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	exps, opts, err := rq.resolve(s.maxSweepCells, s.maxN, s.runner.Predictor() != nil)
@@ -811,61 +827,35 @@ func (s *Server) registrySizes() map[string]map[string][]int {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var sb strings.Builder
 	st := s.runner.Snapshot()
-	fmt.Fprintf(&sb, "# HELP cwserve_cache_mem_hits_total Requests answered by the in-memory cell map.\n")
-	fmt.Fprintf(&sb, "# TYPE cwserve_cache_mem_hits_total counter\n")
-	fmt.Fprintf(&sb, "cwserve_cache_mem_hits_total %d\n", st.MemHits)
-	fmt.Fprintf(&sb, "# HELP cwserve_cache_mem_misses_total Requests past the in-memory cell map.\n")
-	fmt.Fprintf(&sb, "# TYPE cwserve_cache_mem_misses_total counter\n")
-	fmt.Fprintf(&sb, "cwserve_cache_mem_misses_total %d\n", st.MemMisses)
-	fmt.Fprintf(&sb, "# HELP cwserve_cache_store_hits_total Memory misses answered by the persistent store.\n")
-	fmt.Fprintf(&sb, "# TYPE cwserve_cache_store_hits_total counter\n")
-	fmt.Fprintf(&sb, "cwserve_cache_store_hits_total %d\n", st.StoreHits)
-	fmt.Fprintf(&sb, "# HELP cwserve_cache_store_misses_total Memory misses the persistent store could not answer.\n")
-	fmt.Fprintf(&sb, "# TYPE cwserve_cache_store_misses_total counter\n")
-	fmt.Fprintf(&sb, "cwserve_cache_store_misses_total %d\n", st.StoreMisses)
-	fmt.Fprintf(&sb, "# HELP cwserve_cache_runs_total Experiments actually compiled and simulated.\n")
-	fmt.Fprintf(&sb, "# TYPE cwserve_cache_runs_total counter\n")
-	fmt.Fprintf(&sb, "cwserve_cache_runs_total %d\n", st.Runs)
-	fmt.Fprintf(&sb, "# HELP cwserve_cache_predictions_total Cells answered by the analytic tier instead of simulation.\n")
-	fmt.Fprintf(&sb, "# TYPE cwserve_cache_predictions_total counter\n")
-	fmt.Fprintf(&sb, "cwserve_cache_predictions_total %d\n", st.Predictions)
-	fmt.Fprintf(&sb, "# HELP cwserve_cache_evictions_total Cells dropped by the LRU bound.\n")
-	fmt.Fprintf(&sb, "# TYPE cwserve_cache_evictions_total counter\n")
-	fmt.Fprintf(&sb, "cwserve_cache_evictions_total %d\n", st.Evictions)
-	fmt.Fprintf(&sb, "# HELP cwserve_cache_store_errors_total Store load/save operational failures.\n")
-	fmt.Fprintf(&sb, "# TYPE cwserve_cache_store_errors_total counter\n")
-	fmt.Fprintf(&sb, "cwserve_cache_store_errors_total %d\n", st.StoreErrors)
-	// The alerting-facing alias: nonzero means the daemon is serving in
-	// degraded mode (results live in memory but stopped being durable) and
-	// /healthz says "degraded".
-	fmt.Fprintf(&sb, "# HELP cwserve_store_errors_total Tolerated persistent-store failures; nonzero means degraded (non-durable) serving.\n")
-	fmt.Fprintf(&sb, "# TYPE cwserve_store_errors_total counter\n")
-	fmt.Fprintf(&sb, "cwserve_store_errors_total %d\n", st.StoreErrors)
-
-	// Go runtime memory gauges: the allocation discipline of the serving
+	// The Go runtime gauges make the allocation discipline of the serving
 	// hot paths (pooled execution contexts, trace buffers and response
-	// encoders) is observable here — a healthy cached-traffic steady state
-	// shows a flat heap and a near-constant GC cycle rate.
+	// encoders) observable: a healthy cached-traffic steady state shows a
+	// flat heap and a near-constant GC cycle rate.
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	fmt.Fprintf(&sb, "# HELP cwserve_go_heap_alloc_bytes Bytes of live heap objects (runtime.MemStats.HeapAlloc).\n")
-	fmt.Fprintf(&sb, "# TYPE cwserve_go_heap_alloc_bytes gauge\n")
-	fmt.Fprintf(&sb, "cwserve_go_heap_alloc_bytes %d\n", ms.HeapAlloc)
-	fmt.Fprintf(&sb, "# HELP cwserve_go_heap_objects Live heap objects.\n")
-	fmt.Fprintf(&sb, "# TYPE cwserve_go_heap_objects gauge\n")
-	fmt.Fprintf(&sb, "cwserve_go_heap_objects %d\n", ms.HeapObjects)
-	fmt.Fprintf(&sb, "# HELP cwserve_go_gc_pause_seconds_total Cumulative stop-the-world GC pause time.\n")
-	fmt.Fprintf(&sb, "# TYPE cwserve_go_gc_pause_seconds_total counter\n")
-	fmt.Fprintf(&sb, "cwserve_go_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)
-	fmt.Fprintf(&sb, "# HELP cwserve_go_gc_cycles_total Completed GC cycles.\n")
-	fmt.Fprintf(&sb, "# TYPE cwserve_go_gc_cycles_total counter\n")
-	fmt.Fprintf(&sb, "cwserve_go_gc_cycles_total %d\n", ms.NumGC)
-
-	s.met.render(&sb, gauges{
-		queueDepth: s.admit.queued(),
-		slotsBusy:  s.admit.busy(),
-		inflight:   int(s.inflight.Load()),
-		cacheCells: s.runner.CacheSize(),
+	writeSeries(&sb, []series{
+		{"cwserve_cache_mem_hits_total", "Requests answered by the in-memory cell map.", "counter", st.MemHits},
+		{"cwserve_cache_mem_misses_total", "Requests past the in-memory cell map.", "counter", st.MemMisses},
+		{"cwserve_cache_store_hits_total", "Memory misses answered by the persistent store.", "counter", st.StoreHits},
+		{"cwserve_cache_store_misses_total", "Memory misses the persistent store could not answer.", "counter", st.StoreMisses},
+		{"cwserve_cache_runs_total", "Experiments actually compiled and simulated.", "counter", st.Runs},
+		{"cwserve_cache_predictions_total", "Cells answered by the analytic tier instead of simulation.", "counter", st.Predictions},
+		{"cwserve_cache_evictions_total", "Cells dropped by the LRU bound.", "counter", st.Evictions},
+		{"cwserve_cache_store_errors_total", "Store load/save operational failures.", "counter", st.StoreErrors},
+		// The alerting-facing alias: nonzero means the daemon is serving in
+		// degraded mode (results live in memory but stopped being durable)
+		// and /healthz says "degraded".
+		{"cwserve_store_errors_total", "Tolerated persistent-store failures; nonzero means degraded (non-durable) serving.", "counter", st.StoreErrors},
+		{"cwserve_go_heap_alloc_bytes", "Bytes of live heap objects (runtime.MemStats.HeapAlloc).", "gauge", ms.HeapAlloc},
+		{"cwserve_go_heap_objects", "Live heap objects.", "gauge", ms.HeapObjects},
+		{"cwserve_go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", "counter", float64(ms.PauseTotalNs) / 1e9},
+		{"cwserve_go_gc_cycles_total", "Completed GC cycles.", "counter", ms.NumGC},
+	})
+	s.met.render(&sb, []series{
+		{"cwserve_queue_depth", "Request-mode admissions in the system (executing or waiting).", "gauge", s.admit.queued()},
+		{"cwserve_slots_busy", "Execution slots currently held.", "gauge", s.admit.busy()},
+		{"cwserve_inflight_cells", "Distinct experiment cells currently computing.", "gauge", s.inflight.Load()},
+		{"cwserve_cache_cells", "In-memory memoized experiment cells.", "gauge", s.runner.CacheSize()},
 	})
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, sb.String())

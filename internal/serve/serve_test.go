@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -189,32 +190,45 @@ func TestCoalescing(t *testing.T) {
 // TestValidation rejects malformed requests with 400 and a message that
 // lists the valid names.
 func TestValidation(t *testing.T) {
-	_, ts, _ := newTestServer(t, serve.Options{})
+	sv, ts, _ := newTestServer(t, serve.Options{})
+	const valid = `{"target":"opengemm","workload":"matmul","pipeline":"all","n":8}`
 	cases := []struct {
 		name, query, want string
+		post              string // a POST body, in place of the GET query
 	}{
-		{"unknown target", "target=tpu&workload=matmul&pipeline=all&n=8", "unknown target"},
-		{"missing target", "workload=matmul&pipeline=all&n=8", "registered"},
-		{"unknown workload", "target=opengemm&workload=conv&pipeline=all&n=8", "unknown workload"},
-		{"unknown pipeline", "target=opengemm&workload=matmul&pipeline=turbo&n=8", "unknown pipeline"},
-		{"unknown engine", "target=opengemm&workload=matmul&pipeline=all&n=8&engine=warp", "valid engines"},
-		{"bad n", "target=opengemm&workload=matmul&pipeline=all&n=0", "positive sweep size"},
+		{name: "unknown target", query: "target=tpu&workload=matmul&pipeline=all&n=8", want: "unknown target"},
+		{name: "missing target", query: "workload=matmul&pipeline=all&n=8", want: "registered"},
+		{name: "unknown workload", query: "target=opengemm&workload=conv&pipeline=all&n=8", want: "unknown workload"},
+		{name: "unknown pipeline", query: "target=opengemm&workload=matmul&pipeline=turbo&n=8", want: "unknown pipeline"},
+		{name: "unknown engine", query: "target=opengemm&workload=matmul&pipeline=all&n=8&engine=warp", want: "valid engines"},
+		{name: "bad n", query: "target=opengemm&workload=matmul&pipeline=all&n=0", want: "positive sweep size"},
+		{name: "oversized body", post: `{"target":"` + strings.Repeat("x", 2<<20) + `"}`, want: "too large"},
+		{name: "second value", post: valid + `{}`, want: "after the request value"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Get(ts.URL + "/v1/run?" + tc.query)
+			var resp *http.Response
+			var err error
+			if tc.post != "" {
+				resp, err = http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(tc.post))
+			} else {
+				resp, err = http.Get(ts.URL + "/v1/run?" + tc.query)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
 			body, _ := io.ReadAll(resp.Body)
 			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400 (body %s)", resp.StatusCode, body)
+				t.Fatalf("status %d, want 400 (body %.200s)", resp.StatusCode, body)
 			}
 			if !strings.Contains(string(body), tc.want) {
-				t.Errorf("body %q does not mention %q", body, tc.want)
+				t.Errorf("body %.200q does not mention %q", body, tc.want)
 			}
 		})
+	}
+	if runs := sv.Runner().Snapshot().Runs; runs != 0 {
+		t.Errorf("rejected requests dispatched %d cells", runs)
 	}
 }
 
@@ -368,7 +382,7 @@ func TestSweepStream(t *testing.T) {
 // TestSweepValidation covers grid-level rejections: empty axes, unknown
 // names and the sweep-size cap.
 func TestSweepValidation(t *testing.T) {
-	_, ts, _ := newTestServer(t, serve.Options{MaxSweepCells: 2})
+	sv, ts, _ := newTestServer(t, serve.Options{MaxSweepCells: 2})
 	post := func(rq serve.SweepRequest) (int, string) {
 		buf, _ := json.Marshal(rq)
 		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(buf))
@@ -391,17 +405,29 @@ func TestSweepValidation(t *testing.T) {
 		t.Errorf("over-cap sweep: %d %q", code, body)
 	}
 
-	// A field the request does not have is refused by name, not ignored:
-	// a client still sending the retired "stream" switch learns why.
-	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
-		strings.NewReader(`{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["base"],"sizes":[8],"stream":false}`))
-	if err != nil {
-		t.Fatal(err)
+	// Bodies the decoder refuses before anything is resolved. A field the
+	// request does not have is refused by name, not ignored: a client still
+	// sending the retired "stream" switch learns why. A body above the 1 MiB
+	// bound is not read to its end, and a second JSON value is not silently
+	// dropped.
+	const valid = `{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["base"],"sizes":[8]}`
+	for _, tc := range []struct{ name, body, want string }{
+		{"unknown field", valid[:len(valid)-1] + `,"stream":false}`, `"stream"`},
+		{"oversized body", `{"targets":["` + strings.Repeat("x", 2<<20) + `"]}`, "too large"},
+		{"second value", valid + `{}`, "after the request value"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: %d %q, want a 400 mentioning %s", tc.name, resp.StatusCode, body, tc.want)
+		}
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"stream"`) {
-		t.Errorf("unknown field: %d %q, want a 400 naming \"stream\"", resp.StatusCode, body)
+	if runs := sv.Runner().Snapshot().Runs; runs != 0 {
+		t.Errorf("rejected sweeps dispatched %d cells", runs)
 	}
 }
 
@@ -420,7 +446,8 @@ func (rankPredictor) Predict(e core.Experiment) (core.Result, error) {
 // analytically — zero simulator invocations, counter-asserted on the
 // runner and in /metrics.
 func TestSweepFidelityScreen(t *testing.T) {
-	runner := core.NewRunnerWith(core.RunnerOptions{Workers: 2, Predictor: rankPredictor{}})
+	runner := core.NewRunner(2)
+	runner.SetPredictor(rankPredictor{})
 	sv, ts, c := newTestServer(t, serve.Options{Runner: runner})
 	rq := serve.SweepRequest{
 		Targets:   []string{"opengemm"},
@@ -463,7 +490,8 @@ func TestSweepFidelityScreen(t *testing.T) {
 // predicted-fastest cells and answers the rest analytically, with both
 // tiers counted in /metrics.
 func TestSweepFidelityTopK(t *testing.T) {
-	runner := core.NewRunnerWith(core.RunnerOptions{Workers: 2, Predictor: rankPredictor{}})
+	runner := core.NewRunner(2)
+	runner.SetPredictor(rankPredictor{})
 	sv, ts, c := newTestServer(t, serve.Options{Runner: runner})
 	rq := serve.SweepRequest{
 		Targets:   []string{"opengemm"},
@@ -560,7 +588,7 @@ func TestSweepFidelityValidation(t *testing.T) {
 // TestRegistry checks the discovery endpoint lists the built-in names.
 func TestRegistry(t *testing.T) {
 	_, _, c := newTestServer(t, serve.Options{})
-	info, err := c.Registry(context.Background())
+	info, err := c.Registry(context.Background(), serve.RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +637,7 @@ func TestRegistry(t *testing.T) {
 func TestRegistryAnalytic(t *testing.T) {
 	sv, _, c := newTestServer(t, serve.Options{})
 	sv.Runner().SetPredictor(rankPredictor{})
-	info, err := c.Registry(context.Background())
+	info, err := c.Registry(context.Background(), serve.RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,7 +671,7 @@ func TestMetrics(t *testing.T) {
 	if _, err := c.RunRaw(context.Background(), testExp, core.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	text, err := c.Metrics(context.Background())
+	text, err := c.Metrics(context.Background(), serve.RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,13 +700,13 @@ func TestMetrics(t *testing.T) {
 // and experiment endpoints reject new work while draining.
 func TestHealthzAndDrain(t *testing.T) {
 	sv, ts, c := newTestServer(t, serve.Options{})
-	if err := c.Healthz(context.Background()); err != nil {
+	if _, err := c.Healthz(context.Background(), serve.RetryPolicy{Sleep: instantSleep}); err != nil {
 		t.Fatalf("healthz before drain: %v", err)
 	}
 	sv.BeginDrain()
-	err := c.Healthz(context.Background())
-	se, ok := err.(*serve.StatusError)
-	if !ok || se.Code != http.StatusServiceUnavailable {
+	_, err := c.Healthz(context.Background(), serve.RetryPolicy{Sleep: instantSleep})
+	var se *serve.StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Errorf("healthz during drain = %v, want 503", err)
 	}
 	resp, err := http.Get(ts.URL + "/v1/run?target=opengemm&workload=matmul&pipeline=all&n=8")
@@ -718,7 +746,7 @@ func TestServeListenerAndDrain(t *testing.T) {
 	}
 	shutdown := sv.Serve(ln)
 	c := serve.NewClient("http://" + ln.Addr().String())
-	if err := c.Healthz(context.Background()); err != nil {
+	if _, err := c.Healthz(context.Background(), serve.RetryPolicy{Sleep: instantSleep}); err != nil {
 		t.Fatalf("healthz on the served listener: %v", err)
 	}
 
@@ -746,7 +774,7 @@ func TestServeListenerAndDrain(t *testing.T) {
 	if err := <-inFlight; err != nil {
 		t.Errorf("request in flight at shutdown: %v", err)
 	}
-	if err := c.Healthz(context.Background()); err == nil {
+	if _, err := c.Healthz(context.Background(), serve.RetryPolicy{Sleep: instantSleep}); err == nil {
 		t.Error("healthz answered after shutdown")
 	}
 }
@@ -991,7 +1019,7 @@ func TestPanicContainment(t *testing.T) {
 	if _, err := c.RunRaw(context.Background(), testExp, core.RunOptions{}); err != nil {
 		t.Errorf("healthy cell after a panicking one: %v", err)
 	}
-	metrics, err := c.Metrics(context.Background())
+	metrics, err := c.Metrics(context.Background(), serve.RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"configwall/internal/core"
+	"configwall/internal/serve"
 	"configwall/internal/store"
 )
 
@@ -109,9 +110,14 @@ func TestTornEntrySkippedByEnumeration(t *testing.T) {
 	// intact cells and the torn one recomputes on demand — degraded to a
 	// miss, never a boot failure.
 	runner := core.NewRunnerWith(core.RunnerOptions{Store: s})
-	warmed := runner.Warm(context.Background(), crashExps, opts)
-	if warmed != 2 {
-		t.Errorf("Warm preloaded %d cells, want 2", warmed)
+	sv, err := serve.New(serve.Options{Runner: runner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	warmed, err := sv.WarmFromStore(context.Background(), s)
+	if err != nil || warmed != 2 {
+		t.Errorf("WarmFromStore preloaded %d cells (err %v), want 2", warmed, err)
 	}
 	if _, err := runner.Run(context.Background(), crashExps[1], opts); err != nil {
 		t.Errorf("recomputing the torn cell: %v", err)

@@ -37,8 +37,6 @@ type Config struct {
 	// derives its own stream from it, so reordering Strategies does not
 	// change any individual search.
 	Seed int64
-	// Validate measures every strategy winner at the held-out sizes.
-	Validate bool
 }
 
 // Outcome is one strategy's campaign result.
@@ -116,7 +114,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		rep.Outcomes = append(rep.Outcomes, outcomeOf(name, sess, wall, rep.BestPerf))
 	}
 
-	if cfg.Validate && len(cfg.Space.Holdout) > 0 {
+	if len(cfg.Space.Holdout) > 0 {
 		memo := make(map[core.Experiment]core.Result)
 		for i := range rep.Outcomes {
 			o := &rep.Outcomes[i]

@@ -34,7 +34,8 @@ func (sizeRankPredictor) Predict(e core.Experiment) (core.Result, error) {
 // listener and returns the runner, the base URL and a client.
 func newDaemon(t *testing.T, pred core.Predictor) (*core.Runner, string, *serve.Client) {
 	t.Helper()
-	runner := core.NewRunnerWith(core.RunnerOptions{Workers: 4, Predictor: pred})
+	runner := core.NewRunner(4)
+	runner.SetPredictor(pred)
 	sv, err := serve.New(serve.Options{Runner: runner})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +49,7 @@ func newDaemon(t *testing.T, pred core.Predictor) (*core.Runner, string, *serve.
 // own registry response, like cwtune does.
 func discoverSpace(t *testing.T, c *serve.Client, maxSize int, seed int64) tune.Space {
 	t.Helper()
-	info, err := c.Registry(context.Background())
+	info, err := c.Registry(context.Background(), serve.RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,6 @@ func TestCampaignAgainstDaemonDeterministic(t *testing.T) {
 			Strategies: []string{"random", "halving", "flash"},
 			Budget:     5,
 			Seed:       1,
-			Validate:   true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -115,7 +115,7 @@ func TestCampaignAgainstDaemonDeterministic(t *testing.T) {
 func TestFlashNeedsAnalyticTier(t *testing.T) {
 	_, _, c := newDaemon(t, nil)
 	space := discoverSpace(t, c, 32, 1)
-	info, err := c.Registry(context.Background())
+	info, err := c.Registry(context.Background(), serve.RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,9 @@ func TestConcurrentCampaignsCoalesce(t *testing.T) {
 	if len(space.Cells) == 0 {
 		t.Fatal("empty space")
 	}
+	// Nothing held out, nothing validated: the campaigns measure the
+	// searchable cells and no others, which the run count below relies on.
+	space.Holdout = nil
 
 	const workers = 4
 	var wg sync.WaitGroup
@@ -37,7 +40,6 @@ func TestConcurrentCampaignsCoalesce(t *testing.T) {
 				Eval:       &tune.ClientEvaluator{Client: client, Retry: serve.RetryPolicy{Seed: int64(w)}},
 				Strategies: []string{"random", "halving"},
 				Seed:       1,
-				Validate:   false,
 			})
 			errs[w] = err
 		}(w)

@@ -327,7 +327,6 @@ func TestCampaignValidation(t *testing.T) {
 		Eval:       eval,
 		Strategies: []string{"random"},
 		Seed:       1,
-		Validate:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
