@@ -33,6 +33,7 @@ import (
 	"configwall/internal/analysis"
 	"configwall/internal/core"
 	"configwall/internal/ir"
+	"configwall/internal/lower"
 	"configwall/internal/passes"
 )
 
@@ -61,10 +62,10 @@ var available = map[string]func() ir.Pass{
 func init() {
 	for _, name := range core.TargetNames() {
 		t, err := core.LookupTarget(name)
-		if err != nil || t.Lowering == nil {
+		if err != nil || t.Port == nil {
 			continue
 		}
-		available["lower-accfg-to-"+name] = t.Lowering
+		available["lower-accfg-to-"+name] = func() ir.Pass { return lower.Accfg(t.Port) }
 	}
 }
 

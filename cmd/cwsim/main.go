@@ -41,7 +41,7 @@ func main() {
 		fmt.Println("targets:")
 		for _, name := range core.TargetNames() {
 			t, _ := core.LookupTarget(name)
-			fmt.Printf("  %-12s %s configuration, %g ops/cycle peak\n", name, scheme(t), t.PeakOps)
+			fmt.Printf("  %-12s %s configuration, %g ops/cycle peak\n", name, t.Port.Mode, t.PeakOps)
 		}
 		fmt.Println("workloads:")
 		for _, name := range core.WorkloadNames() {
@@ -91,7 +91,7 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	fmt.Printf("target            %s (%s configuration)\n", res.Target, scheme(target))
+	fmt.Printf("target            %s (%s configuration)\n", res.Target, target.Port.Mode)
 	fmt.Printf("workload          %s\n", res.Workload)
 	fmt.Printf("pipeline          %s\n", res.Pipeline)
 	fmt.Printf("engine            %s (compile %s, execute %s, %.2fM host instrs/sec of execute)\n",
@@ -117,13 +117,6 @@ func main() {
 		fmt.Println()
 		fmt.Print(trace.Timeline(res.Trace, 0, res.Cycles, 100)) // 100 characters wide
 	}
-}
-
-func scheme(t core.Target) string {
-	if t.Concurrent {
-		return "concurrent"
-	}
-	return "sequential"
 }
 
 func fatal(format string, args ...any) {

@@ -1,13 +1,15 @@
 // Custom accelerator (paper Figure 8's "Your Acc" slot): the accfg
-// abstraction and all its optimization passes are target-agnostic — only
-// the final lowering and a device model are accelerator-specific. This
-// example brings up a brand-new CSR-configured vector-scale accelerator
-// ("scaler") and plugs it into the experiment engine through the registry,
-// without touching any engine code:
+// abstraction, all its optimization passes and the final lowering are
+// target-agnostic — only a table describing the configuration interface and
+// a device model are accelerator-specific. This example brings up a
+// brand-new CSR-configured vector-scale accelerator ("scaler") and plugs it
+// into the experiment engine through the registry, without touching any
+// engine code:
 //
-//  1. define the device model (functional behavior + timing),
+//  1. write the configuration port as a table (accel.Port): which CSR
+//     carries which field, what launches, what is polled,
 //
-//  2. write the ~30-line target lowering,
+//  2. define the device model's Launch (functional behavior + timing),
 //
 //  3. register the target and a "rowscale" workload (IR builder + buffer
 //     plan + golden verification),
@@ -27,12 +29,10 @@ import (
 	"configwall/internal/core"
 	"configwall/internal/dialects/accfg"
 	"configwall/internal/dialects/arith"
-	"configwall/internal/dialects/csrops"
 	"configwall/internal/dialects/fnc"
 	"configwall/internal/dialects/memref"
 	"configwall/internal/dialects/scf"
 	"configwall/internal/ir"
-	"configwall/internal/lower"
 	"configwall/internal/mem"
 	"configwall/internal/riscv"
 )
@@ -47,8 +47,23 @@ const (
 	csrBusy
 )
 
-var fieldCSRs = map[string]uint32{
-	"src": csrSrc, "dst": csrDst, "len": csrLen, "scale": csrScale,
+// port is the whole of the accelerator-specific compiler input: the generic
+// lowering turns setup fields into these CSR writes, launch into a write of
+// 1 to csrLaunch and await into a poll of csrBusy (compare paper Figure 8,
+// step 5). Staged CSRs make it a concurrent-configuration device.
+var port = &accel.Port{
+	Accel: "scaler",
+	Mode:  accel.Concurrent,
+	Kind:  accel.CSR,
+	Writes: []accel.ConfigWrite{
+		accel.Register64(csrSrc, "src"),
+		accel.Register64(csrDst, "dst"),
+		accel.Register64(csrLen, "len"),
+		accel.Register64(csrScale, "scale"),
+	},
+	Launch:      csrLaunch,
+	LaunchValue: 1,
+	Sync:        csrBusy,
 }
 
 // rowCols is the row width of the rowscale workload; scaleBy is the factor.
@@ -57,18 +72,14 @@ const (
 	scaleBy = 3
 )
 
-// scaler multiplies a vector of int32 by a scalar: dst[i] = src[i] * scale.
-// It configures concurrently (staged CSRs) at 8 elements/cycle.
+// scaler multiplies a vector of int32 by a scalar: dst[i] = src[i] * scale,
+// at 8 elements/cycle. The embedded port is the descriptive half of
+// accel.Device.
 type scaler struct {
+	*accel.Port
 	staging map[uint32]uint32
 }
 
-func (s *scaler) Name() string              { return "scaler" }
-func (s *scaler) Scheme() accel.Scheme      { return accel.Concurrent }
-func (s *scaler) ConfigBytes(uint32) uint64 { return 4 }
-func (s *scaler) IsLaunch(id uint32) bool   { return id == csrLaunch }
-func (s *scaler) IsFence(uint32) bool       { return false }
-func (s *scaler) StatusID() (uint32, bool)  { return csrBusy, true }
 func (s *scaler) WriteConfig(id uint32, lo, _ uint64) {
 	s.staging[id] = uint32(lo)
 }
@@ -88,70 +99,15 @@ func (s *scaler) Launch(m *mem.Memory) (accel.Launch, error) {
 	return accel.Launch{Ops: n, Cycles: n/8 + 4}, nil
 }
 
-// lowerScaler is the only accelerator-specific compiler code needed:
-// setup fields become CSR writes, launch hits the launch CSR, await polls
-// the busy CSR (compare paper Figure 8, step 5).
-func lowerScaler() ir.Pass {
-	return ir.PassFunc{
-		PassName: "lower-accfg-to-scaler",
-		Fn: func(m *ir.Module) error {
-			var err error
-			m.Walk(func(op *ir.Op) {
-				if err != nil {
-					return
-				}
-				switch op.Name() {
-				case accfg.OpSetup:
-					s, _ := accfg.AsSetup(op)
-					if s.Accelerator() != "scaler" {
-						return
-					}
-					b := ir.Before(op)
-					for _, f := range s.Fields() {
-						addr, ok := fieldCSRs[f.Name]
-						if !ok {
-							err = fmt.Errorf("unknown scaler field %q", f.Name)
-							return
-						}
-						csrops.NewWrite(b, addr, f.Value)
-					}
-				case accfg.OpLaunch:
-					l, _ := accfg.AsLaunch(op)
-					if l.Accelerator() != "scaler" {
-						return
-					}
-					b := ir.Before(op)
-					csrops.NewWrite(b, csrLaunch, arith.NewConstant(b, 1, ir.I64))
-				case accfg.OpAwait:
-					a, _ := accfg.AsAwait(op)
-					if a.Token().Type().(ir.TokenType).Accelerator != "scaler" {
-						return
-					}
-					csrops.NewBarrier(ir.Before(op), csrBusy)
-				}
-			})
-			if err != nil {
-				return err
-			}
-			return lower.StripAccfgTypes(m, "scaler")
-		},
-	}
-}
-
 // scalerTarget assembles the platform the same way core.GemminiTarget and
 // core.OpenGeMMTarget do — nothing here is special-cased by the engine.
 func scalerTarget() core.Target {
 	return core.Target{
-		Name:       "scaler",
-		Concurrent: true,
-		PeakOps:    8, // 8 elements/cycle, one multiply each
-		NewDevice:  func() accel.Device { return &scaler{staging: map[uint32]uint32{}} },
-		Cost:       riscv.SnitchCost(),
-		Lowering:   lowerScaler,
-		RawConfigBW: func(c riscv.CostModel) float64 {
-			perInstr := float64(c.Cycles(riscv.Instr{Op: riscv.CSRRW}))
-			return 4.0 / (2 * perInstr)
-		},
+		Name:        "scaler",
+		Port:        port,
+		PeakOps:     8, // 8 elements/cycle, one multiply each
+		NewDevice:   func() accel.Device { return &scaler{Port: port, staging: map[uint32]uint32{}} },
+		Cost:        riscv.SnitchCost(),
 		OutputBytes: 4,
 	}
 }
@@ -262,7 +218,7 @@ func main() {
 	all := results[len(results)-1]
 	fmt.Printf("\nspeedup base -> all: %.2fx — every shared pass reused; only the\n",
 		float64(base.Cycles)/float64(all.Cycles))
-	fmt.Println("lowering (~30 lines), the device model and the workload plan were new.")
+	fmt.Println("port table, the device model's Launch and the workload plan were new.")
 }
 
 func fatal(format string, args ...any) {

@@ -55,104 +55,72 @@ const (
 	FnFence                       // synchronization fence: host blocks until idle
 )
 
-// FieldSlot describes where one accfg field lives inside an instruction's
-// register pair.
-type FieldSlot struct {
-	Field  string
-	Reg    int // 0 = rs1, 1 = rs2
-	Offset uint
-	Bits   uint
-}
-
-// ConfigInstr describes one instruction of the configuration sequence.
-type ConfigInstr struct {
-	Funct7 uint32
-	Name   string
-	Slots  []FieldSlot
-	// Launch marks the launch-semantic instruction.
-	Launch bool
-}
-
-// Sequence is the full gemmini_loop_ws configuration sequence in issue
-// order. The accfg-to-RoCC lowering walks this table to emit instructions
-// and the simulator walks it to decode register writes; Table 1 of the
-// paper is regenerated from it.
-var Sequence = []ConfigInstr{
-	{Funct7: FnConfigEx, Name: "config_ex", Slots: []FieldSlot{
-		{"act", 0, 0, 6},
-		{"A_transpose", 0, 6, 1},
-		{"B_transpose", 0, 7, 1},
-		{"full_C", 1, 0, 1},
-		{"low_D", 1, 1, 1},
-	}},
-	{Funct7: FnConfigAcc, Name: "config_acc", Slots: []FieldSlot{
-		{"ex_accumulate", 0, 0, 1},
-		{"acc_scale", 1, 0, 32},
-	}},
-	{Funct7: FnConfigBounds, Name: "config_bounds", Slots: []FieldSlot{
-		{"I", 0, 0, 16},
-		{"J", 0, 16, 16},
-		{"K", 1, 0, 16},
-	}},
-	{Funct7: FnConfigPads, Name: "config_pads", Slots: []FieldSlot{
-		{"pad_I", 0, 0, 16},
-		{"pad_J", 0, 16, 16},
-		{"pad_K", 1, 0, 16},
-	}},
-	{Funct7: FnConfigAddrA, Name: "config_addr_a", Slots: []FieldSlot{{"A", 0, 0, 64}}},
-	{Funct7: FnConfigAddrB, Name: "config_addr_b", Slots: []FieldSlot{{"B", 0, 0, 64}}},
-	{Funct7: FnConfigAddrD, Name: "config_addr_d", Slots: []FieldSlot{{"D", 0, 0, 64}}},
-	{Funct7: FnConfigAddrC, Name: "config_addr_c", Slots: []FieldSlot{{"C", 0, 0, 64}}},
-	{Funct7: FnConfigStrideA, Name: "config_stride_a", Slots: []FieldSlot{{"stride_A", 0, 0, 64}}},
-	{Funct7: FnConfigStrideB, Name: "config_stride_b", Slots: []FieldSlot{{"stride_B", 0, 0, 64}}},
-	{Funct7: FnConfigStrideD, Name: "config_stride_d", Slots: []FieldSlot{{"stride_D", 0, 0, 64}}},
-	{Funct7: FnConfigStrideC, Name: "config_stride_c", Slots: []FieldSlot{{"stride_C", 0, 0, 64}}},
-	{Funct7: FnConfigSpadA, Name: "config_spad_a", Slots: []FieldSlot{{"spad_A", 0, 0, 32}}},
-	{Funct7: FnConfigSpadB, Name: "config_spad_b", Slots: []FieldSlot{{"spad_B", 0, 0, 32}}},
-	{Funct7: FnConfigSpadD, Name: "config_spad_d", Slots: []FieldSlot{{"spad_D", 0, 0, 32}}},
-	{Funct7: FnConfigSpadC, Name: "config_spad_c", Slots: []FieldSlot{{"spad_C", 0, 0, 32}}},
-	{Funct7: FnConfigMvin0, Name: "config_mvin0", Slots: []FieldSlot{
-		{"mvin0_rows", 0, 0, 16},
-		{"mvin0_cols", 0, 16, 16},
-		{"mvin0_stride", 1, 0, 32},
-	}},
-	{Funct7: FnConfigMvin1, Name: "config_mvin1", Slots: []FieldSlot{
-		{"mvin1_rows", 0, 0, 16},
-		{"mvin1_cols", 0, 16, 16},
-		{"mvin1_stride", 1, 0, 32},
-	}},
-	{Funct7: FnConfigMvin2, Name: "config_mvin2", Slots: []FieldSlot{
-		{"mvin2_rows", 0, 0, 16},
-		{"mvin2_cols", 0, 16, 16},
-		{"mvin2_stride", 1, 0, 32},
-	}},
-	{Funct7: FnConfigMvout, Name: "config_mvout", Slots: []FieldSlot{
-		{"mvout_rows", 0, 0, 16},
-		{"mvout_cols", 0, 16, 16},
-		{"mvout_stride", 1, 0, 32},
-	}},
-	{Funct7: FnLoopWS, Name: "loop_ws", Launch: true},
-}
-
-// FieldBits returns every configurable field with its bit width, in
-// sequence order — the data behind the paper's Table 1.
-func FieldBits() []struct {
-	Field string
-	Bits  uint
-} {
-	var out []struct {
-		Field string
-		Bits  uint
-	}
-	for _, ci := range Sequence {
-		for _, s := range ci.Slots {
-			out = append(out, struct {
-				Field string
-				Bits  uint
-			}{s.Field, s.Bits})
-		}
-	}
-	return out
+// Port is Gemmini's configuration interface: the full gemmini_loop_ws
+// configuration sequence in issue order, the launch-semantic final
+// instruction and the fence. The accfg-to-RoCC lowering walks this table to
+// emit instructions and the simulator walks it to decode register writes;
+// Table 1 of the paper is regenerated from it.
+var Port = &accel.Port{
+	Accel: Name,
+	Mode:  accel.Sequential,
+	Kind:  accel.RoCC,
+	Writes: []accel.ConfigWrite{
+		{ID: FnConfigEx, Name: "config_ex", Slots: []accel.FieldSlot{
+			accel.Slot("act", 0, 0, 6),
+			accel.Slot("A_transpose", 0, 6, 1),
+			accel.Slot("B_transpose", 0, 7, 1),
+			accel.Slot("full_C", 1, 0, 1),
+			accel.Slot("low_D", 1, 1, 1),
+		}},
+		{ID: FnConfigAcc, Name: "config_acc", Slots: []accel.FieldSlot{
+			accel.Slot("ex_accumulate", 0, 0, 1),
+			accel.Slot("acc_scale", 1, 0, 32),
+		}},
+		{ID: FnConfigBounds, Name: "config_bounds", Slots: []accel.FieldSlot{
+			accel.Slot("I", 0, 0, 16),
+			accel.Slot("J", 0, 16, 16),
+			accel.Slot("K", 1, 0, 16),
+		}},
+		{ID: FnConfigPads, Name: "config_pads", Slots: []accel.FieldSlot{
+			accel.Slot("pad_I", 0, 0, 16),
+			accel.Slot("pad_J", 0, 16, 16),
+			accel.Slot("pad_K", 1, 0, 16),
+		}},
+		{ID: FnConfigAddrA, Name: "config_addr_a", Slots: []accel.FieldSlot{accel.Slot("A", 0, 0, 64)}},
+		{ID: FnConfigAddrB, Name: "config_addr_b", Slots: []accel.FieldSlot{accel.Slot("B", 0, 0, 64)}},
+		{ID: FnConfigAddrD, Name: "config_addr_d", Slots: []accel.FieldSlot{accel.Slot("D", 0, 0, 64)}},
+		{ID: FnConfigAddrC, Name: "config_addr_c", Slots: []accel.FieldSlot{accel.Slot("C", 0, 0, 64)}},
+		{ID: FnConfigStrideA, Name: "config_stride_a", Slots: []accel.FieldSlot{accel.Slot("stride_A", 0, 0, 64)}},
+		{ID: FnConfigStrideB, Name: "config_stride_b", Slots: []accel.FieldSlot{accel.Slot("stride_B", 0, 0, 64)}},
+		{ID: FnConfigStrideD, Name: "config_stride_d", Slots: []accel.FieldSlot{accel.Slot("stride_D", 0, 0, 64)}},
+		{ID: FnConfigStrideC, Name: "config_stride_c", Slots: []accel.FieldSlot{accel.Slot("stride_C", 0, 0, 64)}},
+		{ID: FnConfigSpadA, Name: "config_spad_a", Slots: []accel.FieldSlot{accel.Slot("spad_A", 0, 0, 32)}},
+		{ID: FnConfigSpadB, Name: "config_spad_b", Slots: []accel.FieldSlot{accel.Slot("spad_B", 0, 0, 32)}},
+		{ID: FnConfigSpadD, Name: "config_spad_d", Slots: []accel.FieldSlot{accel.Slot("spad_D", 0, 0, 32)}},
+		{ID: FnConfigSpadC, Name: "config_spad_c", Slots: []accel.FieldSlot{accel.Slot("spad_C", 0, 0, 32)}},
+		{ID: FnConfigMvin0, Name: "config_mvin0", Slots: []accel.FieldSlot{
+			accel.Slot("mvin0_rows", 0, 0, 16),
+			accel.Slot("mvin0_cols", 0, 16, 16),
+			accel.Slot("mvin0_stride", 1, 0, 32),
+		}},
+		{ID: FnConfigMvin1, Name: "config_mvin1", Slots: []accel.FieldSlot{
+			accel.Slot("mvin1_rows", 0, 0, 16),
+			accel.Slot("mvin1_cols", 0, 16, 16),
+			accel.Slot("mvin1_stride", 1, 0, 32),
+		}},
+		{ID: FnConfigMvin2, Name: "config_mvin2", Slots: []accel.FieldSlot{
+			accel.Slot("mvin2_rows", 0, 0, 16),
+			accel.Slot("mvin2_cols", 0, 16, 16),
+			accel.Slot("mvin2_stride", 1, 0, 32),
+		}},
+		{ID: FnConfigMvout, Name: "config_mvout", Slots: []accel.FieldSlot{
+			accel.Slot("mvout_rows", 0, 0, 16),
+			accel.Slot("mvout_cols", 0, 16, 16),
+			accel.Slot("mvout_stride", 1, 0, 32),
+		}},
+	},
+	Launch: FnLoopWS,
+	Sync:   FnFence,
 }
 
 // FieldMeanings maps each field to the Table 1 "meaning" column.
@@ -194,8 +162,10 @@ func DefaultCost() CostParams {
 	return CostParams{StartupCycles: 80, DrainCycles: 16}
 }
 
-// Model is the simulated device state.
+// Model is the simulated device state. The embedded Port is the descriptive
+// half of accel.Device.
 type Model struct {
+	*accel.Port
 	cost CostParams
 	// regs holds the raw (rs1, rs2) pair last written per configuration
 	// funct7 (everything below FnLoopWS).
@@ -207,14 +177,8 @@ type Model struct {
 
 // New returns a fresh Gemmini model with the given timing parameters.
 func New(cost CostParams) *Model {
-	return &Model{cost: cost}
+	return &Model{Port: Port, cost: cost}
 }
-
-// Name implements accel.Device.
-func (m *Model) Name() string { return Name }
-
-// Scheme implements accel.Device: Gemmini configures sequentially.
-func (m *Model) Scheme() accel.Scheme { return accel.Sequential }
 
 // WriteConfig implements accel.Device. Only configuration instructions have
 // a register pair; the payload of a launch, a fence or an unknown funct7 is
@@ -225,22 +189,8 @@ func (m *Model) WriteConfig(id uint32, lo, hi uint64) {
 	}
 }
 
-// ConfigBytes implements accel.Device: every RoCC instruction carries two
-// 64-bit source registers.
-func (m *Model) ConfigBytes(uint32) uint64 { return 16 }
-
-// IsLaunch implements accel.Device.
-func (m *Model) IsLaunch(id uint32) bool { return id == FnLoopWS }
-
-// IsFence implements accel.Device.
-func (m *Model) IsFence(id uint32) bool { return id == FnFence }
-
-// StatusID implements accel.Device: Gemmini has no polled status port; the
-// host uses the fence.
-func (m *Model) StatusID() (uint32, bool) { return 0, false }
-
-// slot is a FieldSlot resolved against Sequence: the register that holds
-// the field and how to cut it out.
+// slot is a FieldSlot resolved against Port: the register that holds the
+// field and how to cut it out.
 type slot struct {
 	funct7 uint32
 	reg    int
@@ -260,14 +210,14 @@ var (
 )
 
 func mustSlot(field string) slot {
-	for _, ci := range Sequence {
-		for _, s := range ci.Slots {
+	if w := Port.WriteFor(field); w != nil {
+		for _, s := range w.Slots {
 			if s.Field == field {
-				return slot{ci.Funct7, s.Reg, s.Offset, ^uint64(0) >> (64 - s.Bits)}
+				return slot{w.ID, s.Reg, s.Offset, ^uint64(0) >> (64 - s.Bits)}
 			}
 		}
 	}
-	panic("gemmini: Sequence has no field " + field)
+	panic("gemmini: Port has no field " + field)
 }
 
 // field extracts a field from the written registers.
@@ -366,24 +316,13 @@ func saturate(v int32) uint8 {
 	return uint8(int8(v))
 }
 
-// InstrFor returns the descriptor of the configuration instruction that
-// carries the named field, or ok=false.
-func InstrFor(field string) (ConfigInstr, bool) {
-	for _, ci := range Sequence {
-		for _, s := range ci.Slots {
-			if s.Field == field {
-				return ci, true
-			}
-		}
-	}
-	return ConfigInstr{}, false
-}
-
 // Table1 renders the paper's Table 1: field, meaning, bit width.
 func Table1() string {
 	out := fmt.Sprintf("%-14s %-55s %s\n", "Field", "Meaning", "Bits")
-	for _, fb := range FieldBits() {
-		out += fmt.Sprintf("%-14s %-55s %d\n", fb.Field, FieldMeanings[fb.Field], fb.Bits)
+	for _, w := range Port.Writes {
+		for _, s := range w.Slots {
+			out += fmt.Sprintf("%-14s %-55s %d\n", s.Field, FieldMeanings[s.Field], s.Bits)
+		}
 	}
 	return out
 }

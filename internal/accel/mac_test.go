@@ -42,12 +42,12 @@ func opengemmLaunch(m, n, k int) launch {
 func (l launch) device() accel.Device {
 	if l.gemmini {
 		dev := gemmini.New(gemmini.DefaultCost())
-		for _, ci := range gemmini.Sequence {
+		for _, ci := range gemmini.Port.Writes {
 			var rs [2]uint64
 			for _, s := range ci.Slots {
 				rs[s.Reg] |= l.gemminiField(s.Field) << s.Offset
 			}
-			dev.WriteConfig(ci.Funct7, rs[0], rs[1])
+			dev.WriteConfig(ci.ID, rs[0], rs[1])
 		}
 		return dev
 	}

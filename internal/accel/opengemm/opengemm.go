@@ -47,19 +47,29 @@ const (
 	CsrPerfCounter  // read-only: busy cycles of the last job
 )
 
-// Fields maps accfg field names to CSR addresses; the accfg-to-CSR lowering
-// and the workload builders share it.
-var Fields = map[string]uint32{
-	"ptr_a": CsrPtrA, "ptr_b": CsrPtrB, "ptr_c": CsrPtrC,
-	"m": CsrM, "k": CsrK, "n": CsrN,
-	"stride_a": CsrStrideA, "stride_b": CsrStrideB, "stride_c": CsrStrideC,
-	"subtractions": CsrSubtractions, "flags": CsrFlags,
-}
-
-// FieldOrder lists the configuration fields in canonical issue order.
-var FieldOrder = []string{
-	"ptr_a", "ptr_b", "ptr_c", "m", "k", "n",
-	"stride_a", "stride_b", "stride_c", "subtractions", "flags",
+// Port is OpenGeMM's configuration interface: one whole-register CSR write
+// per field, in canonical issue order, a launch CSR and the busy CSR the
+// host polls.
+var Port = &accel.Port{
+	Accel: Name,
+	Mode:  accel.Concurrent,
+	Kind:  accel.CSR,
+	Writes: []accel.ConfigWrite{
+		accel.Register64(CsrPtrA, "ptr_a"),
+		accel.Register64(CsrPtrB, "ptr_b"),
+		accel.Register64(CsrPtrC, "ptr_c"),
+		accel.Register64(CsrM, "m"),
+		accel.Register64(CsrK, "k"),
+		accel.Register64(CsrN, "n"),
+		accel.Register64(CsrStrideA, "stride_a"),
+		accel.Register64(CsrStrideB, "stride_b"),
+		accel.Register64(CsrStrideC, "stride_c"),
+		accel.Register64(CsrSubtractions, "subtractions"),
+		accel.Register64(CsrFlags, "flags"),
+	},
+	Launch:      CsrLaunch,
+	LaunchValue: 1,
+	Sync:        CsrBusy,
 }
 
 // CostParams tunes the GeMM core timing model.
@@ -71,8 +81,10 @@ type CostParams struct {
 // DefaultCost returns the default timing model.
 func DefaultCost() CostParams { return CostParams{PipelineCycles: 5} }
 
-// Model is the simulated device state.
+// Model is the simulated device state. The embedded Port is the descriptive
+// half of accel.Device.
 type Model struct {
+	*accel.Port
 	cost CostParams
 	// staging holds the configuration CSRs (CsrPtrA up to CsrFlags),
 	// indexed by id - CsrPtrA.
@@ -84,14 +96,8 @@ type Model struct {
 
 // New returns a fresh OpenGeMM model.
 func New(cost CostParams) *Model {
-	return &Model{cost: cost}
+	return &Model{Port: Port, cost: cost}
 }
-
-// Name implements accel.Device.
-func (m *Model) Name() string { return Name }
-
-// Scheme implements accel.Device: OpenGeMM configures concurrently.
-func (m *Model) Scheme() accel.Scheme { return accel.Concurrent }
 
 // WriteConfig implements accel.Device: CSR writes stage the low 32 bits.
 // The value written to the launch CSR, or to an address outside the
@@ -104,19 +110,6 @@ func (m *Model) WriteConfig(id uint32, lo, _ uint64) {
 
 // csr returns the staged value of a configuration CSR.
 func (m *Model) csr(id uint32) uint32 { return m.staging[id-CsrPtrA] }
-
-// ConfigBytes implements accel.Device: 32-bit CSRs carry 4 bytes.
-func (m *Model) ConfigBytes(uint32) uint64 { return 4 }
-
-// IsLaunch implements accel.Device.
-func (m *Model) IsLaunch(id uint32) bool { return id == CsrLaunch }
-
-// IsFence implements accel.Device: OpenGeMM synchronizes by polling the
-// busy CSR, not with a fence write.
-func (m *Model) IsFence(uint32) bool { return false }
-
-// StatusID implements accel.Device.
-func (m *Model) StatusID() (uint32, bool) { return CsrBusy, true }
 
 // Launch implements accel.Device: commits the staged configuration and
 // executes C[m*8, n*8] (int32) = A[m*8, k*8] (int8) x B[k*8, n*8] (int8)

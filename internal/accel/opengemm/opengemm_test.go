@@ -38,20 +38,21 @@ func TestDeviceProperties(t *testing.T) {
 	}
 }
 
+// TestFieldMapCoversOrder: there is one field list now (Port.Writes), so
+// what is left to check is that it is well formed (accel.Port.Validate, held
+// over every registered port by core's TestPortsAreWellFormed) and covers
+// the staging CSRs exactly.
 func TestFieldMapCoversOrder(t *testing.T) {
-	if len(opengemm.FieldOrder) != len(opengemm.Fields) {
-		t.Fatalf("FieldOrder has %d entries, Fields has %d", len(opengemm.FieldOrder), len(opengemm.Fields))
+	if err := opengemm.Port.Validate(); err != nil {
+		t.Error(err)
 	}
-	seen := map[uint32]bool{}
-	for _, name := range opengemm.FieldOrder {
-		addr, ok := opengemm.Fields[name]
-		if !ok {
-			t.Errorf("FieldOrder entry %q missing from Fields", name)
+	if got, want := len(opengemm.Port.Writes), int(opengemm.CsrLaunch-opengemm.CsrPtrA); got != want {
+		t.Fatalf("Port has %d writes, the staging file has %d CSRs", got, want)
+	}
+	for i, w := range opengemm.Port.Writes {
+		if w.ID != opengemm.CsrPtrA+uint32(i) {
+			t.Errorf("write %d (%s) goes to CSR %#x, want %#x", i, w.Name, w.ID, opengemm.CsrPtrA+uint32(i))
 		}
-		if seen[addr] {
-			t.Errorf("CSR %#x mapped twice", addr)
-		}
-		seen[addr] = true
 	}
 }
 

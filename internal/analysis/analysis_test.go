@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"configwall/internal/accel"
 	"configwall/internal/dialects/accfg"
 	"configwall/internal/dialects/arith"
 	"configwall/internal/ir"
@@ -461,5 +462,74 @@ func TestComparePathVisitsFieldUnionInOrder(t *testing.T) {
 		if len(v.Findings) != 1 || !strings.Contains(v.Findings[0].Detail, tc.field) {
 			t.Errorf("base %s, optimized %s: want one finding on %s, got %s", tc.base, tc.opt, tc.field, v)
 		}
+	}
+}
+
+// chainedRewrite configures x and y, launches, then rewrites x alone on the
+// same state chain and launches again.
+const chainedRewrite = `
+"builtin.module"() ({
+  "fnc.func"() ({
+    %0 = "arith.constant"() {value = 1 : i64} : () -> (i64)
+    %1 = "arith.constant"() {value = 2 : i64} : () -> (i64)
+    %2 = "arith.constant"() {value = 3 : i64} : () -> (i64)
+    %3 = "accfg.setup"(%0, %1) {accelerator = "ACC", fields = ["x", "y"]} : (i64, i64) -> (!accfg.state<"ACC">)
+    %4 = "accfg.launch"(%3) : (!accfg.state<"ACC">) -> (!accfg.token<"ACC">)
+    "accfg.await"(%4) : (!accfg.token<"ACC">) -> ()
+    %5 = "accfg.setup"(%3, %2) {accelerator = "ACC", fields = ["x"], in_state} : (!accfg.state<"ACC">, i64) -> (!accfg.state<"ACC">)
+    %6 = "accfg.launch"(%5) : (!accfg.state<"ACC">) -> (!accfg.token<"ACC">)
+    "accfg.await"(%6) : (!accfg.token<"ACC">) -> ()
+    "fnc.return"() : () -> ()
+  }) {function_type = () -> (), sym_name = "main"} : () -> ()
+}) : () -> ()
+`
+
+// secondLaunchY returns what the flow summary knows of y at the second
+// launch of chainedRewrite on the named accelerator.
+func secondLaunchY(t *testing.T, accelerator string) AbsVal {
+	t.Helper()
+	sum := Summarize(parseIR(t, strings.ReplaceAll(chainedRewrite, "ACC", accelerator)))
+	if len(sum.Funcs) != 1 || len(sum.Funcs[0].Launches) != 2 {
+		t.Fatalf("summary shape = %+v", sum)
+	}
+	return sum.Funcs[0].Launches[1].Fields.get("y")
+}
+
+func TestUnregisteredAcceleratorIsFieldGranular(t *testing.T) {
+	if accel.PortFor("nobody") != nil {
+		t.Fatal(`an accelerator named "nobody" is registered`)
+	}
+	if got := secondLaunchY(t, "nobody"); !got.Equal(Const(2)) {
+		t.Errorf("y = %s after rewriting x on an unregistered accelerator, want 2", got)
+	}
+	if got := configInstrsFor("nobody", []string{"x", "y"}); got != 2 {
+		t.Errorf("configInstrsFor = %d, want one write per field", got)
+	}
+}
+
+// pairPort packs two fields into one RoCC write and is not Gemmini: the
+// group-atomic rule is keyed by the registered port, not by a name.
+var pairPort = &accel.Port{
+	Accel: "pairacc",
+	Kind:  accel.RoCC,
+	Writes: []accel.ConfigWrite{
+		{ID: 0, Name: "config_xy", Slots: []accel.FieldSlot{accel.Slot("x", 0, 0, 32), accel.Slot("y", 1, 0, 32)}},
+	},
+	Launch: 1,
+	Sync:   2,
+}
+
+func TestPackedMateDegradesOnAnyRegisteredPort(t *testing.T) {
+	if err := accel.Register(pairPort); err != nil {
+		t.Fatal(err)
+	}
+	if got := secondLaunchY(t, "pairacc"); !got.IsTop() {
+		t.Errorf("y = %s after its packed mate x was rewritten, want ⊤", got)
+	}
+	if got := configInstrsFor("pairacc", []string{"x", "y"}); got != 1 {
+		t.Errorf("configInstrsFor = %d, want 1 (x and y share a write)", got)
+	}
+	if got := configInstrsFor("pairacc", []string{"x", "zz", "y", "zz"}); got != 3 {
+		t.Errorf("configInstrsFor = %d, want 3 (one shared write, two unknown fields)", got)
 	}
 }

@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"slices"
+
+	"configwall/internal/accel"
 	"configwall/internal/dialects/accfg"
 	"configwall/internal/dialects/arith"
 	"configwall/internal/dialects/scf"
@@ -80,4 +83,27 @@ func minTripCount(op *ir.Op) int {
 		return 0
 	}
 	return int((ub - lb + step - 1) / step)
+}
+
+// configInstrsFor returns how many configuration instructions the lowering
+// emits for one setup writing the given fields: the number of distinct
+// writes of the registered port they touch, or one per field when the
+// accelerator or the field is unknown. Used by the static bounds analysis;
+// exact for lower.Accfg, and a valid lower bound for anything else.
+func configInstrsFor(accelerator string, fields []string) int {
+	port := accel.PortFor(accelerator)
+	if port == nil {
+		return len(fields)
+	}
+	touched := make([]*accel.ConfigWrite, 0, 32)
+	n := 0
+	for _, f := range fields {
+		w := port.WriteFor(f)
+		if w != nil && slices.Contains(touched, w) {
+			continue
+		}
+		touched = append(touched, w)
+		n++
+	}
+	return n
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 
+	"configwall/internal/accel"
 	"configwall/internal/dialects/accfg"
 	"configwall/internal/dialects/arith"
 	"configwall/internal/dialects/fnc"
@@ -280,29 +281,36 @@ func (p *flowProblem) ExitIf(ifOp *ir.Op, thenState, elseState *flowState) *flow
 // with the same group-atomic mate degradation as the path interpreter: a
 // previously-written packed mate the setup does not carry becomes ⊤, a
 // never-written mate stays at the reset value the lowering packs for it.
+//
+// The mates come from the port registered under the accelerator's name
+// (accel.PortFor). On a bit-packed interface one write rewrites a whole
+// register pair, so a setup touching any member of a group rewrites every
+// member; the lowering re-materializes the mates from its own static
+// knowledge — knowledge this analysis must not assume, hence ⊤ (the
+// group-atomic join of DESIGN.md §9). A port with one field per write, and
+// an accelerator nobody registered (hand-written test modules), is
+// field-granular.
 func applySetup(op *ir.Op, staging map[string]FieldState, resolve func(*ir.Value) AbsVal) {
 	s, _ := accfg.AsSetup(op)
-	accel := s.Accelerator()
-	st, ok := staging[accel]
+	name := s.Accelerator()
+	st, ok := staging[name]
 	if !ok {
 		st = FieldState{}
-		staging[accel] = st
+		staging[name] = st
 	}
-	written := map[string]bool{}
-	for _, f := range s.Fields() {
-		st[f.Name] = resolve(f.Value)
-		written[f.Name] = true
-	}
-	mates := groupMates(accel)
-	for name := range written {
-		for _, mate := range mates[name] {
-			if written[mate] {
-				continue
-			}
+	// Degrade first, write second: a mate the setup carries itself gets its
+	// own value back.
+	fields := s.Fields()
+	port := accel.PortFor(name)
+	for _, f := range fields {
+		for _, mate := range port.Mates(f.Name) {
 			if _, prev := st[mate]; prev {
 				st[mate] = Top()
 			}
 		}
+	}
+	for _, f := range fields {
+		st[f.Name] = resolve(f.Value)
 	}
 }
 
@@ -314,16 +322,16 @@ func havocStagingSubtree(root *ir.Op, staging map[string]FieldState) {
 		if !ok {
 			return
 		}
-		accel := s.Accelerator()
-		st, ok := staging[accel]
+		name := s.Accelerator()
+		st, ok := staging[name]
 		if !ok {
 			st = FieldState{}
-			staging[accel] = st
+			staging[name] = st
 		}
-		mates := groupMates(accel)
-		for _, name := range s.FieldNames() {
-			st[name] = Top()
-			for _, mate := range mates[name] {
+		port := accel.PortFor(name)
+		for _, field := range s.FieldNames() {
+			st[field] = Top()
+			for _, mate := range port.Mates(field) {
 				st[mate] = Top()
 			}
 		}

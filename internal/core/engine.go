@@ -81,22 +81,17 @@ func PipelineByName(name string) (Pipeline, error) {
 type Target struct {
 	// Name is the accfg accelerator name.
 	Name string
-	// Concurrent marks concurrent-configuration hardware (enables
-	// overlap).
-	Concurrent bool
+	// Port describes the accelerator's configuration interface: the
+	// lowering, the static analyses, the roofline's raw bandwidth and the
+	// overlap pass's concurrency question all read it. RegisterTarget
+	// publishes it under Name for the analyses.
+	Port *accel.Port
 	// PeakOps is the accelerator's peak performance in ops/cycle.
 	PeakOps float64
 	// NewDevice builds a fresh simulated device.
 	NewDevice func() accel.Device
 	// Cost is the host cycle model.
 	Cost riscv.CostModel
-	// Lowering builds the accfg-to-target lowering pass.
-	Lowering func() ir.Pass
-	// RawConfigBW computes the raw configuration bandwidth in bytes/cycle
-	// from the host cost model (nil defaults to 1 B/cycle). It feeds the
-	// analytical roofline, the way the paper derives Gemmini's ~1.77
-	// B/cycle in §4.6.
-	RawConfigBW func(c riscv.CostModel) float64
 	// MatmulMKN optionally builds the target's C[M,N] = A[M,K] x B[K,N]
 	// tiled-matmul IR. A target that provides it joins every built-in
 	// matmul-family workload (matmul, rectmm, matvec) without further
@@ -112,26 +107,25 @@ type Target struct {
 	OutputBytes int
 }
 
+// Concurrent reports whether the target configures concurrently (paper
+// §2.2): overlap applies, and the concurrent roofline.
+func (t Target) Concurrent() bool {
+	return t.Port != nil && t.Port.Mode == accel.Concurrent
+}
+
 // GemminiTarget returns the Gemmini-style platform: sequential
 // configuration, 512 ops/cycle, Rocket-class host at 3 cycles/instruction
 // (paper §4.6, §6.1).
 func GemminiTarget() Target {
 	return Target{
 		Name:         gemmini.Name,
-		Concurrent:   false,
+		Port:         gemmini.Port,
 		PeakOps:      gemmini.PeakOpsPerCycle,
 		NewDevice:    func() accel.Device { return gemmini.New(gemmini.DefaultCost()) },
 		Cost:         riscv.RocketCost(),
-		Lowering:     lower.AccfgToGemmini,
 		MatmulMKN:    workload.GemminiTiledMatmulMKN,
 		MatmulTiling: workload.GemminiMatmulTiling,
-		RawConfigBW: func(c riscv.CostModel) float64 {
-			// 16 bytes per RoCC instruction; ~3 instructions (2 register
-			// loads + 1 custom) at the host CPI.
-			perInstr := float64(c.Cycles(riscv.Instr{Op: riscv.CUSTOM}))
-			return 16.0 / (3 * perInstr)
-		},
-		OutputBytes: 1,
+		OutputBytes:  1,
 	}
 }
 
@@ -140,20 +134,13 @@ func GemminiTarget() Target {
 func OpenGeMMTarget() Target {
 	return Target{
 		Name:         opengemm.Name,
-		Concurrent:   true,
+		Port:         opengemm.Port,
 		PeakOps:      opengemm.PeakOpsPerCycle,
 		NewDevice:    func() accel.Device { return opengemm.New(opengemm.DefaultCost()) },
 		Cost:         riscv.SnitchCost(),
-		Lowering:     lower.AccfgToOpenGeMM,
 		MatmulMKN:    workload.OpenGeMMTiledMatmulMKN,
 		MatmulTiling: workload.OpenGeMMMatmulTiling,
-		RawConfigBW: func(c riscv.CostModel) float64 {
-			// 4 bytes per CSR write; ~2 instructions (1 value setup + 1
-			// csrw).
-			perInstr := float64(c.Cycles(riscv.Instr{Op: riscv.CSRRW}))
-			return 4.0 / (2 * perInstr)
-		},
-		OutputBytes: 4,
+		OutputBytes:  4,
 	}
 }
 
@@ -162,7 +149,7 @@ func OpenGeMMTarget() Target {
 // conversions).
 func (t Target) PassPipeline(p Pipeline) *ir.PassManager {
 	concurrent := func(accelName string) bool {
-		return t.Concurrent && accelName == t.Name
+		return t.Concurrent() && accelName == t.Name
 	}
 	pm := ir.NewPassManager()
 	if p == Baseline {
@@ -203,7 +190,7 @@ func (t Target) PassPipeline(p Pipeline) *ir.PassManager {
 	// Target conversion (Figure 8, step 5), then post-lowering cleanups of
 	// the emitted packing arithmetic (accfg flows only — the baseline
 	// emits the packing verbatim, like Listing 1's macro expansion).
-	pm.Add(t.Lowering())
+	pm.Add(lower.Accfg(t.Port))
 	if p != Baseline {
 		pm.Add(passes.LICM())
 		pm.Add(passes.Canonicalize(), passes.CSE())
@@ -491,20 +478,27 @@ func (c *Compiled) Execute(opts RunOptions) (Result, error) {
 }
 
 // RooflineModel derives the target's analytical roofline model, computing
-// the raw configuration bandwidth from the host cost model via the target's
-// RawConfigBW hook, the way the paper does for Gemmini (§4.6: 16 bytes per
-// RoCC custom instruction, issued by a 3-cycles/instruction host with two
-// register-setup instructions per custom op).
+// the raw configuration bandwidth from the port and the host cost model the
+// way the paper does for Gemmini (§4.6: 16 bytes per RoCC custom
+// instruction, issued by a 3-cycles/instruction host with two
+// register-setup instructions per custom op): bytes per write over host
+// instructions per write times the cycles of one. A target without a port
+// defaults to 1 B/cycle.
 func (t Target) RooflineModel() roofline.Model {
 	bw := 1.0
-	if t.RawConfigBW != nil {
-		bw = t.RawConfigBW(t.Cost)
+	if p := t.Port; p != nil {
+		op := riscv.CUSTOM
+		if p.Kind == accel.CSR {
+			op = riscv.CSRRW
+		}
+		perInstr := float64(t.Cost.Cycles(riscv.Instr{Op: op}))
+		bw = float64(p.Kind.WriteBytes()) / (float64(p.Kind.HostInstrs()) * perInstr)
 	}
 	return roofline.Model{
 		Name:             t.Name,
 		PeakOps:          t.PeakOps,
 		BWConfig:         bw,
 		BWMemory:         64, // wide tightly-coupled scratchpad port
-		ConcurrentConfig: t.Concurrent,
+		ConcurrentConfig: t.Concurrent(),
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"configwall/internal/accel"
 	"configwall/internal/ir"
 	"configwall/internal/mem"
 	"configwall/internal/workload"
@@ -118,9 +119,21 @@ var (
 	workloads = table[Workload]{kind: "workload"}
 )
 
-// RegisterTarget adds a target platform to the registry. Registering a
-// duplicate or unnamed target is an error.
-func RegisterTarget(t Target) error { return targets.add(t.Name, t) }
+// RegisterTarget adds a target platform to the registry and publishes its
+// configuration port for the static analyses (accel.PortFor). Registering a
+// duplicate or unnamed target, or a port that describes another
+// accelerator, is an error.
+func RegisterTarget(t Target) error {
+	if t.Port != nil {
+		if t.Port.Accel != t.Name {
+			return fmt.Errorf("registry: target %q has the port of accelerator %q", t.Name, t.Port.Accel)
+		}
+		if err := accel.Register(t.Port); err != nil {
+			return fmt.Errorf("registry: target %q: %w", t.Name, err)
+		}
+	}
+	return targets.add(t.Name, t)
+}
 
 // MustRegisterTarget is RegisterTarget, panicking on error (for init-time
 // registration).

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"configwall/internal/accel"
 	"configwall/internal/core"
 )
 
@@ -179,5 +180,60 @@ func TestGeomeanGuardsNonPositive(t *testing.T) {
 		if g != g { // NaN check
 			t.Errorf("Geomean(%v) produced NaN", xs)
 		}
+	}
+}
+
+// TestPortsAreWellFormed holds every registered target's configuration port
+// to accel.Port.Validate (ids unique and distinct from Launch/Sync, every
+// field in exactly one write, slots inside their register and clear of each
+// other, CSR writes in rs1 only), to the name it is published under, and to
+// the device model that embeds it.
+func TestPortsAreWellFormed(t *testing.T) {
+	checked := 0
+	for _, name := range core.TargetNames() {
+		tgt, err := core.LookupTarget(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		port := tgt.Port
+		if port == nil {
+			continue // the registry tests' bare targets
+		}
+		checked++
+		if err := port.Validate(); err != nil {
+			t.Error(err)
+		}
+		if port.Accel != name || accel.PortFor(name) != port {
+			t.Errorf("target %s: port of %q, analyses see %p, want %p", name, port.Accel, accel.PortFor(name), port)
+		}
+		for _, w := range port.Writes {
+			for _, s := range w.Slots {
+				if got := port.WriteFor(s.Field); got == nil || got.ID != w.ID {
+					t.Errorf("%s: WriteFor(%q) = %v, want write %s", name, s.Field, got, w.Name)
+				}
+			}
+		}
+		dev := tgt.NewDevice()
+		if dev.Name() != name || dev.Scheme() != port.Mode || !dev.IsLaunch(port.Launch) || dev.IsLaunch(port.Writes[0].ID) {
+			t.Errorf("%s: device %s/%s disagrees with its port", name, dev.Name(), dev.Scheme())
+		}
+		_, polled := dev.StatusID()
+		if dev.IsFence(port.Sync) == polled || dev.ConfigBytes(port.Launch) != port.Kind.WriteBytes() {
+			t.Errorf("%s: device synchronizes by fence %v and by poll %v, %d bytes per write", name, dev.IsFence(port.Sync), polled, dev.ConfigBytes(port.Launch))
+		}
+	}
+	if checked < 2 {
+		t.Errorf("checked %d ports, want at least gemmini and opengemm", checked)
+	}
+}
+
+func TestRegisterTargetRejectsForeignPort(t *testing.T) {
+	name := fmt.Sprintf("regtest-%d", targetSeq.Add(1))
+	err := core.RegisterTarget(core.Target{Name: name, Port: core.GemminiTarget().Port})
+	if err == nil || !strings.Contains(err.Error(), "gemmini") {
+		t.Errorf("registering %s with gemmini's port: %v", name, err)
+	}
+	if _, err := core.LookupTarget(name); err == nil {
+		t.Errorf("%s was registered all the same", name)
 	}
 }

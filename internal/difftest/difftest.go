@@ -622,7 +622,7 @@ func compare(t core.Target, p core.Pipeline, base, opt Execution) []Divergence {
 	// Metamorphic bounds. Overlap software-pipelining on concurrent-config
 	// hardware legitimately adds one prologue setup per pipelined loop; all
 	// other pipelines must strictly shrink configuration traffic and time.
-	overlapping := hasOverlap(p) && t.Concurrent
+	overlapping := hasOverlap(p) && t.Concurrent()
 	if !overlapping {
 		if opt.ConfigInstrs > base.ConfigInstrs || opt.ConfigBytes > base.ConfigBytes {
 			divs = append(divs, Divergence{Kind: KindConfigWrites, Pipeline: p,

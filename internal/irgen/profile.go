@@ -15,6 +15,7 @@ package irgen
 import (
 	"fmt"
 
+	"configwall/internal/accel"
 	"configwall/internal/accel/gemmini"
 	"configwall/internal/accel/opengemm"
 	"configwall/internal/ir"
@@ -137,9 +138,28 @@ type Profile struct {
 	TileRows int
 }
 
-// GemminiProfile builds the generator profile for the Gemmini-style target
-// from the accelerator's own configuration sequence, so the two can never
-// drift apart. Group granularity follows the RoCC instruction packing.
+// portGroups derives a profile's field inventory from the accelerator's
+// configuration port, so the two can never drift apart: one group per
+// write, in issue order, each field classified by roleOf. A group varies in
+// loops unless it holds a stride, zero or flag field.
+func portGroups(port *accel.Port, roleOf func(name string) Field) []Group {
+	var groups []Group
+	for _, w := range port.Writes {
+		g := Group{Name: w.Name, CanVary: true}
+		for _, slot := range w.Slots {
+			f := roleOf(slot.Field)
+			if f.Role == RoleStride || f.Role == RoleZero || f.Role == RoleFlag {
+				g.CanVary = false
+			}
+			g.Fields = append(g.Fields, f)
+		}
+		groups = append(groups, g)
+	}
+	return groups
+}
+
+// GemminiProfile builds the generator profile for the Gemmini-style target.
+// Group granularity follows the RoCC instruction packing.
 func GemminiProfile() Profile {
 	bufIdx := map[string]int{"A": 0, "B": 1, "C": 2, "D": 3}
 	roleOf := func(name string) Field {
@@ -160,23 +180,6 @@ func GemminiProfile() Profile {
 			return Field{Name: name, Role: RoleFree}
 		}
 	}
-	var groups []Group
-	for _, ci := range gemmini.Sequence {
-		if ci.Launch {
-			continue
-		}
-		g := Group{Name: ci.Name}
-		vary := true
-		for _, slot := range ci.Slots {
-			f := roleOf(slot.Field)
-			if f.Role == RoleStride || f.Role == RoleZero || f.Role == RoleFlag {
-				vary = false
-			}
-			g.Fields = append(g.Fields, f)
-		}
-		g.CanVary = vary
-		groups = append(groups, g)
-	}
 	return Profile{
 		Accel: gemmini.Name,
 		Buffers: []BufferSpec{
@@ -187,7 +190,7 @@ func GemminiProfile() Profile {
 			{Name: "S", Elem: ir.I64, Rows: 256},
 		},
 		Scratch:  4,
-		Groups:   groups,
+		Groups:   portGroups(gemmini.Port, roleOf),
 		MaxTiles: 2,
 		TileRows: gemmini.Dim,
 	}
@@ -198,24 +201,17 @@ func GemminiProfile() Profile {
 // partial rewrites are always faithful).
 func OpenGeMMProfile() Profile {
 	bufIdx := map[string]int{"ptr_a": 0, "ptr_b": 1, "ptr_c": 2, "stride_a": 0, "stride_b": 1, "stride_c": 2}
-	var groups []Group
-	for _, name := range opengemm.FieldOrder {
-		var f Field
+	roleOf := func(name string) Field {
 		switch name {
 		case "ptr_a", "ptr_b", "ptr_c":
-			f = Field{Name: name, Role: RoleAddress, Buf: bufIdx[name]}
+			return Field{Name: name, Role: RoleAddress, Buf: bufIdx[name]}
 		case "stride_a", "stride_b", "stride_c":
-			f = Field{Name: name, Role: RoleStride, Buf: bufIdx[name]}
+			return Field{Name: name, Role: RoleStride, Buf: bufIdx[name]}
 		case "m", "k", "n":
-			f = Field{Name: name, Role: RoleSize}
+			return Field{Name: name, Role: RoleSize}
 		default: // subtractions, flags
-			f = Field{Name: name, Role: RoleFree}
+			return Field{Name: name, Role: RoleFree}
 		}
-		groups = append(groups, Group{
-			Name:    name,
-			Fields:  []Field{f},
-			CanVary: f.Role != RoleStride,
-		})
 	}
 	return Profile{
 		Accel: opengemm.Name,
@@ -226,7 +222,7 @@ func OpenGeMMProfile() Profile {
 			{Name: "S", Elem: ir.I64, Rows: 256},
 		},
 		Scratch:  3,
-		Groups:   groups,
+		Groups:   portGroups(opengemm.Port, roleOf),
 		MaxTiles: 4,
 		TileRows: opengemm.MeshRow,
 	}

@@ -1,15 +1,14 @@
 // Package lower converts accfg operations into target-specific command
-// streams (paper Figure 8, step 5): Gemmini-style RoCC instruction
-// sequences with bit-packed register pairs, and OpenGeMM-style CSR writes.
-// After lowering, no accfg ops or !accfg types remain and the module is
-// ready for the RV64 code generator.
+// streams (paper Figure 8, step 5): one generic lowering driven by the
+// accelerator's accel.Port — RoCC instruction sequences with bit-packed
+// register pairs, or CSR writes. After lowering, no accfg ops or !accfg
+// types remain and the module is ready for the RV64 code generator.
 package lower
 
 import (
 	"fmt"
 
-	"configwall/internal/accel/gemmini"
-	"configwall/internal/accel/opengemm"
+	"configwall/internal/accel"
 	"configwall/internal/dialects/accfg"
 	"configwall/internal/dialects/arith"
 	"configwall/internal/dialects/csrops"
@@ -18,33 +17,39 @@ import (
 	"configwall/internal/passes"
 )
 
-// AccfgToGemmini returns the pass lowering accfg ops for the "gemmini"
-// accelerator into rocc instructions.
+// Accfg returns the pass lowering the accfg ops of port's accelerator,
+// named lower-accfg-to-<accelerator>.
 //
-// Each setup materializes the RoCC instructions of the gemmini_loop_ws
-// sequence that carry at least one of its fields. Because one instruction
-// packs several fields into its two registers (paper Table 1 / Listing 1),
-// the lowering emits the bit-packing arithmetic (mask, shift, or) explicitly
-// — this is the "parameter calculation" cost the paper's effective
-// configuration bandwidth models (§4.4). Fields that were deduplicated but
-// share an instruction with a live field are re-materialized from the
-// known-fields analysis so the packed register stays correct.
-func AccfgToGemmini() ir.Pass {
+// Each setup materializes, in table order, the writes of the port that
+// carry at least one of its fields; a launch becomes a write of LaunchValue
+// to the launch id, an await the fence or the busy-poll barrier. Where one
+// write packs several fields into its registers (paper Table 1 / Listing
+// 1), the lowering emits the bit-packing arithmetic (mask, shift, or)
+// explicitly — this is the "parameter calculation" cost the paper's
+// effective configuration bandwidth models (§4.4). Fields that were
+// deduplicated but share a write with a live field are re-materialized from
+// the known-fields analysis so the packed register stays correct.
+func Accfg(port *accel.Port) ir.Pass {
+	name := "lower-accfg-to-" + port.Accel
 	return ir.PassFunc{
-		PassName: "lower-accfg-to-gemmini",
+		PassName: name,
 		Fn: func(m *ir.Module) error {
 			for _, f := range m.Funcs() {
-				if err := lowerGemminiFunc(f); err != nil {
+				if err := lowerFunc(name, port, f); err != nil {
 					return err
 				}
 			}
-			return StripAccfgTypes(m, gemmini.Name)
+			return StripAccfgTypes(m, port.Accel)
 		},
 	}
 }
 
-func lowerGemminiFunc(f *ir.Op) error {
-	fs := passes.AnalyzeFields(f)
+func lowerFunc(pass string, port *accel.Port, f *ir.Op) error {
+	// Only a packed port has mates to re-materialize.
+	var fs *passes.FieldStates
+	if port.Packed() {
+		fs = passes.AnalyzeFields(f)
+	}
 	var err error
 	ir.Walk(f, func(op *ir.Op) {
 		if err != nil {
@@ -52,64 +57,77 @@ func lowerGemminiFunc(f *ir.Op) error {
 		}
 		switch op.Name() {
 		case accfg.OpSetup:
-			s, _ := accfg.AsSetup(op)
-			if s.Accelerator() != gemmini.Name {
-				return
+			if s, _ := accfg.AsSetup(op); s.Accelerator() == port.Accel {
+				err = emitSetup(pass, port, s, fs)
 			}
-			err = emitGemminiSetup(s, fs)
 		case accfg.OpLaunch:
-			l, _ := accfg.AsLaunch(op)
-			if l.Accelerator() != gemmini.Name {
-				return
+			if l, _ := accfg.AsLaunch(op); l.Accelerator() == port.Accel {
+				b := ir.Before(op)
+				v := arith.NewConstant(b, port.LaunchValue, ir.I64)
+				emitWrite(b, port, port.Launch, [2]*ir.Value{v, v})
 			}
-			b := ir.Before(op)
-			zero := arith.NewConstant(b, 0, ir.I64)
-			rocc.NewWrite(b, gemmini.FnLoopWS, zero, zero)
 		case accfg.OpAwait:
-			a, _ := accfg.AsAwait(op)
-			if a.Token().Type().(ir.TokenType).Accelerator != gemmini.Name {
-				return
+			if a, _ := accfg.AsAwait(op); a.Token().Type().(ir.TokenType).Accelerator == port.Accel {
+				if port.Kind == accel.CSR {
+					csrops.NewBarrier(ir.Before(op), port.Sync)
+				} else {
+					rocc.NewFence(ir.Before(op), port.Sync)
+				}
 			}
-			b := ir.Before(op)
-			rocc.NewFence(b, gemmini.FnFence)
 		}
 	})
 	return err
 }
 
-// emitGemminiSetup lowers one setup into rocc.write ops inserted before it.
-func emitGemminiSetup(s accfg.Setup, fs *passes.FieldStates) error {
+// emitWrite emits one write of the port: both registers on RoCC, rs1 alone
+// on a CSR port.
+func emitWrite(b *ir.Builder, port *accel.Port, id uint32, regs [2]*ir.Value) {
+	if port.Kind == accel.CSR {
+		csrops.NewWrite(b, id, regs[0])
+		return
+	}
+	for i := range regs {
+		if regs[i] == nil {
+			regs[i] = arith.NewConstant(b, 0, ir.I64)
+		}
+	}
+	rocc.NewWrite(b, id, regs[0], regs[1])
+}
+
+// emitSetup lowers one setup into writes inserted before it.
+func emitSetup(pass string, port *accel.Port, s accfg.Setup, fs *passes.FieldStates) error {
 	live := map[string]*ir.Value{}
 	for _, f := range s.Fields() {
-		if _, ok := gemmini.InstrFor(f.Name); !ok {
-			return fmt.Errorf("lower-accfg-to-gemmini: unknown field %q", f.Name)
+		if port.WriteFor(f.Name) == nil {
+			return fmt.Errorf("%s: unknown field %q", pass, f.Name)
 		}
 		live[f.Name] = f.Value
 	}
-	var known map[string]*ir.Value
-	if in := s.InState(); in != nil {
-		known = fs.KnownFields(in)
-	}
+	in := s.InState()
 	b := ir.Before(s.Op)
-	for _, ci := range gemmini.Sequence {
-		if ci.Launch {
-			continue
-		}
-		anyLive := false
-		for _, slot := range ci.Slots {
+	for _, w := range port.Writes {
+		var carried string // a live field this write carries
+		for _, slot := range w.Slots {
 			if _, ok := live[slot.Field]; ok {
-				anyLive = true
+				carried = slot.Field
 				break
 			}
 		}
-		if !anyLive {
+		if carried == "" {
 			continue
 		}
 		regs := [2]*ir.Value{}
-		for _, slot := range ci.Slots {
+		for _, slot := range w.Slots {
 			v := live[slot.Field]
-			if v == nil {
-				v = known[slot.Field]
+			if v == nil && in != nil {
+				// A deduplicated mate: re-materialize its known value. One
+				// the chain may have written with a value the known-fields
+				// meet dropped cannot be, and packing zero would clobber it.
+				v = fs.Known(in, slot.Field)
+				if v == nil && passes.MayWrite(in, slot.Field) {
+					return fmt.Errorf("%s: setup of field %q rewrites %s, whose field %q may have been written with a value that is not known here",
+						pass, carried, w.Name, slot.Field)
+				}
 			}
 			if v == nil {
 				// Field never set on any path: hardware register content
@@ -123,18 +141,13 @@ func emitGemminiSetup(s accfg.Setup, fs *passes.FieldStates) error {
 				regs[slot.Reg] = arith.NewOr(b, regs[slot.Reg], packed)
 			}
 		}
-		for i := 0; i < 2; i++ {
-			if regs[i] == nil {
-				regs[i] = arith.NewConstant(b, 0, ir.I64)
-			}
-		}
-		rocc.NewWrite(b, ci.Funct7, regs[0], regs[1])
+		emitWrite(b, port, w.ID, regs)
 	}
 	return nil
 }
 
 // packField emits (v & mask) << offset as i64.
-func packField(b *ir.Builder, v *ir.Value, slot gemmini.FieldSlot) *ir.Value {
+func packField(b *ir.Builder, v *ir.Value, slot accel.FieldSlot) *ir.Value {
 	if !ir.TypesEqual(v.Type(), ir.I64) {
 		v = arith.NewIndexCast(b, v, ir.I64)
 	}
@@ -147,73 +160,6 @@ func packField(b *ir.Builder, v *ir.Value, slot gemmini.FieldSlot) *ir.Value {
 		v = arith.NewShl(b, v, sh)
 	}
 	return v
-}
-
-// AccfgToOpenGeMM returns the pass lowering accfg ops for the "opengemm"
-// accelerator into CSR accesses: one csr.write per field (the CSR port is
-// not bit-packed), a launch CSR write, and a busy-poll barrier.
-func AccfgToOpenGeMM() ir.Pass {
-	return ir.PassFunc{
-		PassName: "lower-accfg-to-opengemm",
-		Fn: func(m *ir.Module) error {
-			var err error
-			m.Walk(func(op *ir.Op) {
-				if err != nil {
-					return
-				}
-				switch op.Name() {
-				case accfg.OpSetup:
-					s, _ := accfg.AsSetup(op)
-					if s.Accelerator() != opengemm.Name {
-						return
-					}
-					err = emitOpenGeMMSetup(s)
-				case accfg.OpLaunch:
-					l, _ := accfg.AsLaunch(op)
-					if l.Accelerator() != opengemm.Name {
-						return
-					}
-					b := ir.Before(op)
-					one := arith.NewConstant(b, 1, ir.I64)
-					csrops.NewWrite(b, opengemm.CsrLaunch, one)
-				case accfg.OpAwait:
-					a, _ := accfg.AsAwait(op)
-					if a.Token().Type().(ir.TokenType).Accelerator != opengemm.Name {
-						return
-					}
-					b := ir.Before(op)
-					csrops.NewBarrier(b, opengemm.CsrBusy)
-				}
-			})
-			if err != nil {
-				return err
-			}
-			return StripAccfgTypes(m, opengemm.Name)
-		},
-	}
-}
-
-func emitOpenGeMMSetup(s accfg.Setup) error {
-	b := ir.Before(s.Op)
-	live := map[string]*ir.Value{}
-	for _, f := range s.Fields() {
-		if _, ok := opengemm.Fields[f.Name]; !ok {
-			return fmt.Errorf("lower-accfg-to-opengemm: unknown field %q", f.Name)
-		}
-		live[f.Name] = f.Value
-	}
-	// Emit in canonical order for deterministic instruction streams.
-	for _, name := range opengemm.FieldOrder {
-		v, ok := live[name]
-		if !ok {
-			continue
-		}
-		if !ir.TypesEqual(v.Type(), ir.I64) {
-			v = arith.NewIndexCast(b, v, ir.I64)
-		}
-		csrops.NewWrite(b, opengemm.Fields[name], v)
-	}
-	return nil
 }
 
 // StripAccfgTypes removes the remaining accfg ops and the !accfg.state /

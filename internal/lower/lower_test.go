@@ -1,9 +1,12 @@
 package lower_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"configwall/internal/accel"
 	"configwall/internal/accel/gemmini"
 	"configwall/internal/accel/opengemm"
 	"configwall/internal/dialects/accfg"
@@ -41,20 +44,22 @@ func TestGemminiLoweringEmitsSequence(t *testing.T) {
 	m.Append(f.Op)
 	b := ir.AtEnd(f.Body())
 	var fields []accfg.Field
-	for _, fb := range gemmini.FieldBits() {
-		fields = append(fields, constField(b, fb.Field, 1))
+	for _, w := range gemmini.Port.Writes {
+		for _, slot := range w.Slots {
+			fields = append(fields, constField(b, slot.Field, 1))
+		}
 	}
 	s := accfg.NewSetup(b, gemmini.Name, nil, fields)
 	l := accfg.NewLaunch(b, s.State())
 	accfg.NewAwait(b, l.Token())
 	fnc.NewReturn(b)
 
-	pm := ir.NewPassManager(lower.AccfgToGemmini())
+	pm := ir.NewPassManager(lower.Accfg(gemmini.Port))
 	if err := pm.Run(m); err != nil {
 		t.Fatal(err)
 	}
 	// Full setup: every non-launch instruction of the sequence + launch.
-	wantWrites := len(gemmini.Sequence) // includes loop_ws via accfg.launch
+	wantWrites := len(gemmini.Port.Writes) + 1 // loop_ws via accfg.launch
 	if got := ir.CountOpsNamed(m, rocc.OpWrite); got != wantWrites {
 		t.Errorf("rocc.write count = %d, want %d\n%s", got, wantWrites, ir.PrintModule(m))
 	}
@@ -85,7 +90,7 @@ func TestGemminiPartialSetupEmitsOnlyTouchedInstrs(t *testing.T) {
 	accfg.NewAwait(b, l.Token())
 	fnc.NewReturn(b)
 
-	pm := ir.NewPassManager(lower.AccfgToGemmini())
+	pm := ir.NewPassManager(lower.Accfg(gemmini.Port))
 	if err := pm.Run(m); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +123,7 @@ func TestGemminiPackMateRematerialization(t *testing.T) {
 	accfg.NewAwait(b, l2.Token())
 	fnc.NewReturn(b)
 
-	pm := ir.NewPassManager(lower.AccfgToGemmini(), passes.Canonicalize())
+	pm := ir.NewPassManager(lower.Accfg(gemmini.Port), passes.Canonicalize())
 	if err := pm.Run(m); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +165,7 @@ func TestGemminiUnknownFieldError(t *testing.T) {
 	c := setup.FieldValue("no_such_field").DefiningOp()
 	c.MoveBefore(setup.Op)
 
-	pm := ir.NewPassManager(lower.AccfgToGemmini())
+	pm := ir.NewPassManager(lower.Accfg(gemmini.Port))
 	if err := pm.Run(m); err == nil || !strings.Contains(err.Error(), "unknown field") {
 		t.Errorf("expected unknown-field error, got %v", err)
 	}
@@ -182,7 +187,7 @@ func TestOpenGeMMLoweringCanonicalOrder(t *testing.T) {
 	accfg.NewAwait(b, l.Token())
 	fnc.NewReturn(b)
 
-	pm := ir.NewPassManager(lower.AccfgToOpenGeMM())
+	pm := ir.NewPassManager(lower.Accfg(opengemm.Port))
 	if err := pm.Run(m); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +227,7 @@ func TestStripLeavesOtherAcceleratorsAlone(t *testing.T) {
 	accfg.NewAwait(b, lO.Token())
 	fnc.NewReturn(b)
 
-	pm := ir.NewPassManager(lower.AccfgToGemmini())
+	pm := ir.NewPassManager(lower.Accfg(gemmini.Port))
 	if err := pm.Run(m); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +235,7 @@ func TestStripLeavesOtherAcceleratorsAlone(t *testing.T) {
 		t.Errorf("foreign setups remaining = %d, want 1", got)
 	}
 	// Then the opengemm lowering finishes the job.
-	pm2 := ir.NewPassManager(lower.AccfgToOpenGeMM())
+	pm2 := ir.NewPassManager(lower.Accfg(opengemm.Port))
 	if err := pm2.Run(m); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +274,7 @@ func TestStripThroughLoopIterArgs(t *testing.T) {
 	pm := ir.NewPassManager(
 		passes.TraceStates(),
 		passes.Overlap(func(string) bool { return true }),
-		lower.AccfgToOpenGeMM(),
+		lower.Accfg(opengemm.Port),
 		passes.Canonicalize(),
 	)
 	if err := pm.Run(m); err != nil {
@@ -286,5 +291,103 @@ func TestStripThroughLoopIterArgs(t *testing.T) {
 	})
 	if err := ir.Verify(m); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoweredIRMatchesGolden holds lower.Accfg to the text the two
+// hand-written lowerings it replaced emitted (testdata/*.lowered.ir was
+// written by their cwopt): a partial Gemmini setup with a deduplicated and a
+// never-written mate, a full 37-field Gemmini setup, and an OpenGeMM setup
+// with its fields in scrambled order. The accelerator is the file's prefix.
+func TestLoweredIRMatchesGolden(t *testing.T) {
+	ports := map[string]*accel.Port{gemmini.Name: gemmini.Port, opengemm.Name: opengemm.Port}
+	golden, err := filepath.Glob("testdata/*.lowered.ir")
+	if err != nil || len(golden) != 3 {
+		t.Fatalf("golden files = %v, %v; want 3", golden, err)
+	}
+	for _, want := range golden {
+		in := strings.TrimSuffix(want, ".lowered.ir") + ".ir"
+		accelName, _, _ := strings.Cut(filepath.Base(in), "-")
+		src, err := os.ReadFile(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := ir.Parse(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		if err := ir.NewPassManager(lower.Accfg(ports[accelName])).Run(m); err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		wantText, err := os.ReadFile(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ir.PrintModule(m); got != string(wantText) {
+			t.Errorf("%s lowers to\n%s\nwant\n%s", in, got, wantText)
+		}
+	}
+}
+
+// TestPackedMateWithDroppedValueIsAnError: the arms of a branch set the
+// bounds to 2,2,2 and 3,2,2, then a chained setup rewrites J alone. K is
+// known after the join (both arms wrote the same value) and is
+// re-materialized; I was written on every path but with values the meet
+// dropped, so the config_bounds write cannot be packed — before, it was
+// packed with I = 0 and the launch ran with zero bounds. A mate no path
+// wrote still packs the reset value.
+func TestPackedMateWithDroppedValueIsAnError(t *testing.T) {
+	build := func(armsWriteI bool) *ir.Module {
+		m := ir.NewModule()
+		f := fnc.NewFunc("main", ir.FuncType([]ir.Type{ir.I1}, nil))
+		m.Append(f.Op)
+		b := ir.AtEnd(f.Body())
+		c2 := arith.NewConstant(b, 2, ir.I64)
+		c3 := arith.NewConstant(b, 3, ir.I64)
+		state := ir.StateType{Accelerator: gemmini.Name}
+		ifOp := scf.NewIf(b, f.Body().Arg(0), state)
+		for arm, iVal := range []*ir.Value{c2, c3} {
+			ab := ir.AtEnd(ifOp.Op.Region(arm).Block())
+			fields := []accfg.Field{{Name: "J", Value: c2}, {Name: "K", Value: c2}}
+			if armsWriteI {
+				fields = append(fields, accfg.Field{Name: "I", Value: iVal})
+			}
+			scf.NewYield(ab, accfg.NewSetup(ab, gemmini.Name, nil, fields).State())
+		}
+		s := accfg.NewSetup(b, gemmini.Name, ifOp.Op.Result(0), []accfg.Field{{Name: "J", Value: c3}})
+		l := accfg.NewLaunch(b, s.State())
+		accfg.NewAwait(b, l.Token())
+		fnc.NewReturn(b)
+		if err := ir.Verify(m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	err := ir.NewPassManager(lower.Accfg(gemmini.Port)).Run(build(true))
+	if err == nil {
+		t.Fatal("lowering packed a mate whose value the meet dropped")
+	}
+	for _, want := range []string{"lower-accfg-to-gemmini", `"J"`, "config_bounds", `"I"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+
+	m := build(false)
+	if err := ir.NewPassManager(lower.Accfg(gemmini.Port), passes.Canonicalize()).Run(m); err != nil {
+		t.Fatalf("a never-written mate must still pack its reset value: %v", err)
+	}
+	var bounds []*ir.Op
+	m.Walk(func(op *ir.Op) {
+		if op.Name() == rocc.OpWrite && rocc.Funct7(op) == gemmini.FnConfigBounds {
+			bounds = append(bounds, op)
+		}
+	})
+	last := bounds[len(bounds)-1]
+	rs1, ok1 := arith.ConstantValue(last.Operand(0))
+	rs2, ok2 := arith.ConstantValue(last.Operand(1))
+	if !ok1 || !ok2 || rs1 != 3<<16 || rs2 != 2 {
+		t.Errorf("chained bounds write = %#x, %#x (folded %v %v), want I=0 | J=3<<16, K=2\n%s", rs1, rs2, ok1, ok2, ir.PrintModule(m))
 	}
 }

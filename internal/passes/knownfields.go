@@ -193,15 +193,59 @@ func (fs *FieldStates) Known(state *ir.Value, field string) *ir.Value {
 	return s.fields[field]
 }
 
-// KnownFields returns a copy of all known fields at the given state.
-func (fs *FieldStates) KnownFields(state *ir.Value) map[string]*ir.Value {
-	s := fs.lookup(state)
-	out := make(map[string]*ir.Value, len(s.fields))
-	if s.top {
-		return out
+// MayWrite reports whether some path to state may have written the named
+// field, known value or not. It walks the chains the known-fields fixpoint
+// follows (setup inputs, loop inits and yields, branch yields), on demand:
+// the lowering asks only for a packed mate with no known value, to tell
+// "never written, still at its reset value" from "written with a value the
+// meet dropped". A state of any other origin may have written anything.
+func MayWrite(state *ir.Value, field string) bool {
+	seen := map[*ir.Value]bool{}
+	work := []*ir.Value{state}
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[v] {
+			continue
+		}
+		seen[v] = true
+		def, idx := v.DefiningOp(), v.ResultIndex()
+		if v.IsBlockArg() {
+			// Only a loop body carries states as arguments, after the
+			// induction variable.
+			def, idx = v.OwnerBlock().ParentOp(), idx-1
+			if def == nil || def.Name() != scf_OpFor || idx < 0 {
+				return true
+			}
+		}
+		if def == nil {
+			return true
+		}
+		switch def.Name() {
+		case accfg.OpSetup:
+			s, _ := accfg.AsSetup(def)
+			if s.FieldValue(field) != nil {
+				return true
+			}
+			if in := s.InState(); in != nil {
+				work = append(work, in)
+			}
+		case scf_OpFor:
+			work = append(work, def.Operand(3+idx))
+			if yield := def.Region(0).Block().Last(); yield != nil && yield.NumOperands() > idx {
+				work = append(work, yield.Operand(idx))
+			}
+		case scf_OpIf:
+			for ri := 0; ri < 2; ri++ {
+				yield := def.Region(ri).Block().Last()
+				if yield == nil || yield.NumOperands() <= idx {
+					return true
+				}
+				work = append(work, yield.Operand(idx))
+			}
+		default:
+			return true
+		}
 	}
-	for k, v := range s.fields {
-		out[k] = v
-	}
-	return out
+	return false
 }

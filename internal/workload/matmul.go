@@ -97,7 +97,9 @@ type Tiling struct {
 	Launches int
 }
 
-// GemminiMatmulTiling mirrors GemminiTiledMatmulMKN's tile selection.
+// GemminiMatmulTiling validates the dimensions and selects the tiles; the
+// builder GemminiTiledMatmulMKN calls it, so the two cannot disagree about
+// which sizes exist.
 func GemminiMatmulTiling(mDim, kDim, nDim int) (Tiling, error) {
 	for _, d := range [3]int{mDim, kDim, nDim} {
 		if d%16 != 0 || d <= 0 {
@@ -115,8 +117,8 @@ func GemminiMatmulTiling(mDim, kDim, nDim int) (Tiling, error) {
 	return Tiling{TileM: tileM, TileN: tileN, Launches: (mDim / tileM) * (nDim / tileN)}, nil
 }
 
-// OpenGeMMMatmulTiling mirrors OpenGeMMTiledMatmulMKN's fixed
-// MeshRow x MeshCol (8x8) output tiling.
+// OpenGeMMMatmulTiling validates the dimensions for the fixed
+// MeshRow x MeshCol (8x8) output tiling; OpenGeMMTiledMatmulMKN calls it.
 func OpenGeMMMatmulTiling(mDim, kDim, nDim int) (Tiling, error) {
 	for _, d := range [3]int{mDim, kDim, nDim} {
 		if d%8 != 0 || d <= 0 {
@@ -138,19 +140,11 @@ func GemminiTiledMatmul(n int) (*ir.Module, error) {
 // The generated function has signature
 // main(A: memref<MxK xi8>, B: memref<KxN xi8>, C: memref<MxN xi8>).
 func GemminiTiledMatmulMKN(mDim, kDim, nDim int) (*ir.Module, error) {
-	for _, d := range [3]int{mDim, kDim, nDim} {
-		if d%16 != 0 || d <= 0 {
-			return nil, fmt.Errorf("workload: gemmini matmul dims %dx%dx%d must be positive multiples of 16", mDim, kDim, nDim)
-		}
-	}
-	tileM, err := gemminiTile(mDim)
+	tiling, err := GemminiMatmulTiling(mDim, kDim, nDim)
 	if err != nil {
 		return nil, err
 	}
-	tileN, err := gemminiTile(nDim)
-	if err != nil {
-		return nil, err
-	}
+	tileM, tileN := tiling.TileM, tiling.TileN
 
 	m := ir.NewModule()
 	aT := ir.MemRef(ir.I8, mDim, kDim)
@@ -262,10 +256,8 @@ func OpenGeMMTiledMatmul(n int) (*ir.Module, error) {
 // The generated function has signature
 // main(A: memref<MxK xi8>, B: memref<KxN xi8>, C: memref<MxN xi32>).
 func OpenGeMMTiledMatmulMKN(mDim, kDim, nDim int) (*ir.Module, error) {
-	for _, d := range [3]int{mDim, kDim, nDim} {
-		if d%8 != 0 || d <= 0 {
-			return nil, fmt.Errorf("workload: opengemm matmul dims %dx%dx%d must be positive multiples of 8", mDim, kDim, nDim)
-		}
+	if _, err := OpenGeMMMatmulTiling(mDim, kDim, nDim); err != nil {
+		return nil, err
 	}
 	m := ir.NewModule()
 	aT := ir.MemRef(ir.I8, mDim, kDim)
