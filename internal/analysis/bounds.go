@@ -5,7 +5,6 @@ import (
 
 	"configwall/internal/accel"
 	"configwall/internal/dialects/accfg"
-	"configwall/internal/dialects/arith"
 	"configwall/internal/dialects/scf"
 	"configwall/internal/ir"
 )
@@ -63,26 +62,17 @@ func boundsBlock(blk *ir.Block) Bounds {
 			b.MinLaunches++
 			b.MinConfigInstrs++ // the launch command is itself one interface write
 		case scf.OpFor:
-			if trips := minTripCount(op); trips > 0 {
-				b = b.add(boundsBlock(op.Region(0).Block()).scale(trips))
+			// An unknown trip count bounds nothing from below.
+			loop := scf.For{Op: op}
+			if trips, _ := loop.ConstantTripCount(); trips > 0 {
+				b = b.add(boundsBlock(loop.Body()).scale(int(trips)))
 			}
 		case scf.OpIf:
-			b = b.add(boundsBlock(op.Region(0).Block()).min(boundsBlock(op.Region(1).Block())))
+			branch := scf.If{Op: op}
+			b = b.add(boundsBlock(branch.Then()).min(boundsBlock(branch.Else())))
 		}
 	}
 	return b
-}
-
-// minTripCount returns a lower bound on a loop's trip count: the exact
-// count when bounds and step are constants, zero otherwise.
-func minTripCount(op *ir.Op) int {
-	lb, lbOK := arith.ConstantValue(op.Operand(0))
-	ub, ubOK := arith.ConstantValue(op.Operand(1))
-	step, stepOK := arith.ConstantValue(op.Operand(2))
-	if !lbOK || !ubOK || !stepOK || step <= 0 || ub <= lb {
-		return 0
-	}
-	return int((ub - lb + step - 1) / step)
 }
 
 // configInstrsFor returns how many configuration instructions the lowering

@@ -1,6 +1,6 @@
 // Package analysis provides static dataflow analyses over the accfg/scf IR
-// (paper §5): a reusable forward solver over structured regions, an abstract
-// per-accelerator configuration-state domain, and three concrete analyses —
+// (paper §5): an abstract per-accelerator configuration-state domain, one
+// abstract state both engines step (state.go), and three concrete analyses —
 //
 //   - reaching-configuration analysis: the abstract configuration each
 //     accfg.launch observes, both as a flow summary (Summarize, behind

@@ -182,8 +182,7 @@ func cloneAssigns(a map[string]bool) map[string]bool {
 
 // interp is the per-run interpreter state.
 type interp struct {
-	env     map[*ir.Value]AbsVal
-	staging map[string]FieldState
+	absState
 	assigns map[string]bool
 	events  []event
 	loads   int
@@ -193,30 +192,11 @@ type interp struct {
 
 // runOnce deterministically interprets f under the given branch decisions.
 func runOnce(f *ir.Op, assigns map[string]bool) (*path, error) {
-	in := &interp{
-		env:     map[*ir.Value]AbsVal{},
-		staging: map[string]FieldState{},
-		assigns: assigns,
-		fuel:    maxFuel,
-	}
-	body := f.Region(0).Block()
-	for i, arg := range body.Args() {
-		in.env[arg] = Sym(fmt.Sprintf("arg%d", i))
-	}
-	if err := in.evalBlock(body); err != nil {
+	in := &interp{absState: entryState(f), assigns: assigns, fuel: maxFuel}
+	if err := in.evalBlock(f.Region(0).Block()); err != nil {
 		return nil, err
 	}
 	return &path{assigns: assigns, events: in.events}, nil
-}
-
-// resolve returns the abstract value of v in the current environment.
-// Everything defined before the current program point has been interpreted,
-// so a miss is an enclosing-scope value the interpreter chose not to model.
-func (in *interp) resolve(v *ir.Value) AbsVal {
-	if av, ok := in.env[v]; ok {
-		return av
-	}
-	return Top()
 }
 
 func (in *interp) evalBlock(b *ir.Block) error {
@@ -231,43 +211,18 @@ func (in *interp) evalBlock(b *ir.Block) error {
 	return nil
 }
 
+// evalOp steps one op: the shared scalar and setup arms (absState.eval),
+// then what only a single concrete path has — allocations and loads named
+// by visit order, memory and launch events, loops unrolled, branches
+// decided or forked.
 func (in *interp) evalOp(op *ir.Op) error {
+	if in.eval(op) {
+		return nil
+	}
 	switch op.Name() {
-	case arith.OpConstant:
-		c, _ := op.IntAttrValue("value")
-		in.env[op.Result(0)] = Const(c)
-
-	case arith.OpAddI, arith.OpSubI, arith.OpMulI, arith.OpDivUI, arith.OpRemUI,
-		arith.OpAndI, arith.OpOrI, arith.OpXOrI, arith.OpShLI, arith.OpShRUI:
-		a := in.resolve(op.Operand(0))
-		b := in.resolve(op.Operand(1))
-		in.env[op.Result(0)] = evalBinary(op.Name(), a, b, op.Result(0).Type())
-
-	case arith.OpCmpI:
-		pred, _ := op.StringAttrValue("predicate")
-		a := in.resolve(op.Operand(0))
-		b := in.resolve(op.Operand(1))
-		in.env[op.Result(0)] = evalCmp(pred, a, b)
-
-	case arith.OpSelect:
-		c := in.resolve(op.Operand(0))
-		t := in.resolve(op.Operand(1))
-		e := in.resolve(op.Operand(2))
-		in.env[op.Result(0)] = evalSelect(c, t, e)
-
-	case arith.OpIndexCast:
-		// index and i64 are both 64-bit here: the cast is the identity.
-		in.env[op.Result(0)] = in.resolve(op.Operand(0))
-
-	case memref.OpExtractPointer:
-		in.env[op.Result(0)] = wrap1("ptr", in.resolve(op.Operand(0)))
-
 	case memref.OpAlloc:
 		in.env[op.Result(0)] = Sym(fmt.Sprintf("alloc%d", in.allocs))
 		in.allocs++
-
-	case memref.OpDim:
-		in.env[op.Result(0)] = wrap1("dim", in.resolve(op.Operand(0)))
 
 	case memref.OpLoad:
 		addr := in.addrKey(op, 0)
@@ -279,25 +234,18 @@ func (in *interp) evalOp(op *ir.Op) error {
 		addr := in.addrKey(op, 1)
 		in.events = append(in.events, event{kind: evStore, addr: addr, val: in.resolve(op.Operand(0))})
 
-	case accfg.OpSetup:
-		in.evalSetup(op)
-
 	case accfg.OpLaunch:
 		l, _ := accfg.AsLaunch(op)
-		st, ok := in.staging[l.Accelerator()]
-		if !ok {
-			st = FieldState{}
-		}
-		in.events = append(in.events, event{kind: evLaunch, accel: l.Accelerator(), fields: st.clone()})
+		in.events = append(in.events, event{kind: evLaunch, accel: l.Accelerator(), fields: in.staging[l.Accelerator()].clone()})
 
 	case accfg.OpAwait:
 		// Synchronization only: no observable effect of its own.
 
 	case scf.OpFor:
-		return in.evalFor(op)
+		return in.evalFor(scf.For{Op: op})
 
 	case scf.OpIf:
-		return in.evalIf(op)
+		return in.evalIf(scf.If{Op: op})
 
 	case scf.OpYield, fnc.OpReturn:
 		// Handled by the enclosing region evaluation.
@@ -311,9 +259,7 @@ func (in *interp) evalOp(op *ir.Op) error {
 			// abstraction does not model.
 			return impreciseErr{reason: fmt.Sprintf("unmodeled effectful op %s", op.Name())}
 		}
-		for _, r := range op.Results() {
-			in.env[r] = Top()
-		}
+		in.top(op)
 	}
 	return nil
 }
@@ -333,107 +279,80 @@ func (in *interp) addrKey(op *ir.Op, bufIdx int) AbsVal {
 	return Sym("(at " + strings.Join(parts, " ") + ")")
 }
 
-// evalSetup writes the setup's fields into the accelerator's abstract
-// staging registers; see applySetup for the group-atomic mate rules.
-func (in *interp) evalSetup(op *ir.Op) {
-	applySetup(op, in.staging, in.resolve)
+// skip steps over a loop or branch the interpreter cannot follow: safe only
+// when the subtree is free of observable events; its configuration writes
+// and its results degrade to ⊤.
+func (in *interp) skip(op *ir.Op, what string) error {
+	if subtreeObservable(op) {
+		return impreciseErr{reason: what + " contains observable ops"}
+	}
+	in.havoc(op)
+	in.top(op)
+	return nil
 }
 
-func (in *interp) evalFor(op *ir.Op) error {
-	lb := in.resolve(op.Operand(0))
-	ub := in.resolve(op.Operand(1))
-	step := in.resolve(op.Operand(2))
-	lbC, lbOK := lb.ConstValue()
-	ubC, ubOK := ub.ConstValue()
-	stepC, stepOK := step.ConstValue()
-	body := op.Region(0).Block()
-	yield := body.Last()
-
-	nIter := op.NumOperands() - 3
-	iters := make([]AbsVal, nIter)
+// evalFor unrolls a loop whose bounds and step resolve to constants in the
+// abstract environment (which folds computed bounds scf's ConstantTripCount
+// does not see), the induction variable a constant per iteration.
+func (in *interp) evalFor(loop scf.For) error {
+	lb, lbOK := in.resolve(loop.LowerBound()).ConstValue()
+	ub, ubOK := in.resolve(loop.UpperBound()).ConstValue()
+	step, stepOK := in.resolve(loop.Step()).ConstValue()
+	trips, bounded := scf.TripCount(lb, ub, step)
+	if !lbOK || !ubOK || !stepOK || !bounded {
+		return in.skip(loop.Op, "loop with non-constant bounds")
+	}
+	iters := make([]AbsVal, loop.NumIterArgs())
 	for i := range iters {
-		iters[i] = in.resolve(op.Operand(3 + i))
+		iters[i] = in.resolve(loop.InitArg(i))
 	}
-
-	if !lbOK || !ubOK || !stepOK || stepC <= 0 {
-		// Unbounded loop: safe to skip only when its body is free of
-		// observable events; its configuration writes degrade to ⊤.
-		if subtreeObservable(op) {
-			return impreciseErr{reason: "loop with non-constant bounds contains observable ops"}
-		}
-		in.havocSetups(op)
-		for _, r := range op.Results() {
-			in.env[r] = Top()
-		}
-		return nil
-	}
-
-	trips := 0
-	for iv := lbC; iv < ubC; iv += stepC {
-		if trips++; trips > maxTripUnroll {
+	for k := int64(0); k < trips; k++ {
+		if k >= maxTripUnroll {
 			return impreciseErr{reason: fmt.Sprintf("loop trip count exceeds %d", maxTripUnroll)}
 		}
-		in.env[body.Arg(0)] = Const(iv)
-		for i := 0; i < nIter; i++ {
-			in.env[body.Arg(1+i)] = iters[i]
+		in.env[loop.InductionVar()] = Const(lb + k*step)
+		for i, v := range iters {
+			in.env[loop.IterArg(i)] = v
 		}
-		if err := in.evalBlock(body); err != nil {
+		if err := in.evalBlock(loop.Body()); err != nil {
 			return err
 		}
-		for i := 0; i < nIter; i++ {
-			iters[i] = in.resolve(yield.Operand(i))
+		for i := range iters {
+			iters[i] = in.resolve(loop.Yielded(i))
 		}
 	}
-	for i, r := range op.Results() {
-		in.env[r] = iters[i]
+	for i, v := range iters {
+		in.env[loop.Result(i)] = v
 	}
 	return nil
 }
 
-func (in *interp) evalIf(op *ir.Op) error {
-	cond := in.resolve(op.Operand(0))
+func (in *interp) evalIf(branch scf.If) error {
+	cond := in.resolve(branch.Condition())
+	taken, decided := false, false
 	if c, ok := cond.ConstValue(); ok {
-		return in.evalBranch(op, c != 0)
-	}
-	if key, ok := cond.SymKey(); ok {
-		taken, decided := in.assigns[key]
-		if !decided {
+		taken, decided = c != 0, true
+	} else if key, ok := cond.SymKey(); ok {
+		if taken, decided = in.assigns[key]; !decided {
 			return forkErr{key: key}
 		}
-		return in.evalBranch(op, taken)
 	}
-	// Opaque condition: safe to skip only without observable events.
-	if subtreeObservable(op) {
-		return impreciseErr{reason: "branch on unmodeled condition contains observable ops"}
+	if !decided {
+		return in.skip(branch.Op, "branch on unmodeled condition")
 	}
-	in.havocSetups(op)
-	for _, r := range op.Results() {
-		in.env[r] = Top()
-	}
-	return nil
-}
-
-func (in *interp) evalBranch(op *ir.Op, taken bool) error {
-	ri := 0
+	blk, yield := branch.Then(), branch.ThenYield()
 	if !taken {
-		ri = 1
+		blk, yield = branch.Else(), branch.ElseYield()
 	}
-	blk := op.Region(ri).Block()
 	if err := in.evalBlock(blk); err != nil {
 		return err
 	}
-	if yield := blk.Last(); yield != nil && yield.Name() == scf.OpYield {
-		for i, r := range op.Results() {
+	if yield != nil {
+		for i, r := range branch.Op.Results() {
 			in.env[r] = in.resolve(yield.Operand(i))
 		}
 	}
 	return nil
-}
-
-// havocSetups degrades every staging field a skipped subtree might write
-// (including packed group mates) to ⊤.
-func (in *interp) havocSetups(root *ir.Op) {
-	havocStagingSubtree(root, in.staging)
 }
 
 // subtreeObservable reports whether the subtree rooted at op contains any

@@ -1,0 +1,212 @@
+package analysis
+
+import (
+	"fmt"
+
+	"configwall/internal/accel"
+	"configwall/internal/dialects/accfg"
+	"configwall/internal/dialects/arith"
+	"configwall/internal/dialects/memref"
+	"configwall/internal/ir"
+)
+
+// absState is the abstract machine state both engines step an op over: the
+// path enumerator (exec.go) carries one along each path, the flow summary
+// (summarize.go) clones and joins them at control-flow splits. It holds the
+// abstract SSA environment and the per-accelerator abstract staging
+// registers.
+type absState struct {
+	env     map[*ir.Value]AbsVal
+	staging map[string]FieldState
+}
+
+// entryState returns the state on entry to function f: argument i is the
+// symbol argi, no staging register written.
+func entryState(f *ir.Op) absState {
+	s := absState{env: map[*ir.Value]AbsVal{}, staging: map[string]FieldState{}}
+	for i, arg := range f.Region(0).Block().Args() {
+		s.env[arg] = Sym(fmt.Sprintf("arg%d", i))
+	}
+	return s
+}
+
+// resolve returns the abstract value of v. Everything defined before the
+// current program point has been evaluated, so a miss is an enclosing-scope
+// value the engine chose not to model.
+func (s absState) resolve(v *ir.Value) AbsVal {
+	if av, ok := s.env[v]; ok {
+		return av
+	}
+	return Top()
+}
+
+// top degrades every result of op to ⊤.
+func (s absState) top(op *ir.Op) {
+	for _, r := range op.Results() {
+		s.env[r] = Top()
+	}
+}
+
+// eval steps the state over op when op is one both engines model the same
+// way — scalar arithmetic, pointer and shape queries, accfg.setup — and
+// reports whether it was. Allocations, memory accesses, launches and
+// control flow are where the engines differ (symbol naming, events,
+// forking versus joining) and stay with them.
+func (s absState) eval(op *ir.Op) bool {
+	switch op.Name() {
+	case arith.OpConstant:
+		c, _ := op.IntAttrValue("value")
+		s.env[op.Result(0)] = Const(c)
+
+	case arith.OpAddI, arith.OpSubI, arith.OpMulI, arith.OpDivUI, arith.OpRemUI,
+		arith.OpAndI, arith.OpOrI, arith.OpXOrI, arith.OpShLI, arith.OpShRUI:
+		s.env[op.Result(0)] = evalBinary(op.Name(), s.resolve(op.Operand(0)), s.resolve(op.Operand(1)), op.Result(0).Type())
+
+	case arith.OpCmpI:
+		pred, _ := op.StringAttrValue("predicate")
+		s.env[op.Result(0)] = evalCmp(pred, s.resolve(op.Operand(0)), s.resolve(op.Operand(1)))
+
+	case arith.OpSelect:
+		s.env[op.Result(0)] = evalSelect(s.resolve(op.Operand(0)), s.resolve(op.Operand(1)), s.resolve(op.Operand(2)))
+
+	case arith.OpIndexCast:
+		// index and i64 are both 64-bit here: the cast is the identity.
+		s.env[op.Result(0)] = s.resolve(op.Operand(0))
+
+	case memref.OpExtractPointer:
+		s.env[op.Result(0)] = wrap1("ptr", s.resolve(op.Operand(0)))
+
+	case memref.OpDim:
+		s.env[op.Result(0)] = wrap1("dim", s.resolve(op.Operand(0)))
+
+	case accfg.OpSetup:
+		s.applySetup(op)
+
+	default:
+		return false
+	}
+	return true
+}
+
+// stagingOf returns the accelerator's staging registers, creating them
+// unwritten.
+func (s absState) stagingOf(accelerator string) FieldState {
+	st, ok := s.staging[accelerator]
+	if !ok {
+		st = FieldState{}
+		s.staging[accelerator] = st
+	}
+	return st
+}
+
+// applySetup writes a setup's fields into the abstract staging registers,
+// with group-atomic mate degradation: a previously-written packed mate the
+// setup does not carry becomes ⊤, a never-written mate stays at the reset
+// value the lowering packs for it.
+//
+// The mates come from the port registered under the accelerator's name
+// (accel.PortFor). On a bit-packed interface one write rewrites a whole
+// register pair, so a setup touching any member of a group rewrites every
+// member; the lowering re-materializes the mates from its own static
+// knowledge — knowledge this analysis must not assume, hence ⊤ (the
+// group-atomic join of DESIGN.md §9). A port with one field per write, and
+// an accelerator nobody registered (hand-written test modules), is
+// field-granular.
+func (s absState) applySetup(op *ir.Op) {
+	setup, _ := accfg.AsSetup(op)
+	st := s.stagingOf(setup.Accelerator())
+	// Degrade first, write second: a mate the setup carries itself gets its
+	// own value back.
+	fields := setup.Fields()
+	port := accel.PortFor(setup.Accelerator())
+	for _, f := range fields {
+		for _, mate := range port.Mates(f.Name) {
+			if _, prev := st[mate]; prev {
+				st[mate] = Top()
+			}
+		}
+	}
+	for _, f := range fields {
+		st[f.Name] = s.resolve(f.Value)
+	}
+}
+
+// havoc degrades every staging field the subtree under root might write
+// (including packed group mates) to ⊤.
+func (s absState) havoc(root *ir.Op) {
+	ir.Walk(root, func(o *ir.Op) {
+		setup, ok := accfg.AsSetup(o)
+		if !ok {
+			return
+		}
+		st := s.stagingOf(setup.Accelerator())
+		port := accel.PortFor(setup.Accelerator())
+		for _, field := range setup.FieldNames() {
+			st[field] = Top()
+			for _, mate := range port.Mates(field) {
+				st[mate] = Top()
+			}
+		}
+	})
+}
+
+func (s absState) clone() absState {
+	out := absState{env: make(map[*ir.Value]AbsVal, len(s.env)), staging: make(map[string]FieldState, len(s.staging))}
+	for v, av := range s.env {
+		out.env[v] = av
+	}
+	for accelerator, st := range s.staging {
+		out.staging[accelerator] = st.clone()
+	}
+	return out
+}
+
+// join is the least upper bound of two states. A staging register set on
+// one side only joins against the reset values: FieldState.join treats an
+// absent field as the reset value, which is exactly the staging content of
+// a path that never wrote it.
+func (s absState) join(o absState) absState {
+	out := s.clone()
+	for v, ov := range o.env {
+		if av, ok := out.env[v]; ok {
+			out.env[v] = av.Join(ov)
+		} else {
+			out.env[v] = ov
+		}
+	}
+	for accelerator, ost := range o.staging {
+		out.staging[accelerator] = out.staging[accelerator].join(ost)
+	}
+	for accelerator, st := range s.staging {
+		if _, ok := o.staging[accelerator]; !ok {
+			out.staging[accelerator] = st.join(nil)
+		}
+	}
+	return out
+}
+
+// equal reports lattice-element equality (fixpoint detection).
+func (s absState) equal(o absState) bool {
+	if len(s.env) != len(o.env) || len(s.staging) != len(o.staging) {
+		return false
+	}
+	for v, av := range s.env {
+		ov, ok := o.env[v]
+		if !ok || !av.Equal(ov) {
+			return false
+		}
+	}
+	for accelerator, st := range s.staging {
+		ost, ok := o.staging[accelerator]
+		if !ok || len(st) != len(ost) {
+			return false
+		}
+		for f, av := range st {
+			ov, ok := ost[f]
+			if !ok || !av.Equal(ov) {
+				return false
+			}
+		}
+	}
+	return true
+}

@@ -41,41 +41,14 @@ var DefaultBand = Band{Geomean: 0.15, PerCell: 0.30}
 // range covers the figure grids' interpolation region.
 var DefaultSizes = []int{32, 64, 96, 128, 160, 192, 224, 256}
 
-// Spec configures one calibration run.
+// Spec configures one calibration run. The rest of the grid is fixed:
+// every registered workload, every pipeline, DefaultSizes, simulated under
+// core.RunOptions{} and validated against DefaultBand.
 type Spec struct {
-	// Targets, Workloads, Pipelines and Sizes span the calibration grid;
-	// empty slices select every registered target/workload, every
-	// pipeline, and DefaultSizes.
-	Targets   []string
-	Workloads []string
-	Pipelines []core.Pipeline
-	Sizes     []int
+	// Targets are the targets to fit; empty selects every registered one.
+	Targets []string
 	// Seed drives the train/holdout split shuffle.
 	Seed int64
-	// Band is the error band to validate against (zero: DefaultBand).
-	Band Band
-	// Opts are the simulator options for calibration cells.
-	Opts core.RunOptions
-}
-
-// withDefaults resolves the zero-value conveniences.
-func (s Spec) withDefaults() Spec {
-	if len(s.Targets) == 0 {
-		s.Targets = core.TargetNames()
-	}
-	if len(s.Workloads) == 0 {
-		s.Workloads = core.WorkloadNames()
-	}
-	if len(s.Pipelines) == 0 {
-		s.Pipelines = append([]core.Pipeline(nil), core.Pipelines...)
-	}
-	if len(s.Sizes) == 0 {
-		s.Sizes = append([]int(nil), DefaultSizes...)
-	}
-	if s.Band == (Band{}) {
-		s.Band = DefaultBand
-	}
-	return s
 }
 
 // splitSizes deterministically partitions the calibration sizes: both
@@ -187,16 +160,19 @@ func (r *Report) String() string {
 // says whether it honors the band; callers that must enforce it check
 // Report.Clean.
 func Calibrate(ctx context.Context, r *core.Runner, spec Spec) (*Model, *Report, error) {
-	spec = spec.withDefaults()
-	train, holdout, err := splitSizes(spec.Sizes, spec.Seed)
+	targets, workloads := spec.Targets, core.WorkloadNames()
+	if len(targets) == 0 {
+		targets = core.TargetNames()
+	}
+	train, holdout, err := splitSizes(DefaultSizes, spec.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
 	all := append(append([]int(nil), train...), holdout...)
 	sort.Ints(all)
 
-	grid := core.Sweep(spec.Targets, spec.Workloads, spec.Pipelines, all)
-	results, err := r.RunAll(ctx, grid, spec.Opts)
+	grid := core.Sweep(targets, workloads, core.Pipelines, all)
+	results, err := r.RunAll(ctx, grid, core.RunOptions{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("analytic: calibration grid: %w", err)
 	}
@@ -205,8 +181,8 @@ func Calibrate(ctx context.Context, r *core.Runner, spec Spec) (*Model, *Report,
 		byCell[e] = results[i]
 	}
 
-	model := &Model{Schema: Schema, Seed: spec.Seed, Band: spec.Band, Targets: map[string]*TargetModel{}}
-	for _, tn := range spec.Targets {
+	model := &Model{Schema: Schema, Seed: spec.Seed, Band: DefaultBand, Targets: map[string]*TargetModel{}}
+	for _, tn := range targets {
 		tgt, err := core.LookupTarget(tn)
 		if err != nil {
 			return nil, nil, err
@@ -223,8 +199,8 @@ func Calibrate(ctx context.Context, r *core.Runner, spec Spec) (*Model, *Report,
 			HoldoutSizes: append([]int(nil), holdout...),
 			Curves:       map[string]Curve{},
 		}
-		for _, wn := range spec.Workloads {
-			for _, p := range spec.Pipelines {
+		for _, wn := range workloads {
+			for _, p := range core.Pipelines {
 				curve, err := fitCurve(tn, wn, p, train, byCell)
 				if err != nil {
 					return nil, nil, err
@@ -235,12 +211,12 @@ func Calibrate(ctx context.Context, r *core.Runner, spec Spec) (*Model, *Report,
 		model.Targets[tn] = tm
 	}
 
-	report := &Report{Band: spec.Band}
-	for _, tn := range spec.Targets {
+	report := &Report{Band: DefaultBand}
+	for _, tn := range targets {
 		tr := TargetReport{Target: tn}
 		logSum := 0.0
-		for _, wn := range spec.Workloads {
-			for _, p := range spec.Pipelines {
+		for _, wn := range workloads {
+			for _, p := range core.Pipelines {
 				for _, n := range holdout {
 					e := core.Experiment{Target: tn, Workload: wn, Pipeline: p, N: n}
 					pred, err := model.Predict(e)

@@ -13,6 +13,7 @@ import (
 	"configwall/internal/dialects/csrops"
 	"configwall/internal/dialects/fnc"
 	"configwall/internal/dialects/rocc"
+	"configwall/internal/dialects/scf"
 	"configwall/internal/ir"
 	"configwall/internal/riscv"
 )
@@ -206,11 +207,11 @@ func (c *compiler) op(op *ir.Op) error {
 		return c.load(op)
 	case "memref.store":
 		return c.store(op)
-	case "scf.for":
-		return c.forLoop(op)
-	case "scf.if":
-		return c.ifOp(op)
-	case "scf.yield":
+	case scf.OpFor:
+		return c.forLoop(scf.For{Op: op})
+	case scf.OpIf:
+		return c.ifOp(scf.If{Op: op})
+	case scf.OpYield:
 		// Handled by the parent loop/if emitters.
 		return nil
 	case fnc.OpReturn:
@@ -483,34 +484,33 @@ func (c *compiler) store(op *ir.Op) error {
 	return nil
 }
 
-func (c *compiler) forLoop(op *ir.Op) error {
-	f, _ := scfFor(op)
-	lb, err := c.value(f.lb)
+func (c *compiler) forLoop(f scf.For) error {
+	lb, err := c.value(f.LowerBound())
 	if err != nil {
 		return err
 	}
-	ub, err := c.value(f.ub)
+	ub, err := c.value(f.UpperBound())
 	if err != nil {
 		return err
 	}
-	step, err := c.value(f.step)
+	step, err := c.value(f.Step())
 	if err != nil {
 		return err
 	}
 
 	// Induction variable and iteration-arg registers live across the loop.
 	iv := c.fresh()
-	c.vals[f.body.Arg(0)] = iv
+	c.vals[f.InductionVar()] = iv
 	c.emit(vinstr{op: riscv.ADDI, rd: iv, rs1: lb, rs2: noVReg, imm: 0})
-	argRegs := make([]int, f.nIter)
-	for i := 0; i < f.nIter; i++ {
-		init, err := c.value(op.Operand(3 + i))
+	argRegs := make([]int, f.NumIterArgs())
+	for i := range argRegs {
+		init, err := c.value(f.InitArg(i))
 		if err != nil {
 			return err
 		}
 		r := c.fresh()
 		argRegs[i] = r
-		c.vals[f.body.Arg(1+i)] = r
+		c.vals[f.IterArg(i)] = r
 		c.emit(vinstr{op: riscv.ADDI, rd: r, rs1: init, rs2: noVReg, imm: 0})
 	}
 
@@ -520,19 +520,18 @@ func (c *compiler) forLoop(op *ir.Op) error {
 	c.bind(head)
 	c.emit(vinstr{op: riscv.BGE, rd: noVReg, rs1: iv, rs2: ub, label: exit})
 
-	if err := c.block(f.body); err != nil {
+	if err := c.block(f.Body()); err != nil {
 		return err
 	}
 
 	// Yield: copy yielded values into the arg registers.
-	yield := f.body.Last()
-	for i := 0; i < f.nIter; i++ {
-		yv, err := c.value(yield.Operand(i))
+	for i, r := range argRegs {
+		yv, err := c.value(f.Yielded(i))
 		if err != nil {
 			return err
 		}
-		if yv != argRegs[i] {
-			c.emit(vinstr{op: riscv.ADDI, rd: argRegs[i], rs1: yv, rs2: noVReg, imm: 0})
+		if yv != r {
+			c.emit(vinstr{op: riscv.ADDI, rd: r, rs1: yv, rs2: noVReg, imm: 0})
 		}
 	}
 	c.emit(vinstr{op: riscv.ADD, rd: iv, rs1: iv, rs2: step})
@@ -541,35 +540,15 @@ func (c *compiler) forLoop(op *ir.Op) error {
 	c.loops = append(c.loops, [2]int{loopStart, len(c.instrs)})
 
 	// Loop results read the arg registers after exit.
-	for i := 0; i < f.nIter; i++ {
-		c.vals[op.Result(i)] = argRegs[i]
+	for i, r := range argRegs {
+		c.vals[f.Result(i)] = r
 	}
 	return nil
 }
 
-// scfForView is a minimal local view to avoid importing the scf package
-// (which would be a dependency cycle if scf ever used codegen in tests).
-type scfForView struct {
-	lb, ub, step *ir.Value
-	body         *ir.Block
-	nIter        int
-}
-
-func scfFor(op *ir.Op) (scfForView, bool) {
-	if op.Name() != "scf.for" {
-		return scfForView{}, false
-	}
-	return scfForView{
-		lb:    op.Operand(0),
-		ub:    op.Operand(1),
-		step:  op.Operand(2),
-		body:  op.Region(0).Block(),
-		nIter: op.NumOperands() - 3,
-	}, true
-}
-
-func (c *compiler) ifOp(op *ir.Op) error {
-	cond, err := c.value(op.Operand(0))
+func (c *compiler) ifOp(branch scf.If) error {
+	op := branch.Op
+	cond, err := c.value(branch.Condition())
 	if err != nil {
 		return err
 	}
@@ -583,20 +562,18 @@ func (c *compiler) ifOp(op *ir.Op) error {
 	}
 
 	c.emit(vinstr{op: riscv.BEQ, rd: noVReg, rs1: cond, rs2: physVReg(riscv.X0), label: elseL})
-	thenBlk := op.Region(0).Block()
-	if err := c.block(thenBlk); err != nil {
+	if err := c.block(branch.Then()); err != nil {
 		return err
 	}
-	if err := c.copyYields(thenBlk.Last(), resRegs); err != nil {
+	if err := c.copyYields(branch.ThenYield(), resRegs); err != nil {
 		return err
 	}
 	c.emit(vinstr{op: riscv.JAL, rd: noVReg, rs1: noVReg, rs2: noVReg, label: endL})
 	c.bind(elseL)
-	elseBlk := op.Region(1).Block()
-	if err := c.block(elseBlk); err != nil {
+	if err := c.block(branch.Else()); err != nil {
 		return err
 	}
-	if err := c.copyYields(elseBlk.Last(), resRegs); err != nil {
+	if err := c.copyYields(branch.ElseYield(), resRegs); err != nil {
 		return err
 	}
 	c.bind(endL)
@@ -604,7 +581,7 @@ func (c *compiler) ifOp(op *ir.Op) error {
 }
 
 func (c *compiler) copyYields(yield *ir.Op, resRegs []int) error {
-	if yield == nil || yield.Name() != "scf.yield" {
+	if yield == nil {
 		return fmt.Errorf("codegen: scf.if region missing yield")
 	}
 	for i, r := range resRegs {

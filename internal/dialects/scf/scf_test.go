@@ -1,6 +1,10 @@
 package scf_test
 
 import (
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"configwall/internal/dialects/arith"
@@ -48,6 +52,104 @@ func TestForAccessors(t *testing.T) {
 	}
 	if _, ok := scf.AsFor(init.DefiningOp()); ok {
 		t.Error("AsFor accepts a constant")
+	}
+	if loop.Result(0) != loop.Op.Result(0) || loop.Yielded(0) != loop.IterArg(0) || loop.Yielded(1) != nil {
+		t.Error("result / yielded accessors wrong")
+	}
+
+	// Carried: which loop carries a value, at which index.
+	for _, tc := range []struct {
+		name string
+		v    *ir.Value
+		i    int
+		ok   bool
+	}{
+		{"iter arg", loop.IterArg(0), 0, true},
+		{"result", loop.Result(0), 0, true},
+		{"induction variable", loop.InductionVar(), 0, false},
+		{"non-loop value", init, 0, false},
+	} {
+		f, i, ok := scf.Carried(tc.v)
+		if ok != tc.ok || ok && (f != loop || i != tc.i) {
+			t.Errorf("Carried(%s) = (%v, %d, %v), want index %d, ok %v", tc.name, f.Op, i, ok, tc.i, tc.ok)
+		}
+	}
+
+	// ConstantTripCount over the same loop with its bounds swapped out.
+	c := func(v int64) *ir.Value { return arith.NewConstant(ir.Before(loop.Op), v, ir.Index) }
+	nonConst := arith.NewBinary(ir.Before(loop.Op), arith.OpAddI, lb, ub)
+	for _, tc := range []struct {
+		name         string
+		lb, ub, step *ir.Value
+		n            int64
+		ok           bool
+	}{
+		{"constant", lb, ub, step, 4, true},
+		{"rounds up", lb, c(7), step, 4, true},
+		{"zero-trip", ub, lb, step, 0, true},
+		{"empty range", lb, lb, step, 0, true},
+		{"negative step", lb, ub, c(-2), 0, false},
+		{"zero step", lb, ub, c(0), 0, false},
+		{"non-constant bound", lb, nonConst, step, 0, false},
+		{"widest range", c(math.MinInt64), c(math.MaxInt64), c(1), math.MaxInt64, true},
+	} {
+		loop.Op.SetOperand(0, tc.lb)
+		loop.Op.SetOperand(1, tc.ub)
+		loop.Op.SetOperand(2, tc.step)
+		if n, ok := loop.ConstantTripCount(); n != tc.n || ok != tc.ok {
+			t.Errorf("%s: ConstantTripCount = (%d, %v), want (%d, %v)", tc.name, n, ok, tc.n, tc.ok)
+		}
+	}
+}
+
+// TestConstantTripCountOnTestdata: on every loop of the pass test inputs,
+// ConstantTripCount returns what the three private copies it replaced
+// returned: passes.tripCount's (ub-lb+step-1)/step, analysis.minTripCount
+// (the same, as a lower bound) and the path interpreter's count of
+// `for iv := lb; iv < ub; iv += step`.
+func TestConstantTripCountOnTestdata(t *testing.T) {
+	want := map[string][]int64{
+		"branches.ir":       nil,
+		"figure9.ir":        {4},
+		"hoist.ir":          {8},
+		"overlap.ir":        {6},
+		"overlap_nested.ir": {6},
+		"sink.ir":           {4},
+	}
+	for file, trips := range want {
+		src, err := os.ReadFile(filepath.Join("../../passes/testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := ir.Parse(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		var got []int64
+		m.Walk(func(op *ir.Op) {
+			loop, ok := scf.AsFor(op)
+			if !ok {
+				return
+			}
+			n, ok := loop.ConstantTripCount()
+			if !ok {
+				t.Errorf("%s: loop bounds not constant", file)
+			}
+			lb, _ := arith.ConstantValue(loop.LowerBound())
+			ub, _ := arith.ConstantValue(loop.UpperBound())
+			step, _ := arith.ConstantValue(loop.Step())
+			iterated := int64(0)
+			for iv := lb; iv < ub; iv += step {
+				iterated++
+			}
+			if formula := (ub - lb + step - 1) / step; n != formula || n != iterated {
+				t.Errorf("%s: ConstantTripCount = %d, the formula %d, iterating %d", file, n, formula, iterated)
+			}
+			got = append(got, n)
+		})
+		if !slices.Equal(got, trips) {
+			t.Errorf("%s: trip counts %v, want %v", file, got, trips)
+		}
 	}
 }
 

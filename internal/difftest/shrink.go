@@ -12,6 +12,7 @@ package difftest
 import (
 	"configwall/internal/core"
 	"configwall/internal/dialects/accfg"
+	"configwall/internal/dialects/scf"
 	"configwall/internal/ir"
 	"configwall/internal/irgen"
 )
@@ -162,12 +163,12 @@ func (ctx *shrinkCtx) enumerateEdits(m *ir.Module) []edit {
 		idx := n
 		n++
 		switch o.Name() {
-		case "scf.for":
+		case scf.OpFor:
 			if o.NumResults() == 0 {
 				structural = append(structural, edit{kind: editDeleteOp, idx: idx})
 			}
 			structural = append(structural, edit{kind: editUnwrapLoop, idx: idx})
-		case "scf.if":
+		case scf.OpIf:
 			if o.NumResults() == 0 {
 				structural = append(structural, edit{kind: editDeleteOp, idx: idx})
 			}
@@ -217,10 +218,13 @@ func (ctx *shrinkCtx) applyEdit(m *ir.Module, e edit) (*ir.Module, bool) {
 		}
 		op.Erase()
 	case editUnwrapLoop:
-		if op.Name() != "scf.for" || op.NumResults() != 0 {
+		// One copy of the body in place of the loop, the induction variable
+		// bound to the lower bound (generated loops carry no results).
+		loop, ok := scf.AsFor(op)
+		if !ok || op.NumResults() != 0 {
 			return nil, false
 		}
-		unwrapLoop(op)
+		loop.InlineOnce()
 	case editDeleteLaunch:
 		if op.Name() != accfg.OpLaunch || op.Result(0).NumUses() > 0 {
 			return nil, false
@@ -266,20 +270,6 @@ func (ctx *shrinkCtx) applyEdit(m *ir.Module, e edit) (*ir.Module, bool) {
 	}
 	gcDeadPure(clone)
 	return clone, true
-}
-
-// unwrapLoop splices one copy of the loop body in place of the loop, with
-// the induction variable bound to the lower bound (the loop carries no
-// results in generated programs).
-func unwrapLoop(loop *ir.Op) {
-	body := loop.Region(0).Block()
-	yield := body.Last()
-	mapping := map[*ir.Value]*ir.Value{body.Arg(0): loop.Operand(0)}
-	b := ir.Before(loop)
-	for o := body.First(); o != nil && o != yield; o = o.Next() {
-		b.Insert(o.Clone(mapping))
-	}
-	loop.Erase()
 }
 
 // gcDeadPure erases pure ops whose results are all unused, iterating to a

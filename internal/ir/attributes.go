@@ -35,7 +35,7 @@ type StringAttr struct {
 	Value string
 }
 
-func (a StringAttr) String() string { return strconv.Quote(a.Value) }
+func (a StringAttr) String() string { return quote(a.Value) }
 
 // BoolAttr holds a boolean constant.
 type BoolAttr struct {
@@ -138,11 +138,15 @@ func attrDictString(attrs map[string]Attribute) string {
 	sort.Strings(keys)
 	parts := make([]string, len(keys))
 	for i, k := range keys {
+		name := k
+		if !isIdent(k) {
+			name = quote(k)
+		}
 		if _, ok := attrs[k].(UnitAttr); ok {
-			parts[i] = k
+			parts[i] = name
 			continue
 		}
-		parts[i] = fmt.Sprintf("%s = %s", k, attrs[k].String())
+		parts[i] = fmt.Sprintf("%s = %s", name, attrs[k].String())
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }

@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"strings"
+	"unicode"
 )
 
 // printer renders ops in a generic MLIR-like textual syntax that the parser
@@ -27,10 +28,12 @@ func (p *printer) valueName(v *Value) string {
 	}
 	var n string
 	if v.name != "" {
+		// A taken name gets the first free suffix. Suffixes draw on no
+		// counter the unnamed values share, so text that is parsed and
+		// printed again — every name in it unique — numbers them the same.
 		n = v.name
-		for p.taken[n] {
-			n = fmt.Sprintf("%s_%d", v.name, p.nextID)
-			p.nextID++
+		for k := 1; p.taken[n]; k++ {
+			n = fmt.Sprintf("%s_%d", v.name, k)
 		}
 	} else {
 		n = fmt.Sprint(p.nextID)
@@ -51,7 +54,7 @@ func (p *printer) printOp(op *Op, indent string) {
 		p.sb.WriteString(strings.Join(parts, ", "))
 		p.sb.WriteString(" = ")
 	}
-	fmt.Fprintf(&p.sb, "%q", op.name)
+	p.sb.WriteString(quote(op.name))
 	p.sb.WriteByte('(')
 	for i, o := range op.operands {
 		if i > 0 {
@@ -122,6 +125,43 @@ func (p *printer) printRegion(r *Region, indent string) {
 	}
 	p.sb.WriteString(indent)
 	p.sb.WriteByte('}')
+}
+
+// quote renders s as the string literal the lexer reads back to s: the
+// inverse of its unescaping, byte for byte (strconv.Quote's \x and \u
+// escapes are not in the lexer's language).
+func quote(s string) string {
+	if !strings.ContainsAny(s, "\"\\\n\t") {
+		return `"` + s + `"`
+	}
+	var sb strings.Builder
+	sb.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '"', '\\':
+			sb.WriteByte('\\')
+			sb.WriteByte(c)
+		case '\n':
+			sb.WriteString(`\n`)
+		case '\t':
+			sb.WriteString(`\t`)
+		default:
+			sb.WriteByte(c)
+		}
+	}
+	sb.WriteByte('"')
+	return sb.String()
+}
+
+// isIdent reports whether the lexer reads s back as one identifier token;
+// an attribute key that is not one is printed quoted.
+func isIdent(s string) bool {
+	if s == "" || !unicode.IsLetter(rune(s[0])) && s[0] != '_' {
+		return false
+	}
+	l := lexer{src: s}
+	l.lexIdentTail()
+	return l.pos == len(s)
 }
 
 // Print renders a single op (and its nested regions) as text.

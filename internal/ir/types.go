@@ -76,7 +76,7 @@ type StateType struct {
 }
 
 func (t StateType) String() string {
-	return "!accfg.state<" + strconv.Quote(t.Accelerator) + ">"
+	return "!accfg.state<" + quote(t.Accelerator) + ">"
 }
 
 // TokenType is !accfg.token<"accel">: an in-flight accelerator launch that
@@ -86,7 +86,7 @@ type TokenType struct {
 }
 
 func (t TokenType) String() string {
-	return "!accfg.token<" + strconv.Quote(t.Accelerator) + ">"
+	return "!accfg.token<" + quote(t.Accelerator) + ">"
 }
 
 // MemRefType is a minimal ranked memref: a shaped buffer of integers.

@@ -13,6 +13,7 @@ import (
 	"configwall/internal/dialects/arith"
 	"configwall/internal/dialects/csrops"
 	"configwall/internal/dialects/rocc"
+	"configwall/internal/dialects/scf"
 	"configwall/internal/ir"
 	"configwall/internal/passes"
 )
@@ -193,9 +194,9 @@ func StripAccfgTypes(m *ir.Module, accelerator string) error {
 			if s.Accelerator() == accelerator {
 				setups = append(setups, op)
 			}
-		case "scf.for", "scf.if":
+		case scf.OpFor, scf.OpIf:
 			scfOps = append(scfOps, op)
-		case "scf.yield":
+		case scf.OpYield:
 			yields = append(yields, op)
 		}
 	})
@@ -217,11 +218,19 @@ func StripAccfgTypes(m *ir.Module, accelerator string) error {
 	}
 	// Phase 3: strip state operands from yields and scf.for inits.
 	for _, y := range yields {
-		eraseAccfgOperands(y, 0, accelerator)
+		for i := y.NumOperands() - 1; i >= 0; i-- {
+			if isAccfgType(y.Operand(i).Type(), accelerator) {
+				y.EraseOperand(i)
+			}
+		}
 	}
 	for _, op := range scfOps {
-		if op.Name() == "scf.for" {
-			eraseAccfgOperands(op, 3, accelerator)
+		if loop, ok := scf.AsFor(op); ok {
+			for i := loop.NumIterArgs() - 1; i >= 0; i-- {
+				if isAccfgType(loop.InitArg(i).Type(), accelerator) {
+					loop.EraseInitArg(i)
+				}
+			}
 		}
 	}
 	// Phase 4: strip block args and results.
@@ -256,14 +265,6 @@ func StripAccfgTypes(m *ir.Module, accelerator string) error {
 		op.Erase()
 	}
 	return nil
-}
-
-func eraseAccfgOperands(op *ir.Op, from int, accelerator string) {
-	for i := op.NumOperands() - 1; i >= from; i-- {
-		if isAccfgType(op.Operand(i).Type(), accelerator) {
-			op.EraseOperand(i)
-		}
-	}
 }
 
 func isAccfgType(t ir.Type, accelerator string) bool {

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 
+	"configwall/internal/dialects/scf"
 	"configwall/internal/ir"
 )
 
@@ -159,10 +160,11 @@ func licmWalk(b *ir.Block) bool {
 				changed = true
 			}
 		}
-		if op.Name() != "scf.for" {
+		loop, ok := scf.AsFor(op)
+		if !ok {
 			continue
 		}
-		body := op.Region(0).Block()
+		body := loop.Body()
 		var next *ir.Op
 		for inner := body.First(); inner != nil; inner = next {
 			next = inner.Next()

@@ -2,6 +2,7 @@ package passes
 
 import (
 	"configwall/internal/dialects/accfg"
+	"configwall/internal/dialects/scf"
 	"configwall/internal/ir"
 )
 
@@ -23,14 +24,14 @@ func HoistLoopInvariantFields() ir.Pass {
 			changed := true
 			for changed {
 				changed = false
-				var loops []*ir.Op
+				var loops []scf.For
 				m.Walk(func(op *ir.Op) {
-					if op.Name() == scf_OpFor {
-						loops = append(loops, op)
+					if loop, ok := scf.AsFor(op); ok {
+						loops = append(loops, loop)
 					}
 				})
 				for _, loop := range loops {
-					if loop.Block() == nil {
+					if loop.Op.Block() == nil {
 						continue
 					}
 					if hoistFromLoop(loop) {
@@ -43,31 +44,27 @@ func HoistLoopInvariantFields() ir.Pass {
 	}
 }
 
-func hoistFromLoop(loop *ir.Op) bool {
-	body := loop.Region(0).Block()
+func hoistFromLoop(loop scf.For) bool {
 	changed := false
 	// The rewrite adds a setup in front of the loop and drops operands of
 	// op; the body's op list stays as it is.
-	for op := body.First(); op != nil; op = op.Next() {
+	for op := loop.Body().First(); op != nil; op = op.Next() {
 		s, ok := accfg.AsSetup(op)
 		if !ok || !s.HasInState() {
 			continue
 		}
-		arg := s.InState()
-		if !arg.IsBlockArg() || arg.OwnerBlock() != body {
-			continue
-		}
 		// Map the body arg back to the loop operand carrying the state.
-		argIdx := arg.ResultIndex() - 1
-		if argIdx < 0 {
+		arg := s.InState()
+		carrier, argIdx, ok := scf.Carried(arg)
+		if !ok || !arg.IsBlockArg() || carrier != loop {
 			continue
 		}
 		var hoistable []accfg.Field
 		for _, f := range s.Fields() {
-			if definedInsideValue(f.Value, loop) {
+			if definedInsideValue(f.Value, loop.Op) {
 				continue
 			}
-			if writtenByOtherSetup(loop, op, f.Name, s.Accelerator()) {
+			if writtenByOtherSetup(loop.Op, op, f.Name, s.Accelerator()) {
 				continue
 			}
 			hoistable = append(hoistable, f)
@@ -76,10 +73,9 @@ func hoistFromLoop(loop *ir.Op) bool {
 			continue
 		}
 		// Build (or extend) the pre-loop setup on the state operand.
-		init := loop.Operand(3 + argIdx)
-		b := ir.Before(loop)
-		pre := accfg.NewSetup(b, s.Accelerator(), init, hoistable)
-		loop.SetOperand(3+argIdx, pre.State())
+		b := ir.Before(loop.Op)
+		pre := accfg.NewSetup(b, s.Accelerator(), loop.InitArg(argIdx), hoistable)
+		loop.SetInitArg(argIdx, pre.State())
 		for _, f := range hoistable {
 			s.RemoveField(f.Name)
 		}
@@ -151,10 +147,11 @@ func sinkIntoBranches(op *ir.Op) bool {
 		return false
 	}
 	in := s.InState()
-	ifOp := in.DefiningOp()
-	if ifOp == nil || ifOp.Name() != scf_OpIf || ifOp.Block() != op.Block() {
+	branch, ok := scf.AsIf(in.DefiningOp())
+	if !ok || branch.Op.Block() != op.Block() {
 		return false
 	}
+	ifOp := branch.Op
 	// The if-state must feed only this setup; other readers (e.g. a launch
 	// between the if and the setup) pin the setup in place.
 	if in.NumUses() != 1 {
@@ -174,9 +171,7 @@ func sinkIntoBranches(op *ir.Op) bool {
 		}
 	}
 	resIdx := in.ResultIndex()
-	for ri := 0; ri < 2; ri++ {
-		blk := ifOp.Region(ri).Block()
-		yield := blk.Last()
+	for _, yield := range [2]*ir.Op{branch.ThenYield(), branch.ElseYield()} {
 		branchState := yield.Operand(resIdx)
 		b := ir.Before(yield)
 		clone := accfg.NewSetup(b, s.Accelerator(), branchState, s.Fields())

@@ -2,6 +2,7 @@ package passes
 
 import (
 	"configwall/internal/dialects/accfg"
+	"configwall/internal/dialects/scf"
 	"configwall/internal/ir"
 )
 
@@ -122,58 +123,45 @@ func isState(v *ir.Value) bool {
 	return ok
 }
 
-// transfer recomputes the lattice element for one state value from its
-// definition.
-func (fs *FieldStates) transfer(v *ir.Value) fieldState {
-	if v.IsBlockArg() {
-		parent := v.OwnerBlock().ParentOp()
-		if parent == nil || parent.Name() != scf_OpFor {
-			return bottomState()
-		}
-		// scf.for body arg i (i>0 — arg 0 is the induction variable):
-		// meet of init operand and yielded value.
-		idx := v.ResultIndex() - 1
-		if idx < 0 {
-			return bottomState()
-		}
-		init := parent.Operand(3 + idx)
-		yield := parent.Region(0).Block().Last()
-		if yield == nil || yield.NumOperands() <= idx {
-			return fs.lookup(init)
-		}
-		return meet(fs.lookup(init), fs.lookup(yield.Operand(idx)))
+// chainStep is one step back along a state chain, the switch the fixpoint
+// and MayWrite share: a setup result is made of the setup (returned) over
+// its in-state; a loop-carried argument or result of the initial and the
+// yielded state; a branch result of both yields. from lists those
+// predecessors, nil entries skipped. ok is false for a state of any other
+// origin, about which nothing is known.
+func chainStep(v *ir.Value) (s accfg.Setup, from [2]*ir.Value, ok bool) {
+	if loop, i, carried := scf.Carried(v); carried {
+		return s, [2]*ir.Value{loop.InitArg(i), loop.Yielded(i)}, true
 	}
-
 	def := v.DefiningOp()
-	if def == nil {
+	if s, ok = accfg.AsSetup(def); ok {
+		return s, [2]*ir.Value{s.InState()}, true
+	}
+	if branch, isIf := scf.AsIf(def); isIf {
+		i, ty, ey := v.ResultIndex(), branch.ThenYield(), branch.ElseYield()
+		if ty != nil && ey != nil && i < ty.NumOperands() && i < ey.NumOperands() {
+			return s, [2]*ir.Value{ty.Operand(i), ey.Operand(i)}, true
+		}
+	}
+	return s, from, false
+}
+
+// transfer recomputes the lattice element for one state value from its
+// definition: a setup's fields overlaid on its in-state, or the meet of a
+// carried value's or branch result's two predecessors.
+func (fs *FieldStates) transfer(v *ir.Value) fieldState {
+	s, from, ok := chainStep(v)
+	switch {
+	case !ok:
 		return bottomState()
+	case s.Op != nil && from[0] == nil:
+		return bottomState().overlay(s.Fields())
+	case s.Op != nil:
+		return fs.lookup(from[0]).overlay(s.Fields())
+	case from[1] == nil:
+		return fs.lookup(from[0])
 	}
-	switch def.Name() {
-	case accfg.OpSetup:
-		s, _ := accfg.AsSetup(def)
-		base := bottomState()
-		if in := s.InState(); in != nil {
-			base = fs.lookup(in)
-		}
-		return base.overlay(s.Fields())
-	case scf_OpFor:
-		idx := v.ResultIndex()
-		init := def.Operand(3 + idx)
-		yield := def.Region(0).Block().Last()
-		if yield == nil || yield.NumOperands() <= idx {
-			return fs.lookup(init)
-		}
-		return meet(fs.lookup(init), fs.lookup(yield.Operand(idx)))
-	case scf_OpIf:
-		idx := v.ResultIndex()
-		ty := def.Region(0).Block().Last()
-		ey := def.Region(1).Block().Last()
-		if ty == nil || ey == nil || ty.NumOperands() <= idx || ey.NumOperands() <= idx {
-			return bottomState()
-		}
-		return meet(fs.lookup(ty.Operand(idx)), fs.lookup(ey.Operand(idx)))
-	}
-	return bottomState()
+	return meet(fs.lookup(from[0]), fs.lookup(from[1]))
 }
 
 func (fs *FieldStates) lookup(v *ir.Value) fieldState {
@@ -205,47 +193,15 @@ func MayWrite(state *ir.Value, field string) bool {
 	for len(work) > 0 {
 		v := work[len(work)-1]
 		work = work[:len(work)-1]
-		if seen[v] {
+		if v == nil || seen[v] {
 			continue
 		}
 		seen[v] = true
-		def, idx := v.DefiningOp(), v.ResultIndex()
-		if v.IsBlockArg() {
-			// Only a loop body carries states as arguments, after the
-			// induction variable.
-			def, idx = v.OwnerBlock().ParentOp(), idx-1
-			if def == nil || def.Name() != scf_OpFor || idx < 0 {
-				return true
-			}
-		}
-		if def == nil {
+		s, from, ok := chainStep(v)
+		if !ok || s.Op != nil && s.FieldValue(field) != nil {
 			return true
 		}
-		switch def.Name() {
-		case accfg.OpSetup:
-			s, _ := accfg.AsSetup(def)
-			if s.FieldValue(field) != nil {
-				return true
-			}
-			if in := s.InState(); in != nil {
-				work = append(work, in)
-			}
-		case scf_OpFor:
-			work = append(work, def.Operand(3+idx))
-			if yield := def.Region(0).Block().Last(); yield != nil && yield.NumOperands() > idx {
-				work = append(work, yield.Operand(idx))
-			}
-		case scf_OpIf:
-			for ri := 0; ri < 2; ri++ {
-				yield := def.Region(ri).Block().Last()
-				if yield == nil || yield.NumOperands() <= idx {
-					return true
-				}
-				work = append(work, yield.Operand(idx))
-			}
-		default:
-			return true
-		}
+		work = append(work, from[:]...)
 	}
 	return false
 }

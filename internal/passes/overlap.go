@@ -3,6 +3,7 @@ package passes
 import (
 	"configwall/internal/analysis"
 	"configwall/internal/dialects/accfg"
+	"configwall/internal/dialects/scf"
 	"configwall/internal/ir"
 )
 
@@ -38,10 +39,10 @@ func Overlap(concurrent func(accelerator string) bool) ir.Pass {
 	return ir.PassFunc{
 		PassName: "accfg-overlap",
 		Fn: func(m *ir.Module) error {
-			var loops []*ir.Op
+			var loops []scf.For
 			m.Walk(func(op *ir.Op) {
-				if op.Name() == scf_OpFor {
-					loops = append(loops, op)
+				if loop, ok := scf.AsFor(op); ok {
+					loops = append(loops, loop)
 				}
 			})
 			for _, loop := range loops {
@@ -65,10 +66,9 @@ func Overlap(concurrent func(accelerator string) bool) ir.Pass {
 
 // pipelineLoop rewrites one loop into pipelined form when its body matches
 // the setup/launch/await shape. Reports whether it changed the loop.
-func pipelineLoop(loop *ir.Op, concurrent func(string) bool) bool {
-	body := loop.Region(0).Block()
-	yield := body.Last()
-	if yield == nil || yield.Name() != scf_OpYield {
+func pipelineLoop(loop scf.For, concurrent func(string) bool) bool {
+	body := loop.Body()
+	if loop.Yield() == nil {
 		return false
 	}
 
@@ -147,17 +147,14 @@ func pipelineLoop(loop *ir.Op, concurrent func(string) bool) bool {
 		return false
 	}
 	arg := s.InState()
-	if !arg.IsBlockArg() || arg.OwnerBlock() != body {
-		return false
-	}
-	argIdx := arg.ResultIndex() - 1
-	if argIdx < 0 {
+	carrier, argIdx, ok := scf.Carried(arg)
+	if !ok || !arg.IsBlockArg() || carrier != loop {
 		return false
 	}
 	if l.State() != s.State() || a.Token() != l.Token() {
 		return false
 	}
-	if argIdx >= yield.NumOperands() || yield.Operand(argIdx) != s.State() {
+	if loop.Yielded(argIdx) != s.State() {
 		return false
 	}
 	if !setupOp.IsBefore(launchOp) || !launchOp.IsBefore(awaitOp) {
@@ -174,10 +171,8 @@ func pipelineLoop(loop *ir.Op, concurrent func(string) bool) bool {
 	// for iteration i+1. It may only reference the induction variable and
 	// the state arg among the loop's block arguments — the prologue clone
 	// remaps exactly those two.
-	slice, ok := pureInputSlice(setupOp, body, map[*ir.Value]bool{
-		body.Arg(0): true,
-		arg:         true,
-	})
+	iv := loop.InductionVar()
+	slice, ok := pureInputSlice(setupOp, body, map[*ir.Value]bool{iv: true, arg: true})
 	if !ok {
 		return false
 	}
@@ -189,25 +184,20 @@ func pipelineLoop(loop *ir.Op, concurrent func(string) bool) bool {
 	// enclosing loop — would observe that phantom state instead of the last
 	// real configuration, so the rewrite must bail (found by differential
 	// fuzzing; the paper's workloads always pipeline the last launch site).
-	if !overlapSkipPhantomGuard && analysis.LaunchReachableAfter(loop, s.Accelerator()) {
+	if !overlapSkipPhantomGuard && analysis.LaunchReachableAfter(loop.Op, s.Accelerator()) {
 		return false
 	}
 
-	iv := body.Arg(0)
-	lb := loop.Operand(0)
-	step := loop.Operand(2)
-
 	// 1. Prologue: clone the setup (and its in-loop slice) before the loop,
 	//    with iv -> lb and the state arg -> the loop's init state.
-	init := loop.Operand(3 + argIdx)
-	mapping := map[*ir.Value]*ir.Value{iv: lb, arg: init}
-	pb := ir.Before(loop)
+	mapping := map[*ir.Value]*ir.Value{iv: loop.LowerBound(), arg: loop.InitArg(argIdx)}
+	pb := ir.Before(loop.Op)
 	for _, o := range slice {
 		pb.Insert(o.Clone(mapping))
 	}
 	proSetup := setupOp.Clone(mapping)
 	pb.Insert(proSetup)
-	loop.SetOperand(3+argIdx, proSetup.Result(0))
+	loop.SetInitArg(argIdx, proSetup.Result(0))
 
 	// 2. Launch now reads the loop-carried state and moves to the top of
 	//    the body (before the setup and its input slice).
@@ -220,7 +210,7 @@ func pipelineLoop(loop *ir.Op, concurrent func(string) bool) bool {
 	// 3. The in-loop setup computes the *next* iteration's configuration:
 	//    clone its input slice with iv -> iv+step, after the launch.
 	ib := ir.After(launchOp)
-	ivNext := ib.Create("arith.addi", []*ir.Value{iv, step}, []ir.Type{iv.Type()}).Result(0)
+	ivNext := ib.Create("arith.addi", []*ir.Value{iv, loop.Step()}, []ir.Type{iv.Type()}).Result(0)
 	ivNext.SetName("i_next")
 	remap := map[*ir.Value]*ir.Value{iv: ivNext}
 	for _, o := range slice {

@@ -1,7 +1,7 @@
 package passes
 
 import (
-	"configwall/internal/dialects/arith"
+	"configwall/internal/dialects/scf"
 	"configwall/internal/ir"
 )
 
@@ -20,74 +20,30 @@ func SimplifyTrivialLoops() ir.Pass {
 		PassName: "simplify-trivial-loops",
 		Fn: func(m *ir.Module) error {
 			for {
-				var target *ir.Op
+				var target scf.For
 				trip := int64(-1)
 				m.Walk(func(op *ir.Op) {
-					if target != nil || op.Name() != scf_OpFor {
+					loop, ok := scf.AsFor(op)
+					if target.Op != nil || !ok {
 						return
 					}
-					if t, ok := tripCount(op); ok && t <= 1 {
-						target = op
+					if t, ok := loop.ConstantTripCount(); ok && t <= 1 {
+						target = loop
 						trip = t
 					}
 				})
-				if target == nil {
+				if target.Op == nil {
 					return nil
 				}
-				if trip == 0 {
-					eraseZeroTrip(target)
-				} else {
-					inlineSingleTrip(target)
+				if trip == 1 {
+					target.InlineOnce()
+					continue
 				}
+				for i := 0; i < target.NumIterArgs(); i++ {
+					target.Result(i).ReplaceAllUsesWith(target.InitArg(i))
+				}
+				target.Op.Erase()
 			}
 		},
 	}
-}
-
-// tripCount returns the loop's static trip count when lb, ub and step are
-// constants.
-func tripCount(loop *ir.Op) (int64, bool) {
-	lb, okL := arith.ConstantValue(loop.Operand(0))
-	ub, okU := arith.ConstantValue(loop.Operand(1))
-	step, okS := arith.ConstantValue(loop.Operand(2))
-	if !okL || !okU || !okS || step <= 0 {
-		return 0, false
-	}
-	if ub <= lb {
-		return 0, true
-	}
-	return (ub - lb + step - 1) / step, true
-}
-
-func eraseZeroTrip(loop *ir.Op) {
-	n := loop.NumOperands() - 3
-	for i := 0; i < n; i++ {
-		loop.Result(i).ReplaceAllUsesWith(loop.Operand(3 + i))
-	}
-	loop.Erase()
-}
-
-func inlineSingleTrip(loop *ir.Op) {
-	body := loop.Region(0).Block()
-	yield := body.Last()
-
-	mapping := map[*ir.Value]*ir.Value{
-		body.Arg(0): loop.Operand(0), // iv -> lb
-	}
-	n := loop.NumOperands() - 3
-	for i := 0; i < n; i++ {
-		mapping[body.Arg(1+i)] = loop.Operand(3 + i)
-	}
-	b := ir.Before(loop)
-	for op := body.First(); op != nil && op != yield; op = op.Next() {
-		b.Insert(op.Clone(mapping))
-	}
-	for i := 0; i < n; i++ {
-		y := yield.Operand(i)
-		if m, ok := mapping[y]; ok {
-			y = m
-		}
-		loop.Result(i).ReplaceAllUsesWith(y)
-	}
-	loop.Erase()
 }

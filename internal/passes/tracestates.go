@@ -2,6 +2,7 @@ package passes
 
 import (
 	"configwall/internal/dialects/accfg"
+	"configwall/internal/dialects/scf"
 	"configwall/internal/ir"
 )
 
@@ -83,11 +84,11 @@ func traceBlock(b *ir.Block, accel string, current *ir.Value) *ir.Value {
 			}
 			current = s.State()
 
-		case scf_OpFor:
-			current = traceFor(op, accel, current)
+		case scf.OpFor:
+			current = traceFor(scf.For{Op: op}, accel, current)
 
-		case scf_OpIf:
-			current = traceIf(op, accel, current)
+		case scf.OpIf:
+			current = traceIf(scf.If{Op: op}, accel, current)
 
 		default:
 			if accfg.ClobbersState(op) {
@@ -98,83 +99,67 @@ func traceBlock(b *ir.Block, accel string, current *ir.Value) *ir.Value {
 	return current
 }
 
-// Local copies of the scf op names to avoid an import cycle with dialects
-// that themselves use passes in tests.
-const (
-	scf_OpFor   = "scf.for"
-	scf_OpIf    = "scf.if"
-	scf_OpYield = "scf.yield"
-)
-
 // traceFor threads the state through an scf.for via a new iteration
 // argument, creating an empty anchor setup before the loop when no state is
 // live yet (paper Figure 9, first block).
-func traceFor(loop *ir.Op, accel string, current *ir.Value) *ir.Value {
-	if !containsSetupFor(loop, accel) {
-		if subtreeClobbers(loop) {
+func traceFor(loop scf.For, accel string, current *ir.Value) *ir.Value {
+	if !containsSetupFor(loop.Op, accel) {
+		if subtreeClobbers(loop.Op) {
 			return nil
 		}
 		return current
 	}
-	if subtreeClobbers(loop) {
+	if subtreeClobbers(loop.Op) {
 		// Cannot thread state through a loop with clobbering ops: trace
 		// the inside standalone and lose the chain.
-		traceBlock(loop.Region(0).Block(), accel, nil)
+		traceBlock(loop.Body(), accel, nil)
 		return nil
 	}
 	if current == nil {
-		b := ir.Before(loop)
+		b := ir.Before(loop.Op)
 		anchor := accfg.NewSetup(b, accel, nil, nil)
 		current = anchor.State()
 	}
-	body := loop.Region(0).Block()
-	yield := body.Last()
-
-	// Add the loop-carried state: operand, block arg, result.
-	loop.AddOperand(current)
-	arg := body.AddArg(current.Type())
-	res := loop.AddResult(current.Type())
-
-	final := traceBlock(body, accel, arg)
+	// What the loop yields is known once the body is traced from arg.
+	arg, res := loop.AddIterArg(current, nil)
+	final := traceBlock(loop.Body(), accel, arg)
 	if final == nil {
 		// A clobber appeared at depth >1 that subtreeClobbers missed
 		// (defensive); fall back to yielding the arg unchanged.
 		final = arg
 	}
-	yield.AddOperand(final)
+	loop.Yield().AddOperand(final)
 	return res
 }
 
 // traceIf threads the state through an scf.if by yielding the final state of
 // both branches as a new result.
-func traceIf(ifOp *ir.Op, accel string, current *ir.Value) *ir.Value {
-	if !containsSetupFor(ifOp, accel) {
-		if subtreeClobbers(ifOp) {
+func traceIf(branch scf.If, accel string, current *ir.Value) *ir.Value {
+	if !containsSetupFor(branch.Op, accel) {
+		if subtreeClobbers(branch.Op) {
 			return nil
 		}
 		return current
 	}
-	if subtreeClobbers(ifOp) {
-		traceBlock(ifOp.Region(0).Block(), accel, current)
-		traceBlock(ifOp.Region(1).Block(), accel, current)
+	if subtreeClobbers(branch.Op) {
+		traceBlock(branch.Then(), accel, current)
+		traceBlock(branch.Else(), accel, current)
 		return nil
 	}
 	if current == nil {
-		b := ir.Before(ifOp)
+		b := ir.Before(branch.Op)
 		anchor := accfg.NewSetup(b, accel, nil, nil)
 		current = anchor.State()
 	}
-	thenBlk := ifOp.Region(0).Block()
-	elseBlk := ifOp.Region(1).Block()
-	thenFinal := traceBlock(thenBlk, accel, current)
-	elseFinal := traceBlock(elseBlk, accel, current)
+	thenFinal := traceBlock(branch.Then(), accel, current)
+	elseFinal := traceBlock(branch.Else(), accel, current)
 	if thenFinal == nil {
 		thenFinal = current
 	}
 	if elseFinal == nil {
 		elseFinal = current
 	}
-	thenBlk.Last().AddOperand(thenFinal)
-	elseBlk.Last().AddOperand(elseFinal)
-	return ifOp.AddResult(current.Type())
+	branch.ThenYield().AddOperand(thenFinal)
+	branch.ElseYield().AddOperand(elseFinal)
+	return branch.Op.AddResult(current.Type())
 }

@@ -356,6 +356,15 @@ func parseRunRequest(w http.ResponseWriter, r *http.Request) (RunRequest, error)
 	switch r.Method {
 	case http.MethodGet:
 		q := r.URL.Query()
+		// POST rejects unknown fields; a dropped query key would answer for a
+		// cell the client did not ask for (skip_verify is the JSON spelling).
+		for key := range q {
+			switch key {
+			case "target", "workload", "pipeline", "n", "engine", "trace", "skipverify":
+			default:
+				return rq, fmt.Errorf("unknown query parameter %q (valid: target, workload, pipeline, n, engine, trace, skipverify)", key)
+			}
+		}
 		rq.Target = q.Get("target")
 		rq.Workload = q.Get("workload")
 		rq.Pipeline = q.Get("pipeline")
