@@ -496,7 +496,7 @@ func TestUnregisteredAcceleratorIsFieldGranular(t *testing.T) {
 }
 
 // pairPort packs two fields into one RoCC write and is not Gemmini: the
-// group-atomic rule is keyed by the registered port, not by a name.
+// packed-mate rule is keyed by the registered port, not by a name.
 var pairPort = &accel.Port{
 	Accel: "pairacc",
 	Kind:  accel.RoCC,
@@ -507,12 +507,29 @@ var pairPort = &accel.Port{
 	Sync:   2,
 }
 
-func TestPackedMateDegradesOnAnyRegisteredPort(t *testing.T) {
+// TestPackedMateFollowsTheChainOnAnyRegisteredPort: rewriting x alone also
+// rewrites its packed mate y, with what PackedMate says the lowering packs —
+// the first setup's y (%1 = 2), known on the chain.
+func TestPackedMateFollowsTheChainOnAnyRegisteredPort(t *testing.T) {
 	if err := accel.Register(pairPort); err != nil {
 		t.Fatal(err)
 	}
-	if got := secondLaunchY(t, "pairacc"); !got.IsTop() {
-		t.Errorf("y = %s after its packed mate x was rewritten, want ⊤", got)
+	if got := secondLaunchY(t, "pairacc"); !got.Equal(Const(2)) {
+		t.Errorf("y = %s after its packed mate x was rewritten, want 2", got)
+	}
+	m := parseIR(t, strings.ReplaceAll(chainedRewrite, "ACC", "pairacc"))
+	var setups []accfg.Setup
+	m.Walk(func(op *ir.Op) {
+		if s, ok := accfg.AsSetup(op); ok {
+			setups = append(setups, s)
+		}
+	})
+	fs := AnalyzeFields(m.Funcs()[0])
+	if v, ok := PackedMate(fs, setups[1], "y"); !ok || v != setups[0].FieldValue("y") {
+		t.Errorf("PackedMate(y) = %v, %v; want the first setup's y", v, ok)
+	}
+	if v, ok := PackedMate(fs, setups[0], "y"); !ok || v != nil {
+		t.Errorf("PackedMate on an unchained setup = %v, %v; want the reset value", v, ok)
 	}
 	if got := configInstrsFor("pairacc", []string{"x", "y"}); got != 1 {
 		t.Errorf("configInstrsFor = %d, want 1 (x and y share a write)", got)

@@ -143,6 +143,7 @@ func Explore(m *ir.Module) *Summary {
 // undecided symbolic condition aborts and re-queues both decisions.
 func exploreFunc(f *ir.Op) *funcPaths {
 	fp := &funcPaths{}
+	known := new(FieldStates)
 	pending := []map[string]bool{{}}
 	for len(pending) > 0 {
 		if len(fp.paths)+len(pending) > maxPaths {
@@ -151,7 +152,7 @@ func exploreFunc(f *ir.Op) *funcPaths {
 		}
 		assigns := pending[0]
 		pending = pending[1:]
-		p, err := runOnce(f, assigns)
+		p, err := runOnce(f, known, assigns)
 		switch e := err.(type) {
 		case nil:
 			fp.paths = append(fp.paths, p)
@@ -191,8 +192,8 @@ type interp struct {
 }
 
 // runOnce deterministically interprets f under the given branch decisions.
-func runOnce(f *ir.Op, assigns map[string]bool) (*path, error) {
-	in := &interp{absState: entryState(f), assigns: assigns, fuel: maxFuel}
+func runOnce(f *ir.Op, known *FieldStates, assigns map[string]bool) (*path, error) {
+	in := &interp{absState: entryState(f, known), assigns: assigns, fuel: maxFuel}
 	if err := in.evalBlock(f.Region(0).Block()); err != nil {
 		return nil, err
 	}

@@ -1,4 +1,4 @@
-package passes
+package analysis
 
 import (
 	"configwall/internal/dialects/accfg"
@@ -154,8 +154,6 @@ func (fs *FieldStates) transfer(v *ir.Value) fieldState {
 	switch {
 	case !ok:
 		return bottomState()
-	case s.Op != nil && from[0] == nil:
-		return bottomState().overlay(s.Fields())
 	case s.Op != nil:
 		return fs.lookup(from[0]).overlay(s.Fields())
 	case from[1] == nil:
@@ -184,9 +182,9 @@ func (fs *FieldStates) Known(state *ir.Value, field string) *ir.Value {
 // MayWrite reports whether some path to state may have written the named
 // field, known value or not. It walks the chains the known-fields fixpoint
 // follows (setup inputs, loop inits and yields, branch yields), on demand:
-// the lowering asks only for a packed mate with no known value, to tell
-// "never written, still at its reset value" from "written with a value the
-// meet dropped". A state of any other origin may have written anything.
+// PackedMate asks only for a mate with no known value, to tell "never
+// written, still at its reset value" from "written with a value the meet
+// dropped". A state of any other origin may have written anything.
 func MayWrite(state *ir.Value, field string) bool {
 	seen := map[*ir.Value]bool{}
 	work := []*ir.Value{state}
@@ -204,4 +202,22 @@ func MayWrite(state *ir.Value, field string) bool {
 		work = append(work, from[:]...)
 	}
 	return false
+}
+
+// PackedMate is the one rule for what a setup's write packs into a field it
+// shares the write with but does not carry: on a bit-packed port (paper
+// Table 1 / Listing 1) one write rewrites every field of its register pair.
+// The mate gets the value known at the setup's in-state; nil, the reset
+// value 0, when the setup is unchained or no path to its in-state wrote the
+// field; and ok is false when some path wrote it with a value the meet
+// dropped, which nothing can re-materialize. The lowering packs exactly
+// this and the static checker reads it, so the two cannot disagree — not
+// even when two state chains interleave and the chain's value differs from
+// the one in the register.
+func PackedMate(fs *FieldStates, s accfg.Setup, field string) (v *ir.Value, ok bool) {
+	if in := s.InState(); in != nil {
+		v = fs.Known(in, field)
+		return v, v != nil || !MayWrite(in, field)
+	}
+	return nil, true
 }

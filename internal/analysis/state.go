@@ -14,16 +14,20 @@ import (
 // path enumerator (exec.go) carries one along each path, the flow summary
 // (summarize.go) clones and joins them at control-flow splits. It holds the
 // abstract SSA environment and the per-accelerator abstract staging
-// registers.
+// registers, and the known fields of the function fn, which every clone
+// shares: AnalyzeFields fills them the first time a setup leaves a packed
+// mate out, and most functions never ask.
 type absState struct {
 	env     map[*ir.Value]AbsVal
 	staging map[string]FieldState
+	fn      *ir.Op
+	known   *FieldStates
 }
 
 // entryState returns the state on entry to function f: argument i is the
-// symbol argi, no staging register written.
-func entryState(f *ir.Op) absState {
-	s := absState{env: map[*ir.Value]AbsVal{}, staging: map[string]FieldState{}}
+// symbol argi, no staging register written; known is f's, unfilled.
+func entryState(f *ir.Op, known *FieldStates) absState {
+	s := absState{env: map[*ir.Value]AbsVal{}, staging: map[string]FieldState{}, fn: f, known: known}
 	for i, arg := range f.Region(0).Block().Args() {
 		s.env[arg] = Sym(fmt.Sprintf("arg%d", i))
 	}
@@ -100,34 +104,32 @@ func (s absState) stagingOf(accelerator string) FieldState {
 }
 
 // applySetup writes a setup's fields into the abstract staging registers,
-// with group-atomic mate degradation: a previously-written packed mate the
-// setup does not carry becomes ⊤, a never-written mate stays at the reset
-// value the lowering packs for it.
-//
-// The mates come from the port registered under the accelerator's name
-// (accel.PortFor). On a bit-packed interface one write rewrites a whole
-// register pair, so a setup touching any member of a group rewrites every
-// member; the lowering re-materializes the mates from its own static
-// knowledge — knowledge this analysis must not assume, hence ⊤ (the
-// group-atomic join of DESIGN.md §9). A port with one field per write, and
-// an accelerator nobody registered (hand-written test modules), is
-// field-granular.
+// and into each packed mate the setup leaves out (accel.PortFor's Mates)
+// what PackedMate says the lowering packs there: the SSA value known on the
+// setup's chain, the reset value 0 (left unwritten if it never was), or ⊤
+// when the meet dropped it. An accelerator nobody registered (hand-written
+// test modules) has no mates and is field-granular.
 func (s absState) applySetup(op *ir.Op) {
 	setup, _ := accfg.AsSetup(op)
 	st := s.stagingOf(setup.Accelerator())
-	// Degrade first, write second: a mate the setup carries itself gets its
-	// own value back.
-	fields := setup.Fields()
 	port := accel.PortFor(setup.Accelerator())
-	for _, f := range fields {
+	for _, f := range setup.Fields() {
+		st[f.Name] = s.resolve(f.Value)
 		for _, mate := range port.Mates(f.Name) {
-			if _, prev := st[mate]; prev {
+			if setup.FieldValue(mate) != nil {
+				continue
+			}
+			if s.known.states == nil {
+				*s.known = *AnalyzeFields(s.fn)
+			}
+			if v, ok := PackedMate(s.known, setup, mate); !ok {
 				st[mate] = Top()
+			} else if v != nil {
+				st[mate] = s.resolve(v)
+			} else if _, prev := st[mate]; prev {
+				st[mate] = Const(0)
 			}
 		}
-	}
-	for _, f := range fields {
-		st[f.Name] = s.resolve(f.Value)
 	}
 }
 
@@ -151,7 +153,7 @@ func (s absState) havoc(root *ir.Op) {
 }
 
 func (s absState) clone() absState {
-	out := absState{env: make(map[*ir.Value]AbsVal, len(s.env)), staging: make(map[string]FieldState, len(s.staging))}
+	out := absState{env: make(map[*ir.Value]AbsVal, len(s.env)), staging: make(map[string]FieldState, len(s.staging)), fn: s.fn, known: s.known}
 	for v, av := range s.env {
 		out.env[v] = av
 	}

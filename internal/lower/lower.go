@@ -9,13 +9,13 @@ import (
 	"fmt"
 
 	"configwall/internal/accel"
+	"configwall/internal/analysis"
 	"configwall/internal/dialects/accfg"
 	"configwall/internal/dialects/arith"
 	"configwall/internal/dialects/csrops"
 	"configwall/internal/dialects/rocc"
 	"configwall/internal/dialects/scf"
 	"configwall/internal/ir"
-	"configwall/internal/passes"
 )
 
 // Accfg returns the pass lowering the accfg ops of port's accelerator,
@@ -27,9 +27,8 @@ import (
 // write packs several fields into its registers (paper Table 1 / Listing
 // 1), the lowering emits the bit-packing arithmetic (mask, shift, or)
 // explicitly — this is the "parameter calculation" cost the paper's
-// effective configuration bandwidth models (§4.4). Fields that were
-// deduplicated but share a write with a live field are re-materialized from
-// the known-fields analysis so the packed register stays correct.
+// effective configuration bandwidth models (§4.4). What such a write packs
+// for a field the setup does not carry is analysis.PackedMate's to say.
 func Accfg(port *accel.Port) ir.Pass {
 	name := "lower-accfg-to-" + port.Accel
 	return ir.PassFunc{
@@ -47,9 +46,9 @@ func Accfg(port *accel.Port) ir.Pass {
 
 func lowerFunc(pass string, port *accel.Port, f *ir.Op) error {
 	// Only a packed port has mates to re-materialize.
-	var fs *passes.FieldStates
+	var fs *analysis.FieldStates
 	if port.Packed() {
-		fs = passes.AnalyzeFields(f)
+		fs = analysis.AnalyzeFields(f)
 	}
 	var err error
 	ir.Walk(f, func(op *ir.Op) {
@@ -96,20 +95,17 @@ func emitWrite(b *ir.Builder, port *accel.Port, id uint32, regs [2]*ir.Value) {
 }
 
 // emitSetup lowers one setup into writes inserted before it.
-func emitSetup(pass string, port *accel.Port, s accfg.Setup, fs *passes.FieldStates) error {
-	live := map[string]*ir.Value{}
-	for _, f := range s.Fields() {
-		if port.WriteFor(f.Name) == nil {
-			return fmt.Errorf("%s: unknown field %q", pass, f.Name)
+func emitSetup(pass string, port *accel.Port, s accfg.Setup, fs *analysis.FieldStates) error {
+	for _, name := range s.FieldNames() {
+		if port.WriteFor(name) == nil {
+			return fmt.Errorf("%s: unknown field %q", pass, name)
 		}
-		live[f.Name] = f.Value
 	}
-	in := s.InState()
 	b := ir.Before(s.Op)
 	for _, w := range port.Writes {
-		var carried string // a live field this write carries
+		var carried string // a field of the setup this write carries
 		for _, slot := range w.Slots {
-			if _, ok := live[slot.Field]; ok {
+			if s.FieldValue(slot.Field) != nil {
 				carried = slot.Field
 				break
 			}
@@ -119,20 +115,15 @@ func emitSetup(pass string, port *accel.Port, s accfg.Setup, fs *passes.FieldSta
 		}
 		regs := [2]*ir.Value{}
 		for _, slot := range w.Slots {
-			v := live[slot.Field]
-			if v == nil && in != nil {
-				// A deduplicated mate: re-materialize its known value. One
-				// the chain may have written with a value the known-fields
-				// meet dropped cannot be, and packing zero would clobber it.
-				v = fs.Known(in, slot.Field)
-				if v == nil && passes.MayWrite(in, slot.Field) {
+			v := s.FieldValue(slot.Field)
+			if v == nil {
+				var ok bool
+				if v, ok = analysis.PackedMate(fs, s, slot.Field); !ok {
 					return fmt.Errorf("%s: setup of field %q rewrites %s, whose field %q may have been written with a value that is not known here",
 						pass, carried, w.Name, slot.Field)
 				}
 			}
-			if v == nil {
-				// Field never set on any path: hardware register content
-				// is zero after reset, so packing zero is correct.
+			if v == nil { // the register's reset value
 				v = arith.NewConstant(b, 0, ir.I64)
 			}
 			packed := packField(b, v, slot)

@@ -9,12 +9,14 @@ import (
 	"configwall/internal/accel"
 	"configwall/internal/accel/gemmini"
 	"configwall/internal/accel/opengemm"
+	"configwall/internal/analysis"
 	"configwall/internal/dialects/accfg"
 	"configwall/internal/dialects/arith"
 	"configwall/internal/dialects/csrops"
 	"configwall/internal/dialects/fnc"
 	"configwall/internal/dialects/rocc"
 	"configwall/internal/dialects/scf"
+	"configwall/internal/difftest"
 	"configwall/internal/ir"
 	"configwall/internal/lower"
 	"configwall/internal/passes"
@@ -334,8 +336,9 @@ func TestLoweredIRMatchesGolden(t *testing.T) {
 // known after the join (both arms wrote the same value) and is
 // re-materialized; I was written on every path but with values the meet
 // dropped, so the config_bounds write cannot be packed — before, it was
-// packed with I = 0 and the launch ran with zero bounds. A mate no path
-// wrote still packs the reset value.
+// packed with I = 0 and the launch ran with zero bounds — and the static
+// checker, reading the same rule, knows I as ⊤ and proves nothing. A mate no
+// path wrote still packs the reset value.
 func TestPackedMateWithDroppedValueIsAnError(t *testing.T) {
 	build := func(armsWriteI bool) *ir.Module {
 		m := ir.NewModule()
@@ -364,7 +367,17 @@ func TestPackedMateWithDroppedValueIsAnError(t *testing.T) {
 		return m
 	}
 
-	err := ir.NewPassManager(lower.Accfg(gemmini.Port)).Run(build(true))
+	if err := accel.Register(gemmini.Port); err != nil {
+		t.Fatal(err)
+	}
+	dropped := build(true)
+	if got := analysis.Summarize(dropped).Funcs[0].Launches[0].Fields["I"]; !got.IsTop() {
+		t.Errorf("the analysis knows the dropped mate as I = %s, want ⊤", got)
+	}
+	if v := analysis.CompareModules(dropped, dropped.Clone()); v.Proved() {
+		t.Errorf("a launch with a dropped mate was proved: %s", v)
+	}
+	err := ir.NewPassManager(lower.Accfg(gemmini.Port)).Run(dropped)
 	if err == nil {
 		t.Fatal("lowering packed a mate whose value the meet dropped")
 	}
@@ -389,5 +402,74 @@ func TestPackedMateWithDroppedValueIsAnError(t *testing.T) {
 	rs2, ok2 := arith.ConstantValue(last.Operand(1))
 	if !ok1 || !ok2 || rs1 != 3<<16 || rs2 != 2 {
 		t.Errorf("chained bounds write = %#x, %#x (folded %v %v), want I=0 | J=3<<16, K=2\n%s", rs1, rs2, ok1, ok2, ir.PrintModule(m))
+	}
+}
+
+// TestPackedMateIsWhatTheLoweringPacks: two state chains interleave. s1
+// writes I = J = K = 1 (%1), an unchained s2 writes I = 5, and s3 rewrites J
+// on s1's chain. The register holds I = 5 when s3 runs, but the lowering
+// packs the chain's %1 into s3's config_bounds write, so launch #2 commits
+// I = 1 and K = 1 — what the static checker must report too: a checker that
+// degrades a written mate reports ⊤ here, and "a chained mate keeps its
+// staged value" reports I = 5. The oracle's audit of the same module must not
+// find the two disagreeing.
+func TestPackedMateIsWhatTheLoweringPacks(t *testing.T) {
+	file := filepath.Join("testdata", "interleaved", "gemmini-s1.ir")
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ir.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := accel.Register(gemmini.Port); err != nil {
+		t.Fatal(err)
+	}
+	launches := analysis.Summarize(m).Funcs[0].Launches
+	for _, field := range []string{"I", "K"} {
+		if got := launches[2].Fields[field]; !got.Equal(analysis.Const(1)) {
+			t.Errorf("launch #2: %s = %s, want 1", field, got)
+		}
+	}
+
+	var one *ir.Value
+	m.Walk(func(op *ir.Op) {
+		if s, ok := accfg.AsSetup(op); ok && one == nil {
+			one = s.FieldValue("I")
+		}
+	})
+	if err := ir.NewPassManager(lower.Accfg(gemmini.Port)).Run(m); err != nil {
+		t.Fatal(err)
+	}
+	var bounds []*ir.Op
+	m.Walk(func(op *ir.Op) {
+		if op.Name() == rocc.OpWrite && rocc.Funct7(op) == gemmini.FnConfigBounds {
+			bounds = append(bounds, op)
+		}
+	})
+	// rs1 = (I & mask) | ((J & mask) << 16), rs2 = K & mask.
+	last := bounds[len(bounds)-1]
+	packedI := last.Operand(0).DefiningOp().Operand(0).DefiningOp().Operand(0)
+	packedK := last.Operand(1).DefiningOp().Operand(0)
+	if packedI != one || packedK != one {
+		t.Errorf("s3's config_bounds write packs I from %s and K from %s, want both from s1's %%1\n%s",
+			packedI.DefiningOp().Name(), packedK.DefiningOp().Name(), ir.PrintModule(m))
+	}
+
+	rep, err := difftest.Replay(file, difftest.Options{Static: difftest.StaticAudit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Invalid {
+		t.Fatalf("baseline invalid: %s", rep.InvalidReason)
+	}
+	for _, d := range rep.Divergences {
+		t.Errorf("divergence: %s", d)
+	}
+	for _, s := range rep.Static {
+		if !s.Proved || s.Disagree {
+			t.Errorf("%s: static verdict %s (disagree %v), want proved", s.Pipeline, s.Verdict, s.Disagree)
+		}
 	}
 }

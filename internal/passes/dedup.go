@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"configwall/internal/analysis"
 	"configwall/internal/dialects/accfg"
 	"configwall/internal/ir"
 )
@@ -14,7 +15,7 @@ func Dedup() ir.Pass {
 		PassName: "accfg-dedup",
 		Fn: func(m *ir.Module) error {
 			for _, f := range m.Funcs() {
-				fs := AnalyzeFields(f)
+				fs := analysis.AnalyzeFields(f)
 				ir.Walk(f, func(op *ir.Op) {
 					s, ok := accfg.AsSetup(op)
 					if !ok || !s.HasInState() {

@@ -544,7 +544,7 @@ func TestKnownFieldsAnalysis(t *testing.T) {
 	for _, f := range m.Funcs() {
 		fn = f
 	}
-	fs := passes.AnalyzeFields(fn)
+	fs := analysis.AnalyzeFields(fn)
 
 	// Inside the loop, the iter-arg state must know field A (hoisted, same
 	// on all paths) but not i (changes every iteration).

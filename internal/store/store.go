@@ -106,13 +106,19 @@ func (s *DiskStore) Load(e core.Experiment, opts core.RunOptions) (core.Result, 
 	if err != nil {
 		return core.Result{}, false, fmt.Errorf("store: load %s: %w", e, err)
 	}
-	var env envelope
-	if json.Unmarshal(data, &env) != nil || env.Schema != SchemaVersion || env.Key != fp {
-		// Corruption tolerance: treat undecodable or mismatched bytes as a
-		// miss so the cell recomputes (and the rewrite replaces the entry).
-		return core.Result{}, false, nil
+	if env, ok := decodeEnvelope(data, fp); ok {
+		return env.Result, true, nil
 	}
-	return env.Result, true, nil
+	// Corruption tolerance: treat undecodable or mismatched bytes as a miss
+	// so the cell recomputes (and the rewrite replaces the entry).
+	return core.Result{}, false, nil
+}
+
+// decodeEnvelope is the one acceptance rule for an entry's bytes, Load's and
+// Each's: they decode as an envelope of this schema filed under key.
+func decodeEnvelope(data []byte, key string) (env envelope, ok bool) {
+	err := json.Unmarshal(data, &env)
+	return env, err == nil && env.Schema == SchemaVersion && env.Key == key
 }
 
 // Save implements core.Store: it marshals the result and atomically
@@ -196,12 +202,10 @@ func (s *DiskStore) Each(fn func(Entry) error) error {
 			}
 			return fmt.Errorf("store: enumerate %s: %w", kp.path, err)
 		}
-		var env envelope
-		if json.Unmarshal(data, &env) != nil || env.Schema != SchemaVersion || env.Key != kp.key {
-			continue
-		}
-		if err := fn(Entry{Key: env.Key, Experiment: env.Experiment, Options: env.Options, Result: env.Result}); err != nil {
-			return err
+		if env, ok := decodeEnvelope(data, kp.key); ok {
+			if err := fn(Entry{Key: env.Key, Experiment: env.Experiment, Options: env.Options, Result: env.Result}); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
