@@ -220,6 +220,10 @@ func mustSlot(field string) slot {
 	panic("gemmini: Port has no field " + field)
 }
 
+// Kernel returns the MAC kernel the model launches through, with the B
+// tiles it keeps across launches.
+func (m *Model) Kernel() *accel.MAC { return &m.mac }
+
 // field extracts a field from the written registers.
 func (m *Model) field(s slot) uint64 {
 	return m.regs[s.funct7][s.reg] >> s.offset & s.mask
@@ -254,24 +258,25 @@ func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
 	cols := int(j) * Dim
 	depth := int(k) * Dim
 
-	// One hoisted bounds check per matrix row (mem.Region) instead of one
-	// checked access per MAC operand, and the MACs themselves in the shared
-	// lane-paired kernel (accel.MAC), which is bit-identical to the
-	// element-at-a-time loop for every input. Bias, activation, saturation
-	// and the store stay here; the traffic counters are applied in bulk
-	// below with the per-access totals of the element-at-a-time loop, so
-	// the memory metrics are identical too.
+	// One hoisted bounds check per matrix row (mem.View for the A and D rows
+	// read, mem.Region for the C row stored) instead of one checked access
+	// per MAC operand, and the MACs themselves in the shared lane-paired
+	// kernel (accel.MAC), which is bit-identical to the element-at-a-time
+	// loop for every input. Bias, activation, saturation and the store stay
+	// here; the traffic counters are applied in bulk below with the
+	// per-access totals of the element-at-a-time loop, so the memory
+	// metrics are identical too.
 	accRow := m.mac.Load(mm, b, strideB, depth, cols, 0)
 	for r := 0; r < rows; r++ {
 		if d != 0 {
-			drow := mm.Region(d+uint64(r)*strideD, uint64(cols)*4)
+			drow := mm.View(d+uint64(r)*strideD, uint64(cols)*4)
 			for cc := range accRow {
 				accRow[cc] = int32(binary.LittleEndian.Uint32(drow[4*cc:]))
 			}
 		} else {
 			clear(accRow)
 		}
-		m.mac.Row(accRow, mm.Region(a+uint64(r)*strideA, uint64(depth)), 0)
+		m.mac.Row(accRow, mm.View(a+uint64(r)*strideA, uint64(depth)), 0)
 		cAddr := c + uint64(r)*strideC
 		crow := mm.Region(cAddr, uint64(cols))
 		for cc, acc := range accRow {

@@ -40,8 +40,17 @@ func opengemmLaunch(m, n, k int) launch {
 }
 
 func (l launch) device() accel.Device {
+	var dev accel.Device = opengemm.New(opengemm.DefaultCost())
 	if l.gemmini {
-		dev := gemmini.New(gemmini.DefaultCost())
+		dev = gemmini.New(gemmini.DefaultCost())
+	}
+	l.configure(dev)
+	return dev
+}
+
+// configure writes l's whole configuration into dev, a model of l's target.
+func (l launch) configure(dev accel.Device) {
+	if l.gemmini {
 		for _, ci := range gemmini.Port.Writes {
 			var rs [2]uint64
 			for _, s := range ci.Slots {
@@ -49,9 +58,8 @@ func (l launch) device() accel.Device {
 			}
 			dev.WriteConfig(ci.ID, rs[0], rs[1])
 		}
-		return dev
+		return
 	}
-	dev := opengemm.New(opengemm.DefaultCost())
 	for _, w := range [][2]uint64{
 		{uint64(opengemm.CsrPtrA), l.a}, {uint64(opengemm.CsrPtrB), l.b}, {uint64(opengemm.CsrPtrC), l.c},
 		{uint64(opengemm.CsrM), uint64(l.rows / 8)}, {uint64(opengemm.CsrK), uint64(l.depth / 8)},
@@ -62,7 +70,11 @@ func (l launch) device() accel.Device {
 	} {
 		dev.WriteConfig(uint32(w[0]), w[1], 0)
 	}
-	return dev
+}
+
+// hits is how many launches of dev found their B tile already widened.
+func hits(dev accel.Device) int {
+	return dev.(interface{ Kernel() *accel.MAC }).Kernel().Hits()
 }
 
 func (l launch) gemminiField(name string) uint64 {
@@ -140,23 +152,45 @@ func runReference(mm *mem.Memory, l launch) accel.Launch {
 // memory image and compares everything a simulation can observe.
 func checkLaunch(t *testing.T, image []byte, l launch) {
 	t.Helper()
-	got, want := mem.New(memSize), mem.New(memSize)
-	copy(got.Region(0, memSize), image)
-	copy(want.Region(0, memSize), image)
+	newTwin(image).check(t, l.device(), l)
+}
 
-	gotJob, err := l.device().Launch(got)
+// twin is a memory for the device model and one for the reference, holding
+// the same image and counters before every launch.
+type twin struct{ got, want *mem.Memory }
+
+func newTwin(image []byte) twin {
+	tw := twin{mem.New(memSize), mem.New(memSize)}
+	copy(tw.got.Region(0, memSize), image)
+	copy(tw.want.Region(0, memSize), image)
+	return tw
+}
+
+// write8 is a host store into both memories.
+func (tw twin) write8(addr uint64, v byte) {
+	tw.got.Write8(addr, v)
+	tw.want.Write8(addr, v)
+}
+
+// check configures dev for l, launches it on got and the reference on want,
+// and compares the jobs, the cumulative counters and the memory images.
+func (tw twin) check(t *testing.T, dev accel.Device, l launch) {
+	t.Helper()
+	l.configure(dev)
+	gotJob, err := dev.Launch(tw.got)
 	if err != nil {
 		t.Fatalf("%+v: %v", l, err)
 	}
-	wantJob := runReference(want, l)
+	wantJob := runReference(tw.want, l)
 	if gotJob != wantJob {
 		t.Errorf("%+v: job = %+v, want %+v", l, gotJob, wantJob)
 	}
+	got, want := tw.got, tw.want
 	if got.BytesRead != want.BytesRead || got.BytesWritten != want.BytesWritten {
 		t.Errorf("%+v: traffic = %d read / %d written, want %d / %d",
 			l, got.BytesRead, got.BytesWritten, want.BytesRead, want.BytesWritten)
 	}
-	if g, w := got.Snapshot(0, memSize), want.Snapshot(0, memSize); !bytes.Equal(g, w) {
+	if g, w := got.View(0, memSize), want.View(0, memSize); !bytes.Equal(g, w) {
 		for i := range g {
 			if g[i] != w[i] {
 				t.Fatalf("%+v: memory differs at %#x: %#x, want %#x", l, i, g[i], w[i])
@@ -291,7 +325,7 @@ func TestKernelOutputOverlapsB(t *testing.T) {
 	checkLaunch(t, image, last)
 }
 
-// TestKernelOutOfRangePanicsInMem: the kernel reads B through mem.Region, so
+// TestKernelOutOfRangePanicsInMem: the kernel reads B through mem.View, so
 // a tile that leaves memory is still caught by mem's bounds check.
 func TestKernelOutOfRangePanicsInMem(t *testing.T) {
 	l := opengemmLaunch(1, 1, 2)
@@ -307,12 +341,176 @@ func TestKernelOutOfRangePanicsInMem(t *testing.T) {
 	t.Error("out-of-range launch returned")
 }
 
-// TestSecondLaunchAllocatesNothing: the widened tile and the accumulator row
-// live on the model.
+// sweep is the tiled matmul's launch order over an M x K x N problem cut
+// into unit's output tiles: row tiles outer, column tiles inner, every
+// launch reducing over the whole of K. A, B and C start at 64 KiB
+// boundaries, so no 4 KiB line holds bytes of two of them.
+func sweep(unit launch, rowTiles, colTiles int) []launch {
+	depth, n := unit.depth, colTiles*unit.cols
+	unit.strideA, unit.strideB, unit.strideC = uint64(depth), uint64(n), uint64(n*unit.outBytes)
+	const a, b, c = 0x10000, 0x80000, 0x100000
+	var out []launch
+	for ti := 0; ti < rowTiles; ti++ {
+		for tj := 0; tj < colTiles; tj++ {
+			l := unit
+			l.a = a + uint64(ti*unit.rows)*l.strideA
+			l.b = b + uint64(tj*unit.cols)
+			l.c = c + uint64(ti*unit.rows)*l.strideC + uint64(tj*unit.cols*unit.outBytes)
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// smallImage is a random image whose bytes are all small int8s, so Gemmini's
+// saturated outputs stay informative wherever a launch reads.
+func smallImage(rng *rand.Rand) []byte {
+	image := make([]byte, memSize)
+	for i := range image {
+		image[i] = byte(int8(rng.Intn(7) - 3))
+	}
+	return image
+}
+
+// TestTileReuseMatchesElementLoop runs launch sequences on one device and
+// one memory, each launch checked against the per-element reference, where
+// a kept tile is right to reuse and where it is not: a sweep over a shared
+// B (every launch after the first row of tiles finds its tile), a host
+// store into a kept tile between launches, a launch whose C lands in
+// another kept tile's B, and one address under another zero point or
+// stride.
+func TestTileReuseMatchesElementLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	image := smallImage(rng)
+	for _, unit := range []launch{gemminiLaunch(1, 1, 2), opengemmLaunch(1, 1, 4)} {
+		name := "opengemm"
+		if unit.gemmini {
+			name = "gemmini"
+		}
+		t.Run(name+"/sweep", func(t *testing.T) {
+			tw, dev := newTwin(image), unit.device()
+			ls := sweep(unit, 3, 5)
+			for _, l := range ls {
+				tw.check(t, dev, l)
+			}
+			if got, want := hits(dev), len(ls)-5; got != want {
+				t.Errorf("%d of %d launches reused their tile, want every one after the first row of tiles (%d)", got, len(ls), want)
+			}
+		})
+		t.Run(name+"/host store", func(t *testing.T) {
+			tw, dev := newTwin(image), unit.device()
+			ls := sweep(unit, 3, 5)
+			for i, l := range ls {
+				if i == 10 {
+					// Into the last row of tile 0 and the first of tile 4,
+					// before the third row of tiles: the launches that read
+					// them next must see the stores. The tiles' rows
+					// interleave within the lines of B, so no tile of that
+					// row is kept.
+					tw.write8(ls[0].b+uint64(unit.depth-1)*l.strideB+3, byte(rng.Intn(256)))
+					tw.write8(ls[4].b+uint64(unit.cols-1), byte(rng.Intn(256)))
+				}
+				tw.check(t, dev, l)
+			}
+			if got, want := hits(dev), 5; got != want {
+				t.Errorf("%d launches reused their tile, want %d: the second row of tiles only", got, want)
+			}
+		})
+		t.Run(name+"/C into another tile's B", func(t *testing.T) {
+			tw, dev := newTwin(image), unit.device()
+			ls := sweep(unit, 2, 3)
+			for _, l := range ls[:3] {
+				tw.check(t, dev, l)
+			}
+			// Tile 2 again, its C rows on tile 0's columns of B rows 1..:
+			// tile 0 must be widened again when it comes back.
+			over := ls[2]
+			over.c, over.strideC = ls[0].b+over.strideB, over.strideB
+			tw.check(t, dev, over)
+			for _, l := range ls[3:] {
+				tw.check(t, dev, l)
+			}
+			if got, want := hits(dev), 1; got != want {
+				t.Errorf("%d launches reused their tile, want %d (tile 2's second launch only)", got, want)
+			}
+		})
+		t.Run(name+"/same address, other tile", func(t *testing.T) {
+			tw, dev := newTwin(image), unit.device()
+			l := sweep(unit, 1, 2)[0]
+			variants := []launch{l}
+			wide := l
+			wide.strideB += 8
+			variants = append(variants, wide)
+			if !l.gemmini {
+				for _, sub := range []int8{3, -128} {
+					v := l
+					v.subB = sub
+					variants = append(variants, v)
+				}
+			}
+			for _, v := range variants {
+				tw.check(t, dev, v)
+			}
+			if got := hits(dev); got != 0 {
+				t.Errorf("%d launches reused a tile widened under another stride or zero point", got)
+			}
+			for _, v := range variants {
+				tw.check(t, dev, v)
+			}
+			if got := hits(dev); got != len(variants) {
+				t.Errorf("%d of %d repeated launches reused their tile", got, len(variants))
+			}
+		})
+	}
+}
+
+// TestTileReuseProperty: random launches drawn from a small pool — so tiles
+// repeat — with random host stores and C rows that may land anywhere in B,
+// on one device and one memory, each checked against the reference.
+func TestTileReuseProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	image := smallImage(rng)
+	for round := 0; round < 8; round++ {
+		gem := round%2 == 0
+		unit := opengemmLaunch(1+rng.Intn(2), 1+rng.Intn(2), 1+rng.Intn(4))
+		if gem {
+			unit = gemminiLaunch(1, 1+rng.Intn(2), 1+rng.Intn(2))
+		}
+		pool := sweep(unit, 2, 3)
+		for i := range pool {
+			if !gem && rng.Intn(3) == 0 {
+				pool[i].subB = int8(rng.Intn(256))
+			}
+			if rng.Intn(4) == 0 {
+				// C into the B matrix, at a random offset and stride.
+				pool[i].c = pool[0].b + uint64(rng.Intn(2*unit.depth*unit.cols))
+				pool[i].strideC = uint64(unit.cols*unit.outBytes + rng.Intn(64))
+			}
+		}
+		tw, dev := newTwin(image), pool[0].device()
+		for step := 0; step < 40; step++ {
+			if rng.Intn(3) == 0 {
+				tw.write8(pool[0].b+uint64(rng.Intn(2*unit.depth*unit.cols)), byte(rng.Intn(256)))
+			}
+			tw.check(t, dev, pool[rng.Intn(len(pool))])
+		}
+	}
+}
+
+// TestSecondLaunchAllocatesNothing: the widened tiles and the accumulator
+// row live on the model. A repeated tile allocates nothing and is not
+// widened again; once the slab has grown, a new tile allocates nothing
+// either.
 func TestSecondLaunchAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, l := range []launch{gemminiLaunch(4, 4, 4), opengemmLaunch(1, 1, 8)} {
+		// Random strides; A, B, C and D in lines of their own, so storing C
+		// leaves B's kept tile valid.
 		l = l.place(rng)
+		l.a, l.b, l.c = 0x10000, 0x80000, 0x100000
+		if l.d != 0 {
+			l.d = 0x200000
+		}
 		mm := mem.New(memSize)
 		dev := l.device()
 		run := func() {
@@ -321,8 +519,34 @@ func TestSecondLaunchAllocatesNothing(t *testing.T) {
 			}
 		}
 		run()
+		before := hits(dev)
 		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 			t.Errorf("%s: %v allocations per launch after the first, want 0", dev.Name(), allocs)
+		}
+		if got := hits(dev) - before; got != 11 {
+			t.Errorf("%s: %d of 11 repeated launches reused the tile", dev.Name(), got)
+		}
+
+		// Thirty-two tiles grow the slab; a kernel keeps the tiles of one
+		// memory, so a second memory starts from an empty slab of that size.
+		fresh := func(mm *mem.Memory, i int) {
+			next := l
+			next.b += uint64(i)
+			next.configure(dev)
+			if _, err := dev.Launch(mm); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 32; i++ {
+			fresh(mm, i)
+		}
+		other, i := mem.New(memSize), 0
+		before = hits(dev)
+		if allocs := testing.AllocsPerRun(10, func() { fresh(other, i); i++ }); allocs != 0 {
+			t.Errorf("%s: %v allocations per new tile in a grown slab, want 0", dev.Name(), allocs)
+		}
+		if got := hits(dev) - before; got != 0 {
+			t.Errorf("%s: %d new tiles were found kept", dev.Name(), got)
 		}
 	}
 }

@@ -108,6 +108,10 @@ func (m *Model) WriteConfig(id uint32, lo, _ uint64) {
 	}
 }
 
+// Kernel returns the MAC kernel the model launches through, with the B
+// tiles it keeps across launches.
+func (m *Model) Kernel() *accel.MAC { return &m.mac }
+
 // csr returns the staged value of a configuration CSR.
 func (m *Model) csr(id uint32) uint32 { return m.staging[id-CsrPtrA] }
 
@@ -137,14 +141,14 @@ func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
 	cols := int(nTiles) * MeshCol
 	depth := int(kTiles) * TileK
 
-	// Hoisted per-row bounds checks via mem.Region, the MACs in the shared
-	// lane-paired kernel (see the Gemmini model for the full rationale),
-	// and bulk traffic accounting matching the per-access totals of the
-	// element-at-a-time loop bit for bit.
+	// Hoisted per-row bounds checks (mem.View for A, mem.Region for C), the
+	// MACs in the shared lane-paired kernel (see the Gemmini model for the
+	// full rationale), and bulk traffic accounting matching the per-access
+	// totals of the element-at-a-time loop bit for bit.
 	accRow := m.mac.Load(mm, b, strideB, depth, cols, subB)
 	for r := 0; r < rows; r++ {
 		clear(accRow)
-		m.mac.Row(accRow, mm.Region(a+uint64(r)*strideA, uint64(depth)), subA)
+		m.mac.Row(accRow, mm.View(a+uint64(r)*strideA, uint64(depth)), subA)
 		cAddr := c + uint64(r)*strideC
 		crow := mm.Region(cAddr, uint64(cols)*4)
 		for cc, acc := range accRow {

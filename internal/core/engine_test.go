@@ -325,7 +325,7 @@ func TestCountersArithmetic(t *testing.T) {
 // TestBufferTrafficMatchesPerElementAccess pins the traffic counters after
 // a matmul instance's Init and Verify to what one checked store per input
 // byte and one checked load per compared output element leave behind: the
-// bulk mem.Region paths must be indistinguishable from them.
+// bulk mem.Region and mem.View paths must be indistinguishable from them.
 func TestBufferTrafficMatchesPerElementAccess(t *testing.T) {
 	const n = 32
 	a := make([]int8, n*n)

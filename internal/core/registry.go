@@ -243,7 +243,8 @@ func matmulInstance(t Target, shapeName string, mDim, kDim, nDim int) (Instance,
 }
 
 // int8InputBuffer wraps a pre-filled int8 slice as an input buffer. Init
-// copies it through one mem.Region view and accounts the traffic of the
+// copies it through one writable mem.Region view (which marks the pages
+// dirty and the lines written) and accounts the traffic of the
 // byte-at-a-time stores it stands for.
 func int8InputBuffer(data []int8) Buffer {
 	return Buffer{
@@ -260,13 +261,13 @@ func int8InputBuffer(data []int8) Buffer {
 
 // verifyMatmulOutput compares the simulated C buffer against the golden
 // int32 product, at the target's output width (int8 saturated or int32). It
-// reads C through one mem.Region view and accounts one checked load per
+// reads C through one read-only mem.View and accounts one checked load per
 // element compared, up to and including the first mismatch.
 func verifyMatmulOutput(memory *mem.Memory, cBase uint64, golden []int32, outBytes int) error {
 	if outBytes != 1 && outBytes != 4 {
 		return fmt.Errorf("unsupported output width %d", outBytes)
 	}
-	c := memory.Region(cBase, uint64(len(golden)*outBytes))
+	c := memory.View(cBase, uint64(len(golden)*outBytes))
 	compared := func(elems int) { memory.AddTraffic(uint64(elems*outBytes), 0) }
 	for i, want := range golden {
 		if outBytes == 1 {

@@ -11,10 +11,13 @@ import (
 
 // pageShift sets the dirty-tracking granularity: 64 KiB pages keep the
 // bitmap tiny (1024 flags for a 64 MiB arena) while letting Reset skip the
-// untouched bulk of a large memory.
+// untouched bulk of a large memory. lineShift sets the write-version
+// granularity: 4 KiB lines, finer than a page so a cached copy of one buffer
+// is not invalidated by stores into its neighbours.
 const (
 	pageShift = 16
 	pageSize  = 1 << pageShift
+	lineShift = 12
 )
 
 // Memory is a flat little-endian byte-addressable memory.
@@ -25,6 +28,11 @@ type Memory struct {
 	// Reset; Reset zeroes only those. The write accessors mark it, and
 	// Region marks its whole span because the returned view is writable.
 	dirty []bool
+	// version counts, per line, the writes that may have changed it: every
+	// writer that marks dirty bumps it, and so does Reset for the lines it
+	// zeroes. Nothing lowers a version (uint64 does not wrap in practice),
+	// so an unchanged sum over a range means an unchanged range (Version).
+	version []uint64
 
 	// BytesRead and BytesWritten count all traffic, host and accelerator.
 	BytesRead    uint64
@@ -34,8 +42,9 @@ type Memory struct {
 // New allocates a memory of the given size in bytes.
 func New(size int) *Memory {
 	return &Memory{
-		data:  make([]byte, size),
-		dirty: make([]bool, (size+pageSize-1)>>pageShift),
+		data:    make([]byte, size),
+		dirty:   make([]bool, (size+pageSize-1)>>pageShift),
+		version: make([]uint64, (size+1<<lineShift-1)>>lineShift),
 	}
 }
 
@@ -82,29 +91,38 @@ func (m *Memory) ResetCounters() {
 // Region view) since construction or the previous Reset. It is the
 // reset-not-reallocate primitive behind pooled execution contexts:
 // resetting a lightly-used 64 MiB arena touches kilobytes, not megabytes.
+// Zeroing is a write: the lines of every cleared page get a new version.
 func (m *Memory) Reset() {
 	for p, d := range m.dirty {
 		if !d {
 			continue
 		}
 		lo := p << pageShift
-		hi := lo + pageSize
-		if hi > len(m.data) {
-			hi = len(m.data)
-		}
+		hi := min(lo+pageSize, len(m.data))
 		clear(m.data[lo:hi])
 		m.dirty[p] = false
+		m.bump(uint64(lo), uint64(hi-lo))
 	}
 	m.BytesRead, m.BytesWritten = 0, 0
 }
 
-// mark flags the (at most two, for n <= pageSize) pages overlapping the
-// write [addr, addr+n). Branch-free and tiny so the write accessors stay
-// within the compiler's inlining budget; callers have already bounds-checked
-// [addr, addr+n) and guarantee n > 0.
+// mark flags the (at most two, for n <= pageSize) pages and lines
+// overlapping the write [addr, addr+n). Branch-free and tiny so the write
+// accessors stay within the compiler's inlining budget; callers have already
+// bounds-checked [addr, addr+n) and guarantee n > 0.
 func (m *Memory) mark(addr, n uint64) {
+	end := addr + n - 1
 	m.dirty[addr>>pageShift] = true
-	m.dirty[(addr+n-1)>>pageShift] = true
+	m.dirty[end>>pageShift] = true
+	m.version[addr>>lineShift]++
+	m.version[end>>lineShift]++
+}
+
+// bump gives every line overlapping [addr, addr+n), n > 0, a new version.
+func (m *Memory) bump(addr, n uint64) {
+	for l, last := addr>>lineShift, (addr+n-1)>>lineShift; l <= last; l++ {
+		m.version[l]++
+	}
 }
 
 // check panics unless [addr, addr+n) lies inside memory. The comparison is
@@ -127,10 +145,11 @@ func (m *Memory) boundsPanic(addr, n uint64) {
 	panic(fmt.Sprintf("mem: access [%#x, %#x) out of bounds (size %#x)", addr, addr+n, len(m.data)))
 }
 
-// Region returns a direct view of [addr, addr+n) after a single
-// overflow-safe bounds check. It is the fast-path accessor for the
-// simulator engines and the accelerator models: one check and one slice
-// header replace n checked per-byte accesses.
+// Region returns a writable view of [addr, addr+n) after a single
+// overflow-safe bounds check: one check and one slice header replace n
+// checked per-byte stores. Because the caller may write through it, Region
+// marks every page it spans dirty and gives every line a new version; a
+// caller that only reads takes View instead.
 //
 // Region does NOT touch the traffic counters — callers that hoist row
 // accesses must account their modeled traffic in bulk with AddTraffic so
@@ -142,12 +161,39 @@ func (m *Memory) Region(addr, n uint64) []byte {
 		for p, last := addr>>pageShift, (addr+n-1)>>pageShift; p <= last; p++ {
 			m.dirty[p] = true
 		}
+		m.bump(addr, n)
 	}
 	return m.data[addr : addr+n : addr+n]
 }
 
+// View returns a read-only view of [addr, addr+n) after the same
+// overflow-safe bounds check as Region. It marks nothing: the caller must
+// not write through it. Like Region it leaves the traffic counters to
+// AddTraffic.
+func (m *Memory) View(addr, n uint64) []byte {
+	m.check(addr, n)
+	return m.data[addr : addr+n : addr+n]
+}
+
+// Version returns the sum of the write versions of the lines overlapping
+// [addr, addr+n), or 0 when n is 0. Versions only grow, so the sum is
+// unchanged exactly when no write path — a checked writer, Region or Reset —
+// has touched those lines since it was last taken: a copy made of the
+// range then is still a copy of it. It moves neither the traffic counters
+// nor the dirty flags, and panics when the range lies outside the memory.
+func (m *Memory) Version(addr, n uint64) uint64 {
+	m.check(addr, n)
+	var sum uint64
+	if n > 0 {
+		for _, v := range m.version[addr>>lineShift : (addr+n-1)>>lineShift+1] {
+			sum += v
+		}
+	}
+	return sum
+}
+
 // AddTraffic adds modeled traffic to the counters in bulk. Fast paths that
-// bypass the checked per-access methods (Region views) use it to keep
+// bypass the checked per-access methods (Region and View) use it to keep
 // BytesRead/BytesWritten byte-identical to the equivalent sequence of
 // checked accesses.
 func (m *Memory) AddTraffic(read, written uint64) {

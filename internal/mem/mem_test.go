@@ -145,6 +145,9 @@ func TestAddressOverflowPanics(t *testing.T) {
 		{"Read32 wrapping exactly to 0", func(m *mem.Memory) { m.Read32(^uint64(0) - 3) }},
 		{"Region with wrapping length", func(m *mem.Memory) { m.Region(8, ^uint64(0)) }},
 		{"Region at wrapping base", func(m *mem.Memory) { m.Region(^uint64(0)-3, 8) }},
+		{"View with wrapping length", func(m *mem.Memory) { m.View(8, ^uint64(0)) }},
+		{"View at wrapping base", func(m *mem.Memory) { m.View(^uint64(0)-3, 8) }},
+		{"Version with wrapping length", func(m *mem.Memory) { m.Version(8, ^uint64(0)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -339,4 +342,132 @@ func TestDirtyEndOutOfBoundsPanics(t *testing.T) {
 		}
 	}()
 	m.DirtyEnd(17)
+}
+
+// TestViewPanicsWhereRegionDoes: View is Region's bounds check without the
+// marking, so the two accept and refuse exactly the same ranges, at the
+// edges of a memory whose size is not a multiple of a line, and around 2^64.
+func TestViewPanicsWhereRegionDoes(t *testing.T) {
+	const size = 1<<12 + 100
+	panics := func(access func(m *mem.Memory)) (msg string) {
+		defer func() { msg, _ = recover().(string) }()
+		access(mem.New(size))
+		return ""
+	}
+	edges := []uint64{0, 1, 7, size - 8, size - 1, size, size + 1, 1 << 40, ^uint64(0) - 3, ^uint64(0)}
+	for _, addr := range edges {
+		for _, n := range append(edges, 8) {
+			region := panics(func(m *mem.Memory) { m.Region(addr, n) })
+			view := panics(func(m *mem.Memory) { m.View(addr, n) })
+			if region != view {
+				t.Errorf("[%#x +%#x): Region panics %q, View %q", addr, n, region, view)
+			}
+			if view != "" && !strings.Contains(view, "out of bounds") {
+				t.Errorf("[%#x +%#x): View panicked %q, want the bounds panic", addr, n, view)
+			}
+		}
+	}
+}
+
+// TestViewMarksNothing: a read-only view shares the bytes but leaves the
+// dirty flags (DirtyEnd), the write versions and the counters alone.
+func TestViewMarksNothing(t *testing.T) {
+	m := mem.New(1 << 18)
+	m.Write8(0x1234, 0xab)
+	m.ResetCounters()
+	v0 := m.Version(0, 1<<18)
+	v := m.View(0x1000, 3<<16)
+	if v[0x234] != 0xab || len(v) != 3<<16 || cap(v) != 3<<16 {
+		t.Fatalf("View wrong: len %d cap %d byte %#x", len(v), cap(v), v[0x234])
+	}
+	if got := m.DirtyEnd(1 << 18); got != 1<<16 {
+		t.Errorf("after View, DirtyEnd = %#x, want %#x: View marked a page", got, 1<<16)
+	}
+	if got := m.Version(0, 1<<18); got != v0 {
+		t.Errorf("after View, Version = %d, want %d", got, v0)
+	}
+	if m.BytesRead != 0 || m.BytesWritten != 0 {
+		t.Errorf("View moved the counters: %d / %d", m.BytesRead, m.BytesWritten)
+	}
+}
+
+// TestEveryWriterBumpsVersion: each write path gives every 4 KiB line it
+// touches — both lines of a store across a line boundary, every line of a
+// Region — a new version, and leaves the other lines alone. Reads, Views,
+// Snapshot and DirtyEnd bump nothing.
+func TestEveryWriterBumpsVersion(t *testing.T) {
+	const line = 1 << 12
+	writers := []struct {
+		name  string
+		write func(m *mem.Memory, addr uint64)
+		n     uint64
+	}{
+		{"Write8", func(m *mem.Memory, a uint64) { m.Write8(a, 1) }, 1},
+		{"Write16", func(m *mem.Memory, a uint64) { m.Write16(a, 1) }, 2},
+		{"Write32", func(m *mem.Memory, a uint64) { m.Write32(a, 1) }, 4},
+		{"Write64", func(m *mem.Memory, a uint64) { m.Write64(a, 1) }, 8},
+		{"WriteSigned 8", func(m *mem.Memory, a uint64) { m.WriteSigned(a, 8, -1) }, 1},
+		{"WriteSigned 16", func(m *mem.Memory, a uint64) { m.WriteSigned(a, 16, -1) }, 2},
+		{"WriteSigned 32", func(m *mem.Memory, a uint64) { m.WriteSigned(a, 32, -1) }, 4},
+		{"WriteSigned 64", func(m *mem.Memory, a uint64) { m.WriteSigned(a, 64, -1) }, 8},
+		{"Region", func(m *mem.Memory, a uint64) { m.Region(a, 2*line+3) }, 2*line + 3},
+	}
+	for _, w := range writers {
+		// At a line's start, inside one, and straddling a line boundary.
+		for _, addr := range []uint64{3 * line, 3*line + 100, 4*line - w.n/2} {
+			m := mem.New(16 * line)
+			before := make([]uint64, 16)
+			for l := range before {
+				before[l] = m.Version(uint64(l)*line, 1)
+			}
+			w.write(m, addr)
+			m.Read64(addr)
+			m.View(0, 16*line)
+			m.Snapshot(0, 16*line)
+			m.DirtyEnd(16 * line)
+			for l := range before {
+				lo := uint64(l) * line
+				touched := lo < addr+w.n && addr < lo+line
+				if got := m.Version(lo, 1); (got != before[l]) != touched {
+					t.Errorf("%s at %#x: line %d version %d -> %d, touched = %v", w.name, addr, l, before[l], got, touched)
+				}
+			}
+		}
+	}
+}
+
+// TestResetKeepsVersionsMonotone: Reset zeroes bytes, so the lines it
+// clears get new versions, and no line ever goes back to an earlier one —
+// a copy taken before a Reset is never mistaken for the zeroed memory.
+func TestResetKeepsVersionsMonotone(t *testing.T) {
+	const size = 5<<16 + 1000
+	rng := rand.New(rand.NewSource(2))
+	m := mem.New(size)
+	lines := (size + 1<<12 - 1) >> 12
+	last := make([]uint64, lines)
+	for step := 0; step < 300; step++ {
+		addr := uint64(rng.Intn(size - 8))
+		switch rng.Intn(4) {
+		case 0:
+			m.Write64(addr, rng.Uint64())
+		case 1:
+			m.Region(addr, uint64(rng.Intn(size-int(addr))))
+		case 2:
+			m.View(addr, 8)
+		case 3:
+			dirty := m.DirtyEnd(size) > 0
+			whole := m.Version(0, size)
+			m.Reset()
+			if dirty && m.Version(0, size) == whole {
+				t.Fatalf("step %d: Reset zeroed dirty pages and no version moved", step)
+			}
+		}
+		for l := range last {
+			v := m.Version(uint64(l)<<12, 1)
+			if v < last[l] {
+				t.Fatalf("step %d: line %d went back from version %d to %d", step, l, last[l], v)
+			}
+			last[l] = v
+		}
+	}
 }
