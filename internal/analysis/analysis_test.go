@@ -91,14 +91,14 @@ func TestExploreStraightLine(t *testing.T) {
 	if len(ev) != 1 || ev[0].kind != evLaunch || ev[0].accel != "acc" {
 		t.Fatalf("events = %v, want one acc launch", ev)
 	}
-	if got := ev[0].fields.get("x"); !got.Equal(Const(5)) {
+	if got := ev[0].fields.Get("x"); !got.Equal(Const(5)) {
 		t.Errorf("launch sees x = %s, want 5", got)
 	}
-	if got := ev[0].fields.get("y"); !got.Equal(Const(9)) {
+	if got := ev[0].fields.Get("y"); !got.Equal(Const(9)) {
 		t.Errorf("launch sees y = %s, want 9", got)
 	}
 	// Never-written fields read as the hardware reset value.
-	if got := ev[0].fields.get("z"); !got.Equal(Const(0)) {
+	if got := ev[0].fields.Get("z"); !got.Equal(Const(0)) {
 		t.Errorf("unwritten field reads %s, want 0", got)
 	}
 }
@@ -198,7 +198,7 @@ func TestExploreForksOnSymbolicBranch(t *testing.T) {
 		if len(p.events) != 1 {
 			t.Fatalf("path events = %v", p.events)
 		}
-		c, ok := p.events[0].fields.get("x").ConstValue()
+		c, ok := p.events[0].fields.Get("x").ConstValue()
 		if !ok {
 			t.Fatalf("x not constant on path %q", p.signature())
 		}
@@ -235,11 +235,11 @@ func TestExploreUnrollsConstantLoop(t *testing.T) {
 		if e.kind != evLaunch {
 			t.Fatalf("event %d is %s, want launch", i, e)
 		}
-		if got := e.fields.get("len"); !got.Equal(Const(128)) {
+		if got := e.fields.Get("len"); !got.Equal(Const(128)) {
 			t.Errorf("iteration %d len = %s, want 128", i, got)
 		}
 	}
-	if ev[0].fields.get("addr").Equal(ev[1].fields.get("addr")) {
+	if ev[0].fields.Get("addr").Equal(ev[1].fields.Get("addr")) {
 		t.Error("distinct iterations must see distinct addr keys")
 	}
 }
@@ -331,10 +331,10 @@ func TestSummarizeFlow(t *testing.T) {
 	l := sum.Funcs[0].Launches[0]
 	// The trailing setup rewrites x=1 and y=7 on every path, so the launch
 	// configuration is constant despite the branch underneath.
-	if got := l.Fields.get("x"); !got.Equal(Const(1)) {
+	if got := l.Fields.Get("x"); !got.Equal(Const(1)) {
 		t.Errorf("x = %s, want 1", got)
 	}
-	if got := l.Fields.get("y"); !got.Equal(Const(7)) {
+	if got := l.Fields.Get("y"); !got.Equal(Const(7)) {
 		t.Errorf("y = %s, want 7", got)
 	}
 }
@@ -415,6 +415,15 @@ func TestInterferenceQueries(t *testing.T) {
 	}
 }
 
+// staged builds a field state from its fields in any order.
+func staged(fields map[string]AbsVal) FieldState {
+	var fs FieldState
+	for name, v := range fields {
+		fs = set(fs, name, v)
+	}
+	return fs
+}
+
 // TestComparePathVisitsFieldUnionInOrder: a launch is compared over the
 // union of the field names either side wrote, each name once, in sorted
 // order — the order every finding and inconclusive line of a report is in.
@@ -424,8 +433,8 @@ func TestComparePathVisitsFieldUnionInOrder(t *testing.T) {
 	}
 	var v Verdict
 	comparePath(&v, "main", "",
-		launch(FieldState{"a": Top(), "c": Top(), "e": Top()}),
-		launch(FieldState{"d": Top(), "c": Top(), "b": Top()}))
+		launch(staged(map[string]AbsVal{"a": Top(), "c": Top(), "e": Top()})),
+		launch(staged(map[string]AbsVal{"d": Top(), "c": Top(), "b": Top()})))
 	if len(v.Findings) != 0 || len(v.Inconclusive) != 5 {
 		t.Fatalf("want 5 undecided fields and no finding, got %s", v)
 	}
@@ -441,9 +450,9 @@ func TestComparePathVisitsFieldUnionInOrder(t *testing.T) {
 		base, opt FieldState
 		field     string
 	}{
-		{FieldState{"m": Const(1), "z": Const(1)}, FieldState{"k": Const(2), "m": Const(1)}, "field k"},
-		{FieldState{"z": Const(1)}, FieldState{}, "field z"},
-		{FieldState{}, FieldState{"z": Const(1)}, "field z"},
+		{staged(map[string]AbsVal{"m": Const(1), "z": Const(1)}), staged(map[string]AbsVal{"k": Const(2), "m": Const(1)}), "field k"},
+		{staged(map[string]AbsVal{"z": Const(1)}), staged(map[string]AbsVal{}), "field z"},
+		{staged(map[string]AbsVal{}), staged(map[string]AbsVal{"z": Const(1)}), "field z"},
 	} {
 		var v Verdict
 		comparePath(&v, "main", "", launch(tc.base), launch(tc.opt))
@@ -480,7 +489,7 @@ func secondLaunchY(t *testing.T, accelerator string) AbsVal {
 	if len(sum.Funcs) != 1 || len(sum.Funcs[0].Launches) != 2 {
 		t.Fatalf("summary shape = %+v", sum)
 	}
-	return sum.Funcs[0].Launches[1].Fields.get("y")
+	return sum.Funcs[0].Launches[1].Fields.Get("y")
 }
 
 func TestUnregisteredAcceleratorIsFieldGranular(t *testing.T) {
@@ -536,5 +545,65 @@ func TestPackedMateFollowsTheChainOnAnyRegisteredPort(t *testing.T) {
 	}
 	if got := configInstrsFor("pairacc", []string{"x", "zz", "y", "zz"}); got != 3 {
 		t.Errorf("configInstrsFor = %d, want 3 (one shared write, two unknown fields)", got)
+	}
+}
+
+// TestStagingIsCopiedOnWrite: a field state is shared, never changed in
+// place — a launch event, a flow record and every clone of an absState hold
+// the slice they saw. A setup, a havoc and an unmodeled op each write a
+// fresh copy, so the first launch below keeps x = 1 on both engines however
+// the later writes, the branch's clones and the clobber are ordered.
+func TestStagingIsCopiedOnWrite(t *testing.T) {
+	m := parseIR(t, `
+"builtin.module"() ({
+  "fnc.func"() ({
+    ^(%p: i64):
+    %0 = "arith.constant"() {value = 1 : i64} : () -> (i64)
+    %1 = "arith.constant"() {value = 2 : i64} : () -> (i64)
+    %2 = "accfg.setup"(%0) {accelerator = "acc", fields = ["x"]} : (i64) -> (!accfg.state<"acc">)
+    %3 = "accfg.launch"(%2) : (!accfg.state<"acc">) -> (!accfg.token<"acc">)
+    "accfg.await"(%3) : (!accfg.token<"acc">) -> ()
+    %4 = "arith.cmpi"(%p, %0) {predicate = "ne"} : (i64, i64) -> (i1)
+    %5 = "scf.if"(%4) ({
+      %6 = "accfg.setup"(%2, %1) {accelerator = "acc", fields = ["x"], in_state} : (!accfg.state<"acc">, i64) -> (!accfg.state<"acc">)
+      "scf.yield"(%6) : (!accfg.state<"acc">) -> ()
+    }, {
+      "test.clobber"() {accfg.effects = #accfg.effects<none>} : () -> ()
+      "scf.yield"(%2) : (!accfg.state<"acc">) -> ()
+    }) : (i1) -> (!accfg.state<"acc">)
+    %7 = "accfg.launch"(%5) : (!accfg.state<"acc">) -> (!accfg.token<"acc">)
+    "accfg.await"(%7) : (!accfg.token<"acc">) -> ()
+    "fnc.return"() : () -> ()
+  }) {function_type = (i64) -> (), sym_name = "main"} : () -> ()
+}) : () -> ()
+`)
+	fp := Explore(m).funcs["main"]
+	if len(fp.inconclusive) > 0 || len(fp.paths) != 2 {
+		t.Fatalf("exploration: %d paths, inconclusive %v", len(fp.paths), fp.inconclusive)
+	}
+	for _, p := range fp.paths {
+		if len(p.events) != 2 {
+			t.Fatalf("path %q events = %v", p.signature(), p.events)
+		}
+		if got := p.events[0].fields.Get("x"); !got.Equal(Const(1)) {
+			t.Errorf("path %q: first launch sees x = %s after a later write, want 1", p.signature(), got)
+		}
+	}
+
+	// The flow summary joins the arms, and an op that may clobber the
+	// staging (here: an unregistered op with no effects annotation in the
+	// else arm) degrades it to ⊤ without touching the record of launch 0.
+	clobbering := strings.Replace(ir.PrintModule(m), ` {accfg.effects = #accfg.effects<none>}`, ``, 1)
+	for _, src := range []*ir.Module{m, parseIR(t, clobbering)} {
+		launches := Summarize(src).Funcs[0].Launches
+		if len(launches) != 2 {
+			t.Fatalf("summary has %d launches, want 2", len(launches))
+		}
+		if got := launches[0].Fields.Get("x"); !got.Equal(Const(1)) {
+			t.Errorf("flow record of launch 0: x = %s, want 1", got)
+		}
+		if got := launches[1].Fields.Get("x"); !got.IsTop() {
+			t.Errorf("flow record of launch 1: x = %s, want ⊤ (2 on one arm, 1 or clobbered on the other)", got)
+		}
 	}
 }

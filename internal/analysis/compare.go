@@ -159,20 +159,21 @@ func comparePath(v *Verdict, fn, sig string, base, opt *path) {
 				reject("launch %d targets different accelerator: base %s, optimized %s", i, be.accel, oe.accel)
 				return
 			}
-			// Both name lists are sorted: merge them to visit the union in
-			// order, each name once.
-			bn, on := be.fields.names(), oe.fields.names()
-			for len(bn) > 0 || len(on) > 0 {
+			// Both field states are sorted: merge them to visit the union
+			// of their names in order, each once, an unwritten field
+			// reading as the reset value.
+			bf, of := be.fields, oe.fields
+			for len(bf) > 0 || len(of) > 0 {
 				var n string
+				bv, ov := Const(0), Const(0)
 				switch {
-				case len(on) == 0 || (len(bn) > 0 && bn[0] < on[0]):
-					n, bn = bn[0], bn[1:]
-				case len(bn) == 0 || on[0] < bn[0]:
-					n, on = on[0], on[1:]
+				case len(of) == 0 || (len(bf) > 0 && bf[0].name < of[0].name):
+					n, bv, bf = bf[0].name, bf[0].val, bf[1:]
+				case len(bf) == 0 || of[0].name < bf[0].name:
+					n, ov, of = of[0].name, of[0].val, of[1:]
 				default:
-					n, bn, on = bn[0], bn[1:], on[1:]
+					n, bv, ov, bf, of = bf[0].name, bf[0].val, of[0].val, bf[1:], of[1:]
 				}
-				bv, ov := be.fields.get(n), oe.fields.get(n)
 				if bv.ProvablyDifferent(ov) {
 					reject("launch %d (%s) observes field %s = %s, base program configured %s", i, be.accel, n, ov, bv)
 					return

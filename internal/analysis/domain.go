@@ -23,7 +23,8 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -125,7 +126,7 @@ func (v AbsVal) String() string {
 	case absBottom:
 		return "⊥"
 	case absConst:
-		return fmt.Sprintf("%d", v.c)
+		return strconv.FormatInt(v.c, 10)
 	case absSym:
 		return v.sym
 	}
@@ -133,62 +134,100 @@ func (v AbsVal) String() string {
 }
 
 // FieldState is the abstract content of one accelerator's staging
-// registers: field name to abstract value. Fields absent from the map are
-// unwritten, which the comparison layer reads as the hardware reset value
-// (zero) — the devices' staging registers are defined to reset to zero.
-type FieldState map[string]AbsVal
+// registers: the written fields, sorted by name, each with its abstract
+// value. Unwritten fields are absent, and the comparison layer reads them as
+// the hardware reset value (zero) — the devices' staging registers are
+// defined to reset to zero.
+//
+// A FieldState is never changed once it is shared: applySetup, havoc and
+// the flow summary's unmodeled-op arm write a fresh copy, so a launch event,
+// a flow record or a cloned absState holds the slice it saw without copying
+// it.
+type FieldState []field[AbsVal]
 
-// clone copies the field map.
-func (fs FieldState) clone() FieldState {
-	out := make(FieldState, len(fs))
-	for k, v := range fs {
-		out[k] = v
+// field is one entry of a field state: a field name and what the state
+// knows of it. Both field states of this package (FieldState here, the
+// known-fields fieldState) are slices of them sorted by name.
+type field[V any] struct {
+	name string
+	val  V
+}
+
+// search returns where name is in fs, or where it would be inserted.
+func search[V any](fs []field[V], name string) (int, bool) {
+	return slices.BinarySearchFunc(fs, name, func(f field[V], name string) int {
+		return strings.Compare(f.name, name)
+	})
+}
+
+// set writes name in place, inserting it in order: only for a field state
+// its caller has just copied and not yet shared.
+func set[V any](fs []field[V], name string, v V) []field[V] {
+	i, ok := search(fs, name)
+	if ok {
+		fs[i].val = v
+		return fs
 	}
-	return out
+	return slices.Insert(fs, i, field[V]{name, v})
+}
+
+// clone copies the field state, leaving room for extra more fields.
+func (fs FieldState) clone(extra int) FieldState {
+	if len(fs)+extra == 0 {
+		return nil
+	}
+	return append(make(FieldState, 0, len(fs)+extra), fs...)
 }
 
 // join merges two staging states field-wise; a field present on only one
 // side joins against the implicit reset value (Const 0).
 func (fs FieldState) join(o FieldState) FieldState {
-	out := make(FieldState, len(fs)+len(o))
-	for k, v := range fs {
-		if ov, ok := o[k]; ok {
-			out[k] = v.Join(ov)
-		} else {
-			out[k] = v.Join(Const(0))
-		}
+	if len(fs)+len(o) == 0 {
+		return nil
 	}
-	for k, v := range o {
-		if _, ok := fs[k]; !ok {
-			out[k] = v.Join(Const(0))
+	out := make(FieldState, 0, len(fs)+len(o))
+	for len(fs) > 0 || len(o) > 0 {
+		switch {
+		case len(o) == 0 || len(fs) > 0 && fs[0].name < o[0].name:
+			out = append(out, field[AbsVal]{fs[0].name, fs[0].val.Join(Const(0))})
+			fs = fs[1:]
+		case len(fs) == 0 || o[0].name < fs[0].name:
+			out = append(out, field[AbsVal]{o[0].name, o[0].val.Join(Const(0))})
+			o = o[1:]
+		default:
+			out = append(out, field[AbsVal]{fs[0].name, fs[0].val.Join(o[0].val)})
+			fs, o = fs[1:], o[1:]
 		}
 	}
 	return out
 }
 
-// get reads a field, mapping unwritten to the hardware reset value.
-func (fs FieldState) get(name string) AbsVal {
-	if v, ok := fs[name]; ok {
-		return v
+// equal reports lattice-element equality.
+func (fs FieldState) equal(o FieldState) bool {
+	if len(fs) != len(o) {
+		return false
+	}
+	for i := range fs {
+		if fs[i].name != o[i].name || !fs[i].val.Equal(o[i].val) {
+			return false
+		}
+	}
+	return true
+}
+
+// Get reads a field, mapping unwritten to the hardware reset value.
+func (fs FieldState) Get(name string) AbsVal {
+	if i, ok := search(fs, name); ok {
+		return fs[i].val
 	}
 	return Const(0)
 }
 
-// names returns the written field names, sorted.
-func (fs FieldState) names() []string {
-	out := make([]string, 0, len(fs))
-	for k := range fs {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // String renders the state deterministically, "a=1 b=ptr(arg0) c=⊤".
 func (fs FieldState) String() string {
-	parts := make([]string, 0, len(fs))
-	for _, n := range fs.names() {
-		parts = append(parts, fmt.Sprintf("%s=%s", n, fs[n]))
+	parts := make([]string, len(fs))
+	for i, f := range fs {
+		parts[i] = fmt.Sprintf("%s=%s", f.name, f.val)
 	}
 	return strings.Join(parts, " ")
 }

@@ -48,7 +48,7 @@ func (k eventKind) String() string {
 type event struct {
 	kind   eventKind
 	accel  string     // evLaunch
-	fields FieldState // evLaunch: staging snapshot the launch commits
+	fields FieldState // evLaunch: the staging the launch commits (shared, never changed)
 	addr   AbsVal     // evStore/evLoad
 	val    AbsVal     // evStore
 }
@@ -237,7 +237,7 @@ func (in *interp) evalOp(op *ir.Op) error {
 
 	case accfg.OpLaunch:
 		l, _ := accfg.AsLaunch(op)
-		in.events = append(in.events, event{kind: evLaunch, accel: l.Accelerator(), fields: in.staging[l.Accelerator()].clone()})
+		in.events = append(in.events, event{kind: evLaunch, accel: l.Accelerator(), fields: in.staging[l.Accelerator()]})
 
 	case accfg.OpAwait:
 		// Synchronization only: no observable effect of its own.
@@ -349,8 +349,8 @@ func (in *interp) evalIf(branch scf.If) error {
 		return err
 	}
 	if yield != nil {
-		for i, r := range branch.Op.Results() {
-			in.env[r] = in.resolve(yield.Operand(i))
+		for i := 0; i < branch.Op.NumResults(); i++ {
+			in.env[branch.Op.Result(i)] = in.resolve(yield.Operand(i))
 		}
 	}
 	return nil

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"configwall/internal/dialects/accfg"
 	"configwall/internal/dialects/scf"
 	"configwall/internal/ir"
@@ -12,8 +14,8 @@ import (
 //
 // The analysis is an optimistic fixpoint over the state chains built by
 // TraceStates. Lattice elements are either TOP (optimistic "anything", used
-// only while iterating) or a map from field name to the SSA value last
-// written. The transfer functions follow the paper (§5.4):
+// only while iterating) or the fields written, sorted by name, each with the
+// SSA value last written. The transfer functions follow the paper (§5.4):
 //
 //   - setup result: the input state's fields overlaid with the setup's own,
 //   - scf.for iter arg / result: the meet of initial and yielded states,
@@ -24,53 +26,45 @@ import (
 // SSA-value equality is the paper's proxy for runtime-value equality.
 type FieldStates struct {
 	states map[*ir.Value]fieldState
+	buf    []field[*ir.Value] // where transfer builds the next element
 }
 
+// fieldState is one lattice element. Its fields are never changed once
+// stored, so a transfer that passes one through shares it.
 type fieldState struct {
 	top    bool
-	fields map[string]*ir.Value
+	fields []field[*ir.Value]
 }
-
-func bottomState() fieldState { return fieldState{fields: map[string]*ir.Value{}} }
-func topState() fieldState    { return fieldState{top: true, fields: map[string]*ir.Value{}} }
 
 // equal compares two lattice elements.
 func (a fieldState) equal(b fieldState) bool {
 	if a.top != b.top || len(a.fields) != len(b.fields) {
 		return false
 	}
-	for k, v := range a.fields {
-		if b.fields[k] != v {
+	for i := range a.fields {
+		if a.fields[i] != b.fields[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// overlay returns a copy of s with the given field writes applied.
-func (s fieldState) overlay(fields []accfg.Field) fieldState {
-	out := fieldState{top: s.top, fields: make(map[string]*ir.Value, len(s.fields)+len(fields))}
-	for k, v := range s.fields {
-		out.fields[k] = v
-	}
-	for _, f := range fields {
-		out.fields[f.Name] = f.Value
+// overlay returns s with the setup's field writes applied, built in buf.
+func (s fieldState) overlay(setup accfg.Setup, buf []field[*ir.Value]) fieldState {
+	out := fieldState{top: s.top, fields: append(buf[:0], s.fields...)}
+	for i := 0; i < setup.NumFields(); i++ {
+		f := setup.Field(i)
+		out.fields = set(out.fields, f.Name, f.Value)
 	}
 	return out
 }
 
-// meet intersects two lattice elements. TOP is the identity.
-func meet(a, b fieldState) fieldState {
-	if a.top {
-		return b
-	}
-	if b.top {
-		return a
-	}
-	out := bottomState()
-	for k, v := range a.fields {
-		if b.fields[k] == v {
-			out.fields[k] = v
+// meet intersects two lattice elements below TOP, built in buf.
+func meet(a, b fieldState, buf []field[*ir.Value]) fieldState {
+	out := fieldState{fields: buf[:0]}
+	for _, f := range a.fields {
+		if i, ok := search(b.fields, f.name); ok && b.fields[i].val == f.val {
+			out.fields = append(out.fields, f)
 		}
 	}
 	return out
@@ -98,7 +92,7 @@ func AnalyzeFields(f *ir.Op) *FieldStates {
 		}
 	})
 	for _, v := range stateValues {
-		fs.states[v] = topState()
+		fs.states[v] = fieldState{top: true}
 	}
 
 	// Fixpoint iteration: monotone descending from TOP, terminates.
@@ -107,6 +101,8 @@ func AnalyzeFields(f *ir.Op) *FieldStates {
 		for _, v := range stateValues {
 			next := fs.transfer(v)
 			if !next.equal(fs.states[v]) {
+				// next may live in fs.buf: keep a copy.
+				next.fields = slices.Clone(next.fields)
 				fs.states[v] = next
 				changed = true
 			}
@@ -151,32 +147,37 @@ func chainStep(v *ir.Value) (s accfg.Setup, from [2]*ir.Value, ok bool) {
 // carried value's or branch result's two predecessors.
 func (fs *FieldStates) transfer(v *ir.Value) fieldState {
 	s, from, ok := chainStep(v)
-	switch {
-	case !ok:
-		return bottomState()
-	case s.Op != nil:
-		return fs.lookup(from[0]).overlay(s.Fields())
-	case from[1] == nil:
-		return fs.lookup(from[0])
+	if !ok {
+		return fieldState{}
 	}
-	return meet(fs.lookup(from[0]), fs.lookup(from[1]))
+	a := fs.lookup(from[0])
+	var next fieldState
+	switch b := fs.lookup(from[1]); {
+	case s.Op != nil:
+		next = a.overlay(s, fs.buf)
+	case from[1] == nil || b.top:
+		return a
+	case a.top:
+		return b
+	default:
+		next = meet(a, b, fs.buf)
+	}
+	fs.buf = next.fields
+	return next
 }
 
-func (fs *FieldStates) lookup(v *ir.Value) fieldState {
-	if s, ok := fs.states[v]; ok {
-		return s
-	}
-	return bottomState()
-}
+// lookup returns v's lattice element; a value the analysis did not collect
+// is bottom (nothing known).
+func (fs *FieldStates) lookup(v *ir.Value) fieldState { return fs.states[v] }
 
 // Known returns the SSA value the named field is guaranteed to hold when
 // state is live, or nil when unknown.
 func (fs *FieldStates) Known(state *ir.Value, field string) *ir.Value {
 	s := fs.lookup(state)
-	if s.top {
-		return nil
+	if i, ok := search(s.fields, field); ok && !s.top {
+		return s.fields[i].val
 	}
-	return s.fields[field]
+	return nil
 }
 
 // MayWrite reports whether some path to state may have written the named

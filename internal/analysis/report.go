@@ -20,12 +20,11 @@ func ReportString(m *ir.Module) string {
 		fmt.Fprintf(&b, "func @%s\n", f.Name)
 		for i, l := range f.Launches {
 			fmt.Fprintf(&b, "  launch #%d accelerator=%s\n", i, l.Accel)
-			names := l.Fields.names()
-			if len(names) == 0 {
+			if len(l.Fields) == 0 {
 				b.WriteString("    (reset state)\n")
 			}
-			for _, n := range names {
-				fmt.Fprintf(&b, "    %s = %s\n", n, l.Fields.get(n))
+			for _, f := range l.Fields {
+				fmt.Fprintf(&b, "    %s = %s\n", f.name, f.val)
 			}
 		}
 		fmt.Fprintf(&b, "  bounds: launches >= %d, config instrs >= %d\n",

@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"fmt"
+	"strconv"
 
 	"configwall/internal/accel"
 	"configwall/internal/dialects/accfg"
@@ -28,8 +28,9 @@ type absState struct {
 // symbol argi, no staging register written; known is f's, unfilled.
 func entryState(f *ir.Op, known *FieldStates) absState {
 	s := absState{env: map[*ir.Value]AbsVal{}, staging: map[string]FieldState{}, fn: f, known: known}
-	for i, arg := range f.Region(0).Block().Args() {
-		s.env[arg] = Sym(fmt.Sprintf("arg%d", i))
+	body := f.Region(0).Block()
+	for i := 0; i < body.NumArgs(); i++ {
+		s.env[body.Arg(i)] = Sym("arg" + strconv.Itoa(i))
 	}
 	return s
 }
@@ -46,8 +47,8 @@ func (s absState) resolve(v *ir.Value) AbsVal {
 
 // top degrades every result of op to ⊤.
 func (s absState) top(op *ir.Op) {
-	for _, r := range op.Results() {
-		s.env[r] = Top()
+	for i := 0; i < op.NumResults(); i++ {
+		s.env[op.Result(i)] = Top()
 	}
 }
 
@@ -92,29 +93,21 @@ func (s absState) eval(op *ir.Op) bool {
 	return true
 }
 
-// stagingOf returns the accelerator's staging registers, creating them
-// unwritten.
-func (s absState) stagingOf(accelerator string) FieldState {
-	st, ok := s.staging[accelerator]
-	if !ok {
-		st = FieldState{}
-		s.staging[accelerator] = st
-	}
-	return st
-}
-
 // applySetup writes a setup's fields into the abstract staging registers,
 // and into each packed mate the setup leaves out (accel.PortFor's Mates)
 // what PackedMate says the lowering packs there: the SSA value known on the
 // setup's chain, the reset value 0 (left unwritten if it never was), or ⊤
 // when the meet dropped it. An accelerator nobody registered (hand-written
-// test modules) has no mates and is field-granular.
+// test modules) has no mates and is field-granular. The writes go to a
+// fresh copy of the staging: the old one may be shared.
 func (s absState) applySetup(op *ir.Op) {
 	setup, _ := accfg.AsSetup(op)
-	st := s.stagingOf(setup.Accelerator())
-	port := accel.PortFor(setup.Accelerator())
-	for _, f := range setup.Fields() {
-		st[f.Name] = s.resolve(f.Value)
+	accelerator := setup.Accelerator()
+	port := accel.PortFor(accelerator)
+	st := s.staging[accelerator].clone(setup.NumFields())
+	for i := 0; i < setup.NumFields(); i++ {
+		f := setup.Field(i)
+		st = set(st, f.Name, s.resolve(f.Value))
 		for _, mate := range port.Mates(f.Name) {
 			if setup.FieldValue(mate) != nil {
 				continue
@@ -123,14 +116,15 @@ func (s absState) applySetup(op *ir.Op) {
 				*s.known = *AnalyzeFields(s.fn)
 			}
 			if v, ok := PackedMate(s.known, setup, mate); !ok {
-				st[mate] = Top()
+				st = set(st, mate, Top())
 			} else if v != nil {
-				st[mate] = s.resolve(v)
-			} else if _, prev := st[mate]; prev {
-				st[mate] = Const(0)
+				st = set(st, mate, s.resolve(v))
+			} else if _, prev := search(st, mate); prev {
+				st = set(st, mate, Const(0))
 			}
 		}
 	}
+	s.staging[accelerator] = st
 }
 
 // havoc degrades every staging field the subtree under root might write
@@ -141,24 +135,29 @@ func (s absState) havoc(root *ir.Op) {
 		if !ok {
 			return
 		}
-		st := s.stagingOf(setup.Accelerator())
-		port := accel.PortFor(setup.Accelerator())
-		for _, field := range setup.FieldNames() {
-			st[field] = Top()
-			for _, mate := range port.Mates(field) {
-				st[mate] = Top()
+		accelerator := setup.Accelerator()
+		port := accel.PortFor(accelerator)
+		st := s.staging[accelerator].clone(setup.NumFields())
+		for i := 0; i < setup.NumFields(); i++ {
+			name := setup.FieldName(i)
+			st = set(st, name, Top())
+			for _, mate := range port.Mates(name) {
+				st = set(st, mate, Top())
 			}
 		}
+		s.staging[accelerator] = st
 	})
 }
 
+// clone copies the environment and the map of staging registers; the
+// field states themselves are shared, since nothing changes one in place.
 func (s absState) clone() absState {
 	out := absState{env: make(map[*ir.Value]AbsVal, len(s.env)), staging: make(map[string]FieldState, len(s.staging)), fn: s.fn, known: s.known}
 	for v, av := range s.env {
 		out.env[v] = av
 	}
 	for accelerator, st := range s.staging {
-		out.staging[accelerator] = st.clone()
+		out.staging[accelerator] = st
 	}
 	return out
 }
@@ -200,14 +199,8 @@ func (s absState) equal(o absState) bool {
 	}
 	for accelerator, st := range s.staging {
 		ost, ok := o.staging[accelerator]
-		if !ok || len(st) != len(ost) {
+		if !ok || !st.equal(ost) {
 			return false
-		}
-		for f, av := range st {
-			ov, ok := ost[f]
-			if !ok || !av.Equal(ov) {
-				return false
-			}
 		}
 	}
 	return true

@@ -115,8 +115,8 @@ func (p *flow) block(b *ir.Block, s absState) absState {
 			thenState := p.block(branch.Then(), s.clone())
 			elseState := p.block(branch.Else(), s.clone())
 			s = thenState.join(elseState)
-			for i, r := range op.Results() {
-				s.env[r] = thenState.resolve(branch.ThenYield().Operand(i)).Join(elseState.resolve(branch.ElseYield().Operand(i)))
+			for i := 0; i < op.NumResults(); i++ {
+				s.env[op.Result(i)] = thenState.resolve(branch.ThenYield().Operand(i)).Join(elseState.resolve(branch.ElseYield().Operand(i)))
 			}
 		} else {
 			p.transfer(op, s)
@@ -162,7 +162,7 @@ func (p *flow) transfer(op *ir.Op, s absState) {
 		if prev, seen := p.launches[op]; seen {
 			p.launches[op] = prev.join(st)
 		} else {
-			p.launches[op] = st.clone()
+			p.launches[op] = st
 		}
 		p.launchAccel[op] = l.Accelerator()
 
@@ -173,10 +173,12 @@ func (p *flow) transfer(op *ir.Op, s absState) {
 		if op.NumRegions() > 0 || accfg.EffectsOf(op) == ir.EffectsAll {
 			// Unmodeled op: degrade everything it may have clobbered.
 			s.havoc(op)
-			for _, st := range s.staging {
-				for f := range st {
-					st[f] = Top()
+			for accelerator, st := range s.staging {
+				top := make(FieldState, len(st))
+				for i, f := range st {
+					top[i] = field[AbsVal]{f.name, Top()}
 				}
+				s.staging[accelerator] = top
 			}
 		}
 		s.top(op)

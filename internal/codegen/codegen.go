@@ -7,6 +7,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 
 	"configwall/internal/dialects/accfg"
 	"configwall/internal/dialects/arith"
@@ -83,13 +84,13 @@ func Compile(m *ir.Module, entry string, opts Options) (*riscv.Program, *Layout,
 	}
 
 	// Bind arguments: a0..a7 moved into fresh vregs.
-	args := fn.Body().Args()
-	if len(args) > 8 {
-		return nil, nil, fmt.Errorf("codegen: at most 8 arguments supported, got %d", len(args))
+	body := fn.Body()
+	if body.NumArgs() > 8 {
+		return nil, nil, fmt.Errorf("codegen: at most 8 arguments supported, got %d", body.NumArgs())
 	}
-	for i, a := range args {
+	for i := 0; i < body.NumArgs(); i++ {
 		vr := c.fresh()
-		c.vals[a] = vr
+		c.vals[body.Arg(i)] = vr
 		c.emit(vinstr{op: riscv.ADDI, rd: vr, rs1: physVReg(riscv.A0 + riscv.Reg(i)), imm: 0})
 	}
 
@@ -215,8 +216,8 @@ func (c *compiler) op(op *ir.Op) error {
 		// Handled by the parent loop/if emitters.
 		return nil
 	case fnc.OpReturn:
-		for i, v := range op.Operands() {
-			rs, err := c.value(v)
+		for i := 0; i < op.NumOperands(); i++ {
+			rs, err := c.value(op.Operand(i))
 			if err != nil {
 				return err
 			}
@@ -408,12 +409,15 @@ func (c *compiler) dim(op *ir.Op) error {
 }
 
 // address emits the address computation base + linearized(indices) * elem
-// and returns the vreg with the final address plus the element width.
-func (c *compiler) address(buf *ir.Value, indices []*ir.Value) (int, int, error) {
+// for a load or store whose buffer is operand bufIdx and whose indices are
+// the operands after it, and returns the vreg with the final address plus
+// the element width.
+func (c *compiler) address(op *ir.Op, bufIdx int) (int, int, error) {
+	buf := op.Operand(bufIdx)
 	mt := buf.Type().(ir.MemRefType)
 	dims := mt.Dims()
-	if len(indices) != len(dims) {
-		return 0, 0, fmt.Errorf("codegen: %d indices for rank-%d memref", len(indices), len(dims))
+	if n := op.NumOperands() - bufIdx - 1; n != len(dims) {
+		return 0, 0, fmt.Errorf("codegen: %d indices for rank-%d memref", n, len(dims))
 	}
 	width := ir.IntegerWidth(mt.Elem)
 	base, err := c.value(buf)
@@ -422,8 +426,8 @@ func (c *compiler) address(buf *ir.Value, indices []*ir.Value) (int, int, error)
 	}
 	// linear = ((i0*d1 + i1)*d2 + i2)...
 	lin := noVReg
-	for k, idxV := range indices {
-		iv, err := c.value(idxV)
+	for k := range dims {
+		iv, err := c.value(op.Operand(bufIdx + 1 + k))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -461,7 +465,7 @@ var loadOp = map[int]riscv.Opcode{8: riscv.LB, 16: riscv.LH, 32: riscv.LW, 64: r
 var storeOp = map[int]riscv.Opcode{8: riscv.SB, 16: riscv.SH, 32: riscv.SW, 64: riscv.SD}
 
 func (c *compiler) load(op *ir.Op) error {
-	addr, width, err := c.address(op.Operand(0), op.Operands()[1:])
+	addr, width, err := c.address(op, 0)
 	if err != nil {
 		return err
 	}
@@ -476,7 +480,7 @@ func (c *compiler) store(op *ir.Op) error {
 	if err != nil {
 		return err
 	}
-	addr, width, err := c.address(op.Operand(1), op.Operands()[2:])
+	addr, width, err := c.address(op, 1)
 	if err != nil {
 		return err
 	}
@@ -599,8 +603,13 @@ func (c *compiler) copyYields(yield *ir.Op, resRegs []int) error {
 // and instruction order are preserved by replacing with NOP-removal
 // compaction.
 func (c *compiler) eliminateDeadDefs() {
+	// Per virtual register: read anywhere, and how often written. One pair
+	// serves every round.
+	used := make([]bool, c.nextVR)
+	defCount := make([]int, c.nextVR)
 	for {
-		used := map[int]bool{}
+		clear(used)
+		clear(defCount)
 		for _, ins := range c.instrs {
 			if ins.rs1 > noVReg {
 				used[ins.rs1] = true
@@ -608,15 +617,12 @@ func (c *compiler) eliminateDeadDefs() {
 			if ins.rs2 > noVReg {
 				used[ins.rs2] = true
 			}
-		}
-		// Registers written multiple times (loop carries) must stay.
-		defCount := map[int]int{}
-		for _, ins := range c.instrs {
 			if ins.rd > noVReg {
 				defCount[ins.rd]++
 			}
 		}
 		removable := func(ins vinstr) bool {
+			// Registers written multiple times (loop carries) must stay.
 			if ins.rd <= noVReg || used[ins.rd] || defCount[ins.rd] > 1 {
 				return false
 			}
@@ -628,39 +634,28 @@ func (c *compiler) eliminateDeadDefs() {
 			}
 			return false
 		}
-		changed := false
-		var out []vinstr
-		remap := map[int][]string{}
+		if !slices.ContainsFunc(c.instrs, removable) {
+			return
+		}
+		// Compact in place. Labels move with the position they were bound
+		// at, now counted in surviving instructions, and loop ranges shift
+		// by the removals before each bound.
+		removedBefore := make([]int, len(c.instrs)+1)
+		remap := make(map[int][]string, len(c.labels))
+		out := c.instrs[:0]
 		for idx, ins := range c.instrs {
+			removedBefore[idx] = idx - len(out)
 			if labels := c.labels[idx]; len(labels) > 0 {
 				remap[len(out)] = append(remap[len(out)], labels...)
 			}
-			if removable(ins) {
-				changed = true
-				continue
+			if !removable(ins) {
+				out = append(out, ins)
 			}
-			out = append(out, ins)
 		}
+		removedBefore[len(c.instrs)] = len(c.instrs) - len(out)
 		if labels := c.labels[len(c.instrs)]; len(labels) > 0 {
 			remap[len(out)] = append(remap[len(out)], labels...)
 		}
-		if !changed {
-			return
-		}
-		// Remap loop ranges conservatively: recompute from scratch is not
-		// possible, so shift ranges by counting removals before each bound.
-		removedBefore := make([]int, len(c.instrs)+1)
-		removed := 0
-		oi := 0
-		for idx, ins := range c.instrs {
-			removedBefore[idx] = removed
-			if removable(ins) {
-				removed++
-			} else {
-				oi++
-			}
-		}
-		removedBefore[len(c.instrs)] = removed
 		for i := range c.loops {
 			c.loops[i][0] -= removedBefore[c.loops[i][0]]
 			c.loops[i][1] -= removedBefore[c.loops[i][1]]

@@ -1,8 +1,9 @@
 package codegen
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"configwall/internal/riscv"
 )
@@ -28,6 +29,7 @@ type interval struct {
 	reg        riscv.Reg
 	spilled    bool
 	slot       int
+	live       bool // the register appears in some instruction
 }
 
 // allocate performs linear-scan register allocation over the compiler's
@@ -36,14 +38,13 @@ func allocate(c *compiler) (*riscv.Program, int, error) {
 	intervals := computeIntervals(c)
 
 	order := make([]*interval, 0, len(intervals))
-	for _, iv := range intervals {
-		order = append(order, iv)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].start != order[j].start {
-			return order[i].start < order[j].start
+	for i := range intervals {
+		if intervals[i].live {
+			order = append(order, &intervals[i])
 		}
-		return order[i].vr < order[j].vr
+	}
+	slices.SortFunc(order, func(a, b *interval) int {
+		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.vr, b.vr))
 	})
 
 	free := append([]riscv.Reg{}, allocatable...)
@@ -98,18 +99,19 @@ func allocate(c *compiler) (*riscv.Program, int, error) {
 	return rewrite(c, intervals, nextSlot)
 }
 
-// computeIntervals builds live intervals, extending ranges across loop
+// computeIntervals builds live intervals, indexed by virtual register (the
+// compiler numbers them densely from 0), extending ranges across loop
 // bodies for values live into a loop (their uses re-execute on the back
 // edge).
-func computeIntervals(c *compiler) map[int]*interval {
-	intervals := map[int]*interval{}
+func computeIntervals(c *compiler) []interval {
+	intervals := make([]interval, c.nextVR)
 	touch := func(vr, pos int) {
 		if vr <= noVReg {
 			return
 		}
-		iv, ok := intervals[vr]
-		if !ok {
-			intervals[vr] = &interval{vr: vr, start: pos, end: pos}
+		iv := &intervals[vr]
+		if !iv.live {
+			*iv = interval{vr: vr, start: pos, end: pos, live: true}
 			return
 		}
 		if pos < iv.start {
@@ -129,8 +131,9 @@ func computeIntervals(c *compiler) map[int]*interval {
 		changed = false
 		for _, loop := range c.loops {
 			s, e := loop[0], loop[1]
-			for _, iv := range intervals {
-				if iv.start < s && iv.end >= s && iv.end < e {
+			for i := range intervals {
+				iv := &intervals[i]
+				if iv.live && iv.start < s && iv.end >= s && iv.end < e {
 					iv.end = e
 					changed = true
 				}
@@ -142,17 +145,17 @@ func computeIntervals(c *compiler) map[int]*interval {
 
 // rewrite materializes physical instructions, inserting spill loads/stores
 // around spilled operands using the reserved scratch registers t0/t1.
-func rewrite(c *compiler, intervals map[int]*interval, slots int) (*riscv.Program, int, error) {
+func rewrite(c *compiler, intervals []interval, slots int) (*riscv.Program, int, error) {
 	asm := riscv.NewAssembler()
 
 	regOf := func(vr int) (riscv.Reg, *interval, error) {
 		if r, ok := physOf(vr); ok {
 			return r, nil, nil
 		}
-		iv, ok := intervals[vr]
-		if !ok {
+		if vr < 0 || vr >= len(intervals) || !intervals[vr].live {
 			return 0, nil, fmt.Errorf("codegen: vreg %d has no interval", vr)
 		}
+		iv := &intervals[vr]
 		if iv.spilled {
 			return 0, iv, nil
 		}

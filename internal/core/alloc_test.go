@@ -11,15 +11,17 @@ import (
 // here, so the margin is for toolchain drift, not noise: a snapshot in a
 // per-op loop, a map copy per region or a fmt call per op costs hundreds of
 // allocations and fails this test (the parent of the PR that added it
-// measured 7 179 and 2 747). What runs once per pass is too small to show
+// measured 7 179 and 2 747), and so does an op that is more than one
+// allocation again — an operand slice, a result block or an attribute map
+// per op took 1 516 and 1 425. What runs once per pass is too small to show
 // here; cwlint's hot-path rules hold those functions.
 func TestCellAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
 		cell   Experiment
 		budget float64
 	}{
-		{Experiment{Target: "opengemm", Workload: "matmul", Pipeline: AllOptimizations, N: 64}, 1668}, // measured 1 516
-		{Experiment{Target: "gemmini", Workload: "matmul", Pipeline: Baseline, N: 16}, 1570},          // measured 1 425
+		{Experiment{Target: "opengemm", Workload: "matmul", Pipeline: AllOptimizations, N: 64}, 756}, // measured 687
+		{Experiment{Target: "gemmini", Workload: "matmul", Pipeline: Baseline, N: 16}, 573},          // measured 521
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
 			res, err := RunExperiment(tc.cell, RunOptions{})

@@ -20,6 +20,7 @@ package accfg
 
 import (
 	"fmt"
+	"slices"
 
 	"configwall/internal/ir"
 )
@@ -82,10 +83,10 @@ func verifySetup(op *ir.Op) error {
 	for i, e := range elems {
 		f, ok := e.(ir.StringAttr)
 		if !ok {
-			continue
+			return fmt.Errorf("field %d is named by %s, not a string", i, e)
 		}
 		for _, earlier := range elems[:i] {
-			if g, ok := earlier.(ir.StringAttr); ok && g.Value == f.Value {
+			if earlier.(ir.StringAttr).Value == f.Value {
 				return fmt.Errorf("duplicate field %q", f.Value)
 			}
 		}
@@ -189,62 +190,62 @@ func (s Setup) ClearInState() {
 // State returns the produced state value.
 func (s Setup) State() *ir.Value { return s.Op.Result(0) }
 
-// FieldNames returns the configured field names in operand order.
+// FieldNames returns a snapshot of the configured field names in operand
+// order.
 func (s Setup) FieldNames() []string {
-	a, ok := s.Op.Attr("fields").(ir.ArrayAttr)
-	if !ok {
-		return nil
+	names := make([]string, s.NumFields())
+	for i := range names {
+		names[i] = s.FieldName(i)
 	}
-	return a.StringList()
+	return names
 }
 
-// fieldElems returns the elements of the "fields" attribute in place; like
-// FieldNames, readers skip any that is not a string.
+// fieldElems returns the elements of the "fields" attribute in place. The
+// verifier holds every one to a string; the accessors read one that is not
+// as the name "".
 func (s Setup) fieldElems() []ir.Attribute {
 	a, _ := s.Op.Attr("fields").(ir.ArrayAttr)
 	return a.Elems
 }
 
-// NumFields returns the number of configured fields.
-func (s Setup) NumFields() int {
-	n := 0
-	for _, e := range s.fieldElems() {
-		if _, ok := e.(ir.StringAttr); ok {
-			n++
-		}
+// fieldBase returns the operand index of field 0.
+func (s Setup) fieldBase() int {
+	if s.HasInState() {
+		return 1
 	}
-	return n
+	return 0
+}
+
+// NumFields returns the number of configured fields. With FieldName and
+// Field it reads the setup in place: for i := 0; i < s.NumFields(); i++.
+func (s Setup) NumFields() int { return len(s.fieldElems()) }
+
+// FieldName returns the name of field i, in operand order.
+func (s Setup) FieldName(i int) string {
+	f, _ := s.fieldElems()[i].(ir.StringAttr)
+	return f.Value
+}
+
+// Field returns field i, in operand order: its name and the value written.
+func (s Setup) Field(i int) Field {
+	return Field{Name: s.FieldName(i), Value: s.Op.Operand(s.fieldBase() + i)}
 }
 
 // FieldValue returns the SSA value written to the named field, or nil.
 func (s Setup) FieldValue(name string) *ir.Value {
-	i := 0
-	if s.HasInState() {
-		i = 1
-	}
-	for _, e := range s.fieldElems() {
-		f, ok := e.(ir.StringAttr)
-		if !ok {
-			continue
+	for i, e := range s.fieldElems() {
+		if f, _ := e.(ir.StringAttr); f.Value == name {
+			return s.Op.Operand(s.fieldBase() + i)
 		}
-		if f.Value == name {
-			return s.Op.Operand(i)
-		}
-		i++
 	}
 	return nil
 }
 
-// Fields returns the (name, value) pairs in operand order.
+// Fields returns a snapshot of the (name, value) pairs in operand order.
 func (s Setup) Fields() []Field {
-	base := 0
-	if s.HasInState() {
-		base = 1
-	}
-	names := s.FieldNames()
-	out := make([]Field, len(names))
-	for i, n := range names {
-		out[i] = Field{Name: n, Value: s.Op.Operand(base + i)}
+	out := make([]Field, s.NumFields())
+	for i := range out {
+		out[i] = s.Field(i)
 	}
 	return out
 }
@@ -252,18 +253,13 @@ func (s Setup) Fields() []Field {
 // RemoveField deletes the named field (name and operand). Reports whether
 // the field was present.
 func (s Setup) RemoveField(name string) bool {
-	base := 0
-	if s.HasInState() {
-		base = 1
-	}
-	names := s.FieldNames()
-	for i, f := range names {
-		if f != name {
+	elems := s.fieldElems()
+	for i, e := range elems {
+		if f, _ := e.(ir.StringAttr); f.Value != name {
 			continue
 		}
-		s.Op.EraseOperand(base + i)
-		rest := append(append([]string{}, names[:i]...), names[i+1:]...)
-		s.Op.SetAttr("fields", ir.StringsAttr(rest...))
+		s.Op.EraseOperand(s.fieldBase() + i)
+		s.Op.SetAttr("fields", ir.ArrayAttr{Elems: slices.Delete(slices.Clone(elems), i, i+1)})
 		return true
 	}
 	return false
@@ -271,9 +267,11 @@ func (s Setup) RemoveField(name string) bool {
 
 // AddField appends a field write to the setup.
 func (s Setup) AddField(name string, v *ir.Value) {
-	names := append(s.FieldNames(), name)
+	// Clipped, the list is copied rather than appended to in place: a
+	// clone of the op shares it.
+	names := append(slices.Clip(s.fieldElems()), ir.StringAttr{Value: name})
 	s.Op.AddOperand(v)
-	s.Op.SetAttr("fields", ir.StringsAttr(names...))
+	s.Op.SetAttr("fields", ir.ArrayAttr{Elems: names})
 }
 
 // Field is one named configuration register write.
@@ -325,18 +323,18 @@ func (a Await) Token() *ir.Value { return a.Op.Operand(0) }
 // NewSetup builds an accfg.setup for the named accelerator. fields supplies
 // the register writes; inState may be nil for an unchained setup.
 func NewSetup(b *ir.Builder, accelerator string, inState *ir.Value, fields []Field) Setup {
-	names := make([]string, len(fields))
-	var operands []*ir.Value
+	names := make([]ir.Attribute, len(fields))
+	operands := make([]*ir.Value, 0, len(fields)+1)
 	if inState != nil {
 		operands = append(operands, inState)
 	}
 	for i, f := range fields {
-		names[i] = f.Name
+		names[i] = ir.StringAttr{Value: f.Name}
 		operands = append(operands, f.Value)
 	}
 	op := b.Create(OpSetup, operands, []ir.Type{ir.StateType{Accelerator: accelerator}})
 	op.SetAttr("accelerator", ir.StringAttr{Value: accelerator})
-	op.SetAttr("fields", ir.StringsAttr(names...))
+	op.SetAttr("fields", ir.ArrayAttr{Elems: names})
 	if inState != nil {
 		op.SetAttr("in_state", ir.UnitAttr{})
 	}

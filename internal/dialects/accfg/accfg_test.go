@@ -1,6 +1,7 @@
 package accfg_test
 
 import (
+	"strings"
 	"testing"
 
 	"configwall/internal/dialects/accfg"
@@ -109,6 +110,16 @@ func TestVerifierErrors(t *testing.T) {
 		fnc.NewReturn(b)
 		if err := ir.Verify(m); err == nil {
 			t.Error("verifier accepted cross-accelerator state chain")
+		}
+	})
+	t.Run("field named by a non-string", func(t *testing.T) {
+		m, b := setup(t)
+		c := arith.NewConstant(b, 1, ir.I64)
+		s := accfg.NewSetup(b, "acc", nil, []accfg.Field{{Name: "x", Value: c}})
+		s.Op.SetAttr("fields", ir.ArrayAttr{Elems: []ir.Attribute{ir.IntAttr(1)}})
+		fnc.NewReturn(b)
+		if err := ir.Verify(m); err == nil || !strings.Contains(err.Error(), "not a string") {
+			t.Errorf("verifier on a field named by an integer: %v", err)
 		}
 	})
 	t.Run("await non-token", func(t *testing.T) {

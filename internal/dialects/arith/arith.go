@@ -201,8 +201,8 @@ func EvalCmp(pred string, a, b int64) (bool, error) {
 	return false, fmt.Errorf("unknown predicate %q", pred)
 }
 
-func foldBinary(name string) func(*ir.Op) ([]*ir.Value, bool) {
-	return func(op *ir.Op) ([]*ir.Value, bool) {
+func foldBinary(name string) func(*ir.Op) (*ir.Value, bool) {
+	return func(op *ir.Op) (*ir.Value, bool) {
 		a, aOK := ConstantValue(op.Operand(0))
 		b, bOK := ConstantValue(op.Operand(1))
 		t := op.Result(0).Type()
@@ -211,22 +211,22 @@ func foldBinary(name string) func(*ir.Op) ([]*ir.Value, bool) {
 		if bOK && b == 0 {
 			switch name {
 			case OpAddI, OpSubI, OpOrI, OpXOrI, OpShLI, OpShRUI:
-				return []*ir.Value{op.Operand(0)}, false
+				return op.Operand(0), false
 			case OpMulI, OpAndI:
 				// x*0 = 0, x&0 = 0: handled below when a is also known,
 				// otherwise materialize via builder-less replacement:
 				if op.Block() != nil {
 					b := ir.Before(op)
 					zero := NewConstant(b, 0, t)
-					return []*ir.Value{zero}, false
+					return zero, false
 				}
 			}
 		}
 		if bOK && b == 1 && (name == OpMulI || name == OpDivUI) {
-			return []*ir.Value{op.Operand(0)}, false
+			return op.Operand(0), false
 		}
 		if aOK && a == 0 && name == OpAddI {
-			return []*ir.Value{op.Operand(1)}, false
+			return op.Operand(1), false
 		}
 		if !aOK || !bOK {
 			return nil, false
@@ -239,11 +239,11 @@ func foldBinary(name string) func(*ir.Op) ([]*ir.Value, bool) {
 			return nil, false
 		}
 		bld := ir.Before(op)
-		return []*ir.Value{NewConstant(bld, r, t)}, false
+		return NewConstant(bld, r, t), false
 	}
 }
 
-func foldCmp(op *ir.Op) ([]*ir.Value, bool) {
+func foldCmp(op *ir.Op) (*ir.Value, bool) {
 	a, aOK := ConstantValue(op.Operand(0))
 	b, bOK := ConstantValue(op.Operand(1))
 	if !aOK || !bOK || op.Block() == nil {
@@ -259,30 +259,30 @@ func foldCmp(op *ir.Op) ([]*ir.Value, bool) {
 		v = 1
 	}
 	bld := ir.Before(op)
-	return []*ir.Value{NewConstant(bld, v, ir.I1)}, false
+	return NewConstant(bld, v, ir.I1), false
 }
 
-func foldSelect(op *ir.Op) ([]*ir.Value, bool) {
+func foldSelect(op *ir.Op) (*ir.Value, bool) {
 	c, ok := ConstantValue(op.Operand(0))
 	if !ok {
 		return nil, false
 	}
 	if c != 0 {
-		return []*ir.Value{op.Operand(1)}, false
+		return op.Operand(1), false
 	}
-	return []*ir.Value{op.Operand(2)}, false
+	return op.Operand(2), false
 }
 
-func foldIndexCast(op *ir.Op) ([]*ir.Value, bool) {
+func foldIndexCast(op *ir.Op) (*ir.Value, bool) {
 	if v, ok := ConstantValue(op.Operand(0)); ok && op.Block() != nil {
 		bld := ir.Before(op)
-		return []*ir.Value{NewConstant(bld, v, op.Result(0).Type())}, false
+		return NewConstant(bld, v, op.Result(0).Type()), false
 	}
 	// Cast of a cast back to the original type is the original value.
 	def := op.Operand(0).DefiningOp()
 	if def != nil && def.Name() == OpIndexCast &&
 		ir.TypesEqual(def.Operand(0).Type(), op.Result(0).Type()) {
-		return []*ir.Value{def.Operand(0)}, false
+		return def.Operand(0), false
 	}
 	return nil, false
 }

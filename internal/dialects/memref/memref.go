@@ -68,7 +68,7 @@ func init() {
 	})
 }
 
-func foldDim(op *ir.Op) ([]*ir.Value, bool) {
+func foldDim(op *ir.Op) (*ir.Value, bool) {
 	mt, ok := op.Operand(0).Type().(ir.MemRefType)
 	if !ok || op.Block() == nil {
 		return nil, false
@@ -81,7 +81,7 @@ func foldDim(op *ir.Op) ([]*ir.Value, bool) {
 	b := ir.Before(op)
 	c := b.Create("arith.constant", nil, []ir.Type{op.Result(0).Type()})
 	c.SetAttr("value", ir.IntegerAttr{Value: int64(dims[idx]), Type: op.Result(0).Type()})
-	return []*ir.Value{c.Result(0)}, false
+	return c.Result(0), false
 }
 
 // NewAlloc builds a buffer allocation of the given memref type.

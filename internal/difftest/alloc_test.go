@@ -21,7 +21,11 @@ import (
 // every pass, which is how the parent of the PR that added this test measured
 // 43 169 and 29 172 — fails it. So does a map of group mates built per
 // accfg.setup in internal/analysis (14 418 for gemmini before they were
-// built once per accel.Port).
+// built once per accel.Port). So does an op that is more than one
+// allocation, a field state that is a map or is copied per launch, or a CSE
+// key that is a string of its own: 11 404 and 7 157 before the IR core kept
+// operands, results, attributes and first uses inline and the analysis kept
+// sorted, shared field states.
 //
 // The bytes hold one arena per check: a 1 MiB memory per engine run and a
 // full-image snapshot of each, eight of both per program, change the count by
@@ -33,8 +37,8 @@ func TestCheckAllocationBudget(t *testing.T) {
 		allocs float64
 		bytes  uint64
 	}{
-		{"gemmini", 12544, 3_789_000}, // measured 11 404 and 3 445 k
-		{"opengemm", 7873, 3_346_000}, // measured 7 157 and 3 042 k
+		{"gemmini", 4235, 2_995_000},  // measured 3 850 and 2 722 k
+		{"opengemm", 3097, 2_980_000}, // measured 2 815 and 2 708 k
 	} {
 		tgt, prof := targetAndProfile(t, tc.target)
 		prog, err := irgen.Generate(prof, irgen.DeriveSeed(1, tc.target, 0))

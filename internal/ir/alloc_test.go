@@ -87,3 +87,62 @@ func TestReadOnlyTraversalAllocatesNothing(t *testing.T) {
 		t.Errorf("Op.IsBefore allocates %v times, want 0", n)
 	}
 }
+
+// TestOpIsOneAllocation holds the IR core's layout (DESIGN.md §1, "One
+// allocation per op"): an op whose operands, results and attributes fit the
+// inline room is the Op and nothing else — no operand slice, result block,
+// result slice or attribute map — and the first use of a value lives in the
+// value. An op that outgrows the room spills each list once.
+func TestOpIsOneAllocation(t *testing.T) {
+	m := ir.NewModule()
+	b := ir.AtEnd(m.Block())
+	a := b.Create("test.source", nil, []ir.Type{ir.I64}).Result(0)
+	c := b.Create("test.source", nil, []ir.Type{ir.I64}).Result(0)
+	d := b.Create("test.source", nil, []ir.Type{ir.I1}).Result(0)
+	// Boxed once here: turning an attribute value into an ir.Attribute is
+	// the caller's allocation, not the op's.
+	var value, pred ir.Attribute = ir.IntAttr(7), ir.StringAttr{Value: "slt"}
+	build := func(name string, operands []*ir.Value, results []ir.Type, attrs int) *ir.Op {
+		op := ir.NewOp(name, operands, results)
+		if attrs > 0 {
+			op.SetAttr("value", value)
+		}
+		if attrs > 1 {
+			op.SetAttr("predicate", pred)
+		}
+		return op
+	}
+	for _, tc := range []struct {
+		name     string
+		operands []*ir.Value
+		results  []ir.Type
+		attrs    int
+		want     float64
+	}{
+		{"arith.constant", nil, []ir.Type{ir.I64}, 1, 1},
+		{"arith.addi", []*ir.Value{a, c}, []ir.Type{ir.I64}, 0, 1},
+		{"arith.cmpi", []*ir.Value{a, c}, []ir.Type{ir.I1}, 2, 1},
+		{"arith.select", []*ir.Value{d, a, c}, []ir.Type{ir.I64}, 0, 1},
+		{"test.sink", []*ir.Value{a}, nil, 0, 1},
+		// Four operands and two results spill the operand list and the
+		// result block with its slice.
+		{"test.wide", []*ir.Value{d, a, c, a}, []ir.Type{ir.I64, ir.I64}, 0, 4},
+	} {
+		if n := testing.AllocsPerRun(20, func() {
+			build(tc.name, tc.operands, tc.results, tc.attrs).Erase()
+		}); n != tc.want {
+			t.Errorf("%s with %d operands, %d results, %d attributes: %v allocations, want %v",
+				tc.name, len(tc.operands), len(tc.results), tc.attrs, n, tc.want)
+		}
+	}
+
+	// A clone is one allocation too.
+	cmp := build("arith.cmpi", []*ir.Value{a, c}, []ir.Type{ir.I1}, 2)
+	mapping := map[*ir.Value]*ir.Value{}
+	if n := testing.AllocsPerRun(20, func() {
+		cmp.Clone(mapping).Erase()
+		delete(mapping, cmp.Result(0))
+	}); n != 1 {
+		t.Errorf("Op.Clone of a compare: %v allocations, want 1", n)
+	}
+}

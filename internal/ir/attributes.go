@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -91,18 +90,6 @@ func StringsAttr(names ...string) ArrayAttr {
 	return ArrayAttr{Elems: elems}
 }
 
-// StringList extracts the string values from an ArrayAttr of StringAttrs.
-// Non-string elements are skipped.
-func (a ArrayAttr) StringList() []string {
-	out := make([]string, 0, len(a.Elems))
-	for _, e := range a.Elems {
-		if s, ok := e.(StringAttr); ok {
-			out = append(out, s.Value)
-		}
-	}
-	return out
-}
-
 // EffectsKind enumerates the accfg effect annotations for foreign ops
 // (paper §5.1): whether an op clobbers or preserves accelerator state.
 type EffectsKind int
@@ -126,27 +113,23 @@ func (a EffectsAttr) String() string {
 	return "#accfg.effects<all>"
 }
 
-// attrDictString renders a sorted attribute dictionary.
-func attrDictString(attrs map[string]Attribute) string {
+// attrDictString renders an op's attribute dictionary, which is kept
+// sorted by key.
+func attrDictString(attrs []namedAttr) string {
 	if len(attrs) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(attrs))
-	for k := range attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		name := k
-		if !isIdent(k) {
-			name = quote(k)
+	parts := make([]string, len(attrs))
+	for i, a := range attrs {
+		name := a.key
+		if !isIdent(name) {
+			name = quote(name)
 		}
-		if _, ok := attrs[k].(UnitAttr); ok {
+		if _, ok := a.val.(UnitAttr); ok {
 			parts[i] = name
 			continue
 		}
-		parts[i] = fmt.Sprintf("%s = %s", name, attrs[k].String())
+		parts[i] = fmt.Sprintf("%s = %s", name, a.val.String())
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }

@@ -13,6 +13,9 @@ type Value struct {
 	index int    // result index or argument index
 	uses  []Use  // operand slots that read this value
 	name  string // optional printing hint ("%name")
+	// use0 backs uses until the second use: most values are read once, and
+	// their one use costs no allocation.
+	use0 [1]Use
 }
 
 // Use identifies one operand slot of an operation.
@@ -67,11 +70,17 @@ func (v *Value) ReplaceAllUsesWith(new *Value) {
 		u.Op.operands[u.Index] = new
 	}
 	if new != nil {
+		if new.uses == nil {
+			new.uses = new.use0[:0]
+		}
 		new.uses = append(new.uses, uses...)
 	}
 }
 
 func (v *Value) addUse(op *Op, index int) {
+	if v.uses == nil {
+		v.uses = v.use0[:0]
+	}
 	v.uses = append(v.uses, Use{op, index})
 }
 
@@ -87,12 +96,18 @@ func (v *Value) removeUse(op *Op, index int) {
 // Op is a generic operation, identified by its dialect-qualified name
 // (e.g. "accfg.setup"). Operands, results, attributes, and nested regions
 // follow MLIR's generic operation structure.
+//
+// An op is one allocation: its first operands, its first result (value and
+// slot) and its first attributes live in the Op itself, and a list moves to
+// the heap only when it outgrows that inline room. Ops are handled by
+// pointer only — the lists point into the struct, so a copy of an Op would
+// share them.
 type Op struct {
 	name     string
 	kind     *OpInfo // registered kind of name, resolved by NewOp; nil when unregistered
 	operands []*Value
 	results  []*Value
-	attrs    map[string]Attribute // nil until the first SetAttr
+	attrs    []namedAttr // sorted by key
 	regions  []*Region
 
 	parent     *Block
@@ -101,6 +116,25 @@ type Op struct {
 	// the list, meaningful only while parent.ordered is set (see
 	// Block.renumber).
 	order int
+
+	operand0 [inlineOperands]*Value
+	result0  [1]*Value
+	value0   Value // result 0 when it is inline (result0[0] == &value0)
+	attr0    [inlineAttrs]namedAttr
+}
+
+// Inline room in an Op: enough for every arith op (at most three operands,
+// one result, one attribute); a setup's field operands and a loop's carried
+// values spill to the heap.
+const (
+	inlineOperands = 3
+	inlineAttrs    = 2
+)
+
+// namedAttr is one entry of an op's attribute dictionary.
+type namedAttr struct {
+	key string
+	val Attribute
 }
 
 // NewOp creates a detached operation. resultTypes determines the number and
@@ -108,22 +142,40 @@ type Op struct {
 // InsertBefore) before the program is printed or verified. The op's kind is
 // looked up here, once: see Register for the ordering rule that follows.
 func NewOp(name string, operands []*Value, resultTypes []Type) *Op {
-	op := &Op{name: name, kind: kinds()[name]}
-	if len(operands) > 0 {
-		op.operands = make([]*Value, len(operands))
-		for i, v := range operands {
-			op.operands[i] = v
-			if v != nil {
-				v.addUse(op, i)
-			}
+	op := newOp(name, len(operands), len(resultTypes))
+	for i, v := range operands {
+		op.operands[i] = v
+		if v != nil {
+			v.addUse(op, i)
 		}
 	}
-	if n := len(resultTypes); n > 0 {
+	for i, t := range resultTypes {
+		op.results[i].typ = t
+	}
+	return op
+}
+
+// newOp allocates an op with nOperands nil operand slots and nResults
+// untyped results, the lists in the op's inline room where they fit.
+func newOp(name string, nOperands, nResults int) *Op {
+	op := &Op{name: name, kind: kinds()[name]}
+	op.attrs = op.attr0[:0]
+	if nOperands <= inlineOperands {
+		op.operands = op.operand0[:nOperands]
+	} else {
+		op.operands = make([]*Value, nOperands)
+	}
+	op.results = op.result0[:0]
+	switch {
+	case nResults == 1:
+		op.value0 = Value{def: op}
+		op.results = append(op.results, &op.value0)
+	case nResults > 1:
 		// One block for all results: they live and die with the op.
-		vals := make([]Value, n)
-		op.results = make([]*Value, n)
-		for i, t := range resultTypes {
-			vals[i] = Value{typ: t, def: op, index: i}
+		vals := make([]Value, nResults)
+		op.results = make([]*Value, nResults)
+		for i := range vals {
+			vals[i] = Value{def: op, index: i}
 			op.results[i] = &vals[i]
 		}
 	}
@@ -220,7 +272,12 @@ func (op *Op) Results() []*Value {
 // AddResult appends a new result value of the given type. Used by passes
 // that extend ops in place (e.g. adding loop-carried state to scf.for).
 func (op *Op) AddResult(t Type) *Value {
-	v := &Value{typ: t, def: op, index: len(op.results)}
+	v := &op.value0
+	if len(op.results) > 0 || v.def != nil {
+		// The inline value is taken, or was and still has readers' pointers.
+		v = &Value{}
+	}
+	*v = Value{typ: t, def: op, index: len(op.results)}
 	op.results = append(op.results, v)
 	return v
 }
@@ -239,44 +296,69 @@ func (op *Op) EraseResult(i int) {
 }
 
 // Attr returns the attribute stored under key, or nil.
-func (op *Op) Attr(key string) Attribute { return op.attrs[key] }
+func (op *Op) Attr(key string) Attribute {
+	if i, ok := op.attrIndex(key); ok {
+		return op.attrs[i].val
+	}
+	return nil
+}
+
+// attrIndex returns where key is, or would be inserted, in the sorted
+// dictionary. An op carries a handful of attributes, so a scan beats a
+// binary search.
+func (op *Op) attrIndex(key string) (int, bool) {
+	for i := range op.attrs {
+		if k := op.attrs[i].key; k >= key {
+			return i, k == key
+		}
+	}
+	return len(op.attrs), false
+}
 
 // SetAttr stores an attribute under key.
 func (op *Op) SetAttr(key string, a Attribute) {
-	if op.attrs == nil {
-		op.attrs = make(map[string]Attribute)
+	i, ok := op.attrIndex(key)
+	if ok {
+		op.attrs[i].val = a
+		return
 	}
-	op.attrs[key] = a
+	op.attrs = append(op.attrs, namedAttr{})
+	copy(op.attrs[i+1:], op.attrs[i:])
+	op.attrs[i] = namedAttr{key, a}
 }
 
 // RemoveAttr deletes the attribute stored under key.
-func (op *Op) RemoveAttr(key string) { delete(op.attrs, key) }
+func (op *Op) RemoveAttr(key string) {
+	if i, ok := op.attrIndex(key); ok {
+		op.attrs = append(op.attrs[:i], op.attrs[i+1:]...)
+	}
+}
 
 // HasAttr reports whether key is present.
 func (op *Op) HasAttr(key string) bool {
-	_, ok := op.attrs[key]
+	_, ok := op.attrIndex(key)
 	return ok
 }
 
-// AttrKeys returns the attribute keys in unspecified order.
-func (op *Op) AttrKeys() []string {
-	keys := make([]string, 0, len(op.attrs))
-	for k := range op.attrs {
-		keys = append(keys, k)
-	}
-	return keys
+// NumAttrs returns the number of attributes.
+func (op *Op) NumAttrs() int { return len(op.attrs) }
+
+// AttrAt returns attribute i of the dictionary in key order, so that
+// 0..NumAttrs()-1 visits the dictionary in place, sorted.
+func (op *Op) AttrAt(i int) (key string, a Attribute) {
+	return op.attrs[i].key, op.attrs[i].val
 }
 
 // IntAttrValue returns the integer value of an IntegerAttr stored under key.
 // ok is false when the attribute is absent or not an integer.
 func (op *Op) IntAttrValue(key string) (v int64, ok bool) {
-	a, isInt := op.attrs[key].(IntegerAttr)
+	a, isInt := op.Attr(key).(IntegerAttr)
 	return a.Value, isInt
 }
 
 // StringAttrValue returns the string value stored under key.
 func (op *Op) StringAttrValue(key string) (v string, ok bool) {
-	a, isStr := op.attrs[key].(StringAttr)
+	a, isStr := op.Attr(key).(StringAttr)
 	return a.Value, isStr
 }
 
@@ -289,7 +371,7 @@ func (op *Op) Region(i int) *Region { return op.regions[i] }
 // AddRegion appends a new empty single-block region and returns it.
 func (op *Op) AddRegion() *Region {
 	r := &Region{parent: op}
-	r.block = &Block{region: r}
+	r.block.region = r
 	op.regions = append(op.regions, r)
 	return r
 }
@@ -419,26 +501,19 @@ func (op *Op) Clone(mapping map[*Value]*Value) *Op {
 	if mapping == nil {
 		mapping = map[*Value]*Value{}
 	}
-	operands := make([]*Value, len(op.operands))
+	cl := newOp(op.name, len(op.operands), len(op.results))
 	for i, v := range op.operands {
 		if m, ok := mapping[v]; ok {
-			operands[i] = m
-		} else {
-			operands[i] = v
+			v = m
+		}
+		cl.operands[i] = v
+		if v != nil {
+			v.addUse(cl, i)
 		}
 	}
-	types := make([]Type, len(op.results))
+	cl.attrs = append(cl.attrs, op.attrs...)
 	for i, r := range op.results {
-		types[i] = r.typ
-	}
-	cl := NewOp(op.name, operands, types)
-	if len(op.attrs) > 0 {
-		cl.attrs = make(map[string]Attribute, len(op.attrs))
-		for k, v := range op.attrs {
-			cl.attrs[k] = v
-		}
-	}
-	for i, r := range op.results {
+		cl.results[i].typ = r.typ
 		cl.results[i].name = r.name
 		mapping[r] = cl.results[i]
 	}
@@ -460,11 +535,11 @@ func (op *Op) Clone(mapping map[*Value]*Value) *Op {
 // Region is a single-block region nested under an op.
 type Region struct {
 	parent *Op
-	block  *Block
+	block  Block
 }
 
 // Block returns the region's single block.
-func (r *Region) Block() *Block { return r.block }
+func (r *Region) Block() *Block { return &r.block }
 
 // ParentOp returns the op owning this region.
 func (r *Region) ParentOp() *Op { return r.parent }
@@ -629,7 +704,7 @@ func Walk(op *Op, fn func(*Op)) {
 	regions := op.regions
 	fn(op)
 	for _, r := range regions {
-		WalkBlock(r.block, fn)
+		WalkBlock(&r.block, fn)
 	}
 }
 

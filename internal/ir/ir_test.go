@@ -410,3 +410,87 @@ func TestModuleFindFunc(t *testing.T) {
 		t.Errorf("Funcs() = %d, want 3", len(m.Funcs()))
 	}
 }
+
+// TestAttrDictionaryIsSorted: an op keeps its attributes sorted by key
+// whatever order they were set in, in its inline room or beyond it, so
+// AttrAt and the printer read one order without sorting.
+func TestAttrDictionaryIsSorted(t *testing.T) {
+	keys := func(op *ir.Op) string {
+		var ks []string
+		for i := 0; i < op.NumAttrs(); i++ {
+			k, _ := op.AttrAt(i)
+			ks = append(ks, k)
+		}
+		return strings.Join(ks, ",")
+	}
+	op := ir.NewOp("test.attrs", nil, nil)
+	for _, k := range []string{"m", "z", "a", "q"} {
+		op.SetAttr(k, ir.StringAttr{Value: k})
+	}
+	op.SetAttr("m", ir.IntAttr(1)) // replaces, keeps its place
+	want := []string{"a", "m", "q", "z"}
+	if got := keys(op); got != strings.Join(want, ",") {
+		t.Fatalf("keys in AttrAt order = %s, want %v", got, want)
+	}
+	for i, k := range want {
+		if key, a := op.AttrAt(i); key != k || a != op.Attr(k) {
+			t.Errorf("AttrAt(%d) = %s, %v; want %s, %v", i, key, a, k, op.Attr(k))
+		}
+	}
+	if got := ir.Print(op); !strings.Contains(got, `{a = "a", m = 1 : i64, q = "q", z = "z"}`) {
+		t.Errorf("printed dictionary not in key order: %s", got)
+	}
+	op.RemoveAttr("m")
+	op.RemoveAttr("absent")
+	if op.NumAttrs() != 3 || op.HasAttr("m") || op.Attr("m") != nil || !op.HasAttr("z") {
+		t.Errorf("after RemoveAttr: keys %s", keys(op))
+	}
+	// A clone copies the dictionary, and the two then change apart.
+	cl := op.Clone(nil)
+	cl.SetAttr("b", ir.UnitAttr{})
+	if op.HasAttr("b") || keys(cl) != "a,b,q,z" {
+		t.Errorf("clone shares its dictionary: original %s, clone %s", keys(op), keys(cl))
+	}
+}
+
+// TestInlineStorageKeepsIdentity: the inline result and the inline first use
+// are storage, not identity. A result added after the inline one was erased
+// is a new value (readers holding the old pointer must not see it change),
+// and use lists that grow past, shrink below and move out of the inline use
+// keep their order.
+func TestInlineStorageKeepsIdentity(t *testing.T) {
+	op := ir.NewOp("test.results", nil, []ir.Type{ir.I64})
+	r0 := op.Result(0)
+	op.EraseResult(0)
+	r1 := op.AddResult(ir.I1)
+	if r1 == r0 || r0.Type() != ir.I64 || r1.Type() != ir.I1 || r1.DefiningOp() != op || op.NumResults() != 1 {
+		t.Fatalf("AddResult after EraseResult reused the erased value: %p %p", r0, r1)
+	}
+	r2 := op.AddResult(ir.I64)
+	if r2.ResultIndex() != 1 || op.Result(0) != r1 || op.Result(1) != r2 {
+		t.Errorf("results after a second AddResult: %v", []*ir.Value{op.Result(0), op.Result(1)})
+	}
+
+	m := ir.NewModule()
+	b := ir.AtEnd(m.Block())
+	v := b.Create("test.source", nil, []ir.Type{ir.I64}).Result(0)
+	w := b.Create("test.source", nil, []ir.Type{ir.I64}).Result(0)
+	first := b.Create("test.sink", []*ir.Value{w}, nil)
+	var users []*ir.Op
+	for i := 0; i < 3; i++ {
+		users = append(users, b.Create("test.sink", []*ir.Value{v}, nil))
+	}
+	users[0].Erase()
+	v.ReplaceAllUsesWith(w)
+	uses := w.Uses()
+	if len(uses) != 3 || uses[0].Op != first || uses[1].Op != users[1] || uses[2].Op != users[2] || v.NumUses() != 0 {
+		t.Fatalf("uses after RAUW = %v, want first, users[1], users[2]", uses)
+	}
+	if err := ir.Verify(m); err != nil {
+		t.Fatal(err)
+	}
+	b.Create("test.sink", []*ir.Value{v}, nil)
+	if !v.HasOneUse() || w.NumUses() != 3 {
+		t.Errorf("a value emptied by RAUW takes a new use: %d, %d uses", v.NumUses(), w.NumUses())
+	}
+}

@@ -272,7 +272,7 @@ func (p *parser) parseOp() (*Op, error) {
 		}
 	}
 
-	attrs := map[string]Attribute{}
+	var attrs []namedAttr
 	if p.tok.kind == tokLBrace {
 		var err error
 		attrs, err = p.parseAttrDict()
@@ -316,8 +316,8 @@ func (p *parser) parseOp() (*Op, error) {
 	}
 
 	op := NewOp(name, operands, resultTypes)
-	for k, v := range attrs {
-		op.SetAttr(k, v)
+	for _, a := range attrs {
+		op.SetAttr(a.key, a.val) // a repeated key: the last one wins
 	}
 	for i, rn := range resultNames {
 		p.values[rn] = op.Result(i)
@@ -381,7 +381,7 @@ func (p *parser) parseRegionBody() (func(*Op) error, error) {
 
 	// Pre-create a detached block so nested values resolve while parsing.
 	region := &Region{}
-	region.block = &Block{region: region}
+	region.block.region = region
 	for i, n := range argNames {
 		a := region.block.AddArg(argTypes[i])
 		p.values[n] = a
@@ -406,24 +406,24 @@ func (p *parser) parseRegionBody() (func(*Op) error, error) {
 	}, nil
 }
 
-func (p *parser) parseAttrDict() (map[string]Attribute, error) {
+// parseAttrDict reads an attribute dictionary's entries in text order.
+func (p *parser) parseAttrDict() ([]namedAttr, error) {
 	if err := p.expect(tokLBrace, "'{'"); err != nil {
 		return nil, err
 	}
-	attrs := map[string]Attribute{}
+	var attrs []namedAttr
 	for p.tok.kind == tokIdent || p.tok.kind == tokString {
 		key := p.tok.text
 		p.next()
+		var a Attribute = UnitAttr{}
 		if p.tok.kind == tokEquals {
 			p.next()
-			a, err := p.parseAttr()
-			if err != nil {
+			var err error
+			if a, err = p.parseAttr(); err != nil {
 				return nil, err
 			}
-			attrs[key] = a
-		} else {
-			attrs[key] = UnitAttr{}
 		}
+		attrs = append(attrs, namedAttr{key, a})
 		if p.tok.kind == tokComma {
 			p.next()
 		}

@@ -32,10 +32,11 @@ type OpInfo struct {
 	Traits []Trait
 	// Verify checks op-specific invariants; nil means no extra checks.
 	Verify func(*Op) error
-	// Fold attempts to simplify the op in place or compute a constant.
-	// It returns a replacement value per result (all nil = no fold), or
-	// inPlace=true when the op was updated without replacement.
-	Fold func(*Op) (replacements []*Value, inPlace bool)
+	// Fold attempts to simplify a one-result op in place or compute a
+	// constant. It returns the value that replaces the op's result (nil =
+	// no fold), or inPlace=true when the op was updated without
+	// replacement.
+	Fold func(*Op) (replacement *Value, inPlace bool)
 	// Summary is a one-line human description used by cwopt -help-ops.
 	Summary string
 }

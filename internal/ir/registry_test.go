@@ -112,7 +112,7 @@ func TestOpBuiltBeforeRegisterStaysUnregistered(t *testing.T) {
 		Name:   name,
 		Traits: []ir.Trait{ir.TraitPure, ir.TraitConstant},
 		Verify: func(*ir.Op) error { return fmt.Errorf("verifier ran") },
-		Fold:   func(*ir.Op) ([]*ir.Value, bool) { folds++; return nil, false },
+		Fold:   func(*ir.Op) (*ir.Value, bool) { folds++; return nil, false },
 	})
 	// Asked twice: the answer cannot depend on when the query comes.
 	for i := 0; i < 2; i++ {

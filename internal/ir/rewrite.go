@@ -28,7 +28,7 @@ func (p PatternFunc) MatchAndRewrite(op *Op, b *Builder) bool { return p.Fn(op, 
 // greedy pattern rewrite driver). Returns whether anything changed.
 func ApplyPatternsGreedy(root *Op, patterns []RewritePattern) bool {
 	changedEver := false
-	var ops []*Op
+	ops := make([]*Op, 0, countNested(root))
 	for iter := 0; iter < 100; iter++ {
 		changed := false
 		ops = ops[:0]
@@ -67,32 +67,26 @@ func ApplyPatternsGreedy(root *Op, patterns []RewritePattern) bool {
 	return changedEver
 }
 
-// tryFold invokes the registered folder for op. When the folder produces
-// replacement values, op's results are replaced and op erased.
+// tryFold invokes the registered folder for op, which has one result. When
+// the folder produces a replacement value, op's result is replaced and op
+// erased.
 func tryFold(op *Op) bool {
 	if op.HasAttr("volatile") {
 		// Volatile ops model the paper's volatile-asm baseline: the
 		// compiler must emit them verbatim, so no folding either.
 		return false
 	}
-	if op.kind == nil || op.kind.Fold == nil {
+	if op.kind == nil || op.kind.Fold == nil || len(op.results) != 1 {
 		return false
 	}
-	repls, inPlace := op.kind.Fold(op)
+	repl, inPlace := op.kind.Fold(op)
 	if inPlace {
 		return true
 	}
-	if repls == nil {
+	if repl == nil {
 		return false
 	}
-	for _, r := range repls {
-		if r == nil {
-			return false // partial folds unsupported
-		}
-	}
-	for i, r := range repls {
-		op.Result(i).ReplaceAllUsesWith(r)
-	}
+	op.results[0].ReplaceAllUsesWith(repl)
 	op.Erase()
 	return true
 }

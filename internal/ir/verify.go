@@ -66,7 +66,7 @@ func verifyOp(op, root, top *Op) error {
 		}
 	}
 	for _, region := range op.regions {
-		blk := region.block
+		blk := &region.block
 		for _, a := range blk.args {
 			if err := verifyUses(a, top); err != nil {
 				return err

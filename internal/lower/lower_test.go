@@ -371,7 +371,7 @@ func TestPackedMateWithDroppedValueIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	dropped := build(true)
-	if got := analysis.Summarize(dropped).Funcs[0].Launches[0].Fields["I"]; !got.IsTop() {
+	if got := analysis.Summarize(dropped).Funcs[0].Launches[0].Fields.Get("I"); !got.IsTop() {
 		t.Errorf("the analysis knows the dropped mate as I = %s, want ⊤", got)
 	}
 	if v := analysis.CompareModules(dropped, dropped.Clone()); v.Proved() {
@@ -428,7 +428,7 @@ func TestPackedMateIsWhatTheLoweringPacks(t *testing.T) {
 	}
 	launches := analysis.Summarize(m).Funcs[0].Launches
 	for _, field := range []string{"I", "K"} {
-		if got := launches[2].Fields[field]; !got.Equal(analysis.Const(1)) {
+		if got := launches[2].Fields.Get(field); !got.Equal(analysis.Const(1)) {
 			t.Errorf("launch #2: %s = %s, want 1", field, got)
 		}
 	}

@@ -7,8 +7,8 @@
 package passes
 
 import (
-	"sort"
 	"strconv"
+	"strings"
 
 	"configwall/internal/dialects/scf"
 	"configwall/internal/ir"
@@ -33,7 +33,8 @@ func CSE() ir.Pass {
 	return ir.PassFunc{
 		PassName: "cse",
 		Fn: func(m *ir.Module) error {
-			c := cse{seen: map[string]*ir.Op{}, ids: map[*ir.Value]int{}}
+			n := ir.CountOps(m)
+			c := cse{seen: make(map[string]*ir.Op, n), ids: make(map[*ir.Value]int, n)}
 			for _, f := range m.Funcs() {
 				c.block(f.Region(0).Block())
 				c.leave(0)
@@ -53,6 +54,11 @@ type cse struct {
 	trail []string
 	ids   map[*ir.Value]int // operand identity: values numbered on first sight
 	key   []byte            // scratch for the key being built
+	// keys holds the text of every key in seen, back to back: a key is a
+	// substring of it, so entering one costs no allocation of its own.
+	// Written bytes never change, and growing the buffer leaves earlier
+	// keys on the old one.
+	keys strings.Builder
 }
 
 // opKey builds the structural key of a pure op into c.key: name, operand
@@ -73,22 +79,19 @@ func (c *cse) opKey(op *ir.Op) {
 		k = append(k, ',')
 	}
 	k = append(k, ')')
-	keys := op.AttrKeys()
-	if len(keys) > 1 {
-		sort.Strings(keys)
-	}
-	for _, name := range keys {
+	for i := 0; i < op.NumAttrs(); i++ {
+		name, attr := op.AttrAt(i)
 		k = append(k, '{')
 		k = append(k, name...)
 		k = append(k, '=')
-		if a, ok := op.Attr(name).(ir.IntegerAttr); ok {
+		if a, ok := attr.(ir.IntegerAttr); ok {
 			// The one attribute every constant carries: spell it here
 			// rather than through a String per op per run.
 			k = strconv.AppendInt(k, a.Value, 10)
 			k = append(k, " : "...)
 			k = append(k, a.Type.String()...)
 		} else {
-			k = append(k, op.Attr(name).String()...)
+			k = append(k, attr.String()...)
 		}
 		k = append(k, '}')
 	}
@@ -115,7 +118,9 @@ func (c *cse) block(b *ir.Block) {
 				op.Erase()
 				continue
 			}
-			key := string(c.key)
+			c.keys.Write(c.key)
+			all := c.keys.String()
+			key := all[len(all)-len(c.key):]
 			c.seen[key] = op
 			c.trail = append(c.trail, key)
 		}
