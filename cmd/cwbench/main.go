@@ -13,11 +13,9 @@
 //	cwbench -cache-dir .cwcache -store-ls    # list the stored entries
 //	cwbench -cpuprofile cw.pprof -only fig11  # pprof profile of a real sweep
 //	cwbench -memprofile heap.pprof -only fig11  # post-GC heap profile at exit
-//	cwbench -calibrate model.json             # fit the analytical tier,
-//	                                          # print constants + held-out
-//	                                          # error report, write model
-//	cwbench -fidelity screen -model model.json -only fig11  # zero-sim sweep
-//	cwbench -fidelity topk -topk 8 -model model.json -only fig11
+//	cwbench -fidelity screen -only fig11      # zero-sim sweep; the fit's
+//	                                          # held-out report on stderr
+//	cwbench -fidelity topk -topk 8 -only fig11
 //
 // All experiment cells run on one shared concurrent runner, so artifacts
 // that revisit a cell (Figure 11 and Figure 12 share their base/all cells)
@@ -29,11 +27,11 @@
 // shard against the same -cache-dir, then a final plain invocation renders
 // every figure from the store.
 //
-// -fidelity screen|topk answers the selected figures' whole grid once
+// -fidelity screen|topk fits the analytical tier (analytic.Attach, seed
+// analytic.DefaultSeed), answers the selected figures' whole grid once
 // through Runner.RunTopK (screen is k = 0) and renders from exactly those
-// answers, so stdout is a function of the flags and the model: the same
-// with -model FILE and with the in-process fit of the same seed, whatever
-// the calibration left in the runner (CI compares the two).
+// answers, so stdout is a function of the flags alone, whatever the
+// calibration left in the runner (CI compares two runs).
 package main
 
 import (
@@ -180,10 +178,8 @@ func main() {
 	storeLS := flag.Bool("store-ls", false, "list the entries of -cache-dir (sorted by cache key) and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-GC live objects) to this file at exit")
-	calibrate := flag.String("calibrate", "", "fit the analytical tier against the simulator, print constants + held-out error report, write the model JSON here, and exit (non-zero on band violation)")
-	fidelity := flag.String("fidelity", "full", "prediction tier for figure sweeps (full|screen|topk, DESIGN.md §10)")
+	fidelity := flag.String("fidelity", "full", "prediction tier for figure sweeps (full|screen|topk, DESIGN.md §10); screen/topk fit the tier first and print its held-out report to stderr (non-zero exit on a band violation)")
 	topK := flag.Int("topk", 8, "cells simulated per figure grid with -fidelity topk")
-	modelPath := flag.String("model", "", "calibrated analytic model JSON for -fidelity screen/topk (empty = calibrate in-process first)")
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -260,13 +256,7 @@ func main() {
 		}
 	}
 
-	if *calibrate != "" {
-		if err := runCalibrate(b.runner, *calibrate); err != nil {
-			fatal("-calibrate: %v", err)
-		}
-		return
-	}
-	if err := setupFidelity(b, *fidelity, *modelPath, *topK, *only, *shardSpec != ""); err != nil {
+	if err := setupFidelity(b, *fidelity, *topK, *only, *shardSpec != ""); err != nil {
 		fatal("%v", err)
 	}
 

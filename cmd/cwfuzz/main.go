@@ -12,11 +12,6 @@
 // co-simulation, and every co-simulated case's dynamic outcome is
 // cross-checked against the static verdict — a contradiction
 // (static-disagree) fails the campaign even when no other divergence does.
-// After the per-target campaigns, a standing analytic-bounds phase
-// recalibrates the analytical prediction tier (internal/analytic) against
-// the live simulator at the campaign seed and fails the run if any
-// held-out prediction drifts outside the documented error band
-// (analytic-bounds divergences, DESIGN.md §10).
 // Programs execute concurrently on the shared
 // experiment worker pool, but reports are input-ordered and byte-identical
 // across runs with the same flags.
@@ -41,7 +36,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"configwall/internal/analytic"
 	"configwall/internal/core"
 	"configwall/internal/difftest"
 	"configwall/internal/ir"
@@ -85,43 +79,11 @@ func main() {
 			failed = true
 		}
 	}
-	if !runAnalyticPhase(targets, *seed, *workers) {
-		failed = true
-	}
 	if failed {
 		fmt.Println("cwfuzz: FAIL")
 		os.Exit(1)
 	}
 	fmt.Println("cwfuzz: PASS")
-}
-
-// runAnalyticPhase is the standing analytic-bounds invariant
-// (KindAnalyticBounds): recalibrate the analytical prediction tier
-// against the live simulator and fail the campaign if any held-out cell
-// or per-target geomean drifts outside the documented error band. The
-// phase is deterministic in the campaign seed — the same seed always
-// fits the same training cells and validates the same held-out cells —
-// so its output is byte-identical across reruns.
-func runAnalyticPhase(targets []string, seed int64, workers int) bool {
-	r := core.NewRunnerWith(core.RunnerOptions{Workers: workers})
-	_, rep, divs, err := difftest.CheckAnalyticBounds(context.Background(), r,
-		analytic.Spec{Targets: targets, Seed: seed})
-	if err != nil {
-		fmt.Printf("analytic: calibration error: %v\n", err)
-		return false
-	}
-	for _, tr := range rep.Targets {
-		violations := len(tr.Violations(rep.Band))
-		if tr.GeomeanErr > rep.Band.Geomean {
-			violations++
-		}
-		fmt.Printf("%s: analytic bounds: %d held-out cells, geomean cycle error %.1f%%, max %.1f%%, %d violations\n",
-			tr.Target, len(tr.Cells), 100*tr.GeomeanErr, 100*tr.MaxErr, violations)
-	}
-	for _, d := range divs {
-		fmt.Printf("  %s\n", d)
-	}
-	return len(divs) == 0
 }
 
 // targetList resolves the targets to fuzz, sorted (TargetNames is sorted).

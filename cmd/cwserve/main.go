@@ -82,7 +82,6 @@ func main() {
 	maxN := flag.Int("max-n", 0, "cap on any requested sweep size n (0 = default 1024)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on SIGTERM")
 	analyticFit := flag.Bool("analytic", false, "calibrate the analytical prediction tier at boot (enables /v1/sweep fidelity screen/topk)")
-	analyticModel := flag.String("analytic-model", "", "load a calibrated analytic model JSON (cwbench -calibrate) instead of fitting at boot; implies -analytic")
 	flag.Parse()
 
 	ropts := core.RunnerOptions{Workers: *workers, MaxCells: *maxCells}
@@ -102,8 +101,8 @@ func main() {
 	}
 	runner := core.NewRunnerWith(ropts)
 
-	if *analyticFit || *analyticModel != "" {
-		if err := attachAnalytic(runner, *analyticModel); err != nil {
+	if *analyticFit {
+		if err := attachAnalytic(runner); err != nil {
 			fatal("%v", err)
 		}
 	}
@@ -149,19 +148,13 @@ func main() {
 }
 
 // attachAnalytic installs the analytical prediction tier on the runner
-// (analytic.Attach: a model file, or a boot-time fit that must honor its
-// band) and logs what the daemon will screen with.
-func attachAnalytic(runner *core.Runner, modelPath string) error {
-	if modelPath == "" {
-		logf("calibrating analytic tier (seed %d)", analytic.DefaultSeed)
-	}
-	model, rep, err := analytic.Attach(context.Background(), runner, modelPath, analytic.DefaultSeed)
+// (analytic.Attach: a boot-time fit that must honor its band) and logs its
+// held-out error.
+func attachAnalytic(runner *core.Runner) error {
+	logf("calibrating analytic tier (seed %d)", analytic.DefaultSeed)
+	rep, err := analytic.Attach(context.Background(), runner, analytic.DefaultSeed)
 	if err != nil {
 		return err
-	}
-	if rep == nil {
-		logf("analytic tier loaded from %s (calibration seed %d)", modelPath, model.Seed)
-		return nil
 	}
 	for _, tr := range rep.Targets {
 		logf("analytic %s: %d held-out cells, geomean cycle error %.1f%%, max %.1f%%",

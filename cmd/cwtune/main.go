@@ -173,7 +173,7 @@ func bootDaemon(cacheDir string, analyticTier bool, seed int64) (*serve.Client, 
 
 	if analyticTier {
 		logf("calibrating analytic surrogate (seed %d)", seed)
-		if _, _, err := analytic.Attach(context.Background(), runner, "", seed); err != nil {
+		if _, err := analytic.Attach(context.Background(), runner, seed); err != nil {
 			return nil, nil, err
 		}
 	}

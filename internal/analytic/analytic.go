@@ -1,13 +1,13 @@
 // Package analytic is the simulation-free prediction tier (DESIGN.md
 // §10): it estimates experiment Results — cycles, configuration-write
 // cycles, overlap savings — for any (target × workload × pipeline × size)
-// cell in microseconds, from per-target roofline constants plus
-// per-(workload, pipeline) overhead curves fitted against the real
-// co-simulator on a seeded training grid. FLASH-style multi-fidelity
-// flows (core.Runner.Screen / RunTopK, cwserve sweep fidelities) query
-// this tier for the full grid and pay for simulation only on the
-// predicted winners; a standing difftest/cwfuzz invariant
-// (KindAnalyticBounds) re-checks the held-out error band forever after.
+// cell in microseconds, from the target's peak plus per-(workload,
+// pipeline) overhead curves fitted against the real co-simulator on a
+// seeded training grid. FLASH-style multi-fidelity flows
+// (core.Runner.Screen / RunTopK, cwserve sweep fidelities) query this tier
+// for the full grid and pay for simulation only on the predicted winners.
+// Attach is the one way a binary gets a predictor: it fits, refuses a fit
+// outside the held-out error band, and installs it.
 //
 // The fit basis is structural, not polynomial-in-n: every counter the
 // simulator reports is (to first order) an affine combination of the
@@ -22,66 +22,51 @@
 package analytic
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"sort"
 
 	"configwall/internal/core"
 	"configwall/internal/workload"
 )
 
-// Schema versions the fitted-model serialization; bump on any change to
-// the fit basis or the prediction formula, so a stale constants file is
-// rejected instead of silently mispredicting.
-const Schema = 1
-
 // numFeatures is the length of the structural feature vector: see
 // features().
 const numFeatures = 6
 
-// metricNames are the fitted counters, in serialization order. Cycles is
-// deliberately absent: it is predicted structurally from these fits plus
-// a log-space residual (see Curve.Residual), not fitted directly.
-var metricNames = []string{
-	"accel_busy",
-	"accel_ops",
-	"calc_cycles",
-	"config_bytes",
-	"config_cycles",
-	"config_instrs",
-	"host_instrs",
-	"launches",
-	"stall_cycles",
-	"sync_cycles",
-}
+// metric indexes the fitted counters of a Curve. Cycles is deliberately
+// absent: it is predicted structurally from these fits plus a log-space
+// residual (see Curve.Residual), not fitted directly.
+type metric int
 
-// metricValue extracts one fitted counter from a simulated result.
-func metricValue(res core.Result, name string) float64 {
-	switch name {
-	case "accel_busy":
-		return float64(res.AccelBusyCycles)
-	case "accel_ops":
-		return float64(res.AccelOps)
-	case "calc_cycles":
-		return float64(res.CalcCycles)
-	case "config_bytes":
-		return float64(res.ConfigBytes)
-	case "config_cycles":
-		return float64(res.ConfigCycles)
-	case "config_instrs":
-		return float64(res.ConfigInstrs)
-	case "host_instrs":
-		return float64(res.HostInstrs)
-	case "launches":
-		return float64(res.Launches)
-	case "stall_cycles":
-		return float64(res.StallCycles)
-	case "sync_cycles":
-		return float64(res.SyncCycles)
+const (
+	accelBusy metric = iota
+	accelOps
+	calcCycles
+	configBytes
+	configCycles
+	configInstrs
+	hostInstrs
+	launches
+	stallCycles
+	syncCycles
+	numMetrics
+)
+
+// counters reads every fitted counter of a simulated result, indexed by
+// metric.
+func counters(res core.Result) [numMetrics]float64 {
+	return [numMetrics]float64{
+		accelBusy:    float64(res.AccelBusyCycles),
+		accelOps:     float64(res.AccelOps),
+		calcCycles:   float64(res.CalcCycles),
+		configBytes:  float64(res.ConfigBytes),
+		configCycles: float64(res.ConfigCycles),
+		configInstrs: float64(res.ConfigInstrs),
+		hostInstrs:   float64(res.HostInstrs),
+		launches:     float64(res.Launches),
+		stallCycles:  float64(res.StallCycles),
+		syncCycles:   float64(res.SyncCycles),
 	}
-	return 0
 }
 
 // features computes the structural feature vector of one cell from the
@@ -97,27 +82,24 @@ func metricValue(res core.Result, name string) float64 {
 // compute time respectively. Simulated per-cell costs are affine in this
 // basis, so the fits interpolate *and* track launch-count
 // discontinuities exactly.
-func features(tn, wn string, n int) ([]float64, error) {
+func features(tgt core.Target, wn string, n int) ([numFeatures]float64, error) {
+	var row [numFeatures]float64
 	shape, ok := workload.ShapeByName(wn)
 	if !ok {
-		return nil, fmt.Errorf("unknown workload shape %q", wn)
+		return row, fmt.Errorf("unknown workload shape %q", wn)
 	}
 	mDim, kDim, nDim := shape.Dims(n)
-	tgt, err := core.LookupTarget(tn)
-	if err != nil {
-		return nil, err
-	}
 	if tgt.MatmulTiling == nil {
-		return nil, fmt.Errorf("target %q has no closed-form tiling", tn)
+		return row, fmt.Errorf("target %q has no closed-form tiling", tgt.Name)
 	}
 	til, err := tgt.MatmulTiling(mDim, kDim, nDim)
 	if err != nil {
-		return nil, err
+		return row, err
 	}
 	launches := float64(til.Launches)
 	tileM, tileN := float64(til.TileM), float64(til.TileN)
 	ops := 2 * float64(mDim) * float64(kDim) * float64(nDim)
-	return []float64{
+	return [numFeatures]float64{
 		1,
 		launches,
 		launches * float64(kDim),
@@ -127,124 +109,76 @@ func features(tn, wn string, n int) ([]float64, error) {
 	}, nil
 }
 
-// Constants are the per-target roofline parameters the structural cycle
-// estimate is built from (paper §4) — copied from the target registry at
-// calibration time so a saved model documents the hardware it was fitted
-// for.
-type Constants struct {
-	// PeakOps is peak performance in ops/cycle.
-	PeakOps float64 `json:"peak_ops"`
-	// BWConfig is the raw configuration bandwidth in bytes/cycle.
-	BWConfig float64 `json:"bw_config"`
-	// BWMemory is the memory bandwidth in bytes/cycle.
-	BWMemory float64 `json:"bw_memory"`
-	// Concurrent marks concurrent-configuration hardware (Eq. 2 vs Eq. 3).
-	Concurrent bool `json:"concurrent"`
-}
-
-// Curve holds the fitted terms of one (workload, pipeline) cell family.
+// Curve holds the fitted terms of one (target, workload, pipeline) cell
+// family.
 type Curve struct {
 	// Scale normalizes sizes for the residual: it evaluates in
 	// t = log(n/Scale). Set to the largest training size.
-	Scale float64 `json:"scale"`
-	// Metrics maps a counter name (metricNames) to its weighted linear
-	// fit coefficients over the structural feature basis (features()).
-	Metrics map[string][]float64 `json:"metrics"`
+	Scale float64
+	// Metrics holds, per counter, its weighted linear fit coefficients
+	// over the structural feature basis (features()).
+	Metrics [numMetrics][numFeatures]float64
 	// Residual is the log-space quadratic correction applied to the
 	// structural cycle estimate: cycles = structural · exp(q(log(n/Scale))).
 	// It absorbs what the structural terms cannot see — second-order
 	// stall/overlap interleaving and pipeline-specific warmup effects.
-	Residual [3]float64 `json:"residual"`
+	Residual [3]float64
 }
 
 // metric evaluates one fitted counter on a feature row, clamped
 // non-negative.
-func (c Curve) metric(name string, row []float64) float64 {
-	coef, ok := c.Metrics[name]
-	if !ok {
-		return 0
-	}
-	v := evalLinear(coef, row)
+func (c *Curve) metric(m metric, row *[numFeatures]float64) float64 {
+	v := evalLinear(c.Metrics[m][:], row[:])
 	if v < 0 || math.IsNaN(v) {
 		return 0
 	}
 	return v
 }
 
-// TargetModel is the calibrated model of one registered target.
-type TargetModel struct {
-	Constants Constants `json:"constants"`
-	// TrainSizes and HoldoutSizes record the calibration split (sorted),
-	// so the documented error band is auditable: predictions were never
-	// validated on cells they were fitted against.
-	TrainSizes   []int `json:"train_sizes"`
-	HoldoutSizes []int `json:"holdout_sizes"`
-	// Curves maps "workload/pipeline" (CurveKey) to its fitted terms.
-	Curves map[string]Curve `json:"curves"`
+// family names the cells one Curve covers.
+type family struct {
+	target, workload string
+	pipeline         core.Pipeline
 }
 
 // Model is a calibrated analytical predictor. It satisfies
 // core.Predictor; a zero Model predicts nothing. Models are immutable
 // after calibration and safe for concurrent use.
 type Model struct {
-	// Schema must equal the package Schema for the model to be loaded.
-	Schema int `json:"schema"`
-	// Seed is the calibration split seed (refitting with the same seed
-	// on the same simulator is byte-identical).
-	Seed int64 `json:"seed"`
-	// Band is the documented error band the model was validated against.
-	Band Band `json:"band"`
-	// Targets maps target name to its calibrated model.
-	Targets map[string]*TargetModel `json:"targets"`
-}
-
-// CurveKey names the per-(workload, pipeline) curve map entry.
-func CurveKey(workload string, p core.Pipeline) string {
-	return workload + "/" + p.String()
-}
-
-// TargetNames lists the calibrated targets, sorted.
-func (m *Model) TargetNames() []string {
-	names := make([]string, 0, len(m.Targets))
-	for n := range m.Targets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	curves map[family]*Curve
 }
 
 // Predict estimates the result of one experiment cell without simulating.
 // The returned Result is marked Analytic; its counters are model
-// estimates whose cycle error is bounded by the calibrated Band on
-// held-out cells inside the training size range (extrapolation beyond it
-// is screening-grade only — see DESIGN.md §10).
+// estimates whose cycle error is bounded by DefaultBand on held-out cells
+// inside the training size range (extrapolation beyond it is
+// screening-grade only — see DESIGN.md §10).
 func (m *Model) Predict(e core.Experiment) (core.Result, error) {
-	tm := m.Targets[e.Target]
-	if tm == nil {
-		return core.Result{}, fmt.Errorf("analytic: target %q not calibrated (calibrated: %v)", e.Target, m.TargetNames())
-	}
 	if e.N < 1 {
 		return core.Result{}, fmt.Errorf("analytic: %s: non-positive size", e)
 	}
-	key := CurveKey(e.Workload, e.Pipeline)
-	c, ok := tm.Curves[key]
-	if !ok {
-		return core.Result{}, fmt.Errorf("analytic: %s: no calibrated curve %q", e, key)
+	c := m.curves[family{e.Target, e.Workload, e.Pipeline}]
+	if c == nil {
+		return core.Result{}, fmt.Errorf("analytic: %s: no calibrated curve", e)
 	}
-	row, err := features(e.Target, e.Workload, e.N)
+	tgt, err := core.LookupTarget(e.Target)
 	if err != nil {
 		return core.Result{}, fmt.Errorf("analytic: %s: %w", e, err)
 	}
-
-	ops := c.metric("accel_ops", row)
-	calc := c.metric("calc_cycles", row)
-	cfgCycles := c.metric("config_cycles", row)
-	syncCycles := c.metric("sync_cycles", row)
-	stall := c.metric("stall_cycles", row)
-	peak := tm.Constants.PeakOps
-	if peak <= 0 {
-		return core.Result{}, fmt.Errorf("analytic: %s: non-positive calibrated peak", e)
+	row, err := features(tgt, e.Workload, e.N)
+	if err != nil {
+		return core.Result{}, fmt.Errorf("analytic: %s: %w", e, err)
 	}
+	peak := tgt.PeakOps
+	if peak <= 0 {
+		return core.Result{}, fmt.Errorf("analytic: %s: non-positive peak", e)
+	}
+
+	ops := c.metric(accelOps, &row)
+	calc := c.metric(calcCycles, &row)
+	cfgCycles := c.metric(configCycles, &row)
+	syncCycles := c.metric(syncCycles, &row)
+	stall := c.metric(stallCycles, &row)
 
 	// Structural estimate: the simulator's exact end-to-end decomposition
 	// Cycles = T_set + T_calc + T_sync + T_stall, each term fitted on the
@@ -277,30 +211,14 @@ func (m *Model) Predict(e core.Experiment) (core.Result, error) {
 	res.StallCycles = toCount(stall)
 	res.SyncCycles = toCount(syncCycles)
 	res.AccelOps = toCount(ops)
-	res.AccelBusyCycles = toCount(c.metric("accel_busy", row))
+	res.AccelBusyCycles = toCount(c.metric(accelBusy, &row))
 	res.CalcCycles = toCount(calc)
 	res.ConfigCycles = toCount(cfgCycles)
-	res.ConfigBytes = toCount(c.metric("config_bytes", row))
-	res.ConfigInstrs = toCount(c.metric("config_instrs", row))
-	res.HostInstrs = toCount(c.metric("host_instrs", row))
-	res.Launches = toCount(c.metric("launches", row))
+	res.ConfigBytes = toCount(c.metric(configBytes, &row))
+	res.ConfigInstrs = toCount(c.metric(configInstrs, &row))
+	res.HostInstrs = toCount(c.metric(hostInstrs, &row))
+	res.Launches = toCount(c.metric(launches, &row))
 	return res, nil
-}
-
-// PredictedSavings returns the predicted cycle savings of running a cell
-// under pipeline `to` instead of pipeline `from` (e.g. Baseline →
-// OverlapOnly quantifies overlap savings). Negative savings mean the
-// model predicts a slowdown.
-func (m *Model) PredictedSavings(target, workload string, from, to core.Pipeline, n int) (float64, error) {
-	a, err := m.Predict(core.Experiment{Target: target, Workload: workload, Pipeline: from, N: n})
-	if err != nil {
-		return 0, err
-	}
-	b, err := m.Predict(core.Experiment{Target: target, Workload: workload, Pipeline: to, N: n})
-	if err != nil {
-		return 0, err
-	}
-	return float64(a.Cycles) - float64(b.Cycles), nil
 }
 
 // toCount rounds a non-negative model estimate to a counter value.
@@ -309,40 +227,4 @@ func toCount(v float64) uint64 {
 		return 0
 	}
 	return uint64(v + 0.5)
-}
-
-// MarshalPretty serializes the model deterministically (sorted map keys,
-// stable float formatting): refitting with the same seed against the
-// same simulator yields byte-identical output.
-func (m *Model) MarshalPretty() ([]byte, error) {
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// WriteFile saves the model to path.
-func (m *Model) WriteFile(path string) error {
-	b, err := m.MarshalPretty()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
-}
-
-// ReadModel loads a fitted model from path, rejecting schema mismatches.
-func ReadModel(path string) (*Model, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var m Model
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("analytic: %s: %w", path, err)
-	}
-	if m.Schema != Schema {
-		return nil, fmt.Errorf("analytic: %s: schema %d, want %d (refit with cwbench -calibrate)", path, m.Schema, Schema)
-	}
-	return &m, nil
 }

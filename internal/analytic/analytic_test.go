@@ -1,10 +1,9 @@
 package analytic
 
 import (
-	"bytes"
 	"context"
 	"math"
-	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -27,7 +26,7 @@ func calibrated(t *testing.T) (*Model, *Report, *core.Runner) {
 	t.Helper()
 	calOnce.Do(func() {
 		calRunner = core.NewRunner(0)
-		calModel, calReport, calErr = Calibrate(context.Background(), calRunner, Spec{Seed: 1})
+		calModel, calReport, calErr = Calibrate(context.Background(), calRunner, 1)
 	})
 	if calErr != nil {
 		t.Fatalf("Calibrate: %v", calErr)
@@ -77,23 +76,24 @@ func TestFitLinearRecoversExact(t *testing.T) {
 }
 
 func TestFeaturesTrackTiling(t *testing.T) {
+	g, err := core.LookupTarget("gemmini")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// gemmini matmul n=160 tiles at 32 (25 launches), n=192 at 64 (9
 	// launches): the feature vector must see the discontinuity.
-	f160, err := features("gemmini", core.WorkloadMatmul, 160)
+	f160, err := features(g, core.WorkloadMatmul, 160)
 	if err != nil {
 		t.Fatalf("features(gemmini, matmul, 160): %v", err)
 	}
-	f192, err := features("gemmini", core.WorkloadMatmul, 192)
+	f192, err := features(g, core.WorkloadMatmul, 192)
 	if err != nil {
 		t.Fatalf("features(gemmini, matmul, 192): %v", err)
 	}
 	if f160[1] != 25 || f192[1] != 9 {
 		t.Errorf("launch features = %v, %v; want 25, 9", f160[1], f192[1])
 	}
-	if len(f160) != numFeatures {
-		t.Errorf("feature vector has %d entries, want %d", len(f160), numFeatures)
-	}
-	if _, err := features("gemmini", "conv9000", 64); err == nil {
+	if _, err := features(g, "conv9000", 64); err == nil {
 		t.Errorf("features accepted an unknown workload")
 	}
 }
@@ -170,77 +170,94 @@ func equalInts(a, b []int) bool {
 }
 
 // TestHeldOutErrorWithinBand is the calibration-hygiene property test
-// (and half of the acceptance criterion): for both targets and every
+// (and half of the acceptance criterion): for every distinct held-out pair
+// the seeded split can draw — the interior of DefaultSizes gives C(6,2) =
+// 15, and seeds 1…50 reach all of them — and for both targets and every
 // registered pipeline, cycle predictions on cells the fit never saw stay
-// within the documented band — geomean ≤ 15%, every cell ≤ 30%.
+// within the documented band: geomean ≤ 15%, every cell ≤ 30%. The fits
+// share one runner, so the grid is simulated once.
 func TestHeldOutErrorWithinBand(t *testing.T) {
-	model, report, _ := calibrated(t)
-
-	if got := model.TargetNames(); len(got) < 2 {
-		t.Fatalf("calibrated targets %v, want both registered targets", got)
+	_, _, runner := calibrated(t)
+	pairs := map[[2]int]bool{}
+	for seed := int64(1); seed <= 50; seed++ {
+		_, holdout, err := splitSizes(DefaultSizes, seed)
+		if err != nil {
+			t.Fatalf("splitSizes(seed %d): %v", seed, err)
+		}
+		if len(holdout) != 2 {
+			t.Fatalf("seed %d holds out %v, want two sizes", seed, holdout)
+		}
+		pair := [2]int{holdout[0], holdout[1]}
+		if pairs[pair] {
+			continue
+		}
+		pairs[pair] = true
+		_, report, err := Calibrate(context.Background(), runner, seed)
+		if err != nil {
+			t.Fatalf("Calibrate(seed %d): %v", seed, err)
+		}
+		checkBand(t, pair, report)
 	}
-	if len(report.Targets) != len(model.Targets) {
-		t.Fatalf("report covers %d targets, model %d", len(report.Targets), len(model.Targets))
+	if len(pairs) != 15 {
+		t.Errorf("seeds 1…50 reach %d held-out pairs, want all 15", len(pairs))
+	}
+}
+
+// checkBand holds one fit's held-out report to DefaultBand.
+func checkBand(t *testing.T, pair [2]int, report *Report) {
+	t.Helper()
+	if len(report.Targets) != len(core.TargetNames()) || len(report.Targets) < 2 {
+		t.Fatalf("held out %v: report covers %d targets, want every registered one", pair, len(report.Targets))
 	}
 	for _, tr := range report.Targets {
 		if len(tr.Cells) == 0 {
-			t.Fatalf("%s: no held-out cells", tr.Target)
+			t.Fatalf("held out %v: %s: no held-out cells", pair, tr.Target)
 		}
 		// Every registered pipeline must appear among the held-out cells.
 		pipes := map[core.Pipeline]bool{}
 		for _, c := range tr.Cells {
 			pipes[c.Exp.Pipeline] = true
-			if c.Err > report.Band.PerCell {
-				t.Errorf("%s: held-out cell %s error %.1f%% exceeds per-cell band %.0f%% (predicted %.0f, actual %.0f)",
-					tr.Target, c.Exp, 100*c.Err, 100*report.Band.PerCell, c.Predicted, c.Actual)
+			if c.Err > DefaultBand.PerCell {
+				t.Errorf("held out %v: %s: cell %s error %.1f%% exceeds per-cell band %.0f%% (predicted %.0f, actual %.0f)",
+					pair, tr.Target, c.Exp, 100*c.Err, 100*DefaultBand.PerCell, c.Predicted, c.Actual)
 			}
 		}
 		for _, p := range core.Pipelines {
 			if !pipes[p] {
-				t.Errorf("%s: pipeline %s has no held-out validation cells", tr.Target, p)
+				t.Errorf("held out %v: %s: pipeline %s has no held-out validation cells", pair, tr.Target, p)
 			}
 		}
-		if tr.GeomeanErr > report.Band.Geomean {
-			t.Errorf("%s: held-out geomean cycle error %.1f%% exceeds band %.0f%%", tr.Target, 100*tr.GeomeanErr, 100*report.Band.Geomean)
+		if tr.GeomeanErr > DefaultBand.Geomean {
+			t.Errorf("held out %v: %s: geomean cycle error %.1f%% exceeds band %.0f%%", pair, tr.Target, 100*tr.GeomeanErr, 100*DefaultBand.Geomean)
 		}
-		t.Logf("%s: %d held-out cells, geomean %.2f%%, max %.2f%%", tr.Target, len(tr.Cells), 100*tr.GeomeanErr, 100*tr.MaxErr)
+		t.Logf("held out %v: %s: %d cells, geomean %.2f%%, max %.2f%%", pair, tr.Target, len(tr.Cells), 100*tr.GeomeanErr, 100*tr.MaxErr)
 	}
 	if !report.Clean() {
-		t.Errorf("report.Clean() = false with no individual violation reported above")
+		t.Errorf("held out %v: report.Clean() = false with no individual violation reported above", pair)
 	}
 	if !strings.Contains(report.String(), "geomean cycle error") {
-		t.Errorf("report rendering missing summary line:\n%s", report.String())
+		t.Errorf("held out %v: report rendering missing summary line:\n%s", pair, report)
 	}
 }
 
-// TestCalibrateDeterminism: refitting with the same seed yields
-// byte-identical constants (the satellite determinism requirement). The
-// second fit reuses the runner's memoized cells, so this also pins that
-// fitting is a pure function of the simulated results.
+// TestCalibrateDeterminism: refitting with the same seed yields the same
+// model and report. The second fit reuses the runner's memoized cells, so
+// this also pins that fitting is a pure function of the simulated results.
 func TestCalibrateDeterminism(t *testing.T) {
-	model, _, runner := calibrated(t)
-	again, _, err := Calibrate(context.Background(), runner, Spec{Seed: 1})
+	model, report, runner := calibrated(t)
+	again, againReport, err := Calibrate(context.Background(), runner, 1)
 	if err != nil {
 		t.Fatalf("refit: %v", err)
 	}
-	b1, err := model.MarshalPretty()
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	b2, err := again.MarshalPretty()
-	if err != nil {
-		t.Fatalf("marshal refit: %v", err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("same-seed refit is not byte-identical (%d vs %d bytes)", len(b1), len(b2))
+	if !reflect.DeepEqual(model, again) || !reflect.DeepEqual(report, againReport) {
+		t.Fatalf("same-seed refit differs")
 	}
 	// A different seed changes the split, hence (almost surely) the fit.
-	other, _, err := Calibrate(context.Background(), runner, Spec{Seed: 2})
+	other, _, err := Calibrate(context.Background(), runner, 2)
 	if err != nil {
 		t.Fatalf("seed-2 fit: %v", err)
 	}
-	b3, _ := other.MarshalPretty()
-	if bytes.Equal(b1, b3) {
+	if reflect.DeepEqual(model, other) {
 		t.Errorf("seed 1 and seed 2 produced identical models; split shuffle is not seeded")
 	}
 }
@@ -263,7 +280,7 @@ func TestScreenFullGridZeroSimulations(t *testing.T) {
 			sizes = append(sizes, n)
 		}
 	}
-	grid := core.Sweep(model.TargetNames(), core.WorkloadNames(), core.Pipelines, sizes)
+	grid := core.Sweep(core.TargetNames(), core.WorkloadNames(), core.Pipelines, sizes)
 
 	res, err := r.Screen(context.Background(), grid)
 	if err != nil {
@@ -295,7 +312,7 @@ func TestScreenFullGridZeroSimulations(t *testing.T) {
 // (workers=1) so the ratio measures work, not scheduling.
 func TestTopKSweepSpeedup(t *testing.T) {
 	model, _, _ := calibrated(t)
-	grid := core.Sweep(model.TargetNames(), core.WorkloadNames(), core.Pipelines, []int{32, 64, 96})
+	grid := core.Sweep(core.TargetNames(), core.WorkloadNames(), core.Pipelines, []int{32, 64, 96})
 
 	cold := core.NewRunner(1)
 	start := time.Now()
@@ -334,7 +351,7 @@ func TestTopKSweepSpeedup(t *testing.T) {
 
 func TestPredictErrors(t *testing.T) {
 	model, _, _ := calibrated(t)
-	if _, err := model.Predict(core.Experiment{Target: "warp", Workload: core.WorkloadMatmul, N: 64}); err == nil || !strings.Contains(err.Error(), "not calibrated") {
+	if _, err := model.Predict(core.Experiment{Target: "warp", Workload: core.WorkloadMatmul, N: 64}); err == nil || !strings.Contains(err.Error(), "no calibrated curve") {
 		t.Errorf("unknown target: err = %v", err)
 	}
 	if _, err := model.Predict(core.Experiment{Target: "gemmini", Workload: "conv9000", N: 64}); err == nil || !strings.Contains(err.Error(), "no calibrated curve") {
@@ -350,8 +367,8 @@ func TestPredictErrors(t *testing.T) {
 }
 
 // TestPredictAllocs: the screening tier is cheap because a prediction is
-// closed-form — two small allocations per cell, which is what lets a
-// full-grid screen run thousands of cells per simulated one. The count is
+// closed-form — no allocation per cell, which is what lets a full-grid
+// screen run thousands of cells per simulated one. The count is
 // machine-independent, so it gates here rather than in a timed benchmark.
 func TestPredictAllocs(t *testing.T) {
 	model, _, _ := calibrated(t)
@@ -361,8 +378,8 @@ func TestPredictAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Errorf("Model.Predict allocates %.0f times per cell, want <= 2", allocs)
+	if allocs > 0 {
+		t.Errorf("Model.Predict allocates %.0f times per cell, want 0", allocs)
 	}
 }
 
@@ -371,47 +388,17 @@ func TestPredictAllocs(t *testing.T) {
 // claim the whole paper rests on.
 func TestPredictedSavings(t *testing.T) {
 	model, _, _ := calibrated(t)
-	for _, tn := range model.TargetNames() {
-		saved, err := model.PredictedSavings(tn, core.WorkloadMatmul, core.Baseline, core.AllOptimizations, 128)
-		if err != nil {
-			t.Fatalf("%s: PredictedSavings: %v", tn, err)
+	for _, tn := range core.TargetNames() {
+		var cycles [2]uint64
+		for i, p := range []core.Pipeline{core.Baseline, core.AllOptimizations} {
+			res, err := model.Predict(core.Experiment{Target: tn, Workload: core.WorkloadMatmul, Pipeline: p, N: 128})
+			if err != nil {
+				t.Fatalf("%s: Predict(%s): %v", tn, p, err)
+			}
+			cycles[i] = res.Cycles
 		}
-		if saved <= 0 {
-			t.Errorf("%s: predicted AllOptimizations saves %.0f cycles over Baseline at n=128, want > 0", tn, saved)
+		if cycles[1] >= cycles[0] {
+			t.Errorf("%s: predicted AllOptimizations %d cycles vs Baseline %d at n=128, want fewer", tn, cycles[1], cycles[0])
 		}
-	}
-}
-
-func TestModelRoundTrip(t *testing.T) {
-	model, _, _ := calibrated(t)
-	path := filepath.Join(t.TempDir(), "model.json")
-	if err := model.WriteFile(path); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	loaded, err := ReadModel(path)
-	if err != nil {
-		t.Fatalf("ReadModel: %v", err)
-	}
-	b1, _ := model.MarshalPretty()
-	b2, _ := loaded.MarshalPretty()
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("round trip not byte-identical")
-	}
-	// The loaded model predicts identically.
-	e := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.AllOptimizations, N: 128}
-	r1, err1 := model.Predict(e)
-	r2, err2 := loaded.Predict(e)
-	if err1 != nil || err2 != nil || r1.Cycles != r2.Cycles || r1.Counters != r2.Counters {
-		t.Fatalf("loaded model predicts differently: %v/%v, %v/%v", r1, err1, r2, err2)
-	}
-
-	// Schema mismatches are rejected with a refit hint.
-	stale := *loaded
-	stale.Schema = Schema + 1
-	if err := stale.WriteFile(path); err != nil {
-		t.Fatalf("WriteFile stale: %v", err)
-	}
-	if _, err := ReadModel(path); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("stale schema accepted: %v", err)
 	}
 }

@@ -5,8 +5,7 @@ package analytic
 // the Eggensperger et al. hygiene bar (PAPERS.md). The split is
 // deterministic in the seed, the fit is deterministic in the split, and
 // the simulator is deterministic by construction, so refitting with the
-// same seed is byte-identical; difftest/cwfuzz lean on that to make the
-// error band a standing campaign invariant.
+// same seed yields the same model.
 
 import (
 	"context"
@@ -20,15 +19,15 @@ import (
 )
 
 // Band is the documented prediction error band, validated on held-out
-// cells and enforced forever after by the analytic-bounds invariant.
-// Errors are relative cycle errors: exp(|ln(predicted/actual)|) - 1, so
-// over- and under-prediction are penalized symmetrically.
+// cells by every fit Attach installs. Errors are relative cycle errors:
+// exp(|ln(predicted/actual)|) - 1, so over- and under-prediction are
+// penalized symmetrically.
 type Band struct {
 	// Geomean bounds the per-target geometric-mean cycle error across
 	// all held-out cells (the acceptance criterion: ≤ 0.15).
-	Geomean float64 `json:"geomean"`
+	Geomean float64
 	// PerCell bounds every individual held-out cell's cycle error.
-	PerCell float64 `json:"per_cell"`
+	PerCell float64
 }
 
 // DefaultBand is the documented error band (DESIGN.md §10): held-out
@@ -40,16 +39,6 @@ var DefaultBand = Band{Geomean: 0.15, PerCell: 0.30}
 // tiles require 16-multiple dimensions and rectmm halves n), and the
 // range covers the figure grids' interpolation region.
 var DefaultSizes = []int{32, 64, 96, 128, 160, 192, 224, 256}
-
-// Spec configures one calibration run. The rest of the grid is fixed:
-// every registered workload, every pipeline, DefaultSizes, simulated under
-// core.RunOptions{} and validated against DefaultBand.
-type Spec struct {
-	// Targets are the targets to fit; empty selects every registered one.
-	Targets []string
-	// Seed drives the train/holdout split shuffle.
-	Seed int64
-}
 
 // splitSizes deterministically partitions the calibration sizes: both
 // endpoints always train (the fit must interpolate, never extrapolate,
@@ -87,47 +76,36 @@ func splitSizes(sizes []int, seed int64) (train, holdout []int, err error) {
 
 // CellError is one held-out cell's prediction-vs-simulation comparison.
 type CellError struct {
-	Exp       core.Experiment `json:"exp"`
-	Predicted float64         `json:"predicted"`
-	Actual    float64         `json:"actual"`
+	Exp       core.Experiment
+	Predicted float64
+	Actual    float64
 	// Err is the relative cycle error exp(|ln(pred/actual)|) - 1.
-	Err float64 `json:"err"`
+	Err float64
 }
 
 // TargetReport summarizes one target's held-out validation.
 type TargetReport struct {
-	Target string `json:"target"`
+	Target string
 	// Cells lists every held-out cell in grid order.
-	Cells []CellError `json:"cells"`
+	Cells []CellError
 	// GeomeanErr is exp(mean |ln(pred/actual)|) - 1 over Cells.
-	GeomeanErr float64 `json:"geomean_err"`
+	GeomeanErr float64
 	// MaxErr is the worst cell error.
-	MaxErr float64 `json:"max_err"`
+	MaxErr float64
 }
 
-// Violations lists the cells beyond the per-cell band.
-func (tr TargetReport) Violations(band Band) []CellError {
-	var out []CellError
-	for _, c := range tr.Cells {
-		if c.Err > band.PerCell {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Report is the held-out error report of one calibration run.
+// Report is the held-out error report of one calibration run, judged
+// against DefaultBand.
 type Report struct {
-	Band Band `json:"band"`
 	// Targets holds one report per calibrated target, sorted by name.
-	Targets []TargetReport `json:"targets"`
+	Targets []TargetReport
 }
 
-// Clean reports whether every target honors the band: geomean within
+// Clean reports whether every target honors DefaultBand: geomean within
 // Band.Geomean and every held-out cell within Band.PerCell.
 func (r *Report) Clean() bool {
 	for _, tr := range r.Targets {
-		if tr.GeomeanErr > r.Band.Geomean || len(tr.Violations(r.Band)) > 0 {
+		if tr.GeomeanErr > DefaultBand.Geomean || tr.MaxErr > DefaultBand.PerCell {
 			return false
 		}
 	}
@@ -139,10 +117,10 @@ func (r *Report) String() string {
 	var sb strings.Builder
 	for _, tr := range r.Targets {
 		fmt.Fprintf(&sb, "%s: %d held-out cells, geomean cycle error %.1f%% (band %.0f%%), max %.1f%% (band %.0f%%)\n",
-			tr.Target, len(tr.Cells), 100*tr.GeomeanErr, 100*r.Band.Geomean, 100*tr.MaxErr, 100*r.Band.PerCell)
+			tr.Target, len(tr.Cells), 100*tr.GeomeanErr, 100*DefaultBand.Geomean, 100*tr.MaxErr, 100*DefaultBand.PerCell)
 		for _, c := range tr.Cells {
 			marker := ""
-			if c.Err > r.Band.PerCell {
+			if c.Err > DefaultBand.PerCell {
 				marker = "  VIOLATION"
 			}
 			fmt.Fprintf(&sb, "  %-28s predicted %12.0f actual %12.0f err %5.1f%%%s\n",
@@ -153,18 +131,16 @@ func (r *Report) String() string {
 }
 
 // Calibrate fits the analytical tier against the simulator: it runs the
-// full calibration grid (training and held-out sizes) through the runner
-// at full fidelity, fits per-(workload, pipeline) curves on the training
-// cells, and validates cycle predictions on the held-out cells. The
-// returned model is usable regardless of band violations — the report
-// says whether it honors the band; callers that must enforce it check
-// Report.Clean.
-func Calibrate(ctx context.Context, r *core.Runner, spec Spec) (*Model, *Report, error) {
-	targets, workloads := spec.Targets, core.WorkloadNames()
-	if len(targets) == 0 {
-		targets = core.TargetNames()
-	}
-	train, holdout, err := splitSizes(DefaultSizes, spec.Seed)
+// full calibration grid — every registered target and workload, every
+// pipeline, DefaultSizes split by seed into training and held-out sizes —
+// through the runner under core.RunOptions{}, fits per-(target, workload,
+// pipeline) curves on the training cells, and validates cycle predictions
+// on the held-out cells. The returned model is usable regardless of band
+// violations — the report says whether it honors the band; Attach is the
+// caller that enforces it.
+func Calibrate(ctx context.Context, r *core.Runner, seed int64) (*Model, *Report, error) {
+	targets, workloads := core.TargetNames(), core.WorkloadNames()
+	train, holdout, err := splitSizes(DefaultSizes, seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -181,37 +157,23 @@ func Calibrate(ctx context.Context, r *core.Runner, spec Spec) (*Model, *Report,
 		byCell[e] = results[i]
 	}
 
-	model := &Model{Schema: Schema, Seed: spec.Seed, Band: DefaultBand, Targets: map[string]*TargetModel{}}
+	model := &Model{curves: map[family]*Curve{}}
 	for _, tn := range targets {
 		tgt, err := core.LookupTarget(tn)
 		if err != nil {
 			return nil, nil, err
 		}
-		rm := tgt.RooflineModel()
-		tm := &TargetModel{
-			Constants: Constants{
-				PeakOps:    rm.PeakOps,
-				BWConfig:   rm.BWConfig,
-				BWMemory:   rm.BWMemory,
-				Concurrent: rm.ConcurrentConfig,
-			},
-			TrainSizes:   append([]int(nil), train...),
-			HoldoutSizes: append([]int(nil), holdout...),
-			Curves:       map[string]Curve{},
-		}
 		for _, wn := range workloads {
 			for _, p := range core.Pipelines {
-				curve, err := fitCurve(tn, wn, p, train, byCell)
-				if err != nil {
+				f := family{tn, wn, p}
+				if model.curves[f], err = fitCurve(tgt, f, train, byCell); err != nil {
 					return nil, nil, err
 				}
-				tm.Curves[CurveKey(wn, p)] = curve
 			}
 		}
-		model.Targets[tn] = tm
 	}
 
-	report := &Report{Band: DefaultBand}
+	report := &Report{}
 	for _, tn := range targets {
 		tr := TargetReport{Target: tn}
 		logSum := 0.0
@@ -248,66 +210,58 @@ func Calibrate(ctx context.Context, r *core.Runner, spec Spec) (*Model, *Report,
 }
 
 // DefaultSeed is the train/holdout split seed of every fit no campaign
-// seeds: cwbench -calibrate, cwbench -fidelity without -model, and cwserve
-// -analytic. A model file and a boot-time fit therefore agree.
+// seeds: cwbench -fidelity and cwserve -analytic.
 const DefaultSeed = 1
 
 // Attach installs the analytical tier on r, the one way a binary gets a
-// predictor: the model file at path when one is given, otherwise a fit
-// against r's own simulator under seed (with a store behind r the
-// calibration cells land in it, so the next fit re-simulates nothing). A
-// fit whose held-out error leaves its band is refused — screening with an
-// out-of-band model would break the tier's error contract silently. The
-// report is nil for a loaded model.
-func Attach(ctx context.Context, r *core.Runner, path string, seed int64) (*Model, *Report, error) {
-	if path != "" {
-		model, err := ReadModel(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		r.SetPredictor(model)
-		return model, nil, nil
-	}
-	model, rep, err := Calibrate(ctx, r, Spec{Seed: seed})
+// predictor: a fit against r's own simulator under seed (with a store
+// behind r the calibration cells land in it, so the next fit re-simulates
+// nothing). A fit whose held-out error leaves its band is refused —
+// screening with an out-of-band model would break the tier's error
+// contract silently. The report is the held-out validation of the
+// installed fit.
+func Attach(ctx context.Context, r *core.Runner, seed int64) (*Report, error) {
+	model, rep, err := Calibrate(ctx, r, seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !rep.Clean() {
-		return nil, nil, fmt.Errorf("analytic: calibration (seed %d) violates its error band:\n%s", seed, rep)
+		return nil, fmt.Errorf("analytic: calibration (seed %d) violates its error band:\n%s", seed, rep)
 	}
 	r.SetPredictor(model)
-	return model, rep, nil
+	return rep, nil
 }
 
-// fitCurve fits one (workload, pipeline) family from its training cells.
-func fitCurve(tn, wn string, p core.Pipeline, train []int, byCell map[core.Experiment]core.Result) (Curve, error) {
-	scale := float64(train[len(train)-1])
-	c := Curve{Scale: scale, Metrics: map[string][]float64{}}
-	rows := make([][]float64, len(train))
+// fitCurve fits one cell family from its training cells.
+func fitCurve(tgt core.Target, f family, train []int, byCell map[core.Experiment]core.Result) (*Curve, error) {
+	c := &Curve{Scale: float64(train[len(train)-1])}
+	rows := make([][numFeatures]float64, len(train))
+	xs := make([][]float64, len(train))
 	samples := make([]core.Result, len(train))
 	for i, n := range train {
-		e := core.Experiment{Target: tn, Workload: wn, Pipeline: p, N: n}
+		e := core.Experiment{Target: f.target, Workload: f.workload, Pipeline: f.pipeline, N: n}
 		res, ok := byCell[e]
 		if !ok {
-			return c, fmt.Errorf("analytic: missing calibration cell %s", e)
+			return nil, fmt.Errorf("analytic: missing calibration cell %s", e)
 		}
 		samples[i] = res
-		row, err := features(tn, wn, n)
+		row, err := features(tgt, f.workload, n)
 		if err != nil {
-			return c, fmt.Errorf("analytic: %s: %w", e, err)
+			return nil, fmt.Errorf("analytic: %s: %w", e, err)
 		}
 		rows[i] = row
+		xs[i] = rows[i][:]
 	}
-	for _, name := range metricNames {
-		ys := make([]float64, len(train))
-		for i := range train {
-			ys[i] = metricValue(samples[i], name)
+	ys := make([]float64, len(train))
+	for m := range c.Metrics {
+		for i := range samples {
+			ys[i] = counters(samples[i])[m]
 		}
-		coef, err := fitLinear(rows, ys)
+		coef, err := fitLinear(xs, ys)
 		if err != nil {
-			return c, fmt.Errorf("analytic: %s/%s/%s %s: %w", tn, wn, p, name, err)
+			return nil, fmt.Errorf("analytic: %s/%s/%s metric %d: %w", f.target, f.workload, f.pipeline, m, err)
 		}
-		c.Metrics[name] = coef
+		copy(c.Metrics[m][:], coef)
 	}
 
 	// Residual: what the structural estimate (the fitted T_set + T_calc +
@@ -318,18 +272,18 @@ func fitCurve(tn, wn string, p core.Pipeline, train []int, byCell map[core.Exper
 	ts := make([]float64, len(train))
 	zs := make([]float64, len(train))
 	for i, n := range train {
-		structural := c.metric("config_cycles", rows[i]) + c.metric("calc_cycles", rows[i]) +
-			c.metric("sync_cycles", rows[i]) + c.metric("stall_cycles", rows[i])
+		structural := c.metric(configCycles, &rows[i]) + c.metric(calcCycles, &rows[i]) +
+			c.metric(syncCycles, &rows[i]) + c.metric(stallCycles, &rows[i])
 		actual := float64(samples[i].Cycles)
 		if structural <= 0 || actual <= 0 {
-			return c, fmt.Errorf("analytic: %s/%s/%s n=%d: degenerate structural estimate (%g) or cycles (%g)", tn, wn, p, n, structural, actual)
+			return nil, fmt.Errorf("analytic: %s/%s/%s n=%d: degenerate structural estimate (%g) or cycles (%g)", f.target, f.workload, f.pipeline, n, structural, actual)
 		}
-		ts[i] = math.Log(float64(n) / scale)
+		ts[i] = math.Log(float64(n) / c.Scale)
 		zs[i] = math.Log(actual / structural)
 	}
 	resid, err := fitQuadratic(ts, zs)
 	if err != nil {
-		return c, fmt.Errorf("analytic: %s/%s/%s residual: %w", tn, wn, p, err)
+		return nil, fmt.Errorf("analytic: %s/%s/%s residual: %w", f.target, f.workload, f.pipeline, err)
 	}
 	c.Residual = resid
 	return c, nil

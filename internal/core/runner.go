@@ -194,8 +194,8 @@ func (r *Runner) Predictor() Predictor {
 // SetPredictor installs (or clears) the analytical tier Screen and RunTopK
 // answer from — a runner without one fails those calls; Run, RunAll and
 // RunAdmitted never consult it. It is safe while the runner is serving:
-// analytic.Attach hands a loaded or freshly fitted model to a long-lived
-// runner through it.
+// analytic.Attach hands a freshly fitted model to a long-lived runner
+// through it.
 func (r *Runner) SetPredictor(p Predictor) {
 	r.mu.Lock()
 	r.predictor = p

@@ -102,11 +102,6 @@ const (
 	// contradict each other — a proved-equivalent pipeline diverged
 	// semantically, or a statically rejected one co-simulated clean.
 	KindStaticDisagree
-	// KindAnalyticBounds: the calibrated analytical prediction tier
-	// (internal/analytic) missed the simulator by more than its
-	// documented held-out error band — the model, the simulator, or the
-	// calibration hygiene has silently drifted.
-	KindAnalyticBounds
 )
 
 func (k Kind) String() string {
@@ -137,8 +132,6 @@ func (k Kind) String() string {
 		return "static-bounds"
 	case KindStaticDisagree:
 		return "static-disagree"
-	case KindAnalyticBounds:
-		return "analytic-bounds"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"configwall/internal/analytic"
 	"configwall/internal/core"
 	"configwall/internal/serve"
 )
@@ -25,7 +24,6 @@ func TestOptionsCensus(t *testing.T) {
 		{core.RunnerOptions{}, []string{"Workers", "Store", "MaxCells", "OnStoreError"}},
 		{serve.LoadGenOptions{}, []string{"Experiments", "Options", "Requests", "Clients", "ZipfS", "Seed", "Verify", "Retry429", "Retry"}},
 		{serve.RetryPolicy{}, []string{"MaxAttempts", "BaseDelay", "MaxDelay", "Seed", "Sleep", "OnRetry"}},
-		{analytic.Spec{}, []string{"Targets", "Seed"}},
 		// Not an option struct, but the same ratchet: what a target says of
 		// its configuration interface is Port's, not three more fields here.
 		{core.Target{}, []string{"Name", "Port", "PeakOps", "NewDevice", "Cost", "MatmulMKN", "MatmulTiling", "OutputBytes"}},

@@ -596,10 +596,20 @@ func (rq SweepRequest) resolve(maxCells, maxN int, analytic bool) ([]core.Experi
 	if err != nil {
 		return nil, opts, err
 	}
-	exps := core.Sweep(rq.Targets, rq.Workloads, pipes, rq.Sizes)
-	if len(exps) > maxCells {
-		return nil, opts, fmt.Errorf("sweep expands to %d cells, above the server cap of %d", len(exps), maxCells)
+	// The cap holds the product, not the grid: a few KB of repeated names
+	// would otherwise have core.Sweep allocate gigabytes before the 400.
+	// Every axis is non-empty, and cells·k > maxCells exactly when
+	// cells > maxCells/k, so nothing here can overflow.
+	axes := [...]int{len(rq.Targets), len(rq.Workloads), len(pipes), len(rq.Sizes)}
+	cells := 1
+	for _, k := range axes {
+		if cells > maxCells/k {
+			return nil, opts, fmt.Errorf("sweep expands to %d×%d×%d×%d cells, above the server cap of %d",
+				axes[0], axes[1], axes[2], axes[3], maxCells)
+		}
+		cells *= k
 	}
+	exps := core.Sweep(rq.Targets, rq.Workloads, pipes, rq.Sizes)
 	predicted := false // does the answer need the analytic model
 	switch rq.Fidelity {
 	case "", "full":

@@ -967,6 +967,36 @@ func TestCloseUnblocksQueuedRequest(t *testing.T) {
 	}
 }
 
+// TestSweepCapBeforeExpansion: the cell cap is checked on the grid's
+// product before the grid is built. A 1 171-byte body — 40 copies each of a
+// target, a workload, a pipeline and a size, 2.56M cells — used to allocate
+// 122.9 MB in core.Sweep before its 400; it must now cost well under 1 MB.
+func TestSweepCapBeforeExpansion(t *testing.T) {
+	sv, err := serve.New(serve.Options{Runner: core.NewRunner(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	repeat := func(v string) string { return strings.TrimSuffix(strings.Repeat(v+",", 40), ",") }
+	body := `{"targets":[` + repeat(`"gemmini"`) + `],"workloads":[` + repeat(`"matmul"`) +
+		`],"pipelines":[` + repeat(`"all"`) + `],"sizes":[` + repeat("16") + `]}`
+	if len(body) != 1171 {
+		t.Fatalf("body is %d bytes, want the 1 171 of the report", len(body))
+	}
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sv.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "40×40×40×40 cells, above the server cap of 4096") {
+		t.Fatalf("got %d %q, want a 400 naming the 40×40×40×40 grid and the cap", rec.Code, rec.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("rejecting the sweep allocated %d bytes, want < 1 MB", alloc)
+	}
+}
+
 // TestMaxNCap rejects huge-n requests up front: a claimed cell always
 // computes to completion, so admission-time is the only place to stop an
 // O(n^3) simulation from wedging a slot for hours.
