@@ -6,9 +6,8 @@
 //	cwlint -list              # describe the analyzers
 //
 // Checks: hotpathalloc (no allocation-inducing constructs in
-// //cwlint:hotpath functions), pooledreturn (never alias a pooled
-// []Segment trace buffer into a result), mapiter (never write output while
-// ranging over a map). Findings print as file:line:col: [analyzer] message
+// //cwlint:hotpath functions) and mapiter (never write output while ranging
+// over a map). Findings print as file:line:col: [analyzer] message
 // and a non-empty report exits 1. Test files and testdata directories are
 // out of scope; suppress an individual line with a //cwlint:ignore comment
 // stating why.

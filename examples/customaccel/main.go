@@ -73,8 +73,8 @@ const (
 )
 
 // scaler multiplies a vector of int32 by a scalar: dst[i] = src[i] * scale,
-// at 8 elements/cycle. The embedded port is the descriptive half of
-// accel.Device.
+// at 8 elements/cycle. The embedded port describes it to the simulator
+// (accel.Device's ConfigPort); WriteConfig and Launch are the rest.
 type scaler struct {
 	*accel.Port
 	staging map[uint32]uint32

@@ -1,7 +1,9 @@
-// Package accel defines the accelerator-side contract of the co-simulator:
-// a configuration port (written by RoCC custom instructions or CSR writes),
-// a launch trigger, and a busy/duration model. Two configuration schemes
-// exist, matching the paper's taxonomy (§2.2):
+// Package accel defines the accelerator-side contract of the co-simulator.
+// A device is its configuration port — plain data: the writes and the
+// fields they carry, the launch id, the sync id, the kind (RoCC custom
+// instructions or CSR writes) and the scheme — plus the two calls that carry
+// state, WriteConfig and Launch (a busy/duration model). Two configuration
+// schemes exist, matching the paper's taxonomy (§2.2):
 //
 //   - Sequential: the host stalls when it touches the accelerator while a
 //     computation is in flight (Gemmini-style).
@@ -99,11 +101,11 @@ func Register64(id uint32, field string) ConfigWrite {
 }
 
 // Port is the one description of an accelerator's configuration interface
-// (DESIGN.md §1, "The configuration port"). The device model embeds it for
-// the descriptive half of Device, the lowering walks Writes, the static
-// analyses read its write groups by accelerator name (PortFor), the program
-// generator derives its field groups from it and the roofline its raw
-// bandwidth. A Port is shared by pointer and never modified after it is
+// (DESIGN.md §1, "The configuration port"). The device model embeds it and
+// the simulator reads what each write is from it, the lowering walks
+// Writes, the static analyses read its write groups by accelerator name
+// (PortFor), the program generator derives its field groups from it and the
+// roofline its raw bandwidth. A Port is shared by pointer and never modified after it is
 // first used.
 type Port struct {
 	// Accel is the accelerator name used in accfg types.
@@ -128,23 +130,9 @@ type Port struct {
 	mates map[string][]string // field -> the other fields of its write
 }
 
-// Name implements Device.
-func (p *Port) Name() string { return p.Accel }
-
-// Scheme implements Device.
-func (p *Port) Scheme() Scheme { return p.Mode }
-
-// ConfigBytes implements Device.
-func (p *Port) ConfigBytes(uint32) uint64 { return p.Kind.WriteBytes() }
-
-// IsLaunch implements Device.
-func (p *Port) IsLaunch(id uint32) bool { return id == p.Launch }
-
-// IsFence implements Device: only RoCC ports synchronize with a write.
-func (p *Port) IsFence(id uint32) bool { return p.Kind == RoCC && id == p.Sync }
-
-// StatusID implements Device: only CSR ports have a polled busy register.
-func (p *Port) StatusID() (uint32, bool) { return p.Sync, p.Kind == CSR }
+// ConfigPort implements Device: a model that embeds its Port is described
+// by it.
+func (p *Port) ConfigPort() *Port { return p }
 
 // Validate reports whether the table is well formed: write ids unique and
 // distinct from Launch and Sync, every field in exactly one write, every
@@ -278,28 +266,16 @@ type Launch struct {
 	Cycles uint64
 }
 
-// Device is a simulated accelerator attached to the host.
+// Device is a simulated accelerator attached to the host: its port, which
+// says what every write is, plus the two calls that carry state.
 type Device interface {
-	// Name returns the accelerator name (matches the accfg dialect name).
-	Name() string
-	// Scheme returns the configuration scheme.
-	Scheme() Scheme
+	// ConfigPort returns the configuration interface the device sits
+	// behind. Device models embed it and so get this method from it.
+	ConfigPort() *Port
 	// WriteConfig handles one configuration write. id is the RoCC funct7
 	// or the CSR address; lo/hi are the payload registers (hi is zero for
 	// CSR-style single-word ports).
 	WriteConfig(id uint32, lo, hi uint64)
-	// ConfigBytes returns how many configuration bytes a write to id
-	// carries (16 for RoCC instruction pairs, 4 for 32-bit CSRs).
-	ConfigBytes(id uint32) uint64
-	// IsLaunch reports whether a write to id triggers a computation
-	// (launch-semantic configuration writes, paper §2.4).
-	IsLaunch(id uint32) bool
-	// IsFence reports whether a write to id is a synchronization fence
-	// (host blocks until idle).
-	IsFence(id uint32) bool
-	// StatusID returns the id polled for busy status (CSR-style barriers);
-	// ok=false when the device has no status port.
-	StatusID() (id uint32, ok bool)
 	// Launch snapshots the staged configuration and functionally executes
 	// the job against memory, returning its cost.
 	Launch(m *mem.Memory) (Launch, error)

@@ -162,8 +162,8 @@ func DefaultCost() CostParams {
 	return CostParams{StartupCycles: 80, DrainCycles: 16}
 }
 
-// Model is the simulated device state. The embedded Port is the descriptive
-// half of accel.Device.
+// Model is the simulated device state. The embedded Port describes it to the
+// simulator (accel.Device's ConfigPort).
 type Model struct {
 	*accel.Port
 	cost CostParams

@@ -34,25 +34,20 @@ func writeFields(m *gemmini.Model, fields map[string]uint64) {
 	}
 }
 
+// TestDeviceProperties: the model is described by its port — the accessor
+// returns gemmini.Port, a sequential RoCC port that launches on LOOP_WS and
+// fences on FENCE.
 func TestDeviceProperties(t *testing.T) {
 	m := gemmini.New(gemmini.DefaultCost())
-	if m.Name() != "gemmini" {
-		t.Errorf("Name = %q", m.Name())
+	p := m.ConfigPort()
+	if p != gemmini.Port {
+		t.Fatalf("ConfigPort = %p, want gemmini.Port %p", p, gemmini.Port)
 	}
-	if m.Scheme() != accel.Sequential {
-		t.Error("gemmini must be sequentially configured")
+	if p.Accel != "gemmini" || p.Mode != accel.Sequential || p.Kind != accel.RoCC {
+		t.Errorf("port %q is %s %v, want gemmini, sequential RoCC", p.Accel, p.Mode, p.Kind)
 	}
-	if !m.IsLaunch(gemmini.FnLoopWS) || m.IsLaunch(gemmini.FnConfigBounds) {
-		t.Error("IsLaunch wrong")
-	}
-	if !m.IsFence(gemmini.FnFence) || m.IsFence(gemmini.FnLoopWS) {
-		t.Error("IsFence wrong")
-	}
-	if _, ok := m.StatusID(); ok {
-		t.Error("gemmini has no status CSR")
-	}
-	if m.ConfigBytes(0) != 16 {
-		t.Errorf("ConfigBytes = %d, want 16", m.ConfigBytes(0))
+	if p.Launch != gemmini.FnLoopWS || p.Sync != gemmini.FnFence || p.Kind.WriteBytes() != 16 {
+		t.Errorf("launch %d, sync %d, %d bytes per write", p.Launch, p.Sync, p.Kind.WriteBytes())
 	}
 }
 

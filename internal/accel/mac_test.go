@@ -521,10 +521,10 @@ func TestSecondLaunchAllocatesNothing(t *testing.T) {
 		run()
 		before := hits(dev)
 		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-			t.Errorf("%s: %v allocations per launch after the first, want 0", dev.Name(), allocs)
+			t.Errorf("%s: %v allocations per launch after the first, want 0", dev.ConfigPort().Accel, allocs)
 		}
 		if got := hits(dev) - before; got != 11 {
-			t.Errorf("%s: %d of 11 repeated launches reused the tile", dev.Name(), got)
+			t.Errorf("%s: %d of 11 repeated launches reused the tile", dev.ConfigPort().Accel, got)
 		}
 
 		// Thirty-two tiles grow the slab; a kernel keeps the tiles of one
@@ -543,10 +543,10 @@ func TestSecondLaunchAllocatesNothing(t *testing.T) {
 		other, i := mem.New(memSize), 0
 		before = hits(dev)
 		if allocs := testing.AllocsPerRun(10, func() { fresh(other, i); i++ }); allocs != 0 {
-			t.Errorf("%s: %v allocations per new tile in a grown slab, want 0", dev.Name(), allocs)
+			t.Errorf("%s: %v allocations per new tile in a grown slab, want 0", dev.ConfigPort().Accel, allocs)
 		}
 		if got := hits(dev) - before; got != 0 {
-			t.Errorf("%s: %d new tiles were found kept", dev.Name(), got)
+			t.Errorf("%s: %d new tiles were found kept", dev.ConfigPort().Accel, got)
 		}
 	}
 }

@@ -81,8 +81,8 @@ type CostParams struct {
 // DefaultCost returns the default timing model.
 func DefaultCost() CostParams { return CostParams{PipelineCycles: 5} }
 
-// Model is the simulated device state. The embedded Port is the descriptive
-// half of accel.Device.
+// Model is the simulated device state. The embedded Port describes it to the
+// simulator (accel.Device's ConfigPort).
 type Model struct {
 	*accel.Port
 	cost CostParams

@@ -15,26 +15,20 @@ func configure(m *opengemm.Model, vals map[uint32]uint32) {
 	}
 }
 
+// TestDeviceProperties: the model is described by its port — the accessor
+// returns opengemm.Port, a concurrent CSR port that launches on the launch
+// CSR and is polled on the busy CSR.
 func TestDeviceProperties(t *testing.T) {
 	m := opengemm.New(opengemm.DefaultCost())
-	if m.Name() != "opengemm" {
-		t.Errorf("Name = %q", m.Name())
+	p := m.ConfigPort()
+	if p != opengemm.Port {
+		t.Fatalf("ConfigPort = %p, want opengemm.Port %p", p, opengemm.Port)
 	}
-	if m.Scheme() != accel.Concurrent {
-		t.Error("opengemm must be concurrently configured")
+	if p.Accel != "opengemm" || p.Mode != accel.Concurrent || p.Kind != accel.CSR {
+		t.Errorf("port %q is %s %v, want opengemm, concurrent CSR", p.Accel, p.Mode, p.Kind)
 	}
-	if !m.IsLaunch(opengemm.CsrLaunch) || m.IsLaunch(opengemm.CsrPtrA) {
-		t.Error("IsLaunch wrong")
-	}
-	if m.IsFence(opengemm.CsrLaunch) {
-		t.Error("opengemm has no fence id")
-	}
-	id, ok := m.StatusID()
-	if !ok || id != opengemm.CsrBusy {
-		t.Error("StatusID must be the busy CSR")
-	}
-	if m.ConfigBytes(opengemm.CsrPtrA) != 4 {
-		t.Errorf("ConfigBytes = %d, want 4 (32-bit CSR)", m.ConfigBytes(opengemm.CsrPtrA))
+	if p.Launch != opengemm.CsrLaunch || p.Sync != opengemm.CsrBusy || p.Kind.WriteBytes() != 4 {
+		t.Errorf("launch %#x, sync %#x, %d bytes per write", p.Launch, p.Sync, p.Kind.WriteBytes())
 	}
 }
 

@@ -334,40 +334,12 @@ func (p *Program) Start(mc *sim.Machine, scalars ...int64) error {
 	return mc.Run(p.Program)
 }
 
-// execContext is a reusable simulation sandbox: the 64 MiB arena and the
-// machine around it. Allocating (and faulting in) the arena dominates the
-// setup cost of small experiments, so sweeps recycle contexts through a
-// pool and reset instead of reallocating: Memory.Reset zeroes only the
-// pages the previous run dirtied, and the registers are cleared so a
-// pooled machine is indistinguishable from a fresh one. The machine's
-// trace buffer rides along: Machine.Run truncates it, so a traced run
-// appends into the capacity the context's last traced run grew.
-type execContext struct {
-	memory *mem.Memory
-	mc     *sim.Machine
-}
-
-var execPool = sync.Pool{
-	New: func() any {
-		m := mem.New(memorySize)
-		return &execContext{memory: m, mc: sim.NewMachine(m, nil, nil)}
-	},
-}
-
-// getExecContext returns a context restored to fresh-machine state.
-func getExecContext() *execContext {
-	ctx := execPool.Get().(*execContext)
-	ctx.memory.Reset()
-	ctx.mc.Regs = [riscv.NumRegs]int64{}
-	return ctx
-}
-
-// putExecContext recycles the context. The device is dropped: it is
-// per-run state.
-func putExecContext(ctx *execContext) {
-	ctx.mc.Device = nil
-	execPool.Put(ctx)
-}
+// arenas recycles the 64 MiB simulated memories. Allocating (and faulting
+// in) the arena dominates the setup cost of small experiments, so cells
+// reset one instead of allocating it: Memory.Reset zeroes only the pages
+// the previous run dirtied. The machine around it is built fresh per cell,
+// so nothing else outlives a run.
+var arenas = sync.Pool{New: func() any { return mem.New(memorySize) }}
 
 // RunTiledMatmul compiles the n x n tiled matmul for the target under the
 // given pipeline, simulates it, verifies the result, and returns the
@@ -432,32 +404,29 @@ func Compile(t Target, w Workload, p Pipeline, n int) (*Compiled, error) {
 	return c, nil
 }
 
-// Execute simulates the cell on a pooled context — buffers initialised, the
-// program started through the cell ABI — and verifies every checked buffer
-// against the golden model unless opts skip it.
+// Execute simulates the cell on a fresh machine over a pooled arena —
+// buffers initialised, the program started through the cell ABI — and
+// verifies every checked buffer against the golden model unless opts skip
+// it.
 func (c *Compiled) Execute(opts RunOptions) (Result, error) {
 	res := c.res
-	ctx := getExecContext()
-	defer putExecContext(ctx)
-	memory, mc := ctx.memory, ctx.mc
+	memory := arenas.Get().(*mem.Memory)
+	defer arenas.Put(memory)
+	memory.Reset()
 	for i, buf := range c.buffers {
 		if buf.Init != nil {
 			buf.Init(memory, c.Prog.Bases[i])
 		}
 	}
-	mc.Cost = c.target.Cost
-	mc.Device = c.target.NewDevice()
+	mc := sim.NewMachine(memory, c.target.Cost, c.target.NewDevice())
 	mc.Engine = opts.Engine
 	mc.RecordTrace = opts.RecordTrace
 	if err := c.Prog.Start(mc); err != nil {
 		return res, fmt.Errorf("simulation of %s/%s/%s/%d: %w", res.Target, res.Workload, res.Pipeline, res.N, err)
 	}
-	res.Counters = mc.Counters
-	if opts.RecordTrace && len(mc.Trace) > 0 {
-		// Results are cached and shared; the buffer stays with the pooled
-		// machine (see execContext), so they get a copy.
-		res.Trace = append([]sim.Segment(nil), mc.Trace...)
-	}
+	// The machine is this cell's alone, so its trace is handed over as it
+	// is: nil when untraced or empty.
+	res.Counters, res.Trace = mc.Counters, mc.Trace
 
 	if !opts.SkipVerify {
 		checked := 0

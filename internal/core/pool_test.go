@@ -1,10 +1,10 @@
 package core_test
 
-// Tests for the pooled-execution-context discipline: Run recycles the
-// 64 MiB memory arena, the machine and the trace buffer across calls
-// (reset-not-reallocate), so the invariants are (a) a run on a reused
-// context is bit-identical to a run on a fresh one, and (b) a published
-// Result is immune to later runs reusing the pooled state.
+// Tests for the pooled-arena discipline: Run recycles the 64 MiB memory
+// arena across calls (reset-not-reallocate) and hands each run's trace to
+// its Result, so the invariants are (a) a run on a reused arena is
+// bit-identical to a run on a fresh one, and (b) a published Result is
+// immune to later runs.
 
 import (
 	"reflect"

@@ -121,9 +121,15 @@ var (
 
 // RegisterTarget adds a target platform to the registry and publishes its
 // configuration port for the static analyses (accel.PortFor). Registering a
-// duplicate or unnamed target, or a port that describes another
-// accelerator, is an error.
+// duplicate or unnamed target, a port that describes another accelerator,
+// or a device that sits behind another port than the target's is an error:
+// the lowering reads Target.Port and the simulator the device's.
 func RegisterTarget(t Target) error {
+	if t.NewDevice != nil {
+		if dev := t.NewDevice(); dev == nil || dev.ConfigPort() != t.Port {
+			return fmt.Errorf("registry: target %q builds a device behind another port than its own", t.Name)
+		}
+	}
 	if t.Port != nil {
 		if t.Port.Accel != t.Name {
 			return fmt.Errorf("registry: target %q has the port of accelerator %q", t.Name, t.Port.Accel)

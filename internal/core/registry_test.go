@@ -9,6 +9,7 @@ import (
 
 	"configwall/internal/accel"
 	"configwall/internal/core"
+	"configwall/internal/mem"
 )
 
 func TestBuiltinRegistrations(t *testing.T) {
@@ -213,13 +214,8 @@ func TestPortsAreWellFormed(t *testing.T) {
 				}
 			}
 		}
-		dev := tgt.NewDevice()
-		if dev.Name() != name || dev.Scheme() != port.Mode || !dev.IsLaunch(port.Launch) || dev.IsLaunch(port.Writes[0].ID) {
-			t.Errorf("%s: device %s/%s disagrees with its port", name, dev.Name(), dev.Scheme())
-		}
-		_, polled := dev.StatusID()
-		if dev.IsFence(port.Sync) == polled || dev.ConfigBytes(port.Launch) != port.Kind.WriteBytes() {
-			t.Errorf("%s: device synchronizes by fence %v and by poll %v, %d bytes per write", name, dev.IsFence(port.Sync), polled, dev.ConfigBytes(port.Launch))
+		if dev := tgt.NewDevice(); dev.ConfigPort() != port {
+			t.Errorf("%s: the device sits behind port %p, the target has %p", name, dev.ConfigPort(), port)
 		}
 	}
 	if checked < 2 {
@@ -235,5 +231,56 @@ func TestRegisterTargetRejectsForeignPort(t *testing.T) {
 	}
 	if _, err := core.LookupTarget(name); err == nil {
 		t.Errorf("%s was registered all the same", name)
+	}
+}
+
+// portDevice is a device that does nothing but sit behind its port.
+type portDevice struct{ *accel.Port }
+
+func (portDevice) WriteConfig(uint32, uint64, uint64)       {}
+func (portDevice) Launch(*mem.Memory) (accel.Launch, error) { return accel.Launch{}, nil }
+
+// TestRegisterTargetRejectsForeignDevice: the lowering reads Target.Port and
+// the simulator the device's, so a target whose device sits behind another
+// port is refused and nothing of it is published; a target without a device
+// constructor is not asked.
+func TestRegisterTargetRejectsForeignDevice(t *testing.T) {
+	port := func(name string) *accel.Port {
+		return &accel.Port{Accel: name, Mode: accel.Concurrent, Kind: accel.CSR,
+			Writes: []accel.ConfigWrite{accel.Register64(0, "x")}, Launch: 1, Sync: 2}
+	}
+	for _, tc := range []struct {
+		what string
+		tgt  func(name string) core.Target
+		ok   bool
+	}{
+		{"a device behind another target's port", func(name string) core.Target {
+			return core.Target{Name: name, Port: port(name), NewDevice: core.OpenGeMMTarget().NewDevice}
+		}, false},
+		{"a device behind an equal table under another pointer", func(name string) core.Target {
+			return core.Target{Name: name, Port: port(name), NewDevice: func() accel.Device { return portDevice{port(name)} }}
+		}, false},
+		{"a device on a target without a port", func(name string) core.Target {
+			return core.Target{Name: name, NewDevice: func() accel.Device { return portDevice{port(name)} }}
+		}, false},
+		{"a device behind the target's own port", func(name string) core.Target {
+			p := port(name)
+			return core.Target{Name: name, Port: p, NewDevice: func() accel.Device { return portDevice{p} }}
+		}, true},
+		{"no device constructor", func(name string) core.Target {
+			return core.Target{Name: name, Port: port(name)}
+		}, true},
+	} {
+		name := fmt.Sprintf("regtest-%d", targetSeq.Add(1))
+		err := core.RegisterTarget(tc.tgt(name))
+		_, lookupErr := core.LookupTarget(name)
+		switch {
+		case tc.ok && (err != nil || lookupErr != nil):
+			t.Errorf("%s: RegisterTarget = %v, LookupTarget = %v", tc.what, err, lookupErr)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: registered", tc.what)
+		case !tc.ok && (lookupErr == nil || accel.PortFor(name) != nil):
+			t.Errorf("%s: refused, but published all the same", tc.what)
+		}
 	}
 }

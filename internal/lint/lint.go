@@ -8,9 +8,6 @@
 //     exit, closures, defer, go, composite literals). The zero-alloc
 //     benchmarks verify steady state on one workload; the lint pins the
 //     property across every code path, including ones benchmarks miss.
-//   - pooledreturn: a pooled trace buffer ([]sim.Segment) must never be
-//     aliased into a result object — results are cached and outlive the
-//     pool cycle, so the assignment must copy (append onto a nil slice).
 //   - mapiter: output must not be produced while ranging over a map —
 //     iteration order would leak into reports, breaking the byte-identical
 //     reproducibility contract. Collect and sort keys first.
@@ -47,7 +44,7 @@ type Analyzer struct {
 
 // Analyzers lists every registered check, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{hotpathAlloc, pooledReturn, mapIter}
+	return []*Analyzer{hotpathAlloc, mapIter}
 }
 
 // Lint runs every analyzer over the package, dropping findings suppressed

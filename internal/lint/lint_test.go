@@ -89,7 +89,6 @@ func checkFixture(t *testing.T, name string) {
 }
 
 func TestHotpathAllocFixture(t *testing.T) { checkFixture(t, "hotfix") }
-func TestPooledReturnFixture(t *testing.T) { checkFixture(t, "pooledfix") }
 func TestMapIterFixture(t *testing.T)      { checkFixture(t, "mapiterfix") }
 
 // TestFindingsSorted: reporting order is position-sorted so cwlint output
@@ -106,8 +105,7 @@ func TestFindingsSorted(t *testing.T) {
 }
 
 // TestAnnotatedRepoPackagesClean is the in-tree slice of the CI cwlint job:
-// the packages carrying //cwlint:hotpath annotations (and the pooled-trace
-// owner) must lint clean.
+// the packages carrying //cwlint:hotpath annotations must lint clean.
 func TestAnnotatedRepoPackagesClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the stdlib closure from source")

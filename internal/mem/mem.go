@@ -89,7 +89,7 @@ func (m *Memory) ResetCounters() {
 // Reset restores the memory to its initial all-zero state and clears the
 // traffic counters, zeroing only the pages written (or exposed through a
 // Region view) since construction or the previous Reset. It is the
-// reset-not-reallocate primitive behind pooled execution contexts:
+// reset-not-reallocate primitive behind the pooled cell arenas:
 // resetting a lightly-used 64 MiB arena touches kilobytes, not megabytes.
 // Zeroing is a write: the lines of every cleared page get a new version.
 func (m *Memory) Reset() {

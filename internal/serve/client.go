@@ -188,8 +188,14 @@ func (c *Client) Sweep(ctx context.Context, rq SweepRequest, fn func(SweepEvent)
 		msg, _ := io.ReadAll(resp.Body)
 		return SweepSummary{}, statusError(resp, msg)
 	}
+	return readSweepStream(resp.Body, fn)
+}
 
-	sc := bufio.NewScanner(resp.Body)
+// readSweepStream reads an NDJSON sweep stream to its trailer, invoking fn
+// for every cell event, under the rule Sweep documents: exactly one trailer
+// with a status, last, after exactly as many cell events as it counts.
+func readSweepStream(r io.Reader, fn func(SweepEvent) error) (SweepSummary, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20) // traces can make lines large
 	var summary SweepSummary
 	sawTrailer := false

@@ -1,10 +1,16 @@
 package serve
 
 import (
+	"bufio"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
+
+	"configwall/internal/core"
 )
 
 // FuzzSweepRequest drives the /v1/sweep request decoder — decodeBody, then
@@ -55,6 +61,140 @@ func FuzzSweepRequest(f *testing.F) {
 			if e.N < 1 || e.N > maxN {
 				t.Fatalf("accepted %q has size %d outside [1, %d]", body, e.N, maxN)
 			}
+		}
+	})
+}
+
+// FuzzRunRequest drives the /v1/run request decoder — parseRunRequest, then
+// RunRequest.resolve — with an arbitrary GET query and an arbitrary POST
+// body. It never panics; a request it accepts names a registered target and
+// workload and a size in [1, maxN]; and the fields of an accepted request,
+// sent the other way (a GET's as a JSON body, a POST's as a query), resolve
+// to the same (Experiment, RunOptions). Seeded from serve_test.go's run
+// requests.
+func FuzzRunRequest(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"target=opengemm&workload=matmul&pipeline=all&n=8", `{"target":"opengemm","workload":"matmul","pipeline":"all","n":8}`},
+		{"target=opengemm&workload=matmul&pipeline=all&n=128", `{"target":"opengemm","workload":"matmul","pipeline":"all","n":128}`},
+		{"target=gemmini&workload=rectmm&pipeline=dedup&n=32&engine=ref&trace=true&skipverify=1",
+			`{"target":"gemmini","workload":"rectmm","pipeline":"dedup","n":32,"engine":"ref","record_trace":true,"skip_verify":true}`},
+		{"target=opengemm&workload=panicky&pipeline=base&n=8", `{"target":"opengemm","workload":"panicky","pipeline":"base","n":8}`},
+		{"target=tpu&workload=matmul&pipeline=all&n=8", `{"target":"tpu","workload":"matmul","pipeline":"all","n":8}`},
+		{"workload=matmul&pipeline=all&n=8", `{"workload":"matmul","pipeline":"all","n":8}`},
+		{"target=opengemm&workload=conv&pipeline=all&n=8", `{"target":"opengemm","workload":"conv","pipeline":"all","n":8}`},
+		{"target=opengemm&workload=matmul&pipeline=turbo&n=8", `{"target":"opengemm","workload":"matmul","pipeline":"turbo","n":8}`},
+		{"target=opengemm&workload=matmul&pipeline=all&n=8&engine=warp", `{"target":"opengemm","workload":"matmul","pipeline":"all","n":8,"engine":"warp"}`},
+		{"target=opengemm&workload=matmul&pipeline=all&n=0", `{"target":"opengemm","workload":"matmul","pipeline":"all","n":0}`},
+		{"target=opengemm&workload=matmul&pipeline=all&n=8&skip_verify=true", `{"target":"opengemm","workload":"matmul","pipeline":"all","n":8}{}`},
+		{"", `{}`},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, query, body string) {
+		const maxN = 128
+		get := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/v1/run", RawQuery: query}}
+		post := httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body))
+		for _, r := range []*http.Request{get, post} {
+			rq, e, opts, err := resolveRun(r, maxN)
+			if err != nil {
+				continue
+			}
+			if _, err := core.LookupTarget(e.Target); err != nil {
+				t.Fatalf("%s %q %q accepted: %v", r.Method, query, body, err)
+			}
+			if _, err := core.LookupWorkload(e.Workload); err != nil {
+				t.Fatalf("%s %q %q accepted: %v", r.Method, query, body, err)
+			}
+			if e.N < 1 || e.N > maxN {
+				t.Fatalf("%s %q %q accepted size %d outside [1, %d]", r.Method, query, body, e.N, maxN)
+			}
+			other := sendOtherWay(t, r.Method, rq)
+			_, e2, opts2, err := resolveRun(other, maxN)
+			if err != nil || e2 != e || opts2 != opts {
+				t.Fatalf("%s %q %q resolves to %v %+v, the same fields by %s to %v %+v (%v)", r.Method, query, body, e, opts, other.Method, e2, opts2, err)
+			}
+		}
+	})
+}
+
+// resolveRun parses and resolves one /v1/run request as the handler does.
+func resolveRun(r *http.Request, maxN int) (RunRequest, core.Experiment, core.RunOptions, error) {
+	rq, err := parseRunRequest(httptest.NewRecorder(), r)
+	if err != nil {
+		return rq, core.Experiment{}, core.RunOptions{}, err
+	}
+	e, opts, err := rq.resolve(maxN)
+	return rq, e, opts, err
+}
+
+// sendOtherWay spells rq's fields as the other method does: a GET's as a
+// POST body, a POST's as a GET query.
+func sendOtherWay(t *testing.T, method string, rq RunRequest) *http.Request {
+	if method == http.MethodGet {
+		body, err := json.Marshal(rq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(string(body)))
+	}
+	q := url.Values{
+		"target": {rq.Target}, "workload": {rq.Workload}, "pipeline": {rq.Pipeline},
+		"n": {strconv.Itoa(rq.N)}, "engine": {rq.Engine},
+		"trace": {strconv.FormatBool(rq.RecordTrace)}, "skipverify": {strconv.FormatBool(rq.SkipVerify)},
+	}
+	return &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/v1/run", RawQuery: q.Encode()}}
+}
+
+// FuzzSweepStream drives the client's NDJSON reader (readSweepStream, what
+// Client.Sweep runs on a 200 body) with arbitrary streams. It never panics,
+// and a stream it accepts has exactly one trailer, with a status, as its
+// last line, and fn ran exactly as many times as the trailer counts cells.
+// Seeded from TestSweepRejectsTruncatedStreams's streams and a whole one.
+func FuzzSweepStream(f *testing.F) {
+	cell := `{"index":0,"experiment":{"target":"opengemm","workload":"matmul","pipeline":3,"n":8},"result":{}}`
+	trailer := `{"done":true,"cells":1,"status":"ok"}`
+	for _, stream := range []string{
+		cell + "\n" + trailer + "\n",
+		cell + "\n" + cell + "\n" + `{"done":true,"cells":2,"failed":1,"status":"error"}`,
+		cell + "\n",
+		cell + "\n" + `{"done":true,"cells":1}` + "\n",
+		cell + "\n" + trailer + "\n" + cell + "\n",
+		trailer + "\n",
+		cell + "\n" + trailer[:12],
+		"",
+	} {
+		f.Add(stream)
+	}
+	f.Fuzz(func(t *testing.T, stream string) {
+		calls := 0
+		sum, err := readSweepStream(strings.NewReader(stream), func(SweepEvent) error { calls++; return nil })
+		if err != nil {
+			return
+		}
+		var lines []string
+		sc := bufio.NewScanner(strings.NewReader(stream))
+		sc.Buffer(nil, 16<<20)
+		for sc.Scan() {
+			lines = append(lines, sc.Text())
+		}
+		trailers := 0
+		for i, line := range lines {
+			var ev SweepEvent
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("accepted %q with an undecodable line %d: %v", stream, i, err)
+			}
+			if ev.Done {
+				trailers++
+				if ev.Status == "" || i != len(lines)-1 {
+					t.Fatalf("accepted %q with a trailer at line %d of %d, status %q", stream, i, len(lines), ev.Status)
+				}
+			}
+		}
+		if trailers != 1 || sum.Status == "" {
+			t.Fatalf("accepted %q with %d trailers, status %q", stream, trailers, sum.Status)
+		}
+		if calls != sum.Cells {
+			t.Fatalf("accepted %q: fn ran %d times for %d cells", stream, calls, sum.Cells)
 		}
 	})
 }

@@ -847,9 +847,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var sb strings.Builder
 	st := s.runner.Snapshot()
 	// The Go runtime gauges make the allocation discipline of the serving
-	// hot paths (pooled execution contexts, trace buffers and response
-	// encoders) observable: a healthy cached-traffic steady state shows a
-	// flat heap and a near-constant GC cycle rate.
+	// hot paths (pooled arenas and response encoders) observable: a healthy
+	// cached-traffic steady state shows a flat heap and a near-constant GC
+	// cycle rate.
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	writeSeries(&sb, []series{

@@ -26,9 +26,12 @@ package sim
 // block's costs up front produces the same counters, the same clock, and
 // — because the reference engine's per-instruction segments are
 // contiguous and coalesce at record time — the same trace segments.
-// Everything else (device ops, sync-class polls, limit-straddling tails)
-// takes the per-instruction path through the exact helpers the reference
-// engine uses.
+// Everything else takes the one-instruction path: device ops go through
+// the helpers the reference engine uses (deviceOp), and a plain instruction
+// that cannot be batched (a sync-class poll, a limit-straddling tail) is
+// charged alone (charge) and then run through the same semantics switch as
+// a block of length one. The engine has one copy of the instruction
+// semantics; the reference interpreter (step) has the other.
 
 import (
 	"fmt"
@@ -63,14 +66,14 @@ outer:
 		}
 		ins := &code[pc]
 
-		// Fast path: batch a whole straight-line block. The limit guard
-		// keeps instruction-limit errors at exactly the reference engine's
-		// instruction boundary by diverting straddling blocks to the
-		// per-instruction path below. The semantics switch is inlined here
-		// rather than calling execPlain: at hundreds of millions of
-		// executed instructions per sweep, the per-instruction call
-		// overhead is the single largest remaining cost (it is what
-		// execPlain still pays on the rare non-batched path).
+		// Account the instructions up to end, then run their semantics
+		// below. A whole straight-line block is charged as one counter
+		// delta; the limit guard keeps instruction-limit errors at exactly
+		// the reference engine's instruction boundary by diverting
+		// straddling blocks to the one-instruction path, as it does plain
+		// instructions whose class needs its own counter (ClassSync
+		// busy-poll branches).
+		end := pc + 1
 		if n := uint64(ins.BlockLen); n > 0 && mc.HostInstrs+n <= limit {
 			c := ins.BlockCycles
 			mc.HostInstrs += n
@@ -78,295 +81,168 @@ outer:
 			mc.CalcCycles += c
 			mc.record(SegHostExec, mc.now, mc.now+c)
 			mc.now += c
-			end := pc + int(n)
-			for pc < end {
-				i := &code[pc]
-				rs1 := regs[i.Rs1]
-				rs2 := regs[i.Rs2]
-				var v int64
-				switch i.Op {
-				case riscv.ADD:
-					v = rs1 + rs2
-				case riscv.ADDI:
-					v = rs1 + i.Imm
-				case riscv.LI:
-					v = i.Imm
-				case riscv.SUB:
-					v = rs1 - rs2
-				case riscv.MUL:
-					v = rs1 * rs2
-				case riscv.DIVU:
-					if rs2 == 0 {
-						v = -1
-					} else {
-						v = int64(uint64(rs1) / uint64(rs2))
-					}
-				case riscv.REMU:
-					if rs2 == 0 {
-						v = rs1
-					} else {
-						v = int64(uint64(rs1) % uint64(rs2))
-					}
-				case riscv.AND:
-					v = rs1 & rs2
-				case riscv.OR:
-					v = rs1 | rs2
-				case riscv.XOR:
-					v = rs1 ^ rs2
-				case riscv.SLL:
-					v = rs1 << (uint64(rs2) & 63)
-				case riscv.SRL:
-					v = int64(uint64(rs1) >> (uint64(rs2) & 63))
-				case riscv.SLT:
-					v = boolToInt(rs1 < rs2)
-				case riscv.SLTU:
-					v = boolToInt(uint64(rs1) < uint64(rs2))
-				case riscv.ANDI:
-					v = rs1 & i.Imm
-				case riscv.ORI:
-					v = rs1 | i.Imm
-				case riscv.XORI:
-					v = rs1 ^ i.Imm
-				case riscv.SLLI:
-					v = rs1 << (uint64(i.Imm) & 63)
-				case riscv.SRLI:
-					v = int64(uint64(rs1) >> (uint64(i.Imm) & 63))
-				case riscv.SLTIU:
-					v = boolToInt(uint64(rs1) < uint64(i.Imm))
-				case riscv.LB:
-					v = memory.ReadSigned(uint64(rs1+i.Imm), 8)
-				case riscv.LH:
-					v = memory.ReadSigned(uint64(rs1+i.Imm), 16)
-				case riscv.LW:
-					v = memory.ReadSigned(uint64(rs1+i.Imm), 32)
-				case riscv.LD:
-					v = memory.ReadSigned(uint64(rs1+i.Imm), 64)
-				case riscv.SB:
-					memory.WriteSigned(uint64(rs1+i.Imm), 8, rs2)
-					pc++
-					continue
-				case riscv.SH:
-					memory.WriteSigned(uint64(rs1+i.Imm), 16, rs2)
-					pc++
-					continue
-				case riscv.SW:
-					memory.WriteSigned(uint64(rs1+i.Imm), 32, rs2)
-					pc++
-					continue
-				case riscv.SD:
-					memory.WriteSigned(uint64(rs1+i.Imm), 64, rs2)
-					pc++
-					continue
-				case riscv.BEQ:
-					if rs1 == rs2 {
-						pc = int(i.Target)
-						continue outer
-					}
-					pc++
-					continue
-				case riscv.BNE:
-					if rs1 != rs2 {
-						pc = int(i.Target)
-						continue outer
-					}
-					pc++
-					continue
-				case riscv.BLT:
-					if rs1 < rs2 {
-						pc = int(i.Target)
-						continue outer
-					}
-					pc++
-					continue
-				case riscv.BGE:
-					if rs1 >= rs2 {
-						pc = int(i.Target)
-						continue outer
-					}
-					pc++
-					continue
-				case riscv.BLTU:
-					if uint64(rs1) < uint64(rs2) {
-						pc = int(i.Target)
-						continue outer
-					}
-					pc++
-					continue
-				case riscv.BGEU:
-					if uint64(rs1) >= uint64(rs2) {
-						pc = int(i.Target)
-						continue outer
-					}
-					pc++
-					continue
-				case riscv.JAL:
+			end = pc + int(n)
+		} else {
+			if ins.Op == riscv.HALT {
+				// Drain the accelerator so total cycles include the tail;
+				// the drain is not a configuration-interface stall, so it
+				// does not count toward StallCycles.
+				if mc.now < mc.busyUntil {
+					mc.record(SegHostStall, mc.now, mc.busyUntil)
+					mc.now = mc.busyUntil
+				}
+				mc.Cycles = mc.now
+				return nil
+			}
+			if mc.HostInstrs >= limit {
+				mc.Cycles = mc.now
+				return fmt.Errorf("sim: instruction limit %d exceeded (infinite loop?)", limit)
+			}
+			if !riscv.PlainOp(ins.Op) {
+				if err := mc.deviceOp(ins.Op, ins.Funct7, ins.Imm, ins.Rd, regs[ins.Rs1], regs[ins.Rs2], ins.Class, ins.Cost); err != nil {
+					mc.Cycles = mc.now
+					return fmt.Errorf("sim: at pc %d (%s): %w", pc, ins, err)
+				}
+				pc++
+				continue
+			}
+			mc.charge(ins.Class, ins.Cost, SegHostExec)
+		}
+
+		// The one semantics switch of this engine, inlined: at hundreds of
+		// millions of executed instructions per sweep, a call per
+		// instruction is the single largest remaining cost.
+		for pc < end {
+			i := &code[pc]
+			rs1 := regs[i.Rs1]
+			rs2 := regs[i.Rs2]
+			var v int64
+			switch i.Op {
+			case riscv.ADD:
+				v = rs1 + rs2
+			case riscv.ADDI:
+				v = rs1 + i.Imm
+			case riscv.LI:
+				v = i.Imm
+			case riscv.SUB:
+				v = rs1 - rs2
+			case riscv.MUL:
+				v = rs1 * rs2
+			case riscv.DIVU:
+				if rs2 == 0 {
+					v = -1
+				} else {
+					v = int64(uint64(rs1) / uint64(rs2))
+				}
+			case riscv.REMU:
+				if rs2 == 0 {
+					v = rs1
+				} else {
+					v = int64(uint64(rs1) % uint64(rs2))
+				}
+			case riscv.AND:
+				v = rs1 & rs2
+			case riscv.OR:
+				v = rs1 | rs2
+			case riscv.XOR:
+				v = rs1 ^ rs2
+			case riscv.SLL:
+				v = rs1 << (uint64(rs2) & 63)
+			case riscv.SRL:
+				v = int64(uint64(rs1) >> (uint64(rs2) & 63))
+			case riscv.SLT:
+				v = boolToInt(rs1 < rs2)
+			case riscv.SLTU:
+				v = boolToInt(uint64(rs1) < uint64(rs2))
+			case riscv.ANDI:
+				v = rs1 & i.Imm
+			case riscv.ORI:
+				v = rs1 | i.Imm
+			case riscv.XORI:
+				v = rs1 ^ i.Imm
+			case riscv.SLLI:
+				v = rs1 << (uint64(i.Imm) & 63)
+			case riscv.SRLI:
+				v = int64(uint64(rs1) >> (uint64(i.Imm) & 63))
+			case riscv.SLTIU:
+				v = boolToInt(uint64(rs1) < uint64(i.Imm))
+			case riscv.LB:
+				v = memory.ReadSigned(uint64(rs1+i.Imm), 8)
+			case riscv.LH:
+				v = memory.ReadSigned(uint64(rs1+i.Imm), 16)
+			case riscv.LW:
+				v = memory.ReadSigned(uint64(rs1+i.Imm), 32)
+			case riscv.LD:
+				v = memory.ReadSigned(uint64(rs1+i.Imm), 64)
+			case riscv.SB:
+				memory.WriteSigned(uint64(rs1+i.Imm), 8, rs2)
+				pc++
+				continue
+			case riscv.SH:
+				memory.WriteSigned(uint64(rs1+i.Imm), 16, rs2)
+				pc++
+				continue
+			case riscv.SW:
+				memory.WriteSigned(uint64(rs1+i.Imm), 32, rs2)
+				pc++
+				continue
+			case riscv.SD:
+				memory.WriteSigned(uint64(rs1+i.Imm), 64, rs2)
+				pc++
+				continue
+			case riscv.BEQ:
+				if rs1 == rs2 {
 					pc = int(i.Target)
 					continue outer
-				default: // NOP
-					pc++
-					continue
-				}
-				if i.Rd != 0 {
-					regs[i.Rd] = v
 				}
 				pc++
-			}
-			continue
-		}
-
-		if ins.Op == riscv.HALT {
-			// Drain the accelerator so total cycles include the tail; the
-			// drain is not a configuration-interface stall, so it does not
-			// count toward StallCycles.
-			if mc.now < mc.busyUntil {
-				mc.record(SegHostStall, mc.now, mc.busyUntil)
-				mc.now = mc.busyUntil
-			}
-			mc.Cycles = mc.now
-			return nil
-		}
-		if mc.HostInstrs >= limit {
-			mc.Cycles = mc.now
-			return fmt.Errorf("sim: instruction limit %d exceeded (infinite loop?)", limit)
-		}
-
-		switch ins.Op {
-		case riscv.CUSTOM:
-			if err := mc.custom(ins.Funct7, ins.Class, ins.Cost, mc.Regs[ins.Rs1], mc.Regs[ins.Rs2]); err != nil {
-				mc.Cycles = mc.now
-				return fmt.Errorf("sim: at pc %d (%s): %w", pc, ins, err)
-			}
-			pc++
-		case riscv.CSRRW:
-			if err := mc.csrWrite(uint32(ins.Imm), ins.Class, ins.Cost, mc.Regs[ins.Rs1]); err != nil {
-				mc.Cycles = mc.now
-				return fmt.Errorf("sim: at pc %d (%s): %w", pc, ins, err)
-			}
-			pc++
-		case riscv.CSRRS:
-			if err := mc.csrRead(uint32(ins.Imm), ins.Rd, ins.Class, ins.Cost); err != nil {
-				mc.Cycles = mc.now
-				return fmt.Errorf("sim: at pc %d (%s): %w", pc, ins, err)
-			}
-			pc++
-		default:
-			if !riscv.PlainOp(ins.Op) {
-				// Unknown opcode: same failure as the reference engine.
-				mc.Cycles = mc.now
-				return fmt.Errorf("sim: at pc %d (%s): unimplemented opcode %s", pc, ins, ins.Op)
-			}
-			// Plain instruction outside a batch: either its class needs a
-			// dedicated counter (ClassSync busy-poll branches) or the block
-			// would straddle the instruction limit. Execute one at a time
-			// with full per-instruction accounting.
-			mc.charge(ins.Class, ins.Cost, SegHostExec)
-			if mc.execPlain(ins) {
-				pc = int(ins.Target)
-			} else {
+				continue
+			case riscv.BNE:
+				if rs1 != rs2 {
+					pc = int(i.Target)
+					continue outer
+				}
 				pc++
+				continue
+			case riscv.BLT:
+				if rs1 < rs2 {
+					pc = int(i.Target)
+					continue outer
+				}
+				pc++
+				continue
+			case riscv.BGE:
+				if rs1 >= rs2 {
+					pc = int(i.Target)
+					continue outer
+				}
+				pc++
+				continue
+			case riscv.BLTU:
+				if uint64(rs1) < uint64(rs2) {
+					pc = int(i.Target)
+					continue outer
+				}
+				pc++
+				continue
+			case riscv.BGEU:
+				if uint64(rs1) >= uint64(rs2) {
+					pc = int(i.Target)
+					continue outer
+				}
+				pc++
+				continue
+			case riscv.JAL:
+				pc = int(i.Target)
+				continue outer
+			default: // NOP
+				pc++
+				continue
 			}
+			if i.Rd != 0 {
+				regs[i.Rd] = v
+			}
+			pc++
 		}
 	}
-}
-
-// execPlain interprets the register/memory semantics of one plain
-// instruction (no accounting — the caller has already charged it, either
-// individually or as part of a batched block). It reports whether control
-// transfers to ins.Target.
-//
-//cwlint:hotpath
-func (mc *Machine) execPlain(ins *riscv.DecodedInstr) bool {
-	rs1 := mc.Regs[ins.Rs1]
-	rs2 := mc.Regs[ins.Rs2]
-	var v int64
-	switch ins.Op {
-	case riscv.NOP:
-		return false
-	case riscv.ADD:
-		v = rs1 + rs2
-	case riscv.SUB:
-		v = rs1 - rs2
-	case riscv.MUL:
-		v = rs1 * rs2
-	case riscv.DIVU:
-		if rs2 == 0 {
-			v = -1
-		} else {
-			v = int64(uint64(rs1) / uint64(rs2))
-		}
-	case riscv.REMU:
-		if rs2 == 0 {
-			v = rs1
-		} else {
-			v = int64(uint64(rs1) % uint64(rs2))
-		}
-	case riscv.AND:
-		v = rs1 & rs2
-	case riscv.OR:
-		v = rs1 | rs2
-	case riscv.XOR:
-		v = rs1 ^ rs2
-	case riscv.SLL:
-		v = rs1 << (uint64(rs2) & 63)
-	case riscv.SRL:
-		v = int64(uint64(rs1) >> (uint64(rs2) & 63))
-	case riscv.SLT:
-		v = boolToInt(rs1 < rs2)
-	case riscv.SLTU:
-		v = boolToInt(uint64(rs1) < uint64(rs2))
-	case riscv.ADDI:
-		v = rs1 + ins.Imm
-	case riscv.ANDI:
-		v = rs1 & ins.Imm
-	case riscv.ORI:
-		v = rs1 | ins.Imm
-	case riscv.XORI:
-		v = rs1 ^ ins.Imm
-	case riscv.SLLI:
-		v = rs1 << (uint64(ins.Imm) & 63)
-	case riscv.SRLI:
-		v = int64(uint64(rs1) >> (uint64(ins.Imm) & 63))
-	case riscv.SLTIU:
-		v = boolToInt(uint64(rs1) < uint64(ins.Imm))
-	case riscv.LI:
-		v = ins.Imm
-	case riscv.LB:
-		v = mc.Mem.ReadSigned(uint64(rs1+ins.Imm), 8)
-	case riscv.LH:
-		v = mc.Mem.ReadSigned(uint64(rs1+ins.Imm), 16)
-	case riscv.LW:
-		v = mc.Mem.ReadSigned(uint64(rs1+ins.Imm), 32)
-	case riscv.LD:
-		v = mc.Mem.ReadSigned(uint64(rs1+ins.Imm), 64)
-	case riscv.SB:
-		mc.Mem.WriteSigned(uint64(rs1+ins.Imm), 8, rs2)
-		return false
-	case riscv.SH:
-		mc.Mem.WriteSigned(uint64(rs1+ins.Imm), 16, rs2)
-		return false
-	case riscv.SW:
-		mc.Mem.WriteSigned(uint64(rs1+ins.Imm), 32, rs2)
-		return false
-	case riscv.SD:
-		mc.Mem.WriteSigned(uint64(rs1+ins.Imm), 64, rs2)
-		return false
-	case riscv.BEQ:
-		return rs1 == rs2
-	case riscv.BNE:
-		return rs1 != rs2
-	case riscv.BLT:
-		return rs1 < rs2
-	case riscv.BGE:
-		return rs1 >= rs2
-	case riscv.BLTU:
-		return uint64(rs1) < uint64(rs2)
-	case riscv.BGEU:
-		return uint64(rs1) >= uint64(rs2)
-	case riscv.JAL:
-		return true
-	}
-	if ins.Rd != 0 {
-		mc.Regs[ins.Rd] = v
-	}
-	return false
 }

@@ -77,10 +77,10 @@ func runBoth(t *testing.T, makeDev func() accel.Device, maxInstrs uint64, setup 
 
 func TestEngineEquivalence(t *testing.T) {
 	seqDev := func() accel.Device {
-		return &fakeDevice{scheme: accel.Sequential, busyCycles: 37, opsPerLaunch: 64}
+		return &fakeDevice{Port: roccPort, busyCycles: 37, opsPerLaunch: 64}
 	}
 	concDev := func() accel.Device {
-		return &fakeDevice{scheme: accel.Concurrent, busyCycles: 41, opsPerLaunch: 16}
+		return &fakeDevice{Port: csrPort, busyCycles: 41, opsPerLaunch: 16}
 	}
 	cases := []struct {
 		name  string
@@ -130,16 +130,16 @@ func TestEngineEquivalence(t *testing.T) {
 			a.Emit(riscv.Instr{Op: riscv.LI, Rd: 5, Imm: 9})
 		}},
 		{name: "concurrent device and poll loop", dev: concDev, build: func(a *riscv.Assembler) {
-			a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 99, Class: riscv.ClassConfig})
-			a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 3, Class: riscv.ClassConfig}) // staged
+			a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 99, Class: riscv.ClassConfig})
+			a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 3, Class: riscv.ClassConfig}) // staged
 			a.Label("poll")
 			a.Emit(riscv.Instr{Op: riscv.CSRRS, Rd: 5, Imm: 0x3cc, Class: riscv.ClassSync})
 			a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 5, Rs2: 0, Label: "poll", Class: riscv.ClassSync})
 			a.Emit(riscv.Instr{Op: riscv.CSRRW, Rs1: 5, Imm: 0x3c1, Class: riscv.ClassConfig})
 		}},
 		{name: "back to back launches", dev: concDev, build: func(a *riscv.Assembler) {
-			a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 99, Class: riscv.ClassConfig})
-			a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 99, Class: riscv.ClassConfig}) // waits
+			a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 99, Class: riscv.ClassConfig})
+			a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 99, Class: riscv.ClassConfig}) // waits
 		}},
 		{name: "instruction limit inside block", limit: 10, build: func(a *riscv.Assembler) {
 			a.Label("forever")
@@ -152,6 +152,23 @@ func TestEngineEquivalence(t *testing.T) {
 			a.Label("forever")
 			a.Emit(riscv.Instr{Op: riscv.ADDI, Rd: 5, Rs1: 5, Imm: 1})
 			a.Emit(riscv.Instr{Op: riscv.JAL, Label: "forever"})
+		}},
+		{name: "limit inside a busy-poll loop", dev: concDev, limit: 8, build: func(a *riscv.Assembler) {
+			// The poll's ClassSync branch runs one instruction at a time;
+			// the limit lands on it after three and a half polls.
+			a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 99, Class: riscv.ClassConfig})
+			a.Label("poll")
+			a.Emit(riscv.Instr{Op: riscv.CSRRS, Rd: 5, Imm: 0x3cc, Class: riscv.ClassSync})
+			a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 5, Rs2: 0, Label: "poll", Class: riscv.ClassSync})
+			a.Emit(riscv.Instr{Op: riscv.LI, Rd: 6, Imm: 7})
+		}},
+		{name: "rocc fence", dev: seqDev, build: func(a *riscv.Assembler) {
+			a.Emit(riscv.Instr{Op: riscv.LI, Rd: 5, Imm: 1})
+			a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 99, Class: riscv.ClassConfig}) // launch
+			a.Emit(riscv.Instr{Op: riscv.ADDI, Rd: 5, Rs1: 5, Imm: 1})                  // overlaps the job
+			a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 100, Class: riscv.ClassSync})  // waits for it
+			a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 100, Class: riscv.ClassSync})  // already idle
+			a.Emit(riscv.Instr{Op: riscv.ADDI, Rd: 5, Rs1: 5, Imm: 1})
 		}},
 		{name: "device op with no device errors", build: func(a *riscv.Assembler) {
 			a.Emit(riscv.Instr{Op: riscv.LI, Rd: 5, Imm: 1})

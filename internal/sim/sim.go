@@ -5,6 +5,14 @@
 // configuration schemes — and exposes the counters the configuration
 // roofline needs (configuration bytes, setup vs calculation cycles,
 // accelerator ops and busy cycles).
+//
+// Each rule is written once. The instruction semantics have two copies: the
+// reference interpreter's step and the fast engine's one switch (fast.go),
+// which the differential oracle holds to each other. Both engines hand
+// device instructions to deviceOp, and every configuration write, RoCC or
+// CSR, goes through configure, which reads what the write is — a fence, a
+// launch, how many bytes, whether the host must stall — off the device's
+// accel.Port.
 package sim
 
 import (
@@ -278,7 +286,8 @@ func (mc *Machine) runRef(p *riscv.Program) error {
 // charge accounts one instruction at the *current* time — stalls may have
 // advanced the clock before the instruction issues. It is the closure-free
 // shared accounting primitive of both engines (the fast engine calls it
-// only off the batched path: device ops and limit-straddling block tails).
+// only off the batched path: device ops, sync-class polls and
+// limit-straddling block tails).
 func (mc *Machine) charge(class riscv.Class, cost uint64, kind SegmentKind) {
 	start := mc.now
 	mc.HostInstrs++
@@ -439,86 +448,72 @@ func (mc *Machine) step(p *riscv.Program, pc int, ins riscv.Instr) (int, error) 
 	case riscv.JAL:
 		charge(SegHostExec)
 		return p.Targets[pc], nil
-	case riscv.CUSTOM:
-		if err := mc.custom(ins.Funct7, ins.Class, cost, rs1, rs2); err != nil {
-			return 0, err
-		}
-	case riscv.CSRRW:
-		if err := mc.csrWrite(uint32(ins.Imm), ins.Class, cost, rs1); err != nil {
-			return 0, err
-		}
-	case riscv.CSRRS:
-		if err := mc.csrRead(uint32(ins.Imm), ins.Rd, ins.Class, cost); err != nil {
-			return 0, err
-		}
 	default:
-		return 0, fmt.Errorf("unimplemented opcode %s", ins.Op)
+		if err := mc.deviceOp(ins.Op, ins.Funct7, ins.Imm, ins.Rd, rs1, rs2, ins.Class, cost); err != nil {
+			return 0, err
+		}
 	}
 	return pc + 1, nil
 }
 
-// custom dispatches a RoCC custom instruction to the device. It is shared
-// by both engines: class and cost are the caller's predecoded (or
-// freshly computed) accounting inputs.
-func (mc *Machine) custom(funct7 uint32, class riscv.Class, cost uint64, rs1, rs2 int64) error {
-	dev := mc.Device
-	if dev == nil {
-		return fmt.Errorf("custom instruction with no device attached")
+// deviceOp executes one device instruction for both engines: CUSTOM and
+// CSRRW write the configuration port (the id is the funct7 or the CSR
+// address), CSRRS reads a status register into rd. Class and cost are the
+// caller's predecoded (or freshly computed) accounting inputs. Any other
+// opcode that is not plain host code is unimplemented.
+func (mc *Machine) deviceOp(op riscv.Opcode, funct7 uint32, imm int64, rd riscv.Reg, rs1, rs2 int64, class riscv.Class, cost uint64) error {
+	switch op {
+	case riscv.CUSTOM:
+		return mc.configure(funct7, rs1, rs2, class, cost)
+	case riscv.CSRRW:
+		return mc.configure(uint32(imm), rs1, 0, class, cost)
+	case riscv.CSRRS:
+		return mc.csrRead(uint32(imm), rd, class, cost)
 	}
-	if dev.IsFence(funct7) {
+	return fmt.Errorf("unimplemented opcode %s", op)
+}
+
+// configure is the one configuration write: a RoCC custom instruction
+// (payload rs1, rs2) or a CSR write (payload rs1). The device's port says
+// what the write is — its fence, its launch, its scheme, its bytes.
+func (mc *Machine) configure(id uint32, lo, hi int64, class riscv.Class, cost uint64) error {
+	if mc.Device == nil {
+		return fmt.Errorf("configuration write with no device attached")
+	}
+	p := mc.Device.ConfigPort()
+	if p.Kind == accel.RoCC && id == p.Sync {
+		// A fence: the host blocks until the accelerator is idle.
 		mc.stallUntilIdle()
 		mc.charge(class, cost, SegHostStall)
 		return nil
 	}
 	// Sequential configuration: the accelerator cannot accept interface
-	// traffic while running — the host stalls (paper §2.2).
-	if dev.Scheme() == accel.Sequential {
-		mc.stallUntilIdle()
-	} else if dev.IsLaunch(funct7) {
-		// Concurrent: only a launch has to wait for the previous job.
+	// traffic while running — the host stalls (paper §2.2). Concurrent:
+	// only a launch has to wait for the previous job.
+	launch := id == p.Launch
+	if p.Mode == accel.Sequential || launch {
 		mc.stallUntilIdle()
 	}
-	dev.WriteConfig(funct7, uint64(rs1), uint64(rs2))
+	mc.Device.WriteConfig(id, uint64(lo), uint64(hi))
 	mc.ConfigInstrs++
-	mc.ConfigBytes += dev.ConfigBytes(funct7)
+	mc.ConfigBytes += p.Kind.WriteBytes()
 	mc.charge(class, cost, SegHostConfig)
-	if dev.IsLaunch(funct7) {
+	if launch {
 		return mc.launch()
 	}
 	return nil
 }
 
-// csrWrite dispatches a CSR write to the device (shared by both engines).
-func (mc *Machine) csrWrite(addr uint32, class riscv.Class, cost uint64, value int64) error {
-	dev := mc.Device
-	if dev == nil {
-		return fmt.Errorf("csr write with no device attached")
-	}
-	if dev.Scheme() == accel.Sequential || dev.IsLaunch(addr) {
-		mc.stallUntilIdle()
-	}
-	dev.WriteConfig(addr, uint64(value), 0)
-	mc.ConfigInstrs++
-	mc.ConfigBytes += dev.ConfigBytes(addr)
-	mc.charge(class, cost, SegHostConfig)
-	if dev.IsLaunch(addr) {
-		return mc.launch()
-	}
-	return nil
-}
-
-// csrRead handles status/perf CSR reads (shared by both engines).
+// csrRead handles status/perf CSR reads: the busy register of a CSR port
+// reads 1 while the accelerator runs, any other address the last job's
+// cycles.
 func (mc *Machine) csrRead(addr uint32, rd riscv.Reg, class riscv.Class, cost uint64) error {
-	dev := mc.Device
-	if dev == nil {
+	if mc.Device == nil {
 		return fmt.Errorf("csr read with no device attached")
 	}
-	busy := int64(0)
-	if mc.now < mc.busyUntil {
-		busy = 1
-	}
-	if id, ok := dev.StatusID(); ok && addr == id {
-		mc.setRd(rd, busy)
+	p := mc.Device.ConfigPort()
+	if p.Kind == accel.CSR && addr == p.Sync {
+		mc.setRd(rd, boolToInt(mc.now < mc.busyUntil))
 	} else {
 		mc.setRd(rd, int64(mc.lastJob.Cycles))
 	}

@@ -10,22 +10,24 @@ import (
 	"configwall/internal/sim"
 )
 
+// The fake device sits behind one of two ports: a sequential RoCC port
+// (launch funct7 99, fence funct7 100) or a concurrent CSR port (launch CSR
+// 99, busy register 0x3cc).
+var (
+	roccPort = &accel.Port{Accel: "fake", Mode: accel.Sequential, Kind: accel.RoCC, Launch: 99, Sync: 100}
+	csrPort  = &accel.Port{Accel: "fake", Mode: accel.Concurrent, Kind: accel.CSR, Launch: 99, Sync: 0x3cc}
+)
+
 // fakeDevice is a configurable test double: each launch takes busyCycles
 // and performs opsPerLaunch ops.
 type fakeDevice struct {
-	scheme       accel.Scheme
+	*accel.Port
 	busyCycles   uint64
 	opsPerLaunch uint64
 	writes       []uint32
 	launchErr    error
 }
 
-func (d *fakeDevice) Name() string              { return "fake" }
-func (d *fakeDevice) Scheme() accel.Scheme      { return d.scheme }
-func (d *fakeDevice) ConfigBytes(uint32) uint64 { return 16 }
-func (d *fakeDevice) IsLaunch(id uint32) bool   { return id == 99 }
-func (d *fakeDevice) IsFence(id uint32) bool    { return id == 100 }
-func (d *fakeDevice) StatusID() (uint32, bool)  { return 0x3cc, true }
 func (d *fakeDevice) WriteConfig(id uint32, lo, hi uint64) {
 	d.writes = append(d.writes, id)
 }
@@ -107,7 +109,7 @@ func TestBranchLoop(t *testing.T) {
 }
 
 func TestSequentialConfigStallsWhileBusy(t *testing.T) {
-	dev := &fakeDevice{scheme: accel.Sequential, busyCycles: 100, opsPerLaunch: 1000}
+	dev := &fakeDevice{Port: roccPort, busyCycles: 100, opsPerLaunch: 1000}
 	mc := newMachine(dev)
 	p := assemble(t, func(a *riscv.Assembler) {
 		// Configure + launch, then immediately configure again: the second
@@ -128,13 +130,13 @@ func TestSequentialConfigStallsWhileBusy(t *testing.T) {
 }
 
 func TestConcurrentConfigDoesNotStall(t *testing.T) {
-	dev := &fakeDevice{scheme: accel.Concurrent, busyCycles: 100, opsPerLaunch: 1000}
+	dev := &fakeDevice{Port: csrPort, busyCycles: 100, opsPerLaunch: 1000}
 	mc := newMachine(dev)
 	p := assemble(t, func(a *riscv.Assembler) {
-		a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 1, Class: riscv.ClassConfig})
-		a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 99, Class: riscv.ClassConfig}) // launch
-		a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 2, Class: riscv.ClassConfig})  // staged, no stall
-		a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 3, Class: riscv.ClassConfig})
+		a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 1, Class: riscv.ClassConfig})
+		a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 99, Class: riscv.ClassConfig}) // launch
+		a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 2, Class: riscv.ClassConfig})  // staged, no stall
+		a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 3, Class: riscv.ClassConfig})
 	})
 	if err := mc.Run(p); err != nil {
 		t.Fatal(err)
@@ -149,11 +151,11 @@ func TestConcurrentConfigDoesNotStall(t *testing.T) {
 }
 
 func TestLaunchWhileBusyWaitsEvenWhenConcurrent(t *testing.T) {
-	dev := &fakeDevice{scheme: accel.Concurrent, busyCycles: 50, opsPerLaunch: 10}
+	dev := &fakeDevice{Port: csrPort, busyCycles: 50, opsPerLaunch: 10}
 	mc := newMachine(dev)
 	p := assemble(t, func(a *riscv.Assembler) {
-		a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 99, Class: riscv.ClassConfig})
-		a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 99, Class: riscv.ClassConfig}) // must wait ~50
+		a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 99, Class: riscv.ClassConfig})
+		a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 99, Class: riscv.ClassConfig}) // must wait ~50
 	})
 	if err := mc.Run(p); err != nil {
 		t.Fatal(err)
@@ -167,7 +169,7 @@ func TestLaunchWhileBusyWaitsEvenWhenConcurrent(t *testing.T) {
 }
 
 func TestFenceBlocksUntilIdle(t *testing.T) {
-	dev := &fakeDevice{scheme: accel.Sequential, busyCycles: 77, opsPerLaunch: 1}
+	dev := &fakeDevice{Port: roccPort, busyCycles: 77, opsPerLaunch: 1}
 	mc := newMachine(dev)
 	p := assemble(t, func(a *riscv.Assembler) {
 		a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 99, Class: riscv.ClassConfig})
@@ -184,10 +186,10 @@ func TestFenceBlocksUntilIdle(t *testing.T) {
 }
 
 func TestBusyPollLoop(t *testing.T) {
-	dev := &fakeDevice{scheme: accel.Concurrent, busyCycles: 40, opsPerLaunch: 1}
+	dev := &fakeDevice{Port: csrPort, busyCycles: 40, opsPerLaunch: 1}
 	mc := newMachine(dev)
 	p := assemble(t, func(a *riscv.Assembler) {
-		a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 99, Class: riscv.ClassConfig})
+		a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 99, Class: riscv.ClassConfig})
 		a.Label("poll")
 		a.Emit(riscv.Instr{Op: riscv.CSRRS, Rd: 5, Imm: 0x3cc, Class: riscv.ClassSync})
 		a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 5, Rs2: 0, Label: "poll", Class: riscv.ClassSync})
@@ -211,7 +213,7 @@ func TestBusyPollLoop(t *testing.T) {
 }
 
 func TestConfigCounters(t *testing.T) {
-	dev := &fakeDevice{scheme: accel.Concurrent, busyCycles: 5, opsPerLaunch: 1}
+	dev := &fakeDevice{Port: roccPort, busyCycles: 5, opsPerLaunch: 1}
 	mc := newMachine(dev)
 	p := assemble(t, func(a *riscv.Assembler) {
 		a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 1, Class: riscv.ClassConfig})
@@ -246,12 +248,12 @@ func TestConfigCounters(t *testing.T) {
 }
 
 func TestTraceSegments(t *testing.T) {
-	dev := &fakeDevice{scheme: accel.Concurrent, busyCycles: 10, opsPerLaunch: 1}
+	dev := &fakeDevice{Port: csrPort, busyCycles: 10, opsPerLaunch: 1}
 	mc := newMachine(dev)
 	mc.RecordTrace = true
 	p := assemble(t, func(a *riscv.Assembler) {
 		a.Emit(riscv.Instr{Op: riscv.LI, Rd: 5, Imm: 1})
-		a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 99, Class: riscv.ClassConfig})
+		a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 99, Class: riscv.ClassConfig})
 	})
 	if err := mc.Run(p); err != nil {
 		t.Fatal(err)
@@ -281,7 +283,7 @@ func TestInstructionLimit(t *testing.T) {
 }
 
 func TestLaunchErrorPropagates(t *testing.T) {
-	dev := &fakeDevice{scheme: accel.Sequential, launchErr: accel.ErrBadConfig("fake", "boom")}
+	dev := &fakeDevice{Port: roccPort, launchErr: accel.ErrBadConfig("fake", "boom")}
 	mc := newMachine(dev)
 	p := assemble(t, func(a *riscv.Assembler) {
 		a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 99, Class: riscv.ClassConfig})
@@ -321,7 +323,7 @@ func TestCSRReadNoDeviceErrors(t *testing.T) {
 // measure from a clean clock, counters and trace — nothing of the first
 // run may accumulate into the second's measurements.
 func TestMachineReuseResetsState(t *testing.T) {
-	dev := &fakeDevice{scheme: accel.Sequential, busyCycles: 30, opsPerLaunch: 64}
+	dev := &fakeDevice{Port: roccPort, busyCycles: 30, opsPerLaunch: 64}
 	mc := newMachine(dev)
 	mc.RecordTrace = true
 	p := assemble(t, func(a *riscv.Assembler) {
@@ -368,7 +370,7 @@ func TestCyclesSetOnError(t *testing.T) {
 		}
 	})
 	t.Run("launch failure", func(t *testing.T) {
-		dev := &fakeDevice{scheme: accel.Sequential, launchErr: accel.ErrBadConfig("fake", "boom")}
+		dev := &fakeDevice{Port: roccPort, launchErr: accel.ErrBadConfig("fake", "boom")}
 		mc := newMachine(dev)
 		p := assemble(t, func(a *riscv.Assembler) {
 			a.Emit(riscv.Instr{Op: riscv.LI, Rd: 5, Imm: 1})
