@@ -322,7 +322,7 @@ func run(seed int64, n, sweeps int) int {
 		if err != nil {
 			fatal("%v", err)
 		}
-		// The boot path cwserve and cwtune take: preload whatever the store
+		// The boot path cwserve takes: preload whatever the store
 		// can still enumerate.
 		warmed, err := sv2.WarmFromStore(ctx, disk2)
 		sv2.Close()

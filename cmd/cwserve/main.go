@@ -1,6 +1,6 @@
 // Command cwserve is the experiment-serving daemon: it exposes the
 // memoized concurrent runner and the persistent disk store over an HTTP
-// JSON API, so autotuners, dashboards and sweep drivers share one
+// JSON API, so dashboards, sweep drivers and load generators share one
 // measurement cache with request coalescing and admission-controlled
 // backpressure (DESIGN.md §7).
 //
@@ -28,7 +28,8 @@
 //	     cells simulated); per-tier cell counts are exported as
 //	     cwserve_sweep_cells_total{tier="analytic"|"simulated"}.
 //	GET  /v1/registry
-//	     Registered targets, workloads, pipelines and engines.
+//	     Registered targets, workloads, pipelines and engines, the
+//	     -max-n and -max-sweep-cells caps, and whether -analytic is on.
 //	GET  /metrics
 //	     Prometheus text exposition: cache hit/miss/run/evict counters,
 //	     queue depth and slot gauges, coalescing and rejection counters,

@@ -1,18 +1,11 @@
 package core
 
-// Search-space discovery: which sweep sizes a (target, workload) pair can
-// actually build. Configuration-search clients (cmd/cwtune) discover the
-// (target x workload x pipeline x size) space from the serving daemon
-// instead of hardcoding tiling rules, and the daemon answers from here.
+// Size discovery: which sweep sizes a (target, workload) pair can actually
+// build. The benchmark builds its workload universes from here, and the
+// tests pin it against the built-in tiling rules, so neither hardcodes a
+// target's divisibility rule.
 
 import "configwall/internal/workload"
-
-// DefaultSizeGrid is the probe grid for size-feasibility discovery: a
-// coarse sweep from the smallest tile any built-in target accepts up to
-// the serving daemon's default size cap, dense at the small end where
-// tiling divisibility rules differ between targets. Servers filter it by
-// their own -max-n cap before probing.
-var DefaultSizeGrid = []int{8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024}
 
 // SupportedSizes filters candidates down to the sizes workload w can build
 // for target t, in input order. Feasibility is decided the cheap way when

@@ -259,7 +259,7 @@ func TestShardedSweepThenResume(t *testing.T) {
 	}
 }
 
-// warmFromStore boots r the way cwserve and cwtune do: a server over it,
+// warmFromStore boots r the way cwserve does: a server over it,
 // preloaded from the store behind it.
 func warmFromStore(r *core.Runner) (int, error) {
 	sv, err := serve.New(serve.Options{Runner: r})

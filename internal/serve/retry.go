@@ -173,11 +173,6 @@ func (c *Client) RunRawWithRetry(ctx context.Context, e core.Experiment, opts co
 	return c.runRaw(ctx, e, opts, pol, Retryable)
 }
 
-// RunWithRetry is Run behind the retry policy.
-func (c *Client) RunWithRetry(ctx context.Context, e core.Experiment, opts core.RunOptions, pol RetryPolicy) (core.Result, error) {
-	return decodeResult(c.RunRawWithRetry(ctx, e, opts, pol))
-}
-
 // getText fetches one of the daemon's small read-only endpoints behind the
 // retry policy, so a client's probes heal the way its cells do.
 func (c *Client) getText(ctx context.Context, path string, pol RetryPolicy) (string, error) {

@@ -1,7 +1,7 @@
 // Package serve exposes the memoized experiment runner and its persistent
 // store over HTTP, turning the reproduction into a long-lived
-// experiment-measurement service: configuration-search clients
-// (autotuners, dashboards, sweep drivers) hammer the same measurement
+// experiment-measurement service: clients (dashboards, sweep drivers,
+// load generators) hammer the same measurement
 // cache with heavily overlapping queries, and the server answers them
 // with exactly one simulation per distinct cell.
 //
@@ -20,6 +20,7 @@
 //	POST     /v1/sweep  a (targets × workloads × pipelines × sizes) grid;
 //	                    streams NDJSON events as cells complete
 //	GET      /v1/registry  registered targets/workloads/pipelines/engines
+//	                    and the daemon's size and sweep caps
 //	GET      /metrics   Prometheus text: cache counters, queue gauges,
 //	                    latency histograms
 //	GET      /healthz   200 ok, 503 once draining
@@ -36,7 +37,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -96,12 +96,6 @@ type Server struct {
 	maxSweepCells int
 	maxN          int
 	fault         *fault.Plan
-
-	// sizes caches the per-(workload, target) feasible size grids served
-	// by /v1/registry; the registry is append-only after init and the
-	// probe is pure, so computing it once per server life is safe.
-	sizesOnce sync.Once
-	sizes     map[string]map[string][]int
 
 	// inflight counts the cells whose leader is queued for or holding an
 	// admission slot (the cwserve_inflight_cells gauge).
@@ -762,9 +756,8 @@ func (s *Server) writeSweep(w http.ResponseWriter, r *http.Request, exps []core.
 	enc.Encode(SweepEvent{Done: true, Cells: len(exps), Failed: failed, Status: trailerStatus(failed)})
 }
 
-// RegistryInfo is the response of GET /v1/registry: everything a
-// configuration-search client (cmd/cwtune) needs to build its search space
-// without hardcoding the daemon's tiling rules or caps.
+// RegistryInfo is the response of GET /v1/registry: the names a client may
+// put in a request and the caps the daemon enforces on it.
 type RegistryInfo struct {
 	Targets   []string `json:"targets"`
 	Workloads []string `json:"workloads"`
@@ -777,11 +770,6 @@ type RegistryInfo struct {
 	// Analytic reports whether a calibrated predictor is attached, i.e.
 	// whether fidelity=screen / fidelity=topk sweeps will be accepted.
 	Analytic bool `json:"analytic"`
-	// Sizes maps workload name → target name → the sweep sizes that
-	// (target, workload) pair can actually build, probed over
-	// core.DefaultSizeGrid capped at MaxN. A pair no grid size fits gets
-	// an empty list.
-	Sizes map[string]map[string][]int `json:"sizes"`
 }
 
 func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
@@ -801,46 +789,9 @@ func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
 		MaxN:          s.maxN,
 		MaxSweepCells: s.maxSweepCells,
 		Analytic:      s.runner.Predictor() != nil,
-		Sizes:         s.registrySizes(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(info)
-}
-
-// registrySizes probes the feasible size grid for every (workload, target)
-// pair, once per server life. The JSON encoder sorts map keys, so the
-// response stays byte-deterministic.
-func (s *Server) registrySizes() map[string]map[string][]int {
-	s.sizesOnce.Do(func() {
-		candidates := make([]int, 0, len(core.DefaultSizeGrid))
-		for _, n := range core.DefaultSizeGrid {
-			if n <= s.maxN {
-				candidates = append(candidates, n)
-			}
-		}
-		sizes := make(map[string]map[string][]int)
-		for _, wName := range core.WorkloadNames() {
-			w, err := core.LookupWorkload(wName)
-			if err != nil {
-				continue
-			}
-			perTarget := make(map[string][]int)
-			for _, tName := range core.TargetNames() {
-				t, err := core.LookupTarget(tName)
-				if err != nil {
-					continue
-				}
-				feasible := core.SupportedSizes(t, w, candidates)
-				if feasible == nil {
-					feasible = []int{}
-				}
-				perTarget[tName] = feasible
-			}
-			sizes[wName] = perTarget
-		}
-		s.sizes = sizes
-	})
-	return s.sizes
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

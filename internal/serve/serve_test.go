@@ -7,11 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -184,6 +186,57 @@ func TestCoalescing(t *testing.T) {
 	}
 	if got := st.Loads(); got != 1 {
 		t.Errorf("store loads = %d, want 1 (coalescing must also collapse store traffic)", got)
+	}
+}
+
+// TestConcurrentClientsCoalesce: several clients, each with its own retry
+// stream, walking the same list of distinct cells at once cost exactly one
+// simulation per distinct cell, and every client gets the canonical body of
+// every cell. Under -race this drives the whole client/server path.
+func TestConcurrentClientsCoalesce(t *testing.T) {
+	st := &slowStore{delay: 10 * time.Millisecond}
+	runner := core.NewRunnerWith(core.RunnerOptions{Workers: 4, Store: st})
+	sv, ts, _ := newTestServer(t, serve.Options{Runner: runner})
+
+	cells := core.Sweep([]string{"gemmini", "opengemm"}, []string{core.WorkloadMatmul}, core.Pipelines, []int{16, 32})
+	want, err := serve.CanonicalBodies(context.Background(), cells, core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const clients = 4
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := serve.NewClient(ts.URL)
+			pol := serve.RetryPolicy{Seed: int64(w)}
+			// Each client starts at its own offset, so distinct cells are
+			// in flight together and every cell is asked for by all.
+			for i := range cells {
+				e := cells[(i+w*len(cells)/clients)%len(cells)]
+				body, err := c.RunRawWithRetry(context.Background(), e, core.RunOptions{}, pol)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				if !bytes.Equal(body, want[core.FingerprintKey(e, core.RunOptions{})]) {
+					errs[w] = fmt.Errorf("%s: body differs from the canonical body", e)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d: %v", w, err)
+		}
+	}
+	if got := sv.Runner().Snapshot().Runs; got != uint64(len(cells)) {
+		t.Errorf("Runs = %d for %d clients over %d distinct cells, want one simulation per cell", got, clients, len(cells))
 	}
 }
 
@@ -588,7 +641,7 @@ func TestSweepFidelityValidation(t *testing.T) {
 
 // TestRegistry checks the discovery endpoint lists the built-in names.
 func TestRegistry(t *testing.T) {
-	_, _, c := newTestServer(t, serve.Options{})
+	_, ts, c := newTestServer(t, serve.Options{})
 	info, err := c.Registry(context.Background(), serve.RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
@@ -611,25 +664,20 @@ func TestRegistry(t *testing.T) {
 	if info.Analytic {
 		t.Errorf("Analytic = true on a server without a predictor")
 	}
-	// The size grids must respect each target's tiling rules: gemmini
-	// matmul needs multiples of 16, opengemm multiples of 8 — so 8 is
-	// feasible for opengemm only, 16 for both, and nothing above MaxN
-	// appears.
-	gm := info.Sizes[core.WorkloadMatmul]["gemmini"]
-	og := info.Sizes[core.WorkloadMatmul]["opengemm"]
-	if len(gm) == 0 || len(og) == 0 {
-		t.Fatalf("matmul size grids missing: gemmini=%v opengemm=%v", gm, og)
+	// The wire carries exactly these keys: a field no client reads is not
+	// sent.
+	resp, err := http.Get(ts.URL + "/v1/registry")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if containsInt(gm, 8) {
-		t.Errorf("gemmini matmul sizes %v include 8 (tile is 16)", gm)
+	defer resp.Body.Close()
+	var wire map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+		t.Fatal(err)
 	}
-	if !containsInt(gm, 16) || !containsInt(og, 8) || !containsInt(og, 16) {
-		t.Errorf("expected 16 in gemmini %v and 8,16 in opengemm %v", gm, og)
-	}
-	for _, n := range og {
-		if n > info.MaxN {
-			t.Errorf("size %d above the reported cap %d", n, info.MaxN)
-		}
+	keys := slices.Sorted(maps.Keys(wire))
+	if want := []string{"analytic", "engines", "max_n", "max_sweep_cells", "pipelines", "targets", "workloads"}; !slices.Equal(keys, want) {
+		t.Errorf("/v1/registry keys = %v, want %v", keys, want)
 	}
 }
 
@@ -645,15 +693,6 @@ func TestRegistryAnalytic(t *testing.T) {
 	if !info.Analytic {
 		t.Errorf("Analytic = false with a predictor attached")
 	}
-}
-
-func containsInt(xs []int, want int) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
 }
 
 func contains(xs []string, want string) bool {
