@@ -18,11 +18,11 @@ import (
 // setupFidelity answers the selected artifacts' whole grid once through the
 // analytical tier — Runner.RunTopK, k = 0 for screen: every cell predicted,
 // the k best-predicted simulated — and points the figure sweeps at a
-// private store-less runner preloaded with exactly those answers. What the
-// figures print is then a function of the flags: nothing the simulating
-// runner happens to hold (the calibration leaves its training cells there)
-// can leak into them, and predictions never reach a store.
-func setupFidelity(b *bench, name string, k int, only string, sharded bool) error {
+// private runner preloaded with exactly those answers. What the figures
+// print is then a function of the flags: nothing the simulating runner
+// happens to hold (the calibration leaves its training cells there) can
+// leak into them.
+func setupFidelity(b *bench, name string, k int, only string) error {
 	switch name {
 	case "", "full":
 		return nil
@@ -31,9 +31,6 @@ func setupFidelity(b *bench, name string, k int, only string, sharded bool) erro
 	case "topk":
 	default:
 		return fmt.Errorf("unknown -fidelity %q (valid: full, screen, topk)", name)
-	}
-	if sharded {
-		return fmt.Errorf("-shard precomputes simulated ground truth; it does not combine with -fidelity %s", name)
 	}
 	fmt.Fprintf(os.Stderr, "cwbench: calibrating analytic tier (seed %d)\n", analytic.DefaultSeed)
 	rep, err := analytic.Attach(context.Background(), b.runner, analytic.DefaultSeed)

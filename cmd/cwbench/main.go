@@ -6,11 +6,7 @@
 //	                           # example46, fig7, fig10, fig11, fig12
 //	cwbench -sizes 16,32,64    # override the size sweep
 //	cwbench -workers 8         # experiment worker-pool bound (0 = all cores)
-//	cwbench -cache-dir .cwcache  # persist results; reruns recompute nothing
-//	cwbench -cache-dir .cwcache -shard 0/4   # precompute 1/4 of the grid
-//	cwbench -cache-stats       # report cache hit/miss/run counters
 //	cwbench -engine ref        # run every experiment on the reference interpreter
-//	cwbench -cache-dir .cwcache -store-ls    # list the stored entries
 //	cwbench -cpuprofile cw.pprof -only fig11  # pprof profile of a real sweep
 //	cwbench -memprofile heap.pprof -only fig11  # post-GC heap profile at exit
 //	cwbench -fidelity screen -only fig11      # zero-sim sweep; the fit's
@@ -19,13 +15,10 @@
 //
 // All experiment cells run on one shared concurrent runner, so artifacts
 // that revisit a cell (Figure 11 and Figure 12 share their base/all cells)
-// never recompile it, and output is byte-identical to a serial run. With
-// -cache-dir the runner is additionally backed by a persistent store: a
-// repeated invocation simulates nothing, and a crashed or sharded sweep
-// resumes exactly where the stored cells end. -shard i/m computes only the
-// i-th stride of the figure grid and renders nothing — run one process per
-// shard against the same -cache-dir, then a final plain invocation renders
-// every figure from the store.
+// never recompile it, and output is byte-identical to a serial run. The
+// runner is in-memory only: the whole evaluation is 28 cells and renders in
+// well under a second, so there is nothing for a persistent store to save
+// (cwserve keeps one, for daemon restarts).
 //
 // -fidelity screen|topk fits the analytical tier (analytic.Attach, seed
 // analytic.DefaultSeed), answers the selected figures' whole grid once
@@ -48,11 +41,10 @@ import (
 	"configwall/internal/core"
 	"configwall/internal/roofline"
 	"configwall/internal/sim"
-	"configwall/internal/store"
 )
 
 // artifact is one regenerable table/figure; run renders it to stdout, and
-// grid (optional) lists its experiment cells for sharded precomputation.
+// grid (optional) lists its experiment cells for -fidelity to answer.
 type artifact struct {
 	name  string
 	title string
@@ -62,12 +54,11 @@ type artifact struct {
 
 // bench carries the shared state of one cwbench invocation.
 type bench struct {
-	// runner simulates (calibration, -shard, the cells -fidelity topk
-	// chooses) and is what -cache-stats reports.
+	// runner simulates (calibration, the cells -fidelity topk chooses).
 	runner *core.Runner
 	// figures is the runner the figure sweeps read: runner itself, or under
-	// -fidelity screen/topk a private store-less runner preloaded with that
-	// one sweep's answers (setupFidelity).
+	// -fidelity screen/topk a private runner preloaded with that one
+	// sweep's answers (setupFidelity).
 	figures *core.Runner
 	sizes   []int           // overrides the per-figure defaults when non-empty
 	opts    core.RunOptions // shared run options (engine selection)
@@ -171,11 +162,7 @@ func main() {
 	only := flag.String("only", "", "run a single artifact ("+strings.Join(artifactNames(), "|")+")")
 	sizes := flag.String("sizes", "", "comma-separated matrix sizes overriding the per-figure defaults")
 	workers := flag.Int("workers", 0, "experiment worker-pool bound (0 = GOMAXPROCS)")
-	cacheDir := flag.String("cache-dir", "", "directory of the persistent experiment-result store (empty = in-memory only)")
-	shardSpec := flag.String("shard", "", "precompute shard i/m of the figure grid into -cache-dir and render nothing (e.g. 0/4)")
-	cacheStats := flag.Bool("cache-stats", false, "print runner cache statistics after the run")
 	engineName := flag.String("engine", sim.Engine(0).String(), "simulator engine for every experiment ("+strings.Join(sim.EngineNames(), "|")+")")
-	storeLS := flag.Bool("store-ls", false, "list the entries of -cache-dir (sorted by cache key) and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-GC live objects) to this file at exit")
 	fidelity := flag.String("fidelity", "full", "prediction tier for figure sweeps (full|screen|topk, DESIGN.md §10); screen/topk fit the tier first and print its held-out report to stderr (non-zero exit on a band violation)")
@@ -227,24 +214,7 @@ func main() {
 		fatal("%v", err)
 	}
 
-	ropts := core.RunnerOptions{Workers: *workers}
-	var st *store.DiskStore
-	if *cacheDir != "" {
-		if st, err = store.Open(*cacheDir); err != nil {
-			fatal("%v", err)
-		}
-		ropts.Store = st
-	}
-	if *storeLS {
-		if st == nil {
-			fatal("-store-ls requires -cache-dir")
-		}
-		if err := listStore(st); err != nil {
-			fatal("%v", err)
-		}
-		return
-	}
-	b := &bench{runner: core.NewRunnerWith(ropts), opts: core.RunOptions{Engine: engine}}
+	b := &bench{runner: core.NewRunner(*workers), opts: core.RunOptions{Engine: engine}}
 	b.figures = b.runner
 	if *sizes != "" {
 		for _, s := range strings.Split(*sizes, ",") {
@@ -256,86 +226,24 @@ func main() {
 		}
 	}
 
-	if err := setupFidelity(b, *fidelity, *topK, *only, *shardSpec != ""); err != nil {
+	if err := setupFidelity(b, *fidelity, *topK, *only); err != nil {
 		fatal("%v", err)
 	}
 
-	if *shardSpec != "" {
-		if *cacheDir == "" {
-			fatal("-shard requires -cache-dir (shards only communicate through the store)")
+	ran := false
+	for _, a := range artifacts {
+		if *only != "" && *only != a.name {
+			continue
 		}
-		if err := precomputeShard(b, *only, *shardSpec); err != nil {
-			fatal("%v", err)
-		}
-	} else {
-		ran := false
-		for _, a := range artifacts {
-			if *only != "" && *only != a.name {
-				continue
-			}
-			ran = true
-			section(a.title)
-			if err := a.run(b); err != nil {
-				fatal("%s: %v", a.name, err)
-			}
-		}
-		if !ran {
-			fatal("unknown artifact %q (valid artifacts: %s)", *only, strings.Join(artifactNames(), ", "))
+		ran = true
+		section(a.title)
+		if err := a.run(b); err != nil {
+			fatal("%s: %v", a.name, err)
 		}
 	}
-
-	if *cacheStats {
-		fmt.Fprintf(os.Stderr, "cwbench: cache: %s\n", b.runner.Snapshot())
+	if !ran {
+		fatal("unknown artifact %q (valid artifacts: %s)", *only, strings.Join(artifactNames(), ", "))
 	}
-}
-
-// precomputeShard runs one strided shard of the selected artifacts'
-// experiment grid, filling the persistent store without rendering.
-func precomputeShard(b *bench, only, spec string) error {
-	i, m, err := parseShard(spec)
-	if err != nil {
-		return err
-	}
-	if only != "" {
-		known := false
-		for _, a := range artifacts {
-			known = known || a.name == only
-		}
-		if !known {
-			return fmt.Errorf("unknown artifact %q (valid artifacts: %s)", only, strings.Join(artifactNames(), ", "))
-		}
-	}
-	grid := figureGrid(b, only)
-	if len(grid) == 0 {
-		return fmt.Errorf("no experiment grid to shard (artifact %q has no sweep)", only)
-	}
-	part, err := core.Shard(grid, i, m)
-	if err != nil {
-		return err
-	}
-	if _, err := b.runner.RunAll(context.Background(), part, b.opts); err != nil {
-		return err
-	}
-	s := b.runner.Snapshot()
-	fmt.Printf("shard %d/%d: %d of %d grid cells (%d computed, %d already stored)\n",
-		i, m, len(part), len(grid), s.Runs, s.StoreHits)
-	return nil
-}
-
-// parseShard parses "i/m".
-func parseShard(spec string) (i, m int, err error) {
-	parts := strings.SplitN(spec, "/", 2)
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("bad -shard %q: want i/m (e.g. 0/4)", spec)
-	}
-	i, err = strconv.Atoi(strings.TrimSpace(parts[0]))
-	if err == nil {
-		m, err = strconv.Atoi(strings.TrimSpace(parts[1]))
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad -shard %q: %v", spec, err)
-	}
-	return i, m, nil
 }
 
 // figureGrid unions (and dedupes) the experiment cells of every selected
@@ -355,24 +263,6 @@ func figureGrid(b *bench, only string) []core.Experiment {
 		}
 	}
 	return grid
-}
-
-// listStore prints every enumerable entry of the persistent store, one
-// line per cell in sorted cache-key order, for cache inspection.
-func listStore(st *store.DiskStore) error {
-	n := 0
-	err := st.Each(func(e store.Entry) error {
-		n++
-		fmt.Printf("%-32s engine=%-4s trace=%-5t skipverify=%-5t cycles=%-10d verified=%t\n",
-			e.Experiment, e.Options.Engine, e.Options.RecordTrace, e.Options.SkipVerify,
-			e.Result.Cycles, e.Result.Verified)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("total: %d entries in %s\n", n, st.Dir())
-	return nil
 }
 
 func section(title string) {

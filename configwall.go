@@ -33,7 +33,9 @@
 //		configwall.Pipelines, []int{16, 32, 64})
 //	results, err := r.RunAll(ctx, exps, configwall.RunOptions{})
 //
-// For long-lived use the runner and store can be served over HTTP
+// NewRunnerWith can back a Runner with a disk store (OpenStore), so a
+// restarted process answers every stored cell without re-simulating. For
+// long-lived use the runner and store can be served over HTTP
 // (cmd/cwserve): NewServer wraps a Runner with request coalescing, a
 // bounded admission queue and live metrics, NewServeClient talks to such
 // a daemon, and LoadGen replays a zipf-skewed request mix against it.
@@ -192,17 +194,10 @@ type DiskStore = store.DiskStore
 // OpenStore prepares a disk store rooted at dir, creating it if needed.
 func OpenStore(dir string) (*DiskStore, error) { return store.Open(dir) }
 
-// StoreEntry is one enumerated disk-store record (see DiskStore.Each and
-// DiskStore.Keys): the fingerprint key plus the self-described experiment,
-// options and result.
+// StoreEntry is one enumerated disk-store record (see DiskStore.Each):
+// the fingerprint key plus the self-described experiment, options and
+// result.
 type StoreEntry = store.Entry
-
-// ShardExperiments returns the i-th of m strided partitions of a sweep.
-// The m shards are disjoint and cover the sweep exactly, so a grid can be
-// split across processes that share a persistent store.
-func ShardExperiments(exps []Experiment, i, m int) ([]Experiment, error) {
-	return core.Shard(exps, i, m)
-}
 
 // RunExperiment resolves an experiment through the registry and executes it
 // once, uncached.

@@ -3,6 +3,7 @@ package configwall_test
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -23,51 +24,48 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPublicStoreAndShardAPI drives the persistence surface end to end
-// through the exported names: open a disk store, shard a sweep across two
-// store-sharing runners, then serve the full sweep from the store with
-// zero recomputation.
-func TestPublicStoreAndShardAPI(t *testing.T) {
+// TestPublicStoreAPI drives the persistence surface end to end through the
+// exported names: one runner fills a disk store, then a second runner on the
+// same directory answers the sweep with zero recomputation and equal
+// results.
+func TestPublicStoreAPI(t *testing.T) {
 	opts := configwall.RunOptions{SkipVerify: true}
 	exps := configwall.SweepExperiments(
 		[]string{"opengemm"}, []string{configwall.WorkloadMatmul},
 		configwall.Pipelines, []int{8, 16})
 	dir := t.TempDir()
 
-	for i := 0; i < 2; i++ {
+	sweep := func() ([]configwall.Result, configwall.CacheStats) {
+		t.Helper()
 		st, err := configwall.OpenStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		part, err := configwall.ShardExperiments(exps, i, 2)
+		r := configwall.NewRunnerWith(configwall.RunnerOptions{Store: st})
+		results, err := r.RunAll(context.Background(), exps, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := configwall.NewRunnerWith(configwall.RunnerOptions{Store: st, MaxCells: 4})
-		if _, err := r.RunAll(context.Background(), part, opts); err != nil {
-			t.Fatal(err)
-		}
+		return results, r.Snapshot()
 	}
 
-	st, err := configwall.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
+	fresh, stats := sweep()
+	if int(stats.Runs) != len(exps) {
+		t.Errorf("first sweep ran %d cells, want %d (%s)", stats.Runs, len(exps), stats)
 	}
-	r := configwall.NewRunnerWith(configwall.RunnerOptions{Store: st})
-	results, err := r.RunAll(context.Background(), exps, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := r.Snapshot()
+	stored, stats := sweep()
 	if stats.Runs != 0 {
-		t.Errorf("full sweep after sharded precompute recomputed %d cells, want 0 (%s)", stats.Runs, stats)
+		t.Errorf("sweep over a filled store recomputed %d cells, want 0 (%s)", stats.Runs, stats)
 	}
 	if int(stats.StoreHits) != len(exps) {
 		t.Errorf("StoreHits = %d, want %d", stats.StoreHits, len(exps))
 	}
-	for i, res := range results {
-		if res.Cycles == 0 {
+	for i := range exps {
+		if fresh[i].Cycles == 0 {
 			t.Errorf("result %d (%s) is empty", i, exps[i])
+		}
+		if !reflect.DeepEqual(stored[i], fresh[i]) {
+			t.Errorf("result %d (%s): stored %+v, fresh %+v", i, exps[i], stored[i], fresh[i])
 		}
 	}
 }

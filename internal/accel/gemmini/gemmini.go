@@ -171,8 +171,6 @@ type Model struct {
 	// funct7 (everything below FnLoopWS).
 	regs [FnLoopWS][2]uint64
 	mac  accel.MAC
-	// Launches counts completed launches.
-	Launches uint64
 }
 
 // New returns a fresh Gemmini model with the given timing parameters.
@@ -297,7 +295,6 @@ func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
 
 	ops := 2 * uint64(rows) * uint64(cols) * uint64(depth)
 	cycles := m.cost.StartupCycles + i*j*k*Dim + i*j*m.cost.DrainCycles
-	m.Launches++
 	return accel.Launch{Ops: ops, Cycles: cycles}, nil
 }
 

@@ -159,9 +159,6 @@ func TestLaunchComputesMatmul(t *testing.T) {
 			t.Fatalf("C[%d] = %d, want %d", i, got, workload.SaturateInt8(want))
 		}
 	}
-	if dev.Launches != 1 {
-		t.Errorf("Launches = %d, want 1", dev.Launches)
-	}
 }
 
 // TestLaunchTrafficCounters pins the memory-traffic accounting of the

@@ -90,8 +90,6 @@ type Model struct {
 	// indexed by id - CsrPtrA.
 	staging [CsrLaunch - CsrPtrA]uint32
 	mac     accel.MAC
-	// Launches counts completed launches.
-	Launches uint64
 }
 
 // New returns a fresh OpenGeMM model.
@@ -161,6 +159,5 @@ func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
 
 	ops := 2 * uint64(rows) * uint64(cols) * uint64(depth)
 	cycles := mTiles*nTiles*kTiles + m.cost.PipelineCycles
-	m.Launches++
 	return accel.Launch{Ops: ops, Cycles: cycles}, nil
 }

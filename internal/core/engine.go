@@ -338,7 +338,10 @@ func (p *Program) Start(mc *sim.Machine, scalars ...int64) error {
 // in) the arena dominates the setup cost of small experiments, so cells
 // reset one instead of allocating it: Memory.Reset zeroes only the pages
 // the previous run dirtied. The machine around it is built fresh per cell,
-// so nothing else outlives a run.
+// so nothing else outlives a run. The pooled arenas also keep the heap
+// large enough that GC rarely runs: with a footprint-sized arena per cell
+// instead, sweep_small lost 27-33% of its cells/s and GC ran 952 times in
+// 3 s rather than 166 (DESIGN.md §8).
 var arenas = sync.Pool{New: func() any { return mem.New(memorySize) }}
 
 // RunTiledMatmul compiles the n x n tiled matmul for the target under the

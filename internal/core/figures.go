@@ -67,8 +67,7 @@ type Fig10Row struct {
 }
 
 // Figure10Experiments lists the grid cells Figure 10 measures, in the
-// order Figure10With consumes them; sharded precomputation partitions this
-// list.
+// order Figure10With consumes them.
 func Figure10Experiments(sizes []int) []Experiment {
 	var exps []Experiment
 	for _, n := range sizes {

@@ -10,8 +10,8 @@ package core
 //
 // Two scaling controls sit on top of the memoization: an optional
 // persistent Store (see store.go and internal/store) makes results survive
-// the process, so re-running a figure grid — or resuming a crashed or
-// sharded sweep — skips every cell that already ran; and an LRU bound on
+// the process, so a restarted daemon — or a resumed crashed sweep — skips
+// every cell that already ran; and an LRU bound on
 // the in-memory cell map keeps long-lived sweep servers from growing
 // without limit.
 
@@ -633,24 +633,4 @@ func Sweep(targets, workloads []string, pipelines []Pipeline, sizes []int) []Exp
 		}
 	}
 	return exps
-}
-
-// Shard returns the i-th of m strided partitions of exps (elements i, i+m,
-// i+2m, ...). The m shards of one sweep are disjoint and cover it exactly,
-// so a figure grid can be split across processes that share a persistent
-// store: each process runs its shard, and a final pass reads every cell
-// back. Striding (rather than chunking) spreads the expensive large-n
-// cells of a row-major sweep evenly across shards.
-func Shard(exps []Experiment, i, m int) ([]Experiment, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("shard: count %d < 1", m)
-	}
-	if i < 0 || i >= m {
-		return nil, fmt.Errorf("shard: index %d out of range [0,%d)", i, m)
-	}
-	var part []Experiment
-	for j := i; j < len(exps); j += m {
-		part = append(part, exps[j])
-	}
-	return part, nil
 }

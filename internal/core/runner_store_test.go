@@ -2,7 +2,7 @@ package core_test
 
 // Tests of the runner's persistence layer: the pluggable Store backend,
 // the LRU bound on the in-memory cell map, hit/miss/evict accounting, and
-// the shard/resume workflow for split figure grids.
+// resuming a partial sweep from the store.
 
 import (
 	"context"
@@ -178,61 +178,15 @@ func TestRunnerStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestShardPartition: for every m, the m shards are disjoint and their
-// union is exactly the sweep — the correctness condition for splitting a
-// grid across processes.
-func TestShardPartition(t *testing.T) {
-	exps := fullSweep()
-	for m := 1; m <= len(exps)+1; m++ {
-		seen := map[core.Experiment]int{}
-		total := 0
-		for i := 0; i < m; i++ {
-			part, err := core.Shard(exps, i, m)
-			if err != nil {
-				t.Fatalf("Shard(%d, %d): %v", i, m, err)
-			}
-			total += len(part)
-			for _, e := range part {
-				seen[e]++
-			}
-		}
-		if total != len(exps) {
-			t.Errorf("m=%d: shards cover %d cells, want %d", m, total, len(exps))
-		}
-		for e, n := range seen {
-			if n != 1 {
-				t.Errorf("m=%d: cell %s appears in %d shards", m, e, n)
-			}
-		}
-	}
-	if _, err := core.Shard(exps, 0, 0); err == nil {
-		t.Error("Shard with m=0 must error")
-	}
-	if _, err := core.Shard(exps, 2, 2); err == nil {
-		t.Error("Shard with i=m must error")
-	}
-	if _, err := core.Shard(exps, -1, 2); err == nil {
-		t.Error("Shard with negative i must error")
-	}
-}
-
-// TestShardedSweepThenResume drives the full split-grid workflow: two
-// shard processes fill one store, a third process serves the whole grid
-// without computing; and after a *partial* run (one shard only), a resumed
-// run of the whole grid computes exactly the other shard's cells.
+// TestShardedSweepThenResume drives a grid split by hand across runners
+// that share one store: after a *partial* run (the first half only), a
+// resumed run of the whole grid computes exactly the other half's cells,
+// and a final pass serves the whole grid without computing.
 func TestShardedSweepThenResume(t *testing.T) {
 	opts := core.RunOptions{SkipVerify: true}
 	grid := core.Figure12Experiments([]int{8, 16})
 	dir := t.TempDir()
-
-	shard0, err := core.Shard(grid, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard1, err := core.Shard(grid, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shard0, shard1 := grid[:len(grid)/2], grid[len(grid)/2:]
 
 	// "Process" 0 runs its shard and crashes before shard 1 ever runs.
 	if _, err := diskRunner(t, dir, 0).RunAll(context.Background(), shard0, opts); err != nil {

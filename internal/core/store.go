@@ -1,8 +1,8 @@
 package core
 
 // The pluggable persistence seam of the runner: a Store keeps experiment
-// results across processes so repeated figure sweeps, sharded grid runs and
-// crash-interrupted sweeps never recompile a cell that already ran. The
+// results across processes so a restarted daemon and a crash-interrupted
+// sweep never recompile a cell that already ran. The
 // on-disk implementation lives in internal/store; core only defines the
 // contract so the runner stays storage-agnostic.
 

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -156,7 +158,14 @@ func TestDegradedModeServing(t *testing.T) {
 	if v := metricValue(t, metrics, "cwserve_store_errors_total"); v != "1" {
 		t.Errorf("cwserve_store_errors_total = %s, want 1", v)
 	}
-	if n, err := disk.Len(); err != nil || n != 0 {
+	n := 0
+	err = filepath.WalkDir(disk.Dir(), func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && filepath.Ext(path) == ".json" {
+			n++
+		}
+		return err
+	})
+	if err != nil || n != 0 {
 		t.Errorf("store has %d entries (err %v), want 0 — every save was injected to fail", n, err)
 	}
 }

@@ -1,10 +1,9 @@
 // Package store persists experiment results on disk so sweeps survive the
-// process: repeated figure generation, sharded grid runs and
-// crash-interrupted sweeps all skip cells that already ran. Entries are
-// content-addressed — the file path is the SHA-256 of a fingerprint
-// combining the serialization schema version with the experiment cell and
-// run options — so a schema bump or any key change silently misses instead
-// of deserializing stale bytes. Writes are atomic (temp file + rename) and
+// process: a restarted daemon and a crash-interrupted sweep both skip cells
+// that already ran. Entries are content-addressed — the file path is the
+// SHA-256 of a fingerprint combining the serialization schema version with
+// the experiment cell and run options — so a schema bump or any key change
+// silently misses instead of deserializing stale bytes. Writes are atomic (temp file + rename) and
 // loads tolerate corruption: a truncated, garbled or mismatched entry is a
 // cache miss, never an aborted sweep.
 package store
@@ -154,22 +153,6 @@ func (s *DiskStore) Save(e core.Experiment, opts core.RunOptions, res core.Resul
 	return nil
 }
 
-// Len walks the store and counts complete entries (temp files in flight are
-// excluded). It is a maintenance helper, not a hot path.
-func (s *DiskStore) Len() (int, error) {
-	n := 0
-	err := filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && filepath.Ext(path) == ".json" {
-			n++
-		}
-		return nil
-	})
-	return n, err
-}
-
 // Entry is one enumerated store record: the fingerprint key addressing it
 // plus the self-described experiment cell, run options and result.
 type Entry struct {
@@ -209,21 +192,6 @@ func (s *DiskStore) Each(fn func(Entry) error) error {
 		}
 	}
 	return nil
-}
-
-// Keys returns the sorted fingerprint keys of every complete, decodable
-// entry — the enumeration half of the content-addressed layout (the hash
-// in the file name is one-way; the key inside the envelope is not).
-func (s *DiskStore) Keys() ([]string, error) {
-	index, err := s.index()
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]string, len(index))
-	for i, kp := range index {
-		keys[i] = kp.key
-	}
-	return keys, nil
 }
 
 // keyedPath locates one enumerable entry: its fingerprint key and file.
