@@ -9,9 +9,6 @@
 //	cwbench -engine ref        # run every experiment on the reference interpreter
 //	cwbench -cpuprofile cw.pprof -only fig11  # pprof profile of a real sweep
 //	cwbench -memprofile heap.pprof -only fig11  # post-GC heap profile at exit
-//	cwbench -fidelity screen -only fig11      # zero-sim sweep; the fit's
-//	                                          # held-out report on stderr
-//	cwbench -fidelity topk -topk 8 -only fig11
 //
 // All experiment cells run on one shared concurrent runner, so artifacts
 // that revisit a cell (Figure 11 and Figure 12 share their base/all cells)
@@ -19,12 +16,6 @@
 // runner is in-memory only: the whole evaluation is 28 cells and renders in
 // well under a second, so there is nothing for a persistent store to save
 // (cwserve keeps one, for daemon restarts).
-//
-// -fidelity screen|topk fits the analytical tier (analytic.Attach, seed
-// analytic.DefaultSeed), answers the selected figures' whole grid once
-// through Runner.RunTopK (screen is k = 0) and renders from exactly those
-// answers, so stdout is a function of the flags alone, whatever the
-// calibration left in the runner (CI compares two runs).
 package main
 
 import (
@@ -43,25 +34,18 @@ import (
 	"configwall/internal/sim"
 )
 
-// artifact is one regenerable table/figure; run renders it to stdout, and
-// grid (optional) lists its experiment cells for -fidelity to answer.
+// artifact is one regenerable table/figure; run renders it to stdout.
 type artifact struct {
 	name  string
 	title string
 	run   func(b *bench) error
-	grid  func(b *bench) []core.Experiment
 }
 
 // bench carries the shared state of one cwbench invocation.
 type bench struct {
-	// runner simulates (calibration, the cells -fidelity topk chooses).
-	runner *core.Runner
-	// figures is the runner the figure sweeps read: runner itself, or under
-	// -fidelity screen/topk a private runner preloaded with that one
-	// sweep's answers (setupFidelity).
-	figures *core.Runner
-	sizes   []int           // overrides the per-figure defaults when non-empty
-	opts    core.RunOptions // shared run options (engine selection)
+	runner *core.Runner    // the one runner every figure sweep shares
+	sizes  []int           // overrides the per-figure defaults when non-empty
+	opts   core.RunOptions // shared run options (engine selection)
 }
 
 func (b *bench) pick(def []int) []int {
@@ -119,34 +103,28 @@ var artifacts = []artifact{
 		return nil
 	}},
 	{name: "fig10", run: func(b *bench) error {
-		rows, err := core.Figure10With(context.Background(), b.figures, b.pick(core.Figure10Sizes), b.opts)
+		rows, err := core.Figure10With(context.Background(), b.runner, b.pick(core.Figure10Sizes), b.opts)
 		if err != nil {
 			return err
 		}
 		fmt.Print(core.RenderFigure10(rows))
 		return nil
-	}, grid: func(b *bench) []core.Experiment {
-		return core.Figure10Experiments(b.pick(core.Figure10Sizes))
 	}},
 	{name: "fig11", run: func(b *bench) error {
-		rows, err := core.Figure11With(context.Background(), b.figures, b.pick(core.Figure11Sizes), b.opts)
+		rows, err := core.Figure11With(context.Background(), b.runner, b.pick(core.Figure11Sizes), b.opts)
 		if err != nil {
 			return err
 		}
 		fmt.Print(core.RenderFigure11(rows))
 		return nil
-	}, grid: func(b *bench) []core.Experiment {
-		return core.Figure11Experiments(b.pick(core.Figure11Sizes))
 	}},
 	{name: "fig12", run: func(b *bench) error {
-		data, err := core.Figure12With(context.Background(), b.figures, b.pick(core.Figure12Sizes), b.opts)
+		data, err := core.Figure12With(context.Background(), b.runner, b.pick(core.Figure12Sizes), b.opts)
 		if err != nil {
 			return err
 		}
 		fmt.Print(core.RenderFigure12(data))
 		return nil
-	}, grid: func(b *bench) []core.Experiment {
-		return core.Figure12Experiments(b.pick(core.Figure12Sizes))
 	}},
 }
 
@@ -165,8 +143,6 @@ func main() {
 	engineName := flag.String("engine", sim.Engine(0).String(), "simulator engine for every experiment ("+strings.Join(sim.EngineNames(), "|")+")")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-GC live objects) to this file at exit")
-	fidelity := flag.String("fidelity", "full", "prediction tier for figure sweeps (full|screen|topk, DESIGN.md §10); screen/topk fit the tier first and print its held-out report to stderr (non-zero exit on a band violation)")
-	topK := flag.Int("topk", 8, "cells simulated per figure grid with -fidelity topk")
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -215,7 +191,6 @@ func main() {
 	}
 
 	b := &bench{runner: core.NewRunner(*workers), opts: core.RunOptions{Engine: engine}}
-	b.figures = b.runner
 	if *sizes != "" {
 		for _, s := range strings.Split(*sizes, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
@@ -224,10 +199,6 @@ func main() {
 			}
 			b.sizes = append(b.sizes, n)
 		}
-	}
-
-	if err := setupFidelity(b, *fidelity, *topK, *only); err != nil {
-		fatal("%v", err)
 	}
 
 	ran := false
@@ -244,25 +215,6 @@ func main() {
 	if !ran {
 		fatal("unknown artifact %q (valid artifacts: %s)", *only, strings.Join(artifactNames(), ", "))
 	}
-}
-
-// figureGrid unions (and dedupes) the experiment cells of every selected
-// artifact that has a sweep, preserving presentation order.
-func figureGrid(b *bench, only string) []core.Experiment {
-	seen := map[core.Experiment]bool{}
-	var grid []core.Experiment
-	for _, a := range artifacts {
-		if a.grid == nil || (only != "" && only != a.name) {
-			continue
-		}
-		for _, e := range a.grid(b) {
-			if !seen[e] {
-				seen[e] = true
-				grid = append(grid, e)
-			}
-		}
-	}
-	return grid
 }
 
 func section(title string) {

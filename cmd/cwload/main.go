@@ -53,6 +53,17 @@ func main() {
 	out := flag.String("out", "", "also write the report to this file")
 	flag.Parse()
 
+	// LoadGen replaces out-of-range values with its defaults; refuse them
+	// here so the banner never announces a run that is not the one made.
+	switch {
+	case !(*zipfS > 1): // also refuses NaN
+		fatal("bad -zipf %g: want s > 1", *zipfS)
+	case *n < 1:
+		fatal("bad -n %d: want at least 1 request", *n)
+	case *clients < 1:
+		fatal("bad -clients %d: want at least 1 client", *clients)
+	}
+
 	engine, err := sim.EngineByName(*engineName)
 	if err != nil {
 		fatal("%v", err)

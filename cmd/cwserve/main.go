@@ -22,14 +22,11 @@
 //	     The response is NDJSON: one {"index","experiment",
 //	     "result"|"error"} event per cell in completion order, then
 //	     {"done":true,"cells","failed","status"}. Unknown fields are a
-//	     400. With -analytic the request may add "fidelity":"screen"
-//	     (every cell answered analytically, zero simulations) or
-//	     "fidelity":"topk" with "top_k":K (only the K best-predicted
-//	     cells simulated); per-tier cell counts are exported as
-//	     cwserve_sweep_cells_total{tier="analytic"|"simulated"}.
+//	     400. Every cell is simulated (or answered from the cache);
+//	     cwserve_sweep_cells_total counts them.
 //	GET  /v1/registry
-//	     Registered targets, workloads, pipelines and engines, the
-//	     -max-n and -max-sweep-cells caps, and whether -analytic is on.
+//	     Registered targets, workloads, pipelines and engines, and the
+//	     -max-n and -max-sweep-cells caps.
 //	GET  /metrics
 //	     Prometheus text exposition: cache hit/miss/run/evict counters,
 //	     queue depth and slot gauges, coalescing and rejection counters,
@@ -65,7 +62,6 @@ import (
 	"syscall"
 	"time"
 
-	"configwall/internal/analytic"
 	"configwall/internal/core"
 	"configwall/internal/serve"
 	"configwall/internal/store"
@@ -82,7 +78,6 @@ func main() {
 	maxSweepCells := flag.Int("max-sweep-cells", 0, "cap on one sweep's expanded grid (0 = default 4096)")
 	maxN := flag.Int("max-n", 0, "cap on any requested sweep size n (0 = default 1024)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on SIGTERM")
-	analyticFit := flag.Bool("analytic", false, "calibrate the analytical prediction tier at boot (enables /v1/sweep fidelity screen/topk)")
 	flag.Parse()
 
 	ropts := core.RunnerOptions{Workers: *workers, MaxCells: *maxCells}
@@ -101,12 +96,6 @@ func main() {
 		ropts.Store = st
 	}
 	runner := core.NewRunnerWith(ropts)
-
-	if *analyticFit {
-		if err := attachAnalytic(runner); err != nil {
-			fatal("%v", err)
-		}
-	}
 
 	sv, err := serve.New(serve.Options{
 		Runner:        runner,
@@ -146,22 +135,6 @@ func main() {
 		logf("shutdown: %v", err)
 	}
 	logf("drained; %s", runner.Snapshot())
-}
-
-// attachAnalytic installs the analytical prediction tier on the runner
-// (analytic.Attach: a boot-time fit that must honor its band) and logs its
-// held-out error.
-func attachAnalytic(runner *core.Runner) error {
-	logf("calibrating analytic tier (seed %d)", analytic.DefaultSeed)
-	rep, err := analytic.Attach(context.Background(), runner, analytic.DefaultSeed)
-	if err != nil {
-		return err
-	}
-	for _, tr := range rep.Targets {
-		logf("analytic %s: %d held-out cells, geomean cycle error %.1f%%, max %.1f%%",
-			tr.Target, len(tr.Cells), 100*tr.GeomeanErr, 100*tr.MaxErr)
-	}
-	return nil
 }
 
 func logf(format string, args ...any) {

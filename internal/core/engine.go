@@ -97,10 +97,10 @@ type Target struct {
 	// matmul-family workload (matmul, rectmm, matvec) without further
 	// registration.
 	MatmulMKN func(mDim, kDim, nDim int) (*ir.Module, error)
-	// MatmulTiling optionally reports the launch structure MatmulMKN
-	// would generate, as closed-form arithmetic — no IR is built. The
-	// analytical tier (internal/analytic) derives its prediction
-	// features from it; a target without the hook cannot be calibrated.
+	// MatmulTiling optionally decides, as closed-form arithmetic with no
+	// IR built, whether MatmulMKN can build a shape and with which output
+	// tiles; SupportedSizes uses it to probe sizes cheaply. A target
+	// without the hook has its sizes probed by a real build.
 	MatmulTiling func(mDim, kDim, nDim int) (workload.Tiling, error)
 	// OutputBytes is the size of one output element the accelerator
 	// stores (1 for int8, 4 for int32); workload builders consult it.
@@ -215,12 +215,6 @@ type Result struct {
 	Trace []sim.Segment
 	// PeakOps echoes the target's peak for convenience.
 	PeakOps float64
-	// Analytic marks a simulation-free result produced by a calibrated
-	// Predictor (DESIGN.md §10): counters are model estimates inside a
-	// documented error band, Verified is necessarily false, and the cell
-	// was never compiled or simulated. Omitted from JSON when false so
-	// simulated results keep their byte-identical serving encoding.
-	Analytic bool `json:"Analytic,omitempty"`
 }
 
 // AttainableEq3 applies the paper's Figure 10 methodology: plug the

@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -108,15 +107,6 @@ type lruEntry struct {
 	c   *cell
 }
 
-// Predictor is a simulation-free estimator of experiment results — the
-// analytical tier of DESIGN.md §10 (implemented by internal/analytic).
-// Predict must be safe for concurrent use, mark returned results
-// Analytic, and answer in microseconds; the runner never caches or
-// persists what it returns.
-type Predictor interface {
-	Predict(e Experiment) (Result, error)
-}
-
 // RunnerOptions configures a Runner beyond the worker-pool bound.
 type RunnerOptions struct {
 	// Workers bounds the worker pool; <= 0 selects GOMAXPROCS.
@@ -149,11 +139,10 @@ type Runner struct {
 	maxCells     int
 	onStoreError func(op string, e Experiment, err error)
 
-	mu        sync.Mutex
-	cells     map[cacheKey]*list.Element
-	lru       *list.List // front = most recently used *lruEntry
-	stats     CacheStats
-	predictor Predictor
+	mu    sync.Mutex
+	cells map[cacheKey]*list.Element
+	lru   *list.List // front = most recently used *lruEntry
+	stats CacheStats
 }
 
 // NewRunner returns a runner with the given worker-pool bound; workers <= 0
@@ -183,24 +172,6 @@ func (r *Runner) Workers() int { return r.workers }
 
 // Store returns the persistent backend, or nil.
 func (r *Runner) Store() Store { return r.store }
-
-// Predictor returns the analytical tier, or nil.
-func (r *Runner) Predictor() Predictor {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.predictor
-}
-
-// SetPredictor installs (or clears) the analytical tier Screen and RunTopK
-// answer from — a runner without one fails those calls; Run, RunAll and
-// RunAdmitted never consult it. It is safe while the runner is serving:
-// analytic.Attach hands a freshly fitted model to a long-lived runner
-// through it.
-func (r *Runner) SetPredictor(p Predictor) {
-	r.mu.Lock()
-	r.predictor = p
-	r.mu.Unlock()
-}
 
 // CacheSize returns the number of memoized experiment cells.
 func (r *Runner) CacheSize() int {
@@ -297,10 +268,6 @@ func (r *Runner) Run(ctx context.Context, e Experiment, opts RunOptions) (Result
 // section (or in admit) is recovered and reported to the leader and the
 // current waiters as a *PanicError; the cell is dropped, never memoized
 // and never written to the store.
-//
-// The answer is always simulated ground truth: RunAdmitted never consults
-// the Predictor (Screen and RunTopK do), so the cell map and the store hold
-// nothing else.
 func (r *Runner) RunAdmitted(ctx context.Context, e Experiment, opts RunOptions, admit func(context.Context) (release func(), err error)) (res Result, err error, led bool) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err, false
@@ -425,93 +392,6 @@ func (r *Runner) compute(e Experiment, opts RunOptions) (Result, error) {
 		}
 	}
 	return res, err
-}
-
-// predict answers one experiment from the analytical tier.
-func (r *Runner) predict(e Experiment) (Result, error) {
-	p := r.Predictor()
-	if p == nil {
-		return Result{}, fmt.Errorf("experiment %s: runner has no analytic predictor (Runner.SetPredictor installs one)", e)
-	}
-	res, err := p.Predict(e)
-	if err != nil {
-		return Result{}, fmt.Errorf("experiment %s: %w", e, err)
-	}
-	r.bump(func(s *CacheStats) { s.Predictions++ })
-	return res, nil
-}
-
-// Screen analytically predicts every experiment — the screening half of a
-// multi-fidelity sweep. It performs zero simulator invocations (counter:
-// CacheStats.Predictions advances, Runs does not), touches neither the
-// memo map nor the store, and returns input-ordered results marked
-// Analytic. On failure it returns the error of the lowest-indexed failing
-// experiment alongside the partial results.
-func (r *Runner) Screen(ctx context.Context, exps []Experiment) ([]Result, error) {
-	results := make([]Result, len(exps))
-	errs := make([]error, len(exps))
-	ParallelEach(ctx, len(exps), r.workers, func(i int) {
-		results[i], errs[i] = r.predict(exps[i])
-	})
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
-}
-
-// TopKByPredictedPerf ranks predicted results by ops/cycle (descending,
-// ties broken toward the lower input index) and returns the indices of the
-// k best, in ascending input order. k <= 0 selects nothing; k >= len
-// selects everything.
-func TopKByPredictedPerf(preds []Result, k int) []int {
-	idx := make([]int, len(preds))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return preds[idx[a]].OpsPerCycle() > preds[idx[b]].OpsPerCycle()
-	})
-	switch {
-	case k < 0:
-		k = 0
-	case k > len(idx):
-		k = len(idx)
-	}
-	top := idx[:k]
-	sort.Ints(top)
-	return top
-}
-
-// RunTopK is the multi-fidelity sweep (DESIGN.md §10): every cell is
-// screened analytically, only the k most promising (highest predicted
-// ops/cycle) are compiled and simulated at full fidelity, and the
-// input-ordered result slice carries simulated ground truth for the chosen
-// cells and Analytic predictions for the rest. k >= len(exps) degenerates
-// to RunAll. The simulated subset flows through the normal memo/store
-// path, so a repeated top-k sweep re-simulates nothing.
-func (r *Runner) RunTopK(ctx context.Context, exps []Experiment, opts RunOptions, k int) ([]Result, error) {
-	if k >= len(exps) {
-		return r.RunAll(ctx, exps, opts)
-	}
-	preds, err := r.Screen(ctx, exps)
-	if err != nil {
-		return preds, err
-	}
-	top := TopKByPredictedPerf(preds, k)
-	chosen := make([]Experiment, len(top))
-	for i, j := range top {
-		chosen[i] = exps[j]
-	}
-	simmed, err := r.RunAll(ctx, chosen, opts)
-	for i, j := range top {
-		preds[j] = simmed[i]
-	}
-	return preds, err
 }
 
 // Preload publishes an already-materialized result into the in-memory cell

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -54,57 +53,5 @@ func TestRunOptionsIsTheCellName(t *testing.T) {
 		if _, ok := r.Peek(e, base); ok {
 			t.Errorf("RunOptions.%s does not key the memo: the zero options were served its cell", name)
 		}
-	}
-}
-
-// TestSimulatingCallsNeverPredict: Run, RunAll and RunAdmitted mean
-// simulated ground truth — a predictor on the runner is never consulted,
-// and nothing they return is Analytic.
-func TestSimulatingCallsNeverPredict(t *testing.T) {
-	p := &stubPredictor{}
-	r := core.NewRunner(2)
-	r.SetPredictor(p)
-	exps := screenGrid()
-	ctx := context.Background()
-	if _, err := r.Run(ctx, exps[0], core.RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err, _ := r.RunAdmitted(ctx, exps[1], core.RunOptions{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	results, err := r.RunAll(ctx, exps, core.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.Analytic {
-			t.Errorf("RunAll result %d is Analytic", i)
-		}
-	}
-	if n := p.calls.Load(); n != 0 {
-		t.Errorf("simulating calls consulted the predictor %d times", n)
-	}
-	if st := r.Snapshot(); st.Predictions != 0 || st.Runs != uint64(len(exps)) {
-		t.Errorf("counters: %d predictions, %d runs; want 0, %d", st.Predictions, st.Runs, len(exps))
-	}
-}
-
-// TestRunTopKIgnoresMemo: what RunTopK returns is a function of (exps, k,
-// model). A cell the runner simulated earlier but the ranking does not
-// choose comes back as a prediction, not as whatever the memo holds — the
-// hidden state cwbench -fidelity topk used to print (DESIGN.md §10).
-func TestRunTopKIgnoresMemo(t *testing.T) {
-	r := core.NewRunner(2)
-	r.SetPredictor(&stubPredictor{})
-	exps := screenGrid() // ranking: larger N predicts faster, so exps[0] (N=8) is never in the top 2
-	if _, err := r.Run(context.Background(), exps[0], core.RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.RunTopK(context.Background(), exps, core.RunOptions{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res[0].Analytic {
-		t.Errorf("an unchosen cell was answered from the memo: RunTopK depends on what ran before it")
 	}
 }

@@ -41,9 +41,6 @@ type CacheStats struct {
 	StoreMisses uint64
 	// Runs counts experiments actually compiled and simulated.
 	Runs uint64
-	// Predictions counts requests answered by the analytical tier — no
-	// compilation, no simulation, never memoized or persisted.
-	Predictions uint64
 	// Evictions counts cells dropped from the in-memory map by the LRU
 	// bound.
 	Evictions uint64
@@ -53,9 +50,9 @@ type CacheStats struct {
 }
 
 func (s CacheStats) String() string {
-	return fmt.Sprintf("mem %d/%d hit, store %d/%d hit, %d runs, %d predicted, %d evictions, %d store errors",
+	return fmt.Sprintf("mem %d/%d hit, store %d/%d hit, %d runs, %d evictions, %d store errors",
 		s.MemHits, s.MemHits+s.MemMisses, s.StoreHits, s.StoreHits+s.StoreMisses,
-		s.Runs, s.Predictions, s.Evictions, s.StoreErrors)
+		s.Runs, s.Evictions, s.StoreErrors)
 }
 
 // FingerprintKey returns the canonical cache-key string for one experiment

@@ -24,6 +24,8 @@ func TestOptionsCensus(t *testing.T) {
 		{core.RunnerOptions{}, []string{"Workers", "Store", "MaxCells", "OnStoreError"}},
 		{serve.LoadGenOptions{}, []string{"Experiments", "Options", "Requests", "Clients", "ZipfS", "Seed", "Verify", "Retry429", "Retry"}},
 		{serve.RetryPolicy{}, []string{"MaxAttempts", "BaseDelay", "MaxDelay", "Seed", "Sleep", "OnRetry"}},
+		// The sweep body: the grid, and the cell's RunOptions on the wire.
+		{serve.SweepRequest{}, []string{"Targets", "Workloads", "Pipelines", "Sizes", "Engine", "RecordTrace", "SkipVerify"}},
 		// Not an option struct, but the same ratchet: what a target says of
 		// its configuration interface is Port's, not three more fields here.
 		{core.Target{}, []string{"Name", "Port", "PeakOps", "NewDevice", "Cost", "MatmulMKN", "MatmulTiling", "OutputBytes"}},

@@ -15,10 +15,11 @@ import (
 
 // FuzzSweepRequest drives the /v1/sweep request decoder — decodeBody, then
 // SweepRequest.resolve, the one place a sweep is validated — with arbitrary
-// bodies, with and without an analytic model installed. It never panics,
-// and a request it accepts expands to its full cross product, at most
-// maxCells cells, every size in [1, maxN]. Seeded from serve_test.go's
-// sweep bodies.
+// bodies. It never panics, and a request it accepts expands to its full
+// cross product, at most maxCells cells, every size in [1, maxN]. Seeded
+// from serve_test.go's sweep bodies, including the retired "fidelity" and
+// "top_k" fields, which the decoder now rejects, and from one body per
+// way resolve or the decoder refuses a grid.
 func FuzzSweepRequest(f *testing.F) {
 	repeat := func(v string) string { return strings.TrimSuffix(strings.Repeat(v+",", 40), ",") }
 	for _, body := range []string{
@@ -36,18 +37,30 @@ func FuzzSweepRequest(f *testing.F) {
 		`{"targets":[` + repeat(`"gemmini"`) + `],"workloads":[` + repeat(`"matmul"`) +
 			`],"pipelines":[` + repeat(`"all"`) + `],"sizes":[` + repeat("16") + `]}`,
 		`{}`,
+		`{"targets":["tpu"],"workloads":["matmul"],"pipelines":["base"],"sizes":[8]}`,
+		`{"targets":["opengemm"],"workloads":["conv"],"pipelines":["base"],"sizes":[8]}`,
+		`{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["turbo"],"sizes":[8]}`,
+		`{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["base"],"sizes":[0]}`,
+		`{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["base"],"sizes":[-8]}`,
+		`{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["base"],"sizes":[9223372036854775807]}`,
+		`{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["base"],"sizes":[8.5]}`,
+		`{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["base"],"sizes":[8],"engine":"warp"}`,
+		`{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["base"],"sizes":[8],"record_trace":"yes"}`,
+		`{"targets":[],"workloads":["matmul"],"pipelines":["base"],"sizes":[8]}`,
+		`{"targets":"opengemm","workloads":["matmul"],"pipelines":["base"],"sizes":[8]}`,
+		`{"targets":["opengemm","gemmini"],"workloads":["matmul","rectmm","matvec"],"pipelines":["base","dedup","overlap","all"],"sizes":[16,32]}`,
+		`null`,
 	} {
-		f.Add(body, false)
-		f.Add(body, true)
+		f.Add(body)
 	}
-	f.Fuzz(func(t *testing.T, body string, analytic bool) {
+	f.Fuzz(func(t *testing.T, body string) {
 		const maxCells, maxN = 64, 128
 		req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body))
 		var rq SweepRequest
 		if err := decodeBody(httptest.NewRecorder(), req, &rq); err != nil {
 			return
 		}
-		exps, _, err := rq.resolve(maxCells, maxN, analytic)
+		exps, _, err := rq.resolve(maxCells, maxN)
 		if err != nil {
 			return
 		}

@@ -44,16 +44,15 @@ type metrics struct {
 	latency    map[string]*hist          // endpoint -> latency histogram
 	coalesced  uint64
 	rejected   map[string]uint64 // reason -> count
-	sweepCells map[string]uint64 // fidelity tier -> cells answered
+	sweepCells uint64            // sweep cells answered
 	panics     uint64            // panics contained by the recovery layers
 }
 
 func newMetrics() *metrics {
 	return &metrics{
-		requests:   map[string]map[int]uint64{},
-		latency:    map[string]*hist{},
-		rejected:   map[string]uint64{},
-		sweepCells: map[string]uint64{},
+		requests: map[string]map[int]uint64{},
+		latency:  map[string]*hist{},
+		rejected: map[string]uint64{},
 	}
 }
 
@@ -78,16 +77,8 @@ func (m *metrics) coalesce()            { m.mu.Lock(); m.coalesced++; m.mu.Unloc
 func (m *metrics) reject(reason string) { m.mu.Lock(); m.rejected[reason]++; m.mu.Unlock() }
 func (m *metrics) panicked()            { m.mu.Lock(); m.panics++; m.mu.Unlock() }
 
-// sweepTier counts n sweep cells answered by the given fidelity tier
-// ("analytic" or "simulated").
-func (m *metrics) sweepTier(tier string, n int) {
-	if n <= 0 {
-		return
-	}
-	m.mu.Lock()
-	m.sweepCells[tier] += uint64(n)
-	m.mu.Unlock()
-}
+// sweep counts the n cells of one answered sweep.
+func (m *metrics) sweep(n int) { m.mu.Lock(); m.sweepCells += uint64(n); m.mu.Unlock() }
 
 // render emits the Prometheus text exposition format; gauges are the
 // server's point-in-time readings, placed after the counters. Series are
@@ -119,10 +110,7 @@ func (m *metrics) render(sb *strings.Builder, gauges []series) {
 		fmt.Fprintf(sb, "cwserve_rejected_total{reason=%q} %d\n", r, m.rejected[r])
 	}
 
-	header(sb, "cwserve_sweep_cells_total", "Sweep cells answered, by fidelity tier.", "counter")
-	for _, tier := range sortedKeys(m.sweepCells) {
-		fmt.Fprintf(sb, "cwserve_sweep_cells_total{tier=%q} %d\n", tier, m.sweepCells[tier])
-	}
+	writeSeries(sb, []series{{"cwserve_sweep_cells_total", "Sweep cells answered.", "counter", m.sweepCells}})
 
 	writeSeries(sb, gauges)
 

@@ -17,7 +17,8 @@
 //	GET/POST /v1/run    one experiment cell; the response body is
 //	                    byte-identical to json.Marshal of a direct
 //	                    Runner.Run result
-//	POST     /v1/sweep  a (targets × workloads × pipelines × sizes) grid;
+//	POST     /v1/sweep  a (targets × workloads × pipelines × sizes) grid,
+//	                    every cell simulated or served from the cache;
 //	                    streams NDJSON events as cells complete
 //	GET      /v1/registry  registered targets/workloads/pipelines/engines
 //	                    and the daemon's size and sweep caps
@@ -509,16 +510,6 @@ type SweepRequest struct {
 	Engine      string   `json:"engine,omitempty"`
 	RecordTrace bool     `json:"record_trace,omitempty"`
 	SkipVerify  bool     `json:"skip_verify,omitempty"`
-	// Fidelity selects the prediction tier (DESIGN.md §10): "" or "full"
-	// simulates every cell; "screen" answers the whole grid from the
-	// analytical model (zero simulations, results marked Analytic);
-	// "topk" screens the grid and simulates only the TopK cells with the
-	// best predicted ops/cycle. "screen" and "topk" require a server
-	// booted with a calibrated model (cwserve -analytic).
-	Fidelity string `json:"fidelity,omitempty"`
-	// TopK is the simulated-cell budget of a "topk" sweep; required >= 1
-	// there, rejected elsewhere.
-	TopK int `json:"top_k,omitempty"`
 }
 
 // SweepEvent is one NDJSON line of a streaming sweep: a completed cell
@@ -550,11 +541,10 @@ func trailerStatus(failed int) string {
 }
 
 // resolve validates the request — the grid against the registry and the
-// server's caps, the fidelity/top_k combination against whether the server
-// has an analytic model — and expands it into the experiment grid. It is the
-// one place a sweep request is validated: nothing is dispatched before it
+// server's caps — and expands it into the experiment grid. It is the one
+// place a sweep request is validated: nothing is dispatched before it
 // returns.
-func (rq SweepRequest) resolve(maxCells, maxN int, analytic bool) ([]core.Experiment, core.RunOptions, error) {
+func (rq SweepRequest) resolve(maxCells, maxN int) ([]core.Experiment, core.RunOptions, error) {
 	var opts core.RunOptions
 	if len(rq.Targets) == 0 || len(rq.Workloads) == 0 || len(rq.Pipelines) == 0 || len(rq.Sizes) == 0 {
 		return nil, opts, fmt.Errorf("sweep needs targets, workloads, pipelines and sizes (registered targets: %s; workloads: %s)",
@@ -604,22 +594,6 @@ func (rq SweepRequest) resolve(maxCells, maxN int, analytic bool) ([]core.Experi
 		cells *= k
 	}
 	exps := core.Sweep(rq.Targets, rq.Workloads, pipes, rq.Sizes)
-	predicted := false // does the answer need the analytic model
-	switch rq.Fidelity {
-	case "", "full":
-	case "screen", "topk":
-		predicted = true
-	default:
-		return nil, opts, fmt.Errorf("unknown fidelity %q (want \"full\", \"screen\" or \"topk\")", rq.Fidelity)
-	}
-	switch {
-	case rq.Fidelity == "topk" && rq.TopK < 1:
-		return nil, opts, fmt.Errorf("fidelity \"topk\" requires top_k >= 1")
-	case rq.Fidelity != "topk" && rq.TopK != 0:
-		return nil, opts, fmt.Errorf("top_k %d requires fidelity \"topk\"", rq.TopK)
-	case predicted && !analytic:
-		return nil, opts, fmt.Errorf("fidelity %q needs a calibrated analytic model (start cwserve with -analytic)", rq.Fidelity)
-	}
 	opts = core.RunOptions{RecordTrace: rq.RecordTrace, SkipVerify: rq.SkipVerify, Engine: eng}
 	return exps, opts, nil
 }
@@ -634,105 +608,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	exps, opts, err := rq.resolve(s.maxSweepCells, s.maxN, s.runner.Predictor() != nil)
+	exps, opts, err := rq.resolve(s.maxSweepCells, s.maxN)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var preds []core.Result // the analytic answer of every cell
-	var sim []int           // the cells to simulate
-	switch rq.Fidelity {
-	case "screen", "topk":
-		if preds, err = s.runner.Screen(r.Context(), exps); err != nil {
-			// Prediction failures are grid problems (an uncalibrated workload,
-			// a size the target's tiling rejects), not server faults.
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// "screen" simulates nothing, "topk" only the k cells with the best
-		// predicted ops/cycle.
-		if rq.Fidelity == "topk" {
-			sim = core.TopKByPredictedPerf(preds, rq.TopK)
-		}
-	default:
-		sim = make([]int, len(exps))
-		for i := range sim {
-			sim[i] = i
-		}
-	}
-	s.writeSweep(w, r, exps, opts, preds, sim)
-}
 
-// Sweep fidelity tiers, as exposed in cwserve_sweep_cells_total{tier=...}.
-const (
-	tierAnalytic  = "analytic"
-	tierSimulated = "simulated"
-)
-
-// cellOutcome is one finished sweep cell, sent from the workers to the
-// response writer.
-type cellOutcome struct {
-	index int
-	res   core.Result
-	err   error
-}
-
-// runSweep executes the cells of the grid listed in sim on a bounded
-// worker pool through the serving stack (runner cell claim + batch
-// admission) and sends each outcome, under its grid index, on the returned
-// channel as it completes. The channel is closed when the sweep is done or
-// the context cancels.
-func (s *Server) runSweep(ctx context.Context, exps []core.Experiment, sim []int, opts core.RunOptions) <-chan cellOutcome {
-	out := make(chan cellOutcome)
-	go func() {
-		defer close(out)
-		core.ParallelEach(ctx, len(sim), s.runner.Workers(), func(j int) {
-			res, err := s.execute(ctx, exps[sim[j]], opts, true)
-			// The send races the writer abandoning the response; a
-			// cancelled context unblocks the worker so no goroutine
-			// outlives the request.
-			select {
-			case out <- cellOutcome{index: sim[j], res: res, err: err}:
-			case <-ctx.Done():
-			}
-		})
-	}()
-	return out
-}
-
-// writeSweep answers one grid: the cells listed in sim (ascending grid
-// indices) are simulated through runSweep — zero admission slots for the
-// rest, whose answer is already in ready (nil when sim is the whole grid).
-//
-// The response is one NDJSON SweepEvent per cell, then the trailer: the
-// ready cells first, in grid order (the analytic tier is instant), then the
-// simulated ones in completion order, flushing after every line.
-func (s *Server) writeSweep(w http.ResponseWriter, r *http.Request, exps []core.Experiment, opts core.RunOptions, ready []core.Result, sim []int) {
-	s.met.sweepTier(tierAnalytic, len(exps)-len(sim))
-	s.met.sweepTier(tierSimulated, len(sim))
-
+	// The response is one NDJSON SweepEvent per cell, in completion order,
+	// then the trailer, flushing after every line.
+	s.met.sweep(len(exps))
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	if ready != nil {
-		next := 0 // position in sim of the next simulated index
-		for i := range ready {
-			if next < len(sim) && sim[next] == i {
-				next++
-				continue
-			}
-			idx := i
-			if enc.Encode(SweepEvent{Index: &idx, Experiment: &exps[i], Result: &ready[i]}) != nil {
-				return
-			}
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
 	failed := 0
-	ch := s.runSweep(r.Context(), exps, sim, opts)
+	ch := s.runSweep(r.Context(), exps, opts)
 	for oc := range ch {
 		i := oc.index
 		ev := SweepEvent{Index: &i, Experiment: &exps[i]}
@@ -756,6 +646,36 @@ func (s *Server) writeSweep(w http.ResponseWriter, r *http.Request, exps []core.
 	enc.Encode(SweepEvent{Done: true, Cells: len(exps), Failed: failed, Status: trailerStatus(failed)})
 }
 
+// cellOutcome is one finished sweep cell, sent from the workers to the
+// response writer.
+type cellOutcome struct {
+	index int
+	res   core.Result
+	err   error
+}
+
+// runSweep executes the grid on a bounded worker pool through the serving
+// stack (runner cell claim + batch admission) and sends each outcome,
+// under its grid index, on the returned channel as it completes. The
+// channel is closed when the sweep is done or the context cancels.
+func (s *Server) runSweep(ctx context.Context, exps []core.Experiment, opts core.RunOptions) <-chan cellOutcome {
+	out := make(chan cellOutcome)
+	go func() {
+		defer close(out)
+		core.ParallelEach(ctx, len(exps), s.runner.Workers(), func(i int) {
+			res, err := s.execute(ctx, exps[i], opts, true)
+			// The send races the writer abandoning the response; a
+			// cancelled context unblocks the worker so no goroutine
+			// outlives the request.
+			select {
+			case out <- cellOutcome{index: i, res: res, err: err}:
+			case <-ctx.Done():
+			}
+		})
+	}()
+	return out
+}
+
 // RegistryInfo is the response of GET /v1/registry: the names a client may
 // put in a request and the caps the daemon enforces on it.
 type RegistryInfo struct {
@@ -767,9 +687,6 @@ type RegistryInfo struct {
 	MaxN int `json:"max_n"`
 	// MaxSweepCells caps the grid one /v1/sweep may expand to.
 	MaxSweepCells int `json:"max_sweep_cells"`
-	// Analytic reports whether a calibrated predictor is attached, i.e.
-	// whether fidelity=screen / fidelity=topk sweeps will be accepted.
-	Analytic bool `json:"analytic"`
 }
 
 func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
@@ -788,7 +705,6 @@ func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
 		Engines:       sim.EngineNames(),
 		MaxN:          s.maxN,
 		MaxSweepCells: s.maxSweepCells,
-		Analytic:      s.runner.Predictor() != nil,
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(info)
@@ -809,7 +725,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"cwserve_cache_store_hits_total", "Memory misses answered by the persistent store.", "counter", st.StoreHits},
 		{"cwserve_cache_store_misses_total", "Memory misses the persistent store could not answer.", "counter", st.StoreMisses},
 		{"cwserve_cache_runs_total", "Experiments actually compiled and simulated.", "counter", st.Runs},
-		{"cwserve_cache_predictions_total", "Cells answered by the analytic tier instead of simulation.", "counter", st.Predictions},
 		{"cwserve_cache_evictions_total", "Cells dropped by the LRU bound.", "counter", st.Evictions},
 		{"cwserve_cache_store_errors_total", "Store load/save operational failures.", "counter", st.StoreErrors},
 		// The alerting-facing alias: nonzero means the daemon is serving in

@@ -386,7 +386,7 @@ func TestQueueTimeout(t *testing.T) {
 
 // TestSweepStream runs a small grid through the NDJSON streaming endpoint
 // and checks every cell arrives exactly once with results identical to
-// direct execution, then the summary line.
+// direct execution, then the summary line, and /metrics counts the cells.
 func TestSweepStream(t *testing.T) {
 	_, _, c := newTestServer(t, serve.Options{})
 	rq := serve.SweepRequest{
@@ -418,6 +418,13 @@ func TestSweepStream(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Fatalf("got %d events, want 4", len(seen))
+	}
+	text, err := c.Metrics(context.Background(), serve.RetryPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "\ncwserve_sweep_cells_total 4\n") {
+		t.Errorf("metrics missing the sweep-cell counter:\n%s", text)
 	}
 
 	pipes := []core.Pipeline{core.Baseline, core.AllOptimizations}
@@ -461,12 +468,15 @@ func TestSweepValidation(t *testing.T) {
 
 	// Bodies the decoder refuses before anything is resolved. A field the
 	// request does not have is refused by name, not ignored: a client still
-	// sending the retired "stream" switch learns why. A body above the 1 MiB
+	// sending the retired "stream" switch, or the retired prediction tier's
+	// "fidelity" and "top_k", learns why. A body above the 1 MiB
 	// bound is not read to its end, and a second JSON value is not silently
 	// dropped.
 	const valid = `{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["base"],"sizes":[8]}`
 	for _, tc := range []struct{ name, body, want string }{
 		{"unknown field", valid[:len(valid)-1] + `,"stream":false}`, `"stream"`},
+		{"fidelity", valid[:len(valid)-1] + `,"fidelity":"screen"}`, `"fidelity"`},
+		{"top_k", valid[:len(valid)-1] + `,"top_k":2}`, `"top_k"`},
 		{"oversized body", `{"targets":["` + strings.Repeat("x", 2<<20) + `"]}`, "too large"},
 		{"second value", valid + `{}`, "after the request value"},
 	} {
@@ -482,160 +492,6 @@ func TestSweepValidation(t *testing.T) {
 	}
 	if runs := sv.Runner().Snapshot().Runs; runs != 0 {
 		t.Errorf("rejected sweeps dispatched %d cells", runs)
-	}
-}
-
-// rankPredictor is a stub analytic tier for fidelity tests: instant
-// Analytic results ranked by N (larger N predicts more ops/cycle).
-type rankPredictor struct{}
-
-func (rankPredictor) Predict(e core.Experiment) (core.Result, error) {
-	res := core.Result{Target: e.Target, Workload: e.Workload, Pipeline: e.Pipeline, N: e.N, Analytic: true}
-	res.Cycles = 1000
-	res.AccelOps = uint64(e.N)
-	return res, nil
-}
-
-// TestSweepFidelityScreen: a screen-fidelity sweep answers the whole grid
-// analytically — zero simulator invocations, counter-asserted on the
-// runner and in /metrics.
-func TestSweepFidelityScreen(t *testing.T) {
-	runner := core.NewRunner(2)
-	runner.SetPredictor(rankPredictor{})
-	sv, ts, c := newTestServer(t, serve.Options{Runner: runner})
-	rq := serve.SweepRequest{
-		Targets:   []string{"opengemm"},
-		Workloads: []string{core.WorkloadMatmul},
-		Pipelines: []string{"base", "all"},
-		Sizes:     []int{8, 16},
-		Fidelity:  "screen",
-	}
-
-	events := 0
-	summary, err := c.Sweep(context.Background(), rq, func(ev serve.SweepEvent) error {
-		if ev.Result == nil || !ev.Result.Analytic {
-			return fmt.Errorf("screen event %+v is not an Analytic result", ev)
-		}
-		events++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if summary.Cells != 4 || summary.Failed != 0 || events != 4 {
-		t.Fatalf("summary %+v with %d events, want 4 analytic cells", summary, events)
-	}
-	if st := sv.Runner().Snapshot(); st.Runs != 0 || st.Predictions != 4 {
-		t.Errorf("screen sweep counters: %d runs, %d predictions; want 0, 4", st.Runs, st.Predictions)
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	metrics, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(metrics), `cwserve_sweep_cells_total{tier="analytic"} 4`) {
-		t.Errorf("metrics missing the analytic sweep-cell counter:\n%s", metrics)
-	}
-}
-
-// TestSweepFidelityTopK: a topk sweep simulates exactly the top_k
-// predicted-fastest cells and answers the rest analytically, with both
-// tiers counted in /metrics.
-func TestSweepFidelityTopK(t *testing.T) {
-	runner := core.NewRunner(2)
-	runner.SetPredictor(rankPredictor{})
-	sv, ts, c := newTestServer(t, serve.Options{Runner: runner})
-	rq := serve.SweepRequest{
-		Targets:   []string{"opengemm"},
-		Workloads: []string{core.WorkloadMatmul},
-		Pipelines: []string{"base", "all"},
-		Sizes:     []int{8, 16},
-		Fidelity:  "topk",
-		TopK:      2,
-	}
-
-	simulated := 0
-	summary, err := c.Sweep(context.Background(), rq, func(ev serve.SweepEvent) error {
-		if ev.Error != "" {
-			return fmt.Errorf("cell %v failed: %s", ev.Index, ev.Error)
-		}
-		if !ev.Result.Analytic {
-			simulated++
-			if ev.Result.N != 16 {
-				return fmt.Errorf("simulated cell N=%d; the stub ranks the N=16 cells fastest", ev.Result.N)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if summary.Cells != 4 || summary.Failed != 0 {
-		t.Fatalf("summary = %+v, want 4 cells, 0 failed", summary)
-	}
-	if simulated != 2 {
-		t.Fatalf("%d simulated cells, want 2", simulated)
-	}
-	if st := sv.Runner().Snapshot(); st.Runs != 2 {
-		t.Errorf("Runs = %d, want exactly the top-2 cells", st.Runs)
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	metrics, _ := io.ReadAll(resp.Body)
-	for _, want := range []string{
-		`cwserve_sweep_cells_total{tier="analytic"} 2`,
-		`cwserve_sweep_cells_total{tier="simulated"} 2`,
-	} {
-		if !strings.Contains(string(metrics), want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-}
-
-// TestSweepFidelityValidation: fidelity/top_k combinations that cannot be
-// honored are rejected up front with a 400.
-func TestSweepFidelityValidation(t *testing.T) {
-	// No predictor on this server.
-	_, ts, _ := newTestServer(t, serve.Options{})
-	post := func(rq serve.SweepRequest) (int, string) {
-		buf, _ := json.Marshal(rq)
-		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(buf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body)
-	}
-	base := serve.SweepRequest{
-		Targets: []string{"opengemm"}, Workloads: []string{core.WorkloadMatmul},
-		Pipelines: []string{"base"}, Sizes: []int{8},
-	}
-
-	rq := base
-	rq.Fidelity = "screen"
-	if code, body := post(rq); code != http.StatusBadRequest || !strings.Contains(body, "analytic model") {
-		t.Errorf("screen without a model: %d %q", code, body)
-	}
-	rq = base
-	rq.Fidelity = "warp9"
-	if code, body := post(rq); code != http.StatusBadRequest || !strings.Contains(body, "unknown fidelity") {
-		t.Errorf("unknown fidelity: %d %q", code, body)
-	}
-	rq = base
-	rq.Fidelity = "topk"
-	if code, body := post(rq); code != http.StatusBadRequest || !strings.Contains(body, "top_k >= 1") {
-		t.Errorf("topk without top_k: %d %q", code, body)
-	}
-	rq = base
-	rq.TopK = 3
-	if code, body := post(rq); code != http.StatusBadRequest || !strings.Contains(body, `requires fidelity "topk"`) {
-		t.Errorf("top_k without topk fidelity: %d %q", code, body)
 	}
 }
 
@@ -661,9 +517,6 @@ func TestRegistry(t *testing.T) {
 	if info.MaxN <= 0 || info.MaxSweepCells <= 0 {
 		t.Errorf("caps not reported: max_n=%d max_sweep_cells=%d", info.MaxN, info.MaxSweepCells)
 	}
-	if info.Analytic {
-		t.Errorf("Analytic = true on a server without a predictor")
-	}
 	// The wire carries exactly these keys: a field no client reads is not
 	// sent.
 	resp, err := http.Get(ts.URL + "/v1/registry")
@@ -676,22 +529,8 @@ func TestRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := slices.Sorted(maps.Keys(wire))
-	if want := []string{"analytic", "engines", "max_n", "max_sweep_cells", "pipelines", "targets", "workloads"}; !slices.Equal(keys, want) {
+	if want := []string{"engines", "max_n", "max_sweep_cells", "pipelines", "targets", "workloads"}; !slices.Equal(keys, want) {
 		t.Errorf("/v1/registry keys = %v, want %v", keys, want)
-	}
-}
-
-// TestRegistryAnalytic: a server whose runner has a predictor attached
-// must advertise the analytic tier.
-func TestRegistryAnalytic(t *testing.T) {
-	sv, _, c := newTestServer(t, serve.Options{})
-	sv.Runner().SetPredictor(rankPredictor{})
-	info, err := c.Registry(context.Background(), serve.RetryPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Analytic {
-		t.Errorf("Analytic = false with a predictor attached")
 	}
 }
 

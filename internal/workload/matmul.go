@@ -85,16 +85,13 @@ func gemminiTile(dim int) (int, error) {
 	return 0, fmt.Errorf("workload: gemmini dimension %d has no 16-multiple tiling <= %d", dim, GemminiMaxTile)
 }
 
-// Tiling describes the launch structure of a tiled matmul: the output
-// tile edges and the resulting launch count (each launch reduces over the
-// full K dimension). It is closed-form arithmetic over the documented
-// tiling rules — the analytical prediction tier (internal/analytic) uses
-// it as a feature source without building or simulating any IR.
+// Tiling is the output-tile edges of one launch of a tiled matmul (each
+// launch reduces over the full K dimension). It is closed-form arithmetic
+// over the documented tiling rules, so core.SupportedSizes decides a
+// size's feasibility from it without building any IR, and the Gemmini
+// builder takes its tile edges from it.
 type Tiling struct {
-	// TileM and TileN are the output-tile edges of one launch.
 	TileM, TileN int
-	// Launches is (M/TileM) * (N/TileN).
-	Launches int
 }
 
 // GemminiMatmulTiling validates the dimensions and selects the tiles; the
@@ -114,7 +111,7 @@ func GemminiMatmulTiling(mDim, kDim, nDim int) (Tiling, error) {
 	if err != nil {
 		return Tiling{}, err
 	}
-	return Tiling{TileM: tileM, TileN: tileN, Launches: (mDim / tileM) * (nDim / tileN)}, nil
+	return Tiling{TileM: tileM, TileN: tileN}, nil
 }
 
 // OpenGeMMMatmulTiling validates the dimensions for the fixed
@@ -125,12 +122,7 @@ func OpenGeMMMatmulTiling(mDim, kDim, nDim int) (Tiling, error) {
 			return Tiling{}, fmt.Errorf("workload: opengemm matmul dims %dx%dx%d must be positive multiples of 8", mDim, kDim, nDim)
 		}
 	}
-	return Tiling{TileM: 8, TileN: 8, Launches: (mDim / 8) * (nDim / 8)}, nil
-}
-
-// GemminiTiledMatmul builds the square C[n,n] = A[n,n] x B[n,n] workload.
-func GemminiTiledMatmul(n int) (*ir.Module, error) {
-	return GemminiTiledMatmulMKN(n, n, n)
+	return Tiling{TileM: 8, TileN: 8}, nil
 }
 
 // GemminiTiledMatmulMKN builds C[M,N] = A[M,K] x B[K,N] (int8 inputs, int8
@@ -242,11 +234,6 @@ func GemminiTiledMatmulMKN(mDim, kDim, nDim int) (*ir.Module, error) {
 		return nil, fmt.Errorf("workload: generated gemmini matmul invalid: %w", err)
 	}
 	return m, nil
-}
-
-// OpenGeMMTiledMatmul builds the square C[n,n] = A[n,n] x B[n,n] workload.
-func OpenGeMMTiledMatmul(n int) (*ir.Module, error) {
-	return OpenGeMMTiledMatmulMKN(n, n, n)
 }
 
 // OpenGeMMTiledMatmulMKN builds C[M,N] (int32) = A[M,K] x B[K,N] (int8) as

@@ -87,7 +87,7 @@ func TestSaturateInt8(t *testing.T) {
 func countOps(m *ir.Module, name string) int { return ir.CountOpsNamed(m, name) }
 
 func TestGemminiWorkloadShape(t *testing.T) {
-	m, err := workload.GemminiTiledMatmul(128)
+	m, err := workload.GemminiTiledMatmulMKN(128, 128, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestGemminiWorkloadShape(t *testing.T) {
 }
 
 func TestOpenGeMMWorkloadShape(t *testing.T) {
-	m, err := workload.OpenGeMMTiledMatmul(64)
+	m, err := workload.OpenGeMMTiledMatmulMKN(64, 64, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,19 +143,19 @@ func TestOpenGeMMWorkloadShape(t *testing.T) {
 }
 
 func TestWorkloadSizeValidation(t *testing.T) {
-	if _, err := workload.GemminiTiledMatmul(20); err == nil {
+	if _, err := workload.GemminiTiledMatmulMKN(20, 20, 20); err == nil {
 		t.Error("gemmini size not a multiple of 16 must fail")
 	}
-	if _, err := workload.OpenGeMMTiledMatmul(12); err == nil {
+	if _, err := workload.OpenGeMMTiledMatmulMKN(12, 12, 12); err == nil {
 		t.Error("opengemm size not a multiple of 8 must fail")
 	}
 }
 
 func TestWorkloadSmallestSizes(t *testing.T) {
-	if _, err := workload.GemminiTiledMatmul(16); err != nil {
+	if _, err := workload.GemminiTiledMatmulMKN(16, 16, 16); err != nil {
 		t.Errorf("gemmini 16x16: %v", err)
 	}
-	if _, err := workload.OpenGeMMTiledMatmul(8); err != nil {
+	if _, err := workload.OpenGeMMTiledMatmulMKN(8, 8, 8); err != nil {
 		t.Errorf("opengemm 8x8: %v", err)
 	}
 }
