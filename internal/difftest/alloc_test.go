@@ -15,30 +15,36 @@ import (
 // core.TestCellAllocationBudget this is a ratchet, not a benchmark: budgets
 // are the measured figures + 10% for toolchain drift.
 //
-// The count holds one module clone per pipeline: the pre-lowering facts are
-// read off the live module between two halves of the pipeline (runPasses),
-// and a probe that goes back through PassManager.CheckEach — a clone before
-// every pass, which is how the parent of the PR that added this test measured
-// 43 169 and 29 172 — fails it. So does a map of group mates built per
-// accfg.setup in internal/analysis (14 418 for gemmini before they were
-// built once per accel.Port). So does an op that is more than one
-// allocation, a field state that is a map or is copied per launch, or a CSE
-// key that is a string of its own: 11 404 and 7 157 before the IR core kept
-// operands, results, attributes and first uses inline and the analysis kept
-// sorted, shared field states.
+// The count holds one module clone per pipeline and each shared pass run
+// once per program (the pass tree): the pre-lowering facts are read off the
+// live module between two parts of the pipeline, and a probe that goes back
+// through PassManager.CheckEach — a clone before every pass, which is how the
+// parent of the PR that added this test measured 43 169 and 29 172 — fails
+// it. So does a map of group mates built per accfg.setup in
+// internal/analysis (14 418 for gemmini before they were built once per
+// accel.Port). So does an op that is more than one allocation, a field state
+// that is a map or is copied per launch, or a CSE key that is a string of
+// its own: 11 404 and 7 157 before the IR core kept operands, results,
+// attributes and first uses inline and the analysis kept sorted, shared
+// field states. With every pipeline running its shared opening passes on
+// its own clone, the parent of the PR that added the pass tree measured
+// 3 850 and 2 815.
 //
-// The bytes hold one arena per check: a 1 MiB memory per engine run and a
-// full-image snapshot of each, eight of both per program, change the count by
-// a few dozen but the bytes from 3.7 and 3.0 MB to 18.5 and 17.8 MB (which is
-// what the parent of the PR that added this axis measured).
+// The bytes hold the sandbox pooled and the images trimmed before they are
+// copied: 1.32 and 1.44 MB here, against 2.37 and 2.39 MB with either an
+// arena per check or each image copied up to its last dirty page, and 18.5
+// and 17.8 MB with an arena and a full-image snapshot per engine run. The
+// budget is the measurement + 10% plus one 1 MiB sandbox, so a pool a GC
+// emptied between two checks cannot fail it.
 func TestCheckAllocationBudget(t *testing.T) {
+	const sandbox = 1_050_720 // mem.New(1 << 20): the bytes, the dirty flags, the line versions
 	for _, tc := range []struct {
 		target string
 		allocs float64
 		bytes  uint64
 	}{
-		{"gemmini", 4235, 2_995_000},  // measured 3 850 and 2 722 k
-		{"opengemm", 3097, 2_980_000}, // measured 2 815 and 2 708 k
+		{"gemmini", 3882, 1_452_000 + sandbox},  // measured 3 529 and 1 320 k
+		{"opengemm", 2827, 1_589_000 + sandbox}, // measured 2 570 and 1 444 k
 	} {
 		tgt, prof := targetAndProfile(t, tc.target)
 		prog, err := irgen.Generate(prof, irgen.DeriveSeed(1, tc.target, 0))

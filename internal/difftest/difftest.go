@@ -39,6 +39,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 
 	"configwall/internal/accel"
 	"configwall/internal/analysis"
@@ -170,9 +171,10 @@ type Options struct {
 	// Pipelines to compare against Baseline; nil selects every registered
 	// optimization pipeline (dedup, overlap, all).
 	Pipelines []core.Pipeline
-	// Mutate, when set, is applied to the cloned module of every
-	// *optimization* pipeline before its passes run — the hook the
-	// mutation tests use to model an intentionally broken pass.
+	// Mutate, when set, is applied once per check, to the clone of the
+	// module the *optimization* pipelines start from, before their passes
+	// run — the hook the mutation tests use to model an intentionally
+	// broken pass. Its error is every optimization pipeline's.
 	Mutate func(m *ir.Module) error
 	// Static selects what a static reject does to the rest of the check;
 	// the zero value is StaticPreOracle.
@@ -330,12 +332,14 @@ func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) 
 		pipelines = OptimizationPipelines()
 	}
 	baseSum := analysis.Explore(m)
-	sandbox := newSandbox()
+	sandbox := sandboxes.Get().(*mem.Memory)
+	defer sandboxes.Put(sandbox)
 
 	var baseBounds analysis.Bounds
-	baseFinal, kind, err := runPasses(m, t.PassPipeline(core.Baseline), nil, func(pre *ir.Module) {
+	baseFinal, err := runPasses(m, t.PassPipeline(core.Baseline), nil, func(pre *ir.Module) {
 		baseBounds = analysis.StaticBounds(pre)
 	})
+	kind := KindPipelineError
 	var base Execution
 	if err == nil {
 		base, kind, err = executeCompiled(t, baseFinal, prog, true, sandbox)
@@ -355,14 +359,19 @@ func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) 
 		rep.Divergences = append(rep.Divergences, *d)
 	}
 
-	for _, p := range pipelines {
+	pms := make([]*ir.PassManager, len(pipelines))
+	for i, p := range pipelines {
+		pms[i] = t.PassPipeline(p)
+	}
+	tree := newPassTree(m, pms, opts.Mutate)
+	for i, p := range pipelines {
 		var sum *analysis.Summary
 		var bounds analysis.Bounds
-		final, kind, err := runPasses(m, t.PassPipeline(p), opts.Mutate, func(pre *ir.Module) {
+		final, err := tree.run(i, func(pre *ir.Module) {
 			sum, bounds = analysis.Explore(pre), analysis.StaticBounds(pre)
 		})
 		if err != nil {
-			rep.Divergences = append(rep.Divergences, Divergence{Kind: kind, Pipeline: p, Detail: err.Error()})
+			rep.Divergences = append(rep.Divergences, Divergence{Kind: KindPipelineError, Pipeline: p, Detail: err.Error()})
 			continue
 		}
 
@@ -444,51 +453,148 @@ func hasSemanticDivergence(divs []Divergence) bool {
 // summarized trace, launch effects) returns a KindEngine error alongside
 // the still valid reference Execution.
 func Execute(t core.Target, m *ir.Module, prog irgen.Program, pm *ir.PassManager, mutate func(*ir.Module) error, crossCheck bool) (Execution, Kind, error) {
-	clone, kind, err := runPasses(m, pm, mutate, nil)
+	clone, err := runPasses(m, pm, mutate, nil)
 	if err != nil {
-		return Execution{}, kind, err
+		return Execution{}, KindPipelineError, err
 	}
-	return executeCompiled(t, clone, prog, crossCheck, newSandbox())
+	sandbox := sandboxes.Get().(*mem.Memory)
+	defer sandboxes.Put(sandbox)
+	return executeCompiled(t, clone, prog, crossCheck, sandbox)
 }
 
 // runPasses clones m, applies the optional mutation and runs the pipeline
-// on the clone. preLower, when set, is handed the live module as it stands
-// entering the first lower-* pass (or the final module when the pipeline
-// never lowers) — the last point where accfg launches are still visible to
-// the static checker. The pipeline runs in two parts around that pass, so
-// looking costs no clone; preLower must read what it needs and keep no
-// pointer into the module, which the remaining passes go on to rewrite.
-func runPasses(m *ir.Module, pm *ir.PassManager, mutate func(*ir.Module) error, preLower func(*ir.Module)) (*ir.Module, Kind, error) {
-	clone := m.Clone()
-	if mutate != nil {
-		if err := mutate(clone); err != nil {
-			return nil, KindPipelineError, fmt.Errorf("mutate: %w", err)
-		}
-	}
-	names := pm.Passes()
-	n := 0
-	for n < len(names) && !strings.HasPrefix(names[n], "lower-") {
-		n++
-	}
-	head, tail := pm.Split(n)
-	if err := head.Run(clone); err != nil {
-		return nil, KindPipelineError, err
-	}
-	if preLower != nil {
-		preLower(clone)
-	}
-	if err := tail.Run(clone); err != nil {
-		return nil, KindPipelineError, err
-	}
-	return clone, KindNone, nil
+// on the clone: a pass tree of one pipeline.
+func runPasses(m *ir.Module, pm *ir.PassManager, mutate func(*ir.Module) error, preLower func(*ir.Module)) (*ir.Module, error) {
+	return newPassTree(m, []*ir.PassManager{pm}, mutate).run(0, preLower)
 }
 
-// newSandbox allocates the arena one check simulates in. It is per program,
-// not per run: CheckModule and Execute each make one and every engine run of
-// that program starts from it with Reset, which zeroes only the pages the
-// previous run dirtied. Nothing outlives the check — no pool, no package
-// state — so two concurrent checks share nothing.
-func newSandbox() *mem.Memory { return mem.New(memorySize) }
+// passTree runs a family of pipelines over one module, each run of leading
+// passes they share once. The first pipeline starts from a clone of the
+// module with the mutation applied; every later pipeline i resumes from a
+// checkpoint on src[i], the earliest earlier pipeline with which it shares
+// the longest run of pass names (depth[i] passes). Taking the earliest of
+// equals keeps depth[i] >= depth[src[i]], so the checkpoint lies on the
+// part of src[i]'s path that src[i] runs itself. Sharing stops before the
+// first lower-* pass: every pipeline reaches its own pre-lowering module.
+// Resuming is running because, within one target's PassPipeline, an equal
+// name at an equal position is the same pass (TestPassTreeMatchesSeparateRuns).
+type passTree struct {
+	root   *ir.Module
+	mutate func(*ir.Module) error
+	pms    []*ir.PassManager
+	names  [][]string
+	heads  []int // passes before each pipeline's first lower-*
+	src    []int // the pipeline each resumes from; -1 for the first
+	depth  []int // passes each shares with its src
+	// start holds the module each pipeline resumes from once its src has
+	// passed depth, err the failure it inherits when its src never did.
+	start []*ir.Module
+	err   []error
+}
+
+func newPassTree(m *ir.Module, pms []*ir.PassManager, mutate func(*ir.Module) error) *passTree {
+	n := len(pms)
+	tr := &passTree{root: m, mutate: mutate, pms: pms, names: make([][]string, n), heads: make([]int, n),
+		src: make([]int, n), depth: make([]int, n), start: make([]*ir.Module, n), err: make([]error, n)}
+	names := tr.names
+	for i, pm := range pms {
+		names[i] = pm.Passes()
+		for tr.heads[i] < len(names[i]) && !strings.HasPrefix(names[i][tr.heads[i]], "lower-") {
+			tr.heads[i]++
+		}
+		tr.src[i] = -1
+		for j := range i {
+			d := 0
+			for d < min(tr.heads[i], tr.heads[j]) && names[i][d] == names[j][d] {
+				d++
+			}
+			if tr.src[i] < 0 || d > tr.depth[i] {
+				tr.src[i], tr.depth[i] = j, d
+			}
+		}
+	}
+	return tr
+}
+
+// run returns pipeline i's final module; pipelines run in order. It runs
+// the passes i does not share with its src, handing a clone to every later
+// pipeline that resumes from i where i passes its depth. preLower, when set,
+// is handed the live module as it stands entering the first lower-* pass
+// (or the final module when the pipeline never lowers), the last point
+// where accfg launches are still visible to the static checker. It must
+// read what it needs and keep no pointer into the module, which the
+// remaining passes go on to rewrite. A failure is also the failure of every
+// later pipeline still waiting on i: they share the pass that failed.
+func (tr *passTree) run(i int, preLower func(*ir.Module)) (*ir.Module, error) {
+	m, err := tr.start[i], tr.err[i]
+	tr.start[i] = nil
+	if i == 0 {
+		m = tr.root.Clone()
+		if tr.mutate != nil {
+			if merr := tr.mutate(m); merr != nil {
+				err = fmt.Errorf("mutate: %w", merr)
+			}
+		}
+	}
+	at := tr.depth[i]
+	if err == nil {
+		tr.pass(i, at, m, preLower)
+		_, rest := tr.pms[i].Split(at)
+		for end, d := len(tr.names[i]), at+1; d <= end; d++ {
+			if d < end && d != tr.heads[i] && !tr.waitedOn(i, d) {
+				continue
+			}
+			var seg *ir.PassManager
+			seg, rest = rest.Split(d - at)
+			if err = seg.Run(m); err != nil {
+				break
+			}
+			at = d
+			tr.pass(i, at, m, preLower)
+		}
+	}
+	if err != nil {
+		for j := i + 1; j < len(tr.pms); j++ {
+			if tr.src[j] == i && tr.start[j] == nil {
+				tr.err[j] = err
+			}
+		}
+		return nil, err
+	}
+	return m, nil
+}
+
+// pass is pipeline i passing depth d with module m: every pipeline that
+// resumes there gets its own clone, and preLower sees m at i's head.
+func (tr *passTree) pass(i, d int, m *ir.Module, preLower func(*ir.Module)) {
+	for j := i + 1; j < len(tr.pms); j++ {
+		if tr.src[j] == i && tr.depth[j] == d {
+			tr.start[j] = m.Clone()
+		}
+	}
+	if d == tr.heads[i] && preLower != nil {
+		preLower(m)
+	}
+}
+
+// waitedOn reports whether a later pipeline resumes from i at depth d.
+func (tr *passTree) waitedOn(i, d int) bool {
+	for j := i + 1; j < len(tr.pms); j++ {
+		if tr.src[j] == i && tr.depth[j] == d {
+			return true
+		}
+	}
+	return false
+}
+
+// sandboxes recycles the oracle's 1 MiB arenas across checks: CheckModule
+// and Execute each take one and put it back when they return, and every
+// engine run of a program starts from it with Reset, which zeroes only the
+// pages the previous run dirtied. Isolation between checks rests on the
+// Reset contract the eight runs of one check already rest on
+// (TestReusedSandboxIndistinguishableFromFresh); nothing in a Report
+// aliases the arena, since Execution.Mem is an owned copy.
+var sandboxes = sync.Pool{New: func() any { return mem.New(memorySize) }}
 
 // compileProgram compiles the already-optimized module against the oracle's
 // layout: buffers 64-byte aligned from bufferBase, statics after them, sp at
@@ -555,11 +661,13 @@ func simulate(t core.Target, prog irgen.Program, compiled *core.Program, engine 
 	}
 
 	// Everything from the last dirty page up to the stack is still zero by
-	// Reset's contract, so the image is copied out of the written part only.
+	// Reset's contract, so the image is read from the written part only and
+	// copied up to its last nonzero byte.
+	img := trimZeros(memory.View(0, memory.DirtyEnd(stackBase)))
 	return Execution{
 		Counters:      mc.Counters,
 		Launches:      rec.launches,
-		Mem:           trimZeros(memory.Snapshot(0, memory.DirtyEnd(stackBase))),
+		Mem:           memory.Snapshot(0, uint64(len(img))),
 		TraceSummary:  trace.Summarize(mc.Trace),
 		ProgramInstrs: len(compiled.Instrs),
 	}, nil

@@ -329,3 +329,77 @@ func TestMetamorphicCountersHold(t *testing.T) {
 		}
 	}
 }
+
+// breakFirstSetup makes the module fail verification without giving the
+// first pass anything to trip over: the first setup's accelerator name
+// becomes a number, so the verifier after the pipelines' shared opening
+// canonicalize rejects it.
+func breakFirstSetup(m *ir.Module) error {
+	var done bool
+	m.Walk(func(op *ir.Op) {
+		if _, ok := accfg.AsSetup(op); ok && !done {
+			op.SetAttr("accelerator", ir.IntAttr(0))
+			done = true
+		}
+	})
+	if !done {
+		return fmt.Errorf("mutation found no setup")
+	}
+	return nil
+}
+
+// TestSharedPassFailureMatchesSeparateRuns: when a pass every optimization
+// pipeline shares fails, each pipeline reports the pipeline error it reports
+// when it runs alone (Execute runs one pipeline), in pipeline order — and so
+// does a mutation that fails before any pass runs.
+func TestSharedPassFailureMatchesSeparateRuns(t *testing.T) {
+	failMutate := func(*ir.Module) error { return fmt.Errorf("no room") }
+	for _, name := range core.TargetNames() {
+		tgt, prof := targetAndProfile(t, name)
+		prog, err := irgen.Generate(prof, irgen.DeriveSeed(5, name, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mutate := range []func(*ir.Module) error{breakFirstSetup, failMutate} {
+			var want []difftest.Divergence
+			for _, p := range difftest.OptimizationPipelines() {
+				_, kind, err := difftest.Execute(tgt, prog.Module, prog, tgt.PassPipeline(p), mutate, false)
+				if err == nil {
+					t.Fatalf("%s: %s runs clean alone under the mutation", name, p)
+				}
+				want = append(want, difftest.Divergence{Kind: kind, Pipeline: p, Detail: err.Error()})
+			}
+			if want[0].Kind != difftest.KindPipelineError {
+				t.Fatalf("%s: the mutation fails as %s, not in the passes", name, want[0].Kind)
+			}
+			rep := difftest.Check(tgt, prog, difftest.Options{Mutate: mutate})
+			if rep.Invalid {
+				t.Fatalf("%s: baseline invalid: %s", name, rep.InvalidReason)
+			}
+			if !reflect.DeepEqual(rep.Divergences, want) {
+				t.Errorf("%s: divergences\n%v\nwant the separate runs'\n%v", name, rep.Divergences, want)
+			}
+		}
+	}
+}
+
+// TestMutateRunsOncePerCheck: every optimization pipeline starts from the
+// one clone the mutation was applied to, so a check calls Mutate once.
+func TestMutateRunsOncePerCheck(t *testing.T) {
+	tgt, prof := targetAndProfile(t, "gemmini")
+	prog, err := irgen.Generate(prof, irgen.DeriveSeed(5, "gemmini", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	rep := difftest.Check(tgt, prog, difftest.Options{Mutate: func(*ir.Module) error {
+		calls++
+		return nil
+	}})
+	if rep.Invalid || rep.Diverged() {
+		t.Fatalf("a mutation that changes nothing diverged: %+v", rep)
+	}
+	if calls != 1 {
+		t.Errorf("Mutate ran %d times in one check of %d optimization pipelines, want once", calls, len(difftest.OptimizationPipelines()))
+	}
+}

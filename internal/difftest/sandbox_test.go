@@ -49,11 +49,11 @@ func TestReusedSandboxIndistinguishableFromFresh(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			reused := newSandbox()
+			reused := mem.New(memorySize)
 			for _, p := range core.Pipelines {
 				var runs [2]func(sim.Engine, *mem.Memory) Execution
 				for j, prog := range progs {
-					clone, _, err := runPasses(prog.Module, tgt.PassPipeline(p), nil, nil)
+					clone, err := runPasses(prog.Module, tgt.PassPipeline(p), nil, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -74,7 +74,7 @@ func TestReusedSandboxIndistinguishableFromFresh(t *testing.T) {
 					poison(reused)
 					got := runs[1](eng, reused)
 					full := bytes.TrimRight(reused.Snapshot(0, stackBase), "\x00")
-					want := runs[1](eng, newSandbox())
+					want := runs[1](eng, mem.New(memorySize))
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s seed %d %s %s: a reused sandbox is distinguishable from a fresh one (%d/%d instrs, %d/%d image bytes): %v",
 							name, progs[1].Seed, p, eng, got.ProgramInstrs, want.ProgramInstrs, len(got.Mem), len(want.Mem),
@@ -112,7 +112,7 @@ func TestOracleLayoutIsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clone, _, err := runPasses(prog.Module, tgt.PassPipeline(core.Baseline), nil, nil)
+		clone, err := runPasses(prog.Module, tgt.PassPipeline(core.Baseline), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
