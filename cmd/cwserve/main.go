@@ -45,10 +45,12 @@
 // new experiment requests are rejected, in-flight requests finish (up to
 // -drain-timeout), then the process exits 0.
 //
-// With -cache-dir the runner is backed by the persistent store and, at
-// boot, warmed from it: every enumerable entry is preloaded into memory,
-// so a restarted daemon answers everything a previous life measured
-// without re-simulating. Use cwload to benchmark a running daemon.
+// With -cache-dir the runner is backed by the persistent store. Boot reads
+// nothing from it: a restarted daemon loads each stored cell on its first
+// request (a store hit, not a simulation), so it answers everything a
+// previous life measured without re-simulating, and an unreadable entry
+// costs one recompute, not the boot. Use cwload to benchmark a running
+// daemon.
 package main
 
 import (
@@ -87,10 +89,9 @@ func main() {
 	ropts.OnStoreError = func(op string, e core.Experiment, err error) {
 		logf("store %s failed for %s (serving degraded, results non-durable): %v", op, e, err)
 	}
-	var st *store.DiskStore
 	if *cacheDir != "" {
-		var err error
-		if st, err = store.Open(*cacheDir); err != nil {
+		st, err := store.Open(*cacheDir)
+		if err != nil {
 			fatal("%v", err)
 		}
 		ropts.Store = st
@@ -107,14 +108,6 @@ func main() {
 	})
 	if err != nil {
 		fatal("%v", err)
-	}
-
-	if st != nil {
-		warmed, err := sv.WarmFromStore(context.Background(), st)
-		if err != nil {
-			fatal("warming from %s: %v", *cacheDir, err)
-		}
-		logf("warmed %d cells from %s", warmed, *cacheDir)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

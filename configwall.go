@@ -34,7 +34,9 @@
 //	results, err := r.RunAll(ctx, exps, configwall.RunOptions{})
 //
 // NewRunnerWith can back a Runner with a disk store (OpenStore), so a
-// restarted process answers every stored cell without re-simulating. For
+// restarted process answers every stored cell without re-simulating: the
+// runner loads a cell from the store on its first request, and nothing is
+// read ahead of that. For
 // long-lived use the runner and store can be served over HTTP
 // (cmd/cwserve): NewServer wraps a Runner with request coalescing, a
 // bounded admission queue and live metrics, NewServeClient talks to such
@@ -193,11 +195,6 @@ type DiskStore = store.DiskStore
 
 // OpenStore prepares a disk store rooted at dir, creating it if needed.
 func OpenStore(dir string) (*DiskStore, error) { return store.Open(dir) }
-
-// StoreEntry is one enumerated disk-store record (see DiskStore.Each):
-// the fingerprint key plus the self-described experiment, options and
-// result.
-type StoreEntry = store.Entry
 
 // RunExperiment resolves an experiment through the registry and executes it
 // once, uncached.

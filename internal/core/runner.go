@@ -170,9 +170,6 @@ func NewRunnerWith(opts RunnerOptions) *Runner {
 // Workers returns the worker-pool bound.
 func (r *Runner) Workers() int { return r.workers }
 
-// Store returns the persistent backend, or nil.
-func (r *Runner) Store() Store { return r.store }
-
 // CacheSize returns the number of memoized experiment cells.
 func (r *Runner) CacheSize() int {
 	r.mu.Lock()
@@ -187,9 +184,10 @@ func (r *Runner) Snapshot() CacheStats {
 	return r.stats
 }
 
-// cell returns the memo cell for k, creating it on a miss; created reports
-// whether this call created it. Every call is one request: it counts a
-// memory hit or a memory miss.
+// cell returns the memo cell for k, creating it on a miss as the most
+// recently used entry under the LRU bound; created reports whether this
+// call created it. Every call is one request: it counts a memory hit or a
+// memory miss.
 func (r *Runner) cell(k cacheKey) (c *cell, created bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -200,13 +198,6 @@ func (r *Runner) cell(k cacheKey) (c *cell, created bool) {
 	}
 	r.stats.MemMisses++
 	c = newCell()
-	r.insert(k, c)
-	return c, true
-}
-
-// insert adds c to the cell map as the most recently used entry and
-// applies the LRU bound. The caller holds r.mu and has checked k is absent.
-func (r *Runner) insert(k cacheKey, c *cell) {
 	r.cells[k] = r.lru.PushFront(&lruEntry{key: k, c: c})
 	if r.maxCells > 0 {
 		for r.lru.Len() > r.maxCells {
@@ -219,6 +210,7 @@ func (r *Runner) insert(k cacheKey, c *cell) {
 			r.stats.Evictions++
 		}
 	}
+	return c, true
 }
 
 func (r *Runner) bump(f func(*CacheStats)) {
@@ -392,27 +384,6 @@ func (r *Runner) compute(e Experiment, opts RunOptions) (Result, error) {
 		}
 	}
 	return res, err
-}
-
-// Preload publishes an already-materialized result into the in-memory cell
-// map without consulting the store or computing anything; it reports
-// whether the cell was absent and is now served from res. Serving layers
-// use it to warm a runner from a store enumeration at boot. A preloaded
-// cell is not a request: no hit, miss or store counter moves (only
-// Evictions, if the insert pushes the map past its bound).
-func (r *Runner) Preload(e Experiment, opts RunOptions, res Result) bool {
-	c := newCell()
-	c.claim()
-	c.res = res
-	close(c.done)
-	k := keyOf(e, opts)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.cells[k]; ok {
-		return false
-	}
-	r.insert(k, c)
-	return true
 }
 
 // RunAll executes the experiments concurrently on the worker pool and

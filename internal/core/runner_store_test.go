@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"configwall/internal/core"
-	"configwall/internal/serve"
 	"configwall/internal/sim"
 	"configwall/internal/store"
 )
@@ -210,108 +209,6 @@ func TestShardedSweepThenResume(t *testing.T) {
 	}
 	if s := final.Snapshot(); s.Runs != 0 || int(s.StoreHits) != len(grid) {
 		t.Errorf("final pass: %+v, want 0 runs and %d store hits", s, len(grid))
-	}
-}
-
-// warmFromStore boots r the way cwserve does: a server over it,
-// preloaded from the store behind it.
-func warmFromStore(r *core.Runner) (int, error) {
-	sv, err := serve.New(serve.Options{Runner: r})
-	if err != nil {
-		return 0, err
-	}
-	defer sv.Close()
-	return sv.WarmFromStore(context.Background(), r.Store().(*store.DiskStore))
-}
-
-// TestWarmPreloads: warming at boot pulls stored cells into memory so later
-// Run calls are pure memory hits even if the store then disappears.
-func TestWarmPreloads(t *testing.T) {
-	opts := core.RunOptions{SkipVerify: true}
-	exps := core.Figure11Experiments([]int{8, 16})
-	dir := t.TempDir()
-	if _, err := diskRunner(t, dir, 0).RunAll(context.Background(), exps, opts); err != nil {
-		t.Fatal(err)
-	}
-
-	r := diskRunner(t, dir, 0)
-	if warmed, err := warmFromStore(r); err != nil || warmed != len(exps) {
-		t.Errorf("WarmFromStore = %d (err %v), want %d", warmed, err, len(exps))
-	}
-	if got := r.CacheSize(); got != len(exps) {
-		t.Errorf("CacheSize after warming = %d, want %d", got, len(exps))
-	}
-	// Warming again is a no-op.
-	if warmed, err := warmFromStore(r); err != nil || warmed != 0 {
-		t.Errorf("second WarmFromStore = %d (err %v), want 0", warmed, err)
-	}
-	before := r.Snapshot()
-	if _, err := r.RunAll(context.Background(), exps, opts); err != nil {
-		t.Fatal(err)
-	}
-	after := r.Snapshot()
-	if after.Runs != 0 {
-		t.Errorf("RunAll after warming computed %d cells, want 0", after.Runs)
-	}
-	if after.StoreHits != before.StoreHits {
-		t.Errorf("RunAll after warming went back to the store: %+v -> %+v", before, after)
-	}
-}
-
-// TestWarmedCellsAreNotRequests: cells put in memory at boot — by
-// Server.WarmFromStore, or by the Preload-per-store-entry loop it runs —
-// leave the request counters at zero and CacheStats' two stated invariants
-// intact, before and after real traffic.
-func TestWarmedCellsAreNotRequests(t *testing.T) {
-	opts := core.RunOptions{SkipVerify: true}
-	exps := core.Figure11Experiments([]int{8, 16})
-	cold := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.AllOptimizations, N: 24}
-	invariants := func(t *testing.T, s core.CacheStats, requests uint64) {
-		t.Helper()
-		if got := s.MemHits + s.MemMisses; got != requests {
-			t.Errorf("MemHits+MemMisses = %d, want %d requests (%+v)", got, requests, s)
-		}
-		if s.Runs != s.MemMisses-s.StoreHits {
-			t.Errorf("Runs = %d, want MemMisses-StoreHits = %d (%+v)", s.Runs, s.MemMisses-s.StoreHits, s)
-		}
-	}
-	warmers := map[string]func(*core.Runner) (int, error){
-		"WarmFromStore": warmFromStore,
-		"Preload": func(r *core.Runner) (int, error) {
-			n := 0
-			err := r.Store().(*store.DiskStore).Each(func(e store.Entry) error {
-				if r.Preload(e.Experiment, e.Options, e.Result) {
-					n++
-				}
-				return nil
-			})
-			return n, err
-		},
-	}
-	for name, warm := range warmers {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			if _, err := diskRunner(t, dir, 0).RunAll(context.Background(), exps, opts); err != nil {
-				t.Fatal(err)
-			}
-			r := diskRunner(t, dir, 0)
-			if n, err := warm(r); err != nil || n != len(exps) {
-				t.Fatalf("warmed %d cells (err %v), want %d", n, err, len(exps))
-			}
-			if s := r.Snapshot(); s != (core.CacheStats{}) {
-				t.Errorf("stats after warming = %+v, want all zero", s)
-			}
-			// Every warmed cell twice (hits), one cell nobody stored (a run).
-			mix := append(append(append([]core.Experiment{}, exps...), exps...), cold)
-			if _, err := r.RunAll(context.Background(), mix, opts); err != nil {
-				t.Fatal(err)
-			}
-			s := r.Snapshot()
-			invariants(t, s, uint64(len(mix)))
-			if s.MemMisses != 1 || s.StoreHits != 0 || s.Runs != 1 {
-				t.Errorf("after the mix: %+v, want 1 miss, 0 store hits, 1 run", s)
-			}
-		})
 	}
 }
 

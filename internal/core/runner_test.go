@@ -447,31 +447,6 @@ func TestRunAdmittedReclaim(t *testing.T) {
 	}
 }
 
-// TestPreload publishes a synthetic result into the cell map and asserts
-// later requests are served from it without computing.
-func TestPreload(t *testing.T) {
-	r := core.NewRunner(2)
-	e := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 8}
-	opts := core.RunOptions{}
-	synthetic := core.Result{Target: e.Target, Workload: e.Workload, N: e.N}
-	if !r.Preload(e, opts, synthetic) {
-		t.Fatal("Preload of an empty runner must claim the cell")
-	}
-	if r.Preload(e, opts, core.Result{}) {
-		t.Error("second Preload of the same cell must report false")
-	}
-	got, err := r.Run(context.Background(), e, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, synthetic) {
-		t.Error("Run did not serve the preloaded result")
-	}
-	if s := r.Snapshot(); s.Runs != 0 {
-		t.Errorf("preloaded cell still ran %d simulations", s.Runs)
-	}
-}
-
 // TestParallelEachCancellation asserts a pre-cancelled context dispatches
 // nothing and a mid-run cancellation stops dispatch early.
 func TestParallelEachCancellation(t *testing.T) {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -44,11 +45,11 @@ func TestRunOptionsIsTheCellName(t *testing.T) {
 			t.Errorf("RunOptions.%s does not change FingerprintKey: two cells would share a store entry", name)
 		}
 		r := core.NewRunner(1)
-		if !r.Preload(e, flipped, core.Result{N: e.N}) {
-			t.Fatalf("RunOptions.%s: Preload into an empty runner refused", name)
+		if _, err := r.Run(context.Background(), e, flipped); err != nil {
+			t.Fatalf("RunOptions.%s: %v", name, err)
 		}
 		if _, ok := r.Peek(e, flipped); !ok {
-			t.Errorf("RunOptions.%s: Peek missed the cell Preload published under the same options", name)
+			t.Errorf("RunOptions.%s: Peek missed the cell Run memoized under the same options", name)
 		}
 		if _, ok := r.Peek(e, base); ok {
 			t.Errorf("RunOptions.%s does not key the memo: the zero options were served its cell", name)

@@ -25,10 +25,7 @@ type Store interface {
 // CacheStats counts how the runner satisfied experiment requests; use
 // Runner.Snapshot to read them. Requests = MemHits + MemMisses, and every
 // memory miss resolves to either a StoreHit or a fresh Run (Runs ==
-// MemMisses - StoreHits when no store errors occur). Cells put in memory
-// ahead of any request (Runner.Preload, which serve.Server.WarmFromStore
-// calls per stored cell) are not requests and count as neither hits nor
-// misses: a freshly warmed runner has served zero requests.
+// MemMisses - StoreHits when no store errors occur).
 type CacheStats struct {
 	// MemHits counts requests answered by the in-memory cell map.
 	MemHits uint64

@@ -44,7 +44,6 @@ import (
 	"configwall/internal/core"
 	"configwall/internal/fault"
 	"configwall/internal/sim"
-	"configwall/internal/store"
 )
 
 // Options configures a Server.
@@ -158,24 +157,6 @@ func (s *Server) Runner() *core.Runner { return s.runner }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
-}
-
-// WarmFromStore enumerates every entry of the disk store and preloads it
-// into the runner's in-memory cell map, so a freshly booted server answers
-// everything a previous life measured without touching the simulator. It
-// returns how many cells it loaded. Cancelling ctx stops the scan early.
-func (s *Server) WarmFromStore(ctx context.Context, st *store.DiskStore) (int, error) {
-	warmed := 0
-	err := st.Each(func(e store.Entry) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if s.runner.Preload(e.Experiment, e.Options, e.Result) {
-			warmed++
-		}
-		return nil
-	})
-	return warmed, err
 }
 
 // BeginDrain flips the server into draining mode: /healthz turns 503 so

@@ -683,18 +683,25 @@ func TestRunWithoutEngineIsDefaultCell(t *testing.T) {
 	}
 }
 
-// TestWarmFromStore boots a server over a store another runner populated
-// and checks requests are answered without any simulation.
-func TestWarmFromStore(t *testing.T) {
+// TestRebootLoadsOnDemand boots a server over a store another runner
+// populated: boot reads nothing, so the runner starts empty even when the
+// store holds more cells than its LRU bound, and each stored cell is then
+// answered on its first request as a store hit, without any simulation.
+func TestRebootLoadsOnDemand(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := []core.Experiment{testExp, {Target: "gemmini", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16}}
+	exps := []core.Experiment{
+		testExp,
+		{Target: "gemmini", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16},
+		{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16},
+	}
 	opts := core.RunOptions{Engine: sim.EngineRef}
 	first := core.NewRunnerWith(core.RunnerOptions{Store: st})
-	if _, err := first.RunAll(context.Background(), exps, opts); err != nil {
+	want, err := first.RunAll(context.Background(), exps, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -703,23 +710,26 @@ func TestWarmFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := core.NewRunnerWith(core.RunnerOptions{Store: st2})
+	runner := core.NewRunnerWith(core.RunnerOptions{Store: st2, MaxCells: len(exps) - 1})
 	sv, _, c := newTestServer(t, serve.Options{Runner: runner})
-	warmed, err := sv.WarmFromStore(context.Background(), st2)
-	if err != nil {
-		t.Fatal(err)
+	if s, n := runner.Snapshot(), runner.CacheSize(); s != (core.CacheStats{}) || n != 0 {
+		t.Fatalf("after boot: %+v with %d cells in memory, want nothing", s, n)
 	}
-	if warmed != len(exps) {
-		t.Fatalf("warmed %d cells, want %d", warmed, len(exps))
-	}
-	for _, e := range exps {
-		if _, err := c.RunRaw(context.Background(), e, opts); err != nil {
+	for i, e := range exps {
+		body, err := c.RunRaw(context.Background(), e, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
+		wantBody, err := json.Marshal(want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != string(wantBody) {
+			t.Errorf("%s: body differs from the first runner's result", e)
+		}
 	}
-	stats := sv.Runner().Snapshot()
-	if stats.Runs != 0 {
-		t.Errorf("Runs = %d after warm boot, want 0 (everything served from the warmed cache)", stats.Runs)
+	if s := sv.Runner().Snapshot(); s.Runs != 0 || int(s.StoreHits) != len(exps) || s.Evictions != 1 {
+		t.Errorf("after one request per stored cell: %+v, want 0 runs, %d store hits, 1 eviction", s, len(exps))
 	}
 }
 

@@ -2,12 +2,12 @@ package store_test
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"configwall/internal/core"
-	"configwall/internal/serve"
 	"configwall/internal/store"
 )
 
@@ -74,12 +74,13 @@ func TestTornEntryDegradesToMiss(t *testing.T) {
 	}
 }
 
-// TestTornEntrySkippedByEnumeration: Each and Keys must silently skip a
-// torn entry — warm-on-boot and sweep resume keep working on the
-// survivors instead of aborting.
+// TestTornEntrySkippedByEnumeration: a daemon rebooted on a store with a
+// torn entry loads the intact cells on demand and recomputes the torn one —
+// degraded to a miss, never a boot failure — and every body matches the
+// fault-free result.
 func TestTornEntrySkippedByEnumeration(t *testing.T) {
 	s := openStore(t)
-	seedStore(t, s)
+	results := seedStore(t, s)
 	var opts core.RunOptions
 
 	path := s.EntryPath(crashExps[1], opts)
@@ -91,36 +92,26 @@ func TestTornEntrySkippedByEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	keys, err := keysOf(t, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 2 {
-		t.Errorf("Each returned %d keys, want the 2 intact ones", len(keys))
-	}
-	seen := 0
-	if err := s.Each(func(store.Entry) error { seen++; return nil }); err != nil {
-		t.Fatalf("Each over a store with a torn entry: %v", err)
-	}
-	if seen != 2 {
-		t.Errorf("Each visited %d entries, want 2", seen)
-	}
-
-	// Warm-on-boot over the damaged store: the runner preloads the two
-	// intact cells and the torn one recomputes on demand — degraded to a
-	// miss, never a boot failure.
 	runner := core.NewRunnerWith(core.RunnerOptions{Store: s})
-	sv, err := serve.New(serve.Options{Runner: runner})
+	got, err := runner.RunAll(context.Background(), crashExps, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sv.Close()
-	warmed, err := sv.WarmFromStore(context.Background(), s)
-	if err != nil || warmed != 2 {
-		t.Errorf("WarmFromStore preloaded %d cells (err %v), want 2", warmed, err)
+	if st := runner.Snapshot(); st.StoreHits != 2 || st.Runs != 1 {
+		t.Errorf("reboot over a torn store: %+v, want 2 store hits and 1 run", st)
 	}
-	if _, err := runner.Run(context.Background(), crashExps[1], opts); err != nil {
-		t.Errorf("recomputing the torn cell: %v", err)
+	for i := range crashExps {
+		body, err := json.Marshal(got[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(results[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != string(want) {
+			t.Errorf("%s: body after reboot differs from the fault-free one", crashExps[i])
+		}
 	}
 }
 
@@ -151,20 +142,13 @@ func TestLeftoverTempFilesIgnored(t *testing.T) {
 			t.Errorf("entry %s with tmp litter: ok=%v err=%v, want a hit", e, ok, err)
 		}
 	}
-	keys, err := keysOf(t, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != len(crashExps) {
-		t.Errorf("Each returned %d keys, want %d (tmp litter excluded)", len(keys), len(crashExps))
-	}
 	if n := jsonFiles(t, s.Dir()); n != len(crashExps) {
 		t.Errorf("%d entry files, want %d", n, len(crashExps))
 	}
 }
 
 // TestGarbledEntryDegradesToMiss: arbitrary corruption (not just
-// truncation) reads as a miss and is skipped by enumeration.
+// truncation) reads as a miss, never an error.
 func TestGarbledEntryDegradesToMiss(t *testing.T) {
 	s := openStore(t)
 	seedStore(t, s)
@@ -186,9 +170,6 @@ func TestGarbledEntryDegradesToMiss(t *testing.T) {
 		}
 		if _, ok, err := s.Load(crashExps[i%len(crashExps)], opts); ok || err != nil {
 			t.Errorf("garbled variant %d: Load ok=%v err=%v, want a clean miss", i, ok, err)
-		}
-		if _, err := keysOf(t, s); err != nil {
-			t.Errorf("garbled variant %d: Each errored: %v", i, err)
 		}
 		if err := os.WriteFile(path, orig, 0o644); err != nil {
 			t.Fatal(err)

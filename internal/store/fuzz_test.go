@@ -9,8 +9,8 @@ import (
 	"configwall/internal/core"
 )
 
-// FuzzDecodeEnvelope holds decodeEnvelope, the one rule Load and Each accept
-// an entry's bytes by: it never panics, an accepted envelope has this schema
+// FuzzDecodeEnvelope holds decodeEnvelope, the rule Load accepts an entry's
+// bytes by: it never panics, an accepted envelope has this schema
 // and the key it was asked for, and a Saved entry decodes to its result. The
 // seeds are a Saved entry, its truncations (a torn write) and a foreign key.
 //

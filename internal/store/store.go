@@ -15,20 +15,20 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"configwall/internal/core"
 )
 
 // SchemaVersion identifies the serialized envelope layout. Bump it whenever
-// core.Result (or the envelope itself) changes shape: old entries then hash
-// to different paths and are simply never found again.
+// core.Result changes shape or a key stops naming the same cell: old
+// entries then hash to different paths and are simply never found again.
 //
 // v2 added the experiment cell and run options to the envelope so the
-// store is enumerable: Keys/Each can hand every entry back as a typed
-// (experiment, options, result) record, which is what lets a serving
-// daemon warm its runner from the store at boot without knowing which
-// sweeps produced it.
+// store could be enumerated at boot. Nothing enumerates it any more and
+// the two fields are no longer written, but that needs no bump:
+// decodeEnvelope accepts an entry by its schema and key alone, and JSON
+// decoding ignores the extra fields, so a v3 entry written with them still
+// loads.
 //
 // v3 changed no field: it retires every v2 entry because the engine
 // numbering behind "engine=%d" in the key and Options.Engine in the
@@ -38,14 +38,11 @@ const SchemaVersion = 3
 
 // envelope is the on-disk JSON document. Key is stored redundantly (the
 // path already encodes it) so loads can reject hash collisions and
-// hand-copied files; Experiment and Options make the entry
-// self-describing for enumeration.
+// hand-copied files.
 type envelope struct {
-	Schema     int             `json:"schema"`
-	Key        string          `json:"key"`
-	Experiment core.Experiment `json:"experiment"`
-	Options    core.RunOptions `json:"options"`
-	Result     core.Result     `json:"result"`
+	Schema int         `json:"schema"`
+	Key    string      `json:"key"`
+	Result core.Result `json:"result"`
 }
 
 // DiskStore is a content-addressed directory of experiment results
@@ -113,8 +110,8 @@ func (s *DiskStore) Load(e core.Experiment, opts core.RunOptions) (core.Result, 
 	return core.Result{}, false, nil
 }
 
-// decodeEnvelope is the one acceptance rule for an entry's bytes, Load's and
-// Each's: they decode as an envelope of this schema filed under key.
+// decodeEnvelope is Load's acceptance rule for an entry's bytes: they
+// decode as an envelope of this schema filed under key.
 func decodeEnvelope(data []byte, key string) (env envelope, ok bool) {
 	err := json.Unmarshal(data, &env)
 	return env, err == nil && env.Schema == SchemaVersion && env.Key == key
@@ -125,7 +122,7 @@ func decodeEnvelope(data []byte, key string) (env envelope, ok bool) {
 // complete entries.
 func (s *DiskStore) Save(e core.Experiment, opts core.RunOptions, res core.Result) error {
 	fp := Fingerprint(e, opts)
-	data, err := json.Marshal(envelope{Schema: SchemaVersion, Key: fp, Experiment: e, Options: opts, Result: res})
+	data, err := json.Marshal(envelope{Schema: SchemaVersion, Key: fp, Result: res})
 	if err != nil {
 		return fmt.Errorf("store: save %s: %w", e, err)
 	}
@@ -151,93 +148,4 @@ func (s *DiskStore) Save(e core.Experiment, opts core.RunOptions, res core.Resul
 		return fmt.Errorf("store: save %s: %w", e, err)
 	}
 	return nil
-}
-
-// Entry is one enumerated store record: the fingerprint key addressing it
-// plus the self-described experiment cell, run options and result.
-type Entry struct {
-	Key        string
-	Experiment core.Experiment
-	Options    core.RunOptions
-	Result     core.Result
-}
-
-// Each calls fn for every complete, decodable entry in the store, in
-// sorted fingerprint-key order. It is corruption-tolerant the way Load is:
-// truncated, garbled, schema-mismatched, misplaced or in-flight temp files
-// are silently skipped, never an error — only operational failures (an
-// unreadable directory, a permission error, or fn itself failing) abort
-// the walk. Entries stream one at a time (two passes: a cheap key index,
-// then one full decode per callback), so enumerating a store of large
-// trace-recording results never materializes more than one Result.
-func (s *DiskStore) Each(fn func(Entry) error) error {
-	index, err := s.index()
-	if err != nil {
-		return err
-	}
-	for _, kp := range index {
-		data, err := os.ReadFile(kp.path)
-		if err != nil {
-			// The entry may have been replaced between the passes; a
-			// vanished file is a skip, anything else is operational.
-			if os.IsNotExist(err) {
-				continue
-			}
-			return fmt.Errorf("store: enumerate %s: %w", kp.path, err)
-		}
-		if env, ok := decodeEnvelope(data, kp.key); ok {
-			if err := fn(Entry{Key: env.Key, Experiment: env.Experiment, Options: env.Options, Result: env.Result}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// keyedPath locates one enumerable entry: its fingerprint key and file.
-type keyedPath struct {
-	key, path string
-}
-
-// index walks the store decoding only the envelope header of each file
-// and returns the (key, path) pairs sorted by key. Undecodable,
-// schema-mismatched and misplaced files are skipped exactly like Load.
-func (s *DiskStore) index() ([]keyedPath, error) {
-	var out []keyedPath
-	err := filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || filepath.Ext(path) != ".json" {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			// The file may be a temp entry renamed away mid-walk; a
-			// vanished file is a skip, anything else is operational.
-			if os.IsNotExist(err) {
-				return nil
-			}
-			return fmt.Errorf("store: enumerate %s: %w", path, err)
-		}
-		var head struct {
-			Schema int    `json:"schema"`
-			Key    string `json:"key"`
-		}
-		if json.Unmarshal(data, &head) != nil || head.Schema != SchemaVersion {
-			return nil
-		}
-		// Reject misplaced or hand-copied files exactly like Load: the
-		// envelope's key must hash to the path it was found at.
-		if s.path(head.Key) != path {
-			return nil
-		}
-		out = append(out, keyedPath{key: head.Key, path: path})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out, nil
 }

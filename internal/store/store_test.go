@@ -1,16 +1,15 @@
 package store_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
 	"configwall/internal/core"
-	"configwall/internal/sim"
 	"configwall/internal/store"
 )
 
@@ -42,17 +41,6 @@ func entryPath(t *testing.T, s *store.DiskStore) string {
 		t.Fatalf("no stored entry found (err=%v)", err)
 	}
 	return found
-}
-
-// keysOf lists the keys of the entries Each visits, in its order.
-func keysOf(t *testing.T, s *store.DiskStore) ([]string, error) {
-	t.Helper()
-	var keys []string
-	err := s.Each(func(e store.Entry) error {
-		keys = append(keys, e.Key)
-		return nil
-	})
-	return keys, err
 }
 
 // jsonFiles counts the complete entry files under dir — every .json file,
@@ -157,9 +145,43 @@ func TestSchemaMismatchInvalidates(t *testing.T) {
 		if _, ok, err := s.Load(exp, opts); ok || err != nil {
 			t.Errorf("%s: ok=%v err=%v, want miss with nil error", name, ok, err)
 		}
-		if keys, err := keysOf(t, s); len(keys) != 0 || err != nil {
-			t.Errorf("%s: Each keys = %v, %v; want the entry skipped", name, keys, err)
-		}
+	}
+}
+
+// TestEntryWithCellFieldsLoads: earlier v3 entries also carried the cell's
+// experiment and options. Load accepts an entry by schema and key alone, so
+// such an entry must still load as a hit with its result intact.
+func TestEntryWithCellFieldsLoads(t *testing.T) {
+	s := openStore(t)
+	opts := core.RunOptions{SkipVerify: true}
+	res := core.Result{Target: exp.Target, Workload: exp.Workload, N: exp.N}
+	res.Cycles = 7
+	if err := s.Save(exp, opts, res); err != nil {
+		t.Fatal(err)
+	}
+	path := s.EntryPath(exp, opts)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"experiment"`) || strings.Contains(string(data), `"options"`) {
+		t.Errorf("Save wrote the cell into the envelope: %s", data)
+	}
+	cell, err := json.Marshal(map[string]any{"experiment": exp, "options": opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	marker := `,"result":`
+	if !strings.Contains(string(data), marker) {
+		t.Fatalf("result marker not found in %s", data)
+	}
+	older := strings.Replace(string(data), marker, ","+string(cell[1:len(cell)-1])+marker, 1)
+	if err := os.WriteFile(path, []byte(older), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := s.Load(exp, opts)
+	if !ok || err != nil || !reflect.DeepEqual(got, res) {
+		t.Errorf("entry with cell fields: ok=%v err=%v result %+v, want a hit with %+v", ok, err, got, res)
 	}
 }
 
@@ -280,136 +302,5 @@ func TestNoTempFilesLeftBehind(t *testing.T) {
 func TestOpenRejectsEmptyDir(t *testing.T) {
 	if _, err := store.Open(""); err == nil {
 		t.Error("Open(\"\") must error")
-	}
-}
-
-// TestKeysAndEach saves several cells under distinct options and checks
-// Each returns every entry, sorted by fingerprint key, with the
-// experiment/options/result round-tripped intact.
-func TestKeysAndEach(t *testing.T) {
-	s := openStore(t)
-	cells := []struct {
-		e    core.Experiment
-		opts core.RunOptions
-	}{
-		{core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16}, core.RunOptions{}},
-		{core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.AllOptimizations, N: 32}, core.RunOptions{SkipVerify: true}},
-		{core.Experiment{Target: "gemmini", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16}, core.RunOptions{Engine: sim.EngineRef}},
-	}
-	want := map[string]core.Result{}
-	for i, c := range cells {
-		res := core.Result{Target: c.e.Target, Workload: c.e.Workload, N: c.e.N}
-		res.Cycles = uint64(100 + i)
-		if err := s.Save(c.e, c.opts, res); err != nil {
-			t.Fatal(err)
-		}
-		want[store.Fingerprint(c.e, c.opts)] = res
-	}
-
-	keys, err := keysOf(t, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != len(cells) {
-		t.Fatalf("Each returned %d entries, want %d", len(keys), len(cells))
-	}
-	if !sort.StringsAreSorted(keys) {
-		t.Errorf("keys are not sorted: %v", keys)
-	}
-
-	seen := 0
-	prev := ""
-	err = s.Each(func(e store.Entry) error {
-		if e.Key <= prev {
-			t.Errorf("Each out of order: %q after %q", e.Key, prev)
-		}
-		prev = e.Key
-		res, ok := want[e.Key]
-		if !ok {
-			t.Errorf("unexpected key %q", e.Key)
-			return nil
-		}
-		if !reflect.DeepEqual(e.Result, res) {
-			t.Errorf("entry %q: result did not round-trip", e.Key)
-		}
-		if got := store.Fingerprint(e.Experiment, e.Options); got != e.Key {
-			t.Errorf("entry %q: experiment/options re-fingerprint to %q", e.Key, got)
-		}
-		seen++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != len(cells) {
-		t.Errorf("Each visited %d entries, want %d", seen, len(cells))
-	}
-}
-
-// TestEachSkipsCorruptAndForeign garbles one entry and plants a
-// hand-copied file at a wrong path; enumeration must skip both, like Load.
-func TestEachSkipsCorruptAndForeign(t *testing.T) {
-	s := openStore(t)
-	opts := core.RunOptions{}
-	if err := s.Save(exp, opts, core.Result{Target: exp.Target}); err != nil {
-		t.Fatal(err)
-	}
-	other := exp
-	other.N = 32
-	if err := s.Save(other, opts, core.Result{Target: other.Target}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Garble the first entry.
-	var victim string
-	fp := store.Fingerprint(exp, opts)
-	err := filepath.WalkDir(s.Dir(), func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
-			return err
-		}
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return rerr
-		}
-		if strings.Contains(string(data), fp) {
-			victim = path
-		}
-		return nil
-	})
-	if err != nil || victim == "" {
-		t.Fatalf("finding victim entry: %v", err)
-	}
-	if err := os.WriteFile(victim, []byte("\x00 garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Plant a valid envelope at a path its key does not hash to.
-	foreign := filepath.Join(s.Dir(), "zz", "copied.json")
-	if err := os.MkdirAll(filepath.Dir(foreign), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	survivor := ""
-	err = filepath.WalkDir(s.Dir(), func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && filepath.Ext(path) == ".json" && path != victim {
-			survivor = path
-		}
-		return err
-	})
-	if err != nil || survivor == "" {
-		t.Fatalf("finding intact entry: %v", err)
-	}
-	data, err := os.ReadFile(survivor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(foreign, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	keys, err := keysOf(t, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 1 || keys[0] != store.Fingerprint(other, opts) {
-		t.Errorf("Each keys = %v, want only the intact entry", keys)
 	}
 }
