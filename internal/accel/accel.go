@@ -64,7 +64,7 @@ func (k Kind) WriteBytes() uint64 {
 
 // HostInstrs returns the host instructions one write costs with its operand
 // set-up: two register loads and the custom instruction, or one value
-// set-up and the csrw (paper §4.6; ROADMAP item 7(b) sweeps it).
+// set-up and the csrw (paper §4.6; ROADMAP item 5(b) sweeps it).
 func (k Kind) HostInstrs() int {
 	if k == CSR {
 		return 2

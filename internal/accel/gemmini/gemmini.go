@@ -227,6 +227,66 @@ func (m *Model) field(s slot) uint64 {
 	return m.regs[s.funct7][s.reg] >> s.offset & s.mask
 }
 
+// job is a launch decoded from the registers: the loop bounds in tiles,
+// the four matrix addresses and strides and the activation.
+type job struct {
+	i, j, k                            uint64
+	a, b, c, d                         uint64
+	strideA, strideB, strideC, strideD uint64
+	act                                uint64
+}
+
+// rows, cols and depth are the launch's dimensions in elements.
+func (jb job) rows() int  { return int(jb.i) * Dim }
+func (jb job) cols() int  { return int(jb.j) * Dim }
+func (jb job) depth() int { return int(jb.k) * Dim }
+
+// decode reads the staged launch off the registers, or says why it cannot
+// run.
+func (m *Model) decode() (job, error) {
+	jb := job{i: m.field(slotI), j: m.field(slotJ), k: m.field(slotK)}
+	if jb.i == 0 || jb.j == 0 || jb.k == 0 {
+		return jb, accel.ErrBadConfig(Name, "zero loop bounds I=%d J=%d K=%d", jb.i, jb.j, jb.k)
+	}
+	if m.field(slotATrans) != 0 || m.field(slotBTrans) != 0 {
+		return jb, accel.ErrBadConfig(Name, "transposed operands not supported by this model")
+	}
+	jb.a, jb.b = m.field(slotA), m.field(slotB)
+	jb.d, jb.c = m.field(slotD), m.field(slotC)
+	jb.strideA, jb.strideB = m.field(slotStrideA), m.field(slotStrideB)
+	jb.strideD, jb.strideC = m.field(slotStrideD), m.field(slotStrideC)
+	jb.act = m.field(slotAct)
+	if jb.a == 0 || jb.b == 0 || jb.c == 0 {
+		return jb, accel.ErrBadConfig(Name, "null matrix address A=%#x B=%#x C=%#x", jb.a, jb.b, jb.c)
+	}
+	return jb, nil
+}
+
+// Footprint implements accel.Footprinter: the state is every register pair
+// and the cost parameters; a launch reads A, B, and D when its address is
+// set, and writes C.
+func (m *Model) Footprint(fp *accel.Footprint) bool {
+	jb, err := m.decode()
+	if err != nil {
+		return false
+	}
+	for _, r := range m.regs {
+		fp.State = binary.LittleEndian.AppendUint64(fp.State, r[0])
+		fp.State = binary.LittleEndian.AppendUint64(fp.State, r[1])
+	}
+	fp.State = binary.LittleEndian.AppendUint64(fp.State, m.cost.StartupCycles)
+	fp.State = binary.LittleEndian.AppendUint64(fp.State, m.cost.DrainCycles)
+	rows, cols, depth := uint64(jb.rows()), uint64(jb.cols()), uint64(jb.depth())
+	fp.Reads = append(fp.Reads,
+		accel.Rect{Addr: jb.a, Stride: jb.strideA, Rows: rows, Width: depth},
+		accel.Rect{Addr: jb.b, Stride: jb.strideB, Rows: depth, Width: cols})
+	if jb.d != 0 {
+		fp.Reads = append(fp.Reads, accel.Rect{Addr: jb.d, Stride: jb.strideD, Rows: rows, Width: 4 * cols})
+	}
+	fp.Writes = append(fp.Writes, accel.Rect{Addr: jb.c, Stride: jb.strideC, Rows: rows, Width: cols})
+	return true
+}
+
 // Launch implements accel.Device: decodes the weight-stationary matmul
 // C = A*B (+ D) and executes it functionally over memory.
 //
@@ -234,27 +294,11 @@ func (m *Model) field(s slot) uint64 {
 // its address is nonzero) is (16*I)x(16*J) int32, C is (16*I)x(16*J) int8
 // after the activation, all with the configured row strides in bytes.
 func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
-	i := m.field(slotI)
-	j := m.field(slotJ)
-	k := m.field(slotK)
-	if i == 0 || j == 0 || k == 0 {
-		return accel.Launch{}, accel.ErrBadConfig(Name, "zero loop bounds I=%d J=%d K=%d", i, j, k)
+	jb, err := m.decode()
+	if err != nil {
+		return accel.Launch{}, err
 	}
-	if m.field(slotATrans) != 0 || m.field(slotBTrans) != 0 {
-		return accel.Launch{}, accel.ErrBadConfig(Name, "transposed operands not supported by this model")
-	}
-	a, b := m.field(slotA), m.field(slotB)
-	d, c := m.field(slotD), m.field(slotC)
-	strideA, strideB := m.field(slotStrideA), m.field(slotStrideB)
-	strideD, strideC := m.field(slotStrideD), m.field(slotStrideC)
-	act := m.field(slotAct)
-	if a == 0 || b == 0 || c == 0 {
-		return accel.Launch{}, accel.ErrBadConfig(Name, "null matrix address A=%#x B=%#x C=%#x", a, b, c)
-	}
-
-	rows := int(i) * Dim
-	cols := int(j) * Dim
-	depth := int(k) * Dim
+	rows, cols, depth := jb.rows(), jb.cols(), jb.depth()
 
 	// One hoisted bounds check per matrix row (mem.View for the A and D rows
 	// read, mem.Region for the C row stored) instead of one checked access
@@ -264,21 +308,21 @@ func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
 	// here; the traffic counters are applied in bulk below with the
 	// per-access totals of the element-at-a-time loop, so the memory
 	// metrics are identical too.
-	accRow := m.mac.Load(mm, b, strideB, depth, cols, 0)
+	accRow := m.mac.Load(mm, jb.b, jb.strideB, depth, cols, 0)
 	for r := 0; r < rows; r++ {
-		if d != 0 {
-			drow := mm.View(d+uint64(r)*strideD, uint64(cols)*4)
+		if jb.d != 0 {
+			drow := mm.View(jb.d+uint64(r)*jb.strideD, uint64(cols)*4)
 			for cc := range accRow {
 				accRow[cc] = int32(binary.LittleEndian.Uint32(drow[4*cc:]))
 			}
 		} else {
 			clear(accRow)
 		}
-		m.mac.Row(accRow, mm.View(a+uint64(r)*strideA, uint64(depth)), 0)
-		cAddr := c + uint64(r)*strideC
+		m.mac.Row(accRow, mm.View(jb.a+uint64(r)*jb.strideA, uint64(depth)), 0)
+		cAddr := jb.c + uint64(r)*jb.strideC
 		crow := mm.Region(cAddr, uint64(cols))
 		for cc, acc := range accRow {
-			crow[cc] = saturate(applyAct(acc, act))
+			crow[cc] = saturate(applyAct(acc, jb.act))
 		}
 		m.mac.Stored(cAddr, uint64(cols))
 	}
@@ -288,13 +332,13 @@ func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
 	elems := uint64(rows) * uint64(cols)
 	macs := elems * uint64(depth)
 	read := 2 * macs
-	if d != 0 {
+	if jb.d != 0 {
 		read += 4 * elems
 	}
 	mm.AddTraffic(read, elems)
 
 	ops := 2 * uint64(rows) * uint64(cols) * uint64(depth)
-	cycles := m.cost.StartupCycles + i*j*k*Dim + i*j*m.cost.DrainCycles
+	cycles := m.cost.StartupCycles + jb.i*jb.j*jb.k*Dim + jb.i*jb.j*m.cost.DrainCycles
 	return accel.Launch{Ops: ops, Cycles: cycles}, nil
 }
 

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"configwall/internal/accel"
@@ -547,6 +549,342 @@ func TestSecondLaunchAllocatesNothing(t *testing.T) {
 		}
 		if got := hits(dev) - before; got != 0 {
 			t.Errorf("%s: %d new tiles were found kept", dev.ConfigPort().Accel, got)
+		}
+	}
+}
+
+// The launch memo (memo.go) must be as indistinguishable from the
+// element-at-a-time loop as the kernel is. The sequences below run on
+// devices wrapped in one memo, every launch checked against the reference:
+// a first device misses and records, a second device on a second memory of
+// the same image replays.
+
+// memoStats returns the memo's hits and misses.
+func memoStats(m *accel.LaunchMemo) [2]uint64 {
+	h, mi := m.Stats()
+	return [2]uint64{h, mi}
+}
+
+// TestMemoReplayMatchesElementLoop: a tiled sweep, then the same sweep on a
+// second device and memory, which replays every launch; then a third whose
+// host stores into B between launches make the launches reading that tile
+// miss; then launches whose C lands in another tile's B.
+func TestMemoReplayMatchesElementLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	image := smallImage(rng)
+	for _, unit := range []launch{gemminiLaunch(1, 1, 2), opengemmLaunch(1, 1, 4)} {
+		name := "opengemm"
+		if unit.gemmini {
+			name = "gemmini"
+		}
+		ls := sweep(unit, 3, 5)
+		t.Run(name+"/sweep", func(t *testing.T) {
+			memo := accel.NewLaunchMemo()
+			for _, want := range [][2]uint64{{0, 15}, {15, 15}} {
+				tw, dev := newTwin(image), memo.Wrap(unit.device())
+				for _, l := range ls {
+					tw.check(t, dev, l)
+				}
+				if got := memoStats(memo); got != want {
+					t.Errorf("hits, misses = %v, want %v", got, want)
+				}
+			}
+		})
+		t.Run(name+"/host store", func(t *testing.T) {
+			memo := accel.NewLaunchMemo()
+			tw, dev := newTwin(image), memo.Wrap(unit.device())
+			for _, l := range ls {
+				tw.check(t, dev, l)
+			}
+			tw, dev = newTwin(image), memo.Wrap(unit.device())
+			for i, l := range ls {
+				if i == 7 {
+					// Into tile 2's B, whose second launch is next but
+					// five: it and the third must miss.
+					tw.write8(ls[2].b+uint64(unit.depth/2)*l.strideB+1, byte(rng.Intn(256)))
+				}
+				tw.check(t, dev, l)
+			}
+			if got, want := memoStats(memo), [2]uint64{13, 17}; got != want {
+				t.Errorf("hits, misses = %v, want %v", got, want)
+			}
+		})
+		t.Run(name+"/C into another tile's B", func(t *testing.T) {
+			memo := accel.NewLaunchMemo()
+			over := ls[2]
+			over.c, over.strideC = ls[0].b+over.strideB, over.strideB
+			seq := append(append(append([]launch{}, ls[:3]...), over), ls[3:]...)
+			for range 2 {
+				tw, dev := newTwin(image), memo.Wrap(unit.device())
+				for _, l := range seq {
+					tw.check(t, dev, l)
+				}
+			}
+			if hits, _ := memo.Stats(); hits == 0 {
+				t.Error("the second device replayed nothing")
+			}
+		})
+	}
+}
+
+// TestMemoReplayProperty: random launches from a small pool — C rows
+// anywhere in B, other zero points — with random host stores, on two
+// devices and memories that share one memo, each launch checked against
+// the reference.
+func TestMemoReplayProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	image := smallImage(rng)
+	for round := 0; round < 6; round++ {
+		gem := round%2 == 0
+		unit := opengemmLaunch(1+rng.Intn(2), 1+rng.Intn(2), 1+rng.Intn(4))
+		if gem {
+			unit = gemminiLaunch(1, 1+rng.Intn(2), 1+rng.Intn(2))
+		}
+		pool := sweep(unit, 2, 3)
+		for i := range pool {
+			if !gem && rng.Intn(3) == 0 {
+				pool[i].subB = int8(rng.Intn(256))
+			}
+			if rng.Intn(4) == 0 {
+				pool[i].c = pool[0].b + uint64(rng.Intn(2*unit.depth*unit.cols))
+				pool[i].strideC = uint64(unit.cols*unit.outBytes + rng.Intn(64))
+			}
+		}
+		memo := accel.NewLaunchMemo()
+		picks := make([]int, 30)
+		for i := range picks {
+			picks[i] = rng.Intn(len(pool))
+		}
+		for side := 0; side < 2; side++ {
+			tw, dev := newTwin(image), memo.Wrap(pool[0].device())
+			for step, p := range picks {
+				if (step+side)%4 == 0 {
+					tw.write8(pool[0].b+uint64(rng.Intn(2*unit.depth*unit.cols)), byte(rng.Intn(256)))
+				}
+				tw.check(t, dev, pool[p])
+			}
+		}
+		if hits, _ := memo.Stats(); hits == 0 {
+			t.Errorf("round %d: nothing replayed", round)
+		}
+	}
+}
+
+// TestMemoKeyMisses: launches the memo must not confuse. Each pair is
+// checked against the reference, and none may hit.
+func TestMemoKeyMisses(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	// Negative sums: A all +1, B all -1, so ReLU changes every output.
+	negative := make([]byte, memSize)
+	g := sweep(gemminiLaunch(1, 1, 2), 1, 1)[0]
+	for r := 0; r < g.rows; r++ {
+		for x := 0; x < g.depth; x++ {
+			negative[g.a+uint64(r)*g.strideA+uint64(x)] = 1
+		}
+	}
+	for x := 0; x < g.depth; x++ {
+		for c := 0; c < g.cols; c++ {
+			negative[g.b+uint64(x)*g.strideB+uint64(c)] = 0xff
+		}
+	}
+	relu := g
+	relu.relu = true
+
+	o := sweep(opengemmLaunch(1, 1, 4), 1, 1)[0]
+	sub := o
+	sub.subA, sub.subB = 3, -5
+
+	cases := []struct {
+		name  string
+		image []byte
+		pair  [2]launch
+	}{
+		{"gemmini act", negative, [2]launch{g, relu}},
+		{"opengemm subtractions", smallImage(rng), [2]launch{o, sub}},
+	}
+	for _, tc := range cases {
+		memo := accel.NewLaunchMemo()
+		tw := newTwin(tc.image)
+		dev := memo.Wrap(tc.pair[0].device())
+		for _, l := range tc.pair {
+			tw.check(t, dev, l)
+		}
+		if hits, _ := memo.Stats(); hits != 0 {
+			t.Errorf("%s: %d launches replayed under another configuration", tc.name, hits)
+		}
+	}
+
+	// Equal registers, one operand byte apart: two memories, one memo.
+	gd := g
+	gd.d, gd.strideD = 0x200000, uint64(4*g.cols)
+	for _, tc := range []struct {
+		name string
+		l    launch
+		at   uint64
+	}{
+		{"gemmini A", g, g.a + g.strideA + 3},
+		{"opengemm A", o, o.a + o.strideA + 3},
+		{"opengemm B", o, o.b + 2*o.strideB + 1},
+		{"gemmini D", gd, gd.d + gd.strideD + 2},
+	} {
+		image := smallImage(rng)
+		other := bytes.Clone(image)
+		other[tc.at] ^= 0x40
+		memo := accel.NewLaunchMemo()
+		for _, img := range [][]byte{image, other} {
+			newTwin(img).check(t, memo.Wrap(tc.l.device()), tc.l)
+		}
+		if hits, _ := memo.Stats(); hits != 0 {
+			t.Errorf("%s: a launch replayed over another operand byte", tc.name)
+		}
+	}
+}
+
+// TestMemoSeesHostStoreInCell: one device, one memory — one cell — launches
+// the same job twice with a host store into B between them. The rectangle's
+// image is kept for the cell by its write version, so the store must make
+// the second launch miss; a third, with nothing stored, replays.
+func TestMemoSeesHostStoreInCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, l := range []launch{sweep(gemminiLaunch(1, 1, 2), 1, 1)[0], sweep(opengemmLaunch(1, 1, 4), 1, 1)[0]} {
+		memo := accel.NewLaunchMemo()
+		tw, dev := newTwin(smallImage(rng)), memo.Wrap(l.device())
+		tw.check(t, dev, l)
+		tw.write8(l.b+l.strideB*uint64(l.depth-1)+2, 0x7f)
+		tw.check(t, dev, l)
+		if hits, _ := memo.Stats(); hits != 0 {
+			t.Errorf("gemmini=%v: replayed over a host store into B", l.gemmini)
+		}
+		tw.check(t, dev, l)
+		if got, want := memoStats(memo), [2]uint64{1, 2}; got != want {
+			t.Errorf("gemmini=%v: hits, misses = %v, want %v", l.gemmini, got, want)
+		}
+	}
+}
+
+// TestMemoReplaysOutputOverlappingB: a launch whose C rows land on the B
+// rows it reads replays the bytes the unmemoized launch left, not what C
+// would hold had B stayed put.
+func TestMemoReplaysOutputOverlappingB(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	image := randomImage(rng)
+	g := gemminiLaunch(2, 1, 2)
+	g.a, g.strideA = 0x1000, 32
+	g.b, g.strideB = 0x8000, 16
+	g.c, g.strideC = 0x8000+5*16, 16
+	o := opengemmLaunch(2, 1, 4)
+	o.subA, o.subB = -128, 127
+	o.a, o.strideA = 0x1000, 32
+	o.b, o.strideB = 0x8000, 40
+	o.c, o.strideC = 0x8000+3, 33
+	for _, l := range []launch{g, o} {
+		memo := accel.NewLaunchMemo()
+		for range 2 {
+			newTwin(image).check(t, memo.Wrap(l.device()), l)
+		}
+		if got, want := memoStats(memo), [2]uint64{1, 1}; got != want {
+			t.Errorf("gemmini=%v: hits, misses = %v, want %v", l.gemmini, got, want)
+		}
+	}
+}
+
+// TestMemoBudget drives one memo twice past its budget with
+// launches over ever new A bytes, each launched twice. Every launch must leave what the
+// unmemoized model leaves, the memo must never keep more than the budget,
+// and it must keep replaying after it has forgotten.
+func TestMemoBudget(t *testing.T) {
+	l := opengemmLaunch(32, 32, 1) // C is 256 KiB, A and B 2 KiB each
+	l.a, l.strideA = 0x10000, uint64(l.depth)
+	l.b, l.strideB = 0x80000, uint64(l.cols)
+	l.c, l.strideC = 0x100000, uint64(4*l.cols)
+	rng := rand.New(rand.NewSource(11))
+	image := smallImage(rng)
+	memo := accel.NewLaunchMemo()
+	tw := newTwin(image)
+	dev, plain := memo.Wrap(l.device()), l.device()
+	forgets, last := 0, 0
+	const iterations = 2 * accel.LaunchMemoBudget / (256 << 10)
+	for i := 0; i < iterations; i++ {
+		// A counter in A's first two bytes: every iteration's A is new.
+		tw.write8(l.a, byte(i))
+		tw.write8(l.a+1, byte(i>>8))
+		for range 2 {
+			got, err := dev.Launch(tw.got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain.Launch(tw.want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want || tw.got.BytesRead != tw.want.BytesRead || tw.got.BytesWritten != tw.want.BytesWritten {
+				t.Fatalf("launch %d: job %+v traffic %d/%d, want %+v %d/%d", i, got, tw.got.BytesRead, tw.got.BytesWritten,
+					want, tw.want.BytesRead, tw.want.BytesWritten)
+			}
+			if !bytes.Equal(tw.got.View(0, memSize), tw.want.View(0, memSize)) {
+				t.Fatalf("launch %d: memory differs from the unmemoized model's", i)
+			}
+			n := memo.Bytes()
+			if n > accel.LaunchMemoBudget {
+				t.Fatalf("launch %d: memo keeps %d bytes, budget %d", i, n, accel.LaunchMemoBudget)
+			}
+			if n < last {
+				forgets++
+			}
+			last = n
+		}
+	}
+	// A launch whose recording made the memo forget is not recorded (its
+	// images went with everything else), so its second launch misses too.
+	hits, misses := memo.Stats()
+	if forgets == 0 || hits != iterations-uint64(forgets) || hits+misses != 2*iterations {
+		t.Errorf("%d forgets, %d hits / %d misses: want a memo that forgot and replayed every second launch but one per forget", forgets, hits, misses)
+	}
+}
+
+// TestMemoConcurrentLeaders: two devices on two memories share one memo and
+// run one sweep at once, as two workers leading two pipelines of a family
+// do. Each must leave what the unmemoized model leaves.
+func TestMemoConcurrentLeaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	image := smallImage(rng)
+	for _, unit := range []launch{gemminiLaunch(1, 1, 2), opengemmLaunch(1, 1, 4)} {
+		ls := sweep(unit, 4, 4)
+		run := func(dev accel.Device) (*mem.Memory, []accel.Launch) {
+			mm := mem.New(memSize)
+			copy(mm.Region(0, memSize), image)
+			var jobs []accel.Launch
+			for _, l := range ls {
+				l.configure(dev)
+				job, err := dev.Launch(mm)
+				if err != nil {
+					panic(err)
+				}
+				jobs = append(jobs, job)
+			}
+			return mm, jobs
+		}
+		wantMem, wantJobs := run(unit.device())
+		memo := accel.NewLaunchMemo()
+		var mems [2]*mem.Memory
+		var jobs [2][]accel.Launch
+		var wg sync.WaitGroup
+		for w := range mems {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				mems[w], jobs[w] = run(memo.Wrap(unit.device()))
+			}()
+		}
+		wg.Wait()
+		for w := range mems {
+			if !slices.Equal(jobs[w], wantJobs) || mems[w].BytesRead != wantMem.BytesRead || mems[w].BytesWritten != wantMem.BytesWritten ||
+				!bytes.Equal(mems[w].View(0, memSize), wantMem.View(0, memSize)) {
+				t.Errorf("gemmini=%v: worker %d differs from the unmemoized model", unit.gemmini, w)
+			}
+		}
+		if hits, misses := memo.Stats(); hits+misses != uint64(2*len(ls)) {
+			t.Errorf("%d hits + %d misses for %d launches", hits, misses, 2*len(ls))
 		}
 	}
 }

@@ -113,41 +113,76 @@ func (m *Model) Kernel() *accel.MAC { return &m.mac }
 // csr returns the staged value of a configuration CSR.
 func (m *Model) csr(id uint32) uint32 { return m.staging[id-CsrPtrA] }
 
+// job is a launch decoded from the staged CSRs: the tile counts, the three
+// matrix addresses and strides and the zero points.
+type job struct {
+	mTiles, kTiles, nTiles    uint64
+	a, b, c                   uint64
+	strideA, strideB, strideC uint64
+	subA, subB                int32
+}
+
+// rows, cols and depth are the launch's dimensions in elements.
+func (jb job) rows() int  { return int(jb.mTiles) * MeshRow }
+func (jb job) cols() int  { return int(jb.nTiles) * MeshCol }
+func (jb job) depth() int { return int(jb.kTiles) * TileK }
+
+// decode commits the staged configuration, or says why it cannot run.
+func (m *Model) decode() (job, error) {
+	jb := job{mTiles: uint64(m.csr(CsrM)), kTiles: uint64(m.csr(CsrK)), nTiles: uint64(m.csr(CsrN))}
+	if jb.mTiles == 0 || jb.kTiles == 0 || jb.nTiles == 0 {
+		return jb, accel.ErrBadConfig(Name, "zero tile counts m=%d k=%d n=%d", jb.mTiles, jb.kTiles, jb.nTiles)
+	}
+	jb.a, jb.b, jb.c = uint64(m.csr(CsrPtrA)), uint64(m.csr(CsrPtrB)), uint64(m.csr(CsrPtrC))
+	if jb.a == 0 || jb.b == 0 || jb.c == 0 {
+		return jb, accel.ErrBadConfig(Name, "null pointer a=%#x b=%#x c=%#x", jb.a, jb.b, jb.c)
+	}
+	jb.strideA = uint64(m.csr(CsrStrideA))
+	jb.strideB = uint64(m.csr(CsrStrideB))
+	jb.strideC = uint64(m.csr(CsrStrideC))
+	jb.subA = int32(int8(m.csr(CsrSubtractions)))
+	jb.subB = int32(int8(m.csr(CsrSubtractions) >> 8))
+	return jb, nil
+}
+
+// Footprint implements accel.Footprinter: the state is every staged CSR and
+// the cost parameters; a launch reads A and B and writes C.
+func (m *Model) Footprint(fp *accel.Footprint) bool {
+	jb, err := m.decode()
+	if err != nil {
+		return false
+	}
+	for _, v := range m.staging {
+		fp.State = binary.LittleEndian.AppendUint32(fp.State, v)
+	}
+	fp.State = binary.LittleEndian.AppendUint64(fp.State, m.cost.PipelineCycles)
+	rows, cols, depth := uint64(jb.rows()), uint64(jb.cols()), uint64(jb.depth())
+	fp.Reads = append(fp.Reads,
+		accel.Rect{Addr: jb.a, Stride: jb.strideA, Rows: rows, Width: depth},
+		accel.Rect{Addr: jb.b, Stride: jb.strideB, Rows: depth, Width: cols})
+	fp.Writes = append(fp.Writes, accel.Rect{Addr: jb.c, Stride: jb.strideC, Rows: rows, Width: 4 * cols})
+	return true
+}
+
 // Launch implements accel.Device: commits the staged configuration and
 // executes C[m*8, n*8] (int32) = A[m*8, k*8] (int8) x B[k*8, n*8] (int8)
 // with the configured byte strides.
 func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
-	mTiles := uint64(m.csr(CsrM))
-	kTiles := uint64(m.csr(CsrK))
-	nTiles := uint64(m.csr(CsrN))
-	if mTiles == 0 || kTiles == 0 || nTiles == 0 {
-		return accel.Launch{}, accel.ErrBadConfig(Name, "zero tile counts m=%d k=%d n=%d", mTiles, kTiles, nTiles)
+	jb, err := m.decode()
+	if err != nil {
+		return accel.Launch{}, err
 	}
-	a := uint64(m.csr(CsrPtrA))
-	b := uint64(m.csr(CsrPtrB))
-	c := uint64(m.csr(CsrPtrC))
-	if a == 0 || b == 0 || c == 0 {
-		return accel.Launch{}, accel.ErrBadConfig(Name, "null pointer a=%#x b=%#x c=%#x", a, b, c)
-	}
-	strideA := uint64(m.csr(CsrStrideA))
-	strideB := uint64(m.csr(CsrStrideB))
-	strideC := uint64(m.csr(CsrStrideC))
-	subA := int32(int8(m.csr(CsrSubtractions)))
-	subB := int32(int8(m.csr(CsrSubtractions) >> 8))
-
-	rows := int(mTiles) * MeshRow
-	cols := int(nTiles) * MeshCol
-	depth := int(kTiles) * TileK
+	rows, cols, depth := jb.rows(), jb.cols(), jb.depth()
 
 	// Hoisted per-row bounds checks (mem.View for A, mem.Region for C), the
 	// MACs in the shared lane-paired kernel (see the Gemmini model for the
 	// full rationale), and bulk traffic accounting matching the per-access
 	// totals of the element-at-a-time loop bit for bit.
-	accRow := m.mac.Load(mm, b, strideB, depth, cols, subB)
+	accRow := m.mac.Load(mm, jb.b, jb.strideB, depth, cols, jb.subB)
 	for r := 0; r < rows; r++ {
 		clear(accRow)
-		m.mac.Row(accRow, mm.View(a+uint64(r)*strideA, uint64(depth)), subA)
-		cAddr := c + uint64(r)*strideC
+		m.mac.Row(accRow, mm.View(jb.a+uint64(r)*jb.strideA, uint64(depth)), jb.subA)
+		cAddr := jb.c + uint64(r)*jb.strideC
 		crow := mm.Region(cAddr, uint64(cols)*4)
 		for cc, acc := range accRow {
 			binary.LittleEndian.PutUint32(crow[4*cc:], uint32(acc))
@@ -158,6 +193,6 @@ func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
 	mm.AddTraffic(2*elems*uint64(depth), 4*elems)
 
 	ops := 2 * uint64(rows) * uint64(cols) * uint64(depth)
-	cycles := mTiles*nTiles*kTiles + m.cost.PipelineCycles
+	cycles := jb.mTiles*jb.nTiles*jb.kTiles + m.cost.PipelineCycles
 	return accel.Launch{Ops: ops, Cycles: cycles}, nil
 }

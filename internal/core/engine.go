@@ -354,11 +354,16 @@ func RunTiledMatmul(t Target, p Pipeline, n int, opts RunOptions) (Result, error
 // model, and returns the measurements. It is the engine's single
 // experiment primitive; sweeps should go through Runner.
 func Run(t Target, w Workload, p Pipeline, n int, opts RunOptions) (Result, error) {
+	return run(t, w, p, n, opts, nil)
+}
+
+// run is Run with the device's launches looked up in memo first (nil: none).
+func run(t Target, w Workload, p Pipeline, n int, opts RunOptions, memo *accel.LaunchMemo) (Result, error) {
 	c, err := Compile(t, w, p, n)
 	if err != nil {
 		return Result{Target: t.Name, Workload: w.Name, Pipeline: p, N: n, PeakOps: t.PeakOps}, err
 	}
-	return c.Execute(opts)
+	return c.execute(opts, memo)
 }
 
 // Compiled is a cell compiled and not yet run: what is a function of
@@ -406,16 +411,28 @@ func Compile(t Target, w Workload, p Pipeline, n int) (*Compiled, error) {
 // verifies every checked buffer against the golden model unless opts skip
 // it.
 func (c *Compiled) Execute(opts RunOptions) (Result, error) {
-	res := c.res
+	return c.execute(opts, nil)
+}
+
+// execute is Execute with the device's launches looked up in memo first
+// (nil: none). A Runner passes its own memo; every other caller computes
+// every launch.
+func (c *Compiled) execute(opts RunOptions, memo *accel.LaunchMemo) (Result, error) {
 	memory := arenas.Get().(*mem.Memory)
 	defer arenas.Put(memory)
+	return c.simulate(memory, opts, memo)
+}
+
+// simulate is execute on a memory of the caller's, which it resets first.
+func (c *Compiled) simulate(memory *mem.Memory, opts RunOptions, memo *accel.LaunchMemo) (Result, error) {
+	res := c.res
 	memory.Reset()
 	for i, buf := range c.buffers {
 		if buf.Init != nil {
 			buf.Init(memory, c.Prog.Bases[i])
 		}
 	}
-	mc := sim.NewMachine(memory, c.target.Cost, c.target.NewDevice())
+	mc := sim.NewMachine(memory, c.target.Cost, memo.Wrap(c.target.NewDevice()))
 	mc.Engine = opts.Engine
 	mc.RecordTrace = opts.RecordTrace
 	if err := c.Prog.Start(mc); err != nil {

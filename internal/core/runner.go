@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"configwall/internal/accel"
 )
 
 // Experiment keys one cell of the evaluation sweep by registry names.
@@ -42,6 +44,12 @@ func (e Experiment) String() string {
 // RunExperiment resolves the experiment's target and workload through the
 // registry and executes it once, uncached. Sweeps should prefer a Runner.
 func RunExperiment(e Experiment, opts RunOptions) (Result, error) {
+	return runExperiment(e, opts, nil)
+}
+
+// runExperiment is RunExperiment with the device's launches looked up in
+// memo first (nil: none).
+func runExperiment(e Experiment, opts RunOptions, memo *accel.LaunchMemo) (Result, error) {
 	t, err := LookupTarget(e.Target)
 	if err != nil {
 		return Result{}, err
@@ -50,7 +58,7 @@ func RunExperiment(e Experiment, opts RunOptions) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Run(t, w, e.Pipeline, e.N, opts)
+	return run(t, w, e.Pipeline, e.N, opts, memo)
 }
 
 // cacheKey is the memoization key: the cell's whole name. It embeds
@@ -139,6 +147,11 @@ type Runner struct {
 	maxCells     int
 	onStoreError func(op string, e Experiment, err error)
 
+	// launches is the runner's launch memo: the cells it computes replay
+	// a device launch another of its cells already ran on the same
+	// configuration and bytes (accel.LaunchMemo).
+	launches *accel.LaunchMemo
+
 	mu    sync.Mutex
 	cells map[cacheKey]*list.Element
 	lru   *list.List // front = most recently used *lruEntry
@@ -162,6 +175,7 @@ func NewRunnerWith(opts RunnerOptions) *Runner {
 		store:        opts.Store,
 		maxCells:     opts.MaxCells,
 		onStoreError: opts.OnStoreError,
+		launches:     accel.NewLaunchMemo(),
 		cells:        map[cacheKey]*list.Element{},
 		lru:          list.New(),
 	}
@@ -180,8 +194,10 @@ func (r *Runner) CacheSize() int {
 // Snapshot returns a copy of the cache counters at this instant.
 func (r *Runner) Snapshot() CacheStats {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
+	s := r.stats
+	r.mu.Unlock()
+	s.LaunchHits, s.LaunchMisses = r.launches.Stats()
+	return s
 }
 
 // cell returns the memo cell for k, creating it on a miss as the most
@@ -374,7 +390,7 @@ func (r *Runner) compute(e Experiment, opts RunOptions) (Result, error) {
 			r.bump(func(s *CacheStats) { s.StoreMisses++ })
 		}
 	}
-	res, err := RunExperiment(e, opts)
+	res, err := runExperiment(e, opts, r.launches)
 	r.bump(func(s *CacheStats) { s.Runs++ })
 	if r.store != nil && err == nil {
 		if serr := r.store.Save(e, opts, res); serr != nil {

@@ -44,12 +44,16 @@ type CacheStats struct {
 	// StoreErrors counts Load/Save operational failures (the sweep
 	// continues; the affected cell is recomputed or stays unsaved).
 	StoreErrors uint64
+	// LaunchHits counts device launches of computed cells replayed from
+	// the runner's launch memo; LaunchMisses those that ran the model.
+	LaunchHits   uint64
+	LaunchMisses uint64
 }
 
 func (s CacheStats) String() string {
-	return fmt.Sprintf("mem %d/%d hit, store %d/%d hit, %d runs, %d evictions, %d store errors",
+	return fmt.Sprintf("mem %d/%d hit, store %d/%d hit, %d runs, %d evictions, %d store errors, launches %d/%d hit",
 		s.MemHits, s.MemHits+s.MemMisses, s.StoreHits, s.StoreHits+s.StoreMisses,
-		s.Runs, s.Evictions, s.StoreErrors)
+		s.Runs, s.Evictions, s.StoreErrors, s.LaunchHits, s.LaunchHits+s.LaunchMisses)
 }
 
 // FingerprintKey returns the canonical cache-key string for one experiment

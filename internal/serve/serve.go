@@ -708,6 +708,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"cwserve_cache_runs_total", "Experiments actually compiled and simulated.", "counter", st.Runs},
 		{"cwserve_cache_evictions_total", "Cells dropped by the LRU bound.", "counter", st.Evictions},
 		{"cwserve_cache_store_errors_total", "Store load/save operational failures.", "counter", st.StoreErrors},
+		{"cwserve_cache_launch_hits_total", "Device launches replayed from the runner's launch memo.", "counter", st.LaunchHits},
+		{"cwserve_cache_launch_misses_total", "Device launches that ran the device model.", "counter", st.LaunchMisses},
 		// The alerting-facing alias: nonzero means the daemon is serving in
 		// degraded mode (results live in memory but stopped being durable)
 		// and /healthz says "degraded".

@@ -558,6 +558,9 @@ func TestMetrics(t *testing.T) {
 		"cwserve_cache_runs_total 1",
 		"cwserve_cache_mem_hits_total",
 		"cwserve_cache_evictions_total",
+		// The one cell launched once, on a fresh launch memo.
+		"cwserve_cache_launch_hits_total 0",
+		"cwserve_cache_launch_misses_total 1",
 		`cwserve_requests_total{endpoint="run",code="200"} 1`,
 		"cwserve_queue_depth 0",
 		"cwserve_slots_busy 0",
