@@ -6,7 +6,6 @@
 //	                           # example46, fig7, fig10, fig11, fig12
 //	cwbench -sizes 16,32,64    # override the size sweep
 //	cwbench -workers 8         # experiment worker-pool bound (0 = all cores)
-//	cwbench -engine ref        # run every experiment on the reference interpreter
 //	cwbench -cpuprofile cw.pprof -only fig11  # pprof profile of a real sweep
 //	cwbench -memprofile heap.pprof -only fig11  # post-GC heap profile at exit
 //
@@ -31,7 +30,6 @@ import (
 	"configwall/internal/accel/gemmini"
 	"configwall/internal/core"
 	"configwall/internal/roofline"
-	"configwall/internal/sim"
 )
 
 // artifact is one regenerable table/figure; run renders it to stdout.
@@ -43,9 +41,8 @@ type artifact struct {
 
 // bench carries the shared state of one cwbench invocation.
 type bench struct {
-	runner *core.Runner    // the one runner every figure sweep shares
-	sizes  []int           // overrides the per-figure defaults when non-empty
-	opts   core.RunOptions // shared run options (engine selection)
+	runner *core.Runner // the one runner every figure sweep shares
+	sizes  []int        // overrides the per-figure defaults when non-empty
 }
 
 func (b *bench) pick(def []int) []int {
@@ -103,7 +100,7 @@ var artifacts = []artifact{
 		return nil
 	}},
 	{name: "fig10", run: func(b *bench) error {
-		rows, err := core.Figure10With(context.Background(), b.runner, b.pick(core.Figure10Sizes), b.opts)
+		rows, err := core.Figure10With(context.Background(), b.runner, b.pick(core.Figure10Sizes), core.RunOptions{})
 		if err != nil {
 			return err
 		}
@@ -111,7 +108,7 @@ var artifacts = []artifact{
 		return nil
 	}},
 	{name: "fig11", run: func(b *bench) error {
-		rows, err := core.Figure11With(context.Background(), b.runner, b.pick(core.Figure11Sizes), b.opts)
+		rows, err := core.Figure11With(context.Background(), b.runner, b.pick(core.Figure11Sizes), core.RunOptions{})
 		if err != nil {
 			return err
 		}
@@ -119,7 +116,7 @@ var artifacts = []artifact{
 		return nil
 	}},
 	{name: "fig12", run: func(b *bench) error {
-		data, err := core.Figure12With(context.Background(), b.runner, b.pick(core.Figure12Sizes), b.opts)
+		data, err := core.Figure12With(context.Background(), b.runner, b.pick(core.Figure12Sizes), core.RunOptions{})
 		if err != nil {
 			return err
 		}
@@ -140,7 +137,6 @@ func main() {
 	only := flag.String("only", "", "run a single artifact ("+strings.Join(artifactNames(), "|")+")")
 	sizes := flag.String("sizes", "", "comma-separated matrix sizes overriding the per-figure defaults")
 	workers := flag.Int("workers", 0, "experiment worker-pool bound (0 = GOMAXPROCS)")
-	engineName := flag.String("engine", sim.Engine(0).String(), "simulator engine for every experiment ("+strings.Join(sim.EngineNames(), "|")+")")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-GC live objects) to this file at exit")
 	flag.Parse()
@@ -183,14 +179,7 @@ func main() {
 		}()
 	}
 
-	engine, err := sim.EngineByName(*engineName)
-	if err != nil {
-		// Mirror the unknown -only behavior: fail fast, listing the valid
-		// names, so a mistyped service config never runs the wrong engine.
-		fatal("%v", err)
-	}
-
-	b := &bench{runner: core.NewRunner(*workers), opts: core.RunOptions{Engine: engine}}
+	b := &bench{runner: core.NewRunner(*workers)}
 	if *sizes != "" {
 		for _, s := range strings.Split(*sizes, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))

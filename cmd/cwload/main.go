@@ -35,7 +35,6 @@ import (
 
 	"configwall/internal/core"
 	"configwall/internal/serve"
-	"configwall/internal/sim"
 )
 
 func main() {
@@ -46,7 +45,6 @@ func main() {
 	workloads := flag.String("workloads", core.WorkloadMatmul, "comma-separated workload mix")
 	pipelines := flag.String("pipelines", "base,all", "comma-separated pipeline mix")
 	sizes := flag.String("sizes", "16,32", "comma-separated size mix")
-	engineName := flag.String("engine", sim.Engine(0).String(), "simulator engine ("+strings.Join(sim.EngineNames(), "|")+")")
 	zipfS := flag.Float64("zipf", 1.4, "zipf skew parameter (> 1; larger = hotter hot set)")
 	seed := flag.Int64("seed", 1, "request-mix seed")
 	verify := flag.Bool("verify", true, "assert responses for one cell are byte-identical")
@@ -64,11 +62,6 @@ func main() {
 		fatal("bad -clients %d: want at least 1 client", *clients)
 	}
 
-	engine, err := sim.EngineByName(*engineName)
-	if err != nil {
-		fatal("%v", err)
-	}
-
 	ctx := context.Background()
 	client := serve.NewClient(*url)
 
@@ -83,9 +76,11 @@ func main() {
 	pipeNames := splitCSV(*pipelines)
 	pipes := make([]core.Pipeline, len(pipeNames))
 	for i, pn := range pipeNames {
-		if pipes[i], err = core.PipelineByName(pn); err != nil {
+		p, err := core.PipelineByName(pn)
+		if err != nil {
 			fatal("%v", err)
 		}
+		pipes[i] = p
 	}
 	sizeList, err := parseInts(*sizes)
 	if err != nil {
@@ -101,7 +96,6 @@ func main() {
 		*n, *clients, len(exps), *zipfS, *seed, *url)
 	rep, err := serve.LoadGen(ctx, client, serve.LoadGenOptions{
 		Experiments: exps,
-		Options:     core.RunOptions{Engine: engine},
 		Requests:    *n,
 		Clients:     *clients,
 		ZipfS:       *zipfS,

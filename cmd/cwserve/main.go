@@ -9,16 +9,16 @@
 //
 // Endpoints:
 //
-//	GET  /v1/run?target=T&workload=W&pipeline=P&n=N[&engine=E][&trace=B][&skipverify=B]
+//	GET  /v1/run?target=T&workload=W&pipeline=P&n=N[&engine=E][&trace=B]
 //	     Measure one experiment cell. The JSON body is byte-identical to
 //	     json.Marshal of a direct Runner.Run result. Identical concurrent
 //	     requests coalesce onto one simulation.
 //	POST /v1/run
 //	     Same, with a JSON body: {"target","workload","pipeline","n",
-//	     "engine","record_trace","skip_verify"}.
+//	     "engine","record_trace"}.
 //	POST /v1/sweep
 //	     Expand and run a grid: {"targets":[],"workloads":[],
-//	     "pipelines":[],"sizes":[],"engine","record_trace","skip_verify"}.
+//	     "pipelines":[],"sizes":[],"engine","record_trace"}.
 //	     The response is NDJSON: one {"index","experiment",
 //	     "result"|"error"} event per cell in completion order, then
 //	     {"done":true,"cells","failed","status"}. Unknown fields are a

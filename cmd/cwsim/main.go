@@ -4,7 +4,6 @@
 //
 //	cwsim -target opengemm -pipeline all -n 64 -timeline
 //	cwsim -target gemmini -workload rectmm -pipeline base -n 128 -asm
-//	cwsim -target opengemm -n 256 -engine ref   # reference interpreter
 //	cwsim -list
 //
 // Targets and workloads resolve through the experiment registry, so
@@ -20,7 +19,6 @@ import (
 
 	"configwall/internal/core"
 	"configwall/internal/ir"
-	"configwall/internal/sim"
 	"configwall/internal/trace"
 )
 
@@ -28,7 +26,6 @@ func main() {
 	targetName := flag.String("target", "opengemm", "accelerator platform ("+strings.Join(core.TargetNames(), "|")+")")
 	workloadName := flag.String("workload", core.WorkloadMatmul, "workload ("+strings.Join(core.WorkloadNames(), "|")+")")
 	pipelineName := flag.String("pipeline", "all", "pipeline: base | dedup | overlap | all")
-	engineName := flag.String("engine", sim.Engine(0).String(), "simulator engine ("+strings.Join(sim.EngineNames(), "|")+"); identical results, different speed")
 	n := flag.Int("n", 64, "workload sweep size")
 	timeline := flag.Bool("timeline", false, "print the execution timeline (Figure 7 style)")
 	asm := flag.Bool("asm", false, "print the compiled host program")
@@ -63,10 +60,6 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	engine, err := sim.EngineByName(*engineName)
-	if err != nil {
-		fatal("%v", err)
-	}
 
 	start := time.Now()
 	cell, err := core.Compile(target, wl, pipeline, *n)
@@ -86,7 +79,7 @@ func main() {
 	}
 
 	start = time.Now()
-	res, err := cell.Execute(core.RunOptions{RecordTrace: *timeline, Engine: engine})
+	res, err := cell.Execute(core.RunOptions{RecordTrace: *timeline})
 	executeWall := time.Since(start)
 	if err != nil {
 		fatal("%v", err)
@@ -94,8 +87,8 @@ func main() {
 	fmt.Printf("target            %s (%s configuration)\n", res.Target, target.Port.Mode)
 	fmt.Printf("workload          %s\n", res.Workload)
 	fmt.Printf("pipeline          %s\n", res.Pipeline)
-	fmt.Printf("engine            %s (compile %s, execute %s, %.2fM host instrs/sec of execute)\n",
-		engine, compileWall.Round(time.Microsecond), executeWall.Round(time.Microsecond), float64(res.HostInstrs)/executeWall.Seconds()/1e6)
+	fmt.Printf("wall              compile %s, execute %s, %.2fM host instrs/sec of execute\n",
+		compileWall.Round(time.Microsecond), executeWall.Round(time.Microsecond), float64(res.HostInstrs)/executeWall.Seconds()/1e6)
 	fmt.Printf("sweep size        %d (ops = %d)\n", res.N, res.AccelOps)
 	fmt.Printf("total cycles      %d\n", res.Cycles)
 	fmt.Printf("performance       %.1f ops/cycle (%.1f%% of %g peak)\n", res.OpsPerCycle(), 100*res.Utilization(), res.PeakOps)

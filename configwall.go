@@ -52,7 +52,6 @@ import (
 	"configwall/internal/core"
 	"configwall/internal/roofline"
 	"configwall/internal/serve"
-	"configwall/internal/sim"
 	"configwall/internal/store"
 )
 
@@ -83,28 +82,6 @@ type Result = core.Result
 
 // RunOptions tweaks experiment execution.
 type RunOptions = core.RunOptions
-
-// Engine selects the simulator execution engine for a run.
-type Engine = sim.Engine
-
-// Simulator engines. Both produce byte-identical results — the
-// differential oracle continuously enforces it — but the fast engine
-// executes a predecoded program form with block-batched accounting
-// (DESIGN.md §6).
-const (
-	// EngineFast is the predecoded fast engine: the zero value, so what
-	// RunOptions{} runs.
-	EngineFast = sim.EngineFast
-	// EngineRef is the reference interpreter the fast engine is verified
-	// against; it runs only when named.
-	EngineRef = sim.EngineRef
-)
-
-// EngineByName parses an engine name ("ref" or "fast").
-func EngineByName(name string) (Engine, error) { return sim.EngineByName(name) }
-
-// EngineNames lists the registered engine names in definition order.
-func EngineNames() []string { return sim.EngineNames() }
 
 // GemminiTarget returns the Gemmini-style platform: a 16x16 systolic array
 // (512 ops/cycle) with sequential configuration via RoCC custom

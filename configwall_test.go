@@ -29,7 +29,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 // same directory answers the sweep with zero recomputation and equal
 // results.
 func TestPublicStoreAPI(t *testing.T) {
-	opts := configwall.RunOptions{SkipVerify: true}
+	opts := configwall.RunOptions{}
 	exps := configwall.SweepExperiments(
 		[]string{"opengemm"}, []string{configwall.WorkloadMatmul},
 		configwall.Pipelines, []int{8, 16})

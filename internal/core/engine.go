@@ -241,8 +241,6 @@ func (r Result) Utilization() float64 {
 type RunOptions struct {
 	// RecordTrace captures the activity timeline (costs memory).
 	RecordTrace bool
-	// SkipVerify skips the golden-model comparison (for benchmarks).
-	SkipVerify bool
 	// Engine selects the simulator execution engine (default: the fast
 	// engine). Both engines produce byte-identical results — the
 	// differential oracle enforces it — but they are cached and
@@ -442,21 +440,19 @@ func (c *Compiled) simulate(memory *mem.Memory, opts RunOptions, memo *accel.Lau
 	// is: nil when untraced or empty.
 	res.Counters, res.Trace = mc.Counters, mc.Trace
 
-	if !opts.SkipVerify {
-		checked := 0
-		for i, buf := range c.buffers {
-			if buf.Verify == nil {
-				continue
-			}
-			if err := buf.Verify(memory, c.Prog.Bases[i]); err != nil {
-				return res, fmt.Errorf("verification failed: %s/%s/%s/%d buffer %d: %w", res.Target, res.Workload, res.Pipeline, res.N, i, err)
-			}
-			checked++
+	checked := 0
+	for i, buf := range c.buffers {
+		if buf.Verify == nil {
+			continue
 		}
-		// A workload with no Verify hooks was never compared against a
-		// golden model; do not report it as verified.
-		res.Verified = checked > 0
+		if err := buf.Verify(memory, c.Prog.Bases[i]); err != nil {
+			return res, fmt.Errorf("verification failed: %s/%s/%s/%d buffer %d: %w", res.Target, res.Workload, res.Pipeline, res.N, i, err)
+		}
+		checked++
 	}
+	// A workload with no Verify hooks was never compared against a
+	// golden model; do not report it as verified.
+	res.Verified = checked > 0
 	return res, nil
 }
 

@@ -52,7 +52,6 @@ func TestResultsIdenticalAcrossEngines(t *testing.T) {
 // the reproduction fails here rather than silently.
 func TestFigureOutputsIdenticalAcrossEngines(t *testing.T) {
 	render := func(opts core.RunOptions) (fig10, fig11 string) {
-		opts.SkipVerify = true
 		ctx, r := context.Background(), core.NewRunner(0)
 		rows10, err := core.Figure10With(ctx, r, core.Figure10Sizes, opts)
 		if err != nil {
@@ -89,10 +88,10 @@ func TestFigureOutputsIdenticalAcrossEngines(t *testing.T) {
 func TestRunnerKeepsEnginesSeparate(t *testing.T) {
 	r := core.NewRunner(1)
 	e := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16}
-	if _, err := r.Run(context.Background(), e, core.RunOptions{SkipVerify: true, Engine: sim.EngineRef}); err != nil {
+	if _, err := r.Run(context.Background(), e, core.RunOptions{Engine: sim.EngineRef}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(context.Background(), e, core.RunOptions{SkipVerify: true, Engine: sim.EngineFast}); err != nil {
+	if _, err := r.Run(context.Background(), e, core.RunOptions{Engine: sim.EngineFast}); err != nil {
 		t.Fatal(err)
 	}
 	if s := r.Snapshot(); s.Runs != 2 {

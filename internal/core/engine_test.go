@@ -61,11 +61,11 @@ func itoa(n int) string {
 func TestOptimizationsNeverSlowDown(t *testing.T) {
 	for _, target := range []core.Target{core.GemminiTarget(), core.OpenGeMMTarget()} {
 		for _, n := range []int{16, 32, 64, 128} {
-			base, err := core.RunTiledMatmul(target, core.Baseline, n, core.RunOptions{SkipVerify: true})
+			base, err := core.RunTiledMatmul(target, core.Baseline, n, core.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := core.RunTiledMatmul(target, core.AllOptimizations, n, core.RunOptions{SkipVerify: true})
+			opt, err := core.RunTiledMatmul(target, core.AllOptimizations, n, core.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,11 +82,11 @@ func TestOptimizationsNeverSlowDown(t *testing.T) {
 func TestDedupReducesConfigBytes(t *testing.T) {
 	for _, target := range []core.Target{core.GemminiTarget(), core.OpenGeMMTarget()} {
 		n := 128
-		base, err := core.RunTiledMatmul(target, core.Baseline, n, core.RunOptions{SkipVerify: true})
+		base, err := core.RunTiledMatmul(target, core.Baseline, n, core.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dedup, err := core.RunTiledMatmul(target, core.DedupOnly, n, core.RunOptions{SkipVerify: true})
+		dedup, err := core.RunTiledMatmul(target, core.DedupOnly, n, core.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,11 +106,11 @@ func TestDedupReducesConfigBytes(t *testing.T) {
 func TestOverlapHidesConfiguration(t *testing.T) {
 	target := core.OpenGeMMTarget()
 	n := 64
-	base, err := core.RunTiledMatmul(target, core.Baseline, n, core.RunOptions{RecordTrace: true, SkipVerify: true})
+	base, err := core.RunTiledMatmul(target, core.Baseline, n, core.RunOptions{RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlap, err := core.RunTiledMatmul(target, core.OverlapOnly, n, core.RunOptions{RecordTrace: true, SkipVerify: true})
+	overlap, err := core.RunTiledMatmul(target, core.OverlapOnly, n, core.RunOptions{RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestOverlapHidesConfiguration(t *testing.T) {
 // pipeline must not beat dedup (no concurrency to exploit).
 func TestOverlapDoesNotApplySequentially(t *testing.T) {
 	target := core.GemminiTarget()
-	overlap, err := core.RunTiledMatmul(target, core.OverlapOnly, 64, core.RunOptions{SkipVerify: true})
+	overlap, err := core.RunTiledMatmul(target, core.OverlapOnly, 64, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestOverlapDoesNotApplySequentially(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	rows, err := core.Figure10With(context.Background(), core.NewRunner(0), []int{32, 64, 128}, core.RunOptions{SkipVerify: true})
+	rows, err := core.Figure10With(context.Background(), core.NewRunner(0), []int{32, 64, 128}, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestFigure11Shape(t *testing.T) {
-	rows, err := core.Figure11With(context.Background(), core.NewRunner(0), []int{16, 32, 64}, core.RunOptions{SkipVerify: true})
+	rows, err := core.Figure11With(context.Background(), core.NewRunner(0), []int{16, 32, 64}, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestFigure11Shape(t *testing.T) {
 }
 
 func TestFigure12PointsMoveAsPredicted(t *testing.T) {
-	data, err := core.Figure12With(context.Background(), core.NewRunner(0), []int{64}, core.RunOptions{SkipVerify: true})
+	data, err := core.Figure12With(context.Background(), core.NewRunner(0), []int{64}, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestRenderTimelines(t *testing.T) {
 
 func TestPassPipelineStats(t *testing.T) {
 	target := core.OpenGeMMTarget()
-	res, err := core.RunTiledMatmul(target, core.AllOptimizations, 16, core.RunOptions{SkipVerify: true})
+	res, err := core.RunTiledMatmul(target, core.AllOptimizations, 16, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

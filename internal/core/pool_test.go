@@ -21,7 +21,7 @@ import (
 // mismatch here.
 func TestPooledContextDeterminism(t *testing.T) {
 	target := core.OpenGeMMTarget()
-	opts := core.RunOptions{RecordTrace: true, SkipVerify: true}
+	opts := core.RunOptions{RecordTrace: true}
 	first, err := core.RunTiledMatmul(target, core.AllOptimizations, 32, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestPooledContextDeterminism(t *testing.T) {
 // pooled trace buffer must not mutate it (cross-cell trace leakage).
 func TestResultTraceImmuneToPoolReuse(t *testing.T) {
 	target := core.OpenGeMMTarget()
-	opts := core.RunOptions{RecordTrace: true, SkipVerify: true}
+	opts := core.RunOptions{RecordTrace: true}
 	res, err := core.RunTiledMatmul(target, core.OverlapOnly, 32, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -134,7 +134,7 @@ func TestRegisterTargetWhileLooking(t *testing.T) {
 						break
 					}
 				}
-				if _, err := core.RunExperiment(core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.AllOptimizations, N: 8}, core.RunOptions{SkipVerify: true}); err != nil {
+				if _, err := core.RunExperiment(core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.AllOptimizations, N: 8}, core.RunOptions{}); err != nil {
 					t.Error(err)
 				}
 			}

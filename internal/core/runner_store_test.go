@@ -50,7 +50,7 @@ func renderAllFigures(t *testing.T, r *core.Runner, opts core.RunOptions) string
 // simulates nothing on the second run — every cell is a store hit — and
 // the rendered figures are byte-identical to an uncached run.
 func TestStoreBackedFigureSweepZeroRecompute(t *testing.T) {
-	opts := core.RunOptions{SkipVerify: true}
+	opts := core.RunOptions{}
 	dir := t.TempDir()
 
 	uncached := renderAllFigures(t, core.NewRunner(0), opts)
@@ -89,7 +89,7 @@ func TestStoreBackedFigureSweepZeroRecompute(t *testing.T) {
 func TestRunnerLRUEviction(t *testing.T) {
 	dir := t.TempDir()
 	r := diskRunner(t, dir, 2)
-	opts := core.RunOptions{SkipVerify: true}
+	opts := core.RunOptions{}
 	exps := []core.Experiment{
 		{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 8},
 		{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16},
@@ -130,7 +130,7 @@ func TestRunnerLRUEviction(t *testing.T) {
 // the next eviction (LRU, not FIFO).
 func TestRunnerLRUTouchOnHit(t *testing.T) {
 	r := core.NewRunnerWith(core.RunnerOptions{MaxCells: 2})
-	opts := core.RunOptions{SkipVerify: true}
+	opts := core.RunOptions{}
 	a := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 8}
 	b := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 16}
 	c := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 24}
@@ -160,7 +160,7 @@ func TestRunnerLRUTouchOnHit(t *testing.T) {
 // duplicates.
 func TestRunnerStatsAccounting(t *testing.T) {
 	r := core.NewRunner(4)
-	opts := core.RunOptions{SkipVerify: true}
+	opts := core.RunOptions{}
 	e := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 8}
 	if _, err := r.RunAll(context.Background(), []core.Experiment{e, e, e, e}, opts); err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestRunnerStatsAccounting(t *testing.T) {
 // resumed run of the whole grid computes exactly the other half's cells,
 // and a final pass serves the whole grid without computing.
 func TestShardedSweepThenResume(t *testing.T) {
-	opts := core.RunOptions{SkipVerify: true}
+	opts := core.RunOptions{}
 	grid := core.Figure12Experiments([]int{8, 16})
 	dir := t.TempDir()
 	shard0, shard1 := grid[:len(grid)/2], grid[len(grid)/2:]
@@ -237,7 +237,7 @@ func (f *flakyStore) Save(core.Experiment, core.RunOptions, core.Result) error {
 func TestRunnerToleratesStoreFailures(t *testing.T) {
 	fs := &flakyStore{}
 	r := core.NewRunnerWith(core.RunnerOptions{Store: fs})
-	opts := core.RunOptions{SkipVerify: true}
+	opts := core.RunOptions{}
 	exps := core.Figure11Experiments([]int{8})
 	results, err := r.RunAll(context.Background(), exps, opts)
 	if err != nil {
@@ -261,7 +261,7 @@ func TestRunnerToleratesStoreFailures(t *testing.T) {
 // sweep must stay byte-identical to the serial storeless run, with the
 // race detector watching the store's concurrent Save/Load traffic.
 func TestStoreBackedDeterminismUnderConcurrency(t *testing.T) {
-	opts := core.RunOptions{SkipVerify: true}
+	opts := core.RunOptions{}
 	exps := fullSweep()
 	serial, err := core.NewRunner(1).RunAll(context.Background(), exps, opts)
 	if err != nil {
@@ -304,7 +304,7 @@ func TestFingerprintKeyDistinct(t *testing.T) {
 	if a == c {
 		t.Error("distinct options share a fingerprint")
 	}
-	if want := "target=t;workload=w;pipeline=0;n=1;trace=false;skipverify=false;engine=0"; a != want {
+	if want := "target=t;workload=w;pipeline=0;n=1;trace=false;engine=0"; a != want {
 		t.Errorf("fingerprint = %q, want %q", a, want)
 	}
 	// Engines are kept separate even though their results are identical —

@@ -62,7 +62,7 @@ func TestRunnerDeterminism(t *testing.T) {
 // the serial rendering.
 func TestFigureRenderingDeterminism(t *testing.T) {
 	sizes := []int{16, 32}
-	opts := core.RunOptions{SkipVerify: true}
+	opts := core.RunOptions{}
 
 	r10s, err := core.Figure10With(context.Background(), core.NewRunner(1), sizes, opts)
 	if err != nil {
@@ -122,7 +122,7 @@ func TestRunnerCacheReuse(t *testing.T) {
 		t.Errorf("cache size = %d, want 1", got)
 	}
 	// Different options key different cells.
-	if _, err := r.Run(context.Background(), e, core.RunOptions{SkipVerify: true}); err != nil {
+	if _, err := r.Run(context.Background(), e, core.RunOptions{RecordTrace: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.CacheSize(); got != 2 {
@@ -489,7 +489,7 @@ func TestParallelEachCancellation(t *testing.T) {
 func TestPeek(t *testing.T) {
 	r := core.NewRunner(1)
 	e := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 8}
-	opts := core.RunOptions{SkipVerify: true}
+	opts := core.RunOptions{}
 
 	if _, ok := r.Peek(e, opts); ok {
 		t.Fatal("Peek hit on a cold runner")
@@ -510,7 +510,7 @@ func TestPeek(t *testing.T) {
 		t.Errorf("Peek hit did not count as a memory hit: %d -> %d", before, after)
 	}
 	// Different options key a different cell: no false sharing.
-	if _, ok := r.Peek(e, core.RunOptions{SkipVerify: true, RecordTrace: true}); ok {
+	if _, ok := r.Peek(e, core.RunOptions{RecordTrace: true}); ok {
 		t.Error("Peek hit across a different RunOptions key")
 	}
 	// A failed cell is a Peek miss; Run still serves the cached error.

@@ -110,7 +110,7 @@ func TestIdentityFolds(t *testing.T) {
 	sink := b.Create("test.sink", []*ir.Value{addZ, mulO, mulZ}, nil)
 	finish(t, m, b)
 
-	ir.ApplyPatternsGreedy(m.Op(), nil)
+	ir.ApplyPatternsGreedy(m.Op())
 	if sink.Operand(0) != x {
 		t.Error("x+0 not folded to x")
 	}
@@ -132,7 +132,7 @@ func TestSelectFold(t *testing.T) {
 	sink := b.Create("test.sink", []*ir.Value{sel}, nil)
 	finish(t, m, b)
 
-	ir.ApplyPatternsGreedy(m.Op(), nil)
+	ir.ApplyPatternsGreedy(m.Op())
 	if sink.Operand(0) != x {
 		t.Error("select(true, x, y) not folded to x")
 	}
@@ -147,7 +147,7 @@ func TestIndexCastChainFold(t *testing.T) {
 	sink := b.Create("test.sink", []*ir.Value{back}, nil)
 	finish(t, m, b)
 
-	ir.ApplyPatternsGreedy(m.Op(), nil)
+	ir.ApplyPatternsGreedy(m.Op())
 	if sink.Operand(0) != x {
 		t.Error("index_cast chain not folded back to the source")
 	}
@@ -170,7 +170,7 @@ func TestFoldNeverChangesValue(t *testing.T) {
 		r := arith.NewBinary(b, op, ca, cb)
 		fnc.NewReturn(b, r)
 
-		ir.ApplyPatternsGreedy(m.Op(), nil)
+		ir.ApplyPatternsGreedy(m.Op())
 		ret := f.Body().Last()
 		got, ok := arith.ConstantValue(ret.Operand(0))
 		if !ok {

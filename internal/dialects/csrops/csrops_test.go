@@ -24,7 +24,7 @@ func TestWriteAndBarrier(t *testing.T) {
 	if csrops.Addr(w) != 0x3c0 || csrops.Addr(bar) != 0x3cc {
 		t.Error("addr accessors wrong")
 	}
-	ir.ApplyPatternsGreedy(m.Op(), nil)
+	ir.ApplyPatternsGreedy(m.Op())
 	if ir.CountOpsNamed(m, csrops.OpWrite) != 1 || ir.CountOpsNamed(m, csrops.OpBarrier) != 1 {
 		t.Error("DCE removed an impure csr op")
 	}

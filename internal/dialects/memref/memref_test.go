@@ -18,7 +18,7 @@ func TestDimFoldsStaticShape(t *testing.T) {
 	d := memref.NewDim(b, buf, 1)
 	fnc.NewReturn(b, d)
 
-	ir.ApplyPatternsGreedy(m.Op(), nil)
+	ir.ApplyPatternsGreedy(m.Op())
 	ret := f.Body().Last()
 	v, ok := arith.ConstantValue(ret.Operand(0))
 	if !ok || v != 96 {
@@ -35,7 +35,7 @@ func TestDimDynamicDoesNotFold(t *testing.T) {
 	d := memref.NewDim(b, f.Body().Arg(0), 0)
 	fnc.NewReturn(b, d)
 
-	ir.ApplyPatternsGreedy(m.Op(), nil)
+	ir.ApplyPatternsGreedy(m.Op())
 	if got := ir.CountOpsNamed(m, memref.OpDim); got != 1 {
 		t.Errorf("dynamic dim was folded away (count %d)", got)
 	}

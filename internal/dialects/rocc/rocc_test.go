@@ -25,7 +25,7 @@ func TestWriteAndFence(t *testing.T) {
 		t.Error("funct7 accessors wrong")
 	}
 	// rocc ops are impure: never removed by DCE even when "unused".
-	ir.ApplyPatternsGreedy(m.Op(), nil)
+	ir.ApplyPatternsGreedy(m.Op())
 	if ir.CountOpsNamed(m, rocc.OpWrite) != 1 || ir.CountOpsNamed(m, rocc.OpFence) != 1 {
 		t.Error("DCE removed an impure rocc op")
 	}

@@ -295,7 +295,7 @@ func TestArithFoldProperty(t *testing.T) {
 		r := arith.NewBinary(bld, name, ca, cb)
 		fnc.NewReturn(bld, r)
 
-		ir.ApplyPatternsGreedy(m.Op(), nil)
+		ir.ApplyPatternsGreedy(m.Op())
 
 		ret := f.Body().Last()
 		got, ok := arith.ConstantValue(ret.Operand(0))
@@ -319,7 +319,7 @@ func TestGreedyDCERemovesDeadPureOps(t *testing.T) {
 	arith.NewAdd(b, c, c) // dead
 	fnc.NewReturn(b)
 
-	ir.ApplyPatternsGreedy(m.Op(), nil)
+	ir.ApplyPatternsGreedy(m.Op())
 	if got := ir.CountOpsNamed(m, arith.OpAddI); got != 0 {
 		t.Errorf("dead add not eliminated (count %d)", got)
 	}
@@ -338,7 +338,7 @@ func TestVolatileBlocksDCE(t *testing.T) {
 	dead.DefiningOp().SetAttr("volatile", ir.UnitAttr{})
 	fnc.NewReturn(b)
 
-	ir.ApplyPatternsGreedy(m.Op(), nil)
+	ir.ApplyPatternsGreedy(m.Op())
 	if got := ir.CountOpsNamed(m, arith.OpAddI); got != 1 {
 		t.Errorf("volatile add eliminated (count %d, want 1)", got)
 	}

@@ -62,7 +62,7 @@ func TestRegisterWhileCompiling(t *testing.T) {
 				if err := ir.Verify(m); err != nil {
 					t.Errorf("clone does not verify: %v", err)
 				}
-				ir.ApplyPatternsGreedy(m.Op(), nil)
+				ir.ApplyPatternsGreedy(m.Op())
 				if err := ir.Verify(m); err != nil {
 					t.Errorf("canonicalised clone does not verify: %v", err)
 				}
@@ -134,7 +134,7 @@ func TestOpBuiltBeforeRegisterStaysUnregistered(t *testing.T) {
 	if err := ir.Verify(m); err != nil {
 		t.Errorf("op built before Register ran the later verifier: %v", err)
 	}
-	ir.ApplyPatternsGreedy(m.Op(), nil)
+	ir.ApplyPatternsGreedy(m.Op())
 	if folds != 0 || early.Block() == nil {
 		t.Errorf("op built before Register was folded (%d calls) or erased as dead", folds)
 	}

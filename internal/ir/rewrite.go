@@ -1,32 +1,9 @@
 package ir
 
-// RewritePattern transforms one op kind. Match must be side-effect free;
-// Rewrite may mutate the IR using the provided builder, which is positioned
-// before the matched op.
-type RewritePattern interface {
-	// OpName returns the op name this pattern anchors on, or "" for any op.
-	OpName() string
-	// MatchAndRewrite attempts the rewrite and reports whether it changed
-	// the IR.
-	MatchAndRewrite(op *Op, b *Builder) bool
-}
-
-// PatternFunc adapts a function to the RewritePattern interface.
-type PatternFunc struct {
-	Anchor string
-	Fn     func(op *Op, b *Builder) bool
-}
-
-// OpName returns the anchor op name.
-func (p PatternFunc) OpName() string { return p.Anchor }
-
-// MatchAndRewrite invokes the wrapped function.
-func (p PatternFunc) MatchAndRewrite(op *Op, b *Builder) bool { return p.Fn(op, b) }
-
-// ApplyPatternsGreedy repeatedly applies patterns across the op subtree until
-// a fixpoint, folding and dead-code-eliminating along the way (like MLIR's
-// greedy pattern rewrite driver). Returns whether anything changed.
-func ApplyPatternsGreedy(root *Op, patterns []RewritePattern) bool {
+// ApplyPatternsGreedy folds and dead-code-eliminates across the op subtree
+// until a fixpoint (like MLIR's greedy pattern rewrite driver with only the
+// registered folders). Returns whether anything changed.
+func ApplyPatternsGreedy(root *Op) bool {
 	changedEver := false
 	ops := make([]*Op, 0, countNested(root))
 	for iter := 0; iter < 100; iter++ {
@@ -39,21 +16,10 @@ func ApplyPatternsGreedy(root *Op, patterns []RewritePattern) bool {
 		})
 		for _, op := range ops {
 			if op.Block() == nil {
-				continue // erased by an earlier pattern this round
+				continue // erased by an earlier fold this round
 			}
 			if tryFold(op) {
 				changed = true
-				continue
-			}
-			for _, p := range patterns {
-				if p.OpName() != "" && p.OpName() != op.Name() {
-					continue
-				}
-				b := Before(op)
-				if p.MatchAndRewrite(op, b) {
-					changed = true
-					break
-				}
 			}
 		}
 		if eraseTriviallyDead(root) {

@@ -14,13 +14,13 @@ import (
 	"configwall/internal/ir"
 )
 
-// Canonicalize returns a pass that greedily folds constants, applies op
-// canonicalization patterns and erases dead pure ops.
+// Canonicalize returns a pass that runs every op's registered folder and
+// erases dead pure ops, to a fixpoint.
 func Canonicalize() ir.Pass {
 	return ir.PassFunc{
 		PassName: "canonicalize",
 		Fn: func(m *ir.Module) error {
-			ir.ApplyPatternsGreedy(m.Op(), nil)
+			ir.ApplyPatternsGreedy(m.Op())
 			return nil
 		},
 	}

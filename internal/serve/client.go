@@ -87,12 +87,13 @@ func (c *Client) runURL(e core.Experiment, opts core.RunOptions) string {
 	q.Set("workload", e.Workload)
 	q.Set("pipeline", e.Pipeline.String())
 	q.Set("n", strconv.Itoa(e.N))
-	q.Set("engine", opts.Engine.String())
+	// Zero-valued options stay off the URL: the server resolves an absent
+	// key to the zero value, so the default cell's URL is the bare one.
+	if opts.Engine != 0 {
+		q.Set("engine", opts.Engine.String())
+	}
 	if opts.RecordTrace {
 		q.Set("trace", "true")
-	}
-	if opts.SkipVerify {
-		q.Set("skipverify", "true")
 	}
 	return c.Base + "/v1/run?" + q.Encode()
 }

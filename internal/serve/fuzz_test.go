@@ -17,9 +17,9 @@ import (
 // SweepRequest.resolve, the one place a sweep is validated — with arbitrary
 // bodies. It never panics, and a request it accepts expands to its full
 // cross product, at most maxCells cells, every size in [1, maxN]. Seeded
-// from serve_test.go's sweep bodies, including the retired "fidelity" and
-// "top_k" fields, which the decoder now rejects, and from one body per
-// way resolve or the decoder refuses a grid.
+// from serve_test.go's sweep bodies, including the retired "fidelity",
+// "top_k" and "skip_verify" fields, which the decoder now rejects, and from
+// one body per way resolve or the decoder refuses a grid.
 func FuzzSweepRequest(f *testing.F) {
 	repeat := func(v string) string { return strings.TrimSuffix(strings.Repeat(v+",", 40), ",") }
 	for _, body := range []string{
@@ -84,11 +84,14 @@ func FuzzSweepRequest(f *testing.F) {
 // workload and a size in [1, maxN]; and the fields of an accepted request,
 // sent the other way (a GET's as a JSON body, a POST's as a query), resolve
 // to the same (Experiment, RunOptions). Seeded from serve_test.go's run
-// requests.
+// requests, including one that sends the retired skip-verify field both
+// ways, which both decoders now reject.
 func FuzzRunRequest(f *testing.F) {
 	for _, seed := range [][2]string{
 		{"target=opengemm&workload=matmul&pipeline=all&n=8", `{"target":"opengemm","workload":"matmul","pipeline":"all","n":8}`},
 		{"target=opengemm&workload=matmul&pipeline=all&n=128", `{"target":"opengemm","workload":"matmul","pipeline":"all","n":128}`},
+		{"target=gemmini&workload=rectmm&pipeline=dedup&n=32&engine=ref&trace=true",
+			`{"target":"gemmini","workload":"rectmm","pipeline":"dedup","n":32,"engine":"ref","record_trace":true}`},
 		{"target=gemmini&workload=rectmm&pipeline=dedup&n=32&engine=ref&trace=true&skipverify=1",
 			`{"target":"gemmini","workload":"rectmm","pipeline":"dedup","n":32,"engine":"ref","record_trace":true,"skip_verify":true}`},
 		{"target=opengemm&workload=panicky&pipeline=base&n=8", `{"target":"opengemm","workload":"panicky","pipeline":"base","n":8}`},
@@ -153,7 +156,7 @@ func sendOtherWay(t *testing.T, method string, rq RunRequest) *http.Request {
 	q := url.Values{
 		"target": {rq.Target}, "workload": {rq.Workload}, "pipeline": {rq.Pipeline},
 		"n": {strconv.Itoa(rq.N)}, "engine": {rq.Engine},
-		"trace": {strconv.FormatBool(rq.RecordTrace)}, "skipverify": {strconv.FormatBool(rq.SkipVerify)},
+		"trace": {strconv.FormatBool(rq.RecordTrace)},
 	}
 	return &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/v1/run", RawQuery: q.Encode()}}
 }

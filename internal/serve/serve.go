@@ -249,8 +249,7 @@ func (w *statusWriter) Flush() {
 }
 
 // RunRequest is the JSON body of POST /v1/run; GET passes the same fields
-// as query parameters (target, workload, pipeline, n, engine, trace,
-// skipverify).
+// as query parameters (target, workload, pipeline, n, engine, trace).
 type RunRequest struct {
 	Target      string `json:"target"`
 	Workload    string `json:"workload"`
@@ -258,7 +257,6 @@ type RunRequest struct {
 	N           int    `json:"n"`
 	Engine      string `json:"engine,omitempty"`
 	RecordTrace bool   `json:"record_trace,omitempty"`
-	SkipVerify  bool   `json:"skip_verify,omitempty"`
 }
 
 // resolve validates the request against the registry and returns the
@@ -294,7 +292,7 @@ func (rq RunRequest) resolve(maxN int) (core.Experiment, core.RunOptions, error)
 		return e, opts, err
 	}
 	e = core.Experiment{Target: rq.Target, Workload: rq.Workload, Pipeline: p, N: rq.N}
-	opts = core.RunOptions{RecordTrace: rq.RecordTrace, SkipVerify: rq.SkipVerify, Engine: eng}
+	opts = core.RunOptions{RecordTrace: rq.RecordTrace, Engine: eng}
 	return e, opts, nil
 }
 
@@ -333,12 +331,12 @@ func parseRunRequest(w http.ResponseWriter, r *http.Request) (RunRequest, error)
 	case http.MethodGet:
 		q := r.URL.Query()
 		// POST rejects unknown fields; a dropped query key would answer for a
-		// cell the client did not ask for (skip_verify is the JSON spelling).
+		// cell the client did not ask for.
 		for key := range q {
 			switch key {
-			case "target", "workload", "pipeline", "n", "engine", "trace", "skipverify":
+			case "target", "workload", "pipeline", "n", "engine", "trace":
 			default:
-				return rq, fmt.Errorf("unknown query parameter %q (valid: target, workload, pipeline, n, engine, trace, skipverify)", key)
+				return rq, fmt.Errorf("unknown query parameter %q (valid: target, workload, pipeline, n, engine, trace)", key)
 			}
 		}
 		rq.Target = q.Get("target")
@@ -353,9 +351,6 @@ func parseRunRequest(w http.ResponseWriter, r *http.Request) (RunRequest, error)
 		}
 		if rq.RecordTrace, err = boolParam(q.Get("trace")); err != nil {
 			return rq, fmt.Errorf("bad trace: %v", err)
-		}
-		if rq.SkipVerify, err = boolParam(q.Get("skipverify")); err != nil {
-			return rq, fmt.Errorf("bad skipverify: %v", err)
 		}
 	case http.MethodPost:
 		if err := decodeBody(w, r, &rq); err != nil {
@@ -490,7 +485,6 @@ type SweepRequest struct {
 	Sizes       []int    `json:"sizes"`
 	Engine      string   `json:"engine,omitempty"`
 	RecordTrace bool     `json:"record_trace,omitempty"`
-	SkipVerify  bool     `json:"skip_verify,omitempty"`
 }
 
 // SweepEvent is one NDJSON line of a streaming sweep: a completed cell
@@ -575,7 +569,7 @@ func (rq SweepRequest) resolve(maxCells, maxN int) ([]core.Experiment, core.RunO
 		cells *= k
 	}
 	exps := core.Sweep(rq.Targets, rq.Workloads, pipes, rq.Sizes)
-	opts = core.RunOptions{RecordTrace: rq.RecordTrace, SkipVerify: rq.SkipVerify, Engine: eng}
+	opts = core.RunOptions{RecordTrace: rq.RecordTrace, Engine: eng}
 	return exps, opts, nil
 }
 

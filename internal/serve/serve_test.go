@@ -255,7 +255,9 @@ func TestValidation(t *testing.T) {
 		{name: "unknown pipeline", query: "target=opengemm&workload=matmul&pipeline=turbo&n=8", want: "unknown pipeline"},
 		{name: "unknown engine", query: "target=opengemm&workload=matmul&pipeline=all&n=8&engine=warp", want: "valid engines"},
 		{name: "bad n", query: "target=opengemm&workload=matmul&pipeline=all&n=0", want: "positive sweep size"},
-		{name: "unknown query key", query: "target=opengemm&workload=matmul&pipeline=all&n=8&skip_verify=true", want: "valid: target, workload, pipeline, n, engine, trace, skipverify"},
+		{name: "unknown query key", query: "target=opengemm&workload=matmul&pipeline=all&n=8&skip_verify=true", want: "valid: target, workload, pipeline, n, engine, trace)"},
+		{name: "retired skipverify key", query: "target=opengemm&workload=matmul&pipeline=all&n=8&skipverify=1", want: "valid: target, workload, pipeline, n, engine, trace)"},
+		{name: "retired skip_verify field", post: valid[:len(valid)-1] + `,"skip_verify":true}`, want: `"skip_verify"`},
 		{name: "oversized body", post: `{"target":"` + strings.Repeat("x", 2<<20) + `"}`, want: "too large"},
 		{name: "second value", post: valid + `{}`, want: "after the request value"},
 	}
@@ -468,8 +470,9 @@ func TestSweepValidation(t *testing.T) {
 
 	// Bodies the decoder refuses before anything is resolved. A field the
 	// request does not have is refused by name, not ignored: a client still
-	// sending the retired "stream" switch, or the retired prediction tier's
-	// "fidelity" and "top_k", learns why. A body above the 1 MiB
+	// sending the retired "stream" switch, the retired prediction tier's
+	// "fidelity" and "top_k", or "skip_verify" (every cell is verified),
+	// learns why. A body above the 1 MiB
 	// bound is not read to its end, and a second JSON value is not silently
 	// dropped.
 	const valid = `{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["base"],"sizes":[8]}`
@@ -477,6 +480,7 @@ func TestSweepValidation(t *testing.T) {
 		{"unknown field", valid[:len(valid)-1] + `,"stream":false}`, `"stream"`},
 		{"fidelity", valid[:len(valid)-1] + `,"fidelity":"screen"}`, `"fidelity"`},
 		{"top_k", valid[:len(valid)-1] + `,"top_k":2}`, `"top_k"`},
+		{"skip_verify", valid[:len(valid)-1] + `,"skip_verify":true}`, `"skip_verify"`},
 		{"oversized body", `{"targets":["` + strings.Repeat("x", 2<<20) + `"]}`, "too large"},
 		{"second value", valid + `{}`, "after the request value"},
 	} {

@@ -34,6 +34,10 @@ import (
 // numbering behind "engine=%d" in the key and Options.Engine in the
 // envelope changed (the fast engine became the zero value), and a v2 cell
 // simulated by the reference interpreter must not be served as a fast one.
+//
+// Dropping the option that skipped golden verification from the key
+// needed no bump either: an entry keyed with it hashes to a path no current
+// key reaches, so it is a miss, and every cell stored since was verified.
 const SchemaVersion = 3
 
 // envelope is the on-disk JSON document. Key is stored redundantly (the

@@ -101,9 +101,6 @@ func TestOptionsChangeKey(t *testing.T) {
 	if _, ok, _ := s.Load(exp, core.RunOptions{RecordTrace: true}); ok {
 		t.Error("load with different RecordTrace hit an entry stored without it")
 	}
-	if _, ok, _ := s.Load(exp, core.RunOptions{SkipVerify: true}); ok {
-		t.Error("load with different SkipVerify hit an entry stored without it")
-	}
 	if _, ok, _ := s.Load(exp, core.RunOptions{}); !ok {
 		t.Error("load with identical options missed")
 	}
@@ -114,7 +111,9 @@ func TestOptionsChangeKey(t *testing.T) {
 // The literal v2 envelope is what the previous layout wrote for this cell
 // when the reference interpreter simulated it: "engine=0" and "Engine":0
 // meant ref then and mean the fast engine now, so serving it would hand a
-// ref-simulated cell to a fast-engine request.
+// ref-simulated cell to a fast-engine request. A v3 entry whose key still
+// spells the retired skip-verify field is a miss too: it may hold a cell
+// that was never verified.
 func TestSchemaMismatchInvalidates(t *testing.T) {
 	s := openStore(t)
 	opts := core.RunOptions{}
@@ -131,14 +130,22 @@ func TestSchemaMismatchInvalidates(t *testing.T) {
 	if bumped == string(data) {
 		t.Fatalf("schema marker not found in %s", data)
 	}
-	const v2 = `{"schema":2,"key":"schema=2;target=opengemm;workload=matmul;pipeline=3;n=16;trace=false;skipverify=false;engine=0",` +
+	// Both old keys spell this cell with the skip-verify field the key no
+	// longer carries; removing it must give this cell's current key.
+	const retired = "skipverify=false;"
+	const v2Key = "schema=2;target=opengemm;workload=matmul;pipeline=3;n=16;trace=false;" + retired + "engine=0"
+	const v2 = `{"schema":2,"key":"` + v2Key + `",` +
 		`"experiment":{"Target":"opengemm","Workload":"matmul","Pipeline":3,"N":16},` +
 		`"options":{"RecordTrace":false,"SkipVerify":false,"Engine":0,"Fidelity":0},` +
 		`"result":{"Target":"opengemm","Workload":"matmul","Pipeline":3,"N":16,"Cycles":1}}`
-	if want := "schema=2;" + core.FingerprintKey(exp, opts); !strings.Contains(v2, want) {
+	if want := "schema=2;" + core.FingerprintKey(exp, opts); strings.Replace(v2Key, retired, "", 1) != want {
 		t.Fatalf("literal v2 envelope does not carry this cell's key %q", want)
 	}
-	for name, foreign := range map[string]string{"future schema": bumped, "v2 envelope": v2} {
+	unverified := strings.Replace(string(data), "engine=0", retired+"engine=0", 1)
+	if unverified == string(data) {
+		t.Fatalf("engine key not found in %s", data)
+	}
+	for name, foreign := range map[string]string{"future schema": bumped, "v2 envelope": v2, "skip-verify key": unverified} {
 		if err := os.WriteFile(path, []byte(foreign), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +160,7 @@ func TestSchemaMismatchInvalidates(t *testing.T) {
 // such an entry must still load as a hit with its result intact.
 func TestEntryWithCellFieldsLoads(t *testing.T) {
 	s := openStore(t)
-	opts := core.RunOptions{SkipVerify: true}
+	opts := core.RunOptions{}
 	res := core.Result{Target: exp.Target, Workload: exp.Workload, N: exp.N}
 	res.Cycles = 7
 	if err := s.Save(exp, opts, res); err != nil {
