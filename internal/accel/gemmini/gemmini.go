@@ -304,10 +304,8 @@ func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
 	// read, mem.Region for the C row stored) instead of one checked access
 	// per MAC operand, and the MACs themselves in the shared lane-paired
 	// kernel (accel.MAC), which is bit-identical to the element-at-a-time
-	// loop for every input. Bias, activation, saturation and the store stay
-	// here; the traffic counters are applied in bulk below with the
-	// per-access totals of the element-at-a-time loop, so the memory
-	// metrics are identical too.
+	// loop for every input. Bias, activation, saturation and the store
+	// stay here.
 	accRow := m.mac.Load(mm, jb.b, jb.strideB, depth, cols, 0)
 	for r := 0; r < rows; r++ {
 		if jb.d != 0 {
@@ -326,16 +324,6 @@ func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
 		}
 		m.mac.Stored(cAddr, uint64(cols))
 	}
-	// Modeled traffic of the per-element loop: one A and one B byte per
-	// MAC, a 4-byte bias read per output when D is configured, one C byte
-	// per output.
-	elems := uint64(rows) * uint64(cols)
-	macs := elems * uint64(depth)
-	read := 2 * macs
-	if jb.d != 0 {
-		read += 4 * elems
-	}
-	mm.AddTraffic(read, elems)
 
 	ops := 2 * uint64(rows) * uint64(cols) * uint64(depth)
 	cycles := m.cost.StartupCycles + jb.i*jb.j*jb.k*Dim + jb.i*jb.j*m.cost.DrainCycles

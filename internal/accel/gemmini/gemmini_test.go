@@ -161,42 +161,6 @@ func TestLaunchComputesMatmul(t *testing.T) {
 	}
 }
 
-// TestLaunchTrafficCounters pins the memory-traffic accounting of the
-// row-buffered fast path to the per-access totals of the element-at-a-time
-// model it replaced: one A byte and one B byte per MAC, a 4-byte bias read
-// per output element when D is configured, one C byte per output element.
-func TestLaunchTrafficCounters(t *testing.T) {
-	const n = 32
-	mm := mem.New(1 << 20)
-	const aBase, bBase, dBase, cBase = 0x1000, 0x2000, 0x8000, 0x3000
-	dev := gemmini.New(gemmini.DefaultCost())
-	for _, withBias := range []bool{false, true} {
-		fields := map[string]uint64{
-			"A": aBase, "B": bBase, "C": cBase, "D": 0,
-			"I": n / 16, "J": n / 16, "K": n / 16,
-			"stride_A": n, "stride_B": n, "stride_C": n, "stride_D": 4 * n,
-		}
-		if withBias {
-			fields["D"] = dBase
-		}
-		writeFields(dev, fields)
-		mm.ResetCounters()
-		if _, err := dev.Launch(mm); err != nil {
-			t.Fatal(err)
-		}
-		wantRead := uint64(2 * n * n * n)
-		if withBias {
-			wantRead += 4 * n * n
-		}
-		if mm.BytesRead != wantRead {
-			t.Errorf("bias=%v: BytesRead = %d, want %d", withBias, mm.BytesRead, wantRead)
-		}
-		if mm.BytesWritten != n*n {
-			t.Errorf("bias=%v: BytesWritten = %d, want %d", withBias, mm.BytesWritten, n*n)
-		}
-	}
-}
-
 func TestLaunchWithBiasAndRelu(t *testing.T) {
 	const n = 16
 	mm := mem.New(1 << 20)

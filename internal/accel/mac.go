@@ -13,7 +13,7 @@ import (
 //
 // and the model around it owns everything else: where the accumulators
 // start (bias), what happens to them afterwards (activation, saturation,
-// the store), the A/C/D bounds checks and the traffic accounting.
+// the store) and the A/C/D bounds checks.
 //
 // Lane pairing. Load widens a B tile into lane pairs: two neighbouring
 // columns, zero point already subtracted, become the low and high 32-bit
@@ -115,8 +115,7 @@ type MAC struct {
 // zero point subB) the one Row multiplies by, widening it unless an
 // unchanged copy is kept, and returns the cols-long accumulator row the
 // caller seeds, passes to Row and stores. Every tile row a widening reads is
-// bounds-checked by mem.View; the modeled traffic is the caller's to
-// account. cols must be a multiple of eight.
+// bounds-checked by mem.View. cols must be a multiple of eight.
 func (k *MAC) Load(mm *mem.Memory, b, strideB uint64, depth, cols int, subB int32) []int32 {
 	if cols%blockCols != 0 {
 		panic("accel: MAC tile width must be a multiple of 8")

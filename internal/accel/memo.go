@@ -14,7 +14,7 @@ import (
 
 // The launch memo. A launch of a built-in model is a pure function of its
 // configuration state and of the bytes it reads, and its whole effect is the
-// bytes it writes, its traffic totals and its accel.Launch. The four
+// bytes it writes and its accel.Launch. The four
 // pipelines of one (target, workload, n) family write their configuration
 // differently but launch the same jobs on the same data, so three launches
 // in four repeat one that another cell of the family already ran. A
@@ -32,10 +32,9 @@ import (
 // mem.Version over its hull has not moved since it was resolved keeps its
 // image without being hashed again — the rule MAC's kept tiles follow.
 //
-// Value. The final bytes of every rectangle the launch writes, its
-// BytesRead / BytesWritten deltas and its accel.Launch. A hit stores the
-// bytes through mem.Region, so dirty pages and write versions move as the
-// model's own stores would move them, and adds the recorded traffic.
+// Value. The final bytes of every rectangle the launch writes and its
+// accel.Launch. A hit stores the bytes through mem.Region, so dirty pages
+// and write versions move as the model's own stores would move them.
 //
 // Bound. Everything kept is charged to launchMemoBudget; an allocation that
 // would pass it forgets everything first, as core's golden memo does.
@@ -142,13 +141,12 @@ type image struct {
 
 // memoEntry is one recorded launch. It is never written once published.
 type memoEntry struct {
-	model         reflect.Type
-	state         []byte
-	reads         [maxReads]*image
-	out           []byte // the final bytes of the writes, row by row
-	read, written uint64
-	launch        Launch
-	next          *memoEntry // another entry of the same key hash
+	model  reflect.Type
+	state  []byte
+	reads  [maxReads]*image
+	out    []byte // the final bytes of the writes, row by row
+	launch Launch
+	next   *memoEntry // another entry of the same key hash
 }
 
 // NewLaunchMemo returns an empty memo.
@@ -239,10 +237,9 @@ func (d *memoDevice) Launch(mm *mem.Memory) (Launch, error) {
 		return e.launch, nil
 	}
 	m.misses.Add(1)
-	read, written := mm.BytesRead, mm.BytesWritten
 	l, err := d.Device.Launch(mm)
 	if err == nil {
-		m.record(h, d.typ, fp, &key, mm, mm.BytesRead-read, mm.BytesWritten-written, l)
+		m.record(h, d.typ, fp, &key, mm, l)
 	}
 	return l, err
 }
@@ -358,10 +355,10 @@ func (m *LaunchMemo) find(h uint64, typ reflect.Type, state []byte, key *[maxRea
 }
 
 // record keeps a launch that just ran: its state, its read images, the
-// final bytes of its writes, its traffic and its outcome. A launch whose
+// final bytes of its writes and its outcome. A launch whose
 // images the memo has since forgotten, or that a concurrent device has
 // recorded meanwhile, is not recorded.
-func (m *LaunchMemo) record(h uint64, typ reflect.Type, fp *Footprint, key *[maxReads]*image, mm *mem.Memory, read, written uint64, l Launch) {
+func (m *LaunchMemo) record(h uint64, typ reflect.Type, fp *Footprint, key *[maxReads]*image, mm *mem.Memory, l Launch) {
 	out := uint64(0)
 	for _, w := range fp.Writes {
 		out += w.bytes()
@@ -382,7 +379,7 @@ func (m *LaunchMemo) record(h uint64, typ reflect.Type, fp *Footprint, key *[max
 	m.entrySlab = m.entrySlab[1:]
 	buf := m.take(need)
 	copy(buf, fp.State)
-	e.model, e.reads, e.read, e.written, e.launch = typ, *key, read, written, l
+	e.model, e.reads, e.launch = typ, *key, l
 	e.state, e.out, e.next = buf[:len(fp.State):len(fp.State)], buf[len(fp.State):], m.entries[h]
 	off := 0
 	for _, w := range fp.Writes {
@@ -448,7 +445,7 @@ func (m *LaunchMemo) take(n int) []byte {
 }
 
 // replay stores the recorded final bytes of the writes — the rectangles of
-// the same state, so of the same shape — and adds the recorded traffic.
+// the same state, so of the same shape.
 //
 //cwlint:hotpath
 func (e *memoEntry) replay(mm *mem.Memory, writes []Rect) {
@@ -458,5 +455,4 @@ func (e *memoEntry) replay(mm *mem.Memory, writes []Rect) {
 			out = out[copy(mm.Region(w.Addr+row*w.Stride, w.Width), out):]
 		}
 	}
-	mm.AddTraffic(e.read, e.written)
 }

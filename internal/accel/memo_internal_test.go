@@ -34,7 +34,7 @@ func TestMemoComparesBytesUnderCollidingHashes(t *testing.T) {
 	typ := reflect.TypeOf(m)
 	key := [maxReads]*image{img1}
 	fp := &Footprint{State: []byte{1, 2, 3}, Reads: []Rect{r1}, Writes: []Rect{{Addr: 0x3000, Stride: 16, Rows: 1, Width: 16}}}
-	m.record(9, typ, fp, &key, mm, 1, 2, Launch{Ops: 3})
+	m.record(9, typ, fp, &key, mm, Launch{Ops: 3})
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e := m.find(9, typ, []byte{1, 2, 3}, &key); e == nil || e.launch.Ops != 3 {

@@ -174,10 +174,9 @@ func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
 	}
 	rows, cols, depth := jb.rows(), jb.cols(), jb.depth()
 
-	// Hoisted per-row bounds checks (mem.View for A, mem.Region for C), the
-	// MACs in the shared lane-paired kernel (see the Gemmini model for the
-	// full rationale), and bulk traffic accounting matching the per-access
-	// totals of the element-at-a-time loop bit for bit.
+	// Hoisted per-row bounds checks (mem.View for A, mem.Region for C) and
+	// the MACs in the shared lane-paired kernel (see the Gemmini model for
+	// the full rationale).
 	accRow := m.mac.Load(mm, jb.b, jb.strideB, depth, cols, jb.subB)
 	for r := 0; r < rows; r++ {
 		clear(accRow)
@@ -189,8 +188,6 @@ func (m *Model) Launch(mm *mem.Memory) (accel.Launch, error) {
 		}
 		m.mac.Stored(cAddr, uint64(cols)*4)
 	}
-	elems := uint64(rows) * uint64(cols)
-	mm.AddTraffic(2*elems*uint64(depth), 4*elems)
 
 	ops := 2 * uint64(rows) * uint64(cols) * uint64(depth)
 	cycles := jb.mTiles*jb.nTiles*jb.kTiles + m.cost.PipelineCycles

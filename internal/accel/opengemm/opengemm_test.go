@@ -83,32 +83,6 @@ func TestLaunchComputesMatmul(t *testing.T) {
 	}
 }
 
-// TestLaunchTrafficCounters pins the traffic accounting of the
-// row-buffered fast path to the per-access totals of the
-// element-at-a-time model: one A and one B byte per MAC, 4 C bytes per
-// output element.
-func TestLaunchTrafficCounters(t *testing.T) {
-	const n = 16
-	mm := mem.New(1 << 20)
-	const aBase, bBase, cBase = 0x1000, 0x2000, 0x4000
-	dev := opengemm.New(opengemm.DefaultCost())
-	configure(dev, map[uint32]uint32{
-		opengemm.CsrPtrA: aBase, opengemm.CsrPtrB: bBase, opengemm.CsrPtrC: cBase,
-		opengemm.CsrM: n / 8, opengemm.CsrK: n / 8, opengemm.CsrN: n / 8,
-		opengemm.CsrStrideA: n, opengemm.CsrStrideB: n, opengemm.CsrStrideC: 4 * n,
-	})
-	mm.ResetCounters()
-	if _, err := dev.Launch(mm); err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(2 * n * n * n); mm.BytesRead != want {
-		t.Errorf("BytesRead = %d, want %d", mm.BytesRead, want)
-	}
-	if want := uint64(4 * n * n); mm.BytesWritten != want {
-		t.Errorf("BytesWritten = %d, want %d", mm.BytesWritten, want)
-	}
-}
-
 func TestZeroPointSubtraction(t *testing.T) {
 	const n = 8
 	mm := mem.New(1 << 16)

@@ -311,11 +311,10 @@ func CompileModule(m *ir.Module, sizes []uint64, l Layout) (Program, error) {
 }
 
 // Start runs the program on mc, whose memory the caller has filled and whose
-// cost model, device, engine and limits the caller has set: memory counters
-// restart, buffer i's base goes in a<i>, scalars in the registers after the
-// last base, sp at the stack base.
+// cost model, device, engine and limits the caller has set: buffer i's base
+// goes in a<i>, scalars in the registers after the last base, sp at the
+// stack base.
 func (p *Program) Start(mc *sim.Machine, scalars ...int64) error {
-	mc.Mem.ResetCounters()
 	for i, base := range p.Bases {
 		mc.Regs[riscv.A0+riscv.Reg(i)] = int64(base)
 	}

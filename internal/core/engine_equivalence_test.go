@@ -44,33 +44,39 @@ func TestResultsIdenticalAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestFigureOutputsIdenticalAcrossEngines pins the paper: Figures 10 and 11
-// at their default sizes must render the same text under the reference
-// interpreter and under the zero-value engine every default path runs,
-// with the headline geomeans cwbench prints, and the §4.6 worked example
-// keeps Table 1's configuration footprint. A simplification that drifts
-// the reproduction fails here rather than silently.
+// TestFigureOutputsIdenticalAcrossEngines pins the paper: every cell Figures
+// 10 and 11 measure at their default sizes has the same Result under the
+// reference interpreter as under the zero-value engine every default path
+// runs, so the figures, a function of those Results, render the same text;
+// the rendering keeps the headline geomeans cwbench prints, and the §4.6
+// worked example keeps Table 1's configuration footprint. A simplification
+// that drifts the reproduction fails here rather than silently.
 func TestFigureOutputsIdenticalAcrossEngines(t *testing.T) {
-	render := func(opts core.RunOptions) (fig10, fig11 string) {
-		ctx, r := context.Background(), core.NewRunner(0)
-		rows10, err := core.Figure10With(ctx, r, core.Figure10Sizes, opts)
-		if err != nil {
-			t.Fatal(err)
+	ctx := context.Background()
+	cells := append(core.Figure10Experiments(core.Figure10Sizes), core.Figure11Experiments(core.Figure11Sizes)...)
+	ref, err := core.NewRunner(0).RunAll(ctx, cells, core.RunOptions{Engine: sim.EngineRef})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := core.NewRunner(0)
+	def, err := r.RunAll(ctx, cells, core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range cells {
+		if !reflect.DeepEqual(ref[i], def[i]) {
+			t.Errorf("%s: Result differs between engines:\nref:     %+v\ndefault: %+v", e, ref[i], def[i])
 		}
-		rows11, err := core.Figure11With(ctx, r, core.Figure11Sizes, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return core.RenderFigure10(rows10), core.RenderFigure11(rows11)
 	}
-	ref10, ref11 := render(core.RunOptions{Engine: sim.EngineRef})
-	def10, def11 := render(core.RunOptions{})
-	if ref10 != def10 {
-		t.Errorf("Figure 10 rendering differs between engines:\nref:\n%s\ndefault:\n%s", ref10, def10)
+	rows10, err := core.Figure10With(ctx, r, core.Figure10Sizes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ref11 != def11 {
-		t.Errorf("Figure 11 rendering differs between engines:\nref:\n%s\ndefault:\n%s", ref11, def11)
+	rows11, err := core.Figure11With(ctx, r, core.Figure11Sizes)
+	if err != nil {
+		t.Fatal(err)
 	}
+	def10, def11 := core.RenderFigure10(rows10), core.RenderFigure11(rows11)
 	if want := "geomean uplift: 28.5%"; !strings.Contains(def10, want) {
 		t.Errorf("Figure 10 lost its headline %q:\n%s", want, def10)
 	}

@@ -83,8 +83,8 @@ func Figure10Experiments(sizes []int) []Experiment {
 // the paper's attainable-performance methodology. The runner is the
 // caller's, so consecutive figures share the experiment cache (and its
 // persistent store, if any).
-func Figure10With(ctx context.Context, r *Runner, sizes []int, opts RunOptions) ([]Fig10Row, error) {
-	results, err := r.RunAll(ctx, Figure10Experiments(sizes), opts)
+func Figure10With(ctx context.Context, r *Runner, sizes []int) ([]Fig10Row, error) {
+	results, err := r.RunAll(ctx, Figure10Experiments(sizes), RunOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -153,8 +153,8 @@ func Figure11Experiments(sizes []int) []Experiment {
 
 // Figure11With runs the OpenGeMM tiled matmuls and measures cycle-accurate
 // performance (the paper's §6.2 methodology) on the caller's runner.
-func Figure11With(ctx context.Context, r *Runner, sizes []int, opts RunOptions) ([]Fig11Row, error) {
-	results, err := r.RunAll(ctx, Figure11Experiments(sizes), opts)
+func Figure11With(ctx context.Context, r *Runner, sizes []int) ([]Fig11Row, error) {
+	results, err := r.RunAll(ctx, Figure11Experiments(sizes), RunOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -212,13 +212,13 @@ func Figure12Experiments(sizes []int) []Experiment {
 // Figure12With measures OpenGeMM under all four pipeline variants and places
 // the results on the configuration roofline. On a runner shared with
 // Figure11With the base/all cells at common sizes are computed once.
-func Figure12With(ctx context.Context, r *Runner, sizes []int, opts RunOptions) (Fig12Data, error) {
+func Figure12With(ctx context.Context, r *Runner, sizes []int) (Fig12Data, error) {
 	t, err := LookupTarget(opengemm.Name)
 	if err != nil {
 		return Fig12Data{}, err
 	}
 	data := Fig12Data{Model: t.RooflineModel()}
-	results, err := r.RunAll(ctx, Figure12Experiments(sizes), opts)
+	results, err := r.RunAll(ctx, Figure12Experiments(sizes), RunOptions{})
 	if err != nil {
 		return data, err
 	}

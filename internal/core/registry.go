@@ -249,9 +249,8 @@ func matmulInstance(t Target, shapeName string, mDim, kDim, nDim int) (Instance,
 }
 
 // int8InputBuffer wraps a pre-filled int8 slice as an input buffer. Init
-// copies it through one writable mem.Region view (which marks the pages
-// dirty and the lines written) and accounts the traffic of the
-// byte-at-a-time stores it stands for.
+// copies it through one writable mem.Region view, which marks the pages
+// dirty and the lines written.
 func int8InputBuffer(data []int8) Buffer {
 	return Buffer{
 		Bytes: uint64(len(data)),
@@ -260,32 +259,26 @@ func int8InputBuffer(data []int8) Buffer {
 			for i, v := range data {
 				dst[i] = uint8(v)
 			}
-			mm.AddTraffic(0, uint64(len(data)))
 		},
 	}
 }
 
 // verifyMatmulOutput compares the simulated C buffer against the golden
 // int32 product, at the target's output width (int8 saturated or int32). It
-// reads C through one read-only mem.View and accounts one checked load per
-// element compared, up to and including the first mismatch.
+// reads C through one read-only mem.View and reports the first mismatch.
 func verifyMatmulOutput(memory *mem.Memory, cBase uint64, golden []int32, outBytes int) error {
 	if outBytes != 1 && outBytes != 4 {
 		return fmt.Errorf("unsupported output width %d", outBytes)
 	}
 	c := memory.View(cBase, uint64(len(golden)*outBytes))
-	compared := func(elems int) { memory.AddTraffic(uint64(elems*outBytes), 0) }
 	for i, want := range golden {
 		if outBytes == 1 {
 			if got := int8(c[i]); got != workload.SaturateInt8(want) {
-				compared(i + 1)
 				return fmt.Errorf("C[%d] = %d, want %d (saturated from %d)", i, got, workload.SaturateInt8(want), want)
 			}
 		} else if got := int32(binary.LittleEndian.Uint32(c[4*i:])); got != want {
-			compared(i + 1)
 			return fmt.Errorf("C[%d] = %d, want %d", i, got, want)
 		}
 	}
-	compared(len(golden))
 	return nil
 }

@@ -27,18 +27,18 @@ func diskRunner(t *testing.T, dir string, maxCells int) *core.Runner {
 
 // renderAllFigures regenerates the three measured figures on one runner
 // and concatenates their rendered output.
-func renderAllFigures(t *testing.T, r *core.Runner, opts core.RunOptions) string {
+func renderAllFigures(t *testing.T, r *core.Runner) string {
 	t.Helper()
 	sizes := []int{16, 32}
-	rows10, err := core.Figure10With(context.Background(), r, sizes, opts)
+	rows10, err := core.Figure10With(context.Background(), r, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows11, err := core.Figure11With(context.Background(), r, sizes, opts)
+	rows11, err := core.Figure11With(context.Background(), r, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d12, err := core.Figure12With(context.Background(), r, sizes, opts)
+	d12, err := core.Figure12With(context.Background(), r, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +50,12 @@ func renderAllFigures(t *testing.T, r *core.Runner, opts core.RunOptions) string
 // simulates nothing on the second run — every cell is a store hit — and
 // the rendered figures are byte-identical to an uncached run.
 func TestStoreBackedFigureSweepZeroRecompute(t *testing.T) {
-	opts := core.RunOptions{}
 	dir := t.TempDir()
 
-	uncached := renderAllFigures(t, core.NewRunner(0), opts)
+	uncached := renderAllFigures(t, core.NewRunner(0))
 
 	first := diskRunner(t, dir, 0)
-	out1 := renderAllFigures(t, first, opts)
+	out1 := renderAllFigures(t, first)
 	s1 := first.Snapshot()
 	if s1.Runs == 0 || s1.StoreHits != 0 {
 		t.Fatalf("first cached run: %+v, want fresh runs and no store hits", s1)
@@ -64,7 +63,7 @@ func TestStoreBackedFigureSweepZeroRecompute(t *testing.T) {
 
 	// A brand-new runner (fresh process, same directory): zero recomputes.
 	second := diskRunner(t, dir, 0)
-	out2 := renderAllFigures(t, second, opts)
+	out2 := renderAllFigures(t, second)
 	s2 := second.Snapshot()
 	if s2.Runs != 0 {
 		t.Errorf("second cached run recomputed %d cells, want 0 (stats: %+v)", s2.Runs, s2)

@@ -62,13 +62,12 @@ func TestRunnerDeterminism(t *testing.T) {
 // the serial rendering.
 func TestFigureRenderingDeterminism(t *testing.T) {
 	sizes := []int{16, 32}
-	opts := core.RunOptions{}
 
-	r10s, err := core.Figure10With(context.Background(), core.NewRunner(1), sizes, opts)
+	r10s, err := core.Figure10With(context.Background(), core.NewRunner(1), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r10p, err := core.Figure10With(context.Background(), core.NewRunner(8), sizes, opts)
+	r10p, err := core.Figure10With(context.Background(), core.NewRunner(8), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +75,11 @@ func TestFigureRenderingDeterminism(t *testing.T) {
 		t.Errorf("Figure 10 differs between serial and parallel runs:\n--- serial ---\n%s--- parallel ---\n%s", a, b)
 	}
 
-	r11s, err := core.Figure11With(context.Background(), core.NewRunner(1), sizes, opts)
+	r11s, err := core.Figure11With(context.Background(), core.NewRunner(1), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r11p, err := core.Figure11With(context.Background(), core.NewRunner(8), sizes, opts)
+	r11p, err := core.Figure11With(context.Background(), core.NewRunner(8), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +87,11 @@ func TestFigureRenderingDeterminism(t *testing.T) {
 		t.Errorf("Figure 11 differs between serial and parallel runs:\n--- serial ---\n%s--- parallel ---\n%s", a, b)
 	}
 
-	d12s, err := core.Figure12With(context.Background(), core.NewRunner(1), sizes, opts)
+	d12s, err := core.Figure12With(context.Background(), core.NewRunner(1), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d12p, err := core.Figure12With(context.Background(), core.NewRunner(8), sizes, opts)
+	d12p, err := core.Figure12With(context.Background(), core.NewRunner(8), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,5 @@
 // Package mem provides the byte-addressable simulated main memory shared by
 // the host CPU and the accelerator models. All accesses are little-endian.
-// Traffic counters feed the memory axis of the combined roofline (paper
-// Eq. 5).
 package mem
 
 import (
@@ -33,10 +31,6 @@ type Memory struct {
 	// zeroes. Nothing lowers a version (uint64 does not wrap in practice),
 	// so an unchanged sum over a range means an unchanged range (Version).
 	version []uint64
-
-	// BytesRead and BytesWritten count all traffic, host and accelerator.
-	BytesRead    uint64
-	BytesWritten uint64
 }
 
 // New allocates a memory of the given size in bytes.
@@ -51,9 +45,9 @@ func New(size int) *Memory {
 // Size returns the memory size in bytes.
 func (m *Memory) Size() int { return len(m.data) }
 
-// Snapshot copies the byte range [from, to) without touching the traffic
-// counters. The differential-test oracle uses it to compare the final memory
-// state of two simulations of the same program.
+// Snapshot copies the byte range [from, to). The differential-test oracle
+// uses it to compare the final memory state of two simulations of the same
+// program.
 func (m *Memory) Snapshot(from, to uint64) []byte {
 	if from > to || to > uint64(len(m.data)) {
 		panic(fmt.Sprintf("mem: snapshot [%#x, %#x) out of bounds (size %#x)", from, to, len(m.data)))
@@ -67,8 +61,8 @@ func (m *Memory) Snapshot(from, to uint64) []byte {
 // last page below to that is flagged dirty, clamped to to, or 0 when none
 // is. Every byte of [DirtyEnd(to), to) has therefore been zero since New or
 // the last Reset, so a caller that wants the image of [0, to) need not read
-// past it. Like Snapshot it leaves the traffic counters and the dirty flags
-// alone, and panics when to lies outside the memory.
+// past it. It leaves the dirty flags alone, and panics when to lies outside
+// the memory.
 func (m *Memory) DirtyEnd(to uint64) uint64 {
 	if to > uint64(len(m.data)) {
 		panic(fmt.Sprintf("mem: dirty end below %#x out of bounds (size %#x)", to, len(m.data)))
@@ -81,17 +75,17 @@ func (m *Memory) DirtyEnd(to uint64) uint64 {
 	return 0
 }
 
-// ResetCounters zeroes the traffic counters.
-func (m *Memory) ResetCounters() {
-	m.BytesRead, m.BytesWritten = 0, 0
-}
+// ResetCounters does nothing. The memory keeps no traffic counters; this
+// empty method stays only so the frozen bench/ harness, which still calls
+// it, compiles, and it goes with ROADMAP item 4(a)'s benchmark change.
+func (m *Memory) ResetCounters() {}
 
-// Reset restores the memory to its initial all-zero state and clears the
-// traffic counters, zeroing only the pages written (or exposed through a
-// Region view) since construction or the previous Reset. It is the
-// reset-not-reallocate primitive behind the pooled cell arenas:
-// resetting a lightly-used 64 MiB arena touches kilobytes, not megabytes.
-// Zeroing is a write: the lines of every cleared page get a new version.
+// Reset restores the memory to its initial all-zero state, zeroing only the
+// pages written (or exposed through a Region view) since construction or the
+// previous Reset. It is the reset-not-reallocate primitive behind the pooled
+// cell arenas: resetting a lightly-used 64 MiB arena touches kilobytes, not
+// megabytes. Zeroing is a write: the lines of every cleared page get a new
+// version.
 func (m *Memory) Reset() {
 	for p, d := range m.dirty {
 		if !d {
@@ -103,7 +97,6 @@ func (m *Memory) Reset() {
 		m.dirty[p] = false
 		m.bump(uint64(lo), uint64(hi-lo))
 	}
-	m.BytesRead, m.BytesWritten = 0, 0
 }
 
 // mark flags the (at most two, for n <= pageSize) pages and lines
@@ -150,11 +143,6 @@ func (m *Memory) boundsPanic(addr, n uint64) {
 // checked per-byte stores. Because the caller may write through it, Region
 // marks every page it spans dirty and gives every line a new version; a
 // caller that only reads takes View instead.
-//
-// Region does NOT touch the traffic counters — callers that hoist row
-// accesses must account their modeled traffic in bulk with AddTraffic so
-// the per-access counter semantics of the checked accessors are preserved
-// exactly.
 func (m *Memory) Region(addr, n uint64) []byte {
 	m.check(addr, n)
 	if n > 0 {
@@ -168,8 +156,7 @@ func (m *Memory) Region(addr, n uint64) []byte {
 
 // View returns a read-only view of [addr, addr+n) after the same
 // overflow-safe bounds check as Region. It marks nothing: the caller must
-// not write through it. Like Region it leaves the traffic counters to
-// AddTraffic.
+// not write through it.
 func (m *Memory) View(addr, n uint64) []byte {
 	m.check(addr, n)
 	return m.data[addr : addr+n : addr+n]
@@ -179,8 +166,8 @@ func (m *Memory) View(addr, n uint64) []byte {
 // [addr, addr+n), or 0 when n is 0. Versions only grow, so the sum is
 // unchanged exactly when no write path — a checked writer, Region or Reset —
 // has touched those lines since it was last taken: a copy made of the
-// range then is still a copy of it. It moves neither the traffic counters
-// nor the dirty flags, and panics when the range lies outside the memory.
+// range then is still a copy of it. It leaves the dirty flags alone, and
+// panics when the range lies outside the memory.
 func (m *Memory) Version(addr, n uint64) uint64 {
 	m.check(addr, n)
 	var sum uint64
@@ -192,19 +179,9 @@ func (m *Memory) Version(addr, n uint64) uint64 {
 	return sum
 }
 
-// AddTraffic adds modeled traffic to the counters in bulk. Fast paths that
-// bypass the checked per-access methods (Region and View) use it to keep
-// BytesRead/BytesWritten byte-identical to the equivalent sequence of
-// checked accesses.
-func (m *Memory) AddTraffic(read, written uint64) {
-	m.BytesRead += read
-	m.BytesWritten += written
-}
-
 // Read8 loads one byte.
 func (m *Memory) Read8(addr uint64) uint8 {
 	m.check(addr, 1)
-	m.BytesRead++
 	return m.data[addr]
 }
 
@@ -212,14 +189,12 @@ func (m *Memory) Read8(addr uint64) uint8 {
 func (m *Memory) Write8(addr uint64, v uint8) {
 	m.check(addr, 1)
 	m.mark(addr, 1)
-	m.BytesWritten++
 	m.data[addr] = v
 }
 
 // Read16 loads a little-endian 16-bit value.
 func (m *Memory) Read16(addr uint64) uint16 {
 	m.check(addr, 2)
-	m.BytesRead += 2
 	return binary.LittleEndian.Uint16(m.data[addr:])
 }
 
@@ -227,14 +202,12 @@ func (m *Memory) Read16(addr uint64) uint16 {
 func (m *Memory) Write16(addr uint64, v uint16) {
 	m.check(addr, 2)
 	m.mark(addr, 2)
-	m.BytesWritten += 2
 	binary.LittleEndian.PutUint16(m.data[addr:], v)
 }
 
 // Read32 loads a little-endian 32-bit value.
 func (m *Memory) Read32(addr uint64) uint32 {
 	m.check(addr, 4)
-	m.BytesRead += 4
 	return binary.LittleEndian.Uint32(m.data[addr:])
 }
 
@@ -242,14 +215,12 @@ func (m *Memory) Read32(addr uint64) uint32 {
 func (m *Memory) Write32(addr uint64, v uint32) {
 	m.check(addr, 4)
 	m.mark(addr, 4)
-	m.BytesWritten += 4
 	binary.LittleEndian.PutUint32(m.data[addr:], v)
 }
 
 // Read64 loads a little-endian 64-bit value.
 func (m *Memory) Read64(addr uint64) uint64 {
 	m.check(addr, 8)
-	m.BytesRead += 8
 	return binary.LittleEndian.Uint64(m.data[addr:])
 }
 
@@ -257,7 +228,6 @@ func (m *Memory) Read64(addr uint64) uint64 {
 func (m *Memory) Write64(addr uint64, v uint64) {
 	m.check(addr, 8)
 	m.mark(addr, 8)
-	m.BytesWritten += 8
 	binary.LittleEndian.PutUint64(m.data[addr:], v)
 }
 

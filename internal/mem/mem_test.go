@@ -54,28 +54,10 @@ func TestSignedRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestTrafficCounters(t *testing.T) {
-	m := mem.New(64)
-	m.Write64(0, 1)
-	m.Write8(8, 1)
-	m.Read32(0)
-	m.Read16(0)
-	if m.BytesWritten != 9 {
-		t.Errorf("BytesWritten = %d, want 9", m.BytesWritten)
-	}
-	if m.BytesRead != 6 {
-		t.Errorf("BytesRead = %d, want 6", m.BytesRead)
-	}
-	m.ResetCounters()
-	if m.BytesRead != 0 || m.BytesWritten != 0 {
-		t.Error("counters not reset")
-	}
-}
-
 // TestReset: every write path — checked accessors of all widths, including
 // ones straddling a 64 KiB dirty-tracking page boundary, and writes through
 // Region views — must be undone by Reset, restoring the all-zero initial
-// state and clearing the traffic counters.
+// state.
 func TestReset(t *testing.T) {
 	const page = 1 << 16
 	m := mem.New(4 * page)
@@ -92,9 +74,6 @@ func TestReset(t *testing.T) {
 		if got := m.Read8(addr); got != 0 {
 			t.Errorf("after Reset, mem[%#x] = %#x, want 0", addr, got)
 		}
-	}
-	if m.BytesWritten != 0 {
-		t.Errorf("after Reset, BytesWritten = %d, want 0 (Read8 checks above count reads only)", m.BytesWritten)
 	}
 
 	// A second cycle on the same memory must behave identically (dirty
@@ -170,7 +149,6 @@ func TestAddressOverflowPanics(t *testing.T) {
 func TestRegion(t *testing.T) {
 	m := mem.New(64)
 	m.Write8(10, 0xab)
-	m.ResetCounters()
 
 	r := m.Region(8, 8)
 	if len(r) != 8 || r[2] != 0xab {
@@ -180,15 +158,6 @@ func TestRegion(t *testing.T) {
 	r[0] = 0x7f
 	if got := m.Read8(8); got != 0x7f {
 		t.Errorf("write through Region not visible: got %#x", got)
-	}
-	// Region itself must not touch the traffic counters...
-	if m.BytesRead != 1 {
-		t.Errorf("BytesRead = %d, want 1 (only the checked Read8)", m.BytesRead)
-	}
-	// ...AddTraffic accounts them in bulk.
-	m.AddTraffic(100, 200)
-	if m.BytesRead != 101 || m.BytesWritten != 200 {
-		t.Errorf("after AddTraffic: read=%d written=%d, want 101/200", m.BytesRead, m.BytesWritten)
 	}
 	// The view is capped: appending cannot clobber adjacent memory.
 	_ = append(r[:8:8], 0xee)
@@ -217,7 +186,6 @@ func TestSnapshot(t *testing.T) {
 	m := mem.New(64)
 	m.Write8(3, 0xab)
 	m.Write8(10, 0xcd)
-	m.ResetCounters()
 
 	snap := m.Snapshot(2, 12)
 	if len(snap) != 10 {
@@ -225,9 +193,6 @@ func TestSnapshot(t *testing.T) {
 	}
 	if snap[1] != 0xab || snap[8] != 0xcd {
 		t.Errorf("snapshot contents wrong: % x", snap)
-	}
-	if m.BytesRead != 0 {
-		t.Errorf("Snapshot counted %d bytes read; it must not touch the traffic counters", m.BytesRead)
 	}
 	// The snapshot is a copy, not a view.
 	snap[1] = 0
@@ -250,7 +215,7 @@ func TestSnapshotOutOfBoundsPanics(t *testing.T) {
 // memory under random sequences of every write path and Reset, on a memory
 // whose last page is partial: for any to, no non-zero byte of [0, to) lies at
 // or above DirtyEnd(to); the answer is a page boundary or to itself; it is 0
-// after Reset; and asking moves neither the counters nor the answer.
+// after Reset; and asking again does not move the answer.
 func TestDirtyEndAgainstFullScan(t *testing.T) {
 	const (
 		page = 1 << 16
@@ -263,7 +228,6 @@ func TestDirtyEndAgainstFullScan(t *testing.T) {
 	check := func(step int, afterReset bool) {
 		t.Helper()
 		image := m.Snapshot(0, size)
-		read, written := m.BytesRead, m.BytesWritten
 		for _, to := range append(tos, uint64(rng.Intn(size+1))) {
 			end := m.DirtyEnd(to)
 			if end > to || (end != to && end%page != 0) {
@@ -280,9 +244,6 @@ func TestDirtyEndAgainstFullScan(t *testing.T) {
 			if again := m.DirtyEnd(to); again != end {
 				t.Fatalf("step %d: DirtyEnd(%#x) = %#x, then %#x: it is not read-only", step, to, end, again)
 			}
-		}
-		if m.BytesRead != read || m.BytesWritten != written {
-			t.Fatalf("step %d: DirtyEnd moved the traffic counters", step)
 		}
 	}
 
@@ -370,11 +331,10 @@ func TestViewPanicsWhereRegionDoes(t *testing.T) {
 }
 
 // TestViewMarksNothing: a read-only view shares the bytes but leaves the
-// dirty flags (DirtyEnd), the write versions and the counters alone.
+// dirty flags (DirtyEnd) and the write versions alone.
 func TestViewMarksNothing(t *testing.T) {
 	m := mem.New(1 << 18)
 	m.Write8(0x1234, 0xab)
-	m.ResetCounters()
 	v0 := m.Version(0, 1<<18)
 	v := m.View(0x1000, 3<<16)
 	if v[0x234] != 0xab || len(v) != 3<<16 || cap(v) != 3<<16 {
@@ -385,9 +345,6 @@ func TestViewMarksNothing(t *testing.T) {
 	}
 	if got := m.Version(0, 1<<18); got != v0 {
 		t.Errorf("after View, Version = %d, want %d", got, v0)
-	}
-	if m.BytesRead != 0 || m.BytesWritten != 0 {
-		t.Errorf("View moved the counters: %d / %d", m.BytesRead, m.BytesWritten)
 	}
 }
 

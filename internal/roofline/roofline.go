@@ -78,16 +78,11 @@ const (
 	ComputeBound Bound = iota
 	// ConfigBound: the configuration term limits (the configuration wall).
 	ConfigBound
-	// MemoryBound: the memory-bandwidth term limits.
-	MemoryBound
 )
 
 func (b Bound) String() string {
-	switch b {
-	case ConfigBound:
+	if b == ConfigBound {
 		return "configuration-bound"
-	case MemoryBound:
-		return "memory-bound"
 	}
 	return "compute-bound"
 }
@@ -97,19 +92,6 @@ func (b Bound) String() string {
 func Classify(peak, bwConfig, iOC float64) Bound {
 	if bwConfig*iOC < peak {
 		return ConfigBound
-	}
-	return ComputeBound
-}
-
-// ClassifyCombined determines the binding term of the roofsurface (Eq. 5).
-func ClassifyCombined(peak, bwMemory, iOperational, bwConfig, iOC float64) Bound {
-	cfg := bwConfig * iOC
-	mem := bwMemory * iOperational
-	switch {
-	case cfg < peak && cfg <= mem:
-		return ConfigBound
-	case mem < peak:
-		return MemoryBound
 	}
 	return ComputeBound
 }
@@ -136,15 +118,6 @@ func (m Model) Attainable(iOC float64) float64 {
 		return Concurrent(m.PeakOps, m.BWConfig, iOC)
 	}
 	return Sequential(m.PeakOps, m.BWConfig, iOC)
-}
-
-// AttainableWithBW evaluates the roofline with an overriding (e.g.
-// effective) configuration bandwidth.
-func (m Model) AttainableWithBW(bwConfig, iOC float64) float64 {
-	if m.ConcurrentConfig {
-		return Concurrent(m.PeakOps, bwConfig, iOC)
-	}
-	return Sequential(m.PeakOps, bwConfig, iOC)
 }
 
 // Utilization returns attainable performance as a fraction of peak, or 0

@@ -22,7 +22,7 @@ func TestOptionsCensus(t *testing.T) {
 	}{
 		{serve.Options{}, []string{"Runner", "Concurrency", "QueueDepth", "QueueTimeout", "MaxSweepCells", "MaxN", "Fault"}},
 		{core.RunnerOptions{}, []string{"Workers", "Store", "MaxCells", "OnStoreError"}},
-		{serve.LoadGenOptions{}, []string{"Experiments", "Options", "Requests", "Clients", "ZipfS", "Seed", "Verify", "Retry429", "Retry"}},
+		{serve.LoadGenOptions{}, []string{"Experiments", "Requests", "Clients", "ZipfS", "Seed", "Verify", "Retry429", "Retry"}},
 		{serve.RetryPolicy{}, []string{"MaxAttempts", "BaseDelay", "MaxDelay", "Seed", "Sleep", "OnRetry"}},
 		// The sweep body: the grid, and the cell's RunOptions on the wire.
 		{serve.SweepRequest{}, []string{"Targets", "Workloads", "Pipelines", "Sizes", "Engine", "RecordTrace"}},

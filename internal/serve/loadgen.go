@@ -24,8 +24,6 @@ type LoadGenOptions struct {
 	// Experiments is the request universe, indexed by zipf rank: index 0
 	// is the hottest cell. Required.
 	Experiments []core.Experiment
-	// Options are the run options sent with every request.
-	Options core.RunOptions
 	// Requests is the total number of requests; <= 0 selects 1000.
 	Requests int
 	// Clients is the number of concurrent client workers; <= 0 selects 8.
@@ -100,7 +98,8 @@ func (r LoadGenReport) String() string {
 // LoadGen replays a zipf-skewed request mix against the server behind c
 // and reports throughput and latency. The request sequence is derived
 // deterministically from the seed before any request is sent, so the mix
-// (though not the interleaving) is reproducible.
+// (though not the interleaving) is reproducible. Every request carries the
+// zero core.RunOptions.
 func LoadGen(ctx context.Context, c *Client, o LoadGenOptions) (LoadGenReport, error) {
 	if len(o.Experiments) == 0 {
 		return LoadGenReport{}, fmt.Errorf("loadgen: empty experiment universe")
@@ -166,7 +165,7 @@ func LoadGen(ctx context.Context, c *Client, o LoadGenOptions) (LoadGenReport, e
 				// is exactly what a well-behaved client experiences under
 				// server backpressure.
 				t0 := time.Now()
-				body, err := c.runRaw(ctx, o.Experiments[cell], o.Options, pol, is429)
+				body, err := c.runRaw(ctx, o.Experiments[cell], core.RunOptions{}, pol, is429)
 				latencies[i] = time.Since(t0)
 				statuses[i] = http.StatusOK
 				if err != nil {

@@ -767,10 +767,8 @@ func TestAcceptanceLoadGen(t *testing.T) {
 		[]core.Pipeline{core.Baseline, core.AllOptimizations},
 		[]int{16, 32},
 	)
-	opts := core.RunOptions{}
 	rep, err := serve.LoadGen(context.Background(), c, serve.LoadGenOptions{
 		Experiments: universe,
-		Options:     opts,
 		Requests:    10000,
 		Clients:     16,
 		ZipfS:       1.4,
@@ -795,6 +793,7 @@ func TestAcceptanceLoadGen(t *testing.T) {
 	}
 
 	// Full byte-identity against direct execution for every cell.
+	opts := core.RunOptions{}
 	canonical, err := serve.CanonicalBodies(context.Background(), universe, opts)
 	if err != nil {
 		t.Fatal(err)

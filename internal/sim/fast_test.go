@@ -206,7 +206,6 @@ func TestFastEngineRegisterSetup(t *testing.T) {
 	ref := runBoth(t, nil, 0, func(mc *sim.Machine) {
 		mc.Regs[riscv.A0] = 0x400
 		mc.Mem.Write64(0x400, 41)
-		mc.Mem.ResetCounters()
 	}, p)
 	if ref.Regs[6] != 42 {
 		t.Errorf("x6 = %d, want 42", ref.Regs[6])
