@@ -351,16 +351,17 @@ func RunTiledMatmul(t Target, p Pipeline, n int, opts RunOptions) (Result, error
 // model, and returns the measurements. It is the engine's single
 // experiment primitive; sweeps should go through Runner.
 func Run(t Target, w Workload, p Pipeline, n int, opts RunOptions) (Result, error) {
-	return run(t, w, p, n, opts, nil)
+	return run(t, w, p, n, opts, nil, nil)
 }
 
-// run is Run with the device's launches looked up in memo first (nil: none).
-func run(t Target, w Workload, p Pipeline, n int, opts RunOptions, memo *accel.LaunchMemo) (Result, error) {
-	c, err := Compile(t, w, p, n)
+// run is Run with the compile resumed from families and the device's
+// launches looked up in launches first (nil: neither).
+func run(t Target, w Workload, p Pipeline, n int, opts RunOptions, launches *accel.LaunchMemo, families *familyMemo) (Result, error) {
+	c, err := compile(t, w, p, n, families)
 	if err != nil {
 		return Result{Target: t.Name, Workload: w.Name, Pipeline: p, N: n, PeakOps: t.PeakOps}, err
 	}
-	return c.execute(opts, memo)
+	return c.execute(opts, launches)
 }
 
 // Compiled is a cell compiled and not yet run: what is a function of
@@ -379,28 +380,68 @@ type Compiled struct {
 // over it and compiles it with its buffers packed from bufferBase: the half
 // of Run that RunOptions do not reach.
 func Compile(t Target, w Workload, p Pipeline, n int) (*Compiled, error) {
-	inst, err := w.Build(t, n)
-	if err != nil {
-		return nil, err
-	}
+	return compile(t, w, p, n, nil)
+}
+
+// compile is Compile resuming from the deepest module families holds on p's
+// pass list, and publishing the module where a sibling pipeline that has not
+// started forks from p (nil: build, and run every pass).
+func compile(t Target, w Workload, p Pipeline, n int, families *familyMemo) (*Compiled, error) {
 	pm := t.PassPipeline(p)
-	if err := pm.Run(inst.Module); err != nil {
+	f, forks := families.family(t, w.Name, p, n)
+	m, buffers, stats := f.take(p)
+	if m == nil {
+		inst, err := w.Build(t, n)
+		if err != nil {
+			return nil, err
+		}
+		m, buffers = inst.Module, inst.Buffers
+		f.publish(p, 0, m, nil, buffers)
+	}
+	at, rest := len(stats), pm
+	if at > 0 {
+		_, rest = pm.Split(at)
+	}
+	var err error
+	for _, d := range forks {
+		if d <= at {
+			continue
+		}
+		var seg *ir.PassManager
+		seg, rest = rest.Split(d - at)
+		if stats, err = runPasses(seg, m, stats); err != nil {
+			break
+		}
+		at = d
+		f.publish(p, d, m, stats, nil)
+	}
+	if err == nil {
+		stats, err = runPasses(rest, m, stats)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("pipeline %s on %s/%s/%d: %w", p, t.Name, w.Name, n, err)
 	}
-	c := &Compiled{Module: inst.Module, target: t, buffers: inst.Buffers}
-	sizes := make([]uint64, len(inst.Buffers))
-	for i, buf := range inst.Buffers {
+	c := &Compiled{Module: m, target: t, buffers: buffers}
+	sizes := make([]uint64, len(buffers))
+	for i, buf := range buffers {
 		sizes[i] = buf.Bytes
 	}
 	if c.Prog, err = (Layout{bufferBase, 1, stackBase}).place(sizes); err != nil {
 		return nil, fmt.Errorf("workload %s/%d: %w", w.Name, n, err)
 	}
-	if err := c.Prog.compile(inst.Module); err != nil {
+	if err := c.Prog.compile(m); err != nil {
 		return nil, fmt.Errorf("codegen for %s/%s/%d: %w", t.Name, w.Name, n, err)
 	}
 	c.res = Result{Target: t.Name, Workload: w.Name, Pipeline: p, N: n, PeakOps: t.PeakOps,
-		PassStats: pm.Stats, ProgramInstrs: len(c.Prog.Instrs)}
+		PassStats: stats, ProgramInstrs: len(c.Prog.Instrs)}
 	return c, nil
+}
+
+// runPasses runs seg over m with its stat lines appended to stats.
+func runPasses(seg *ir.PassManager, m *ir.Module, stats []string) ([]string, error) {
+	seg.Stats = stats
+	err := seg.Run(m)
+	return seg.Stats, err
 }
 
 // Execute simulates the cell on a fresh machine over a pooled arena —

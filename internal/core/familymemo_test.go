@@ -1,0 +1,282 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// familyUniverse is every supported cell at n = 16…128: both built-in
+// targets, every registered workload, every pipeline.
+func familyUniverse(t *testing.T) []Experiment {
+	t.Helper()
+	var cells []Experiment
+	for _, tn := range TargetNames() {
+		tg, err := LookupTarget(tn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wn := range []string{WorkloadMatmul, WorkloadRectMM, WorkloadMatvec} {
+			w, err := LookupWorkload(wn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range SupportedSizes(tg, w, []int{16, 32, 48, 64, 96, 128}) {
+				for _, p := range Pipelines {
+					cells = append(cells, Experiment{Target: tn, Workload: wn, Pipeline: p, N: n})
+				}
+			}
+		}
+	}
+	return cells
+}
+
+// TestFamilyMemoMatchesCompile: a cell a runner computes from its family
+// memo returns the Result RunExperiment's unshared compile returns, PassStats,
+// ProgramInstrs and Counters included, whatever order the cells of its
+// family arrive in and however two workers interleave them.
+func TestFamilyMemoMatchesCompile(t *testing.T) {
+	cells := familyUniverse(t)
+	if len(cells) != 136 {
+		t.Fatalf("%d cells at n = 16…128, want 136", len(cells))
+	}
+	want := make([]Result, len(cells))
+	for i, e := range cells {
+		res, err := RunExperiment(e, RunOptions{})
+		if err != nil || !res.Verified {
+			t.Fatalf("%s: verified=%v err=%v", e, res.Verified, err)
+		}
+		want[i] = res
+	}
+	var hits uint64
+	for seed := int64(1); seed <= 6; seed++ {
+		order := rand.New(rand.NewSource(seed)).Perm(len(cells))
+		shuffled := make([]Experiment, len(cells))
+		for i, c := range order {
+			shuffled[i] = cells[c]
+		}
+		r := NewRunner(2)
+		got, err := r.RunAll(context.Background(), shuffled, RunOptions{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i, c := range order {
+			if !reflect.DeepEqual(got[i], want[c]) {
+				t.Errorf("seed %d: %s: runner result differs from RunExperiment's:\n got %+v\nwant %+v", seed, cells[c], got[i], want[c])
+			}
+		}
+		s := r.Snapshot()
+		if s.FamilyHits+s.FamilyMisses != uint64(len(cells)) {
+			t.Errorf("seed %d: %d family hits + %d misses for %d computed cells", seed, s.FamilyHits, s.FamilyMisses, len(cells))
+		}
+		hits += s.FamilyHits
+	}
+	// A family's first cell builds; most of the other three resume.
+	if hits < 6*uint64(len(cells))/2 {
+		t.Errorf("%d of %d cells resumed from a snapshot, want at least half", hits, 6*len(cells))
+	}
+}
+
+// TestFamilyMemoRecompute: a pipeline computed a second time in the same
+// runner — its cell evicted, here by a one-cell LRU, before or after its
+// siblings started — finds its family's snapshots gone or meant for others
+// and compiles from scratch, to the same Result.
+func TestFamilyMemoRecompute(t *testing.T) {
+	family := func(p Pipeline) Experiment {
+		return Experiment{Target: "gemmini", Workload: WorkloadMatmul, Pipeline: p, N: 32}
+	}
+	want := map[Pipeline]Result{}
+	for _, p := range Pipelines {
+		res, err := RunExperiment(family(p), RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[p] = res
+	}
+	for _, order := range [][]Pipeline{
+		{DedupOnly, Baseline, DedupOnly, OverlapOnly, DedupOnly, AllOptimizations, DedupOnly},
+		{Baseline, DedupOnly, OverlapOnly, AllOptimizations, Baseline, AllOptimizations, OverlapOnly, DedupOnly},
+		{AllOptimizations, DedupOnly, AllOptimizations, Baseline, AllOptimizations, OverlapOnly, DedupOnly},
+	} {
+		r := NewRunnerWith(RunnerOptions{Workers: 1, MaxCells: 1})
+		for i, p := range order {
+			got, err := r.Run(context.Background(), family(p), RunOptions{})
+			if err != nil {
+				t.Fatalf("%v, step %d (%s): %v", order, i, p, err)
+			}
+			if !reflect.DeepEqual(got, want[p]) {
+				t.Errorf("%v, step %d (%s): result differs from RunExperiment's", order, i, p)
+			}
+		}
+		if s := r.Snapshot(); s.Runs != uint64(len(order)) || s.FamilyHits == 0 {
+			t.Errorf("%v: %d runs, %d family hits: want every step computed and some resumed", order, s.Runs, s.FamilyHits)
+		}
+	}
+
+	// Evicted while it computes: two workers, a one-cell LRU and every
+	// pipeline asked for over and over.
+	var cells []Experiment
+	for range 8 {
+		for _, p := range Pipelines {
+			cells = append(cells, family(p))
+		}
+	}
+	rand.New(rand.NewSource(7)).Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
+	r := NewRunnerWith(RunnerOptions{Workers: 2, MaxCells: 1})
+	got, err := r.RunAll(context.Background(), cells, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range cells {
+		if !reflect.DeepEqual(got[i], want[e.Pipeline]) {
+			t.Errorf("%s at %d: result differs from RunExperiment's", e, i)
+		}
+	}
+}
+
+// panicOnce is a matmul whose Build panics while armed is set, once.
+type panicOnce struct{ armed atomic.Bool }
+
+func (po *panicOnce) workload(t *testing.T) Workload {
+	t.Helper()
+	w, err := LookupWorkload(WorkloadMatmul)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := w.Build
+	w.Build = func(tg Target, n int) (Instance, error) {
+		if po.armed.CompareAndSwap(true, false) {
+			panic("kaboom")
+		}
+		return build(tg, n)
+	}
+	return w
+}
+
+// TestFamilyMemoPanicInBuild: a cell whose Build panics holds nothing of
+// its family, so every sibling still computes — one after the other, or all
+// at once with the panicking one among them — to the Result an unshared
+// compile gives.
+func TestFamilyMemoPanicInBuild(t *testing.T) {
+	const tn, n = "opengemm", 32
+	var po panicOnce
+	w := po.workload(t)
+	tg, err := LookupTarget(tn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[Pipeline]Result{}
+	for _, p := range Pipelines {
+		if want[p], err = Run(tg, w, p, n, RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// compute runs one cell as a runner's compute does, with its panic
+	// recovered into an error.
+	compute := func(fm *familyMemo, p Pipeline) (res Result, err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				err = &PanicError{Exp: Experiment{Target: tn, Workload: w.Name, Pipeline: p, N: n}, Value: v}
+			}
+		}()
+		return run(tg, w, p, n, RunOptions{}, nil, fm)
+	}
+
+	fm := newFamilyMemo()
+	po.armed.Store(true)
+	var pe *PanicError
+	if _, err := compute(fm, Baseline); !errors.As(err, &pe) {
+		t.Fatalf("armed Build: err = %v, want a panic", err)
+	}
+	for _, p := range append(Pipelines[1:], Baseline) {
+		got, err := compute(fm, p)
+		if err != nil || !reflect.DeepEqual(got, want[p]) {
+			t.Errorf("%s after the panic: err = %v, or result differs from an unshared compile's", p, err)
+		}
+	}
+
+	for round := range 20 {
+		fm := newFamilyMemo()
+		po.armed.Store(true)
+		var wg sync.WaitGroup
+		errs := make([]error, len(Pipelines))
+		got := make([]Result, len(Pipelines))
+		for i, p := range Pipelines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = compute(fm, p)
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("round %d: a sibling of the panicking cell never finished", round)
+		}
+		panics := 0
+		for i, p := range Pipelines {
+			switch {
+			case errors.As(errs[i], &pe):
+				panics++
+			case errs[i] != nil || !reflect.DeepEqual(got[i], want[p]):
+				t.Errorf("round %d: %s: err = %v, or result differs from an unshared compile's", round, p, errs[i])
+			}
+		}
+		if panics != 1 {
+			t.Errorf("round %d: %d cells panicked, want exactly the one that built first", round, panics)
+		}
+	}
+}
+
+// TestFamilyMemoAllocationBudget is the family memo's allocation ratchet:
+// the four pipelines of gemmini/matmul/32 on a fresh Runner(1), in the
+// order of Pipelines, at the measured count + 10%.
+func TestFamilyMemoAllocationBudget(t *testing.T) {
+	const budget = 2849 // measured 2 590
+	var family []Experiment
+	for _, p := range Pipelines {
+		family = append(family, Experiment{Target: "gemmini", Workload: WorkloadMatmul, Pipeline: p, N: 32})
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runFamily := func() {
+		r := NewRunner(1)
+		for _, e := range family {
+			if res, err := r.Run(context.Background(), e, RunOptions{}); err != nil || !res.Verified {
+				t.Fatalf("%s: verified=%v err=%v", e, res.Verified, err)
+			}
+		}
+		if s := r.Snapshot(); s.FamilyHits != 3 {
+			t.Fatalf("%d family hits, want the three later pipelines resumed", s.FamilyHits)
+		}
+	}
+	runFamily() // warm the golden product and the registries' lazy state
+	allocs := testing.AllocsPerRun(10, runFamily)
+	t.Logf("family: %.0f allocations", allocs)
+	if allocs > budget {
+		t.Errorf("family: %.0f allocations, budget %d", allocs, budget)
+	}
+}
+
+// TestForkTable pins where the built-in pipelines fork: the baseline
+// shares nothing past the build, the three accfg pipelines share their
+// opening seven passes, and dedup and all five more.
+func TestForkTable(t *testing.T) {
+	want := [numPipelines][]int{Baseline: nil, DedupOnly: {7, 12}, OverlapOnly: {7}, AllOptimizations: {7, 12}}
+	for _, tg := range []Target{GemminiTarget(), OpenGeMMTarget()} {
+		ft := newForkTable(tg)
+		if !reflect.DeepEqual(ft.forks, want) {
+			t.Errorf("%s: forks %v, want %v", tg.Name, ft.forks, want)
+		}
+		if g := ft.group(DedupOnly, 12); g != 1<<DedupOnly|1<<AllOptimizations {
+			t.Errorf("%s: dedup's group at 12 is %04b, want dedup and all", tg.Name, g)
+		}
+	}
+}

@@ -1,24 +1,31 @@
 package core
 
-import "sync"
+import (
+	"encoding/binary"
+	"sync"
 
-// goldenMemoBudget bounds the bytes of golden products the process keeps
-// (n = 1024, the serve cap, is 4 MiB). It is a constant, not a knob: past it
+	"configwall/internal/workload"
+)
+
+// goldenMemoBudget bounds the bytes of golden products and expected-C images
+// the process keeps (n = 1024, the serve cap, is 4 MiB of product and 1 or
+// 4 MiB per width). It is a constant, not a knob: past it
 // the memo forgets everything and starts again.
 const goldenMemoBudget = 32 << 20
 
-// productMemo keeps the golden int32 product of each matmul shape. The
-// matmul-family instances fill A and B from fixed seeds, so the product is
-// a pure function of (M, K, N) and every target x pipeline cell of a shape
-// can be refereed against one computation of it. The memo only shares the
-// referee's answer: the product still comes from the naive loop in
-// internal/workload and every cell still compares every output element.
+// productMemo keeps the golden int32 product of each matmul shape, and the
+// bytes C holds when a cell computed it, at each output width asked for.
+// The matmul-family instances fill A and B from fixed seeds, so the product
+// is a pure function of (M, K, N) and every target x pipeline cell of a
+// shape can be refereed against one computation of it. The memo only shares
+// the referee's answer: the product still comes from the naive loop in
+// internal/workload and every cell still compares every byte of C.
 //
 // Entries are immutable once computed and are handed out by reference;
 // callers must not write to them.
 type productMemo struct {
 	mu      sync.Mutex
-	entries map[[3]int]*memoEntry
+	entries map[goldenKey]*memoEntry
 	bytes   int
 	// Pads the memo's one global to a cache line. The linker sorts data
 	// symbols by size, so a new global moves every larger one behind it by
@@ -30,9 +37,14 @@ type productMemo struct {
 	_ [40]byte
 }
 
+// goldenKey is a shape (M, K, N) and what of it an entry holds: width 0 is
+// the int32 product, width 1 or 4 the expected C at that output width.
+type goldenKey struct{ m, k, n, width int }
+
 type memoEntry struct {
 	once    sync.Once
 	product []int32
+	image   []byte
 }
 
 // goldenProducts is the process-wide memo behind matmulInstance.
@@ -43,28 +55,57 @@ var goldenProducts productMemo
 // past its budget drops every entry first; one that alone exceeds the budget
 // is computed and not kept.
 func (pm *productMemo) get(m, k, n int, compute func() []int32) []int32 {
-	key := [3]int{m, k, n}
-	size := 4 * m * n
+	e := pm.entry(goldenKey{m, k, n, 0}, 4*m*n)
+	if e == nil {
+		return compute()
+	}
+	e.once.Do(func() { e.product = compute() })
+	return e.product
+}
 
+// image returns the bytes a correct C of shape (m, k, n) holds at the
+// output width (1: int8 saturated, 4: int32 little-endian), rendered from
+// get's product, under the same budget.
+func (pm *productMemo) image(m, k, n, width int, compute func() []int32) []byte {
+	render := func() []byte {
+		product := pm.get(m, k, n, compute)
+		img := make([]byte, len(product)*width)
+		for i, v := range product {
+			if width == 1 {
+				img[i] = uint8(workload.SaturateInt8(v))
+			} else {
+				binary.LittleEndian.PutUint32(img[4*i:], uint32(v))
+			}
+		}
+		return img
+	}
+	e := pm.entry(goldenKey{m, k, n, width}, width*m*n)
+	if e == nil {
+		return render()
+	}
+	e.once.Do(func() { e.image = render() })
+	return e.image
+}
+
+// entry returns the entry for key, made and charged size bytes if absent;
+// nil when size alone exceeds the budget.
+func (pm *productMemo) entry(key goldenKey, size int) *memoEntry {
 	pm.mu.Lock()
+	defer pm.mu.Unlock()
 	e := pm.entries[key]
 	if e == nil {
 		if pm.bytes+size > goldenMemoBudget {
 			pm.entries, pm.bytes = nil, 0
 		}
 		if size > goldenMemoBudget {
-			pm.mu.Unlock()
-			return compute()
+			return nil
 		}
 		if pm.entries == nil {
-			pm.entries = map[[3]int]*memoEntry{}
+			pm.entries = map[goldenKey]*memoEntry{}
 		}
 		e = &memoEntry{}
 		pm.entries[key] = e
 		pm.bytes += size
 	}
-	pm.mu.Unlock()
-
-	e.once.Do(func() { e.product = compute() })
-	return e.product
+	return e
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"configwall/internal/mem"
+	"configwall/internal/workload"
 )
 
 // TestProductMemoComputesOncePerShape: however many goroutines build the
@@ -113,5 +115,46 @@ func TestGoldenRefereeBitesOnMemoHit(t *testing.T) {
 	err := second.Verify(mm, base)
 	if err == nil || !strings.HasPrefix(err.Error(), "C[383] = ") || !strings.Contains(err.Error(), ", want ") {
 		t.Errorf("flipped last element: err = %v, want a C[383] mismatch", err)
+	}
+}
+
+// TestVerifyByImageReportsFirstMismatch: C is compared to the memoized
+// expected bytes in one piece at both output widths, and a mismatch still
+// reports its first element as the element walk does, saturation included.
+func TestVerifyByImageReportsFirstMismatch(t *testing.T) {
+	const m, k, n = 16, 48, 32
+	for _, tg := range []Target{GemminiTarget(), OpenGeMMTarget()} {
+		inst, err := matmulInstance(tg, "test", m, k, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verify := inst.Buffers[2].Verify
+		const base = 0x1000
+		mm := mem.New(1 << 16)
+		if verify(mm, base) == nil {
+			t.Fatalf("%s: all-zero C verified", tg.Name)
+		}
+		unset := func() []int32 {
+			t.Fatal("Verify left no product in the memo")
+			return nil
+		}
+		product := goldenProducts.get(m, k, n, unset)
+		image := goldenProducts.image(m, k, n, tg.OutputBytes, unset)
+		copy(mm.Region(base, uint64(len(image))), image)
+		if err := verify(mm, base); err != nil {
+			t.Fatalf("%s: C holding the expected image: %v", tg.Name, err)
+		}
+		const i = 37
+		at := base + uint64(i*tg.OutputBytes)
+		mm.Write8(at, mm.Read8(at)^0x80)
+		var want string
+		if tg.OutputBytes == 1 {
+			want = fmt.Sprintf("C[%d] = %d, want %d (saturated from %d)", i, int8(mm.Read8(at)), workload.SaturateInt8(product[i]), product[i])
+		} else {
+			want = fmt.Sprintf("C[%d] = %d, want %d", i, int32(mm.Read32(at)), product[i])
+		}
+		if err := verify(mm, base); err == nil || err.Error() != want {
+			t.Errorf("%s: flipped C[%d]: err = %v, want %q", tg.Name, i, err, want)
+		}
 	}
 }

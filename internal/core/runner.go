@@ -19,10 +19,14 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"configwall/internal/accel"
+	"configwall/internal/ir"
 )
 
 // Experiment keys one cell of the evaluation sweep by registry names.
@@ -44,12 +48,12 @@ func (e Experiment) String() string {
 // RunExperiment resolves the experiment's target and workload through the
 // registry and executes it once, uncached. Sweeps should prefer a Runner.
 func RunExperiment(e Experiment, opts RunOptions) (Result, error) {
-	return runExperiment(e, opts, nil)
+	return runExperiment(e, opts, nil, nil)
 }
 
-// runExperiment is RunExperiment with the device's launches looked up in
-// memo first (nil: none).
-func runExperiment(e Experiment, opts RunOptions, memo *accel.LaunchMemo) (Result, error) {
+// runExperiment is RunExperiment with the compile resumed from families and
+// the device's launches looked up in launches first (nil: neither).
+func runExperiment(e Experiment, opts RunOptions, launches *accel.LaunchMemo, families *familyMemo) (Result, error) {
 	t, err := LookupTarget(e.Target)
 	if err != nil {
 		return Result{}, err
@@ -58,7 +62,7 @@ func runExperiment(e Experiment, opts RunOptions, memo *accel.LaunchMemo) (Resul
 	if err != nil {
 		return Result{}, err
 	}
-	return run(t, w, e.Pipeline, e.N, opts, memo)
+	return run(t, w, e.Pipeline, e.N, opts, launches, families)
 }
 
 // cacheKey is the memoization key: the cell's whole name. It embeds
@@ -151,6 +155,10 @@ type Runner struct {
 	// a device launch another of its cells already ran on the same
 	// configuration and bytes (accel.LaunchMemo).
 	launches *accel.LaunchMemo
+	// families is the runner's family memo: the cells it computes start
+	// from the module another pipeline of their family left where the two
+	// fork (see "The family memo" below).
+	families *familyMemo
 
 	mu    sync.Mutex
 	cells map[cacheKey]*list.Element
@@ -176,6 +184,7 @@ func NewRunnerWith(opts RunnerOptions) *Runner {
 		maxCells:     opts.MaxCells,
 		onStoreError: opts.OnStoreError,
 		launches:     accel.NewLaunchMemo(),
+		families:     newFamilyMemo(),
 		cells:        map[cacheKey]*list.Element{},
 		lru:          list.New(),
 	}
@@ -197,6 +206,7 @@ func (r *Runner) Snapshot() CacheStats {
 	s := r.stats
 	r.mu.Unlock()
 	s.LaunchHits, s.LaunchMisses = r.launches.Stats()
+	s.FamilyHits, s.FamilyMisses = r.families.Stats()
 	return s
 }
 
@@ -390,7 +400,7 @@ func (r *Runner) compute(e Experiment, opts RunOptions) (Result, error) {
 			r.bump(func(s *CacheStats) { s.StoreMisses++ })
 		}
 	}
-	res, err := runExperiment(e, opts, r.launches)
+	res, err := runExperiment(e, opts, r.launches, r.families)
 	r.bump(func(s *CacheStats) { s.Runs++ })
 	if r.store != nil && err == nil {
 		if serr := r.store.Save(e, opts, res); serr != nil {
@@ -500,4 +510,272 @@ func Sweep(targets, workloads []string, pipelines []Pipeline, sizes []int) []Exp
 		}
 	}
 	return exps
+}
+
+// The family memo. The four pipelines of one (target, workload, n) family
+// compile the same instance, and three of them open with the same passes:
+// the host-side sibling of the launch memo. A runner keeps, per family, the
+// instance's buffers and immutable module snapshots at the depths where the
+// family's pipelines fork (ir.SharedPrefix), so a cell it computes starts
+// from the deepest snapshot on its pipeline's pass list and runs only the
+// rest.
+//
+// Ownership. A snapshot is never written while it is published. It waits
+// for the pipelines that share its passes and have not started; the last of
+// them takes its module without a clone and removes it, every other clones
+// it under the family's lock. A pipeline starts once per family: computed
+// again (its cell evicted or dropped by a panic), it finds no snapshot and
+// builds from scratch. Nothing ever waits on a family, and no lock is held
+// across Build or a pass, so a panic in either costs the family its sharing
+// and nothing else.
+//
+// Bound. Each family, the bytes its buffers fill and every snapshot's ops
+// are charged to familyMemoBudget; a charge past it forgets every family. A
+// family whose pipelines have all started is dropped.
+
+const (
+	// familyMemoBudget bounds what a runner's family memo keeps. A whole
+	// sweep_large block, every family at once, charges under 2 MB, most of
+	// it A and B. It is a constant, not a knob: past it the memo
+	// forgets everything.
+	familyMemoBudget = 16 << 20
+	// familyBytes is what a family is charged before it holds anything, and
+	// opBytes what one op of a snapshot is charged (a clone allocates about
+	// 470 bytes per op).
+	familyBytes = 256
+	opBytes     = 512
+	// numPipelines is len(Pipelines): a family's size.
+	numPipelines = int(AllOptimizations) + 1
+)
+
+// familyKey names a family: the cells that differ only in their pipeline.
+type familyKey struct {
+	target, workload string
+	n                int
+}
+
+// forkTable is where a target's pipelines fork: depth[p][q] leading passes
+// of p and q are the same passes, and forks[p] lists, ascending, the
+// depths above 0 where a sibling leaves p.
+type forkTable struct {
+	depth [numPipelines][numPipelines]int
+	forks [numPipelines][]int
+}
+
+func newForkTable(t Target) *forkTable {
+	var names [numPipelines][]string
+	for p := range names {
+		names[p] = t.PassPipeline(Pipeline(p)).Passes()
+	}
+	ft := &forkTable{}
+	for p := range names {
+		for q := range names {
+			d := ir.SharedPrefix(names[p], names[q])
+			ft.depth[p][q] = d
+			if q != p && d > 0 && !slices.Contains(ft.forks[p], d) {
+				ft.forks[p] = append(ft.forks[p], d)
+			}
+		}
+		slices.Sort(ft.forks[p])
+	}
+	return ft
+}
+
+// group returns the pipelines, as a bit set, whose first d passes are p's.
+func (ft *forkTable) group(p Pipeline, d int) uint8 {
+	var g uint8
+	for q, dq := range ft.depth[p] {
+		if dq >= d {
+			g |= 1 << q
+		}
+	}
+	return g
+}
+
+// snapshot is a family's module after its first depth passes on some path,
+// with their stat lines, and the pipelines (a bit set) that will resume
+// from it.
+type snapshot struct {
+	depth   int
+	waiters uint8
+	module  *ir.Module
+	stats   []string
+	cost    int
+}
+
+// family is one familyKey's shared state.
+type family struct {
+	key   familyKey
+	memo  *familyMemo
+	forks *forkTable
+
+	mu      sync.Mutex
+	buffers []Buffer // the first built instance's
+	started uint8    // pipelines that have taken their start
+	snaps   []*snapshot
+	charged int // what the memo counts for this family; the memo's lock guards it
+}
+
+// familyMemo is a runner's families.
+type familyMemo struct {
+	mu       sync.Mutex
+	families map[familyKey]*family
+	forks    map[string]*forkTable // by target name
+	bytes    int
+	// hits counts cells resumed from a snapshot, misses cells built fresh.
+	hits, misses atomic.Uint64
+}
+
+func newFamilyMemo() *familyMemo {
+	return &familyMemo{families: map[familyKey]*family{}, forks: map[string]*forkTable{}}
+}
+
+// Stats returns the memo's hits and misses.
+func (fm *familyMemo) Stats() (hits, misses uint64) {
+	return fm.hits.Load(), fm.misses.Load()
+}
+
+// family returns p's family at (t, workload, n) and the depths where p's
+// siblings fork from it; nil for a nil memo or a pipeline outside Pipelines.
+func (fm *familyMemo) family(t Target, workload string, p Pipeline, n int) (*family, []int) {
+	if fm == nil || p < 0 || int(p) >= numPipelines {
+		return nil, nil
+	}
+	k := familyKey{t.Name, workload, n}
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	f := fm.families[k]
+	if f == nil {
+		ft := fm.forks[t.Name]
+		if ft == nil {
+			ft = newForkTable(t)
+			fm.forks[t.Name] = ft
+		}
+		f = &family{key: k, memo: fm, forks: ft}
+		fm.families[k] = f
+		fm.charge(f, familyBytes)
+	}
+	return f, f.forks.forks[p]
+}
+
+// charge adds cost to what f holds, under the memo's lock, and reports
+// whether f is still the memo's family for its key. A charge past the
+// budget forgets every family, f among them.
+func (fm *familyMemo) charge(f *family, cost int) bool {
+	if fm.families[f.key] != f {
+		return false
+	}
+	if fm.bytes+cost > familyMemoBudget {
+		clear(fm.families)
+		fm.bytes = 0
+		return false
+	}
+	fm.bytes += cost
+	f.charged += cost
+	return true
+}
+
+// charge is the memo's charge under its lock; f's lock is held.
+func (f *family) charge(cost int) bool {
+	f.memo.mu.Lock()
+	defer f.memo.mu.Unlock()
+	return f.memo.charge(f, cost)
+}
+
+// take starts p in its family: the deepest snapshot p waits on, its own
+// (the snapshot's module when p was its last waiter, a clone otherwise),
+// with the family's buffers and the stat lines so far. A nil module means
+// there is none, and p builds. Once every pipeline has started, the family
+// leaves the memo.
+func (f *family) take(p Pipeline) (m *ir.Module, buffers []Buffer, stats []string) {
+	if f == nil {
+		return nil, nil, nil
+	}
+	bit := uint8(1) << p
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.started |= bit
+	var from *snapshot
+	for _, s := range f.snaps {
+		if s.waiters&bit != 0 && (from == nil || s.depth > from.depth) {
+			from = s
+		}
+	}
+	f.forget(bit, math.MaxInt)
+	if f.started == 1<<numPipelines-1 {
+		f.memo.mu.Lock()
+		if f.memo.families[f.key] == f {
+			delete(f.memo.families, f.key)
+			f.memo.bytes -= f.charged
+		}
+		f.memo.mu.Unlock()
+	}
+	if from == nil {
+		f.memo.misses.Add(1)
+		return nil, nil, nil
+	}
+	f.memo.hits.Add(1)
+	m = from.module
+	if from.waiters != 0 {
+		m = m.Clone()
+	}
+	return m, f.buffers, slices.Clone(from.stats)
+}
+
+// publish offers p's module after its first d passes, whose stat lines
+// stats holds, to the pipelines that share them and have not started.
+// buffers are the instance's when p built it (d is 0), and the family keeps
+// the first it is given.
+func (f *family) publish(p Pipeline, d int, m *ir.Module, stats []string, buffers []Buffer) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.buffers == nil && buffers != nil {
+		cost := 0
+		for _, b := range buffers {
+			if b.Init != nil {
+				cost += int(b.Bytes)
+			}
+		}
+		if !f.charge(cost) {
+			return
+		}
+		f.buffers = buffers
+	}
+	// A waiter of a snapshot as deep or deeper resumes from that one.
+	waiters := f.forks.group(p, d) &^ f.started
+	for _, s := range f.snaps {
+		if s.depth >= d {
+			waiters &^= s.waiters
+		}
+	}
+	if waiters == 0 || f.buffers == nil {
+		return
+	}
+	cost := opBytes * ir.CountOps(m)
+	if !f.charge(cost) {
+		return
+	}
+	f.forget(waiters, d)
+	f.snaps = append(f.snaps, &snapshot{depth: d, waiters: waiters, module: m.Clone(), stats: stats[:d:d], cost: cost})
+}
+
+// forget removes the pipelines in bits from the waiters of every snapshot
+// shallower than depth, and drops the snapshots no one waits for any more.
+func (f *family) forget(bits uint8, depth int) {
+	kept := f.snaps[:0]
+	for _, s := range f.snaps {
+		if s.depth < depth {
+			s.waiters &^= bits
+		}
+		if s.waiters != 0 {
+			kept = append(kept, s)
+		} else {
+			f.charge(-s.cost)
+		}
+	}
+	clear(f.snaps[len(kept):])
+	f.snaps = kept
 }

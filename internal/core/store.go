@@ -48,12 +48,18 @@ type CacheStats struct {
 	// the runner's launch memo; LaunchMisses those that ran the model.
 	LaunchHits   uint64
 	LaunchMisses uint64
+	// FamilyHits counts computed cells whose compile resumed from a module
+	// another pipeline of their family left in the runner's family memo;
+	// FamilyMisses those that built their instance fresh.
+	FamilyHits   uint64
+	FamilyMisses uint64
 }
 
 func (s CacheStats) String() string {
-	return fmt.Sprintf("mem %d/%d hit, store %d/%d hit, %d runs, %d evictions, %d store errors, launches %d/%d hit",
+	return fmt.Sprintf("mem %d/%d hit, store %d/%d hit, %d runs, %d evictions, %d store errors, launches %d/%d hit, families %d/%d hit",
 		s.MemHits, s.MemHits+s.MemMisses, s.StoreHits, s.StoreHits+s.StoreMisses,
-		s.Runs, s.Evictions, s.StoreErrors, s.LaunchHits, s.LaunchHits+s.LaunchMisses)
+		s.Runs, s.Evictions, s.StoreErrors, s.LaunchHits, s.LaunchHits+s.LaunchMisses,
+		s.FamilyHits, s.FamilyHits+s.FamilyMisses)
 }
 
 // FingerprintKey returns the canonical cache-key string for one experiment

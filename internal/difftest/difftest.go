@@ -472,12 +472,11 @@ func runPasses(m *ir.Module, pm *ir.PassManager, mutate func(*ir.Module) error, 
 // passes they share once. The first pipeline starts from a clone of the
 // module with the mutation applied; every later pipeline i resumes from a
 // checkpoint on src[i], the earliest earlier pipeline with which it shares
-// the longest run of pass names (depth[i] passes). Taking the earliest of
-// equals keeps depth[i] >= depth[src[i]], so the checkpoint lies on the
-// part of src[i]'s path that src[i] runs itself. Sharing stops before the
-// first lower-* pass: every pipeline reaches its own pre-lowering module.
-// Resuming is running because, within one target's PassPipeline, an equal
-// name at an equal position is the same pass (TestPassTreeMatchesSeparateRuns).
+// the longest run of pass names (depth[i] passes, ir.SharedPrefix). Taking
+// the earliest of equals keeps depth[i] >= depth[src[i]], so the checkpoint
+// lies on the part of src[i]'s path that src[i] runs itself. Sharing stops
+// before the first lower-* pass: every pipeline reaches its own
+// pre-lowering module (TestPassTreeMatchesSeparateRuns).
 type passTree struct {
 	root   *ir.Module
 	mutate func(*ir.Module) error
@@ -499,15 +498,10 @@ func newPassTree(m *ir.Module, pms []*ir.PassManager, mutate func(*ir.Module) er
 	names := tr.names
 	for i, pm := range pms {
 		names[i] = pm.Passes()
-		for tr.heads[i] < len(names[i]) && !strings.HasPrefix(names[i][tr.heads[i]], "lower-") {
-			tr.heads[i]++
-		}
+		tr.heads[i] = ir.SharedPrefix(names[i], names[i])
 		tr.src[i] = -1
 		for j := range i {
-			d := 0
-			for d < min(tr.heads[i], tr.heads[j]) && names[i][d] == names[j][d] {
-				d++
-			}
+			d := ir.SharedPrefix(names[i], names[j])
 			if tr.src[i] < 0 || d > tr.depth[i] {
 				tr.src[i], tr.depth[i] = j, d
 			}

@@ -77,6 +77,22 @@ func (pm *PassManager) Split(n int) (head, tail *PassManager) {
 	return head, tail
 }
 
+// SharedPrefix returns how many leading passes two pipelines, given by
+// their pass names, run as one: the longest common prefix of a and b, cut
+// before the first pass named lower-*. Past a lowering each pipeline has
+// target code of its own, so nothing after one is shared.
+// SharedPrefix(a, a) is the number of passes before a's first lowering.
+// Resuming one pipeline from another's module at a shared depth is running
+// it only because, within one target's pipelines, an equal name at an equal
+// position is the same pass.
+func SharedPrefix(a, b []string) int {
+	d := 0
+	for d < len(a) && d < len(b) && a[d] == b[d] && !strings.HasPrefix(a[d], "lower-") {
+		d++
+	}
+	return d
+}
+
 // Run executes the pipeline on m.
 func (pm *PassManager) Run(m *Module) error {
 	// One count per pass boundary: a pass's "after" is the next one's

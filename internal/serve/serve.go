@@ -704,6 +704,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"cwserve_cache_store_errors_total", "Store load/save operational failures.", "counter", st.StoreErrors},
 		{"cwserve_cache_launch_hits_total", "Device launches replayed from the runner's launch memo.", "counter", st.LaunchHits},
 		{"cwserve_cache_launch_misses_total", "Device launches that ran the device model.", "counter", st.LaunchMisses},
+		{"cwserve_cache_family_hits_total", "Computed cells whose compile resumed from the runner's family memo.", "counter", st.FamilyHits},
+		{"cwserve_cache_family_misses_total", "Computed cells that built their instance fresh.", "counter", st.FamilyMisses},
 		// The alerting-facing alias: nonzero means the daemon is serving in
 		// degraded mode (results live in memory but stopped being durable)
 		// and /healthz says "degraded".

@@ -565,6 +565,9 @@ func TestMetrics(t *testing.T) {
 		// The one cell launched once, on a fresh launch memo.
 		"cwserve_cache_launch_hits_total 0",
 		"cwserve_cache_launch_misses_total 1",
+		// The one cell built its instance: nothing of its family ran before.
+		"cwserve_cache_family_hits_total 0",
+		"cwserve_cache_family_misses_total 1",
 		`cwserve_requests_total{endpoint="run",code="200"} 1`,
 		"cwserve_queue_depth 0",
 		"cwserve_slots_busy 0",
