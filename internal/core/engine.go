@@ -66,11 +66,14 @@ var Pipelines = []Pipeline{Baseline, DedupOnly, OverlapOnly, AllOptimizations}
 
 // PipelineByName returns the pipeline with the given String() name.
 func PipelineByName(name string) (Pipeline, error) {
-	valid := make([]string, len(Pipelines))
-	for i, p := range Pipelines {
+	for _, p := range Pipelines {
 		if p.String() == name {
 			return p, nil
 		}
+	}
+	// The list of valid names is built only here, so a hit allocates nothing.
+	valid := make([]string, len(Pipelines))
+	for i, p := range Pipelines {
 		valid[i] = p.String()
 	}
 	return Baseline, fmt.Errorf("unknown pipeline %q (want %s)", name, strings.Join(valid, "|"))

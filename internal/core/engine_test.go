@@ -372,3 +372,24 @@ func TestMatmulBufferInitAndVerify(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelineByNameAllocatesNothing: every /v1/run resolves its pipeline
+// through PipelineByName, so a hit allocates nothing; only the error path
+// builds the list of valid names, and its text stays the same.
+func TestPipelineByNameAllocatesNothing(t *testing.T) {
+	for _, p := range core.Pipelines {
+		name := p.String()
+		var got core.Pipeline
+		var err error
+		if n := testing.AllocsPerRun(100, func() { got, err = core.PipelineByName(name) }); n != 0 {
+			t.Errorf("PipelineByName(%q): %.0f allocations, want 0", name, n)
+		}
+		if err != nil || got != p {
+			t.Errorf("PipelineByName(%q) = %v, %v; want %v", name, got, err, p)
+		}
+	}
+	const want = `unknown pipeline "turbo" (want base|dedup|overlap|all)`
+	if _, err := core.PipelineByName("turbo"); err == nil || err.Error() != want {
+		t.Errorf("PipelineByName(\"turbo\") error = %v, want %s", err, want)
+	}
+}

@@ -446,10 +446,13 @@ func (r *Runner) RunAll(ctx context.Context, exps []Experiment, opts RunOptions)
 // result into an index-addressed slot, which keeps concurrent output
 // deterministic and input-ordered.
 //
-// A cancelled context stops further dispatch: indices not yet handed to a
-// worker are never run (their slots stay untouched), indices already
-// running complete, and the context's error is returned. A nil error means
-// fn ran for every index.
+// Each worker claims its own next index from one shared counter, so no
+// dispatcher goroutine stands between a finished index and the next one.
+// A cancelled context stops further dispatch: every worker looks at the
+// context before each claim, so indices not yet claimed by a worker are
+// never run (their slots stay untouched), indices already running
+// complete, and the context's error is returned. A nil error means fn ran
+// for every index.
 func ParallelEach(ctx context.Context, n, workers int, fn func(i int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -460,38 +463,22 @@ func ParallelEach(ctx context.Context, n, workers int, fn func(i int)) error {
 	if workers > n {
 		workers = n
 	}
-	if workers < 1 {
-		workers = 1
-	}
 
-	idx := make(chan int)
+	var next atomic.Int64
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
 				fn(i)
 			}
 		}()
 	}
-	done := ctx.Done()
-dispatch:
-	for i := 0; i < n; i++ {
-		// select picks among ready cases at random, so an idle worker alone
-		// would let a cancelled context still dispatch; look at it first.
-		select {
-		case <-done:
-			break dispatch
-		default:
-		}
-		select {
-		case idx <- i:
-		case <-done:
-			break dispatch
-		}
-	}
-	close(idx)
 	wg.Wait()
 	return ctx.Err()
 }

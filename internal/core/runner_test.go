@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -217,6 +218,28 @@ func TestParallelEach(t *testing.T) {
 			if v != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, v)
 			}
+		}
+	}
+	// While fn runs, the pool is its workers and nothing else: no
+	// dispatcher goroutine feeds them. fn(i) for i < workers waits until
+	// every worker holds an index, so all of them exist when it counts.
+	for _, workers := range []int{1, 2, 4} {
+		base := runtime.NumGoroutine()
+		var arrived atomic.Int64
+		all := make(chan struct{})
+		var extra atomic.Int64
+		core.ParallelEach(context.Background(), 64, workers, func(i int) {
+			if i >= workers {
+				return
+			}
+			if arrived.Add(1) == int64(workers) {
+				extra.Store(int64(runtime.NumGoroutine() - base))
+				close(all)
+			}
+			<-all
+		})
+		if n := extra.Load(); n > int64(workers) {
+			t.Errorf("workers=%d: %d goroutines beyond the caller's while fn runs, want at most %d", workers, n, workers)
 		}
 	}
 	// n <= 0 must not call fn or hang.
@@ -447,7 +470,7 @@ func TestRunAdmittedReclaim(t *testing.T) {
 }
 
 // TestParallelEachCancellation asserts a pre-cancelled context dispatches
-// nothing and a mid-run cancellation stops dispatch early.
+// nothing and a mid-run cancellation lets no worker claim another index.
 func TestParallelEachCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -455,19 +478,26 @@ func TestParallelEachCancellation(t *testing.T) {
 		t.Error("ParallelEach must report the context error")
 	}
 
-	var ran atomic.Int64
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	err := core.ParallelEach(ctx2, 1000, 1, func(i int) {
-		if i == 0 {
-			cancel2()
+	// A cancel inside fn(0) stops every claim after it. Indices other than
+	// 0 wait for the cancel, so each worker holds at most one index when
+	// it lands: exactly one index runs with one worker, at most four with
+	// four.
+	for _, tc := range []struct{ workers, max int }{{1, 1}, {4, 4}} {
+		var ran atomic.Int64
+		ctx2, cancel2 := context.WithCancel(context.Background())
+		err := core.ParallelEach(ctx2, 1000, tc.workers, func(i int) {
+			ran.Add(1)
+			if i == 0 {
+				cancel2()
+			}
+			<-ctx2.Done()
+		})
+		if err == nil {
+			t.Errorf("workers=%d: mid-run cancellation must surface the context error", tc.workers)
 		}
-		ran.Add(1)
-	})
-	if err == nil {
-		t.Error("mid-run cancellation must surface the context error")
-	}
-	if n := ran.Load(); n == 1000 {
-		t.Error("cancellation did not stop dispatch (all 1000 indices ran)")
+		if n := int(ran.Load()); n < 1 || n > tc.max {
+			t.Errorf("workers=%d: %d indices ran after a cancel in fn(0), want at most %d", tc.workers, n, tc.max)
+		}
 	}
 
 	// RunAll under a cancelled context returns the context error.

@@ -80,22 +80,36 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("server returned %d: %s", e.Code, strings.TrimSpace(e.Body))
 }
 
-// runURL encodes one experiment request as /v1/run query parameters.
+// runURL encodes one experiment request as /v1/run query parameters. It
+// writes the query url.Values.Encode would, keys in sorted order, without
+// Encode's map, per-key slices and sort: every /v1/run request builds one.
+// Engine and pipeline names need no escaping; target and workload may.
 func (c *Client) runURL(e core.Experiment, opts core.RunOptions) string {
-	q := url.Values{}
-	q.Set("target", e.Target)
-	q.Set("workload", e.Workload)
-	q.Set("pipeline", e.Pipeline.String())
-	q.Set("n", strconv.Itoa(e.N))
+	var b strings.Builder
+	// 96 bytes hold the keys, n, the pipeline and both options.
+	b.Grow(len(c.Base) + 96 + len(e.Target) + len(e.Workload))
+	b.WriteString(c.Base)
+	b.WriteString("/v1/run?")
 	// Zero-valued options stay off the URL: the server resolves an absent
 	// key to the zero value, so the default cell's URL is the bare one.
 	if opts.Engine != 0 {
-		q.Set("engine", opts.Engine.String())
+		b.WriteString("engine=")
+		b.WriteString(opts.Engine.String())
+		b.WriteByte('&')
 	}
+	var num [20]byte
+	b.WriteString("n=")
+	b.Write(strconv.AppendInt(num[:0], int64(e.N), 10))
+	b.WriteString("&pipeline=")
+	b.WriteString(e.Pipeline.String())
+	b.WriteString("&target=")
+	b.WriteString(url.QueryEscape(e.Target))
 	if opts.RecordTrace {
-		q.Set("trace", "true")
+		b.WriteString("&trace=true")
 	}
-	return c.Base + "/v1/run?" + q.Encode()
+	b.WriteString("&workload=")
+	b.WriteString(url.QueryEscape(e.Workload))
+	return b.String()
 }
 
 // RunRaw executes one experiment and returns the raw response body — the

@@ -108,12 +108,10 @@ func LoadGen(ctx context.Context, c *Client, o LoadGenOptions) (LoadGenReport, e
 	if requests <= 0 {
 		requests = 1000
 	}
+	// ParallelEach caps the clients at the request count.
 	clients := o.Clients
 	if clients <= 0 {
 		clients = 8
-	}
-	if clients > requests {
-		clients = requests
 	}
 	zs := o.ZipfS
 	if zs <= 1 {
@@ -147,50 +145,36 @@ func LoadGen(ctx context.Context, c *Client, o LoadGenOptions) (LoadGenReport, e
 		pol.MaxAttempts = 1
 	}
 
-	var next atomic.Int64
-	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= requests || ctx.Err() != nil {
-					return
-				}
-				cell := seq[i]
-				// Latency is the logical request's wall time: with
-				// Retry429 it includes the honored backoff sleeps, which
-				// is exactly what a well-behaved client experiences under
-				// server backpressure.
-				t0 := time.Now()
-				body, err := c.runRaw(ctx, o.Experiments[cell], core.RunOptions{}, pol, is429)
-				latencies[i] = time.Since(t0)
-				statuses[i] = http.StatusOK
-				if err != nil {
-					statuses[i] = 0 // a transport error, unless the daemon answered
-					var se *StatusError
-					if errors.As(err, &se) {
-						statuses[i] = se.Code
-					}
-					continue
-				}
-				if o.Verify {
-					mu.Lock()
-					if prev, ok := canonical[cell]; !ok {
-						canonical[cell] = body
-					} else if string(prev) != string(body) {
-						mismatched++
-					}
-					mu.Unlock()
-				}
+	err := core.ParallelEach(ctx, requests, clients, func(i int) {
+		cell := seq[i]
+		// Latency is the logical request's wall time: with Retry429 it
+		// includes the honored backoff sleeps, which is exactly what a
+		// well-behaved client experiences under server backpressure.
+		t0 := time.Now()
+		body, err := c.runRaw(ctx, o.Experiments[cell], core.RunOptions{}, pol, is429)
+		latencies[i] = time.Since(t0)
+		statuses[i] = http.StatusOK
+		if err != nil {
+			statuses[i] = 0 // a transport error, unless the daemon answered
+			var se *StatusError
+			if errors.As(err, &se) {
+				statuses[i] = se.Code
 			}
-		}()
-	}
-	wg.Wait()
+			return
+		}
+		if o.Verify {
+			mu.Lock()
+			if prev, ok := canonical[cell]; !ok {
+				canonical[cell] = body
+			} else if string(prev) != string(body) {
+				mismatched++
+			}
+			mu.Unlock()
+		}
+	})
 	elapsed := time.Since(start)
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return LoadGenReport{}, err
 	}
 
