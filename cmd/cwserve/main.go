@@ -9,16 +9,17 @@
 //
 // Endpoints:
 //
-//	GET  /v1/run?target=T&workload=W&pipeline=P&n=N[&engine=E][&trace=B]
+//	GET  /v1/run?target=T&workload=W&pipeline=P&n=N[&engine=E]
 //	     Measure one experiment cell. The JSON body is byte-identical to
 //	     json.Marshal of a direct Runner.Run result. Identical concurrent
-//	     requests coalesce onto one simulation.
+//	     requests coalesce onto one simulation; no request records a
+//	     timeline, and any other key is a 400 listing the valid ones.
 //	POST /v1/run
 //	     Same, with a JSON body: {"target","workload","pipeline","n",
-//	     "engine","record_trace"}.
+//	     "engine"}.
 //	POST /v1/sweep
 //	     Expand and run a grid: {"targets":[],"workloads":[],
-//	     "pipelines":[],"sizes":[],"engine","record_trace"}.
+//	     "pipelines":[],"sizes":[],"engine"}.
 //	     The response is NDJSON: one {"index","experiment",
 //	     "result"|"error"} event per cell in completion order, then
 //	     {"done":true,"cells","failed","status"}. Unknown fields are a

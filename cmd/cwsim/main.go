@@ -79,7 +79,7 @@ func main() {
 	}
 
 	start = time.Now()
-	res, err := cell.Execute(core.RunOptions{RecordTrace: *timeline})
+	res, err := cell.Execute(core.RunOptions{}, *timeline)
 	executeWall := time.Since(start)
 	if err != nil {
 		fatal("%v", err)

@@ -10,11 +10,16 @@ import (
 	"fmt"
 
 	"configwall"
+	"configwall/internal/core"
 	"configwall/internal/trace"
 )
 
 func main() {
 	target := configwall.OpenGeMMTarget()
+	matmul, err := configwall.LookupWorkload(configwall.WorkloadMatmul)
+	if err != nil {
+		panic(err)
+	}
 	n := 64
 	fmt.Println("OpenGeMM-style platform: 1024 ops/cycle peak, concurrent configuration")
 	fmt.Printf("(staged CSR writes). Tiled %dx%d matmul, 8-by-K-by-8 tiles.\n\n", n, n)
@@ -22,7 +27,11 @@ func main() {
 	fmt.Printf("%-9s %12s %14s %10s %12s\n", "pipeline", "cycles", "ops/cycle", "% of peak", "config B")
 	var results []configwall.Result
 	for _, p := range configwall.Pipelines {
-		r, err := configwall.RunTiledMatmul(target, p, n, configwall.RunOptions{RecordTrace: true})
+		cell, err := core.Compile(target, matmul, p, n)
+		if err != nil {
+			panic(err)
+		}
+		r, err := cell.Execute(configwall.RunOptions{}, true)
 		if err != nil {
 			panic(err)
 		}

@@ -151,13 +151,9 @@ func TestStaticsMayNotReachTheStack(t *testing.T) {
 	}
 
 	target := core.OpenGeMMTarget()
-	opts := core.RunOptions{RecordTrace: true}
-	before, err := core.RunTiledMatmul(target, core.AllOptimizations, 32, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := tracedMatmul(t, target, core.AllOptimizations, 32, core.RunOptions{})
 	for _, p := range core.Pipelines {
-		res, err := core.Run(target, overflow, p, 1, opts)
+		res, err := core.Run(target, overflow, p, 1, core.RunOptions{})
 		if err == nil || !strings.Contains(err.Error(), "static allocations exceed simulated memory") {
 			t.Fatalf("%s: err = %v (cycles %d), want static allocations exceed simulated memory", p, err, res.Cycles)
 		}
@@ -165,10 +161,7 @@ func TestStaticsMayNotReachTheStack(t *testing.T) {
 			t.Errorf("%s: error does not name the cell the way Run's other codegen errors do: %v", p, err)
 		}
 	}
-	after, err := core.RunTiledMatmul(target, core.AllOptimizations, 32, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := tracedMatmul(t, target, core.AllOptimizations, 32, core.RunOptions{})
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("a normal cell changed across refused runs:\nbefore: %+v\nafter:  %+v", before.Counters, after.Counters)
 	}
@@ -176,10 +169,12 @@ func TestStaticsMayNotReachTheStack(t *testing.T) {
 
 // TestCompiledIsReusable: one Compiled, executed under every engine with
 // and without a trace, twice in a row on each of two goroutines, returns
-// Results deeply equal to a fresh Run of the same options — for both
-// targets, every pipeline, a one-tile and a multi-tile size. Compile's half
-// is a pure function of (target, workload, pipeline, n) and Execute writes
-// nothing into it; under -race this is also the test that says so.
+// Results deeply equal to a fresh run of the same options — Run untraced,
+// and a fresh Compile's traced Execute traced, whose Result is Run's plus
+// the timeline — for both targets, every pipeline, a one-tile and a
+// multi-tile size. Compile's half is a pure function of (target, workload,
+// pipeline, n) and Execute writes nothing into it; under -race this is also
+// the test that says so.
 func TestCompiledIsReusable(t *testing.T) {
 	w, err := core.LookupWorkload(core.WorkloadMatmul)
 	if err != nil {
@@ -193,11 +188,21 @@ func TestCompiledIsReusable(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, eng := range sim.Engines {
-					for _, traced := range []bool{false, true} {
-						opts := core.RunOptions{Engine: eng, RecordTrace: traced}
-						want, err := core.Run(target, w, p, n, opts)
-						if err != nil || !want.Verified {
-							t.Fatalf("%s/%s/%d %+v: fresh Run verified=%v err=%v", target.Name, p, n, opts, want.Verified, err)
+					opts := core.RunOptions{Engine: eng}
+					run, err := core.Run(target, w, p, n, opts)
+					if err != nil || !run.Verified || run.Trace != nil {
+						t.Fatalf("%s/%s/%d %+v: fresh Run verified=%v trace=%d err=%v", target.Name, p, n, opts, run.Verified, len(run.Trace), err)
+					}
+					traced := tracedMatmul(t, target, p, n, opts)
+					untraced := traced
+					untraced.Trace = nil
+					if len(traced.Trace) == 0 || !reflect.DeepEqual(untraced, run) {
+						t.Fatalf("%s/%s/%d %+v: a traced Execute differs from Run by more than its %d-segment timeline", target.Name, p, n, opts, len(traced.Trace))
+					}
+					for _, trace := range []bool{false, true} {
+						want := run
+						if trace {
+							want = traced
 						}
 						var wg sync.WaitGroup
 						for g := 0; g < 2; g++ {
@@ -205,12 +210,12 @@ func TestCompiledIsReusable(t *testing.T) {
 							go func() {
 								defer wg.Done()
 								for round := 0; round < 2; round++ {
-									got, err := c.Execute(opts)
+									got, err := c.Execute(opts, trace)
 									if err != nil {
-										t.Errorf("%s/%s/%d %+v: Execute: %v", target.Name, p, n, opts, err)
+										t.Errorf("%s/%s/%d %+v trace=%v: Execute: %v", target.Name, p, n, opts, trace, err)
 									} else if !reflect.DeepEqual(got, want) {
-										t.Errorf("%s/%s/%d %+v goroutine %d round %d: Execute differs from a fresh Run:\ngot:  %+v\nwant: %+v",
-											target.Name, p, n, opts, g, round, got.Counters, want.Counters)
+										t.Errorf("%s/%s/%d %+v trace=%v goroutine %d round %d: Execute differs from a fresh run:\ngot:  %+v\nwant: %+v",
+											target.Name, p, n, opts, trace, g, round, got.Counters, want.Counters)
 									}
 								}
 							}()

@@ -214,7 +214,7 @@ type Result struct {
 	ProgramInstrs int
 	// PassStats carries the per-pass op-count log.
 	PassStats []string
-	// Trace holds the timeline when requested.
+	// Trace holds the timeline of a traced Compiled.Execute, nil elsewhere.
 	Trace []sim.Segment
 	// PeakOps echoes the target's peak for convenience.
 	PeakOps float64
@@ -238,12 +238,10 @@ func (r Result) Utilization() float64 {
 // field keys the Runner's memo (the cache key embeds this struct), the
 // store fingerprint (FingerprintKey) and the serving wire (/v1/run
 // parameters, serve.RunRequest). A knob that does not name a cell — how to
-// route a request, how much to simulate — does not belong here; the
-// reflection test TestRunOptionsIsTheCellName fails a field that is added
-// without all three.
+// route a request, whether to record a timeline — does not belong here;
+// TestRunOptionsIsTheCellName fails a field that is added without all
+// three. Tracing is Compiled.Execute's parameter.
 type RunOptions struct {
-	// RecordTrace captures the activity timeline (costs memory).
-	RecordTrace bool
 	// Engine selects the simulator execution engine (default: the fast
 	// engine). Both engines produce byte-identical results — the
 	// differential oracle enforces it — but they are cached and
@@ -364,13 +362,14 @@ func run(t Target, w Workload, p Pipeline, n int, opts RunOptions, launches *acc
 	if err != nil {
 		return Result{Target: t.Name, Workload: w.Name, Pipeline: p, N: n, PeakOps: t.PeakOps}, err
 	}
-	return c.execute(opts, launches)
+	return c.execute(opts, false, launches)
 }
 
 // Compiled is a cell compiled and not yet run: what is a function of
 // (target, workload, pipeline, n) alone. Nothing in it is written after
 // Compile returns, so it may be executed any number of times, under any
-// options, from any number of goroutines.
+// options and traced or not (a timeline is not part of a cell's name), from
+// any number of goroutines.
 type Compiled struct {
 	Module  *ir.Module // after the pass pipeline: what codegen saw
 	Prog    Program    // under the cell layout: what Execute runs
@@ -449,23 +448,24 @@ func runPasses(seg *ir.PassManager, m *ir.Module, stats []string) ([]string, err
 
 // Execute simulates the cell on a fresh machine over a pooled arena —
 // buffers initialised, the program started through the cell ABI — and
-// verifies every checked buffer against the golden model unless opts skip
-// it.
-func (c *Compiled) Execute(opts RunOptions) (Result, error) {
-	return c.execute(opts, nil)
+// verifies every checked buffer against the golden model. With trace set,
+// the Result carries the activity timeline (Figure 7; it costs memory in
+// proportion to the run), which no other path records.
+func (c *Compiled) Execute(opts RunOptions, trace bool) (Result, error) {
+	return c.execute(opts, trace, nil)
 }
 
 // execute is Execute with the device's launches looked up in memo first
-// (nil: none). A Runner passes its own memo; every other caller computes
-// every launch.
-func (c *Compiled) execute(opts RunOptions, memo *accel.LaunchMemo) (Result, error) {
+// (nil: none). A Runner passes its own memo and never traces; every other
+// caller computes every launch.
+func (c *Compiled) execute(opts RunOptions, trace bool, memo *accel.LaunchMemo) (Result, error) {
 	memory := arenas.Get().(*mem.Memory)
 	defer arenas.Put(memory)
-	return c.simulate(memory, opts, memo)
+	return c.simulate(memory, opts, trace, memo)
 }
 
 // simulate is execute on a memory of the caller's, which it resets first.
-func (c *Compiled) simulate(memory *mem.Memory, opts RunOptions, memo *accel.LaunchMemo) (Result, error) {
+func (c *Compiled) simulate(memory *mem.Memory, opts RunOptions, trace bool, memo *accel.LaunchMemo) (Result, error) {
 	res := c.res
 	memory.Reset()
 	for i, buf := range c.buffers {
@@ -475,7 +475,7 @@ func (c *Compiled) simulate(memory *mem.Memory, opts RunOptions, memo *accel.Lau
 	}
 	mc := sim.NewMachine(memory, c.target.Cost, memo.Wrap(c.target.NewDevice()))
 	mc.Engine = opts.Engine
-	mc.RecordTrace = opts.RecordTrace
+	mc.RecordTrace = trace
 	if err := c.Prog.Start(mc); err != nil {
 		return res, fmt.Errorf("simulation of %s/%s/%s/%d: %w", res.Target, res.Workload, res.Pipeline, res.N, err)
 	}

@@ -16,18 +16,16 @@ import (
 	"configwall/internal/sim"
 )
 
+// TestResultsIdenticalAcrossEngines compares the two engines' traced runs
+// of one cell — counters, timelines and verification — through the direct
+// traced Execute, the only path that records a timeline.
 func TestResultsIdenticalAcrossEngines(t *testing.T) {
 	for _, target := range []core.Target{core.GemminiTarget(), core.OpenGeMMTarget()} {
 		for _, p := range []core.Pipeline{core.Baseline, core.AllOptimizations} {
-			ref, err := core.RunTiledMatmul(target, p, 32,
-				core.RunOptions{RecordTrace: true, Engine: sim.EngineRef})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast, err := core.RunTiledMatmul(target, p, 32,
-				core.RunOptions{RecordTrace: true, Engine: sim.EngineFast})
-			if err != nil {
-				t.Fatal(err)
+			ref := tracedMatmul(t, target, p, 32, core.RunOptions{Engine: sim.EngineRef})
+			fast := tracedMatmul(t, target, p, 32, core.RunOptions{Engine: sim.EngineFast})
+			if len(ref.Trace) == 0 {
+				t.Errorf("%s/%s: traced run recorded no segments", target.Name, p)
 			}
 			if ref.Counters != fast.Counters {
 				t.Errorf("%s/%s: counters differ:\nref:  %+v\nfast: %+v",

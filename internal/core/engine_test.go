@@ -106,14 +106,8 @@ func TestDedupReducesConfigBytes(t *testing.T) {
 func TestOverlapHidesConfiguration(t *testing.T) {
 	target := core.OpenGeMMTarget()
 	n := 64
-	base, err := core.RunTiledMatmul(target, core.Baseline, n, core.RunOptions{RecordTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	overlap, err := core.RunTiledMatmul(target, core.OverlapOnly, n, core.RunOptions{RecordTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := tracedMatmul(t, target, core.Baseline, n, core.RunOptions{})
+	overlap := tracedMatmul(t, target, core.OverlapOnly, n, core.RunOptions{})
 	if overlap.OpsPerCycle() <= base.OpsPerCycle() {
 		t.Errorf("overlap %f ops/cycle <= baseline %f", overlap.OpsPerCycle(), base.OpsPerCycle())
 	}

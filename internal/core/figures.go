@@ -348,11 +348,19 @@ func RenderFigure5(m roofline.Model, n int) string {
 }
 
 // RenderTimelines reproduces the Figure 7 intuition: the same workload's
-// timeline under the baseline and fully optimized pipelines.
+// traced run under the baseline and fully optimized pipelines.
 func RenderTimelines(t Target, n int, width int) (string, error) {
+	w, err := LookupWorkload(WorkloadMatmul)
+	if err != nil {
+		return "", err
+	}
 	var sb strings.Builder
 	for _, p := range []Pipeline{Baseline, AllOptimizations} {
-		r, err := RunTiledMatmul(t, p, n, RunOptions{RecordTrace: true})
+		c, err := Compile(t, w, p, n)
+		if err != nil {
+			return "", err
+		}
+		r, err := c.Execute(RunOptions{}, true)
 		if err != nil {
 			return "", err
 		}

@@ -84,7 +84,7 @@ func TestLaunchMemoMatchesUnmemoized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := c.simulate(plain, RunOptions{}, nil)
+		want, err := c.simulate(plain, RunOptions{}, false, nil)
 		if err != nil || !want.Verified {
 			t.Fatalf("%s: verified=%v err=%v", e, want.Verified, err)
 		}
@@ -92,7 +92,7 @@ func TestLaunchMemoMatchesUnmemoized(t *testing.T) {
 		if !reflect.DeepEqual(fromRunner[i], want) {
 			t.Errorf("%s: runner result differs from the unmemoized run's:\n got %+v\nwant %+v", e, fromRunner[i], want)
 		}
-		got, err := c.simulate(memoed, RunOptions{}, memo)
+		got, err := c.simulate(memoed, RunOptions{}, false, memo)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -141,8 +141,8 @@ type RunnerOptions struct {
 // Runner executes experiments on a bounded worker pool with a
 // per-experiment result cache. The co-simulator is deterministic, so a
 // cached Result is indistinguishable from a fresh run; cached results are
-// shared, and callers must treat their slices (PassStats, Trace) as
-// read-only.
+// shared, and callers must treat their PassStats as read-only. A Runner
+// never records a timeline: every Result it returns has a nil Trace.
 //
 // A Runner is safe for concurrent use.
 type Runner struct {

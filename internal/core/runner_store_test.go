@@ -291,6 +291,60 @@ func TestStoreBackedDeterminismUnderConcurrency(t *testing.T) {
 	}
 }
 
+// TestRunnerNeverRecordsATimeline: a timeline is not part of a cell's name,
+// so no Result a Runner hands out carries one — not a cell Run or RunAll
+// computed, not a memory hit, not a cell a fresh runner loads from the
+// store, and not the stored entry itself — under either engine.
+func TestRunnerNeverRecordsATimeline(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := core.Sweep([]string{"gemmini", "opengemm"}, []string{core.WorkloadMatmul}, core.Pipelines, []int{16})
+	for _, eng := range sim.Engines {
+		opts := core.RunOptions{Engine: eng}
+		var results []core.Result
+		res, err := core.NewRunner(1).Run(ctx, cells[0], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+		first := diskRunner(t, dir, 0)
+		computed, err := first.RunAll(ctx, cells, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, computed...)
+		if res, err = first.Run(ctx, cells[1], opts); err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+		second := diskRunner(t, dir, 0)
+		loaded, err := second.RunAll(ctx, cells, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := second.Snapshot(); s.Runs != 0 || s.StoreHits != uint64(len(cells)) {
+			t.Fatalf("%s: the second runner did not load every cell from the store: %+v", eng, s)
+		}
+		results = append(results, loaded...)
+		for _, e := range cells {
+			res, ok, err := st.Load(e, opts)
+			if err != nil || !ok {
+				t.Fatalf("%s %s: Load ok=%v err=%v", eng, e, ok, err)
+			}
+			results = append(results, res)
+		}
+		for i, res := range results {
+			if res.Trace != nil {
+				t.Errorf("%s: Result %d (%s/%s/%d) carries a %d-segment timeline", eng, i, res.Target, res.Pipeline, res.N, len(res.Trace))
+			}
+		}
+	}
+}
+
 // Ensure the fingerprint is stable across cells that stringify alike: the
 // key must separate fields, not just concatenate them.
 func TestFingerprintKeyDistinct(t *testing.T) {
@@ -299,11 +353,8 @@ func TestFingerprintKeyDistinct(t *testing.T) {
 	if a == b {
 		t.Error("distinct experiments share a fingerprint")
 	}
-	c := core.FingerprintKey(core.Experiment{Target: "t", Workload: "w", N: 1}, core.RunOptions{RecordTrace: true})
-	if a == c {
-		t.Error("distinct options share a fingerprint")
-	}
-	if want := "target=t;workload=w;pipeline=0;n=1;trace=false;engine=0"; a != want {
+	// A timeline is not part of a cell's name, so the key has no trace=.
+	if want := "target=t;workload=w;pipeline=0;n=1;engine=0"; a != want {
 		t.Errorf("fingerprint = %q, want %q", a, want)
 	}
 	// Engines are kept separate even though their results are identical —

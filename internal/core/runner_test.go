@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"configwall/internal/core"
+	"configwall/internal/sim"
 )
 
 // fullSweep is a small but complete cross of both targets, all pipelines
@@ -122,7 +123,7 @@ func TestRunnerCacheReuse(t *testing.T) {
 		t.Errorf("cache size = %d, want 1", got)
 	}
 	// Different options key different cells.
-	if _, err := r.Run(context.Background(), e, core.RunOptions{RecordTrace: true}); err != nil {
+	if _, err := r.Run(context.Background(), e, core.RunOptions{Engine: sim.EngineRef}); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.CacheSize(); got != 2 {
@@ -539,7 +540,7 @@ func TestPeek(t *testing.T) {
 		t.Errorf("Peek hit did not count as a memory hit: %d -> %d", before, after)
 	}
 	// Different options key a different cell: no false sharing.
-	if _, ok := r.Peek(e, core.RunOptions{RecordTrace: true}); ok {
+	if _, ok := r.Peek(e, core.RunOptions{Engine: sim.EngineRef}); ok {
 		t.Error("Peek hit across a different RunOptions key")
 	}
 	// A failed cell is a Peek miss; Run still serves the cached error.

@@ -33,11 +33,20 @@ func flipRunOptionsField(t *testing.T, i int) core.RunOptions {
 // it too — must change the store fingerprint and select a different memo
 // cell. (internal/serve holds the same fields to the wire.) A per-request
 // knob that is not part of the name fails here instead of silently not
-// keying, or not travelling.
+// keying, or not travelling. The field list is pinned too: a timeline is
+// not part of a cell's name, so tracing is Compiled.Execute's parameter and
+// no field here.
 func TestRunOptionsIsTheCellName(t *testing.T) {
 	e := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.Baseline, N: 8}
 	var base core.RunOptions
 	typ := reflect.TypeOf(base)
+	var fields []string
+	for i := 0; i < typ.NumField(); i++ {
+		fields = append(fields, typ.Field(i).Name)
+	}
+	if want := []string{"Engine"}; !reflect.DeepEqual(fields, want) {
+		t.Errorf("RunOptions has fields %v, want %v: give a new field a row in DESIGN.md §7's census", fields, want)
+	}
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
 		flipped := flipRunOptionsField(t, i)

@@ -72,6 +72,6 @@ func (s CacheStats) String() string {
 // Results (the oracle enforces it): a cross-engine comparison that read
 // one engine's cached cell for the other would vacuously pass.
 func FingerprintKey(e Experiment, opts RunOptions) string {
-	return fmt.Sprintf("target=%s;workload=%s;pipeline=%d;n=%d;trace=%t;engine=%d",
-		e.Target, e.Workload, int(e.Pipeline), e.N, opts.RecordTrace, int(opts.Engine))
+	return fmt.Sprintf("target=%s;workload=%s;pipeline=%d;n=%d;engine=%d",
+		e.Target, e.Workload, int(e.Pipeline), e.N, int(opts.Engine))
 }

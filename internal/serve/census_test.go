@@ -25,7 +25,7 @@ func TestOptionsCensus(t *testing.T) {
 		{serve.LoadGenOptions{}, []string{"Experiments", "Requests", "Clients", "ZipfS", "Seed", "Verify", "Retry429", "Retry"}},
 		{serve.RetryPolicy{}, []string{"MaxAttempts", "BaseDelay", "MaxDelay", "Seed", "Sleep", "OnRetry"}},
 		// The sweep body: the grid, and the cell's RunOptions on the wire.
-		{serve.SweepRequest{}, []string{"Targets", "Workloads", "Pipelines", "Sizes", "Engine", "RecordTrace"}},
+		{serve.SweepRequest{}, []string{"Targets", "Workloads", "Pipelines", "Sizes", "Engine"}},
 		// Not an option struct, but the same ratchet: what a target says of
 		// its configuration interface is Port's, not three more fields here.
 		{core.Target{}, []string{"Name", "Port", "PeakOps", "NewDevice", "Cost", "MatmulMKN", "MatmulTiling", "OutputBytes"}},

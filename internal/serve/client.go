@@ -86,7 +86,7 @@ func (e *StatusError) Error() string {
 // Engine and pipeline names need no escaping; target and workload may.
 func (c *Client) runURL(e core.Experiment, opts core.RunOptions) string {
 	var b strings.Builder
-	// 96 bytes hold the keys, n, the pipeline and both options.
+	// 96 bytes hold the keys, n, the pipeline and the engine.
 	b.Grow(len(c.Base) + 96 + len(e.Target) + len(e.Workload))
 	b.WriteString(c.Base)
 	b.WriteString("/v1/run?")
@@ -104,9 +104,6 @@ func (c *Client) runURL(e core.Experiment, opts core.RunOptions) string {
 	b.WriteString(e.Pipeline.String())
 	b.WriteString("&target=")
 	b.WriteString(url.QueryEscape(e.Target))
-	if opts.RecordTrace {
-		b.WriteString("&trace=true")
-	}
 	b.WriteString("&workload=")
 	b.WriteString(url.QueryEscape(e.Workload))
 	return b.String()
@@ -211,7 +208,7 @@ func (c *Client) Sweep(ctx context.Context, rq SweepRequest, fn func(SweepEvent)
 // with a status, last, after exactly as many cell events as it counts.
 func readSweepStream(r io.Reader, fn func(SweepEvent) error) (SweepSummary, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20) // traces can make lines large
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20) // a line holds one cell's whole Result
 	var summary SweepSummary
 	sawTrailer := false
 	cellEvents := 0

@@ -18,8 +18,9 @@ import (
 // bodies. It never panics, and a request it accepts expands to its full
 // cross product, at most maxCells cells, every size in [1, maxN]. Seeded
 // from serve_test.go's sweep bodies, including the retired "fidelity",
-// "top_k" and "skip_verify" fields, which the decoder now rejects, and from
-// one body per way resolve or the decoder refuses a grid.
+// "top_k", "skip_verify" and "record_trace" fields, which the decoder now
+// rejects, and from one body per way resolve or the decoder refuses a grid.
+// A body that carries "record_trace" is never accepted.
 func FuzzSweepRequest(f *testing.F) {
 	repeat := func(v string) string { return strings.TrimSuffix(strings.Repeat(v+",", 40), ",") }
 	for _, body := range []string{
@@ -33,6 +34,8 @@ func FuzzSweepRequest(f *testing.F) {
 		`{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["base"],"sizes":[8],"top_k":3}`,
 		`{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["base"],"sizes":[8],"stream":false}`,
 		`{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["base"],"sizes":[8]}{}`,
+		`{"targets":["gemmini"],"workloads":["matmul"],"pipelines":["all"],"sizes":[16],"engine":"ref"}`,
+		`{"targets":["gemmini"],"workloads":["matmul"],"pipelines":["all"],"sizes":[16],"engine":"ref","record_trace":true}`,
 		`{"targets":["gemmini"],"workloads":["matmul"],"pipelines":["all"],"sizes":[16],"engine":"ref","record_trace":true,"skip_verify":true}`,
 		`{"targets":[` + repeat(`"gemmini"`) + `],"workloads":[` + repeat(`"matmul"`) +
 			`],"pipelines":[` + repeat(`"all"`) + `],"sizes":[` + repeat("16") + `]}`,
@@ -64,6 +67,9 @@ func FuzzSweepRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if strings.Contains(body, `"record_trace"`) {
+			t.Fatalf("accepted %q, which asks for a timeline", body)
+		}
 		if want := len(rq.Targets) * len(rq.Workloads) * len(rq.Pipelines) * len(rq.Sizes); len(exps) != want {
 			t.Fatalf("accepted %q expands to %d cells, want the %d of its cross product", body, len(exps), want)
 		}
@@ -83,15 +89,20 @@ func FuzzSweepRequest(f *testing.F) {
 // body. It never panics; a request it accepts names a registered target and
 // workload and a size in [1, maxN]; and the fields of an accepted request,
 // sent the other way (a GET's as a JSON body, a POST's as a query), resolve
-// to the same (Experiment, RunOptions). Seeded from serve_test.go's run
-// requests, including one that sends the retired skip-verify field both
-// ways, which both decoders now reject.
+// to the same (Experiment, RunOptions). A request that sends the retired
+// trace option (GET "trace", POST "record_trace") is never accepted. Seeded
+// from serve_test.go's run requests, including ones that send the retired
+// trace and skip-verify fields both ways, which both decoders now reject.
 func FuzzRunRequest(f *testing.F) {
 	for _, seed := range [][2]string{
 		{"target=opengemm&workload=matmul&pipeline=all&n=8", `{"target":"opengemm","workload":"matmul","pipeline":"all","n":8}`},
 		{"target=opengemm&workload=matmul&pipeline=all&n=128", `{"target":"opengemm","workload":"matmul","pipeline":"all","n":128}`},
+		{"target=gemmini&workload=rectmm&pipeline=dedup&n=32&engine=ref",
+			`{"target":"gemmini","workload":"rectmm","pipeline":"dedup","n":32,"engine":"ref"}`},
 		{"target=gemmini&workload=rectmm&pipeline=dedup&n=32&engine=ref&trace=true",
 			`{"target":"gemmini","workload":"rectmm","pipeline":"dedup","n":32,"engine":"ref","record_trace":true}`},
+		{"target=opengemm&workload=matmul&pipeline=all&n=8&trace=false",
+			`{"target":"opengemm","workload":"matmul","pipeline":"all","n":8,"record_trace":false}`},
 		{"target=gemmini&workload=rectmm&pipeline=dedup&n=32&engine=ref&trace=true&skipverify=1",
 			`{"target":"gemmini","workload":"rectmm","pipeline":"dedup","n":32,"engine":"ref","record_trace":true,"skip_verify":true}`},
 		{"target=opengemm&workload=panicky&pipeline=base&n=8", `{"target":"opengemm","workload":"panicky","pipeline":"base","n":8}`},
@@ -114,6 +125,9 @@ func FuzzRunRequest(f *testing.F) {
 			rq, e, opts, err := resolveRun(r, maxN)
 			if err != nil {
 				continue
+			}
+			if r == get && get.URL.Query().Has("trace") || r == post && strings.Contains(body, `"record_trace"`) {
+				t.Fatalf("%s %q %q accepted a request that asks for a timeline", r.Method, query, body)
 			}
 			if _, err := core.LookupTarget(e.Target); err != nil {
 				t.Fatalf("%s %q %q accepted: %v", r.Method, query, body, err)
@@ -156,7 +170,6 @@ func sendOtherWay(t *testing.T, method string, rq RunRequest) *http.Request {
 	q := url.Values{
 		"target": {rq.Target}, "workload": {rq.Workload}, "pipeline": {rq.Pipeline},
 		"n": {strconv.Itoa(rq.N)}, "engine": {rq.Engine},
-		"trace": {strconv.FormatBool(rq.RecordTrace)},
 	}
 	return &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/v1/run", RawQuery: q.Encode()}}
 }

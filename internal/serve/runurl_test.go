@@ -20,9 +20,6 @@ func encodeRunURL(base string, e core.Experiment, opts core.RunOptions) string {
 	if opts.Engine != 0 {
 		q.Set("engine", opts.Engine.String())
 	}
-	if opts.RecordTrace {
-		q.Set("trace", "true")
-	}
 	return base + "/v1/run?" + q.Encode()
 }
 
@@ -50,9 +47,7 @@ func TestRunURLMatchesValuesEncode(t *testing.T) {
 	}
 	var optss []core.RunOptions
 	for _, eng := range sim.Engines {
-		for _, trace := range []bool{false, true} {
-			optss = append(optss, core.RunOptions{Engine: eng, RecordTrace: trace})
-		}
+		optss = append(optss, core.RunOptions{Engine: eng})
 	}
 	for _, e := range cells {
 		for _, opts := range optss {

@@ -249,14 +249,14 @@ func (w *statusWriter) Flush() {
 }
 
 // RunRequest is the JSON body of POST /v1/run; GET passes the same fields
-// as query parameters (target, workload, pipeline, n, engine, trace).
+// as query parameters (target, workload, pipeline, n, engine). A served
+// cell never carries a timeline: tracing is not part of its name.
 type RunRequest struct {
-	Target      string `json:"target"`
-	Workload    string `json:"workload"`
-	Pipeline    string `json:"pipeline"`
-	N           int    `json:"n"`
-	Engine      string `json:"engine,omitempty"`
-	RecordTrace bool   `json:"record_trace,omitempty"`
+	Target   string `json:"target"`
+	Workload string `json:"workload"`
+	Pipeline string `json:"pipeline"`
+	N        int    `json:"n"`
+	Engine   string `json:"engine,omitempty"`
 }
 
 // resolve validates the request against the registry and returns the
@@ -292,7 +292,7 @@ func (rq RunRequest) resolve(maxN int) (core.Experiment, core.RunOptions, error)
 		return e, opts, err
 	}
 	e = core.Experiment{Target: rq.Target, Workload: rq.Workload, Pipeline: p, N: rq.N}
-	opts = core.RunOptions{RecordTrace: rq.RecordTrace, Engine: eng}
+	opts = core.RunOptions{Engine: eng}
 	return e, opts, nil
 }
 
@@ -334,23 +334,20 @@ func parseRunRequest(w http.ResponseWriter, r *http.Request) (RunRequest, error)
 		// cell the client did not ask for.
 		for key := range q {
 			switch key {
-			case "target", "workload", "pipeline", "n", "engine", "trace":
+			case "target", "workload", "pipeline", "n", "engine":
 			default:
-				return rq, fmt.Errorf("unknown query parameter %q (valid: target, workload, pipeline, n, engine, trace)", key)
+				return rq, fmt.Errorf("unknown query parameter %q (valid: target, workload, pipeline, n, engine)", key)
 			}
 		}
 		rq.Target = q.Get("target")
 		rq.Workload = q.Get("workload")
 		rq.Pipeline = q.Get("pipeline")
 		rq.Engine = q.Get("engine")
-		var err error
 		if nv := q.Get("n"); nv != "" {
+			var err error
 			if rq.N, err = strconv.Atoi(nv); err != nil {
 				return rq, fmt.Errorf("bad n %q: %v", nv, err)
 			}
-		}
-		if rq.RecordTrace, err = boolParam(q.Get("trace")); err != nil {
-			return rq, fmt.Errorf("bad trace: %v", err)
 		}
 	case http.MethodPost:
 		if err := decodeBody(w, r, &rq); err != nil {
@@ -363,13 +360,6 @@ func parseRunRequest(w http.ResponseWriter, r *http.Request) (RunRequest, error)
 }
 
 var errMethod = errors.New("method not allowed")
-
-func boolParam(v string) (bool, error) {
-	if v == "" {
-		return false, nil
-	}
-	return strconv.ParseBool(v)
-}
 
 // execute runs one validated cell through the serving stack: the runner's
 // cell claim coalesces, and only the goroutine that wins it is put through
@@ -479,12 +469,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // the listed names is validated against the registry and executed on the
 // worker pool.
 type SweepRequest struct {
-	Targets     []string `json:"targets"`
-	Workloads   []string `json:"workloads"`
-	Pipelines   []string `json:"pipelines"`
-	Sizes       []int    `json:"sizes"`
-	Engine      string   `json:"engine,omitempty"`
-	RecordTrace bool     `json:"record_trace,omitempty"`
+	Targets   []string `json:"targets"`
+	Workloads []string `json:"workloads"`
+	Pipelines []string `json:"pipelines"`
+	Sizes     []int    `json:"sizes"`
+	Engine    string   `json:"engine,omitempty"`
 }
 
 // SweepEvent is one NDJSON line of a streaming sweep: a completed cell
@@ -569,7 +558,7 @@ func (rq SweepRequest) resolve(maxCells, maxN int) ([]core.Experiment, core.RunO
 		cells *= k
 	}
 	exps := core.Sweep(rq.Targets, rq.Workloads, pipes, rq.Sizes)
-	opts = core.RunOptions{RecordTrace: rq.RecordTrace, Engine: eng}
+	opts = core.RunOptions{Engine: eng}
 	return exps, opts, nil
 }
 

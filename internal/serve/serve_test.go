@@ -100,6 +100,11 @@ func TestRunByteIdentical(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("GET body differs from direct Runner.Run marshal:\n got %s\nwant %s", got, want)
 	}
+	// A served cell carries no timeline: no request can ask for one.
+	var res core.Result
+	if err := json.Unmarshal(got, &res); err != nil || res.Trace != nil || !bytes.Contains(got, []byte(`"Trace":null`)) {
+		t.Errorf("served body has a timeline (err %v): %.200s", err, got)
+	}
 
 	// POST with the equivalent JSON body must serve the identical bytes.
 	rq := serve.RunRequest{Target: testExp.Target, Workload: testExp.Workload, Pipeline: testExp.Pipeline.String(), N: testExp.N}
@@ -255,9 +260,14 @@ func TestValidation(t *testing.T) {
 		{name: "unknown pipeline", query: "target=opengemm&workload=matmul&pipeline=turbo&n=8", want: "unknown pipeline"},
 		{name: "unknown engine", query: "target=opengemm&workload=matmul&pipeline=all&n=8&engine=warp", want: "valid engines"},
 		{name: "bad n", query: "target=opengemm&workload=matmul&pipeline=all&n=0", want: "positive sweep size"},
-		{name: "unknown query key", query: "target=opengemm&workload=matmul&pipeline=all&n=8&skip_verify=true", want: "valid: target, workload, pipeline, n, engine, trace)"},
-		{name: "retired skipverify key", query: "target=opengemm&workload=matmul&pipeline=all&n=8&skipverify=1", want: "valid: target, workload, pipeline, n, engine, trace)"},
+		{name: "unknown query key", query: "target=opengemm&workload=matmul&pipeline=all&n=8&skip_verify=true", want: "valid: target, workload, pipeline, n, engine)"},
+		{name: "retired skipverify key", query: "target=opengemm&workload=matmul&pipeline=all&n=8&skipverify=1", want: "valid: target, workload, pipeline, n, engine)"},
 		{name: "retired skip_verify field", post: valid[:len(valid)-1] + `,"skip_verify":true}`, want: `"skip_verify"`},
+		// A timeline is not part of a cell's name: neither spelling of the
+		// retired trace option is accepted.
+		{name: "retired trace key", query: "target=opengemm&workload=matmul&pipeline=all&n=8&trace=true", want: `unknown query parameter "trace" (valid: target, workload, pipeline, n, engine)`},
+		{name: "retired false trace key", query: "target=opengemm&workload=matmul&pipeline=all&n=8&trace=false", want: `unknown query parameter "trace"`},
+		{name: "retired record_trace field", post: valid[:len(valid)-1] + `,"record_trace":true}`, want: `unknown field "record_trace"`},
 		{name: "oversized body", post: `{"target":"` + strings.Repeat("x", 2<<20) + `"}`, want: "too large"},
 		{name: "second value", post: valid + `{}`, want: "after the request value"},
 	}
@@ -409,6 +419,9 @@ func TestSweepStream(t *testing.T) {
 		if _, dup := seen[*ev.Index]; dup {
 			return fmt.Errorf("index %d delivered twice", *ev.Index)
 		}
+		if ev.Result.Trace != nil {
+			return fmt.Errorf("cell %d streamed a timeline of %d segments", *ev.Index, len(ev.Result.Trace))
+		}
 		seen[*ev.Index] = *ev.Result
 		return nil
 	})
@@ -471,8 +484,8 @@ func TestSweepValidation(t *testing.T) {
 	// Bodies the decoder refuses before anything is resolved. A field the
 	// request does not have is refused by name, not ignored: a client still
 	// sending the retired "stream" switch, the retired prediction tier's
-	// "fidelity" and "top_k", or "skip_verify" (every cell is verified),
-	// learns why. A body above the 1 MiB
+	// "fidelity" and "top_k", "skip_verify" (every cell is verified) or
+	// "record_trace" (no sweep records a timeline), learns why. A body above the 1 MiB
 	// bound is not read to its end, and a second JSON value is not silently
 	// dropped.
 	const valid = `{"targets":["opengemm"],"workloads":["matmul"],"pipelines":["base"],"sizes":[8]}`
@@ -481,6 +494,7 @@ func TestSweepValidation(t *testing.T) {
 		{"fidelity", valid[:len(valid)-1] + `,"fidelity":"screen"}`, `"fidelity"`},
 		{"top_k", valid[:len(valid)-1] + `,"top_k":2}`, `"top_k"`},
 		{"skip_verify", valid[:len(valid)-1] + `,"skip_verify":true}`, `"skip_verify"`},
+		{"record_trace", valid[:len(valid)-1] + `,"record_trace":true}`, `unknown field "record_trace"`},
 		{"oversized body", `{"targets":["` + strings.Repeat("x", 2<<20) + `"]}`, "too large"},
 		{"second value", valid + `{}`, "after the request value"},
 	} {

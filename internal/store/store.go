@@ -38,6 +38,8 @@ import (
 // Dropping the option that skipped golden verification from the key
 // needed no bump either: an entry keyed with it hashes to a path no current
 // key reaches, so it is a miss, and every cell stored since was verified.
+// Nor did dropping "trace=" from the key: every older entry spells it, so
+// it hashes to a path no current key reaches and its cell recomputes.
 const SchemaVersion = 3
 
 // envelope is the on-disk JSON document. Key is stored redundantly (the

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"configwall/internal/core"
+	"configwall/internal/sim"
 	"configwall/internal/store"
 )
 
@@ -60,11 +61,11 @@ func jsonFiles(t *testing.T, dir string) int {
 	return n
 }
 
-// TestRoundTripFidelity stores a real experiment result — including its
-// trace — and checks the loaded copy is indistinguishable from the fresh
-// one.
+// TestRoundTripFidelity stores a real experiment result and checks the
+// loaded copy is indistinguishable from the fresh one: a timeline is not
+// part of a cell, so neither carries one.
 func TestRoundTripFidelity(t *testing.T) {
-	opts := core.RunOptions{RecordTrace: true}
+	opts := core.RunOptions{}
 	fresh, err := core.RunExperiment(exp, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +80,9 @@ func TestRoundTripFidelity(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fresh, loaded) {
 		t.Errorf("round-tripped result differs:\nfresh:  %+v\nloaded: %+v", fresh, loaded)
+	}
+	if !fresh.Verified || loaded.Trace != nil {
+		t.Errorf("loaded result: verified=%v, %d trace segments; want a verified cell without a timeline", loaded.Verified, len(loaded.Trace))
 	}
 }
 
@@ -98,8 +102,8 @@ func TestOptionsChangeKey(t *testing.T) {
 	if err := s.Save(exp, core.RunOptions{}, core.Result{Target: exp.Target, N: exp.N}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := s.Load(exp, core.RunOptions{RecordTrace: true}); ok {
-		t.Error("load with different RecordTrace hit an entry stored without it")
+	if _, ok, _ := s.Load(exp, core.RunOptions{Engine: sim.EngineRef}); ok {
+		t.Error("load with a different Engine hit an entry stored under the default one")
 	}
 	if _, ok, _ := s.Load(exp, core.RunOptions{}); !ok {
 		t.Error("load with identical options missed")
@@ -113,7 +117,9 @@ func TestOptionsChangeKey(t *testing.T) {
 // meant ref then and mean the fast engine now, so serving it would hand a
 // ref-simulated cell to a fast-engine request. A v3 entry whose key still
 // spells the retired skip-verify field is a miss too: it may hold a cell
-// that was never verified.
+// that was never verified. So is one whose key still spells the retired
+// trace field, which every entry carried before a timeline stopped being
+// part of a cell's name: the key changed, so the schema did not need to.
 func TestSchemaMismatchInvalidates(t *testing.T) {
 	s := openStore(t)
 	opts := core.RunOptions{}
@@ -130,10 +136,10 @@ func TestSchemaMismatchInvalidates(t *testing.T) {
 	if bumped == string(data) {
 		t.Fatalf("schema marker not found in %s", data)
 	}
-	// Both old keys spell this cell with the skip-verify field the key no
-	// longer carries; removing it must give this cell's current key.
-	const retired = "skipverify=false;"
-	const v2Key = "schema=2;target=opengemm;workload=matmul;pipeline=3;n=16;trace=false;" + retired + "engine=0"
+	// The old keys spell this cell with the trace and skip-verify fields the
+	// key no longer carries; removing them must give this cell's current key.
+	const retired = "trace=false;skipverify=false;"
+	const v2Key = "schema=2;target=opengemm;workload=matmul;pipeline=3;n=16;" + retired + "engine=0"
 	const v2 = `{"schema":2,"key":"` + v2Key + `",` +
 		`"experiment":{"Target":"opengemm","Workload":"matmul","Pipeline":3,"N":16},` +
 		`"options":{"RecordTrace":false,"SkipVerify":false,"Engine":0,"Fidelity":0},` +
@@ -142,10 +148,11 @@ func TestSchemaMismatchInvalidates(t *testing.T) {
 		t.Fatalf("literal v2 envelope does not carry this cell's key %q", want)
 	}
 	unverified := strings.Replace(string(data), "engine=0", retired+"engine=0", 1)
-	if unverified == string(data) {
+	untraced := strings.Replace(string(data), "engine=0", "trace=false;engine=0", 1)
+	if unverified == string(data) || untraced == string(data) {
 		t.Fatalf("engine key not found in %s", data)
 	}
-	for name, foreign := range map[string]string{"future schema": bumped, "v2 envelope": v2, "skip-verify key": unverified} {
+	for name, foreign := range map[string]string{"future schema": bumped, "v2 envelope": v2, "skip-verify key": unverified, "trace key": untraced} {
 		if err := os.WriteFile(path, []byte(foreign), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -145,7 +145,7 @@ func OverlapCycles(segs []sim.Segment) uint64 {
 		// First busy interval ending after the host segment starts.
 		i := sort.Search(len(busy), func(i int) bool { return busy[i].End > s.Start })
 		for ; i < len(busy) && busy[i].Start < s.End; i++ {
-			lo, hi := max64(s.Start, busy[i].Start), min64(s.End, busy[i].End)
+			lo, hi := max(s.Start, busy[i].Start), min(s.End, busy[i].End)
 			if hi > lo {
 				total += hi - lo
 			}
@@ -180,18 +180,4 @@ func mergedBusyIntervals(segs []sim.Segment) []sim.Segment {
 		merged = append(merged, b)
 	}
 	return merged
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
