@@ -356,13 +356,23 @@ func Run(t Target, w Workload, p Pipeline, n int, opts RunOptions) (Result, erro
 }
 
 // run is Run with the compile resumed from families and the device's
-// launches looked up in launches first (nil: neither).
+// launches looked up in launches first (nil: neither). A cell whose compile
+// a sibling's tail served returns that Result without running anything, and
+// one that runs offers its tail to the siblings still to come.
 func run(t Target, w Workload, p Pipeline, n int, opts RunOptions, launches *accel.LaunchMemo, families *familyMemo) (Result, error) {
-	c, err := compile(t, w, p, n, families)
+	f := families.family(t, w.Name, p, n, opts)
+	c, err := compile(t, w, p, n, f)
 	if err != nil {
 		return Result{Target: t.Name, Workload: w.Name, Pipeline: p, N: n, PeakOps: t.PeakOps}, err
 	}
-	return c.execute(opts, false, launches)
+	if c.Prog.Program == nil {
+		return c.res, nil
+	}
+	res, err := c.execute(opts, false, launches)
+	if err == nil {
+		f.share(p, c.tail, res)
+	}
+	return res, err
 }
 
 // Compiled is a cell compiled and not yet run: what is a function of
@@ -376,6 +386,10 @@ type Compiled struct {
 	target  Target
 	buffers []Buffer // the instance's init and verify hooks
 	res     Result   // what no run changes: the name, PeakOps, PassStats, ProgramInstrs
+	// tail is the key a Runner's cell shares its run from the lowering on
+	// under (zero elsewhere). A Runner's cell that a sibling's tail served
+	// has no program, and res is its whole Result.
+	tail tailKey
 }
 
 // Compile builds the workload at size n for the target, runs the pipeline
@@ -385,45 +399,55 @@ func Compile(t Target, w Workload, p Pipeline, n int) (*Compiled, error) {
 	return compile(t, w, p, n, nil)
 }
 
-// compile is Compile resuming from the deepest module families holds on p's
-// pass list, and publishing the module where a sibling pipeline that has not
-// started forks from p (nil: build, and run every pass).
-func compile(t Target, w Workload, p Pipeline, n int, families *familyMemo) (*Compiled, error) {
+// compile is Compile resuming from the deepest module the family f holds on
+// p's pass list, publishing the module where a sibling pipeline that has
+// not started forks from p, and, at p's lowering, taking the tail of a
+// sibling that reached it with the same derivation (nil: build, and run
+// every pass).
+func compile(t Target, w Workload, p Pipeline, n int, f *family) (*Compiled, error) {
 	pm := t.PassPipeline(p)
-	f, forks := families.family(t, w.Name, p, n)
-	m, buffers, stats := f.take(p)
+	defer f.reach(p)
+	m, buffers, stats, derivation := f.take(p)
 	if m == nil {
 		inst, err := w.Build(t, n)
 		if err != nil {
 			return nil, err
 		}
 		m, buffers = inst.Module, inst.Buffers
-		f.publish(p, 0, m, nil, buffers)
+		f.publish(p, 0, m, nil, nil, buffers)
 	}
 	at, rest := len(stats), pm
 	if at > 0 {
 		_, rest = pm.Split(at)
 	}
 	var err error
-	for _, d := range forks {
-		if d <= at {
-			continue
+	var tail tailKey
+	stops, lowering := f.stops(p)
+	for _, d := range stops {
+		if d > at {
+			var seg *ir.PassManager
+			seg, rest = rest.Split(d - at)
+			if stats, derivation, err = runPasses(seg, m, stats, derivation); err != nil {
+				break
+			}
+			at = d
+			f.publish(p, d, m, stats, derivation, nil)
 		}
-		var seg *ir.PassManager
-		seg, rest = rest.Split(d - at)
-		if stats, err = runPasses(seg, m, stats); err != nil {
-			break
+		if d == lowering {
+			tail = f.forks.tailKey(p, derivation)
+			if res, ok := f.tail(tail); ok {
+				res.Pipeline, res.PassStats = p, append(stats, res.PassStats...)
+				return &Compiled{res: res}, nil
+			}
 		}
-		at = d
-		f.publish(p, d, m, stats, nil)
 	}
 	if err == nil {
-		stats, err = runPasses(rest, m, stats)
+		stats, _, err = runPasses(rest, m, stats, derivation)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("pipeline %s on %s/%s/%d: %w", p, t.Name, w.Name, n, err)
 	}
-	c := &Compiled{Module: m, target: t, buffers: buffers}
+	c := &Compiled{Module: m, target: t, buffers: buffers, tail: tail}
 	sizes := make([]uint64, len(buffers))
 	for i, buf := range buffers {
 		sizes[i] = buf.Bytes
@@ -439,11 +463,12 @@ func compile(t Target, w Workload, p Pipeline, n int, families *familyMemo) (*Co
 	return c, nil
 }
 
-// runPasses runs seg over m with its stat lines appended to stats.
-func runPasses(seg *ir.PassManager, m *ir.Module, stats []string) ([]string, error) {
-	seg.Stats = stats
+// runPasses runs seg over m with its stat lines appended to stats and the
+// names of the passes that changed m to changed.
+func runPasses(seg *ir.PassManager, m *ir.Module, stats, changed []string) ([]string, []string, error) {
+	seg.Stats, seg.Changed = stats, changed
 	err := seg.Run(m)
-	return seg.Stats, err
+	return seg.Stats, seg.Changed, err
 }
 
 // Execute simulates the cell on a fresh machine over a pooled arena —

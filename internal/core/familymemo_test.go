@@ -10,24 +10,28 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"configwall/internal/accel/gemmini"
+	"configwall/internal/accel/opengemm"
+	"configwall/internal/mem"
 )
 
-// familyUniverse is every supported cell at n = 16…128: both built-in
+// familyUniverse is every supported cell at n = 8…128: both built-in
 // targets, every registered workload, every pipeline.
 func familyUniverse(t *testing.T) []Experiment {
 	t.Helper()
 	var cells []Experiment
-	for _, tn := range TargetNames() {
+	for _, tn := range []string{gemmini.Name, opengemm.Name} {
 		tg, err := LookupTarget(tn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, wn := range []string{WorkloadMatmul, WorkloadRectMM, WorkloadMatvec} {
+		for _, wn := range WorkloadNames() {
 			w, err := LookupWorkload(wn)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, n := range SupportedSizes(tg, w, []int{16, 32, 48, 64, 96, 128}) {
+			for _, n := range SupportedSizes(tg, w, []int{8, 16, 24, 32, 48, 64, 96, 128}) {
 				for _, p := range Pipelines {
 					cells = append(cells, Experiment{Target: tn, Workload: wn, Pipeline: p, N: n})
 				}
@@ -38,13 +42,14 @@ func familyUniverse(t *testing.T) []Experiment {
 }
 
 // TestFamilyMemoMatchesCompile: a cell a runner computes from its family
-// memo returns the Result RunExperiment's unshared compile returns, PassStats,
-// ProgramInstrs and Counters included, whatever order the cells of its
-// family arrive in and however two workers interleave them.
+// memo, resumed from a snapshot or served by a sibling's tail, returns the
+// Result RunExperiment's unshared compile returns, PassStats, ProgramInstrs
+// and Counters included, whatever order the cells of its family arrive in
+// and however two workers interleave them.
 func TestFamilyMemoMatchesCompile(t *testing.T) {
 	cells := familyUniverse(t)
-	if len(cells) != 136 {
-		t.Fatalf("%d cells at n = 16…128, want 136", len(cells))
+	if len(cells) != 152 {
+		t.Fatalf("%d cells at n = 8…128, want 152", len(cells))
 	}
 	want := make([]Result, len(cells))
 	for i, e := range cells {
@@ -54,7 +59,7 @@ func TestFamilyMemoMatchesCompile(t *testing.T) {
 		}
 		want[i] = res
 	}
-	var hits uint64
+	var hits, tailHits uint64
 	for seed := int64(1); seed <= 6; seed++ {
 		order := rand.New(rand.NewSource(seed)).Perm(len(cells))
 		shuffled := make([]Experiment, len(cells))
@@ -76,11 +81,18 @@ func TestFamilyMemoMatchesCompile(t *testing.T) {
 			t.Errorf("seed %d: %d family hits + %d misses for %d computed cells", seed, s.FamilyHits, s.FamilyMisses, len(cells))
 		}
 		hits += s.FamilyHits
+		tailHits += s.TailHits
 	}
 	// A family's first cell builds; most of the other three resume.
 	if hits < 6*uint64(len(cells))/2 {
 		t.Errorf("%d of %d cells resumed from a snapshot, want at least half", hits, 6*len(cells))
 	}
+	// On Gemmini the overlap pass changes nothing, so of dedup and all the
+	// later to reach its lowering takes the earlier's tail.
+	if tailHits == 0 {
+		t.Errorf("no cell of %d took a sibling's tail", 6*len(cells))
+	}
+	t.Logf("%d of %d cells resumed from a snapshot, %d took a sibling's tail", hits, 6*len(cells), tailHits)
 }
 
 // TestFamilyMemoRecompute: a pipeline computed a second time in the same
@@ -240,7 +252,7 @@ func TestFamilyMemoPanicInBuild(t *testing.T) {
 // the four pipelines of gemmini/matmul/32 on a fresh Runner(1), in the
 // order of Pipelines, at the measured count + 10%.
 func TestFamilyMemoAllocationBudget(t *testing.T) {
-	const budget = 2849 // measured 2 590
+	const budget = 1926 // measured 1 751 (2 590 before dedup's tail served overlap and all)
 	var family []Experiment
 	for _, p := range Pipelines {
 		family = append(family, Experiment{Target: "gemmini", Workload: WorkloadMatmul, Pipeline: p, N: 32})
@@ -253,8 +265,8 @@ func TestFamilyMemoAllocationBudget(t *testing.T) {
 				t.Fatalf("%s: verified=%v err=%v", e, res.Verified, err)
 			}
 		}
-		if s := r.Snapshot(); s.FamilyHits != 3 {
-			t.Fatalf("%d family hits, want the three later pipelines resumed", s.FamilyHits)
+		if s := r.Snapshot(); s.FamilyHits != 3 || s.TailHits != 2 {
+			t.Fatalf("%d family hits, %d tail hits: want the three later pipelines resumed, and overlap and all served by dedup's tail", s.FamilyHits, s.TailHits)
 		}
 	}
 	runFamily() // warm the golden product and the registries' lazy state
@@ -278,5 +290,140 @@ func TestForkTable(t *testing.T) {
 		if g := ft.group(DedupOnly, 12); g != 1<<DedupOnly|1<<AllOptimizations {
 			t.Errorf("%s: dedup's group at 12 is %04b, want dedup and all", tg.Name, g)
 		}
+	}
+}
+
+// TestTailKeyKeepsPassListsApart: two pipelines whose modules reach the
+// lowering by the same derivation share a tail only if they run the same
+// passes from there on. The baseline lowers and stops; the accfg
+// pipelines clean up after the lowering.
+func TestTailKeyKeepsPassListsApart(t *testing.T) {
+	tg := GemminiTarget()
+	ft := newForkTable(tg)
+	for _, derivation := range [][]string{nil, {"cse"}, {"canonicalize", "cse"}} {
+		base, dedup, all := ft.tailKey(Baseline, derivation), ft.tailKey(DedupOnly, derivation), ft.tailKey(AllOptimizations, derivation)
+		if base.equal(dedup) {
+			t.Errorf("derivation %v: base's and dedup's tails share a key %+v", derivation, base)
+		}
+		if !dedup.equal(all) {
+			t.Errorf("derivation %v: dedup's key %+v and all's %+v differ, yet both run the same passes from the lowering on", derivation, dedup, all)
+		}
+	}
+	if ft.tailKey(DedupOnly, []string{"cse"}).equal(ft.tailKey(DedupOnly, []string{"canonicalize"})) {
+		t.Error("two derivations share a key")
+	}
+
+	// A family whose dedup shared its tail under derivation D serves it to
+	// all at D, and never to the baseline at D.
+	fm := newFamilyMemo()
+	f := fm.family(tg, WorkloadMatmul, DedupOnly, 32, RunOptions{})
+	d := []string{"cse"}
+	stats := make([]string, ft.depth[DedupOnly][DedupOnly]+4)
+	f.share(DedupOnly, ft.tailKey(DedupOnly, d), Result{Target: tg.Name, PassStats: stats, ProgramInstrs: 7})
+	if _, ok := f.tail(ft.tailKey(Baseline, d)); ok {
+		t.Error("the baseline took dedup's tail")
+	}
+	res, ok := f.tail(ft.tailKey(AllOptimizations, d))
+	if !ok || res.ProgramInstrs != 7 || len(res.PassStats) != 4 {
+		t.Errorf("all at dedup's derivation: ok=%v, %+v; want dedup's Result with its four stat lines from the lowering on", ok, res)
+	}
+	if _, _, tails := fm.Stats(); tails != 1 {
+		t.Errorf("%d tail hits, want 1", tails)
+	}
+}
+
+// failOnce is a matmul whose first built instance fails its golden verify
+// once, while armed is set.
+type failOnce struct{ armed atomic.Bool }
+
+func (fo *failOnce) workload(t *testing.T) Workload {
+	t.Helper()
+	w, err := LookupWorkload(WorkloadMatmul)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := w.Build
+	w.Build = func(tg Target, n int) (Instance, error) {
+		inst, err := build(tg, n)
+		for i, b := range inst.Buffers {
+			if verify := b.Verify; verify != nil {
+				inst.Buffers[i].Verify = func(m *mem.Memory, base uint64) error {
+					if fo.armed.CompareAndSwap(true, false) {
+						return errors.New("armed")
+					}
+					return verify(m, base)
+				}
+			}
+		}
+		return inst, err
+	}
+	return w
+}
+
+// TestTailOfAFailedCellIsNotShared: a cell whose run fails shares no tail.
+// Its sibling with the same derivation (on Gemmini at n = 32, dedup and
+// all) runs its own, to the Result an unshared compile gives, and then
+// serves the third (overlap).
+func TestTailOfAFailedCellIsNotShared(t *testing.T) {
+	const n = 32
+	var fo failOnce
+	w := fo.workload(t)
+	tg := GemminiTarget()
+	fm := newFamilyMemo()
+	fo.armed.Store(true)
+	if _, err := run(tg, w, DedupOnly, n, RunOptions{}, nil, fm); err == nil {
+		t.Fatal("armed verify: dedup ran clean")
+	}
+	for i, p := range []Pipeline{AllOptimizations, OverlapOnly} {
+		want, err := Run(tg, w, p, n, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := run(tg, w, p, n, RunOptions{}, nil, fm)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: err = %v, or result differs from an unshared compile's", p, err)
+		}
+		if _, _, tails := fm.Stats(); tails != uint64(i) {
+			t.Errorf("after %s: %d tail hits, want %d", p, tails, i)
+		}
+	}
+}
+
+// TestTailBudget: a shared tail is charged to the family memo's budget and
+// freed with its family once every pipeline has reached its lowering; a
+// tail the budget has no room for is not kept, and its charge forgets every
+// family.
+func TestTailBudget(t *testing.T) {
+	tg := GemminiTarget()
+	fm := newFamilyMemo()
+	f := fm.family(tg, WorkloadMatmul, DedupOnly, 32, RunOptions{})
+	key := f.forks.tailKey(DedupOnly, nil)
+	res := Result{PassStats: make([]string, f.forks.depth[DedupOnly][DedupOnly])}
+	before := fm.bytes
+	f.reach(DedupOnly)
+	f.share(DedupOnly, key, res)
+	if fm.bytes != before+tailBytes || len(f.tails) != 1 {
+		t.Fatalf("one tail: memo charged %d → %d bytes, family holds %d tails; want +%d and one", before, fm.bytes, len(f.tails), tailBytes)
+	}
+	f.share(DedupOnly, key, res)
+	if fm.bytes != before+tailBytes || len(f.tails) != 1 {
+		t.Errorf("the same key again: %d bytes, %d tails; want it shared once", fm.bytes, len(f.tails))
+	}
+	for _, p := range Pipelines {
+		f.reach(p)
+	}
+	if fm.bytes != 0 || len(fm.families) != 0 || f.tails != nil {
+		t.Errorf("every pipeline reached: memo holds %d bytes and %d families, the family %d tails; want none", fm.bytes, len(fm.families), len(f.tails))
+	}
+	f.share(AllOptimizations, f.forks.tailKey(AllOptimizations, []string{"cse"}), res)
+	if len(f.tails) != 0 || fm.bytes != 0 {
+		t.Errorf("a tail shared after every pipeline reached: %d tails, %d bytes; want none kept", len(f.tails), fm.bytes)
+	}
+
+	f = fm.family(tg, WorkloadMatmul, DedupOnly, 32, RunOptions{})
+	fm.bytes = familyMemoBudget - tailBytes + 1
+	f.share(DedupOnly, key, res)
+	if len(f.tails) != 0 || fm.bytes != 0 || len(fm.families) != 0 {
+		t.Errorf("a tail past the budget: %d tails kept, memo holds %d bytes and %d families; want the memo forgotten", len(f.tails), fm.bytes, len(fm.families))
 	}
 }

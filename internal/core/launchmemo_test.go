@@ -60,13 +60,24 @@ func memoUniverse(t *testing.T) []Experiment {
 // memo, as from an unmemoized run — RunExperiment's compile and simulate.
 // Run again in order through one memo, each cell also leaves the memory the
 // unmemoized run leaves: every byte below the stack and of the stack
-// frames. Both memos must have replayed.
+// frames. Both memos must have replayed. The runner's cells run one at a
+// time, so that the ones a sibling's tail served, and launched nothing, are
+// known.
 func TestLaunchMemoMatchesUnmemoized(t *testing.T) {
 	cells := memoUniverse(t)
 	r := NewRunner(2)
-	fromRunner, err := r.RunAll(context.Background(), cells, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
+	fromRunner := make([]Result, len(cells))
+	var tailLaunches uint64
+	for i, e := range cells {
+		before := r.Snapshot().TailHits
+		res, err := r.Run(context.Background(), e, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Snapshot().TailHits != before {
+			tailLaunches += res.Launches
+		}
+		fromRunner[i] = res
 	}
 	memo := accel.NewLaunchMemo()
 	plain, memoed := mem.New(memorySize), mem.New(memorySize)
@@ -107,14 +118,19 @@ func TestLaunchMemoMatchesUnmemoized(t *testing.T) {
 		}
 	}
 	s := r.Snapshot()
-	if s.LaunchHits+s.LaunchMisses != launches {
-		t.Errorf("runner memo saw %d hits + %d misses, the cells launched %d times", s.LaunchHits, s.LaunchMisses, launches)
+	if s.LaunchHits+s.LaunchMisses+tailLaunches != launches {
+		t.Errorf("runner memo saw %d hits + %d misses, tail-served cells %d launches; the cells launched %d times", s.LaunchHits, s.LaunchMisses, tailLaunches, launches)
+	}
+	if s.TailHits == 0 || tailLaunches == 0 {
+		t.Errorf("%d cells served by a sibling's tail, with %d launches: want some", s.TailHits, tailLaunches)
 	}
 	// Every family runs all four pipelines, and each pipeline launches the
-	// same jobs; only concurrent leaders of one family both miss.
+	// same jobs: the first of a family to launch misses, and the others that
+	// run their own tail replay.
 	if s.LaunchHits < launches/2 {
 		t.Errorf("runner memo replayed %d of %d launches, want at least half", s.LaunchHits, launches)
 	}
+	t.Logf("runner: %d launches replayed, %d run, %d in %d tail-served cells", s.LaunchHits, s.LaunchMisses, tailLaunches, s.TailHits)
 	// In order, the three later pipelines of a family replay every launch
 	// of its first (and a few launches recur across families).
 	if hits, misses := memo.Stats(); hits < 3*misses {

@@ -22,6 +22,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -206,7 +207,7 @@ func (r *Runner) Snapshot() CacheStats {
 	s := r.stats
 	r.mu.Unlock()
 	s.LaunchHits, s.LaunchMisses = r.launches.Stats()
-	s.FamilyHits, s.FamilyMisses = r.families.Stats()
+	s.FamilyHits, s.FamilyMisses, s.TailHits = r.families.Stats()
 	return s
 }
 
@@ -516,9 +517,26 @@ func Sweep(targets, workloads []string, pipelines []Pipeline, sizes []int) []Exp
 // across Build or a pass, so a panic in either costs the family its sharing
 // and nothing else.
 //
-// Bound. Each family, the bytes its buffers fill and every snapshot's ops
-// are charged to familyMemoBudget; a charge past it forgets every family. A
-// family whose pipelines have all started is dropped.
+// Tails. Past its first lower-* pass a pipeline runs target code of its
+// own pass list, so no snapshot is kept there. Yet pipelines whose passes
+// leave one module at the lowering run one tail: the lowering, the passes
+// after it, codegen, the simulation and golden verify. A cell's derivation
+// is the list of the passes that changed its module since the build
+// (ir.PassManager.Changed). Cells of one family that reach the lowering
+// with equal derivations hold equal modules: the family's build is one
+// instance, within one target each pass is a deterministic function of the
+// module and is named uniquely (the fork rule's premise), and a pass that
+// changed nothing left the module as it was. So a cell that runs its tail
+// publishes it under (derivation, pass names from the lowering on) while a
+// sibling has not reached its lowering yet, and a sibling that reaches it
+// under the same key takes that Result and runs nothing. The second half of
+// the key keeps the baseline, which runs no pass after its lowering, apart.
+// Nothing waits on a tail: a sibling that gets there first runs its own.
+//
+// Bound. Each family, the bytes its buffers fill, every snapshot's ops and
+// every tail are charged to familyMemoBudget; a charge past it forgets
+// every family. A family whose pipelines have all reached their lowering
+// (or stopped before it) is dropped.
 
 const (
 	// familyMemoBudget bounds what a runner's family memo keeps. A whole
@@ -526,11 +544,13 @@ const (
 	// it A and B. It is a constant, not a knob: past it the memo
 	// forgets everything.
 	familyMemoBudget = 16 << 20
-	// familyBytes is what a family is charged before it holds anything, and
+	// familyBytes is what a family is charged before it holds anything,
 	// opBytes what one op of a snapshot is charged (a clone allocates about
-	// 470 bytes per op).
+	// 470 bytes per op), and tailBytes what a tail is (a Result, whose stat
+	// lines it shares with the cell that ran it).
 	familyBytes = 256
 	opBytes     = 512
+	tailBytes   = 512
 	// numPipelines is len(Pipelines): a family's size.
 	numPipelines = int(AllOptimizations) + 1
 )
@@ -539,14 +559,19 @@ const (
 type familyKey struct {
 	target, workload string
 	n                int
+	opts             RunOptions
 }
 
 // forkTable is where a target's pipelines fork: depth[p][q] leading passes
 // of p and q are the same passes, and forks[p] lists, ascending, the
-// depths above 0 where a sibling leaves p.
+// depths above 0 where a sibling leaves p. depth[p][p] is where p's first
+// lowering runs: stops[p] is forks[p] followed by it, and tailPasses[p] names
+// p's passes from there on.
 type forkTable struct {
-	depth [numPipelines][numPipelines]int
-	forks [numPipelines][]int
+	depth      [numPipelines][numPipelines]int
+	forks      [numPipelines][]int
+	stops      [numPipelines][]int
+	tailPasses [numPipelines]string
 }
 
 func newForkTable(t Target) *forkTable {
@@ -564,8 +589,31 @@ func newForkTable(t Target) *forkTable {
 			}
 		}
 		slices.Sort(ft.forks[p])
+		lowering := ft.depth[p][p]
+		ft.stops[p] = ft.forks[p]
+		if !slices.Contains(ft.stops[p], lowering) {
+			ft.stops[p] = append(slices.Clip(ft.stops[p]), lowering)
+		}
+		ft.tailPasses[p] = strings.Join(names[p][lowering:], ",")
 	}
 	return ft
+}
+
+// tailKey names a tail: the derivation of the module at the lowering, and
+// the pass names from the lowering on.
+type tailKey struct {
+	derivation []string
+	passes     string
+}
+
+// tailKey is the key of p's tail at a module derived by the passes in
+// derivation.
+func (ft *forkTable) tailKey(p Pipeline, derivation []string) tailKey {
+	return tailKey{slices.Clip(derivation), ft.tailPasses[p]}
+}
+
+func (k tailKey) equal(o tailKey) bool {
+	return k.passes == o.passes && slices.Equal(k.derivation, o.derivation)
 }
 
 // group returns the pipelines, as a bit set, whose first d passes are p's.
@@ -580,14 +628,22 @@ func (ft *forkTable) group(p Pipeline, d int) uint8 {
 }
 
 // snapshot is a family's module after its first depth passes on some path,
-// with their stat lines, and the pipelines (a bit set) that will resume
-// from it.
+// with their stat lines and its derivation, and the pipelines (a bit set)
+// that will resume from it.
 type snapshot struct {
-	depth   int
-	waiters uint8
-	module  *ir.Module
-	stats   []string
-	cost    int
+	depth      int
+	waiters    uint8
+	module     *ir.Module
+	stats      []string
+	derivation []string
+	cost       int
+}
+
+// tail is a Result a cell computed, kept for the siblings that reach their
+// lowering under key: its stat lines are those from the lowering on.
+type tail struct {
+	key tailKey
+	res Result
 }
 
 // family is one familyKey's shared state.
@@ -599,7 +655,9 @@ type family struct {
 	mu      sync.Mutex
 	buffers []Buffer // the first built instance's
 	started uint8    // pipelines that have taken their start
+	reached uint8    // pipelines past their lowering, or stopped before it
 	snaps   []*snapshot
+	tails   []tail
 	charged int // what the memo counts for this family; the memo's lock guards it
 }
 
@@ -609,26 +667,27 @@ type familyMemo struct {
 	families map[familyKey]*family
 	forks    map[string]*forkTable // by target name
 	bytes    int
-	// hits counts cells resumed from a snapshot, misses cells built fresh.
-	hits, misses atomic.Uint64
+	// hits counts cells resumed from a snapshot, misses cells built fresh,
+	// tailHits cells a sibling's tail served.
+	hits, misses, tailHits atomic.Uint64
 }
 
 func newFamilyMemo() *familyMemo {
 	return &familyMemo{families: map[familyKey]*family{}, forks: map[string]*forkTable{}}
 }
 
-// Stats returns the memo's hits and misses.
-func (fm *familyMemo) Stats() (hits, misses uint64) {
-	return fm.hits.Load(), fm.misses.Load()
+// Stats returns the memo's hits, misses and tail hits.
+func (fm *familyMemo) Stats() (hits, misses, tailHits uint64) {
+	return fm.hits.Load(), fm.misses.Load(), fm.tailHits.Load()
 }
 
-// family returns p's family at (t, workload, n) and the depths where p's
-// siblings fork from it; nil for a nil memo or a pipeline outside Pipelines.
-func (fm *familyMemo) family(t Target, workload string, p Pipeline, n int) (*family, []int) {
+// family returns p's family at (t, workload, n, opts); nil for a nil memo
+// or a pipeline outside Pipelines.
+func (fm *familyMemo) family(t Target, workload string, p Pipeline, n int, opts RunOptions) *family {
 	if fm == nil || p < 0 || int(p) >= numPipelines {
-		return nil, nil
+		return nil
 	}
-	k := familyKey{t.Name, workload, n}
+	k := familyKey{t.Name, workload, n, opts}
 	fm.mu.Lock()
 	defer fm.mu.Unlock()
 	f := fm.families[k]
@@ -642,7 +701,16 @@ func (fm *familyMemo) family(t Target, workload string, p Pipeline, n int) (*fam
 		fm.families[k] = f
 		fm.charge(f, familyBytes)
 	}
-	return f, f.forks.forks[p]
+	return f
+}
+
+// stops returns the depths where p's compile stops: where a sibling forks
+// from p, then where p's lowering runs. None for a nil family.
+func (f *family) stops(p Pipeline) (depths []int, lowering int) {
+	if f == nil {
+		return nil, 0
+	}
+	return f.forks.stops[p], f.forks.depth[p][p]
 }
 
 // charge adds cost to what f holds, under the memo's lock, and reports
@@ -671,12 +739,11 @@ func (f *family) charge(cost int) bool {
 
 // take starts p in its family: the deepest snapshot p waits on, its own
 // (the snapshot's module when p was its last waiter, a clone otherwise),
-// with the family's buffers and the stat lines so far. A nil module means
-// there is none, and p builds. Once every pipeline has started, the family
-// leaves the memo.
-func (f *family) take(p Pipeline) (m *ir.Module, buffers []Buffer, stats []string) {
+// with the family's buffers, the stat lines so far and the derivation. A nil
+// module means there is none, and p builds.
+func (f *family) take(p Pipeline) (m *ir.Module, buffers []Buffer, stats, derivation []string) {
 	if f == nil {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	bit := uint8(1) << p
 	f.mu.Lock()
@@ -689,31 +756,75 @@ func (f *family) take(p Pipeline) (m *ir.Module, buffers []Buffer, stats []strin
 		}
 	}
 	f.forget(bit, math.MaxInt)
-	if f.started == 1<<numPipelines-1 {
-		f.memo.mu.Lock()
-		if f.memo.families[f.key] == f {
-			delete(f.memo.families, f.key)
-			f.memo.bytes -= f.charged
-		}
-		f.memo.mu.Unlock()
-	}
 	if from == nil {
 		f.memo.misses.Add(1)
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	f.memo.hits.Add(1)
 	m = from.module
 	if from.waiters != 0 {
 		m = m.Clone()
 	}
-	return m, f.buffers, slices.Clone(from.stats)
+	return m, f.buffers, slices.Clone(from.stats), from.derivation
+}
+
+// reach records that p is past its lowering, or stopped before it: no
+// later tail is of use to p. Once every pipeline has, the family leaves the
+// memo and drops its tails.
+func (f *family) reach(p Pipeline) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.reached |= 1 << p
+	if f.reached != 1<<numPipelines-1 {
+		return
+	}
+	f.tails = nil
+	f.memo.mu.Lock()
+	if f.memo.families[f.key] == f {
+		delete(f.memo.families, f.key)
+		f.memo.bytes -= f.charged
+	}
+	f.memo.mu.Unlock()
+}
+
+// tail returns the Result of the sibling that shared its tail under key,
+// with only the stat lines from the lowering on.
+func (f *family) tail(key tailKey) (Result, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, t := range f.tails {
+		if t.key.equal(key) {
+			f.memo.tailHits.Add(1)
+			return t.res, true
+		}
+	}
+	return Result{}, false
+}
+
+// share offers res, which p computed running the tail key names, to the
+// siblings that have not reached their lowering. Once all have, the family
+// has left the memo and no charge succeeds.
+func (f *family) share(p Pipeline, key tailKey, res Result) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if slices.ContainsFunc(f.tails, func(t tail) bool { return t.key.equal(key) }) || !f.charge(tailBytes) {
+		return
+	}
+	res.PassStats = res.PassStats[f.forks.depth[p][p]:]
+	f.tails = append(f.tails, tail{key: key, res: res})
 }
 
 // publish offers p's module after its first d passes, whose stat lines
-// stats holds, to the pipelines that share them and have not started.
-// buffers are the instance's when p built it (d is 0), and the family keeps
-// the first it is given.
-func (f *family) publish(p Pipeline, d int, m *ir.Module, stats []string, buffers []Buffer) {
+// stats holds and whose derivation is derivation, to the pipelines that
+// share them and have not started. buffers are the instance's when p built
+// it (d is 0), and the family keeps the first it is given.
+func (f *family) publish(p Pipeline, d int, m *ir.Module, stats, derivation []string, buffers []Buffer) {
 	if f == nil {
 		return
 	}
@@ -746,7 +857,8 @@ func (f *family) publish(p Pipeline, d int, m *ir.Module, stats []string, buffer
 		return
 	}
 	f.forget(waiters, d)
-	f.snaps = append(f.snaps, &snapshot{depth: d, waiters: waiters, module: m.Clone(), stats: stats[:d:d], cost: cost})
+	f.snaps = append(f.snaps, &snapshot{depth: d, waiters: waiters, module: m.Clone(), stats: stats[:d:d],
+		derivation: slices.Clip(derivation), cost: cost})
 }
 
 // forget removes the pipelines in bits from the waiters of every snapshot

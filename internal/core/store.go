@@ -53,13 +53,17 @@ type CacheStats struct {
 	// FamilyMisses those that built their instance fresh.
 	FamilyHits   uint64
 	FamilyMisses uint64
+	// TailHits counts computed cells that reached their lowering with the
+	// module a sibling of their family already lowered, and took that
+	// sibling's Result instead of lowering, compiling and simulating it.
+	TailHits uint64
 }
 
 func (s CacheStats) String() string {
-	return fmt.Sprintf("mem %d/%d hit, store %d/%d hit, %d runs, %d evictions, %d store errors, launches %d/%d hit, families %d/%d hit",
+	return fmt.Sprintf("mem %d/%d hit, store %d/%d hit, %d runs, %d evictions, %d store errors, launches %d/%d hit, families %d/%d hit, %d tail hits",
 		s.MemHits, s.MemHits+s.MemMisses, s.StoreHits, s.StoreHits+s.StoreMisses,
 		s.Runs, s.Evictions, s.StoreErrors, s.LaunchHits, s.LaunchHits+s.LaunchMisses,
-		s.FamilyHits, s.FamilyHits+s.FamilyMisses)
+		s.FamilyHits, s.FamilyHits+s.FamilyMisses, s.TailHits)
 }
 
 // FingerprintKey returns the canonical cache-key string for one experiment

@@ -53,7 +53,12 @@ func (v *Value) NumUses() int { return len(v.uses) }
 func (v *Value) HasOneUse() bool { return len(v.uses) == 1 }
 
 // SetName sets the printing hint used by the textual printer.
-func (v *Value) SetName(name string) { v.name = name }
+func (v *Value) SetName(name string) {
+	if v.name != name {
+		v.touch()
+		v.name = name
+	}
+}
 
 // Name returns the printing hint (may be empty).
 func (v *Value) Name() string { return v.name }
@@ -67,6 +72,7 @@ func (v *Value) ReplaceAllUsesWith(new *Value) {
 	uses := v.uses
 	v.uses = nil
 	for _, u := range uses {
+		u.Op.touch()
 		u.Op.operands[u.Index] = new
 	}
 	if new != nil {
@@ -74,6 +80,15 @@ func (v *Value) ReplaceAllUsesWith(new *Value) {
 			new.uses = new.use0[:0]
 		}
 		new.uses = append(new.uses, uses...)
+	}
+}
+
+// touch bumps the epoch of the tree v is defined in.
+func (v *Value) touch() {
+	if v.def != nil {
+		v.def.touch()
+	} else if v.owner != nil {
+		v.owner.touch()
 	}
 }
 
@@ -116,6 +131,9 @@ type Op struct {
 	// the list, meaningful only while parent.ordered is set (see
 	// Block.renumber).
 	order int
+	// epoch counts the mutations of the tree this op roots; it is read on
+	// a root only (a module's op, or a detached op). See touch.
+	epoch uint64
 
 	operand0 [inlineOperands]*Value
 	result0  [1]*Value
@@ -211,6 +229,7 @@ func (op *Op) Operands() []*Value {
 
 // SetOperand replaces operand i, maintaining use lists.
 func (op *Op) SetOperand(i int, v *Value) {
+	op.touch()
 	if old := op.operands[i]; old != nil {
 		old.removeUse(op, i)
 	}
@@ -222,6 +241,7 @@ func (op *Op) SetOperand(i int, v *Value) {
 
 // AddOperand appends an operand, maintaining use lists.
 func (op *Op) AddOperand(v *Value) {
+	op.touch()
 	op.operands = append(op.operands, v)
 	if v != nil {
 		v.addUse(op, len(op.operands)-1)
@@ -230,6 +250,7 @@ func (op *Op) AddOperand(v *Value) {
 
 // EraseOperand removes operand i and shifts later operands down.
 func (op *Op) EraseOperand(i int) {
+	op.touch()
 	if old := op.operands[i]; old != nil {
 		old.removeUse(op, i)
 	}
@@ -245,6 +266,7 @@ func (op *Op) EraseOperand(i int) {
 
 // SetOperands replaces the whole operand list.
 func (op *Op) SetOperands(vs []*Value) {
+	op.touch()
 	for i, old := range op.operands {
 		if old != nil {
 			old.removeUse(op, i)
@@ -272,6 +294,7 @@ func (op *Op) Results() []*Value {
 // AddResult appends a new result value of the given type. Used by passes
 // that extend ops in place (e.g. adding loop-carried state to scf.for).
 func (op *Op) AddResult(t Type) *Value {
+	op.touch()
 	v := &op.value0
 	if len(op.results) > 0 || v.def != nil {
 		// The inline value is taken, or was and still has readers' pointers.
@@ -289,6 +312,7 @@ func (op *Op) EraseResult(i int) {
 	if len(op.results[i].uses) > 0 {
 		panic(fmt.Sprintf("ir: erasing result %d of %s with live uses", i, op.name))
 	}
+	op.touch()
 	op.results = append(op.results[:i], op.results[i+1:]...)
 	for j := i; j < len(op.results); j++ {
 		op.results[j].index = j
@@ -317,6 +341,7 @@ func (op *Op) attrIndex(key string) (int, bool) {
 
 // SetAttr stores an attribute under key.
 func (op *Op) SetAttr(key string, a Attribute) {
+	op.touch()
 	i, ok := op.attrIndex(key)
 	if ok {
 		op.attrs[i].val = a
@@ -330,6 +355,7 @@ func (op *Op) SetAttr(key string, a Attribute) {
 // RemoveAttr deletes the attribute stored under key.
 func (op *Op) RemoveAttr(key string) {
 	if i, ok := op.attrIndex(key); ok {
+		op.touch()
 		op.attrs = append(op.attrs[:i], op.attrs[i+1:]...)
 	}
 }
@@ -370,6 +396,7 @@ func (op *Op) Region(i int) *Region { return op.regions[i] }
 
 // AddRegion appends a new empty single-block region and returns it.
 func (op *Op) AddRegion() *Region {
+	op.touch()
 	r := &Region{parent: op}
 	r.block.region = r
 	op.regions = append(op.regions, r)
@@ -396,6 +423,7 @@ func (op *Op) Remove() {
 	if op.parent == nil {
 		return
 	}
+	op.touch()
 	b := op.parent
 	if op.prev != nil {
 		op.prev.next = op.next
@@ -464,6 +492,17 @@ func (op *Op) MoveBefore(other *Op) {
 func (op *Op) MoveAfter(other *Op) {
 	op.Remove()
 	other.parent.insertAfter(op, other)
+}
+
+// touch records a mutation of the tree op hangs in: it bumps the epoch of
+// op's root. Every mutator calls it before it unlinks anything, so the
+// count lands on the tree the mutation left; PassManager.Run compares a
+// module's epoch across a pass to learn whether the pass changed it.
+func (op *Op) touch() {
+	for p := op.ParentOp(); p != nil; p = op.ParentOp() {
+		op = p
+	}
+	op.epoch++
 }
 
 // IsBefore reports whether op appears strictly before other within the same
@@ -568,6 +607,13 @@ func (b *Block) renumber() {
 // Region returns the region containing this block.
 func (b *Block) Region() *Region { return b.region }
 
+// touch bumps the epoch of the tree b belongs to.
+func (b *Block) touch() {
+	if p := b.ParentOp(); p != nil {
+		p.touch()
+	}
+}
+
 // ParentOp returns the op owning the region containing this block, or nil.
 func (b *Block) ParentOp() *Op {
 	if b.region == nil {
@@ -578,6 +624,7 @@ func (b *Block) ParentOp() *Op {
 
 // AddArg appends a new block argument of the given type.
 func (b *Block) AddArg(t Type) *Value {
+	b.touch()
 	v := &Value{typ: t, owner: b, index: len(b.args)}
 	b.args = append(b.args, v)
 	return v
@@ -601,6 +648,7 @@ func (b *Block) EraseArg(i int) {
 	if len(b.args[i].uses) > 0 {
 		panic("ir: erasing block argument with live uses")
 	}
+	b.touch()
 	b.args = append(b.args[:i], b.args[i+1:]...)
 	for j := i; j < len(b.args); j++ {
 		b.args[j].index = j
@@ -637,6 +685,7 @@ func (b *Block) Append(op *Op) {
 	if op.parent != nil {
 		panic("ir: appending op already in a block")
 	}
+	b.touch()
 	op.parent = b
 	op.prev = b.last
 	if b.last != nil {
@@ -651,6 +700,7 @@ func (b *Block) Append(op *Op) {
 }
 
 func (b *Block) insertBefore(op, ref *Op) {
+	b.touch()
 	b.ordered = false
 	op.parent = b
 	op.next = ref
@@ -664,6 +714,7 @@ func (b *Block) insertBefore(op, ref *Op) {
 }
 
 func (b *Block) insertAfter(op, ref *Op) {
+	b.touch()
 	b.ordered = false
 	op.parent = b
 	op.prev = ref

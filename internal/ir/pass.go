@@ -44,6 +44,10 @@ type PassManager struct {
 	CheckEach func(pass string, before, after *Module) error
 	// Stats accumulates a human-readable log line per executed pass.
 	Stats []string
+	// Changed accumulates the names of the executed passes that changed
+	// the module: those that called a mutator of the IR on it. A pass that
+	// did not left the module exactly as it found it.
+	Changed []string
 }
 
 // NewPassManager returns a PassManager with per-pass verification enabled.
@@ -67,10 +71,10 @@ func (pm *PassManager) Passes() []string {
 }
 
 // Split returns two managers that run pm's first n passes and the rest
-// under pm's VerifyEach and CheckEach, each logging its own Stats. Running
-// head then tail is running pm, with a point in between where the caller
-// can read the live module — what CheckEach offers only at the price of a
-// clone before every pass.
+// under pm's VerifyEach and CheckEach, each logging its own Stats and
+// Changed. Running head then tail is running pm, with a point in between
+// where the caller can read the live module — what CheckEach offers only
+// at the price of a clone before every pass.
 func (pm *PassManager) Split(n int) (head, tail *PassManager) {
 	head = &PassManager{passes: pm.passes[:n:n], VerifyEach: pm.VerifyEach, CheckEach: pm.CheckEach}
 	tail = &PassManager{passes: pm.passes[n:], VerifyEach: pm.VerifyEach, CheckEach: pm.CheckEach}
@@ -103,8 +107,12 @@ func (pm *PassManager) Run(m *Module) error {
 		if pm.CheckEach != nil {
 			snapshot = m.Clone()
 		}
+		epoch := m.op.epoch
 		if err := p.Run(m); err != nil {
 			return fmt.Errorf("pass %s: %w", p.Name(), err)
+		}
+		if m.op.epoch != epoch {
+			pm.Changed = append(pm.Changed, p.Name())
 		}
 		if pm.VerifyEach {
 			if err := Verify(m); err != nil {

@@ -77,7 +77,7 @@ func (m *Memory) DirtyEnd(to uint64) uint64 {
 
 // ResetCounters does nothing. The memory keeps no traffic counters; this
 // empty method stays only so the frozen bench/ harness, which still calls
-// it, compiles, and it goes with ROADMAP item 4(a)'s benchmark change.
+// it, compiles, and it goes with ROADMAP item 2's benchmark change.
 func (m *Memory) ResetCounters() {}
 
 // Reset restores the memory to its initial all-zero state, zeroing only the

@@ -695,6 +695,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"cwserve_cache_launch_misses_total", "Device launches that ran the device model.", "counter", st.LaunchMisses},
 		{"cwserve_cache_family_hits_total", "Computed cells whose compile resumed from the runner's family memo.", "counter", st.FamilyHits},
 		{"cwserve_cache_family_misses_total", "Computed cells that built their instance fresh.", "counter", st.FamilyMisses},
+		{"cwserve_cache_family_tail_hits_total", "Computed cells that took the Result of a sibling whose module at the lowering was theirs.", "counter", st.TailHits},
 		// The alerting-facing alias: nonzero means the daemon is serving in
 		// degraded mode (results live in memory but stopped being durable)
 		// and /healthz says "degraded".

@@ -582,6 +582,7 @@ func TestMetrics(t *testing.T) {
 		// The one cell built its instance: nothing of its family ran before.
 		"cwserve_cache_family_hits_total 0",
 		"cwserve_cache_family_misses_total 1",
+		"cwserve_cache_family_tail_hits_total 0",
 		`cwserve_requests_total{endpoint="run",code="200"} 1`,
 		"cwserve_queue_depth 0",
 		"cwserve_slots_busy 0",
@@ -596,6 +597,20 @@ func TestMetrics(t *testing.T) {
 		if !strings.Contains(text, series) {
 			t.Errorf("metrics missing %q", series)
 		}
+	}
+
+	// On Gemmini dedup and all reach their lowering with one module: the
+	// second served takes the first's tail.
+	for _, p := range []core.Pipeline{core.DedupOnly, core.AllOptimizations} {
+		if _, err := c.RunRaw(context.Background(), core.Experiment{Target: "gemmini", Workload: core.WorkloadMatmul, Pipeline: p, N: 16}, core.RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if text, err = c.Metrics(context.Background(), serve.RetryPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "cwserve_cache_family_tail_hits_total 1\n") {
+		t.Errorf("after gemmini dedup then all: metrics lack cwserve_cache_family_tail_hits_total 1")
 	}
 }
 
