@@ -98,6 +98,7 @@ type funcPaths struct {
 	name         string
 	paths        []*path
 	inconclusive []string // non-empty: exploration lost precision somewhere
+	runs         int      // interpreter runs: one per path, and one more if it stopped
 }
 
 // Summary holds the explored abstract executions of a module's functions,
@@ -107,11 +108,7 @@ type Summary struct {
 	order []string // function names in module order
 }
 
-// control-flow sentinels for the interpreter.
-type forkErr struct{ key string }
-
-func (e forkErr) Error() string { return "fork on " + e.key }
-
+// impreciseErr stops an interpreter run where it loses precision.
 type impreciseErr struct{ reason string }
 
 func (e impreciseErr) Error() string { return e.reason }
@@ -138,66 +135,79 @@ func Explore(m *ir.Module) *Summary {
 	return s
 }
 
-// exploreFunc enumerates the paths of one function by repeatedly running
-// the interpreter with a growing branch-decision script: a run that hits an
-// undecided symbolic condition aborts and re-queues both decisions.
+// exploreFunc enumerates the paths of one function, one interpreter run per
+// path: a run that reaches an undecided symbolic condition takes it as true
+// and queues its branch-decision script with the condition false, so every
+// run ends in a path or in the end of the exploration.
 func exploreFunc(f *ir.Op) *funcPaths {
 	fp := &funcPaths{}
 	known := new(FieldStates)
+	var last sizes
 	pending := []map[string]bool{{}}
 	for len(pending) > 0 {
-		if len(fp.paths)+len(pending) > maxPaths {
-			fp.inconclusive = append(fp.inconclusive, fmt.Sprintf("more than %d paths", maxPaths))
-			return fp
-		}
 		assigns := pending[0]
 		pending = pending[1:]
-		p, err := runOnce(f, known, assigns)
-		switch e := err.(type) {
-		case nil:
-			fp.paths = append(fp.paths, p)
-		case forkErr:
-			t := cloneAssigns(assigns)
-			t[e.key] = true
-			fa := cloneAssigns(assigns)
-			fa[e.key] = false
-			pending = append(pending, t, fa)
-		case impreciseErr:
-			fp.inconclusive = append(fp.inconclusive, e.reason)
-			return fp
-		default:
+		fp.runs++
+		p, forks, err := runOnce(f, known, assigns, maxPaths-len(fp.paths)-len(pending)-1, &last)
+		if err != nil {
 			fp.inconclusive = append(fp.inconclusive, err.Error())
 			return fp
 		}
+		fp.paths = append(fp.paths, p)
+		pending = append(pending, forks...)
 	}
 	return fp
-}
-
-func cloneAssigns(a map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(a)+1)
-	for k, v := range a {
-		out[k] = v
-	}
-	return out
 }
 
 // interp is the per-run interpreter state.
 type interp struct {
 	absState
 	assigns map[string]bool
-	events  []event
-	loads   int
-	allocs  int
-	fuel    int
+	// forks holds the scripts of the paths this run leaves for later runs:
+	// its decisions up to an undecided condition, with that condition false.
+	// room is how many more it may queue before the function has more than
+	// maxPaths paths.
+	forks  []map[string]bool
+	room   int
+	events []event
+	loads  int
+	allocs int
+	fuel   int
 }
 
-// runOnce deterministically interprets f under the given branch decisions.
-func runOnce(f *ir.Op, known *FieldStates, assigns map[string]bool) (*path, error) {
-	in := &interp{absState: entryState(f, known), assigns: assigns, fuel: maxFuel}
-	if err := in.evalBlock(f.Region(0).Block()); err != nil {
-		return nil, err
+// sizes is what the previous run of a function held: the paths of one
+// function mostly bind the same values and perform as many events, so each
+// run sizes its environment and its events by the run before it.
+type sizes struct{ values, events int }
+
+// runOnce deterministically interprets f under the given branch decisions,
+// deciding every condition they leave open as true, and returns the path
+// with the scripts of the paths it forked off.
+func runOnce(f *ir.Op, known *FieldStates, assigns map[string]bool, room int, last *sizes) (*path, []map[string]bool, error) {
+	in := &interp{absState: entryState(f, known, last.values), assigns: assigns, room: room, fuel: maxFuel,
+		events: make([]event, 0, last.events)}
+	err := in.evalBlock(f.Region(0).Block())
+	*last = sizes{len(in.env), len(in.events)}
+	if err != nil {
+		return nil, nil, err
 	}
-	return &path{assigns: assigns, events: in.events}, nil
+	return &path{assigns: assigns, events: in.events}, in.forks, nil
+}
+
+// fork decides the open condition key as true for this run and queues the
+// script that decides it false.
+func (in *interp) fork(key string) error {
+	if in.room--; in.room < 0 {
+		return impreciseErr{reason: fmt.Sprintf("more than %d paths", maxPaths)}
+	}
+	alt := make(map[string]bool, len(in.assigns)+1)
+	for k, v := range in.assigns {
+		alt[k] = v
+	}
+	alt[key] = false
+	in.forks = append(in.forks, alt)
+	in.assigns[key] = true
+	return nil
 }
 
 func (in *interp) evalBlock(b *ir.Block) error {
@@ -335,7 +345,10 @@ func (in *interp) evalIf(branch scf.If) error {
 		taken, decided = c != 0, true
 	} else if key, ok := cond.SymKey(); ok {
 		if taken, decided = in.assigns[key]; !decided {
-			return forkErr{key: key}
+			if err := in.fork(key); err != nil {
+				return err
+			}
+			taken, decided = true, true
 		}
 	}
 	if !decided {

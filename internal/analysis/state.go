@@ -25,9 +25,10 @@ type absState struct {
 }
 
 // entryState returns the state on entry to function f: argument i is the
-// symbol argi, no staging register written; known is f's, unfilled.
-func entryState(f *ir.Op, known *FieldStates) absState {
-	s := absState{env: map[*ir.Value]AbsVal{}, staging: map[string]FieldState{}, fn: f, known: known}
+// symbol argi, no staging register written; known is f's, unfilled. values
+// sizes the environment for the values the caller expects it to hold.
+func entryState(f *ir.Op, known *FieldStates, values int) absState {
+	s := absState{env: make(map[*ir.Value]AbsVal, values), staging: map[string]FieldState{}, fn: f, known: known}
 	body := f.Region(0).Block()
 	for i := 0; i < body.NumArgs(); i++ {
 		s.env[body.Arg(i)] = Sym("arg" + strconv.Itoa(i))

@@ -50,7 +50,7 @@ func Summarize(m *ir.Module) *ModuleSummary {
 			siteIDs:     map[*ir.Op]int{},
 		}
 		body := f.Region(0).Block()
-		p.block(body, entryState(f, new(FieldStates)))
+		p.block(body, entryState(f, new(FieldStates), 0))
 		fs := FuncSummary{Name: name, Bounds: boundsBlock(body)}
 		ir.Walk(f, func(o *ir.Op) {
 			if rec, ok := p.launches[o]; ok {

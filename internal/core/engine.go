@@ -215,7 +215,7 @@ type Result struct {
 	// PassStats carries the per-pass op-count log.
 	PassStats []string
 	// Trace holds the timeline of a traced Compiled.Execute, nil elsewhere.
-	Trace []sim.Segment
+	Trace []sim.Segment `json:"Trace,omitempty"`
 	// PeakOps echoes the target's peak for convenience.
 	PeakOps float64
 }

@@ -30,21 +30,24 @@ import (
 // its own clone, the parent of the PR that added the pass tree measured
 // 3 850 and 2 815.
 //
-// The bytes hold the sandbox pooled and the images trimmed before they are
-// copied: 1.32 and 1.44 MB here, against 2.37 and 2.39 MB with either an
+// The bytes hold the check's scratch reused and only the baseline's image
+// copied out: 1.00 and 0.68 MB here. With a sync.Pool of sandboxes (emptied
+// by every GC), a fresh trace per run and every run's image copied, the
+// parent of the PR that made the scratch a free list measured 1.53 and
+// 1.34 MB, and 3 545 and 2 588 allocations with a path enumerator that
+// threw away every run reaching an undecided branch. 2.37 and 2.39 MB is an
 // arena per check or each image copied up to its last dirty page, and 18.5
-// and 17.8 MB with an arena and a full-image snapshot per engine run. The
-// budget is the measurement + 10% plus one 1 MiB sandbox, so a pool a GC
-// emptied between two checks cannot fail it.
+// and 17.8 MB an arena and a full-image snapshot per engine run. A GC does
+// not empty the free list, so the budget has no slack for a sandbox made
+// again between two checks: one more 1 MiB sandbox per check fails it.
 func TestCheckAllocationBudget(t *testing.T) {
-	const sandbox = 1_050_720 // mem.New(1 << 20): the bytes, the dirty flags, the line versions
 	for _, tc := range []struct {
 		target string
 		allocs float64
 		bytes  uint64
 	}{
-		{"gemmini", 3882, 1_452_000 + sandbox},  // measured 3 529 and 1 320 k
-		{"opengemm", 2827, 1_589_000 + sandbox}, // measured 2 570 and 1 444 k
+		{"gemmini", 3583, 1_101_000}, // measured 3 257 and 1 001 k
+		{"opengemm", 2691, 746_000},  // measured 2 446 and 678 k
 	} {
 		tgt, prof := targetAndProfile(t, tc.target)
 		prog, err := irgen.Generate(prof, irgen.DeriveSeed(1, tc.target, 0))

@@ -155,7 +155,8 @@ type Execution struct {
 	Launches []accel.Launch
 	// Mem is the final [0, stackBase) memory image in canonical form:
 	// trailing zero bytes dropped, every byte past its end reads as zero.
-	// It is an owned copy; nothing in it aliases the sandbox.
+	// In a Report or from Execute it is an owned copy; nothing in it
+	// aliases the check's scratch.
 	Mem []byte
 	// TraceSummary aggregates the recorded timeline per segment kind.
 	TraceSummary trace.Summary
@@ -332,8 +333,8 @@ func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) 
 		pipelines = OptimizationPipelines()
 	}
 	baseSum := analysis.Explore(m)
-	sandbox := sandboxes.Get().(*mem.Memory)
-	defer sandboxes.Put(sandbox)
+	s := takeScratch()
+	defer s.release()
 
 	var baseBounds analysis.Bounds
 	baseFinal, err := runPasses(m, t.PassPipeline(core.Baseline), nil, func(pre *ir.Module) {
@@ -342,7 +343,7 @@ func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) 
 	kind := KindPipelineError
 	var base Execution
 	if err == nil {
-		base, kind, err = executeCompiled(t, baseFinal, prog, true, sandbox)
+		base, kind, err = s.execute(t, baseFinal, prog, true, handOut)
 	}
 	if err != nil {
 		if kind != KindEngine {
@@ -390,7 +391,7 @@ func CheckModule(t core.Target, m *ir.Module, prog irgen.Program, opts Options) 
 			continue
 		}
 
-		exec, kind, err := executeCompiled(t, final, prog, true, sandbox)
+		exec, kind, err := s.execute(t, final, prog, true, holdRef)
 		if err != nil {
 			rep.Divergences = append(rep.Divergences, Divergence{Kind: kind, Pipeline: p, Detail: err.Error()})
 			if kind != KindEngine {
@@ -457,9 +458,9 @@ func Execute(t core.Target, m *ir.Module, prog irgen.Program, pm *ir.PassManager
 	if err != nil {
 		return Execution{}, KindPipelineError, err
 	}
-	sandbox := sandboxes.Get().(*mem.Memory)
-	defer sandboxes.Put(sandbox)
-	return executeCompiled(t, clone, prog, crossCheck, sandbox)
+	s := takeScratch()
+	defer s.release()
+	return s.execute(t, clone, prog, crossCheck, handOut)
 }
 
 // runPasses clones m, applies the optional mutation and runs the pipeline
@@ -581,14 +582,75 @@ func (tr *passTree) waitedOn(i, d int) bool {
 	return false
 }
 
-// sandboxes recycles the oracle's 1 MiB arenas across checks: CheckModule
-// and Execute each take one and put it back when they return, and every
-// engine run of a program starts from it with Reset, which zeroes only the
-// pages the previous run dirtied. Isolation between checks rests on the
-// Reset contract the eight runs of one check already rest on
-// (TestReusedSandboxIndistinguishableFromFresh); nothing in a Report
-// aliases the arena, since Execution.Mem is an owned copy.
-var sandboxes = sync.Pool{New: func() any { return mem.New(memorySize) }}
+// scratch is one check's reusable working memory: the 1 MiB sandbox every
+// run of the check simulates in, and the buffers a run's observation lives in
+// when nothing outside the check keeps it. Every run starts from the sandbox
+// with Reset, which zeroes only the pages the previous run dirtied, and
+// records its trace into trace, which the machine truncates before it runs.
+// Isolation between checks rests on the Reset contract the eight runs of one
+// check already rest on (TestReusedSandboxIndistinguishableFromFresh);
+// nothing a check hands out aliases its scratch (TestHandedOutExecutionsAreOwned).
+type scratch struct {
+	sandbox *mem.Memory
+	trace   []sim.Segment
+	// img and launches[holdRef] hold the image and the launch effects of a
+	// holdRef run, launches[inPlace] those of an inPlace run;
+	// launches[handOut] stays nil, so a handOut run appends to a new slice.
+	img      []byte
+	launches [3][]accel.Launch
+}
+
+// scratches is the free list of check scratch: CheckModule and Execute each
+// take an entry and put it back when they return. Unlike a sync.Pool, a
+// collection does not empty it, so the oracle does not re-make a sandbox
+// after every GC; it never holds more entries than checks ever ran at once.
+// The padding keeps it at the 40 bytes of the pool it replaced, so every
+// data symbol behind it keeps its offset within a cache line: at 32 bytes,
+// 340 of the benchmark binary's 1 699 data symbols moved within their
+// line, runtime.writeBarrier among them, a shift that has made workloads
+// that never run this code read slower before.
+var scratches struct {
+	sync.Mutex
+	free []*scratch
+	_    [8]byte
+}
+
+// takeScratch pops a free entry, or makes one when every entry is in use.
+func takeScratch() *scratch {
+	scratches.Lock()
+	n := len(scratches.free)
+	if n == 0 {
+		scratches.Unlock()
+		return &scratch{sandbox: mem.New(memorySize)}
+	}
+	s := scratches.free[n-1]
+	scratches.free = scratches.free[:n-1]
+	scratches.Unlock()
+	return s
+}
+
+// release puts s back on the free list.
+func (s *scratch) release() {
+	scratches.Lock()
+	scratches.free = append(scratches.free, s)
+	scratches.Unlock()
+}
+
+// hold says where simulate leaves a run's memory image and launch effects.
+type hold int
+
+const (
+	// handOut copies them into fresh slices: the Execution outlives the
+	// check (Report.Base, Execute's result).
+	handOut hold = iota
+	// holdRef keeps them in the scratch's reference buffers, valid until the
+	// next holdRef run: an optimized pipeline's reference run, compared
+	// against the baseline and against the other engines.
+	holdRef
+	// inPlace leaves the image in the sandbox, valid until the next run: an
+	// engine run only ever compared against its reference run.
+	inPlace
+)
 
 // compileProgram compiles the already-optimized module against the oracle's
 // layout: buffers 64-byte aligned from bufferBase, statics after them, sp at
@@ -603,9 +665,10 @@ func compileProgram(clone *ir.Module, prog irgen.Program) (core.Program, error) 
 	return core.CompileModule(clone, sizes, core.Layout{BufferBase: bufferBase, Align: 64, StackBase: stackBase})
 }
 
-// executeCompiled compiles and simulates one already-optimized module in
-// the check's sandbox.
-func executeCompiled(t core.Target, clone *ir.Module, prog irgen.Program, crossCheck bool, sandbox *mem.Memory) (Execution, Kind, error) {
+// execute compiles and simulates one already-optimized module in the check's
+// sandbox; h says where the reference run's observation lives, and every
+// other engine's run is compared in place.
+func (s *scratch) execute(t core.Target, clone *ir.Module, prog irgen.Program, crossCheck bool, h hold) (Execution, Kind, error) {
 	compiled, err := compileProgram(clone, prog)
 	if err != nil {
 		return Execution{}, KindCompileError, err
@@ -613,7 +676,7 @@ func executeCompiled(t core.Target, clone *ir.Module, prog irgen.Program, crossC
 
 	// Trace recording is only needed for the summarized-trace comparison
 	// between engines; the plain oracle path skips its cost.
-	ref, err := simulate(t, prog, &compiled, sim.EngineRef, crossCheck, sandbox)
+	ref, err := s.simulate(t, prog, &compiled, sim.EngineRef, crossCheck, h)
 	if err != nil {
 		return Execution{}, KindSimError, err
 	}
@@ -622,7 +685,7 @@ func executeCompiled(t core.Target, clone *ir.Module, prog irgen.Program, crossC
 			if eng == sim.EngineRef {
 				continue
 			}
-			alt, err := simulate(t, prog, &compiled, eng, true, sandbox)
+			alt, err := s.simulate(t, prog, &compiled, eng, true, inPlace)
 			if err != nil {
 				return ref, KindEngine, fmt.Errorf("%s engine failed where the reference engine succeeded: %w", eng, err)
 			}
@@ -635,33 +698,49 @@ func executeCompiled(t core.Target, clone *ir.Module, prog irgen.Program, crossC
 }
 
 // simulate runs one compiled program under the selected engine and captures
-// the oracle observation. The memory is the check's sandbox, reset here to
+// the oracle observation. The memory is the scratch's sandbox, reset here to
 // the all-zero state a new one has; the machine, the device and the launch
-// recorder are new for every run. The program starts through the cell ABI
-// (core.Program.Start) with the program's scalar P after its buffers.
-func simulate(t core.Target, prog irgen.Program, compiled *core.Program, engine sim.Engine, recordTrace bool, memory *mem.Memory) (Execution, error) {
+// recorder are new for every run, and the machine records into the
+// scratch's trace buffer. Where the image and the launches live is h's to
+// say. The program starts through the cell ABI (core.Program.Start) with
+// the program's scalar P after its buffers.
+func (s *scratch) simulate(t core.Target, prog irgen.Program, compiled *core.Program, engine sim.Engine, recordTrace bool, h hold) (Execution, error) {
+	memory := s.sandbox
 	memory.Reset()
 	for i, buf := range prog.Buffers {
 		copy(memory.Region(compiled.Bases[i], uint64(len(buf.Data))), buf.Data)
 	}
 
-	rec := &recorder{Device: t.NewDevice()}
+	rec := &recorder{Device: t.NewDevice(), launches: s.launches[h][:0]}
 	mc := sim.NewMachine(memory, t.Cost, rec)
 	mc.Engine = engine
 	mc.RecordTrace = recordTrace
+	mc.Trace = s.trace
 	mc.MaxInstrs = maxInstrs
-	if err := compiled.Start(mc, prog.P); err != nil {
+	err := compiled.Start(mc, prog.P)
+	s.trace = mc.Trace
+	if h != handOut {
+		s.launches[h] = rec.launches
+	}
+	if err != nil {
 		return Execution{}, err
 	}
 
 	// Everything from the last dirty page up to the stack is still zero by
 	// Reset's contract, so the image is read from the written part only and
-	// copied up to its last nonzero byte.
+	// kept up to its last nonzero byte.
 	img := trimZeros(memory.View(0, memory.DirtyEnd(stackBase)))
+	switch h {
+	case handOut:
+		img = memory.Snapshot(0, uint64(len(img)))
+	case holdRef:
+		s.img = append(s.img[:0], img...)
+		img = s.img
+	}
 	return Execution{
 		Counters:      mc.Counters,
 		Launches:      rec.launches,
-		Mem:           memory.Snapshot(0, uint64(len(img))),
+		Mem:           img,
 		TraceSummary:  trace.Summarize(mc.Trace),
 		ProgramInstrs: len(compiled.Instrs),
 	}, nil

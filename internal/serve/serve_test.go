@@ -100,9 +100,10 @@ func TestRunByteIdentical(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("GET body differs from direct Runner.Run marshal:\n got %s\nwant %s", got, want)
 	}
-	// A served cell carries no timeline: no request can ask for one.
+	// A served cell carries no timeline: no request can ask for one, and
+	// the body has no Trace key at all.
 	var res core.Result
-	if err := json.Unmarshal(got, &res); err != nil || res.Trace != nil || !bytes.Contains(got, []byte(`"Trace":null`)) {
+	if err := json.Unmarshal(got, &res); err != nil || res.Trace != nil || bytes.Contains(got, []byte(`"Trace"`)) {
 		t.Errorf("served body has a timeline (err %v): %.200s", err, got)
 	}
 
@@ -400,7 +401,7 @@ func TestQueueTimeout(t *testing.T) {
 // and checks every cell arrives exactly once with results identical to
 // direct execution, then the summary line, and /metrics counts the cells.
 func TestSweepStream(t *testing.T) {
-	_, _, c := newTestServer(t, serve.Options{})
+	_, ts, c := newTestServer(t, serve.Options{})
 	rq := serve.SweepRequest{
 		Targets:   []string{"opengemm"},
 		Workloads: []string{core.WorkloadMatmul},
@@ -440,6 +441,18 @@ func TestSweepStream(t *testing.T) {
 	}
 	if !strings.Contains(text, "\ncwserve_sweep_cells_total 4\n") {
 		t.Errorf("metrics missing the sweep-cell counter:\n%s", text)
+	}
+
+	// The stream's events carry no Trace key.
+	buf, _ := json.Marshal(rq)
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	stream, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || bytes.Contains(stream, []byte(`"Trace"`)) {
+		t.Errorf("sweep stream (status %d) has a Trace key: %.300s", resp.StatusCode, stream)
 	}
 
 	pipes := []core.Pipeline{core.Baseline, core.AllOptimizations}

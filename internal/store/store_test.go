@@ -199,6 +199,48 @@ func TestEntryWithCellFieldsLoads(t *testing.T) {
 	}
 }
 
+// TestEntryWithNullTraceLoads: a Result without a timeline is saved with no
+// Trace key, an entry written while every entry carried "Trace":null still
+// loads as the same result, and a timeline still encodes under that key.
+func TestEntryWithNullTraceLoads(t *testing.T) {
+	s := openStore(t)
+	opts := core.RunOptions{}
+	res := core.Result{Target: exp.Target, Workload: exp.Workload, N: exp.N}
+	res.Cycles = 7
+	if err := s.Save(exp, opts, res); err != nil {
+		t.Fatal(err)
+	}
+	path := s.EntryPath(exp, opts)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"Trace"`) {
+		t.Errorf("Save wrote a Trace key for a result without a timeline: %s", data)
+	}
+	marker := `"result":{`
+	if !strings.Contains(string(data), marker) {
+		t.Fatalf("result marker not found in %s", data)
+	}
+	older := strings.Replace(string(data), marker, marker+`"Trace":null,`, 1)
+	if err := os.WriteFile(path, []byte(older), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := s.Load(exp, opts)
+	if !ok || err != nil || !reflect.DeepEqual(got, res) {
+		t.Errorf(`entry with "Trace":null: ok=%v err=%v result %+v, want a hit with %+v`, ok, err, got, res)
+	}
+
+	res.Trace = []sim.Segment{{Kind: sim.SegAccelBusy, Start: 1, End: 9}}
+	traced, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(traced), `"Trace":[{`) {
+		t.Errorf("a timeline does not encode under the Trace key: %s", traced)
+	}
+}
+
 // TestCorruptedEntryIsMiss truncates and garbles a stored entry; both must
 // load as misses (and never as errors that would abort a sweep).
 func TestCorruptedEntryIsMiss(t *testing.T) {
