@@ -100,7 +100,7 @@ var artifacts = []artifact{
 		return nil
 	}},
 	{name: "fig10", run: func(b *bench) error {
-		rows, err := core.Figure10With(context.Background(), b.runner, b.pick(core.Figure10Sizes))
+		rows, err := core.Figure10.With(context.Background(), b.runner, b.pick(core.Figure10Sizes))
 		if err != nil {
 			return err
 		}
@@ -108,7 +108,7 @@ var artifacts = []artifact{
 		return nil
 	}},
 	{name: "fig11", run: func(b *bench) error {
-		rows, err := core.Figure11With(context.Background(), b.runner, b.pick(core.Figure11Sizes))
+		rows, err := core.Figure11.With(context.Background(), b.runner, b.pick(core.Figure11Sizes))
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"configwall/internal/accel/gemmini"
@@ -9,22 +10,20 @@ import (
 	"configwall/internal/irgen"
 )
 
-// passByPass runs pm over m one pass at a time and calls fail for every
-// pass where whether the printed module changed and whether
-// PassManager.Changed names the pass disagree. It returns how many passes
-// ran and how many changed the printed module.
+// passByPass runs pm over m one pass at a time, as the spans [i, i+1),
+// and calls fail for every pass where whether the printed module changed
+// and whether PassManager.Changed names the pass disagree. It returns how
+// many passes ran and how many changed the printed module.
 func passByPass(t *testing.T, pm *ir.PassManager, m *ir.Module, fail func(pass string, printed, reported bool)) (runs, changed int) {
 	t.Helper()
-	rest := pm
 	before := ir.PrintModule(m)
-	for _, name := range pm.Passes() {
-		var seg *ir.PassManager
-		seg, rest = rest.Split(1)
-		if err := seg.Run(m); err != nil {
+	for i, name := range pm.Passes() {
+		was := len(pm.Changed)
+		if err := pm.RunSpan(m, i, i+1); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		after := ir.PrintModule(m)
-		printed, reported := after != before, len(seg.Changed) == 1
+		printed, reported := after != before, len(pm.Changed) == was+1
 		if printed != reported {
 			fail(name, printed, reported)
 		}
@@ -92,4 +91,50 @@ func TestChangedMatchesPrintedModule(t *testing.T) {
 		}
 	}
 	t.Logf("with %d programs per target: %d pass runs, %d changed the module", programs, runs, changed)
+}
+
+// TestSpansMatchRun: a pipeline run as spans — cut where compile stops (its
+// forks and its lowering) or at every depth — leaves the module, Stats and
+// Changed that one Run leaves, for every pipeline of both targets on every
+// cell at n = 8…128.
+func TestSpansMatchRun(t *testing.T) {
+	for _, e := range familyUniverse(t) {
+		tg, err := LookupTarget(e.Target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := LookupWorkload(e.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := w.Build(tg, e.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole := tg.PassPipeline(e.Pipeline)
+		want := inst.Module.Clone()
+		if err := whole.Run(want); err != nil {
+			t.Fatalf("%s: %v", e, err)
+		}
+		stops := newForkTable(tg).stops[e.Pipeline]
+		every := make([]int, whole.Len())
+		for i := range every {
+			every[i] = i + 1
+		}
+		for _, cuts := range [][]int{stops, every} {
+			pm, m, at := tg.PassPipeline(e.Pipeline), inst.Module.Clone(), 0
+			for _, d := range append(slices.Clone(cuts), pm.Len()) {
+				if err := pm.RunSpan(m, at, d); err != nil {
+					t.Fatalf("%s: span [%d, %d): %v", e, at, d, err)
+				}
+				at = d
+			}
+			if ir.PrintModule(m) != ir.PrintModule(want) {
+				t.Errorf("%s cut at %v: the module prints differently than after one Run", e, cuts)
+			}
+			if !slices.Equal(pm.Stats, whole.Stats) || !slices.Equal(pm.Changed, whole.Changed) {
+				t.Errorf("%s cut at %v: Stats %q, Changed %q; one Run logs %q, %q", e, cuts, pm.Stats, pm.Changed, whole.Stats, whole.Changed)
+			}
+		}
+	}
 }

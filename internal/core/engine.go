@@ -403,11 +403,12 @@ func Compile(t Target, w Workload, p Pipeline, n int) (*Compiled, error) {
 // p's pass list, publishing the module where a sibling pipeline that has
 // not started forks from p, and, at p's lowering, taking the tail of a
 // sibling that reached it with the same derivation (nil: build, and run
-// every pass).
+// every pass). One manager runs p span by span, from where it resumed to
+// each stop and on to its end, so its Stats and Changed are p's whole log.
 func compile(t Target, w Workload, p Pipeline, n int, f *family) (*Compiled, error) {
 	pm := t.PassPipeline(p)
 	defer f.reach(p)
-	m, buffers, stats, derivation := f.take(p)
+	m, buffers := f.take(p, pm)
 	if m == nil {
 		inst, err := w.Build(t, n)
 		if err != nil {
@@ -416,33 +417,28 @@ func compile(t Target, w Workload, p Pipeline, n int, f *family) (*Compiled, err
 		m, buffers = inst.Module, inst.Buffers
 		f.publish(p, 0, m, nil, nil, buffers)
 	}
-	at, rest := len(stats), pm
-	if at > 0 {
-		_, rest = pm.Split(at)
-	}
 	var err error
 	var tail tailKey
+	at := len(pm.Stats)
 	stops, lowering := f.stops(p)
 	for _, d := range stops {
 		if d > at {
-			var seg *ir.PassManager
-			seg, rest = rest.Split(d - at)
-			if stats, derivation, err = runPasses(seg, m, stats, derivation); err != nil {
+			if err = pm.RunSpan(m, at, d); err != nil {
 				break
 			}
 			at = d
-			f.publish(p, d, m, stats, derivation, nil)
+			f.publish(p, d, m, pm.Stats, pm.Changed, nil)
 		}
 		if d == lowering {
-			tail = f.forks.tailKey(p, derivation)
+			tail = f.forks.tailKey(p, pm.Changed)
 			if res, ok := f.tail(tail); ok {
-				res.Pipeline, res.PassStats = p, append(stats, res.PassStats...)
+				res.Pipeline, res.PassStats = p, append(pm.Stats, res.PassStats...)
 				return &Compiled{res: res}, nil
 			}
 		}
 	}
 	if err == nil {
-		stats, _, err = runPasses(rest, m, stats, derivation)
+		err = pm.RunSpan(m, at, pm.Len())
 	}
 	if err != nil {
 		return nil, fmt.Errorf("pipeline %s on %s/%s/%d: %w", p, t.Name, w.Name, n, err)
@@ -459,16 +455,8 @@ func compile(t Target, w Workload, p Pipeline, n int, f *family) (*Compiled, err
 		return nil, fmt.Errorf("codegen for %s/%s/%d: %w", t.Name, w.Name, n, err)
 	}
 	c.res = Result{Target: t.Name, Workload: w.Name, Pipeline: p, N: n, PeakOps: t.PeakOps,
-		PassStats: stats, ProgramInstrs: len(c.Prog.Instrs)}
+		PassStats: pm.Stats, ProgramInstrs: len(c.Prog.Instrs)}
 	return c, nil
-}
-
-// runPasses runs seg over m with its stat lines appended to stats and the
-// names of the passes that changed m to changed.
-func runPasses(seg *ir.PassManager, m *ir.Module, stats, changed []string) ([]string, []string, error) {
-	seg.Stats, seg.Changed = stats, changed
-	err := seg.Run(m)
-	return seg.Stats, seg.Changed, err
 }
 
 // Execute simulates the cell on a fresh machine over a pooled arena —

@@ -51,7 +51,7 @@ func TestResultsIdenticalAcrossEngines(t *testing.T) {
 // that drifts the reproduction fails here rather than silently.
 func TestFigureOutputsIdenticalAcrossEngines(t *testing.T) {
 	ctx := context.Background()
-	cells := append(core.Figure10Experiments(core.Figure10Sizes), core.Figure11Experiments(core.Figure11Sizes)...)
+	cells := append(core.Figure10.Experiments(core.Figure10Sizes), core.Figure11.Experiments(core.Figure11Sizes)...)
 	ref, err := core.NewRunner(0).RunAll(ctx, cells, core.RunOptions{Engine: sim.EngineRef})
 	if err != nil {
 		t.Fatal(err)
@@ -66,11 +66,11 @@ func TestFigureOutputsIdenticalAcrossEngines(t *testing.T) {
 			t.Errorf("%s: Result differs between engines:\nref:     %+v\ndefault: %+v", e, ref[i], def[i])
 		}
 	}
-	rows10, err := core.Figure10With(ctx, r, core.Figure10Sizes)
+	rows10, err := core.Figure10.With(ctx, r, core.Figure10Sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows11, err := core.Figure11With(ctx, r, core.Figure11Sizes)
+	rows11, err := core.Figure11.With(ctx, r, core.Figure11Sizes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,7 +133,7 @@ func TestOverlapDoesNotApplySequentially(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	rows, err := core.Figure10With(context.Background(), core.NewRunner(0), []int{32, 64, 128})
+	rows, err := core.Figure10.With(context.Background(), core.NewRunner(0), []int{32, 64, 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +144,12 @@ func TestFigure10Shape(t *testing.T) {
 		if r.Speedup < 1.0 {
 			t.Errorf("size %d: accfg slower than baseline (%.2fx)", r.N, r.Speedup)
 		}
-		if r.AccfgPerf > 512 || r.BaselinePerf > 512 {
+		if r.OptPerf > 512 || r.BasePerf > 512 {
 			t.Errorf("size %d: attainable perf exceeds peak", r.N)
 		}
 	}
 	// Baseline utilization grows with size (configuration amortizes).
-	if !(rows[0].BaselinePerf < rows[1].BaselinePerf && rows[1].BaselinePerf < rows[2].BaselinePerf) {
+	if !(rows[0].BasePerf < rows[1].BasePerf && rows[1].BasePerf < rows[2].BasePerf) {
 		t.Error("baseline attainable performance should grow with size")
 	}
 	out := core.RenderFigure10(rows)
@@ -159,7 +159,7 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestFigure11Shape(t *testing.T) {
-	rows, err := core.Figure11With(context.Background(), core.NewRunner(0), []int{16, 32, 64})
+	rows, err := core.Figure11.With(context.Background(), core.NewRunner(0), []int{16, 32, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestFigure11Shape(t *testing.T) {
 			t.Errorf("size %d: measured perf exceeds peak", r.N)
 		}
 	}
-	g := core.Fig11Geomean(rows)
+	g := core.PairedGeomean(rows)
 	if g < 1.5 || g > 3.0 {
 		t.Errorf("geomean speedup %.2f outside the paper's ballpark (2x)", g)
 	}

@@ -252,7 +252,7 @@ func TestFamilyMemoPanicInBuild(t *testing.T) {
 // the four pipelines of gemmini/matmul/32 on a fresh Runner(1), in the
 // order of Pipelines, at the measured count + 10%.
 func TestFamilyMemoAllocationBudget(t *testing.T) {
-	const budget = 1926 // measured 1 751 (2 590 before dedup's tail served overlap and all)
+	const budget = 1920 // measured 1 745 (2 590 before dedup's tail served overlap and all)
 	var family []Experiment
 	for _, p := range Pipelines {
 		family = append(family, Experiment{Target: "gemmini", Workload: WorkloadMatmul, Pipeline: p, N: 32})
@@ -277,15 +277,21 @@ func TestFamilyMemoAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestForkTable pins where the built-in pipelines fork: the baseline
-// shares nothing past the build, the three accfg pipelines share their
-// opening seven passes, and dedup and all five more.
+// TestForkTable pins where the built-in pipelines fork and lower: the
+// baseline shares nothing past the build, the three accfg pipelines share
+// their opening seven passes, and dedup and all five more; each pipeline's
+// last stop is its lowering.
 func TestForkTable(t *testing.T) {
-	want := [numPipelines][]int{Baseline: nil, DedupOnly: {7, 12}, OverlapOnly: {7}, AllOptimizations: {7, 12}}
+	want := [numPipelines][]int{Baseline: {1}, DedupOnly: {7, 12, 14}, OverlapOnly: {7, 10}, AllOptimizations: {7, 12, 15}}
 	for _, tg := range []Target{GemminiTarget(), OpenGeMMTarget()} {
 		ft := newForkTable(tg)
-		if !reflect.DeepEqual(ft.forks, want) {
-			t.Errorf("%s: forks %v, want %v", tg.Name, ft.forks, want)
+		if !reflect.DeepEqual(ft.stops, want) {
+			t.Errorf("%s: stops %v, want %v", tg.Name, ft.stops, want)
+		}
+		for p, stops := range ft.stops {
+			if lowering := ft.depth[p][p]; stops[len(stops)-1] != lowering {
+				t.Errorf("%s: %s stops at %v, but lowers at %d", tg.Name, Pipeline(p), stops, lowering)
+			}
 		}
 		if g := ft.group(DedupOnly, 12); g != 1<<DedupOnly|1<<AllOptimizations {
 			t.Errorf("%s: dedup's group at 12 is %04b, want dedup and all", tg.Name, g)
@@ -426,4 +432,80 @@ func TestTailBudget(t *testing.T) {
 	if len(f.tails) != 0 || fm.bytes != 0 || len(fm.families) != 0 {
 		t.Errorf("a tail past the budget: %d tails kept, memo holds %d bytes and %d families; want the memo forgotten", len(f.tails), fm.bytes, len(fm.families))
 	}
+}
+
+// TestFamilyMemoSubsetTraffic: traffic that asks for a subset of a
+// family's pipelines — a one-cell LRU running gemmini/matmul base, dedup,
+// overlap, all and base again at n = 128 and 256, so the second base
+// recomputes into a family no sibling joins — gets every Result an
+// unshared compile gives, and leaves families with no cell in flight. A
+// family in flight that charges past the budget forgets those, and keeps
+// itself.
+func TestFamilyMemoSubsetTraffic(t *testing.T) {
+	r := NewRunnerWith(RunnerOptions{Workers: 1, MaxCells: 1})
+	for _, n := range []int{128, 256} {
+		for _, p := range []Pipeline{Baseline, DedupOnly, OverlapOnly, AllOptimizations, Baseline} {
+			e := Experiment{Target: gemmini.Name, Workload: WorkloadMatmul, Pipeline: p, N: n}
+			want, err := RunExperiment(e, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := r.Run(context.Background(), e, RunOptions{})
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: err = %v, or result differs from RunExperiment's", e, err)
+			}
+		}
+	}
+	fm := r.families
+	if len(fm.families) == 0 {
+		t.Fatal("the recomputed baselines left no family behind")
+	}
+	for k, f := range fm.families {
+		if f.inflight != 0 {
+			t.Errorf("%+v: %d cells in flight after the runs returned, want 0", k, f.inflight)
+		}
+	}
+	busy := fm.family(GemminiTarget(), WorkloadMatmul, DedupOnly, 64, RunOptions{})
+	busy.mu.Lock()
+	ok := busy.charge(familyMemoBudget - fm.bytes + 1)
+	busy.mu.Unlock()
+	if !ok || len(fm.families) != 1 || fm.families[busy.key] != busy || fm.bytes != busy.charged {
+		t.Errorf("a family in flight charged past the budget: ok=%v, memo holds %d families and %d bytes (the family %d); want it kept alone",
+			ok, len(fm.families), fm.bytes, busy.charged)
+	}
+	busy.reach(DedupOnly)
+}
+
+// TestFamilyMemoOverflowForgetsIdleFirst: a charge past the budget forgets
+// the families with no cell in flight, the charging family among them when
+// it has none; only when that leaves no room does it forget every family.
+func TestFamilyMemoOverflowForgetsIdleFirst(t *testing.T) {
+	tg := GemminiTarget()
+	fm := newFamilyMemo()
+	charge := func(f *family, cost int) bool {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return f.charge(cost)
+	}
+	idle := fm.family(tg, WorkloadMatmul, Baseline, 16, RunOptions{})
+	idle.reach(Baseline)
+	busy := fm.family(tg, WorkloadMatmul, Baseline, 32, RunOptions{})
+	if !charge(busy, familyMemoBudget-fm.bytes+1) {
+		t.Fatal("the idle family did not pay for the overflow")
+	}
+	if len(fm.families) != 1 || fm.families[busy.key] != busy || fm.bytes != busy.charged {
+		t.Errorf("memo holds %d families and %d bytes; want the family in flight alone, %d bytes", len(fm.families), fm.bytes, busy.charged)
+	}
+	busy.reach(Baseline)
+	if charge(busy, familyMemoBudget) || len(fm.families) != 0 || fm.bytes != 0 {
+		t.Errorf("an idle family charged past the budget: memo holds %d families and %d bytes; want it forgotten", len(fm.families), fm.bytes)
+	}
+
+	a := fm.family(tg, WorkloadMatmul, Baseline, 16, RunOptions{})
+	b := fm.family(tg, WorkloadMatmul, Baseline, 32, RunOptions{})
+	if charge(a, familyMemoBudget) || len(fm.families) != 0 || fm.bytes != 0 {
+		t.Errorf("no idle family to pay: memo holds %d families and %d bytes; want every family forgotten", len(fm.families), fm.bytes)
+	}
+	a.reach(Baseline)
+	b.reach(Baseline)
 }

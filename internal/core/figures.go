@@ -54,58 +54,67 @@ var Figure11Sizes = []int{16, 32, 64, 128, 256, 512}
 // Figure12Sizes are the matrix sizes plotted in the paper's Figure 12.
 var Figure12Sizes = []int{64, 128, 256}
 
-// Fig10Row is one size of Figure 10: Gemmini attainable performance (Eq. 3
-// proxy from measured counters, the paper's §6.1 methodology) for the
-// volatile-asm C baseline and the accfg flow.
-type Fig10Row struct {
-	N                int
-	BaselinePerf     float64
-	AccfgPerf        float64
-	Speedup          float64
-	BaselineCounters Result
-	AccfgCounters    Result
+// PairedFigure is a paired base-vs-all figure (Figures 10 and 11): per
+// size, Target's matmul under the baseline and under the full accfg
+// pipeline, each scored by Metric, and their ratio.
+type PairedFigure struct {
+	Target string
+	Metric func(Result) float64
 }
 
-// Figure10Experiments lists the grid cells Figure 10 measures, in the
-// order Figure10With consumes them.
-func Figure10Experiments(sizes []int) []Experiment {
+// Figure10 is Gemmini attainable performance (Eq. 3 proxy from measured
+// counters, the paper's §6.1 methodology) for the volatile-asm C baseline
+// and the accfg flow.
+var Figure10 = PairedFigure{Target: gemmini.Name, Metric: Result.AttainableEq3}
+
+// Figure11 is OpenGeMM measured performance (cycle-accurate co-simulation,
+// the paper's §6.2 methodology) for the unoptimized accfg flow and the
+// fully optimized one.
+var Figure11 = PairedFigure{Target: opengemm.Name, Metric: Result.OpsPerCycle}
+
+// PairedRow is one size of a paired figure.
+type PairedRow struct {
+	N        int
+	BasePerf float64 // Metric of the baseline
+	OptPerf  float64 // Metric of the full accfg pipeline
+	Speedup  float64
+	Base     Result
+	Opt      Result
+}
+
+// Experiments lists the grid cells the figure measures, in the order With
+// consumes them.
+func (f PairedFigure) Experiments(sizes []int) []Experiment {
 	var exps []Experiment
 	for _, n := range sizes {
 		exps = append(exps,
-			Experiment{Target: gemmini.Name, Workload: WorkloadMatmul, Pipeline: Baseline, N: n},
-			Experiment{Target: gemmini.Name, Workload: WorkloadMatmul, Pipeline: AllOptimizations, N: n},
+			Experiment{Target: f.Target, Workload: WorkloadMatmul, Pipeline: Baseline, N: n},
+			Experiment{Target: f.Target, Workload: WorkloadMatmul, Pipeline: AllOptimizations, N: n},
 		)
 	}
 	return exps
 }
 
-// Figure10With runs the Gemmini weight-stationary tiled matmuls and applies
-// the paper's attainable-performance methodology. The runner is the
+// With runs the figure's tiled matmuls and scores them. The runner is the
 // caller's, so consecutive figures share the experiment cache (and its
 // persistent store, if any).
-func Figure10With(ctx context.Context, r *Runner, sizes []int) ([]Fig10Row, error) {
-	results, err := r.RunAll(ctx, Figure10Experiments(sizes), RunOptions{})
+func (f PairedFigure) With(ctx context.Context, r *Runner, sizes []int) ([]PairedRow, error) {
+	results, err := r.RunAll(ctx, f.Experiments(sizes), RunOptions{})
 	if err != nil {
 		return nil, err
 	}
-	var rows []Fig10Row
+	var rows []PairedRow
 	for i, n := range sizes {
 		base, opt := results[2*i], results[2*i+1]
-		rows = append(rows, Fig10Row{
-			N:                n,
-			BaselinePerf:     base.AttainableEq3(),
-			AccfgPerf:        opt.AttainableEq3(),
-			Speedup:          speedupRatio(opt.AttainableEq3(), base.AttainableEq3()),
-			BaselineCounters: base,
-			AccfgCounters:    opt,
-		})
+		bp, op := f.Metric(base), f.Metric(opt)
+		rows = append(rows, PairedRow{N: n, BasePerf: bp, OptPerf: op, Speedup: speedupRatio(op, bp), Base: base, Opt: opt})
 	}
 	return rows, nil
 }
 
-// Fig10Geomean returns the geometric-mean uplift across rows (the paper
-// reports 11%).
-func Fig10Geomean(rows []Fig10Row) float64 {
+// PairedGeomean returns the geometric-mean speedup across rows (the paper
+// reports an 11% uplift for Figure 10 and 2x for Figure 11).
+func PairedGeomean(rows []PairedRow) float64 {
 	var ss []float64
 	for _, r := range rows {
 		ss = append(ss, r.Speedup)
@@ -113,77 +122,22 @@ func Fig10Geomean(rows []Fig10Row) float64 {
 	return Geomean(ss)
 }
 
-// RenderFigure10 formats the rows like the paper's bar chart data.
-func RenderFigure10(rows []Fig10Row) string {
+// RenderFigure10 formats Figure 10's rows like the paper's bar chart data.
+func RenderFigure10(rows []PairedRow) string {
 	var sb strings.Builder
 	sb.WriteString("Figure 10: Gemmini weight-stationary tiled matmul, attainable performance (Eq. 3 proxy)\n")
 	sb.WriteString(fmt.Sprintf("%-6s %18s %18s %10s\n", "size", "C-style baseline", "accfg (ours)", "speedup"))
 	for _, r := range rows {
 		sb.WriteString(fmt.Sprintf("%-6d %12.0f ops/cy %12.0f ops/cy %9.2fx\n",
-			r.N, r.BaselinePerf, r.AccfgPerf, r.Speedup))
+			r.N, r.BasePerf, r.OptPerf, r.Speedup))
 	}
 	sb.WriteString(fmt.Sprintf("geomean uplift: %.1f%%  (paper: 11%%; peak = 512 ops/cycle)\n",
-		100*(Fig10Geomean(rows)-1)))
+		100*(PairedGeomean(rows)-1)))
 	return sb.String()
 }
 
-// Fig11Row is one size of Figure 11: OpenGeMM measured performance for the
-// unoptimized accfg flow vs the fully optimized one.
-type Fig11Row struct {
-	N            int
-	BasePerf     float64 // measured ops/cycle
-	OptPerf      float64
-	Speedup      float64
-	BaseCounters Result
-	OptCounters  Result
-}
-
-// Figure11Experiments lists the grid cells Figure 11 measures, in the
-// order Figure11With consumes them.
-func Figure11Experiments(sizes []int) []Experiment {
-	var exps []Experiment
-	for _, n := range sizes {
-		exps = append(exps,
-			Experiment{Target: opengemm.Name, Workload: WorkloadMatmul, Pipeline: Baseline, N: n},
-			Experiment{Target: opengemm.Name, Workload: WorkloadMatmul, Pipeline: AllOptimizations, N: n},
-		)
-	}
-	return exps
-}
-
-// Figure11With runs the OpenGeMM tiled matmuls and measures cycle-accurate
-// performance (the paper's §6.2 methodology) on the caller's runner.
-func Figure11With(ctx context.Context, r *Runner, sizes []int) ([]Fig11Row, error) {
-	results, err := r.RunAll(ctx, Figure11Experiments(sizes), RunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	var rows []Fig11Row
-	for i, n := range sizes {
-		base, opt := results[2*i], results[2*i+1]
-		rows = append(rows, Fig11Row{
-			N:            n,
-			BasePerf:     base.OpsPerCycle(),
-			OptPerf:      opt.OpsPerCycle(),
-			Speedup:      speedupRatio(opt.OpsPerCycle(), base.OpsPerCycle()),
-			BaseCounters: base,
-			OptCounters:  opt,
-		})
-	}
-	return rows, nil
-}
-
-// Fig11Geomean returns the geometric-mean speedup (the paper reports 2x).
-func Fig11Geomean(rows []Fig11Row) float64 {
-	var ss []float64
-	for _, r := range rows {
-		ss = append(ss, r.Speedup)
-	}
-	return Geomean(ss)
-}
-
-// RenderFigure11 formats the rows like the paper's bar chart data.
-func RenderFigure11(rows []Fig11Row) string {
+// RenderFigure11 formats Figure 11's rows like the paper's bar chart data.
+func RenderFigure11(rows []PairedRow) string {
 	var sb strings.Builder
 	sb.WriteString("Figure 11: OpenGeMM tiled matmul, measured performance (cycle-accurate co-simulation)\n")
 	sb.WriteString(fmt.Sprintf("%-6s %15s %18s %10s\n", "size", "base (MLIR)", "with optimizations", "speedup"))
@@ -191,7 +145,7 @@ func RenderFigure11(rows []Fig11Row) string {
 		sb.WriteString(fmt.Sprintf("%-6d %9.0f ops/cy %12.0f ops/cy %9.2fx\n",
 			r.N, r.BasePerf, r.OptPerf, r.Speedup))
 	}
-	sb.WriteString(fmt.Sprintf("geomean speedup: %.2fx  (paper: 2x; peak = 1024 ops/cycle)\n", Fig11Geomean(rows)))
+	sb.WriteString(fmt.Sprintf("geomean speedup: %.2fx  (paper: 2x; peak = 1024 ops/cycle)\n", PairedGeomean(rows)))
 	return sb.String()
 }
 
@@ -211,7 +165,7 @@ func Figure12Experiments(sizes []int) []Experiment {
 
 // Figure12With measures OpenGeMM under all four pipeline variants and places
 // the results on the configuration roofline. On a runner shared with
-// Figure11With the base/all cells at common sizes are computed once.
+// Figure11.With the base/all cells at common sizes are computed once.
 func Figure12With(ctx context.Context, r *Runner, sizes []int) (Fig12Data, error) {
 	t, err := LookupTarget(opengemm.Name)
 	if err != nil {

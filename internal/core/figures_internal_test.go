@@ -74,17 +74,15 @@ func TestSpeedupRatioGuards(t *testing.T) {
 // (zero baseline) end to end: its sentinel speedup must zero the geomean
 // guardedly instead of rendering NaN.
 func TestZeroBaselineRowsDoNotPoisonGeomean(t *testing.T) {
-	rows := []Fig11Row{
-		{N: 16, BasePerf: 2, OptPerf: 8, Speedup: speedupRatio(8, 2)},
-		{N: 32, BasePerf: 0, OptPerf: 8, Speedup: speedupRatio(8, 0)},
-	}
-	if g := Fig11Geomean(rows); math.IsNaN(g) || math.IsInf(g, 0) {
-		t.Errorf("Fig11Geomean = %v, want finite sentinel", g)
-	}
-	rows10 := []Fig10Row{
-		{N: 16, BaselinePerf: 0, AccfgPerf: 4, Speedup: speedupRatio(4, 0)},
-	}
-	if g := Fig10Geomean(rows10); math.IsNaN(g) || math.IsInf(g, 0) {
-		t.Errorf("Fig10Geomean = %v, want finite sentinel", g)
+	for _, rows := range [][]PairedRow{
+		{
+			{N: 16, BasePerf: 2, OptPerf: 8, Speedup: speedupRatio(8, 2)},
+			{N: 32, BasePerf: 0, OptPerf: 8, Speedup: speedupRatio(8, 0)},
+		},
+		{{N: 16, BasePerf: 0, OptPerf: 4, Speedup: speedupRatio(4, 0)}},
+	} {
+		if g := PairedGeomean(rows); math.IsNaN(g) || math.IsInf(g, 0) {
+			t.Errorf("PairedGeomean(%+v) = %v, want finite sentinel", rows, g)
+		}
 	}
 }

@@ -20,8 +20,8 @@ import (
 func memoUniverse(t *testing.T) []Experiment {
 	t.Helper()
 	var cells []Experiment
-	cells = append(cells, Figure10Experiments(Figure10Sizes)...)
-	cells = append(cells, Figure11Experiments(Figure11Sizes)...)
+	cells = append(cells, Figure10.Experiments(Figure10Sizes)...)
+	cells = append(cells, Figure11.Experiments(Figure11Sizes)...)
 	cells = append(cells, Figure12Experiments(Figure12Sizes)...)
 	sweep := func(sizes []int, workloads []string) {
 		for _, tn := range []string{gemmini.Name, opengemm.Name} {

@@ -78,29 +78,22 @@ type cacheKey struct {
 func keyOf(e Experiment, opts RunOptions) cacheKey { return cacheKey{exp: e, opts: opts} }
 
 // cell is one memoized experiment execution. Concurrent duplicate requests
-// collapse onto it: exactly one goroutine claims the cell and computes (or
-// loads) the result, every other goroutine waits on done — selectable
-// against a context, so an abandoned request stops waiting without
-// disturbing the computation that still serves everyone else.
+// collapse onto it: the goroutine that creates the cell (Runner.cell) leads
+// it, computing (or loading) the result; every other goroutine waits on
+// done — selectable against a context, so an abandoned request stops
+// waiting without disturbing the computation that still serves everyone
+// else.
 type cell struct {
-	win  sync.Once
 	done chan struct{}
 	res  Result
 	err  error
 	// shed marks a cell whose leader was refused admission: it carries no
-	// result, it is already out of the map, and its waiters re-claim.
+	// result, it is already out of the map, and its waiters look it up
+	// again, the first of them creating and leading a fresh one.
 	shed bool
 }
 
 func newCell() *cell { return &cell{done: make(chan struct{})} }
-
-// claim reports whether the caller won the right (and the obligation) to
-// publish the cell's result and close done.
-func (c *cell) claim() bool {
-	won := false
-	c.win.Do(func() { won = true })
-	return won
-}
 
 // PanicError is what a cell reports when compiling or simulating it
 // panicked: the panic is contained to the callers waiting on that cell,
@@ -267,9 +260,9 @@ func (r *Runner) Run(ctx context.Context, e Experiment, opts RunOptions) (Result
 	return res, err
 }
 
-// RunAdmitted is Run with an admission step inside the cell claim — the
+// RunAdmitted is Run with an admission step inside the cell's lead — the
 // single coalescing point a serving layer needs. Only the goroutine that
-// claims the cell (the leader; led reports it) calls admit, and it holds
+// creates the cell (the leader; led reports it) calls admit, and it holds
 // what admit granted until the cell is published, then calls release;
 // every concurrent duplicate waits on the cell and never touches
 // admission. A nil admit admits everything.
@@ -281,11 +274,11 @@ func (r *Runner) Run(ctx context.Context, e Experiment, opts RunOptions) (Result
 // computes to completion (the deterministic result serves every later
 // request, including requests whose owner gave up).
 //
-// A leader that admit refuses returns admit's error to its own caller
-// only: the cell is un-published and its waiters re-claim, so one of them
-// leads next under its own admit and context. A panic in the admitted
-// section (or in admit) is recovered and reported to the leader and the
-// current waiters as a *PanicError; the cell is dropped, never memoized
+// A leader that admit refuses returns admit's error to its own caller only:
+// the cell is un-published and its waiters look it up again, so the one that
+// creates it next leads under its own admit and context. A panic in the
+// admitted section (or in admit) is recovered and reported to the leader and
+// the current waiters as a *PanicError; the cell is dropped, never memoized
 // and never written to the store.
 func (r *Runner) RunAdmitted(ctx context.Context, e Experiment, opts RunOptions, admit func(context.Context) (release func(), err error)) (res Result, err error, led bool) {
 	if err := ctx.Err(); err != nil {
@@ -293,8 +286,8 @@ func (r *Runner) RunAdmitted(ctx context.Context, e Experiment, opts RunOptions,
 	}
 	k := keyOf(e, opts)
 	for {
-		c, _ := r.cell(k)
-		if c.claim() {
+		c, created := r.cell(k)
+		if created {
 			res, err = r.lead(ctx, k, c, e, opts, admit)
 			return res, err, true
 		}
@@ -314,7 +307,7 @@ func (r *Runner) RunAdmitted(ctx context.Context, e Experiment, opts RunOptions,
 	}
 }
 
-// lead resolves a cell this goroutine claimed and closes done on every
+// lead resolves a cell this goroutine created and closes done on every
 // path, so no waiter is ever left behind.
 func (r *Runner) lead(ctx context.Context, k cacheKey, c *cell, e Experiment, opts RunOptions, admit func(context.Context) (func(), error)) (res Result, err error) {
 	defer func() {
@@ -386,7 +379,7 @@ func (r *Runner) Peek(e Experiment, opts RunOptions) (*Result, bool) {
 	return &c.res, true
 }
 
-// compute resolves one claimed cell: store load, then compile + simulate on
+// compute resolves one led cell: store load, then compile + simulate on
 // a miss, with the fresh result saved back.
 func (r *Runner) compute(e Experiment, opts RunOptions) (Result, error) {
 	if r.store != nil {
@@ -534,15 +527,17 @@ func Sweep(targets, workloads []string, pipelines []Pipeline, sizes []int) []Exp
 // Nothing waits on a tail: a sibling that gets there first runs its own.
 //
 // Bound. Each family, the bytes its buffers fill, every snapshot's ops and
-// every tail are charged to familyMemoBudget; a charge past it forgets
-// every family. A family whose pipelines have all reached their lowering
-// (or stopped before it) is dropped.
+// every tail are charged to familyMemoBudget. A family whose pipelines have
+// all reached their lowering (or stopped before it) is dropped. Traffic
+// that asks for a subset of the pipelines never gets there, so a charge
+// past the budget first forgets the families with no cell in flight, and
+// forgets every family only if that leaves no room.
 
 const (
 	// familyMemoBudget bounds what a runner's family memo keeps. A whole
 	// sweep_large block, every family at once, charges under 2 MB, most of
-	// it A and B. It is a constant, not a knob: past it the memo
-	// forgets everything.
+	// it A and B. It is a constant, not a knob: past it the memo forgets
+	// its idle families, then everything.
 	familyMemoBudget = 16 << 20
 	// familyBytes is what a family is charged before it holds anything,
 	// opBytes what one op of a snapshot is charged (a clone allocates about
@@ -563,13 +558,12 @@ type familyKey struct {
 }
 
 // forkTable is where a target's pipelines fork: depth[p][q] leading passes
-// of p and q are the same passes, and forks[p] lists, ascending, the
-// depths above 0 where a sibling leaves p. depth[p][p] is where p's first
-// lowering runs: stops[p] is forks[p] followed by it, and tailPasses[p] names
-// p's passes from there on.
+// of p and q are the same passes, and depth[p][p] is where p's first
+// lowering runs. stops[p] lists, ascending, the depths above 0 where a
+// sibling leaves p, then p's lowering; tailPasses[p] names p's passes from
+// the lowering on.
 type forkTable struct {
 	depth      [numPipelines][numPipelines]int
-	forks      [numPipelines][]int
 	stops      [numPipelines][]int
 	tailPasses [numPipelines]string
 }
@@ -581,19 +575,20 @@ func newForkTable(t Target) *forkTable {
 	}
 	ft := &forkTable{}
 	for p := range names {
+		var forks []int
 		for q := range names {
 			d := ir.SharedPrefix(names[p], names[q])
 			ft.depth[p][q] = d
-			if q != p && d > 0 && !slices.Contains(ft.forks[p], d) {
-				ft.forks[p] = append(ft.forks[p], d)
+			if q != p && d > 0 && !slices.Contains(forks, d) {
+				forks = append(forks, d)
 			}
 		}
-		slices.Sort(ft.forks[p])
+		slices.Sort(forks)
 		lowering := ft.depth[p][p]
-		ft.stops[p] = ft.forks[p]
-		if !slices.Contains(ft.stops[p], lowering) {
-			ft.stops[p] = append(slices.Clip(ft.stops[p]), lowering)
+		if !slices.Contains(forks, lowering) {
+			forks = append(forks, lowering)
 		}
+		ft.stops[p] = forks
 		ft.tailPasses[p] = strings.Join(names[p][lowering:], ",")
 	}
 	return ft
@@ -658,7 +653,11 @@ type family struct {
 	reached uint8    // pipelines past their lowering, or stopped before it
 	snaps   []*snapshot
 	tails   []tail
-	charged int // what the memo counts for this family; the memo's lock guards it
+	// charged is what the memo counts for this family, and inflight how
+	// many of its cells are between family and reach; the memo's lock
+	// guards both.
+	charged  int
+	inflight int
 }
 
 // familyMemo is a runner's families.
@@ -681,8 +680,9 @@ func (fm *familyMemo) Stats() (hits, misses, tailHits uint64) {
 	return fm.hits.Load(), fm.misses.Load(), fm.tailHits.Load()
 }
 
-// family returns p's family at (t, workload, n, opts); nil for a nil memo
-// or a pipeline outside Pipelines.
+// family returns p's family at (t, workload, n, opts), counting p's cell
+// in flight until it reaches (family.reach); nil for a nil memo or a
+// pipeline outside Pipelines.
 func (fm *familyMemo) family(t Target, workload string, p Pipeline, n int, opts RunOptions) *family {
 	if fm == nil || p < 0 || int(p) >= numPipelines {
 		return nil
@@ -697,10 +697,12 @@ func (fm *familyMemo) family(t Target, workload string, p Pipeline, n int, opts 
 			ft = newForkTable(t)
 			fm.forks[t.Name] = ft
 		}
-		f = &family{key: k, memo: fm, forks: ft}
+		f = &family{key: k, memo: fm, forks: ft, inflight: 1}
 		fm.families[k] = f
 		fm.charge(f, familyBytes)
+		return f
 	}
+	f.inflight++
 	return f
 }
 
@@ -715,15 +717,27 @@ func (f *family) stops(p Pipeline) (depths []int, lowering int) {
 
 // charge adds cost to what f holds, under the memo's lock, and reports
 // whether f is still the memo's family for its key. A charge past the
-// budget forgets every family, f among them.
+// budget first forgets the families with no cell in flight, f among them
+// if it has none; if that leaves no room, it forgets every family.
 func (fm *familyMemo) charge(f *family, cost int) bool {
 	if fm.families[f.key] != f {
 		return false
 	}
 	if fm.bytes+cost > familyMemoBudget {
-		clear(fm.families)
-		fm.bytes = 0
-		return false
+		for k, g := range fm.families {
+			if g.inflight == 0 {
+				delete(fm.families, k)
+				fm.bytes -= g.charged
+			}
+		}
+		if fm.families[f.key] != f {
+			return false
+		}
+		if fm.bytes+cost > familyMemoBudget {
+			clear(fm.families)
+			fm.bytes = 0
+			return false
+		}
 	}
 	fm.bytes += cost
 	f.charged += cost
@@ -739,11 +753,12 @@ func (f *family) charge(cost int) bool {
 
 // take starts p in its family: the deepest snapshot p waits on, its own
 // (the snapshot's module when p was its last waiter, a clone otherwise),
-// with the family's buffers, the stat lines so far and the derivation. A nil
-// module means there is none, and p builds.
-func (f *family) take(p Pipeline) (m *ir.Module, buffers []Buffer, stats, derivation []string) {
+// with the family's buffers, and pm, p's manager, seeded with the stat
+// lines so far and the derivation. A nil module means there is none, and p
+// builds.
+func (f *family) take(p Pipeline, pm *ir.PassManager) (m *ir.Module, buffers []Buffer) {
 	if f == nil {
-		return nil, nil, nil, nil
+		return nil, nil
 	}
 	bit := uint8(1) << p
 	f.mu.Lock()
@@ -758,19 +773,21 @@ func (f *family) take(p Pipeline) (m *ir.Module, buffers []Buffer, stats, deriva
 	f.forget(bit, math.MaxInt)
 	if from == nil {
 		f.memo.misses.Add(1)
-		return nil, nil, nil, nil
+		return nil, nil
 	}
 	f.memo.hits.Add(1)
 	m = from.module
 	if from.waiters != 0 {
 		m = m.Clone()
 	}
-	return m, f.buffers, slices.Clone(from.stats), from.derivation
+	pm.Stats, pm.Changed = slices.Clone(from.stats), from.derivation
+	return m, f.buffers
 }
 
-// reach records that p is past its lowering, or stopped before it: no
-// later tail is of use to p. Once every pipeline has, the family leaves the
-// memo and drops its tails.
+// reach records that p's cell is past its lowering, or stopped before it:
+// no later tail is of use to p, and the cell is no longer in flight. Once
+// every pipeline has reached, the family leaves the memo and drops its
+// tails.
 func (f *family) reach(p Pipeline) {
 	if f == nil {
 		return
@@ -778,12 +795,13 @@ func (f *family) reach(p Pipeline) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.reached |= 1 << p
-	if f.reached != 1<<numPipelines-1 {
-		return
+	all := f.reached == 1<<numPipelines-1
+	if all {
+		f.tails = nil
 	}
-	f.tails = nil
 	f.memo.mu.Lock()
-	if f.memo.families[f.key] == f {
+	f.inflight--
+	if all && f.memo.families[f.key] == f {
 		delete(f.memo.families, f.key)
 		f.memo.bytes -= f.charged
 	}

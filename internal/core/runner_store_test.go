@@ -30,11 +30,11 @@ func diskRunner(t *testing.T, dir string, maxCells int) *core.Runner {
 func renderAllFigures(t *testing.T, r *core.Runner) string {
 	t.Helper()
 	sizes := []int{16, 32}
-	rows10, err := core.Figure10With(context.Background(), r, sizes)
+	rows10, err := core.Figure10.With(context.Background(), r, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows11, err := core.Figure11With(context.Background(), r, sizes)
+	rows11, err := core.Figure11.With(context.Background(), r, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestRunnerToleratesStoreFailures(t *testing.T) {
 	fs := &flakyStore{}
 	r := core.NewRunnerWith(core.RunnerOptions{Store: fs})
 	opts := core.RunOptions{}
-	exps := core.Figure11Experiments([]int{8})
+	exps := core.Figure11.Experiments([]int{8})
 	results, err := r.RunAll(context.Background(), exps, opts)
 	if err != nil {
 		t.Fatalf("sweep must survive a failing store: %v", err)

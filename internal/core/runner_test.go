@@ -65,11 +65,11 @@ func TestRunnerDeterminism(t *testing.T) {
 func TestFigureRenderingDeterminism(t *testing.T) {
 	sizes := []int{16, 32}
 
-	r10s, err := core.Figure10With(context.Background(), core.NewRunner(1), sizes)
+	r10s, err := core.Figure10.With(context.Background(), core.NewRunner(1), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r10p, err := core.Figure10With(context.Background(), core.NewRunner(8), sizes)
+	r10p, err := core.Figure10.With(context.Background(), core.NewRunner(8), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestFigureRenderingDeterminism(t *testing.T) {
 		t.Errorf("Figure 10 differs between serial and parallel runs:\n--- serial ---\n%s--- parallel ---\n%s", a, b)
 	}
 
-	r11s, err := core.Figure11With(context.Background(), core.NewRunner(1), sizes)
+	r11s, err := core.Figure11.With(context.Background(), core.NewRunner(1), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r11p, err := core.Figure11With(context.Background(), core.NewRunner(8), sizes)
+	r11p, err := core.Figure11.With(context.Background(), core.NewRunner(8), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestRunPanicContained(t *testing.T) {
 }
 
 // TestRunAdmittedReclaim: when the leader is refused admission, the error
-// is the leader's alone — its waiters re-claim the cell, exactly one of
+// is the leader's alone — its waiters look the cell up again, exactly one of
 // them leads (and is the only one put through admission), the cell is
 // simulated once and every waiter gets the result.
 func TestRunAdmittedReclaim(t *testing.T) {

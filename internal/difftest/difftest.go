@@ -446,13 +446,13 @@ func hasSemanticDivergence(divs []Divergence) bool {
 	return false
 }
 
-// Execute clones m, runs the pass pipeline, compiles and simulates it with
-// the program's inputs, returning the observation. On failure the Kind
-// reports which stage failed. With crossCheck set, the compiled program
-// additionally runs on every non-reference simulator engine, and any
-// disagreement with the reference observation (Counters, final memory,
-// summarized trace, launch effects) returns a KindEngine error alongside
-// the still valid reference Execution.
+// Execute clones m, runs the pass pipeline pm on the clone (pm logs the run
+// as its Run would), compiles and simulates it with the program's inputs,
+// returning the observation. On failure the Kind reports which stage failed.
+// With crossCheck set, the compiled program additionally runs on every
+// non-reference simulator engine, and any disagreement with the reference
+// observation (Counters, final memory, summarized trace, launch effects)
+// returns a KindEngine error alongside the still valid reference Execution.
 func Execute(t core.Target, m *ir.Module, prog irgen.Program, pm *ir.PassManager, mutate func(*ir.Module) error, crossCheck bool) (Execution, Kind, error) {
 	clone, err := runPasses(m, pm, mutate, nil)
 	if err != nil {
@@ -511,15 +511,16 @@ func newPassTree(m *ir.Module, pms []*ir.PassManager, mutate func(*ir.Module) er
 	return tr
 }
 
-// run returns pipeline i's final module; pipelines run in order. It runs
-// the passes i does not share with its src, handing a clone to every later
-// pipeline that resumes from i where i passes its depth. preLower, when set,
-// is handed the live module as it stands entering the first lower-* pass
-// (or the final module when the pipeline never lowers), the last point
-// where accfg launches are still visible to the static checker. It must
-// read what it needs and keep no pointer into the module, which the
-// remaining passes go on to rewrite. A failure is also the failure of every
-// later pipeline still waiting on i: they share the pass that failed.
+// run returns pipeline i's final module; pipelines run in order. It runs the
+// passes i does not share with its src as spans of pms[i]
+// (ir.PassManager.RunSpan), handing a clone to every later pipeline that
+// resumes from i where i passes its depth. preLower, when set, is handed the
+// live module as it stands entering the first lower-* pass (or the final
+// module when the pipeline never lowers), the last point where accfg
+// launches are still visible to the static checker. It must read what it
+// needs and keep no pointer into the module, which the remaining passes go
+// on to rewrite. A failure is also the failure of every later pipeline still
+// waiting on i: they share the pass that failed.
 func (tr *passTree) run(i int, preLower func(*ir.Module)) (*ir.Module, error) {
 	m, err := tr.start[i], tr.err[i]
 	tr.start[i] = nil
@@ -534,14 +535,11 @@ func (tr *passTree) run(i int, preLower func(*ir.Module)) (*ir.Module, error) {
 	at := tr.depth[i]
 	if err == nil {
 		tr.pass(i, at, m, preLower)
-		_, rest := tr.pms[i].Split(at)
 		for end, d := len(tr.names[i]), at+1; d <= end; d++ {
 			if d < end && d != tr.heads[i] && !tr.waitedOn(i, d) {
 				continue
 			}
-			var seg *ir.PassManager
-			seg, rest = rest.Split(d - at)
-			if err = seg.Run(m); err != nil {
+			if err = tr.pms[i].RunSpan(m, at, d); err != nil {
 				break
 			}
 			at = d

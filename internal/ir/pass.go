@@ -70,16 +70,8 @@ func (pm *PassManager) Passes() []string {
 	return names
 }
 
-// Split returns two managers that run pm's first n passes and the rest
-// under pm's VerifyEach and CheckEach, each logging its own Stats and
-// Changed. Running head then tail is running pm, with a point in between
-// where the caller can read the live module — what CheckEach offers only
-// at the price of a clone before every pass.
-func (pm *PassManager) Split(n int) (head, tail *PassManager) {
-	head = &PassManager{passes: pm.passes[:n:n], VerifyEach: pm.VerifyEach, CheckEach: pm.CheckEach}
-	tail = &PassManager{passes: pm.passes[n:], VerifyEach: pm.VerifyEach, CheckEach: pm.CheckEach}
-	return head, tail
-}
+// Len returns the number of passes in the pipeline.
+func (pm *PassManager) Len() int { return len(pm.passes) }
 
 // SharedPrefix returns how many leading passes two pipelines, given by
 // their pass names, run as one: the longest common prefix of a and b, cut
@@ -97,12 +89,20 @@ func SharedPrefix(a, b []string) int {
 	return d
 }
 
-// Run executes the pipeline on m.
-func (pm *PassManager) Run(m *Module) error {
+// Run executes the pipeline on m: the span of every pass.
+func (pm *PassManager) Run(m *Module) error { return pm.RunSpan(m, 0, len(pm.passes)) }
+
+// RunSpan executes passes [from, to) of the pipeline on m, appending to
+// Stats and Changed. Running the spans [0, a), [a, b), ... up to Len() in
+// order is running the pipeline, with a point between two spans where the
+// caller can read the live module — what CheckEach offers only at the
+// price of a clone before every pass. A caller resuming another run's
+// module seeds Stats and Changed with that run's before its first span.
+func (pm *PassManager) RunSpan(m *Module, from, to int) error {
 	// One count per pass boundary: a pass's "after" is the next one's
 	// "before" (verification and CheckEach do not change the module).
 	before := CountOps(m)
-	for _, p := range pm.passes {
+	for _, p := range pm.passes[from:to] {
 		var snapshot *Module
 		if pm.CheckEach != nil {
 			snapshot = m.Clone()
