@@ -119,13 +119,16 @@ func main() {
 	if *check {
 		pm.CheckEach = analysis.PassCheck
 	}
-	if err := pm.Run(m); err != nil {
-		fatal("%v", err)
-	}
 	if *stats {
-		for _, line := range pm.Stats {
+		lines, err := pm.Log(m)
+		if err != nil {
+			fatal("%v", err)
+		}
+		for _, line := range lines {
 			fmt.Fprintln(os.Stderr, line)
 		}
+	} else if err := pm.Run(m); err != nil {
+		fatal("%v", err)
 	}
 	if *analyze {
 		fmt.Print(analysis.ReportString(m))

@@ -101,8 +101,18 @@ func main() {
 	fmt.Printf("host stall cycles %d, accel busy cycles %d\n", res.StallCycles, res.AccelBusyCycles)
 	fmt.Printf("verified          %v\n", res.Verified)
 	if *stats {
+		// The log is the compile's, rerun on a fresh build outside the
+		// timed spans.
+		inst, err := wl.Build(target, *n)
+		if err != nil {
+			fatal("%v", err)
+		}
+		lines, err := target.PassPipeline(pipeline).Log(inst.Module)
+		if err != nil {
+			fatal("%v", err)
+		}
 		fmt.Println("\nper-pass statistics:")
-		for _, line := range res.PassStats {
+		for _, line := range lines {
 			fmt.Println("  " + line)
 		}
 	}

@@ -53,7 +53,8 @@ func main() {
 		passes.Overlap(func(string) bool { return true }), // §5.5: software-pipeline
 		passes.Canonicalize(),
 	)
-	if err := pm.Run(m); err != nil {
+	log, err := pm.Log(m)
+	if err != nil {
 		panic(err)
 	}
 
@@ -61,7 +62,7 @@ func main() {
 	fmt.Print(ir.PrintModule(m))
 
 	fmt.Println("\npass log:")
-	for _, line := range pm.Stats {
+	for _, line := range log {
 		fmt.Println("  " + line)
 	}
 	fmt.Println("\nThe loop now launches from the loop-carried state and prepares the")

@@ -212,8 +212,6 @@ type Result struct {
 	Verified bool
 	// ProgramInstrs is the static size of the compiled program.
 	ProgramInstrs int
-	// PassStats carries the per-pass op-count log.
-	PassStats []string
 	// Trace holds the timeline of a traced Compiled.Execute, nil elsewhere.
 	Trace []sim.Segment `json:"Trace,omitempty"`
 	// PeakOps echoes the target's peak for convenience.
@@ -370,7 +368,7 @@ func run(t Target, w Workload, p Pipeline, n int, opts RunOptions, launches *acc
 	}
 	res, err := c.execute(opts, false, launches)
 	if err == nil {
-		f.share(p, c.tail, res)
+		f.share(c.tail, res)
 	}
 	return res, err
 }
@@ -385,7 +383,7 @@ type Compiled struct {
 	Prog    Program    // under the cell layout: what Execute runs
 	target  Target
 	buffers []Buffer // the instance's init and verify hooks
-	res     Result   // what no run changes: the name, PeakOps, PassStats, ProgramInstrs
+	res     Result   // what no run changes: the name, PeakOps, ProgramInstrs
 	// tail is the key a Runner's cell shares its run from the lowering on
 	// under (zero elsewhere). A Runner's cell that a sibling's tail served
 	// has no program, and res is its whole Result.
@@ -404,22 +402,21 @@ func Compile(t Target, w Workload, p Pipeline, n int) (*Compiled, error) {
 // not started forks from p, and, at p's lowering, taking the tail of a
 // sibling that reached it with the same derivation (nil: build, and run
 // every pass). One manager runs p span by span, from where it resumed to
-// each stop and on to its end, so its Stats and Changed are p's whole log.
+// each stop and on to its end, so its Changed is p's whole derivation.
 func compile(t Target, w Workload, p Pipeline, n int, f *family) (*Compiled, error) {
 	pm := t.PassPipeline(p)
 	defer f.reach(p)
-	m, buffers := f.take(p, pm)
+	m, buffers, at := f.take(p, pm)
 	if m == nil {
 		inst, err := w.Build(t, n)
 		if err != nil {
 			return nil, err
 		}
 		m, buffers = inst.Module, inst.Buffers
-		f.publish(p, 0, m, nil, nil, buffers)
+		f.publish(p, 0, m, nil, buffers)
 	}
 	var err error
 	var tail tailKey
-	at := len(pm.Stats)
 	stops, lowering := f.stops(p)
 	for _, d := range stops {
 		if d > at {
@@ -427,12 +424,12 @@ func compile(t Target, w Workload, p Pipeline, n int, f *family) (*Compiled, err
 				break
 			}
 			at = d
-			f.publish(p, d, m, pm.Stats, pm.Changed, nil)
+			f.publish(p, d, m, pm.Changed, nil)
 		}
 		if d == lowering {
 			tail = f.forks.tailKey(p, pm.Changed)
 			if res, ok := f.tail(tail); ok {
-				res.Pipeline, res.PassStats = p, append(pm.Stats, res.PassStats...)
+				res.Pipeline = p
 				return &Compiled{res: res}, nil
 			}
 		}
@@ -455,7 +452,7 @@ func compile(t Target, w Workload, p Pipeline, n int, f *family) (*Compiled, err
 		return nil, fmt.Errorf("codegen for %s/%s/%d: %w", t.Name, w.Name, n, err)
 	}
 	c.res = Result{Target: t.Name, Workload: w.Name, Pipeline: p, N: n, PeakOps: t.PeakOps,
-		PassStats: pm.Stats, ProgramInstrs: len(c.Prog.Instrs)}
+		ProgramInstrs: len(c.Prog.Instrs)}
 	return c, nil
 }
 

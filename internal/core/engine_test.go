@@ -263,14 +263,23 @@ func TestRenderTimelines(t *testing.T) {
 
 func TestPassPipelineStats(t *testing.T) {
 	target := core.OpenGeMMTarget()
-	res, err := core.RunTiledMatmul(target, core.AllOptimizations, 16, core.RunOptions{})
+	w, err := core.LookupWorkload(core.WorkloadMatmul)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PassStats) == 0 {
-		t.Error("no pass statistics recorded")
+	inst, err := w.Build(target, 16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	joined := strings.Join(res.PassStats, "\n")
+	pm := target.PassPipeline(core.AllOptimizations)
+	log, err := pm.Log(inst.Module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != pm.Len() {
+		t.Errorf("%d log lines for %d passes", len(log), pm.Len())
+	}
+	joined := strings.Join(log, "\n")
 	for _, pass := range []string{"accfg-trace-states", "accfg-dedup", "accfg-overlap", "lower-accfg-to-opengemm"} {
 		if !strings.Contains(joined, pass) {
 			t.Errorf("pipeline missing pass %s:\n%s", pass, joined)

@@ -134,9 +134,8 @@ type RunnerOptions struct {
 
 // Runner executes experiments on a bounded worker pool with a
 // per-experiment result cache. The co-simulator is deterministic, so a
-// cached Result is indistinguishable from a fresh run; cached results are
-// shared, and callers must treat their PassStats as read-only. A Runner
-// never records a timeline: every Result it returns has a nil Trace.
+// cached Result is indistinguishable from a fresh run. A Runner never
+// records a timeline: every Result it returns has a nil Trace.
 //
 // A Runner is safe for concurrent use.
 type Runner struct {
@@ -541,8 +540,7 @@ const (
 	familyMemoBudget = 16 << 20
 	// familyBytes is what a family is charged before it holds anything,
 	// opBytes what one op of a snapshot is charged (a clone allocates about
-	// 470 bytes per op), and tailBytes what a tail is (a Result, whose stat
-	// lines it shares with the cell that ran it).
+	// 470 bytes per op), and tailBytes what a tail is (a Result).
 	familyBytes = 256
 	opBytes     = 512
 	tailBytes   = 512
@@ -623,19 +621,18 @@ func (ft *forkTable) group(p Pipeline, d int) uint8 {
 }
 
 // snapshot is a family's module after its first depth passes on some path,
-// with their stat lines and its derivation, and the pipelines (a bit set)
-// that will resume from it.
+// with its derivation, and the pipelines (a bit set) that will resume from
+// it.
 type snapshot struct {
 	depth      int
 	waiters    uint8
 	module     *ir.Module
-	stats      []string
 	derivation []string
 	cost       int
 }
 
 // tail is a Result a cell computed, kept for the siblings that reach their
-// lowering under key: its stat lines are those from the lowering on.
+// lowering under key.
 type tail struct {
 	key tailKey
 	res Result
@@ -753,12 +750,12 @@ func (f *family) charge(cost int) bool {
 
 // take starts p in its family: the deepest snapshot p waits on, its own
 // (the snapshot's module when p was its last waiter, a clone otherwise),
-// with the family's buffers, and pm, p's manager, seeded with the stat
-// lines so far and the derivation. A nil module means there is none, and p
+// with the family's buffers and the depth it is at, and pm, p's manager,
+// seeded with its derivation. A nil module means there is none, and p
 // builds.
-func (f *family) take(p Pipeline, pm *ir.PassManager) (m *ir.Module, buffers []Buffer) {
+func (f *family) take(p Pipeline, pm *ir.PassManager) (m *ir.Module, buffers []Buffer, depth int) {
 	if f == nil {
-		return nil, nil
+		return nil, nil, 0
 	}
 	bit := uint8(1) << p
 	f.mu.Lock()
@@ -773,15 +770,15 @@ func (f *family) take(p Pipeline, pm *ir.PassManager) (m *ir.Module, buffers []B
 	f.forget(bit, math.MaxInt)
 	if from == nil {
 		f.memo.misses.Add(1)
-		return nil, nil
+		return nil, nil, 0
 	}
 	f.memo.hits.Add(1)
 	m = from.module
 	if from.waiters != 0 {
 		m = m.Clone()
 	}
-	pm.Stats, pm.Changed = slices.Clone(from.stats), from.derivation
-	return m, f.buffers
+	pm.Changed = from.derivation
+	return m, f.buffers, from.depth
 }
 
 // reach records that p's cell is past its lowering, or stopped before it:
@@ -808,8 +805,7 @@ func (f *family) reach(p Pipeline) {
 	f.memo.mu.Unlock()
 }
 
-// tail returns the Result of the sibling that shared its tail under key,
-// with only the stat lines from the lowering on.
+// tail returns the Result of the sibling that shared its tail under key.
 func (f *family) tail(key tailKey) (Result, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -822,10 +818,10 @@ func (f *family) tail(key tailKey) (Result, bool) {
 	return Result{}, false
 }
 
-// share offers res, which p computed running the tail key names, to the
-// siblings that have not reached their lowering. Once all have, the family
-// has left the memo and no charge succeeds.
-func (f *family) share(p Pipeline, key tailKey, res Result) {
+// share offers res, which a cell computed running the tail key names, to
+// the siblings that have not reached their lowering. Once all have, the
+// family has left the memo and no charge succeeds.
+func (f *family) share(key tailKey, res Result) {
 	if f == nil {
 		return
 	}
@@ -834,15 +830,14 @@ func (f *family) share(p Pipeline, key tailKey, res Result) {
 	if slices.ContainsFunc(f.tails, func(t tail) bool { return t.key.equal(key) }) || !f.charge(tailBytes) {
 		return
 	}
-	res.PassStats = res.PassStats[f.forks.depth[p][p]:]
 	f.tails = append(f.tails, tail{key: key, res: res})
 }
 
-// publish offers p's module after its first d passes, whose stat lines
-// stats holds and whose derivation is derivation, to the pipelines that
-// share them and have not started. buffers are the instance's when p built
-// it (d is 0), and the family keeps the first it is given.
-func (f *family) publish(p Pipeline, d int, m *ir.Module, stats, derivation []string, buffers []Buffer) {
+// publish offers p's module after its first d passes, whose derivation is
+// derivation, to the pipelines that share them and have not started.
+// buffers are the instance's when p built it (d is 0), and the family keeps
+// the first it is given.
+func (f *family) publish(p Pipeline, d int, m *ir.Module, derivation []string, buffers []Buffer) {
 	if f == nil {
 		return
 	}
@@ -875,7 +870,7 @@ func (f *family) publish(p Pipeline, d int, m *ir.Module, stats, derivation []st
 		return
 	}
 	f.forget(waiters, d)
-	f.snaps = append(f.snaps, &snapshot{depth: d, waiters: waiters, module: m.Clone(), stats: stats[:d:d],
+	f.snaps = append(f.snaps, &snapshot{depth: d, waiters: waiters, module: m.Clone(),
 		derivation: slices.Clip(derivation), cost: cost})
 }
 

@@ -103,8 +103,8 @@ func TestFigureRenderingDeterminism(t *testing.T) {
 }
 
 // TestRunnerCacheReuse asserts the memoization contract: a repeated cell is
-// served from the cache (the stored Result shares its PassStats backing
-// array) and the cache grows by distinct cells only.
+// served from the cache (one run, one memory hit, an equal Result) and the
+// cache grows by distinct cells only.
 func TestRunnerCacheReuse(t *testing.T) {
 	r := core.NewRunner(2)
 	e := core.Experiment{Target: "opengemm", Workload: core.WorkloadMatmul, Pipeline: core.AllOptimizations, N: 16}
@@ -116,8 +116,11 @@ func TestRunnerCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first.PassStats) == 0 || &first.PassStats[0] != &second.PassStats[0] {
-		t.Error("repeated experiment was recompiled instead of served from the cache")
+	if s := r.Snapshot(); s.Runs != 1 || s.MemHits != 1 {
+		t.Errorf("repeated experiment: %d runs, %d memory hits; want 1 and 1", s.Runs, s.MemHits)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("cached Result differs from the run that filled it:\n%+v\n%+v", first, second)
 	}
 	if got := r.CacheSize(); got != 1 {
 		t.Errorf("cache size = %d, want 1", got)

@@ -1,6 +1,8 @@
 package ir_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -360,8 +362,62 @@ func TestPassManagerRunsAndVerifies(t *testing.T) {
 	if !ran {
 		t.Error("pass did not run")
 	}
-	if len(pm.Stats) != 1 {
-		t.Errorf("stats entries = %d, want 1", len(pm.Stats))
+	if len(pm.Changed) != 0 {
+		t.Errorf("Changed = %q for a pass that changed nothing", pm.Changed)
+	}
+}
+
+// eraseAll is a pass that erases every op named name.
+func eraseAll(pass, name string) ir.Pass {
+	return ir.PassFunc{PassName: pass, Fn: func(m *ir.Module) error {
+		var doomed []*ir.Op
+		m.Walk(func(op *ir.Op) {
+			if op.Name() == name {
+				doomed = append(doomed, op)
+			}
+		})
+		for _, op := range doomed {
+			op.Erase()
+		}
+		return nil
+	}}
+}
+
+// TestPassManagerLog: Log leaves the module and Changed as Run does and
+// returns one line per pass with the op counts around it; a pass that
+// breaks the IR fails it as it fails Run.
+func TestPassManagerLog(t *testing.T) {
+	pipeline := func() *ir.PassManager {
+		return ir.NewPassManager(ir.PassFunc{PassName: "keep", Fn: func(*ir.Module) error { return nil }},
+			eraseAll("drop-awaits", accfg.OpAwait))
+	}
+	want := buildSampleModule(t)
+	if err := pipeline().Run(want); err != nil {
+		t.Fatal(err)
+	}
+	m, pm := buildSampleModule(t), pipeline()
+	ops := ir.CountOps(m)
+	log, err := pm.Log(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ir.PrintModule(m) != ir.PrintModule(want) {
+		t.Errorf("Log left\n%s\nRun left\n%s", ir.PrintModule(m), ir.PrintModule(want))
+	}
+	if !slices.Equal(pm.Changed, []string{"drop-awaits"}) {
+		t.Errorf("Log's Changed = %q, want [drop-awaits]", pm.Changed)
+	}
+	wantLog := []string{
+		fmt.Sprintf("%-32s ops: %4d -> %4d", "keep", ops, ops),
+		fmt.Sprintf("%-32s ops: %4d -> %4d", "drop-awaits", ops, ops-1),
+	}
+	if !slices.Equal(log, wantLog) {
+		t.Errorf("log %q, want %q", log, wantLog)
+	}
+
+	broken := ir.NewPassManager(eraseAll("drop-yields", scf.OpYield))
+	if _, err := broken.Log(buildSampleModule(t)); err == nil || !strings.Contains(err.Error(), "verifier failed after pass drop-yields") {
+		t.Errorf("a pass that breaks the IR: Log returned %v", err)
 	}
 }
 

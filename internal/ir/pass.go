@@ -2,9 +2,7 @@ package ir
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
-	"unicode/utf8"
 )
 
 // Pass transforms a module. Passes are the unit of composition in the
@@ -29,7 +27,7 @@ func (p PassFunc) Name() string { return p.PassName }
 func (p PassFunc) Run(m *Module) error { return p.Fn(m) }
 
 // PassManager runs a sequence of passes, optionally verifying the IR between
-// passes and recording per-pass statistics.
+// passes and recording which passes changed the module.
 type PassManager struct {
 	passes []Pass
 	// VerifyEach enables IR verification after every pass (on by default in
@@ -42,8 +40,6 @@ type PassManager struct {
 	// pipeline, attributed to the offending pass. Cloning only happens
 	// when the hook is set, so plain pipelines pay nothing.
 	CheckEach func(pass string, before, after *Module) error
-	// Stats accumulates a human-readable log line per executed pass.
-	Stats []string
 	// Changed accumulates the names of the executed passes that changed
 	// the module: those that called a mutator of the IR on it. A pass that
 	// did not left the module exactly as it found it.
@@ -93,15 +89,12 @@ func SharedPrefix(a, b []string) int {
 func (pm *PassManager) Run(m *Module) error { return pm.RunSpan(m, 0, len(pm.passes)) }
 
 // RunSpan executes passes [from, to) of the pipeline on m, appending to
-// Stats and Changed. Running the spans [0, a), [a, b), ... up to Len() in
-// order is running the pipeline, with a point between two spans where the
-// caller can read the live module — what CheckEach offers only at the
-// price of a clone before every pass. A caller resuming another run's
-// module seeds Stats and Changed with that run's before its first span.
+// Changed. Running the spans [0, a), [a, b), ... up to Len() in order is
+// running the pipeline, with a point between two spans where the caller can
+// read the live module — what CheckEach offers only at the price of a clone
+// before every pass. A caller resuming another run's module seeds Changed
+// with that run's before its first span.
 func (pm *PassManager) RunSpan(m *Module, from, to int) error {
-	// One count per pass boundary: a pass's "after" is the next one's
-	// "before" (verification and CheckEach do not change the module).
-	before := CountOps(m)
 	for _, p := range pm.passes[from:to] {
 		var snapshot *Module
 		if pm.CheckEach != nil {
@@ -124,39 +117,25 @@ func (pm *PassManager) RunSpan(m *Module, from, to int) error {
 				return fmt.Errorf("static check failed after pass %s: %w", p.Name(), err)
 			}
 		}
-		after := CountOps(m)
-		pm.Stats = append(pm.Stats, statLine(p.Name(), before, after))
-		before = after
 	}
 	return nil
 }
 
-// statLine renders fmt.Sprintf("%-32s ops: %4d -> %4d", pass, before, after)
-// without fmt. The line is part of every stored and served Result, so it
-// must stay byte-identical to that format.
-//
-//cwlint:hotpath
-func statLine(pass string, before, after int) string {
-	var buf [64]byte
-	b := append(buf[:0], pass...)
-	for n := utf8.RuneCountInString(pass); n < 32; n++ {
-		b = append(b, ' ')
+// Log runs the pipeline on m as Run does, one pass at a time, and returns
+// a line per pass with the op count before and after it: the compile log
+// the command-line tools print.
+func (pm *PassManager) Log(m *Module) ([]string, error) {
+	lines := make([]string, 0, len(pm.passes))
+	before := CountOps(m)
+	for i, p := range pm.passes {
+		if err := pm.RunSpan(m, i, i+1); err != nil {
+			return nil, err
+		}
+		after := CountOps(m)
+		lines = append(lines, fmt.Sprintf("%-32s ops: %4d -> %4d", p.Name(), before, after))
+		before = after
 	}
-	b = append(b, " ops: "...)
-	b = appendPadded(b, before)
-	b = append(b, " -> "...)
-	b = appendPadded(b, after)
-	return string(b)
-}
-
-// appendPadded appends n in decimal, right-aligned to four columns (%4d).
-func appendPadded(b []byte, n int) []byte {
-	var digits [20]byte
-	d := strconv.AppendInt(digits[:0], int64(n), 10)
-	for i := len(d); i < 4; i++ {
-		b = append(b, ' ')
-	}
-	return append(b, d...)
+	return lines, nil
 }
 
 // String renders the pipeline like "a,b,c".

@@ -48,10 +48,6 @@ func sampleResult() *core.Result {
 		Counters: sim.Counters{Cycles: 123456, HostInstrs: 7890, ConfigInstrs: 42},
 		Verified: true,
 		PeakOps:  512,
-		PassStats: []string{
-			"merge: 10 -> 8",
-			"overlap: 8 -> 8",
-		},
 	}
 }
 

@@ -106,6 +106,10 @@ func TestRunByteIdentical(t *testing.T) {
 	if err := json.Unmarshal(got, &res); err != nil || res.Trace != nil || bytes.Contains(got, []byte(`"Trace"`)) {
 		t.Errorf("served body has a timeline (err %v): %.200s", err, got)
 	}
+	// Nor a compile log: a cell's Result is its measurements.
+	if bytes.Contains(got, []byte(`"PassStats"`)) {
+		t.Errorf("served body has a compile log: %.200s", got)
+	}
 
 	// POST with the equivalent JSON body must serve the identical bytes.
 	rq := serve.RunRequest{Target: testExp.Target, Workload: testExp.Workload, Pipeline: testExp.Pipeline.String(), N: testExp.N}
@@ -121,6 +125,19 @@ func TestRunByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(posted, want) {
 		t.Errorf("POST body differs from direct Runner.Run marshal")
+	}
+
+	// A sweep event carries the same Result, and no compile log either.
+	sweep, _ := json.Marshal(serve.SweepRequest{Targets: []string{testExp.Target}, Workloads: []string{testExp.Workload},
+		Pipelines: []string{testExp.Pipeline.String()}, Sizes: []int{testExp.N}})
+	resp, err = http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(sweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	stream, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(stream, want) || bytes.Contains(stream, []byte(`"PassStats"`)) {
+		t.Errorf("sweep event (status %d) does not carry the served body alone: %.300s", resp.StatusCode, stream)
 	}
 }
 

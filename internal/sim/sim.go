@@ -223,9 +223,9 @@ func (mc *Machine) stallUntilIdle() {
 // programs without the first run's clock, counters or trace leaking into
 // the second's measurements. Registers are kept: callers set up arguments
 // before Run, and register contents carry no timing state. The trace is
-// truncated, not released, so a reused Machine (core.Run's pooled ones)
-// records into its existing capacity — callers that keep a run's trace
-// beyond the next Run must copy it out.
+// truncated, not released, so a trace buffer handed in for reuse (the
+// oracle's scratch one) is recorded into in its existing capacity —
+// callers that keep a run's trace beyond the next Run must copy it out.
 func (mc *Machine) reset() {
 	mc.Counters = Counters{}
 	mc.Trace = mc.Trace[:0]

@@ -40,6 +40,9 @@ import (
 // key reaches, so it is a miss, and every cell stored since was verified.
 // Nor did dropping "trace=" from the key: every older entry spells it, so
 // it hashes to a path no current key reaches and its cell recomputes.
+// Nor did dropping the per-pass compile log from core.Result: JSON decoding
+// ignores the field, and every other field of an entry that carries it
+// means what it meant, so the entry loads as the same Result.
 const SchemaVersion = 3
 
 // envelope is the on-disk JSON document. Key is stored redundantly (the

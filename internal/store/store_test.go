@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -196,6 +197,49 @@ func TestEntryWithCellFieldsLoads(t *testing.T) {
 	got, ok, err := s.Load(exp, opts)
 	if !ok || err != nil || !reflect.DeepEqual(got, res) {
 		t.Errorf("entry with cell fields: ok=%v err=%v result %+v, want a hit with %+v", ok, err, got, res)
+	}
+}
+
+// TestEntryWithPassStatsLoads: an entry written while every Result carried
+// its per-pass compile log loads as a store hit, and a runner serves it as
+// the Result a fresh computation gives.
+func TestEntryWithPassStatsLoads(t *testing.T) {
+	s := openStore(t)
+	opts := core.RunOptions{}
+	fresh, err := core.RunExperiment(exp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(exp, opts, fresh); err != nil {
+		t.Fatal(err)
+	}
+	path := s.EntryPath(exp, opts)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"PassStats"`) {
+		t.Errorf("Save wrote a compile log: %s", data)
+	}
+	marker := `"PeakOps":`
+	if !strings.Contains(string(data), marker) {
+		t.Fatalf("PeakOps marker not found in %s", data)
+	}
+	log := `"PassStats":["canonicalize                     ops:   40 ->   40","cse                              ops:   40 ->   30"],`
+	older := strings.Replace(string(data), marker, log+marker, 1)
+	if err := os.WriteFile(path, []byte(older), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := core.NewRunnerWith(core.RunnerOptions{Workers: 1, Store: s})
+	got, err := r.Run(context.Background(), exp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Snapshot(); st.StoreHits != 1 || st.Runs != 0 {
+		t.Errorf("entry with a compile log: %d store hits, %d runs; want 1 and 0", st.StoreHits, st.Runs)
+	}
+	if !reflect.DeepEqual(got, fresh) {
+		t.Errorf("entry with a compile log loads as %+v, want the fresh %+v", got, fresh)
 	}
 }
 
