@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -533,7 +534,7 @@ func TestPackedMateFollowsTheChainOnAnyRegisteredPort(t *testing.T) {
 			setups = append(setups, s)
 		}
 	})
-	fs := AnalyzeFields(m.Funcs()[0])
+	fs := AnalyzeFields(slices.Collect(m.Funcs)[0])
 	if v, ok := PackedMate(fs, setups[1], "y"); !ok || v != setups[0].FieldValue("y") {
 		t.Errorf("PackedMate(y) = %v, %v; want the first setup's y", v, ok)
 	}

@@ -45,7 +45,7 @@ func (b Bounds) min(o Bounds) Bounds {
 // function, so the sum is the entry's bound).
 func StaticBounds(m *ir.Module) Bounds {
 	var b Bounds
-	for _, f := range m.Funcs() {
+	for f := range m.Funcs {
 		b = b.add(boundsBlock(f.Region(0).Block()))
 	}
 	return b

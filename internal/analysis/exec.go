@@ -121,7 +121,7 @@ func (e impreciseErr) Error() string { return e.reason }
 // that function's exploration inconclusive rather than wrong.
 func Explore(m *ir.Module) *Summary {
 	s := &Summary{funcs: map[string]*funcPaths{}}
-	for _, f := range m.Funcs() {
+	for f := range m.Funcs {
 		name, _ := f.StringAttrValue("sym_name")
 		fp := exploreFunc(f)
 		fp.name = name

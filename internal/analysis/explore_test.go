@@ -85,7 +85,7 @@ func renderPaths(fp *funcPaths) []string {
 // checkAgainstRestart explores every function of m both ways.
 func checkAgainstRestart(t *testing.T, name string, m *ir.Module) (paths, restarts int) {
 	t.Helper()
-	for _, f := range m.Funcs() {
+	for f := range m.Funcs {
 		got, want := exploreFunc(f), restartExplore(f)
 		if !slices.Equal(got.inconclusive, want.inconclusive) {
 			t.Errorf("%s: inconclusive %q, restarting explorer %q", name, got.inconclusive, want.inconclusive)
@@ -183,7 +183,7 @@ func TestExplorePathCap(t *testing.T) {
 	}{{8, false}, {9, true}} {
 		m := parseIR(t, fanOut(tc.k))
 		paths, _ := checkAgainstRestart(t, fmt.Sprintf("fan-out %d", tc.k), m)
-		fp := exploreFunc(m.Funcs()[0])
+		fp := exploreFunc(slices.Collect(m.Funcs)[0])
 		if got := len(fp.inconclusive) > 0; got != tc.inconclusive {
 			t.Errorf("fan-out %d: inconclusive %v (%q), want %v", tc.k, got, fp.inconclusive, tc.inconclusive)
 		}

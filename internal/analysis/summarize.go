@@ -42,7 +42,7 @@ type ModuleSummary struct {
 // function of m.
 func Summarize(m *ir.Module) *ModuleSummary {
 	out := &ModuleSummary{}
-	for _, f := range m.Funcs() {
+	for f := range m.Funcs {
 		name, _ := f.StringAttrValue("sym_name")
 		p := &flow{
 			launches:    map[*ir.Op]FieldState{},

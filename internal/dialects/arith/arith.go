@@ -56,13 +56,12 @@ func init() {
 		},
 	})
 	for _, name := range []string{OpAddI, OpSubI, OpMulI, OpDivUI, OpRemUI, OpAndI, OpOrI, OpXOrI, OpShLI, OpShRUI} {
-		name := name
 		ir.Register(ir.OpInfo{
 			Name:    name,
 			Traits:  []ir.Trait{ir.TraitPure},
 			Summary: "integer binary op",
 			Verify:  verifyBinary,
-			Fold:    foldBinary(name),
+			Fold:    foldBinary,
 		})
 	}
 	ir.Register(ir.OpInfo{
@@ -201,46 +200,49 @@ func EvalCmp(pred string, a, b int64) (bool, error) {
 	return false, fmt.Errorf("unknown predicate %q", pred)
 }
 
-func foldBinary(name string) func(*ir.Op) (*ir.Value, bool) {
-	return func(op *ir.Op) (*ir.Value, bool) {
-		a, aOK := ConstantValue(op.Operand(0))
-		b, bOK := ConstantValue(op.Operand(1))
-		t := op.Result(0).Type()
+// foldBinary folds the binary op: identities that need one constant
+// operand, and both operands constant. It is a plain function of the op,
+// not a closure over its name, so the builder it makes a constant with
+// stays on the stack.
+func foldBinary(op *ir.Op) (*ir.Value, bool) {
+	name := op.Name()
+	a, aOK := ConstantValue(op.Operand(0))
+	b, bOK := ConstantValue(op.Operand(1))
+	t := op.Result(0).Type()
 
-		// Identity simplifications that do not require both constants.
-		if bOK && b == 0 {
-			switch name {
-			case OpAddI, OpSubI, OpOrI, OpXOrI, OpShLI, OpShRUI:
-				return op.Operand(0), false
-			case OpMulI, OpAndI:
-				// x*0 = 0, x&0 = 0: handled below when a is also known,
-				// otherwise materialize via builder-less replacement:
-				if op.Block() != nil {
-					b := ir.Before(op)
-					zero := NewConstant(b, 0, t)
-					return zero, false
-				}
+	// Identity simplifications that do not require both constants.
+	if bOK && b == 0 {
+		switch name {
+		case OpAddI, OpSubI, OpOrI, OpXOrI, OpShLI, OpShRUI:
+			return op.Operand(0), false
+		case OpMulI, OpAndI:
+			// x*0 = 0, x&0 = 0: handled below when a is also known,
+			// otherwise materialize via builder-less replacement:
+			if op.Block() != nil {
+				b := ir.Before(op)
+				zero := NewConstant(b, 0, t)
+				return zero, false
 			}
 		}
-		if bOK && b == 1 && (name == OpMulI || name == OpDivUI) {
-			return op.Operand(0), false
-		}
-		if aOK && a == 0 && name == OpAddI {
-			return op.Operand(1), false
-		}
-		if !aOK || !bOK {
-			return nil, false
-		}
-		r, err := Eval(name, a, b, t)
-		if err != nil {
-			return nil, false
-		}
-		if op.Block() == nil {
-			return nil, false
-		}
-		bld := ir.Before(op)
-		return NewConstant(bld, r, t), false
 	}
+	if bOK && b == 1 && (name == OpMulI || name == OpDivUI) {
+		return op.Operand(0), false
+	}
+	if aOK && a == 0 && name == OpAddI {
+		return op.Operand(1), false
+	}
+	if !aOK || !bOK {
+		return nil, false
+	}
+	r, err := Eval(name, a, b, t)
+	if err != nil {
+		return nil, false
+	}
+	if op.Block() == nil {
+		return nil, false
+	}
+	bld := ir.Before(op)
+	return NewConstant(bld, r, t), false
 }
 
 func foldCmp(op *ir.Op) (*ir.Value, bool) {

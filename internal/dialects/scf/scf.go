@@ -224,7 +224,7 @@ func (f For) InlineOnce() {
 	}
 	b := ir.Before(f.Op)
 	for op := body.First(); op != nil && op != yield; op = op.Next() {
-		b.Insert(op.Clone(mapping))
+		b.Clone(op, mapping)
 	}
 	for i := 0; i < f.NumIterArgs(); i++ {
 		y := f.Yielded(i)

@@ -1,6 +1,7 @@
 package ir_test
 
 import (
+	"slices"
 	"testing"
 
 	"configwall/internal/core"
@@ -74,7 +75,7 @@ func TestReadOnlyTraversalAllocatesNothing(t *testing.T) {
 	}
 
 	// IsBefore on a numbered block is a compare.
-	body := m.Funcs()[0].Region(0).Block()
+	body := slices.Collect(m.Funcs)[0].Region(0).Block()
 	first, last := body.First(), body.Last()
 	if !first.IsBefore(last) {
 		t.Fatal("first op not before last")
@@ -88,11 +89,12 @@ func TestReadOnlyTraversalAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestOpIsOneAllocation holds the IR core's layout (DESIGN.md §1, "One
-// allocation per op"): an op whose operands, results and attributes fit the
-// inline room is the Op and nothing else — no operand slice, result block,
-// result slice or attribute map — and the first use of a value lives in the
-// value. An op that outgrows the room spills each list once.
+// TestOpIsOneAllocation holds the IR core's layout (DESIGN.md §1, "Inline
+// room"): a bare op whose operands, results and attributes fit the inline
+// room is the Op and nothing else — no operand slice, result block, result
+// slice or attribute map — and the first use of a value lives in the value.
+// An op that outgrows the room spills each list once. (An op a Builder
+// creates is a slot of its tree's slab instead: TestSlabAllocations.)
 func TestOpIsOneAllocation(t *testing.T) {
 	m := ir.NewModule()
 	b := ir.AtEnd(m.Block())
@@ -136,7 +138,7 @@ func TestOpIsOneAllocation(t *testing.T) {
 		}
 	}
 
-	// A clone is one allocation too.
+	// A detached clone is one allocation too.
 	cmp := build("arith.cmpi", []*ir.Value{a, c}, []ir.Type{ir.I1}, 2)
 	mapping := map[*ir.Value]*ir.Value{}
 	if n := testing.AllocsPerRun(20, func() {

@@ -34,7 +34,15 @@ func (b *Builder) Insert(op *Op) *Op {
 	return op
 }
 
-// Create builds and inserts a generic op.
+// Create builds and inserts a generic op, drawn from the slab of the root
+// of the tree the builder inserts into.
 func (b *Builder) Create(name string, operands []*Value, resultTypes []Type) *Op {
-	return b.Insert(NewOp(name, operands, resultTypes))
+	return b.Insert(build(b.block.slab().take(), name, operands, resultTypes))
+}
+
+// Clone deep-copies op as Op.Clone does and inserts the copy at the
+// insertion point; the copy's ops are drawn from the slab of the root of
+// the tree the builder inserts into.
+func (b *Builder) Clone(op *Op, mapping map[*Value]*Value) *Op {
+	return b.Insert(cloneSubtree(b.block.slab(), op, mapping))
 }

@@ -112,11 +112,19 @@ func (v *Value) removeUse(op *Op, index int) {
 // (e.g. "accfg.setup"). Operands, results, attributes, and nested regions
 // follow MLIR's generic operation structure.
 //
-// An op is one allocation: its first operands, its first result (value and
-// slot) and its first attributes live in the Op itself, and a list moves to
-// the heap only when it outgrows that inline room. Ops are handled by
-// pointer only — the lists point into the struct, so a copy of an Op would
-// share them.
+// An op's first operands, its first result (value and slot) and its first
+// attributes live in the Op itself, and a list moves to the heap only when
+// it outgrows that inline room. Ops are handled by pointer only — the lists
+// point into the struct, so a copy of an Op would share them.
+//
+// The Op itself comes from one of three places. A bare NewOp (or a detached
+// Op.Clone) is one allocation of its own. An op a Builder creates comes from
+// the slab of the root of the tree it is inserted into — the module's op, or
+// a detached root — which hands out chunks of 4, 8, 16, then 32 ops, and a
+// Builder.Clone draws the same way. A Module.Clone takes all of the copy's
+// ops from one array. Slab storage is freed with the whole chunk: an op
+// erased or moved out of its tree keeps its slot until every op of the
+// chunk is unreachable, in practice until the tree dies.
 type Op struct {
 	name     string
 	kind     *OpInfo // registered kind of name, resolved by NewOp; nil when unregistered
@@ -127,13 +135,16 @@ type Op struct {
 
 	parent     *Block
 	prev, next *Op
-	// order is the op's position key in parent: strictly increasing along
-	// the list, meaningful only while parent.ordered is set (see
-	// Block.renumber).
-	order int
-	// epoch counts the mutations of the tree this op roots; it is read on
-	// a root only (a module's op, or a detached op). See touch.
-	epoch uint64
+	// seq is, on an op in a block, its position key there: strictly
+	// increasing along the list, meaningful only while parent.ordered is set
+	// (see Block.renumber). On a root (a module's op, or a detached op) it
+	// is the epoch instead: the count of the mutations of the tree the op
+	// roots (see touch). A root has no position and an op in a block no
+	// epoch, so one word holds both.
+	seq int
+	// slab is the slab the op was drawn from, or, on a root whose tree has
+	// one, the slab the tree draws from (slab.owner is the root then).
+	slab *slab
 
 	operand0 [inlineOperands]*Value
 	result0  [1]*Value
@@ -160,7 +171,14 @@ type namedAttr struct {
 // InsertBefore) before the program is printed or verified. The op's kind is
 // looked up here, once: see Register for the ordering rule that follows.
 func NewOp(name string, operands []*Value, resultTypes []Type) *Op {
-	op := newOp(name, len(operands), len(resultTypes))
+	return build(new(Op), name, operands, resultTypes)
+}
+
+// build makes the zeroed op an op of the given name, operands and result
+// types.
+func build(op *Op, name string, operands []*Value, resultTypes []Type) *Op {
+	var st storage
+	op.init(name, kinds()[name], len(operands), len(resultTypes), &st)
 	for i, v := range operands {
 		op.operands[i] = v
 		if v != nil {
@@ -173,15 +191,16 @@ func NewOp(name string, operands []*Value, resultTypes []Type) *Op {
 	return op
 }
 
-// newOp allocates an op with nOperands nil operand slots and nResults
-// untyped results, the lists in the op's inline room where they fit.
-func newOp(name string, nOperands, nResults int) *Op {
-	op := &Op{name: name, kind: kinds()[name]}
+// init makes the zeroed op an op of the given name and kind with nOperands
+// nil operand slots and nResults untyped results, the lists in the op's
+// inline room where they fit and carved from st where they do not.
+func (op *Op) init(name string, kind *OpInfo, nOperands, nResults int, st *storage) {
+	op.name, op.kind = name, kind
 	op.attrs = op.attr0[:0]
 	if nOperands <= inlineOperands {
 		op.operands = op.operand0[:nOperands]
 	} else {
-		op.operands = make([]*Value, nOperands)
+		op.operands = carve(&st.ptrs, nOperands)
 	}
 	op.results = op.result0[:0]
 	switch {
@@ -190,14 +209,13 @@ func newOp(name string, nOperands, nResults int) *Op {
 		op.results = append(op.results, &op.value0)
 	case nResults > 1:
 		// One block for all results: they live and die with the op.
-		vals := make([]Value, nResults)
-		op.results = make([]*Value, nResults)
+		vals := carve(&st.values, nResults)
+		op.results = carve(&st.ptrs, nResults)
 		for i := range vals {
 			vals[i] = Value{def: op, index: i}
 			op.results[i] = &vals[i]
 		}
 	}
-	return op
 }
 
 // Name returns the dialect-qualified op name.
@@ -499,10 +517,15 @@ func (op *Op) MoveAfter(other *Op) {
 // count lands on the tree the mutation left; PassManager.Run compares a
 // module's epoch across a pass to learn whether the pass changed it.
 func (op *Op) touch() {
+	op.root().seq++
+}
+
+// root returns the root of the tree op hangs in: op itself when detached.
+func (op *Op) root() *Op {
 	for p := op.ParentOp(); p != nil; p = op.ParentOp() {
 		op = p
 	}
-	op.epoch++
+	return op
 }
 
 // IsBefore reports whether op appears strictly before other within the same
@@ -520,7 +543,7 @@ func (op *Op) IsBefore(other *Op) bool {
 	if !b.ordered {
 		b.renumber()
 	}
-	return op.order < other.order
+	return op.seq < other.seq
 }
 
 // IsAncestorOf reports whether other is nested (at any depth) inside op.
@@ -531,44 +554,6 @@ func (op *Op) IsAncestorOf(other *Op) bool {
 		}
 	}
 	return false
-}
-
-// Clone deep-copies the op, remapping operands through mapping when present.
-// Result values of cloned ops are entered into mapping so nested uses are
-// rewired. The clone is detached.
-func (op *Op) Clone(mapping map[*Value]*Value) *Op {
-	if mapping == nil {
-		mapping = map[*Value]*Value{}
-	}
-	cl := newOp(op.name, len(op.operands), len(op.results))
-	for i, v := range op.operands {
-		if m, ok := mapping[v]; ok {
-			v = m
-		}
-		cl.operands[i] = v
-		if v != nil {
-			v.addUse(cl, i)
-		}
-	}
-	cl.attrs = append(cl.attrs, op.attrs...)
-	for i, r := range op.results {
-		cl.results[i].typ = r.typ
-		cl.results[i].name = r.name
-		mapping[r] = cl.results[i]
-	}
-	for _, region := range op.regions {
-		nr := cl.AddRegion()
-		src := region.Block()
-		for _, arg := range src.args {
-			na := nr.Block().AddArg(arg.typ)
-			na.name = arg.name
-			mapping[arg] = na
-		}
-		for o := src.First(); o != nil; o = o.Next() {
-			nr.Block().Append(o.Clone(mapping))
-		}
-	}
-	return cl
 }
 
 // Region is a single-block region nested under an op.
@@ -598,7 +583,7 @@ type Block struct {
 func (b *Block) renumber() {
 	n := 0
 	for op := b.first; op != nil; op = op.next {
-		op.order = n
+		op.seq = n
 		n++
 	}
 	b.ordered = true
@@ -673,7 +658,7 @@ func (b *Block) Len() int {
 // Ops returns a snapshot slice of the ops in order. Useful when mutating the
 // block while iterating.
 func (b *Block) Ops() []*Op {
-	var out []*Op
+	out := make([]*Op, 0, b.Len())
 	for op := b.first; op != nil; op = op.next {
 		out = append(out, op)
 	}
@@ -686,14 +671,20 @@ func (b *Block) Append(op *Op) {
 		panic("ir: appending op already in a block")
 	}
 	b.touch()
+	b.link(op)
+}
+
+// link puts the detached op at the end of the block without counting a
+// mutation: Append, and a clone filling blocks of its own.
+func (b *Block) link(op *Op) {
 	op.parent = b
 	op.prev = b.last
 	if b.last != nil {
 		b.last.next = op
-		op.order = b.last.order + 1
+		op.seq = b.last.seq + 1
 	} else {
 		b.first = op
-		op.order = 0
+		op.seq = 0
 		b.ordered = true
 	}
 	b.last = op
@@ -796,15 +787,19 @@ func (m *Module) Block() *Block { return m.op.Region(0).Block() }
 // Append adds a top-level op (typically a fnc.func) to the module.
 func (m *Module) Append(op *Op) { m.Block().Append(op) }
 
-// Funcs returns the fnc.func ops in the module, in order.
-func (m *Module) Funcs() []*Op {
-	var out []*Op
-	for op := m.Block().first; op != nil; op = op.next {
-		if op.name == "fnc.func" {
-			out = append(out, op)
+// Funcs is the sequence of the module's fnc.func ops, in order, read in
+// place: range over m.Funcs. It is a method of iter.Seq's shape rather than
+// a method returning one, so no iteration allocates a closure. The loop
+// body may change the function it is given, or remove it from the module:
+// the next one is read before the body runs.
+func (m *Module) Funcs(yield func(*Op) bool) {
+	for op := m.Block().first; op != nil; {
+		next := op.next
+		if op.name == "fnc.func" && !yield(op) {
+			return
 		}
+		op = next
 	}
-	return out
 }
 
 // FindFunc returns the fnc.func with the given symbol name, or nil.
@@ -822,8 +817,3 @@ func (m *Module) FindFunc(name string) *Op {
 
 // Walk visits every op in the module in pre-order.
 func (m *Module) Walk(fn func(*Op)) { Walk(m.op, fn) }
-
-// Clone deep-copies the module.
-func (m *Module) Clone() *Module {
-	return &Module{op: m.op.Clone(nil)}
-}

@@ -67,6 +67,7 @@ var epochMutators = map[string]func(fx *epochFixture){
 	"Value.SetName":               func(fx *epochFixture) { fx.b.SetName("b") },
 	"Builder.Insert":              func(fx *epochFixture) { fx.builderAt.Insert(fx.other) },
 	"Builder.Create":              func(fx *epochFixture) { fx.atFront.Create("test.new", nil, nil) },
+	"Builder.Clone":               func(fx *epochFixture) { fx.atFront.Clone(fx.c, nil) },
 	"Module.Append":               func(fx *epochFixture) { fx.m.Append(fx.other) },
 	"Op.MoveBefore (to a region)": func(fx *epochFixture) { fx.other.MoveBefore(fx.ret) },
 	"Op.MoveAfter (to a region)":  func(fx *epochFixture) { fx.other.MoveAfter(fx.ret) },
@@ -117,9 +118,9 @@ func TestEpochCensus(t *testing.T) {
 	}
 	for name, mutate := range epochMutators {
 		fx := newEpochFixture()
-		before := fx.m.op.epoch
+		before := fx.m.op.seq
 		mutate(fx)
-		if fx.m.op.epoch == before {
+		if fx.m.op.seq == before {
 			t.Errorf("%s left the module's epoch at %d", name, before)
 		}
 	}
@@ -130,9 +131,9 @@ func TestEpochCensus(t *testing.T) {
 			if !slices.Contains(epochReaders, name) || rv.Method(i).Type().NumIn() != 0 {
 				continue
 			}
-			before := fx.m.op.epoch
+			before := fx.m.op.seq
 			rv.Method(i).Call(nil)
-			if fx.m.op.epoch != before {
+			if fx.m.op.seq != before {
 				t.Errorf("reader %s moved the module's epoch", name)
 			}
 		}

@@ -6,3 +6,24 @@ package ir
 func DropUse(v *Value, i int) {
 	v.uses = append(v.uses[:i:i], v.uses[i+1:]...)
 }
+
+// SlabSlots reports, over the slabs the ops of m's tree point to, how many
+// slots their chunks hold and how many of those hold an op of the tree
+// now. A root's slab is one it owns, not one it was drawn from.
+func SlabSlots(m *Module) (live, slots int) {
+	seen := map[*slab]bool{}
+	Walk(m.op, func(op *Op) {
+		s := op.slab
+		if s == nil {
+			return
+		}
+		if !seen[s] {
+			seen[s] = true
+			slots += s.slots
+		}
+		if s.owner != op {
+			live++
+		}
+	})
+	return live, slots
+}

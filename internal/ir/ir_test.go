@@ -462,8 +462,8 @@ func TestModuleFindFunc(t *testing.T) {
 	if m.FindFunc("zzz") != nil {
 		t.Error("FindFunc(zzz) != nil")
 	}
-	if len(m.Funcs()) != 3 {
-		t.Errorf("Funcs() = %d, want 3", len(m.Funcs()))
+	if n := len(slices.Collect(m.Funcs)); n != 3 {
+		t.Errorf("Funcs() yields %d, want 3", n)
 	}
 }
 

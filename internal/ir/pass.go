@@ -100,11 +100,11 @@ func (pm *PassManager) RunSpan(m *Module, from, to int) error {
 		if pm.CheckEach != nil {
 			snapshot = m.Clone()
 		}
-		epoch := m.op.epoch
+		epoch := m.op.seq
 		if err := p.Run(m); err != nil {
 			return fmt.Errorf("pass %s: %w", p.Name(), err)
 		}
-		if m.op.epoch != epoch {
+		if m.op.seq != epoch {
 			pm.Changed = append(pm.Changed, p.Name())
 		}
 		if pm.VerifyEach {

@@ -5,6 +5,7 @@ package ir_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -179,7 +180,7 @@ func TestLookupByName(t *testing.T) {
 // way however it was made — including after one op is marked volatile.
 func TestTraitsAgreeAcrossConstructionPaths(t *testing.T) {
 	built := buildSampleModule(t)
-	built.Funcs()[0].Region(0).Block().First().SetAttr("volatile", ir.UnitAttr{}) // the first constant
+	slices.Collect(built.Funcs)[0].Region(0).Block().First().SetAttr("volatile", ir.UnitAttr{}) // the first constant
 	parsed, err := ir.Parse(ir.PrintModule(built))
 	if err != nil {
 		t.Fatal(err)

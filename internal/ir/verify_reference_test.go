@@ -8,6 +8,7 @@ package ir_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"configwall/internal/core"
@@ -168,7 +169,7 @@ func rewire(rng *rand.Rand, users []*ir.Op, v *ir.Value) bool {
 // nestedUse inserts, before main's terminator, an op of the given kind
 // whose region reads a value defined earlier in main's body.
 func nestedUse(m *ir.Module, holder *ir.Op) bool {
-	body := m.Funcs()[0].Region(0).Block()
+	body := slices.Collect(m.Funcs)[0].Region(0).Block()
 	var v *ir.Value
 	for o := body.First(); o != nil && v == nil; o = o.Next() {
 		if o.NumResults() > 0 {

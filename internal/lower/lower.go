@@ -34,7 +34,7 @@ func Accfg(port *accel.Port) ir.Pass {
 	return ir.PassFunc{
 		PassName: name,
 		Fn: func(m *ir.Module) error {
-			for _, f := range m.Funcs() {
+			for f := range m.Funcs {
 				if err := lowerFunc(name, port, f); err != nil {
 					return err
 				}

@@ -35,7 +35,7 @@ func CSE() ir.Pass {
 		Fn: func(m *ir.Module) error {
 			n := ir.CountOps(m)
 			c := cse{seen: make(map[string]*ir.Op, n), ids: make(map[*ir.Value]int, n)}
-			for _, f := range m.Funcs() {
+			for f := range m.Funcs {
 				c.block(f.Region(0).Block())
 				c.leave(0)
 			}
@@ -146,7 +146,7 @@ func LICM() ir.Pass {
 	return ir.PassFunc{
 		PassName: "licm",
 		Fn: func(m *ir.Module) error {
-			for _, f := range m.Funcs() {
+			for f := range m.Funcs {
 				// Iterate to a fixpoint so chains of invariant ops hoist.
 				for licmWalk(f.Region(0).Block()) {
 				}

@@ -14,7 +14,7 @@ func Dedup() ir.Pass {
 	return ir.PassFunc{
 		PassName: "accfg-dedup",
 		Fn: func(m *ir.Module) error {
-			for _, f := range m.Funcs() {
+			for f := range m.Funcs {
 				fs := analysis.AnalyzeFields(f)
 				ir.Walk(f, func(op *ir.Op) {
 					s, ok := accfg.AsSetup(op)

@@ -98,7 +98,7 @@ func inlineCall(m *ir.Module, call *ir.Op) error {
 	}
 	b := ir.Before(call)
 	for op := body.First(); op != nil && op != ret; op = op.Next() {
-		b.Insert(op.Clone(mapping))
+		b.Clone(op, mapping)
 	}
 	for i := 0; i < call.NumResults(); i++ {
 		v := ret.Operand(i)

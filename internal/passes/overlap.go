@@ -193,10 +193,9 @@ func pipelineLoop(loop scf.For, concurrent func(string) bool) bool {
 	mapping := map[*ir.Value]*ir.Value{iv: loop.LowerBound(), arg: loop.InitArg(argIdx)}
 	pb := ir.Before(loop.Op)
 	for _, o := range slice {
-		pb.Insert(o.Clone(mapping))
+		pb.Clone(o, mapping)
 	}
-	proSetup := setupOp.Clone(mapping)
-	pb.Insert(proSetup)
+	proSetup := pb.Clone(setupOp, mapping)
 	loop.SetInitArg(argIdx, proSetup.Result(0))
 
 	// 2. Launch now reads the loop-carried state and moves to the top of
@@ -213,10 +212,9 @@ func pipelineLoop(loop scf.For, concurrent func(string) bool) bool {
 	ivNext := ib.Create("arith.addi", []*ir.Value{iv, loop.Step()}, []ir.Type{iv.Type()}).Result(0)
 	ivNext.SetName("i_next")
 	remap := map[*ir.Value]*ir.Value{iv: ivNext}
+	sb := ir.Before(setupOp)
 	for _, o := range slice {
-		cl := o.Clone(remap)
-		cl.MoveBefore(setupOp)
-		// Clone returns a detached op; move it into place before setup.
+		sb.Clone(o, remap)
 	}
 	for i, operand := range setupOp.Operands() {
 		if nv, ok := remap[operand]; ok {

@@ -541,7 +541,7 @@ func TestKnownFieldsAnalysis(t *testing.T) {
 	runPipeline(t, m, passes.TraceStates(), passes.HoistLoopInvariantFields())
 
 	var fn *ir.Op
-	for _, f := range m.Funcs() {
+	for f := range m.Funcs {
 		fn = f
 	}
 	fs := analysis.AnalyzeFields(fn)

@@ -18,7 +18,7 @@ func TraceStates() ir.Pass {
 	return ir.PassFunc{
 		PassName: "accfg-trace-states",
 		Fn: func(m *ir.Module) error {
-			for _, f := range m.Funcs() {
+			for f := range m.Funcs {
 				for _, accel := range acceleratorsIn(f) {
 					traceBlock(f.Region(0).Block(), accel, nil)
 				}
