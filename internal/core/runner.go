@@ -540,7 +540,7 @@ const (
 	familyMemoBudget = 16 << 20
 	// familyBytes is what a family is charged before it holds anything,
 	// opBytes what one op of a snapshot is charged (a clone allocates about
-	// 480 bytes per op, its op array and the rest carved per kind; 474 when
+	// 450 bytes per op, its op array and the rest carved per kind; 474 when
 	// it allocated per op), and tailBytes what a tail is (a Result).
 	familyBytes = 256
 	opBytes     = 512

@@ -137,14 +137,4 @@ func TestOpIsOneAllocation(t *testing.T) {
 				tc.name, len(tc.operands), len(tc.results), tc.attrs, n, tc.want)
 		}
 	}
-
-	// A detached clone is one allocation too.
-	cmp := build("arith.cmpi", []*ir.Value{a, c}, []ir.Type{ir.I1}, 2)
-	mapping := map[*ir.Value]*ir.Value{}
-	if n := testing.AllocsPerRun(20, func() {
-		cmp.Clone(mapping).Erase()
-		delete(mapping, cmp.Result(0))
-	}); n != 1 {
-		t.Errorf("Op.Clone of a compare: %v allocations, want 1", n)
-	}
 }

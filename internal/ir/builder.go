@@ -40,9 +40,15 @@ func (b *Builder) Create(name string, operands []*Value, resultTypes []Type) *Op
 	return b.Insert(build(b.block.slab().take(), name, operands, resultTypes))
 }
 
-// Clone deep-copies op as Op.Clone does and inserts the copy at the
-// insertion point; the copy's ops are drawn from the slab of the root of
-// the tree the builder inserts into.
+// Clone deep-copies op and inserts the copy at the insertion point,
+// remapping operands through mapping when present. Result values and block
+// arguments of the cloned ops are entered into mapping, so nested uses are
+// rewired. The copy's ops are drawn from the slab of the root of the tree
+// the builder inserts into.
 func (b *Builder) Clone(op *Op, mapping map[*Value]*Value) *Op {
-	return b.Insert(cloneSubtree(b.block.slab(), op, mapping))
+	if mapping == nil {
+		mapping = map[*Value]*Value{}
+	}
+	c := cloner{kinds: kinds(), slab: b.block.slab(), mapping: mapping}
+	return b.Insert(c.clone(op))
 }

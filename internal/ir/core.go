@@ -117,10 +117,10 @@ func (v *Value) removeUse(op *Op, index int) {
 // it outgrows that inline room. Ops are handled by pointer only — the lists
 // point into the struct, so a copy of an Op would share them.
 //
-// The Op itself comes from one of three places. A bare NewOp (or a detached
-// Op.Clone) is one allocation of its own. An op a Builder creates comes from
-// the slab of the root of the tree it is inserted into — the module's op, or
-// a detached root — which hands out chunks of 4, 8, 16, then 32 ops, and a
+// The Op itself comes from one of three places. A bare NewOp is one
+// allocation of its own. An op a Builder creates comes from the slab of the
+// root of the tree it is inserted into — the module's op, or a detached
+// root — which hands out chunks of 4, 8, 16, then 32 ops, and a
 // Builder.Clone draws the same way. A Module.Clone takes all of the copy's
 // ops from one array. Slab storage is freed with the whole chunk: an op
 // erased or moved out of its tree keeps its slot until every op of the

@@ -81,7 +81,7 @@ var epochReaders = []string{
 	"Op.NumResults", "Op.Result", "Op.Results", "Op.Attr", "Op.HasAttr",
 	"Op.NumAttrs", "Op.AttrAt", "Op.IntAttrValue", "Op.StringAttrValue",
 	"Op.NumRegions", "Op.Region", "Op.Block", "Op.ParentOp", "Op.Next",
-	"Op.IsBefore", "Op.IsAncestorOf", "Op.Clone",
+	"Op.IsBefore", "Op.IsAncestorOf",
 	"Block.Region", "Block.ParentOp", "Block.Args", "Block.NumArgs", "Block.Arg",
 	"Block.First", "Block.Last", "Block.Len", "Block.Ops",
 	"Value.Type", "Value.DefiningOp", "Value.OwnerBlock", "Value.ResultIndex",

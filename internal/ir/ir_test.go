@@ -502,7 +502,7 @@ func TestAttrDictionaryIsSorted(t *testing.T) {
 		t.Errorf("after RemoveAttr: keys %s", keys(op))
 	}
 	// A clone copies the dictionary, and the two then change apart.
-	cl := op.Clone(nil)
+	cl := ir.AtEnd(ir.NewModule().Block()).Clone(op, nil)
 	cl.SetAttr("b", ir.UnitAttr{})
 	if op.HasAttr("b") || keys(cl) != "a,b,q,z" {
 		t.Errorf("clone shares its dictionary: original %s, clone %s", keys(op), keys(cl))

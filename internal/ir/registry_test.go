@@ -125,7 +125,7 @@ func TestOpBuiltBeforeRegisterStaysUnregistered(t *testing.T) {
 	if got := traits(ir.NewOp(name, nil, []ir.Type{ir.I64})); got != want {
 		t.Errorf("op built after Register answers %v, want %v", got, want)
 	}
-	if got := traits(early.Clone(nil)); got != want {
+	if got := traits(ir.AtEnd(ir.NewModule().Block()).Clone(early, nil)); got != want {
 		t.Errorf("clone made after Register answers %v, want %v", got, want)
 	}
 

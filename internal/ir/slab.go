@@ -1,7 +1,5 @@
 package ir
 
-import "unsafe"
-
 // slab hands out the ops of one tree: Builder.Create and Builder.Clone
 // draw from the slab of the root they insert under, so the ops of a tree
 // built or grown in place share a few allocations instead of one each.
@@ -13,12 +11,8 @@ type slab struct {
 	slots int  // ops in every chunk so far, handed out or not
 }
 
-// take returns a zeroed op from the slab, or a bare allocation of its own
-// from a nil slab.
+// take returns a zeroed op from the slab.
 func (s *slab) take() *Op {
-	if s == nil {
-		return new(Op)
-	}
 	if len(s.free) == 0 {
 		n := min(s.slots+4, 32)
 		s.free = make([]Op, n)
@@ -42,13 +36,11 @@ func (root *Op) ownSlab() *slab {
 	return s
 }
 
-// slab returns the slab new ops of b's tree come from: its root's, or nil
-// for a block no op owns.
+// slab returns the slab new ops of b's tree come from: its root's. Every
+// block a Builder can reach is owned by an op; only the parser holds a
+// block no op owns yet, and it fills that block with ir.NewOp.
 func (b *Block) slab() *slab {
-	if p := b.ParentOp(); p != nil {
-		return p.root().ownSlab()
-	}
-	return nil
+	return b.ParentOp().root().ownSlab()
 }
 
 // storage holds the lists a clone carves for what spills out of an op's
@@ -124,15 +116,13 @@ func (n *sizes) countUses(vs []*Value) {
 	}
 }
 
-// cloner deep-copies ops: from slab (a bare allocation per op when nil),
-// carving their lists from st, and recording every value it copies in
-// mapping — the caller's map — or, for a Module.Clone, in table.
+// cloner deep-copies ops: from slab, carving their lists from st, and
+// recording every value it copies in mapping.
 type cloner struct {
 	kinds   map[string]*OpInfo
 	slab    *slab
 	st      storage
 	mapping map[*Value]*Value
-	table   valueTable
 }
 
 // clone returns a copy of op and everything nested in it. The copy is
@@ -142,7 +132,7 @@ func (c *cloner) clone(op *Op) *Op {
 	cl := c.slab.take()
 	cl.init(op.name, c.kinds[op.name], len(op.operands), len(op.results), &c.st)
 	for i, v := range op.operands {
-		if m, ok := c.lookup(v); ok {
+		if m, ok := c.mapping[v]; ok {
 			v = m
 		}
 		cl.operands[i] = v
@@ -196,92 +186,14 @@ func (c *cloner) record(v, nv *Value) {
 	if k := len(v.uses); k > 1 && k <= len(c.st.uses) {
 		nv.uses = carve(&c.st.uses, k)[:0]
 	}
-	if c.mapping != nil {
-		c.mapping[v] = nv
-	} else {
-		c.table.put(v, nv)
-	}
-}
-
-// lookup returns the copy of v, if the clone made one.
-func (c *cloner) lookup(v *Value) (*Value, bool) {
-	if c.mapping != nil {
-		m, ok := c.mapping[v]
-		return m, ok
-	}
-	return c.table.get(v)
-}
-
-// valueTable maps the values of a cloned module to their copies: open
-// addressing over one slice at most half full, sized when the clone counted
-// its source, so a clone's allocations do not grow with the module. Keys
-// are hashed by address, which the collector never moves.
-type valueTable struct {
-	slots []valuePair
-	shift uint
-}
-
-type valuePair struct{ from, to *Value }
-
-func newValueTable(n int) valueTable {
-	size, shift := 8, uint(64-3)
-	for size < 2*n {
-		size <<= 1
-		shift--
-	}
-	return valueTable{slots: make([]valuePair, size), shift: shift}
-}
-
-// home is the slot the probe for v starts at (Fibonacci hashing).
-func (t *valueTable) home(v *Value) int {
-	return int(uint64(uintptr(unsafe.Pointer(v))) * 0x9E3779B97F4A7C15 >> t.shift)
-}
-
-// put records a value the table does not hold yet.
-func (t *valueTable) put(from, to *Value) {
-	mask := len(t.slots) - 1
-	i := t.home(from)
-	for t.slots[i].from != nil {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = valuePair{from, to}
-}
-
-func (t *valueTable) get(from *Value) (*Value, bool) {
-	if from == nil {
-		return nil, false
-	}
-	mask := len(t.slots) - 1
-	for i := t.home(from); t.slots[i].from != nil; i = (i + 1) & mask {
-		if t.slots[i].from == from {
-			return t.slots[i].to, true
-		}
-	}
-	return nil, false
-}
-
-// Clone deep-copies the op, remapping operands through mapping when present.
-// Result values of cloned ops are entered into mapping so nested uses are
-// rewired. The clone is detached, and each of its ops is an allocation of
-// its own; Builder.Clone copies into place from the destination's slab.
-func (op *Op) Clone(mapping map[*Value]*Value) *Op {
-	return cloneSubtree(nil, op, mapping)
-}
-
-// cloneSubtree is Op.Clone drawing the copy's ops from s.
-func cloneSubtree(s *slab, op *Op, mapping map[*Value]*Value) *Op {
-	if mapping == nil {
-		mapping = map[*Value]*Value{}
-	}
-	c := cloner{kinds: kinds(), slab: s, mapping: mapping}
-	return c.clone(op)
+	c.mapping[v] = nv
 }
 
 // Clone deep-copies the module. It counts the source first and then
 // allocates each kind of storage once — the ops, the regions, the block
 // arguments and result blocks, the spilled lists, the use lists of values
-// read more than once, the value table — so a clone costs the same number
-// of allocations whatever the module's size. The copy's ops form the first
+// read more than once, the value mapping presized to the count — so the
+// ops of a module cost no allocation each. The copy's ops form the first
 // chunk of its slab.
 func (m *Module) Clone() *Module {
 	var n sizes
@@ -298,7 +210,7 @@ func (m *Module) Clone() *Module {
 			regions: make([]Region, n.regions),
 			regPtrs: make([]*Region, n.regions),
 		},
-		table: newValueTable(n.mapped),
+		mapping: make(map[*Value]*Value, n.mapped),
 	}
 	root := c.clone(m.op)
 	s.owner = root

@@ -58,7 +58,4 @@ func TestSlabOwnership(t *testing.T) {
 	if loop.slab == m.op.slab || loop.slab.owner != loop {
 		t.Error("a root drawn from the module's slab builds into the module's slab after it left the module")
 	}
-	if detached := NewOp("test.op", nil, nil).Clone(nil); detached.slab != nil {
-		t.Error("Op.Clone of a detached op drew from a slab")
-	}
 }

@@ -8,12 +8,13 @@ import (
 	"configwall/internal/ir"
 )
 
-// cloneKinds is what a Module.Clone allocates at most, each once: the
-// Module, its slab, the op array, the value table, and the storage for
-// block arguments and result blocks, value lists, use lists, spilled
-// attribute lists, regions and region lists. A kind the source has none of
-// costs nothing.
-const cloneKinds = 10
+// cloneKinds is what a Module.Clone of a few hundred values allocates at
+// most: the Module, its slab, the op array, the storage for block arguments
+// and result blocks, value lists, use lists, spilled attribute lists,
+// regions and region lists, each once, and the value mapping, a Go map
+// presized to the values it maps (its header, directory, table and groups).
+// A kind the source has none of costs nothing.
+const cloneKinds = 13
 
 // allocsPerRun is testing.AllocsPerRun after a collection, so that no
 // collection starts among the runs: one that does can count an allocation
@@ -25,8 +26,10 @@ func allocsPerRun(runs int, f func()) float64 {
 
 // TestCloneAllocatesPerKindNotPerOp: Module.Clone counts its source and
 // allocates each kind of storage once, so the tiled matmul at 16³ and at
-// 64³ cost the same allocations at every depth of every pipeline, and a
-// module of thousands of ops no more than one of a few.
+// 64³ cost the same allocations at every depth of every pipeline. Only the
+// value mapping grows with the module: a presized map of thousands of
+// values splits into a table per thousand slots, so a clone of 12 000 ops
+// stays far below one allocation per hundred ops.
 func TestCloneAllocatesPerKindNotPerOp(t *testing.T) {
 	for _, target := range []string{"gemmini", "opengemm"} {
 		tgt, err := core.LookupTarget(target)
@@ -62,9 +65,9 @@ func TestCloneAllocatesPerKindNotPerOp(t *testing.T) {
 	small, large := chainModule(10), chainModule(3000)
 	a := allocsPerRun(5, func() { small.Clone() })
 	b := allocsPerRun(5, func() { large.Clone() })
-	if a != b || a != cloneKinds {
-		t.Errorf("a clone of %d ops allocates %v times, of %d ops %v: want %d for both",
-			ir.CountOps(small), a, ir.CountOps(large), b, cloneKinds)
+	if ops := ir.CountOps(large); a > cloneKinds || b*100 > float64(ops) {
+		t.Errorf("a clone of %d ops allocates %v times, of %d ops %v: want at most %d, and %d",
+			ir.CountOps(small), a, ops, b, cloneKinds, ops/100)
 	}
 }
 
