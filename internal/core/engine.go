@@ -149,12 +149,11 @@ func OpenGeMMTarget() Target {
 
 // PassPipeline assembles the pass sequence for a pipeline variant on a
 // target (paper Figure 8: shared accfg passes between target-specific
-// conversions).
+// conversions). The stateless passes are shared values, so a pipeline
+// allocates its list, its manager and the two passes that close over the
+// target; the manager is the caller's own.
 func (t Target) PassPipeline(p Pipeline) *ir.PassManager {
-	concurrent := func(accelName string) bool {
-		return t.Concurrent() && accelName == t.Name
-	}
-	pm := ir.NewPassManager()
+	ps := make([]ir.Pass, 0, maxPipelinePasses)
 	if p == Baseline {
 		// The volatile-asm baseline still merges repeated pure
 		// subexpressions (-O2 CSE works on asm *operands*), but gets no
@@ -162,21 +161,23 @@ func (t Target) PassPipeline(p Pipeline) *ir.PassManager {
 		// statements — the paper's premise that volatile inline assembly
 		// "fully prevents the compiler to optimize any accelerator
 		// configuration code" (§3.1).
-		pm.Add(passes.CSE())
+		ps = append(ps, passes.CSE())
 	} else {
-		pm.Add(passes.Canonicalize(), passes.CSE())
+		ps = append(ps, passes.Canonicalize(), passes.CSE())
 	}
 	if p != Baseline {
 		// Volatile inline asm blocks loop simplification and
 		// loop-invariant code motion (memory clobbers); the accfg flow is
 		// free to unroll trivial loops and hoist.
-		pm.Add(passes.SimplifyTrivialLoops())
-		pm.Add(passes.Canonicalize(), passes.CSE())
-		pm.Add(passes.LICM())
-		pm.Add(passes.TraceStates())
+		ps = append(ps,
+			passes.SimplifyTrivialLoops(),
+			passes.Canonicalize(), passes.CSE(),
+			passes.LICM(),
+			passes.TraceStates(),
+		)
 	}
 	if p == DedupOnly || p == AllOptimizations {
-		pm.Add(
+		ps = append(ps,
 			passes.SinkSetupsIntoBranches(),
 			passes.HoistLoopInvariantFields(),
 			passes.Dedup(),
@@ -185,21 +186,25 @@ func (t Target) PassPipeline(p Pipeline) *ir.PassManager {
 		)
 	}
 	if p == OverlapOnly || p == AllOptimizations {
-		pm.Add(passes.Overlap(concurrent))
+		ps = append(ps, passes.Overlap(func(accelName string) bool {
+			return t.Concurrent() && accelName == t.Name
+		}))
 	}
 	if p != Baseline {
-		pm.Add(passes.Canonicalize(), passes.CSE())
+		ps = append(ps, passes.Canonicalize(), passes.CSE())
 	}
 	// Target conversion (Figure 8, step 5), then post-lowering cleanups of
 	// the emitted packing arithmetic (accfg flows only — the baseline
 	// emits the packing verbatim, like Listing 1's macro expansion).
-	pm.Add(lower.Accfg(t.Port))
+	ps = append(ps, lower.Accfg(t.Port))
 	if p != Baseline {
-		pm.Add(passes.LICM())
-		pm.Add(passes.Canonicalize(), passes.CSE())
+		ps = append(ps, passes.LICM(), passes.Canonicalize(), passes.CSE())
 	}
-	return pm
+	return ir.NewPassManager(ps...)
 }
+
+// maxPipelinePasses is the length of the longest pipeline, AllOptimizations.
+const maxPipelinePasses = 19
 
 // Result captures one experiment run.
 type Result struct {

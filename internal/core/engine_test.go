@@ -287,6 +287,23 @@ func TestPassPipelineStats(t *testing.T) {
 	}
 }
 
+// TestPassPipelineAllocations: the stateless passes are shared values, so
+// assembling a pipeline allocates its pass list, its manager and the
+// passes that close over the target (overlap, the lowering) — a few
+// allocations whatever the pipeline, not one per pass.
+func TestPassPipelineAllocations(t *testing.T) {
+	const budget = 8 // measured 5 without overlap, 8 with; 8 to 29 when every pass was boxed per call
+	for _, tg := range []core.Target{core.GemminiTarget(), core.OpenGeMMTarget()} {
+		for _, p := range core.Pipelines {
+			allocs := testing.AllocsPerRun(50, func() { tg.PassPipeline(p) })
+			t.Logf("%s %s: %d passes, %.0f allocations", tg.Name, p, tg.PassPipeline(p).Len(), allocs)
+			if allocs > budget {
+				t.Errorf("%s %s: %.0f allocations, budget %d", tg.Name, p, allocs, budget)
+			}
+		}
+	}
+}
+
 func TestBaselineHasNoAccfgPasses(t *testing.T) {
 	pm := core.OpenGeMMTarget().PassPipeline(core.Baseline)
 	joined := strings.Join(pm.Passes(), ",")

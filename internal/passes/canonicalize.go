@@ -16,32 +16,34 @@ import (
 
 // Canonicalize returns a pass that runs every op's registered folder and
 // erases dead pure ops, to a fixpoint.
-func Canonicalize() ir.Pass {
-	return ir.PassFunc{
-		PassName: "canonicalize",
-		Fn: func(m *ir.Module) error {
-			ir.ApplyPatternsGreedy(m.Op())
-			return nil
-		},
-	}
+func Canonicalize() ir.Pass { return canonicalizePass }
+
+// canonicalizePass holds no state: one value serves every pipeline.
+var canonicalizePass ir.Pass = ir.PassFunc{
+	PassName: "canonicalize",
+	Fn: func(m *ir.Module) error {
+		ir.ApplyPatternsGreedy(m.Op())
+		return nil
+	},
 }
 
 // CSE returns the common-subexpression-elimination pass. The paper relies on
 // CSE to make SSA-value equality a usable proxy for runtime-value equality
 // during configuration deduplication (§5.4).
-func CSE() ir.Pass {
-	return ir.PassFunc{
-		PassName: "cse",
-		Fn: func(m *ir.Module) error {
-			n := ir.CountOps(m)
-			c := cse{seen: make(map[string]*ir.Op, n), ids: make(map[*ir.Value]int, n)}
-			for f := range m.Funcs {
-				c.block(f.Region(0).Block())
-				c.leave(0)
-			}
-			return nil
-		},
-	}
+func CSE() ir.Pass { return csePass }
+
+// csePass holds no state: one value serves every pipeline.
+var csePass ir.Pass = ir.PassFunc{
+	PassName: "cse",
+	Fn: func(m *ir.Module) error {
+		n := ir.CountOps(m)
+		c := cse{seen: make(map[string]*ir.Op, n), ids: make(map[*ir.Value]int, n)}
+		for f := range m.Funcs {
+			c.block(f.Region(0).Block())
+			c.leave(0)
+		}
+		return nil
+	},
 }
 
 // cse is the state of one CSE run: the table of available expressions,
@@ -142,18 +144,19 @@ func (c *cse) leave(mark int) {
 
 // LICM returns the loop-invariant-code-motion pass: pure ops inside scf.for
 // whose operands are all defined outside the loop move in front of it.
-func LICM() ir.Pass {
-	return ir.PassFunc{
-		PassName: "licm",
-		Fn: func(m *ir.Module) error {
-			for f := range m.Funcs {
-				// Iterate to a fixpoint so chains of invariant ops hoist.
-				for licmWalk(f.Region(0).Block()) {
-				}
+func LICM() ir.Pass { return licmPass }
+
+// licmPass holds no state: one value serves every pipeline.
+var licmPass ir.Pass = ir.PassFunc{
+	PassName: "licm",
+	Fn: func(m *ir.Module) error {
+		for f := range m.Funcs {
+			// Iterate to a fixpoint so chains of invariant ops hoist.
+			for licmWalk(f.Region(0).Block()) {
 			}
-			return nil
-		},
-	}
+		}
+		return nil
+	},
 }
 
 func licmWalk(b *ir.Block) bool {

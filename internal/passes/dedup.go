@@ -10,93 +10,96 @@ import (
 // writes whose value is already guaranteed to be in the target register are
 // removed from accfg.setup ops. SSA-value identity is used as the proxy for
 // runtime-value equality, relying on CSE/canonicalization having run first.
-func Dedup() ir.Pass {
-	return ir.PassFunc{
-		PassName: "accfg-dedup",
-		Fn: func(m *ir.Module) error {
-			for f := range m.Funcs {
-				fs := analysis.AnalyzeFields(f)
-				ir.Walk(f, func(op *ir.Op) {
-					s, ok := accfg.AsSetup(op)
-					if !ok || !s.HasInState() {
-						return
+func Dedup() ir.Pass { return dedupPass }
+
+// dedupPass holds no state: one value serves every pipeline.
+var dedupPass ir.Pass = ir.PassFunc{
+	PassName: "accfg-dedup",
+	Fn: func(m *ir.Module) error {
+		for f := range m.Funcs {
+			fs := analysis.AnalyzeFields(f)
+			ir.Walk(f, func(op *ir.Op) {
+				s, ok := accfg.AsSetup(op)
+				if !ok || !s.HasInState() {
+					return
+				}
+				in := s.InState()
+				for _, field := range s.Fields() {
+					if fs.Known(in, field.Name) == field.Value {
+						s.RemoveField(field.Name)
 					}
-					in := s.InState()
-					for _, field := range s.Fields() {
-						if fs.Known(in, field.Name) == field.Value {
-							s.RemoveField(field.Name)
-						}
-					}
-				})
-			}
-			return nil
-		},
-	}
+				}
+			})
+		}
+		return nil
+	},
 }
 
 // RemoveEmptySetups returns the cleanup pass that erases accfg.setup ops
 // with no remaining field writes, forwarding their input state (or erasing
 // outright when the produced state is unused).
-func RemoveEmptySetups() ir.Pass {
-	return ir.PassFunc{
-		PassName: "accfg-remove-empty-setups",
-		Fn: func(m *ir.Module) error {
-			changed := true
-			for changed {
-				changed = false
-				var empties []*ir.Op
-				m.Walk(func(op *ir.Op) {
-					if s, ok := accfg.AsSetup(op); ok && s.NumFields() == 0 {
-						empties = append(empties, op)
-					}
-				})
-				for _, op := range empties {
-					s, _ := accfg.AsSetup(op)
-					switch {
-					case s.HasInState():
-						s.State().ReplaceAllUsesWith(s.InState())
-						op.Erase()
-						changed = true
-					case s.State().NumUses() == 0:
-						op.Erase()
-						changed = true
-					}
+func RemoveEmptySetups() ir.Pass { return removeEmptySetupsPass }
+
+// removeEmptySetupsPass holds no state: one value serves every pipeline.
+var removeEmptySetupsPass ir.Pass = ir.PassFunc{
+	PassName: "accfg-remove-empty-setups",
+	Fn: func(m *ir.Module) error {
+		changed := true
+		for changed {
+			changed = false
+			var empties []*ir.Op
+			m.Walk(func(op *ir.Op) {
+				if s, ok := accfg.AsSetup(op); ok && s.NumFields() == 0 {
+					empties = append(empties, op)
+				}
+			})
+			for _, op := range empties {
+				s, _ := accfg.AsSetup(op)
+				switch {
+				case s.HasInState():
+					s.State().ReplaceAllUsesWith(s.InState())
+					op.Erase()
+					changed = true
+				case s.State().NumUses() == 0:
+					op.Erase()
+					changed = true
 				}
 			}
-			return nil
-		},
-	}
+		}
+		return nil
+	},
 }
 
 // MergeSetups returns the cleanup pass that folds chains of setups with no
 // launch in between into a single setup (paper §5.4.1, final clean-up).
 // A setup whose produced state is consumed only by another setup in the
 // same block is merged into that later setup; later writes win.
-func MergeSetups() ir.Pass {
-	return ir.PassFunc{
-		PassName: "accfg-merge-setups",
-		Fn: func(m *ir.Module) error {
-			changed := true
-			for changed {
-				changed = false
-				var candidates []*ir.Op
-				m.Walk(func(op *ir.Op) {
-					if _, ok := accfg.AsSetup(op); ok {
-						candidates = append(candidates, op)
-					}
-				})
-				for _, op := range candidates {
-					if op.Block() == nil {
-						continue
-					}
-					if mergeIntoSuccessor(op) {
-						changed = true
-					}
+func MergeSetups() ir.Pass { return mergeSetupsPass }
+
+// mergeSetupsPass holds no state: one value serves every pipeline.
+var mergeSetupsPass ir.Pass = ir.PassFunc{
+	PassName: "accfg-merge-setups",
+	Fn: func(m *ir.Module) error {
+		changed := true
+		for changed {
+			changed = false
+			var candidates []*ir.Op
+			m.Walk(func(op *ir.Op) {
+				if _, ok := accfg.AsSetup(op); ok {
+					candidates = append(candidates, op)
+				}
+			})
+			for _, op := range candidates {
+				if op.Block() == nil {
+					continue
+				}
+				if mergeIntoSuccessor(op) {
+					changed = true
 				}
 			}
-			return nil
-		},
-	}
+		}
+		return nil
+	},
 }
 
 // mergeIntoSuccessor merges setup a into its unique consumer setup, when

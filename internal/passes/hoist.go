@@ -17,31 +17,32 @@ import (
 //   - its value is defined outside the loop, and
 //   - no other setup in the loop writes the same field (two different
 //     in-loop writes can never hoist, matching the paper's constraint).
-func HoistLoopInvariantFields() ir.Pass {
-	return ir.PassFunc{
-		PassName: "accfg-hoist-loop-invariant-fields",
-		Fn: func(m *ir.Module) error {
-			changed := true
-			for changed {
-				changed = false
-				var loops []scf.For
-				m.Walk(func(op *ir.Op) {
-					if loop, ok := scf.AsFor(op); ok {
-						loops = append(loops, loop)
-					}
-				})
-				for _, loop := range loops {
-					if loop.Op.Block() == nil {
-						continue
-					}
-					if hoistFromLoop(loop) {
-						changed = true
-					}
+func HoistLoopInvariantFields() ir.Pass { return hoistLoopInvariantFieldsPass }
+
+// hoistLoopInvariantFieldsPass holds no state: one value serves every pipeline.
+var hoistLoopInvariantFieldsPass ir.Pass = ir.PassFunc{
+	PassName: "accfg-hoist-loop-invariant-fields",
+	Fn: func(m *ir.Module) error {
+		changed := true
+		for changed {
+			changed = false
+			var loops []scf.For
+			m.Walk(func(op *ir.Op) {
+				if loop, ok := scf.AsFor(op); ok {
+					loops = append(loops, loop)
+				}
+			})
+			for _, loop := range loops {
+				if loop.Op.Block() == nil {
+					continue
+				}
+				if hoistFromLoop(loop) {
+					changed = true
 				}
 			}
-			return nil
-		},
-	}
+		}
+		return nil
+	},
 }
 
 func hoistFromLoop(loop scf.For) bool {
@@ -114,31 +115,32 @@ func writtenByOtherSetup(loop *ir.Op, self *ir.Op, field, accel string) bool {
 // state produced by an scf.if is cloned into both branches, restoring a
 // linear state chain per path so deduplication does not lose information to
 // the branch meet.
-func SinkSetupsIntoBranches() ir.Pass {
-	return ir.PassFunc{
-		PassName: "accfg-sink-setups-into-branches",
-		Fn: func(m *ir.Module) error {
-			changed := true
-			for changed {
-				changed = false
-				var setups []*ir.Op
-				m.Walk(func(op *ir.Op) {
-					if _, ok := accfg.AsSetup(op); ok {
-						setups = append(setups, op)
-					}
-				})
-				for _, op := range setups {
-					if op.Block() == nil {
-						continue
-					}
-					if sinkIntoBranches(op) {
-						changed = true
-					}
+func SinkSetupsIntoBranches() ir.Pass { return sinkSetupsIntoBranchesPass }
+
+// sinkSetupsIntoBranchesPass holds no state: one value serves every pipeline.
+var sinkSetupsIntoBranchesPass ir.Pass = ir.PassFunc{
+	PassName: "accfg-sink-setups-into-branches",
+	Fn: func(m *ir.Module) error {
+		changed := true
+		for changed {
+			changed = false
+			var setups []*ir.Op
+			m.Walk(func(op *ir.Op) {
+				if _, ok := accfg.AsSetup(op); ok {
+					setups = append(setups, op)
+				}
+			})
+			for _, op := range setups {
+				if op.Block() == nil {
+					continue
+				}
+				if sinkIntoBranches(op) {
+					changed = true
 				}
 			}
-			return nil
-		},
-	}
+		}
+		return nil
+	},
 }
 
 func sinkIntoBranches(op *ir.Op) bool {

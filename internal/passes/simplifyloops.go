@@ -15,35 +15,36 @@ import (
 // attributes part of the Gemmini uplift to "better constant folding and
 // loop unrolling" (§6.1). It therefore belongs to the accfg pipelines, not
 // to the volatile-asm baseline.
-func SimplifyTrivialLoops() ir.Pass {
-	return ir.PassFunc{
-		PassName: "simplify-trivial-loops",
-		Fn: func(m *ir.Module) error {
-			for {
-				var target scf.For
-				trip := int64(-1)
-				m.Walk(func(op *ir.Op) {
-					loop, ok := scf.AsFor(op)
-					if target.Op != nil || !ok {
-						return
-					}
-					if t, ok := loop.ConstantTripCount(); ok && t <= 1 {
-						target = loop
-						trip = t
-					}
-				})
-				if target.Op == nil {
-					return nil
+func SimplifyTrivialLoops() ir.Pass { return simplifyTrivialLoopsPass }
+
+// simplifyTrivialLoopsPass holds no state: one value serves every pipeline.
+var simplifyTrivialLoopsPass ir.Pass = ir.PassFunc{
+	PassName: "simplify-trivial-loops",
+	Fn: func(m *ir.Module) error {
+		for {
+			var target scf.For
+			trip := int64(-1)
+			m.Walk(func(op *ir.Op) {
+				loop, ok := scf.AsFor(op)
+				if target.Op != nil || !ok {
+					return
 				}
-				if trip == 1 {
-					target.InlineOnce()
-					continue
+				if t, ok := loop.ConstantTripCount(); ok && t <= 1 {
+					target = loop
+					trip = t
 				}
-				for i := 0; i < target.NumIterArgs(); i++ {
-					target.Result(i).ReplaceAllUsesWith(target.InitArg(i))
-				}
-				target.Op.Erase()
+			})
+			if target.Op == nil {
+				return nil
 			}
-		},
-	}
+			if trip == 1 {
+				target.InlineOnce()
+				continue
+			}
+			for i := 0; i < target.NumIterArgs(); i++ {
+				target.Result(i).ReplaceAllUsesWith(target.InitArg(i))
+			}
+			target.Op.Erase()
+		}
+	},
 }

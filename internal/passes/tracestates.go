@@ -14,18 +14,19 @@ import (
 //
 // Chains are never created across operations that may clobber accelerator
 // state (accfg.EffectsOf == all): the trace conservatively restarts there.
-func TraceStates() ir.Pass {
-	return ir.PassFunc{
-		PassName: "accfg-trace-states",
-		Fn: func(m *ir.Module) error {
-			for f := range m.Funcs {
-				for _, accel := range acceleratorsIn(f) {
-					traceBlock(f.Region(0).Block(), accel, nil)
-				}
+func TraceStates() ir.Pass { return traceStatesPass }
+
+// traceStatesPass holds no state: one value serves every pipeline.
+var traceStatesPass ir.Pass = ir.PassFunc{
+	PassName: "accfg-trace-states",
+	Fn: func(m *ir.Module) error {
+		for f := range m.Funcs {
+			for _, accel := range acceleratorsIn(f) {
+				traceBlock(f.Region(0).Block(), accel, nil)
 			}
-			return nil
-		},
-	}
+		}
+		return nil
+	},
 }
 
 // acceleratorsIn lists the distinct accelerator names configured in f,
