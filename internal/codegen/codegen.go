@@ -25,8 +25,6 @@ type Layout struct {
 	StaticBase uint64
 	// StaticSize is the total size of statically allocated buffers.
 	StaticSize uint64
-	// Allocs maps each memref.alloc to its assigned address.
-	Allocs map[*ir.Op]uint64
 	// FrameSlots is the number of 8-byte spill slots in the stack frame.
 	FrameSlots int
 }
@@ -47,19 +45,25 @@ type vinstr struct {
 	rd, rs1, rs2 int
 	imm          int64
 	funct7       uint32
-	label        string
+	target       riscv.Label
 	class        riscv.Class
+}
+
+// binding places a label before the instruction at index at.
+type binding struct {
+	label riscv.Label
+	at    int
 }
 
 // compiler holds state while emitting one function.
 type compiler struct {
-	instrs  []vinstr
-	labels  map[int][]string // instruction index -> labels bound there
-	nextVR  int
-	nextLbl int
-	vals    map[*ir.Value]int // SSA value -> vreg
-	layout  *Layout
-	loops   [][2]int // [start, end) instruction ranges of loop bodies
+	asm    riscv.Assembler // hands out the labels; rewrite emits into it
+	instrs []vinstr
+	binds  []binding // in bind order, which is also index order
+	nextVR int
+	vals   map[*ir.Value]int // SSA value -> vreg
+	layout *Layout
+	loops  [][2]int // [start, end) instruction ranges of loop bodies
 }
 
 // Compile lowers the named entry function of m into an executable program.
@@ -77,17 +81,21 @@ func Compile(m *ir.Module, entry string, opts Options) (*riscv.Program, *Layout,
 	if base == 0 {
 		base = 1 << 20
 	}
-	c := &compiler{
-		labels: map[int][]string{},
-		vals:   map[*ir.Value]int{},
-		layout: &Layout{StaticBase: base, Allocs: map[*ir.Op]uint64{}},
-	}
-
-	// Bind arguments: a0..a7 moved into fresh vregs.
 	body := fn.Body()
 	if body.NumArgs() > 8 {
 		return nil, nil, fmt.Errorf("codegen: at most 8 arguments supported, got %d", body.NumArgs())
 	}
+	sz := measure(f)
+	c := &compiler{
+		instrs: make([]vinstr, 0, sz.vinstrs()+body.NumArgs()),
+		binds:  make([]binding, 0, sz.labels),
+		vals:   make(map[*ir.Value]int, sz.ops+body.NumArgs()),
+		layout: &Layout{StaticBase: base},
+		loops:  make([][2]int, 0, sz.loops),
+	}
+	c.asm.Grow(0, sz.labels)
+
+	// Bind arguments: a0..a7 moved into fresh vregs.
 	for i := 0; i < body.NumArgs(); i++ {
 		vr := c.fresh()
 		c.vals[body.Arg(i)] = vr
@@ -126,14 +134,10 @@ func (c *compiler) emit(i vinstr) {
 	c.instrs = append(c.instrs, i)
 }
 
-func (c *compiler) freshLabel(prefix string) string {
-	c.nextLbl++
-	return fmt.Sprintf(".%s%d", prefix, c.nextLbl)
-}
+func (c *compiler) freshLabel(prefix string) riscv.Label { return c.asm.NewLabel(prefix) }
 
-func (c *compiler) bind(label string) {
-	idx := len(c.instrs)
-	c.labels[idx] = append(c.labels[idx], label)
+func (c *compiler) bind(l riscv.Label) {
+	c.binds = append(c.binds, binding{label: l, at: len(c.instrs)})
 }
 
 // value returns the vreg holding an SSA value.
@@ -251,7 +255,7 @@ func (c *compiler) op(op *ir.Op) error {
 		c.bind(head)
 		status := c.fresh()
 		c.emit(vinstr{op: riscv.CSRRS, rd: status, rs1: noVReg, rs2: noVReg, imm: int64(csrops.Addr(op)), class: riscv.ClassSync})
-		c.emit(vinstr{op: riscv.BNE, rd: noVReg, rs1: status, rs2: physVReg(riscv.X0), label: head, class: riscv.ClassSync})
+		c.emit(vinstr{op: riscv.BNE, rd: noVReg, rs1: status, rs2: physVReg(riscv.X0), target: head, class: riscv.ClassSync})
 		return nil
 	case fnc.OpCall:
 		return fmt.Errorf("codegen: function calls are not supported by the backend (inline the callee)")
@@ -368,7 +372,7 @@ func (c *compiler) sel(op *ir.Op) error {
 	c.vals[op.Result(0)] = rd
 	skip := c.freshLabel("sel")
 	c.emit(vinstr{op: riscv.ADDI, rd: rd, rs1: a, rs2: noVReg, imm: 0})
-	c.emit(vinstr{op: riscv.BNE, rd: noVReg, rs1: cond, rs2: physVReg(riscv.X0), label: skip})
+	c.emit(vinstr{op: riscv.BNE, rd: noVReg, rs1: cond, rs2: physVReg(riscv.X0), target: skip})
 	c.emit(vinstr{op: riscv.ADDI, rd: rd, rs1: bval, rs2: noVReg, imm: 0})
 	c.bind(skip)
 	return nil
@@ -387,7 +391,6 @@ func (c *compiler) alloc(op *ir.Op) error {
 		size *= uint64(d)
 	}
 	addr := c.layout.StaticBase + c.layout.StaticSize
-	c.layout.Allocs[op] = addr
 	c.layout.StaticSize += (size + 7) &^ 7
 	rd := c.fresh()
 	c.vals[op.Result(0)] = rd
@@ -522,7 +525,7 @@ func (c *compiler) forLoop(f scf.For) error {
 	exit := c.freshLabel("endfor")
 	loopStart := len(c.instrs)
 	c.bind(head)
-	c.emit(vinstr{op: riscv.BGE, rd: noVReg, rs1: iv, rs2: ub, label: exit})
+	c.emit(vinstr{op: riscv.BGE, rd: noVReg, rs1: iv, rs2: ub, target: exit})
 
 	if err := c.block(f.Body()); err != nil {
 		return err
@@ -539,7 +542,7 @@ func (c *compiler) forLoop(f scf.For) error {
 		}
 	}
 	c.emit(vinstr{op: riscv.ADD, rd: iv, rs1: iv, rs2: step})
-	c.emit(vinstr{op: riscv.JAL, rd: noVReg, rs1: noVReg, rs2: noVReg, label: head})
+	c.emit(vinstr{op: riscv.JAL, rd: noVReg, rs1: noVReg, rs2: noVReg, target: head})
 	c.bind(exit)
 	c.loops = append(c.loops, [2]int{loopStart, len(c.instrs)})
 
@@ -565,14 +568,14 @@ func (c *compiler) ifOp(branch scf.If) error {
 		c.vals[op.Result(i)] = resRegs[i]
 	}
 
-	c.emit(vinstr{op: riscv.BEQ, rd: noVReg, rs1: cond, rs2: physVReg(riscv.X0), label: elseL})
+	c.emit(vinstr{op: riscv.BEQ, rd: noVReg, rs1: cond, rs2: physVReg(riscv.X0), target: elseL})
 	if err := c.block(branch.Then()); err != nil {
 		return err
 	}
 	if err := c.copyYields(branch.ThenYield(), resRegs); err != nil {
 		return err
 	}
-	c.emit(vinstr{op: riscv.JAL, rd: noVReg, rs1: noVReg, rs2: noVReg, label: endL})
+	c.emit(vinstr{op: riscv.JAL, rd: noVReg, rs1: noVReg, rs2: noVReg, target: endL})
 	c.bind(elseL)
 	if err := c.block(branch.Else()); err != nil {
 		return err
@@ -603,27 +606,29 @@ func (c *compiler) copyYields(yield *ir.Op, resRegs []int) error {
 // and instruction order are preserved by replacing with NOP-removal
 // compaction.
 func (c *compiler) eliminateDeadDefs() {
-	// Per virtual register: read anywhere, and how often written. One pair
-	// serves every round.
-	used := make([]bool, c.nextVR)
-	defCount := make([]int, c.nextVR)
+	// Per virtual register: read anywhere, and how often written. One
+	// table serves every round, and so does one shift table.
+	regs := make([]struct {
+		read bool
+		defs int32
+	}, c.nextVR)
+	var removedBefore []int
 	for {
-		clear(used)
-		clear(defCount)
+		clear(regs)
 		for _, ins := range c.instrs {
 			if ins.rs1 > noVReg {
-				used[ins.rs1] = true
+				regs[ins.rs1].read = true
 			}
 			if ins.rs2 > noVReg {
-				used[ins.rs2] = true
+				regs[ins.rs2].read = true
 			}
 			if ins.rd > noVReg {
-				defCount[ins.rd]++
+				regs[ins.rd].defs++
 			}
 		}
 		removable := func(ins vinstr) bool {
 			// Registers written multiple times (loop carries) must stay.
-			if ins.rd <= noVReg || used[ins.rd] || defCount[ins.rd] > 1 {
+			if ins.rd <= noVReg || regs[ins.rd].read || regs[ins.rd].defs > 1 {
 				return false
 			}
 			switch ins.op {
@@ -637,30 +642,56 @@ func (c *compiler) eliminateDeadDefs() {
 		if !slices.ContainsFunc(c.instrs, removable) {
 			return
 		}
-		// Compact in place. Labels move with the position they were bound
-		// at, now counted in surviving instructions, and loop ranges shift
-		// by the removals before each bound.
-		removedBefore := make([]int, len(c.instrs)+1)
-		remap := make(map[int][]string, len(c.labels))
+		// Compact in place. Label positions and loop ranges shift by the
+		// removals before each.
+		if removedBefore == nil {
+			removedBefore = make([]int, len(c.instrs)+1)
+		}
 		out := c.instrs[:0]
 		for idx, ins := range c.instrs {
 			removedBefore[idx] = idx - len(out)
-			if labels := c.labels[idx]; len(labels) > 0 {
-				remap[len(out)] = append(remap[len(out)], labels...)
-			}
 			if !removable(ins) {
 				out = append(out, ins)
 			}
 		}
 		removedBefore[len(c.instrs)] = len(c.instrs) - len(out)
-		if labels := c.labels[len(c.instrs)]; len(labels) > 0 {
-			remap[len(out)] = append(remap[len(out)], labels...)
+		for i := range c.binds {
+			c.binds[i].at -= removedBefore[c.binds[i].at]
 		}
 		for i := range c.loops {
 			c.loops[i][0] -= removedBefore[c.loops[i][0]]
 			c.loops[i][1] -= removedBefore[c.loops[i][1]]
 		}
 		c.instrs = out
-		c.labels = remap
 	}
+}
+
+// size is what emitting a function will need, counted before it starts.
+type size struct {
+	ops, labels, loops int
+}
+
+// vinstrs is room for the function's instructions before dead ones go. Most
+// ops emit one, a yield none, a load or store with its address arithmetic
+// up to six: over the built-in cells and the first 100 generated programs
+// per target the count is 1.01–1.5 per op (median 1.14).
+func (sz size) vinstrs() int { return sz.ops + sz.ops/2 }
+
+// measure counts the ops of f's body and the labels and loops their
+// control flow will bind.
+func measure(f *ir.Op) size {
+	var sz size
+	ir.WalkBlock(f.Region(0).Block(), func(op *ir.Op) {
+		sz.ops++
+		switch op.Name() {
+		case scf.OpFor:
+			sz.labels += 2
+			sz.loops++
+		case scf.OpIf:
+			sz.labels += 2
+		case arith.OpSelect, csrops.OpBarrier:
+			sz.labels++
+		}
+	})
+	return sz
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"configwall/internal/codegen"
+	"configwall/internal/core"
 	"configwall/internal/dialects/arith"
 	"configwall/internal/dialects/fnc"
 	"configwall/internal/dialects/memref"
@@ -341,4 +342,82 @@ func TestCompileErrors(t *testing.T) {
 			t.Error("expected error for unlowered accfg op")
 		}
 	})
+}
+
+// TestNestedIfLabelsPrintInBindOrder: an scf.if that ends its parent's else
+// block binds its own labels and the parent's end label at one instruction.
+// Disassemble prints them in the order they were bound, on every call.
+func TestNestedIfLabelsPrintInBindOrder(t *testing.T) {
+	m := ir.NewModule()
+	_, b := newFunc(m, []ir.Type{ir.I64}, []ir.Type{ir.I64})
+	x := m.FindFunc("main").Region(0).Block().Arg(0)
+	outer := scf.NewIf(b, arith.NewCmp(b, arith.PredSLT, x, arith.NewConstant(b, 10, ir.I64)))
+	scf.NewYield(ir.AtEnd(outer.Then()))
+	eb := ir.AtEnd(outer.Else())
+	inner := scf.NewIf(eb, arith.NewCmp(eb, arith.PredSLT, x, arith.NewConstant(eb, 20, ir.I64)))
+	scf.NewYield(ir.AtEnd(inner.Then()))
+	scf.NewYield(ir.AtEnd(inner.Else()))
+	scf.NewYield(eb)
+	fnc.NewReturn(b, x)
+	if err := ir.Verify(m); err != nil {
+		t.Fatalf("module invalid: %v\n%s", err, ir.PrintModule(m))
+	}
+	prog, _, err := codegen.Compile(m, "main", codegen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `  addi x31, x10, 0
+  li x30, 10
+  slt x29, x31, x30
+  beq x29, x0, .else1
+  j .endif2
+.else1:
+  li x29, 20
+  slt x30, x31, x29
+  beq x30, x0, .else3
+  j .endif4
+.else3:
+.endif4:
+.endif2:
+  addi x10, x31, 0
+  halt
+  halt
+`
+	for i := 0; i < 50; i++ {
+		if got := prog.Disassemble(); got != want {
+			t.Fatalf("call %d:\n%s\nwant\n%s", i, got, want)
+		}
+	}
+}
+
+// TestCompileAllocatesPerKindNotPerInstr: codegen sizes its buffers, its
+// value map and its label table from the function before it emits, so
+// compiling the tiled matmul allocates the same handful of times at 16³ and
+// at 64³. A buffer grown by append, a formatted label or a map per label
+// costs allocations in proportion to the program and fails here.
+func TestCompileAllocatesPerKindNotPerInstr(t *testing.T) {
+	const budget = 17 // measured 12 (gemmini) and 15 (opengemm) at both sizes; 32–33 and 59 with unsized buffers and formatted labels
+	for _, tg := range []core.Target{core.GemminiTarget(), core.OpenGeMMTarget()} {
+		for _, n := range []int{16, 64} {
+			m, err := tg.MatmulMKN(n, n, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tg.PassPipeline(core.AllOptimizations).Run(m); err != nil {
+				t.Fatal(err)
+			}
+			var instrs int
+			allocs := testing.AllocsPerRun(20, func() {
+				prog, _, err := codegen.Compile(m, "main", codegen.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				instrs = len(prog.Instrs)
+			})
+			t.Logf("%s %d³: %d ops, %d instructions, %.0f allocations", tg.Name, n, ir.CountOps(m), instrs, allocs)
+			if allocs > budget {
+				t.Errorf("%s %d³: %.0f allocations, budget %d", tg.Name, n, allocs, budget)
+			}
+		}
+	}
 }

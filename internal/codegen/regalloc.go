@@ -12,7 +12,7 @@ import (
 // allocator. x0 (zero), sp (spill base), t0/t1 (x5/x6, spill scratch) and
 // the argument registers a0..a7 (live-in values, live-out results) are
 // excluded.
-var allocatable = []riscv.Reg{
+var allocatable = [...]riscv.Reg{
 	1,    // ra — no calls in generated code
 	3, 4, // gp, tp — no globals/threads in generated code
 	7, 8, 9, // t2, s0, s1
@@ -47,8 +47,11 @@ func allocate(c *compiler) (*riscv.Program, int, error) {
 		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.vr, b.vr))
 	})
 
-	free := append([]riscv.Reg{}, allocatable...)
-	var active []*interval
+	// A register is free or held by one active interval: the pool bounds
+	// both.
+	free := make([]riscv.Reg, 0, len(allocatable))
+	free = append(free, allocatable[:]...)
+	active := make([]*interval, 0, len(allocatable))
 	nextSlot := 0
 
 	expire := func(pos int) {
@@ -146,8 +149,7 @@ func computeIntervals(c *compiler) []interval {
 // rewrite materializes physical instructions, inserting spill loads/stores
 // around spilled operands using the reserved scratch registers t0/t1.
 func rewrite(c *compiler, intervals []interval, slots int) (*riscv.Program, int, error) {
-	asm := riscv.NewAssembler()
-
+	asm := &c.asm
 	regOf := func(vr int) (riscv.Reg, *interval, error) {
 		if r, ok := physOf(vr); ok {
 			return r, nil, nil
@@ -162,13 +164,26 @@ func rewrite(c *compiler, intervals []interval, slots int) (*riscv.Program, int,
 		return iv.reg, nil, nil
 	}
 
+	// One instruction per vinstr, a load per spilled source and a store
+	// per spilled destination, and the final HALT.
+	n := len(c.instrs) + 1
+	for _, ins := range c.instrs {
+		for _, vr := range [3]int{ins.rd, ins.rs1, ins.rs2} {
+			if vr > noVReg && vr < len(intervals) && intervals[vr].spilled {
+				n++
+			}
+		}
+	}
+	asm.Grow(n, 0)
+
+	next := 0 // the first binding not yet placed
 	for pos, ins := range c.instrs {
-		for _, l := range c.labels[pos] {
-			asm.Label(l)
+		for ; next < len(c.binds) && c.binds[next].at == pos; next++ {
+			asm.Bind(c.binds[next].label)
 		}
 		out := riscv.Instr{
 			Op: ins.op, Imm: ins.imm, Funct7: ins.funct7,
-			Label: ins.label, Class: ins.class,
+			Target: ins.target, Class: ins.class,
 		}
 		// Sources first: spilled sources load into t0/t1.
 		if ins.rs1 > noVReg || ins.rs1 <= -2 {
@@ -211,8 +226,8 @@ func rewrite(c *compiler, intervals []interval, slots int) (*riscv.Program, int,
 		}
 	}
 	// Trailing labels (e.g. loop exits at the very end).
-	for _, l := range c.labels[len(c.instrs)] {
-		asm.Label(l)
+	for ; next < len(c.binds); next++ {
+		asm.Bind(c.binds[next].label)
 	}
 	// Safety net: a program must halt.
 	asm.Emit(riscv.Instr{Op: riscv.HALT})

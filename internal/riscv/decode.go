@@ -1,13 +1,14 @@
 package riscv
 
-import "fmt"
+import "strconv"
 
 // This file defines the predecoded program form consumed by the
 // simulator's fast execution engine (internal/sim, QEMU/TCG-style
 // predecode-then-dispatch). Decoding pre-resolves everything the
 // interpreter hot loop would otherwise recompute per executed instruction:
 //
-//   - branch/jump targets (no Targets map lookup),
+//   - branch/jump targets (copied from the Program's dense Targets slice,
+//     which the assembler resolved in one pass),
 //   - per-op cycle costs (no CostModel interface call),
 //   - the instruction class driving the paper's counters, and
 //   - basic-block batches: for every instruction, the length and total
@@ -54,10 +55,11 @@ type DecodedInstr struct {
 func (di DecodedInstr) String() string {
 	ins := Instr{Op: di.Op, Rd: di.Rd, Rs1: di.Rs1, Rs2: di.Rs2,
 		Imm: di.Imm, Funct7: di.Funct7, Class: di.Class}
+	target := ""
 	if di.Target >= 0 {
-		ins.Label = fmt.Sprintf("@%d", di.Target)
+		target = "@" + strconv.Itoa(int(di.Target))
 	}
-	return ins.String()
+	return ins.text(target)
 }
 
 // Decoded is a predecoded, cost-annotated program.
@@ -89,10 +91,7 @@ func Decode(p *Program, cost CostModel) *Decoded {
 		di := &d.Instrs[i]
 		*di = DecodedInstr{
 			Op: ins.Op, Class: ins.Class, Rd: ins.Rd, Rs1: ins.Rs1, Rs2: ins.Rs2,
-			Imm: ins.Imm, Funct7: ins.Funct7, Cost: cost.Cycles(ins), Target: -1,
-		}
-		if t, ok := p.Targets[i]; ok {
-			di.Target = int32(t)
+			Imm: ins.Imm, Funct7: ins.Funct7, Cost: cost.Cycles(ins), Target: p.Targets[i],
 		}
 	}
 	// Backward scan: a batchable non-control instruction extends the run

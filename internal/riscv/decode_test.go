@@ -19,9 +19,10 @@ func mustFinish(t *testing.T, a *riscv.Assembler) *riscv.Program {
 func TestDecodeResolvesTargetsAndCosts(t *testing.T) {
 	a := riscv.NewAssembler()
 	a.Emit(riscv.Instr{Op: riscv.LI, Rd: 5, Imm: 4})
-	a.Label("loop")
+	loop := a.NewLabel("loop")
+	a.Bind(loop)
 	a.Emit(riscv.Instr{Op: riscv.ADDI, Rd: 5, Rs1: 5, Imm: -1})
-	a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 5, Rs2: 0, Label: "loop"})
+	a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 5, Rs2: 0, Target: loop})
 	a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 7, Class: riscv.ClassConfig})
 	a.Emit(riscv.Instr{Op: riscv.HALT})
 	p := mustFinish(t, a)
@@ -47,11 +48,12 @@ func TestDecodeResolvesTargetsAndCosts(t *testing.T) {
 
 func TestDecodeBlockBatching(t *testing.T) {
 	a := riscv.NewAssembler()
-	a.Emit(riscv.Instr{Op: riscv.LI, Rd: 5, Imm: 1})                 // 0: run of 3 (ends at branch)
-	a.Emit(riscv.Instr{Op: riscv.ADD, Rd: 6, Rs1: 5, Rs2: 5})        // 1: run of 2
-	a.Emit(riscv.Instr{Op: riscv.BEQ, Rs1: 5, Rs2: 6, Label: "out"}) // 2: run of 1 (terminator)
-	a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 1})                 // 3: device op, no run
-	a.Label("out")
+	a.Emit(riscv.Instr{Op: riscv.LI, Rd: 5, Imm: 1})          // 0: run of 3 (ends at branch)
+	a.Emit(riscv.Instr{Op: riscv.ADD, Rd: 6, Rs1: 5, Rs2: 5}) // 1: run of 2
+	out := a.NewLabel("out")
+	a.Emit(riscv.Instr{Op: riscv.BEQ, Rs1: 5, Rs2: 6, Target: out}) // 2: run of 1 (terminator)
+	a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 1})                // 3: device op, no run
+	a.Bind(out)
 	a.Emit(riscv.Instr{Op: riscv.SUB, Rd: 7, Rs1: 6, Rs2: 5}) // 4: run of 1 (next is HALT)
 	a.Emit(riscv.Instr{Op: riscv.HALT})                       // 5: no run
 	p := mustFinish(t, a)
@@ -97,8 +99,9 @@ func TestFinishRejectsUnlabeledControlFlow(t *testing.T) {
 
 func TestDecodedInstrString(t *testing.T) {
 	a := riscv.NewAssembler()
-	a.Label("l")
-	a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 5, Rs2: 0, Label: "l"})
+	l := a.NewLabel("l")
+	a.Bind(l)
+	a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 5, Rs2: 0, Target: l})
 	p := mustFinish(t, a)
 	d := riscv.Decode(p, riscv.FlatCost{PerInstr: 1, ModelName: "flat"})
 	s := d.Instrs[0].String()

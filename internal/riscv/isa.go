@@ -5,7 +5,13 @@
 // (OpenGeMM-style memory-less configuration ports).
 package riscv
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+)
 
 // Reg is a register number x0..x31. x0 is hard-wired to zero.
 type Reg uint8
@@ -115,8 +121,12 @@ const (
 	ClassSync
 )
 
-// Instr is one decoded instruction. Branch targets are symbolic labels
-// resolved by the assembler.
+// Label names a branch target. An Assembler hands labels out with NewLabel
+// and binds each to an instruction position; the zero Label is no target.
+type Label int32
+
+// Instr is one instruction. A branch or jump names its target by label;
+// Finish resolves every target to an instruction index.
 type Instr struct {
 	Op     Opcode
 	Rd     Reg
@@ -124,11 +134,22 @@ type Instr struct {
 	Rs2    Reg
 	Imm    int64  // immediate, CSR address for CSRRW/CSRRS
 	Funct7 uint32 // CUSTOM function selector
-	Label  string // branch/jump target
+	Target Label  // branch/jump target
 	Class  Class
 }
 
+// String renders the instruction; a branch target prints as its label id
+// ("L3"), since only the Program knows label names.
 func (i Instr) String() string {
+	target := ""
+	if i.Target != 0 {
+		target = "L" + strconv.Itoa(int(i.Target))
+	}
+	return i.text(target)
+}
+
+// text renders the instruction with target as its branch/jump operand.
+func (i Instr) text(target string) string {
 	switch i.Op {
 	case NOP, HALT:
 		return i.Op.String()
@@ -141,9 +162,9 @@ func (i Instr) String() string {
 	case SB, SH, SW, SD:
 		return fmt.Sprintf("%s x%d, %d(x%d)", i.Op, i.Rs2, i.Imm, i.Rs1)
 	case BEQ, BNE, BLT, BGE, BLTU, BGEU:
-		return fmt.Sprintf("%s x%d, x%d, %s", i.Op, i.Rs1, i.Rs2, i.Label)
+		return fmt.Sprintf("%s x%d, x%d, %s", i.Op, i.Rs1, i.Rs2, target)
 	case JAL:
-		return fmt.Sprintf("j %s", i.Label)
+		return fmt.Sprintf("j %s", target)
 	case CUSTOM:
 		return fmt.Sprintf("custom.%d x%d, x%d", i.Funct7, i.Rs1, i.Rs2)
 	case CSRRW:
@@ -154,41 +175,74 @@ func (i Instr) String() string {
 	return fmt.Sprintf("%s x%d, x%d, x%d", i.Op, i.Rd, i.Rs1, i.Rs2)
 }
 
+// labelDef is a label's name prefix and where it is bound: at is the index
+// of the instruction it precedes (-1 while unbound) and seq its place in
+// bind order.
+type labelDef struct {
+	prefix  string
+	at, seq int32
+}
+
 // Program is an assembled instruction sequence with resolved labels.
 type Program struct {
 	Instrs []Instr
-	// Labels maps label names to instruction indices.
-	Labels map[string]int
-	// Targets maps the index of each branch/jump to its target index.
-	Targets map[int]int
+	// Targets holds, for every instruction, the index its branch or jump
+	// goes to, or -1 for an instruction without a target.
+	Targets []int32
+	labels  []labelDef // label l is labels[l-1]
+}
+
+// labelName spells label l of labels as the assembly text does: "." +
+// prefix + id, so the labels of one program share one counter.
+func labelName(labels []labelDef, l Label) string {
+	if l <= 0 || int(l) > len(labels) {
+		return ""
+	}
+	return "." + labels[l-1].prefix + strconv.Itoa(int(l))
 }
 
 // Disassemble renders the program as assembly text with label markers.
+// Labels bound at one instruction print in the order they were bound.
 func (p *Program) Disassemble() string {
-	byIndex := map[int][]string{}
-	for name, idx := range p.Labels {
-		byIndex[idx] = append(byIndex[idx], name)
-	}
-	out := ""
-	for i, ins := range p.Instrs {
-		for _, l := range byIndex[i] {
-			out += l + ":\n"
+	var bound []Label
+	for i, d := range p.labels {
+		if d.at >= 0 {
+			bound = append(bound, Label(i+1))
 		}
-		out += fmt.Sprintf("  %s\n", ins)
 	}
-	return out
+	// Bind order is also position order: Bind binds at the end.
+	slices.SortFunc(bound, func(x, y Label) int { return cmp.Compare(p.labels[x-1].seq, p.labels[y-1].seq) })
+	var sb strings.Builder
+	next := 0
+	for i, ins := range p.Instrs {
+		for ; next < len(bound) && int(p.labels[bound[next]-1].at) == i; next++ {
+			sb.WriteString(labelName(p.labels, bound[next]))
+			sb.WriteString(":\n")
+		}
+		sb.WriteString("  ")
+		sb.WriteString(ins.text(labelName(p.labels, ins.Target)))
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }
 
-// Assembler incrementally builds a Program.
+// Assembler incrementally builds a Program. The zero Assembler is empty
+// and ready to use.
 type Assembler struct {
 	instrs []Instr
-	labels map[string]int
-	nextID int
+	labels []labelDef
+	binds  int32 // labels bound so far
+	err    error // the first misuse of Bind, reported by Finish
 }
 
 // NewAssembler returns an empty assembler.
-func NewAssembler() *Assembler {
-	return &Assembler{labels: map[string]int{}}
+func NewAssembler() *Assembler { return &Assembler{} }
+
+// Grow makes room for instrs more instructions and labels more labels, so
+// an emitter that knows its size up front appends without reallocating.
+func (a *Assembler) Grow(instrs, labels int) {
+	a.instrs = slices.Grow(a.instrs, instrs)
+	a.labels = slices.Grow(a.labels, labels)
 }
 
 // Emit appends an instruction and returns its index.
@@ -197,38 +251,57 @@ func (a *Assembler) Emit(i Instr) int {
 	return len(a.instrs) - 1
 }
 
-// Label binds name to the next emitted instruction.
-func (a *Assembler) Label(name string) {
-	a.labels[name] = len(a.instrs)
+// NewLabel returns a fresh, unbound label. Disassemble names it by prefix
+// and id: the third label, made with prefix "for", prints as ".for3".
+func (a *Assembler) NewLabel(prefix string) Label {
+	a.labels = append(a.labels, labelDef{prefix: prefix, at: -1})
+	return Label(len(a.labels))
 }
 
-// FreshLabel returns a unique label with the given prefix.
-func (a *Assembler) FreshLabel(prefix string) string {
-	a.nextID++
-	return fmt.Sprintf(".%s%d", prefix, a.nextID)
+// Bind binds l to the next emitted instruction. A label binds once.
+func (a *Assembler) Bind(l Label) {
+	if l <= 0 || int(l) > len(a.labels) {
+		a.fail(fmt.Errorf("riscv: bind of unknown label %d", l))
+		return
+	}
+	d := &a.labels[l-1]
+	if d.at >= 0 {
+		a.fail(fmt.Errorf("riscv: label %s bound twice", labelName(a.labels, l)))
+		return
+	}
+	d.at, d.seq = int32(len(a.instrs)), a.binds
+	a.binds++
 }
 
-// Len returns the number of instructions emitted so far.
-func (a *Assembler) Len() int { return len(a.instrs) }
+func (a *Assembler) fail(err error) {
+	if a.err == nil {
+		a.err = err
+	}
+}
 
-// Finish resolves labels and returns the program. Control-flow
-// instructions without a label are rejected: an unresolved branch has no
-// Targets entry, and executing it would fall back to the map's zero value
-// — a silent jump to instruction 0.
+// Finish resolves every target in one pass and returns the program.
+// Control-flow instructions without a target are rejected: executing one
+// would have nowhere to go.
 func (a *Assembler) Finish() (*Program, error) {
-	p := &Program{Instrs: a.instrs, Labels: a.labels, Targets: map[int]int{}}
+	if a.err != nil {
+		return nil, a.err
+	}
+	p := &Program{Instrs: a.instrs, Targets: make([]int32, len(a.instrs)), labels: a.labels}
 	for i, ins := range a.instrs {
-		if ins.Label == "" {
+		p.Targets[i] = -1
+		if ins.Target == 0 {
 			if ins.Op >= BEQ && ins.Op <= JAL {
 				return nil, fmt.Errorf("riscv: %s at instruction %d has no target label", ins.Op, i)
 			}
 			continue
 		}
-		t, ok := a.labels[ins.Label]
-		if !ok {
-			return nil, fmt.Errorf("riscv: undefined label %q at instruction %d", ins.Label, i)
+		if ins.Target < 0 || int(ins.Target) > len(a.labels) {
+			return nil, fmt.Errorf("riscv: unknown label %d at instruction %d", ins.Target, i)
 		}
-		p.Targets[i] = t
+		if a.labels[ins.Target-1].at < 0 {
+			return nil, fmt.Errorf("riscv: undefined label %s at instruction %d", labelName(a.labels, ins.Target), i)
+		}
+		p.Targets[i] = a.labels[ins.Target-1].at
 	}
 	return p, nil
 }

@@ -9,11 +9,13 @@ import (
 
 func TestAssemblerResolvesLabels(t *testing.T) {
 	a := riscv.NewAssembler()
-	a.Label("start")
+	start := a.NewLabel("start")
+	a.Bind(start)
 	a.Emit(riscv.Instr{Op: riscv.ADDI, Rd: 5, Rs1: 0, Imm: 1})
-	a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 5, Rs2: 0, Label: "end"})
-	a.Emit(riscv.Instr{Op: riscv.JAL, Label: "start"})
-	a.Label("end")
+	end := a.NewLabel("end")
+	a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 5, Rs2: 0, Target: end})
+	a.Emit(riscv.Instr{Op: riscv.JAL, Target: start})
+	a.Bind(end)
 	a.Emit(riscv.Instr{Op: riscv.HALT})
 	p, err := a.Finish()
 	if err != nil {
@@ -29,40 +31,72 @@ func TestAssemblerResolvesLabels(t *testing.T) {
 
 func TestAssemblerUndefinedLabel(t *testing.T) {
 	a := riscv.NewAssembler()
-	a.Emit(riscv.Instr{Op: riscv.JAL, Label: "nowhere"})
+	a.Emit(riscv.Instr{Op: riscv.JAL, Target: a.NewLabel("nowhere")})
+	if _, err := a.Finish(); err == nil || !strings.Contains(err.Error(), ".nowhere1") {
+		t.Errorf("unbound label: err = %v, want one naming .nowhere1", err)
+	}
+	a = riscv.NewAssembler()
+	a.Emit(riscv.Instr{Op: riscv.JAL, Target: 7})
 	if _, err := a.Finish(); err == nil {
-		t.Error("expected error for undefined label")
+		t.Error("a label the assembler never made: expected an error")
 	}
 }
 
-func TestFreshLabelsUnique(t *testing.T) {
+func TestAssemblerBindsOnce(t *testing.T) {
 	a := riscv.NewAssembler()
-	seen := map[string]bool{}
-	for i := 0; i < 100; i++ {
-		l := a.FreshLabel("x")
-		if seen[l] {
-			t.Fatalf("duplicate label %q", l)
-		}
-		seen[l] = true
+	l := a.NewLabel("l")
+	a.Bind(l)
+	a.Emit(riscv.Instr{Op: riscv.NOP})
+	a.Bind(l)
+	a.Emit(riscv.Instr{Op: riscv.JAL, Target: l})
+	if _, err := a.Finish(); err == nil {
+		t.Error("a label bound twice: expected an error")
+	}
+	a = riscv.NewAssembler()
+	a.Bind(3)
+	a.Emit(riscv.Instr{Op: riscv.HALT})
+	if _, err := a.Finish(); err == nil {
+		t.Error("a bind of a label the assembler never made: expected an error")
 	}
 }
 
+// TestDisassemble holds the exact text: labels named by prefix and one
+// counter, and labels bound at one instruction in the order they were
+// bound, the same on every call.
 func TestDisassemble(t *testing.T) {
 	a := riscv.NewAssembler()
-	a.Label("loop")
+	loop := a.NewLabel("loop")
+	inner, outer := a.NewLabel("end"), a.NewLabel("end")
+	a.Bind(loop)
 	a.Emit(riscv.Instr{Op: riscv.LI, Rd: 7, Imm: 42})
 	a.Emit(riscv.Instr{Op: riscv.CUSTOM, Funct7: 9, Rs1: 7, Rs2: 8})
+	a.Emit(riscv.Instr{Op: riscv.BEQ, Rs1: 7, Rs2: 0, Target: outer})
 	a.Emit(riscv.Instr{Op: riscv.CSRRW, Rs1: 7, Imm: 0x3c0})
-	a.Emit(riscv.Instr{Op: riscv.BGE, Rs1: 7, Rs2: 8, Label: "loop"})
+	a.Emit(riscv.Instr{Op: riscv.BGE, Rs1: 7, Rs2: 8, Target: loop})
+	a.Bind(outer)
+	a.Bind(inner)
+	a.Emit(riscv.Instr{Op: riscv.JAL, Target: inner})
 	p, err := a.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	asm := p.Disassemble()
-	for _, want := range []string{"loop:", "li x7, 42", "custom.9 x7, x8", "csrrw x0, 0x3c0, x7", "bge x7, x8, loop"} {
-		if !strings.Contains(asm, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, asm)
+	want := `.loop1:
+  li x7, 42
+  custom.9 x7, x8
+  beq x7, x0, .end3
+  csrrw x0, 0x3c0, x7
+  bge x7, x8, .loop1
+.end3:
+.end2:
+  j .end2
+`
+	for i := 0; i < 50; i++ {
+		if got := p.Disassemble(); got != want {
+			t.Fatalf("call %d:\n%s\nwant\n%s", i, got, want)
 		}
+	}
+	if got := (riscv.Instr{Op: riscv.BGE, Rs1: 7, Rs2: 8, Target: loop}).String(); got != "bge x7, x8, L1" {
+		t.Errorf("Instr.String() = %q, want the label id", got)
 	}
 }
 

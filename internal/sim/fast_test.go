@@ -107,18 +107,20 @@ func TestEngineEquivalence(t *testing.T) {
 		{name: "branch loop", build: func(a *riscv.Assembler) {
 			a.Emit(riscv.Instr{Op: riscv.LI, Rd: 5, Imm: 0})
 			a.Emit(riscv.Instr{Op: riscv.LI, Rd: 6, Imm: 57})
-			a.Label("loop")
+			loop := a.NewLabel("loop")
+			a.Bind(loop)
 			a.Emit(riscv.Instr{Op: riscv.ADDI, Rd: 5, Rs1: 5, Imm: 1})
 			a.Emit(riscv.Instr{Op: riscv.XORI, Rd: 7, Rs1: 5, Imm: 0x55})
-			a.Emit(riscv.Instr{Op: riscv.BLT, Rs1: 5, Rs2: 6, Label: "loop"})
+			a.Emit(riscv.Instr{Op: riscv.BLT, Rs1: 5, Rs2: 6, Target: loop})
 		}},
 		{name: "branch into block interior", build: func(a *riscv.Assembler) {
 			// The jump lands mid-run: the fast engine must batch the
 			// *suffix* starting at the landing pc, not the whole block.
 			a.Emit(riscv.Instr{Op: riscv.LI, Rd: 5, Imm: 3})
-			a.Emit(riscv.Instr{Op: riscv.JAL, Label: "mid"})
+			mid := a.NewLabel("mid")
+			a.Emit(riscv.Instr{Op: riscv.JAL, Target: mid})
 			a.Emit(riscv.Instr{Op: riscv.ADDI, Rd: 5, Rs1: 5, Imm: 100}) // skipped
-			a.Label("mid")
+			a.Bind(mid)
 			a.Emit(riscv.Instr{Op: riscv.ADDI, Rd: 5, Rs1: 5, Imm: 7})
 			a.Emit(riscv.Instr{Op: riscv.ADDI, Rd: 6, Rs1: 5, Imm: 1})
 		}},
@@ -132,9 +134,10 @@ func TestEngineEquivalence(t *testing.T) {
 		{name: "concurrent device and poll loop", dev: concDev, build: func(a *riscv.Assembler) {
 			a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 99, Class: riscv.ClassConfig})
 			a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 3, Class: riscv.ClassConfig}) // staged
-			a.Label("poll")
+			poll := a.NewLabel("poll")
+			a.Bind(poll)
 			a.Emit(riscv.Instr{Op: riscv.CSRRS, Rd: 5, Imm: 0x3cc, Class: riscv.ClassSync})
-			a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 5, Rs2: 0, Label: "poll", Class: riscv.ClassSync})
+			a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 5, Rs2: 0, Target: poll, Class: riscv.ClassSync})
 			a.Emit(riscv.Instr{Op: riscv.CSRRW, Rs1: 5, Imm: 0x3c1, Class: riscv.ClassConfig})
 		}},
 		{name: "back to back launches", dev: concDev, build: func(a *riscv.Assembler) {
@@ -142,24 +145,27 @@ func TestEngineEquivalence(t *testing.T) {
 			a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 99, Class: riscv.ClassConfig}) // waits
 		}},
 		{name: "instruction limit inside block", limit: 10, build: func(a *riscv.Assembler) {
-			a.Label("forever")
+			forever := a.NewLabel("forever")
+			a.Bind(forever)
 			a.Emit(riscv.Instr{Op: riscv.ADDI, Rd: 5, Rs1: 5, Imm: 1})
 			a.Emit(riscv.Instr{Op: riscv.ADDI, Rd: 6, Rs1: 6, Imm: 2})
 			a.Emit(riscv.Instr{Op: riscv.ADDI, Rd: 7, Rs1: 7, Imm: 3})
-			a.Emit(riscv.Instr{Op: riscv.JAL, Label: "forever"})
+			a.Emit(riscv.Instr{Op: riscv.JAL, Target: forever})
 		}},
 		{name: "limit exactly at block boundary", limit: 8, build: func(a *riscv.Assembler) {
-			a.Label("forever")
+			forever := a.NewLabel("forever")
+			a.Bind(forever)
 			a.Emit(riscv.Instr{Op: riscv.ADDI, Rd: 5, Rs1: 5, Imm: 1})
-			a.Emit(riscv.Instr{Op: riscv.JAL, Label: "forever"})
+			a.Emit(riscv.Instr{Op: riscv.JAL, Target: forever})
 		}},
 		{name: "limit inside a busy-poll loop", dev: concDev, limit: 8, build: func(a *riscv.Assembler) {
 			// The poll's ClassSync branch runs one instruction at a time;
 			// the limit lands on it after three and a half polls.
 			a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 99, Class: riscv.ClassConfig})
-			a.Label("poll")
+			poll := a.NewLabel("poll")
+			a.Bind(poll)
 			a.Emit(riscv.Instr{Op: riscv.CSRRS, Rd: 5, Imm: 0x3cc, Class: riscv.ClassSync})
-			a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 5, Rs2: 0, Label: "poll", Class: riscv.ClassSync})
+			a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 5, Rs2: 0, Target: poll, Class: riscv.ClassSync})
 			a.Emit(riscv.Instr{Op: riscv.LI, Rd: 6, Imm: 7})
 		}},
 		{name: "rocc fence", dev: seqDev, build: func(a *riscv.Assembler) {
@@ -265,7 +271,8 @@ func TestEngineEquivalenceRandomPrograms(t *testing.T) {
 		p := assemble(t, func(a *riscv.Assembler) {
 			// Bounded loop scaffold around a random body.
 			a.Emit(riscv.Instr{Op: riscv.LI, Rd: 28, Imm: int64(2 + next(6))})
-			a.Label("top")
+			top := a.NewLabel("top")
+			a.Bind(top)
 			for i := 0; i < 4+next(20); i++ {
 				op := ops[next(len(ops))]
 				a.Emit(riscv.Instr{
@@ -283,7 +290,7 @@ func TestEngineEquivalenceRandomPrograms(t *testing.T) {
 				}
 			}
 			a.Emit(riscv.Instr{Op: riscv.ADDI, Rd: 28, Rs1: 28, Imm: -1})
-			a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 28, Rs2: 0, Label: "top"})
+			a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 28, Rs2: 0, Target: top})
 		})
 		t.Run(fmt.Sprintf("prog%02d", prog), func(t *testing.T) {
 			runBoth(t, nil, 0, nil, p)

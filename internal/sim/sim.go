@@ -418,36 +418,36 @@ func (mc *Machine) step(p *riscv.Program, pc int, ins riscv.Instr) (int, error) 
 	case riscv.BEQ:
 		charge(SegHostExec)
 		if rs1 == rs2 {
-			return p.Targets[pc], nil
+			return int(p.Targets[pc]), nil
 		}
 	case riscv.BNE:
 		charge(SegHostExec)
 		if rs1 != rs2 {
-			return p.Targets[pc], nil
+			return int(p.Targets[pc]), nil
 		}
 	case riscv.BLT:
 		charge(SegHostExec)
 		if rs1 < rs2 {
-			return p.Targets[pc], nil
+			return int(p.Targets[pc]), nil
 		}
 	case riscv.BGE:
 		charge(SegHostExec)
 		if rs1 >= rs2 {
-			return p.Targets[pc], nil
+			return int(p.Targets[pc]), nil
 		}
 	case riscv.BLTU:
 		charge(SegHostExec)
 		if uint64(rs1) < uint64(rs2) {
-			return p.Targets[pc], nil
+			return int(p.Targets[pc]), nil
 		}
 	case riscv.BGEU:
 		charge(SegHostExec)
 		if uint64(rs1) >= uint64(rs2) {
-			return p.Targets[pc], nil
+			return int(p.Targets[pc]), nil
 		}
 	case riscv.JAL:
 		charge(SegHostExec)
-		return p.Targets[pc], nil
+		return int(p.Targets[pc]), nil
 	default:
 		if err := mc.deviceOp(ins.Op, ins.Funct7, ins.Imm, ins.Rd, rs1, rs2, ins.Class, cost); err != nil {
 			return 0, err

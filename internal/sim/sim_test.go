@@ -96,9 +96,10 @@ func TestBranchLoop(t *testing.T) {
 	p := assemble(t, func(a *riscv.Assembler) {
 		a.Emit(riscv.Instr{Op: riscv.LI, Rd: 5, Imm: 0})
 		a.Emit(riscv.Instr{Op: riscv.LI, Rd: 6, Imm: 10})
-		a.Label("loop")
+		loop := a.NewLabel("loop")
+		a.Bind(loop)
 		a.Emit(riscv.Instr{Op: riscv.ADDI, Rd: 5, Rs1: 5, Imm: 1})
-		a.Emit(riscv.Instr{Op: riscv.BLT, Rs1: 5, Rs2: 6, Label: "loop"})
+		a.Emit(riscv.Instr{Op: riscv.BLT, Rs1: 5, Rs2: 6, Target: loop})
 	})
 	if err := mc.Run(p); err != nil {
 		t.Fatal(err)
@@ -190,9 +191,10 @@ func TestBusyPollLoop(t *testing.T) {
 	mc := newMachine(dev)
 	p := assemble(t, func(a *riscv.Assembler) {
 		a.Emit(riscv.Instr{Op: riscv.CSRRW, Imm: 99, Class: riscv.ClassConfig})
-		a.Label("poll")
+		poll := a.NewLabel("poll")
+		a.Bind(poll)
 		a.Emit(riscv.Instr{Op: riscv.CSRRS, Rd: 5, Imm: 0x3cc, Class: riscv.ClassSync})
-		a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 5, Rs2: 0, Label: "poll", Class: riscv.ClassSync})
+		a.Emit(riscv.Instr{Op: riscv.BNE, Rs1: 5, Rs2: 0, Target: poll, Class: riscv.ClassSync})
 		a.Emit(riscv.Instr{Op: riscv.LI, Rd: 6, Imm: 7})
 	})
 	if err := mc.Run(p); err != nil {
@@ -274,8 +276,9 @@ func TestInstructionLimit(t *testing.T) {
 	mc := newMachine(nil)
 	mc.MaxInstrs = 100
 	p := assemble(t, func(a *riscv.Assembler) {
-		a.Label("forever")
-		a.Emit(riscv.Instr{Op: riscv.JAL, Label: "forever"})
+		forever := a.NewLabel("forever")
+		a.Bind(forever)
+		a.Emit(riscv.Instr{Op: riscv.JAL, Target: forever})
 	})
 	if err := mc.Run(p); err == nil {
 		t.Error("expected instruction-limit error for infinite loop")
@@ -359,8 +362,9 @@ func TestCyclesSetOnError(t *testing.T) {
 		mc := newMachine(nil)
 		mc.MaxInstrs = 50
 		p := assemble(t, func(a *riscv.Assembler) {
-			a.Label("forever")
-			a.Emit(riscv.Instr{Op: riscv.JAL, Label: "forever"})
+			forever := a.NewLabel("forever")
+			a.Bind(forever)
+			a.Emit(riscv.Instr{Op: riscv.JAL, Target: forever})
 		})
 		if err := mc.Run(p); err == nil {
 			t.Fatal("expected instruction-limit error")
