@@ -134,8 +134,6 @@ func (c *compiler) emit(i vinstr) {
 	c.instrs = append(c.instrs, i)
 }
 
-func (c *compiler) freshLabel(prefix string) riscv.Label { return c.asm.NewLabel(prefix) }
-
 func (c *compiler) bind(l riscv.Label) {
 	c.binds = append(c.binds, binding{label: l, at: len(c.instrs)})
 }
@@ -251,7 +249,7 @@ func (c *compiler) op(op *ir.Op) error {
 		c.emit(vinstr{op: riscv.CSRRW, rd: noVReg, rs1: rs, rs2: noVReg, imm: int64(csrops.Addr(op)), class: riscv.ClassConfig})
 		return nil
 	case csrops.OpBarrier:
-		head := c.freshLabel("poll")
+		head := c.asm.NewLabel("poll")
 		c.bind(head)
 		status := c.fresh()
 		c.emit(vinstr{op: riscv.CSRRS, rd: status, rs1: noVReg, rs2: noVReg, imm: int64(csrops.Addr(op)), class: riscv.ClassSync})
@@ -370,7 +368,7 @@ func (c *compiler) sel(op *ir.Op) error {
 	}
 	rd := c.fresh()
 	c.vals[op.Result(0)] = rd
-	skip := c.freshLabel("sel")
+	skip := c.asm.NewLabel("sel")
 	c.emit(vinstr{op: riscv.ADDI, rd: rd, rs1: a, rs2: noVReg, imm: 0})
 	c.emit(vinstr{op: riscv.BNE, rd: noVReg, rs1: cond, rs2: physVReg(riscv.X0), target: skip})
 	c.emit(vinstr{op: riscv.ADDI, rd: rd, rs1: bval, rs2: noVReg, imm: 0})
@@ -521,8 +519,8 @@ func (c *compiler) forLoop(f scf.For) error {
 		c.emit(vinstr{op: riscv.ADDI, rd: r, rs1: init, rs2: noVReg, imm: 0})
 	}
 
-	head := c.freshLabel("for")
-	exit := c.freshLabel("endfor")
+	head := c.asm.NewLabel("for")
+	exit := c.asm.NewLabel("endfor")
 	loopStart := len(c.instrs)
 	c.bind(head)
 	c.emit(vinstr{op: riscv.BGE, rd: noVReg, rs1: iv, rs2: ub, target: exit})
@@ -559,8 +557,8 @@ func (c *compiler) ifOp(branch scf.If) error {
 	if err != nil {
 		return err
 	}
-	elseL := c.freshLabel("else")
-	endL := c.freshLabel("endif")
+	elseL := c.asm.NewLabel("else")
+	endL := c.asm.NewLabel("endif")
 
 	resRegs := make([]int, op.NumResults())
 	for i := range resRegs {

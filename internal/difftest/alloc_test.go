@@ -29,11 +29,14 @@ import (
 // field states. With every pipeline running its shared opening passes on
 // its own clone, the parent of the PR that added the pass tree measured
 // 3 850 and 2 815, and with ops built one allocation each and a module
-// clone allocating per op rather than per kind of storage, 3 182 and 2 370.
+// clone allocating per op rather than per kind of storage, 3 182 and 2 370;
+// with codegen growing unsized buffers and keeping labels in maps, and
+// every pass boxed again per pipeline, 2 006 and 1 747.
 //
 // The bytes hold the check's scratch reused and only the baseline's image
-// copied out: 1.05 and 0.71 MB here, of which about 5% is the unused tails
-// of slab chunks (0.996 and 0.674 MB before slabs). With a sync.Pool of sandboxes (emptied
+// copied out: 0.90 and 0.61 MB here, some 50 and 35 kB of it the unused
+// tails of slab chunks (1.05 and 0.71 MB before codegen emitted once, 0.996
+// and 0.674 MB before slabs). With a sync.Pool of sandboxes (emptied
 // by every GC), a fresh trace per run and every run's image copied, the
 // parent of the PR that made the scratch a free list measured 1.53 and
 // 1.34 MB, and 3 545 and 2 588 allocations with a path enumerator that
@@ -48,8 +51,8 @@ func TestCheckAllocationBudget(t *testing.T) {
 		allocs float64
 		bytes  uint64
 	}{
-		{"gemmini", 2206, 1_096_000}, // measured 2 006 and 1 050 k
-		{"opengemm", 1921, 741_000},  // measured 1 747 and 709 k
+		{"gemmini", 1958, 990_000},  // measured 1 780 and 900 k
+		{"opengemm", 1500, 667_000}, // measured 1 364 and 606 k
 	} {
 		tgt, prof := targetAndProfile(t, tc.target)
 		prog, err := irgen.Generate(prof, irgen.DeriveSeed(1, tc.target, 0))
