@@ -334,7 +334,7 @@ func TestCompileErrors(t *testing.T) {
 		_, b := newFunc(m, nil, nil)
 		c := arith.NewConstant(b, 1, ir.I64)
 		s := ir.NewOp("accfg.setup", []*ir.Value{c}, []ir.Type{ir.StateType{Accelerator: "x"}})
-		s.SetAttr("accelerator", ir.StringAttr{Value: "x"})
+		s.SetAttr("accelerator", ir.StrAttr("x"))
 		s.SetAttr("fields", ir.StringsAttr("f"))
 		b.Insert(s)
 		fnc.NewReturn(b)

@@ -186,9 +186,7 @@ func (t Target) PassPipeline(p Pipeline) *ir.PassManager {
 		)
 	}
 	if p == OverlapOnly || p == AllOptimizations {
-		ps = append(ps, passes.Overlap(func(accelName string) bool {
-			return t.Concurrent() && accelName == t.Name
-		}))
+		ps = append(ps, overlapPass(t.Port))
 	}
 	if p != Baseline {
 		ps = append(ps, passes.Canonicalize(), passes.CSE())
@@ -202,6 +200,22 @@ func (t Target) PassPipeline(p Pipeline) *ir.PassManager {
 	}
 	return ir.NewPassManager(ps...)
 }
+
+// overlapPass returns the overlap pass of port's target: it overlaps the
+// configuration of port's accelerator when the port configures
+// concurrently, and of no accelerator otherwise. It is built once per port.
+func overlapPass(port *accel.Port) ir.Pass {
+	if p, ok := overlapPasses.Load(port); ok {
+		return p.(ir.Pass)
+	}
+	p, _ := overlapPasses.LoadOrStore(port, passes.Overlap(func(accelName string) bool {
+		return port.Mode == accel.Concurrent && accelName == port.Accel
+	}))
+	return p.(ir.Pass)
+}
+
+// overlapPasses maps each port overlapPass was asked for to its pass.
+var overlapPasses sync.Map // *accel.Port → ir.Pass
 
 // maxPipelinePasses is the length of the longest pipeline, AllOptimizations.
 const maxPipelinePasses = 19

@@ -86,8 +86,8 @@ func verifySetup(op *ir.Op) error {
 			return fmt.Errorf("field %d is named by %s, not a string", i, e)
 		}
 		for _, earlier := range elems[:i] {
-			if earlier.(ir.StringAttr).Value == f.Value {
-				return fmt.Errorf("duplicate field %q", f.Value)
+			if earlier.(ir.StringAttr) == f {
+				return fmt.Errorf("duplicate field %q", f.Value())
 			}
 		}
 	}
@@ -223,7 +223,7 @@ func (s Setup) NumFields() int { return len(s.fieldElems()) }
 // FieldName returns the name of field i, in operand order.
 func (s Setup) FieldName(i int) string {
 	f, _ := s.fieldElems()[i].(ir.StringAttr)
-	return f.Value
+	return f.Value()
 }
 
 // Field returns field i, in operand order: its name and the value written.
@@ -234,7 +234,7 @@ func (s Setup) Field(i int) Field {
 // FieldValue returns the SSA value written to the named field, or nil.
 func (s Setup) FieldValue(name string) *ir.Value {
 	for i, e := range s.fieldElems() {
-		if f, _ := e.(ir.StringAttr); f.Value == name {
+		if f, _ := e.(ir.StringAttr); f.Value() == name {
 			return s.Op.Operand(s.fieldBase() + i)
 		}
 	}
@@ -255,7 +255,7 @@ func (s Setup) Fields() []Field {
 func (s Setup) RemoveField(name string) bool {
 	elems := s.fieldElems()
 	for i, e := range elems {
-		if f, _ := e.(ir.StringAttr); f.Value != name {
+		if f, _ := e.(ir.StringAttr); f.Value() != name {
 			continue
 		}
 		s.Op.EraseOperand(s.fieldBase() + i)
@@ -269,7 +269,7 @@ func (s Setup) RemoveField(name string) bool {
 func (s Setup) AddField(name string, v *ir.Value) {
 	// Clipped, the list is copied rather than appended to in place: a
 	// clone of the op shares it.
-	names := append(slices.Clip(s.fieldElems()), ir.StringAttr{Value: name})
+	names := append(slices.Clip(s.fieldElems()), ir.StrAttr(name))
 	s.Op.AddOperand(v)
 	s.Op.SetAttr("fields", ir.ArrayAttr{Elems: names})
 }
@@ -329,11 +329,11 @@ func NewSetup(b *ir.Builder, accelerator string, inState *ir.Value, fields []Fie
 		operands = append(operands, inState)
 	}
 	for i, f := range fields {
-		names[i] = ir.StringAttr{Value: f.Name}
+		names[i] = ir.StrAttr(f.Name)
 		operands = append(operands, f.Value)
 	}
 	op := b.Create(OpSetup, operands, []ir.Type{ir.StateType{Accelerator: accelerator}})
-	op.SetAttr("accelerator", ir.StringAttr{Value: accelerator})
+	op.SetAttr("accelerator", ir.StrAttr(accelerator))
 	op.SetAttr("fields", ir.ArrayAttr{Elems: names})
 	if inState != nil {
 		op.SetAttr("in_state", ir.UnitAttr{})

@@ -103,7 +103,7 @@ func TestVerifierErrors(t *testing.T) {
 		m, b := setup(t)
 		s1 := accfg.NewSetup(b, "acc1", nil, nil)
 		bad := ir.NewOp(accfg.OpSetup, []*ir.Value{s1.State()}, []ir.Type{ir.StateType{Accelerator: "acc2"}})
-		bad.SetAttr("accelerator", ir.StringAttr{Value: "acc2"})
+		bad.SetAttr("accelerator", ir.StrAttr("acc2"))
 		bad.SetAttr("fields", ir.StringsAttr())
 		bad.SetAttr("in_state", ir.UnitAttr{})
 		b.Insert(bad)

@@ -123,7 +123,7 @@ func ConstantValue(v *ir.Value) (int64, bool) {
 		return 0, false
 	}
 	a, ok := def.Attr("value").(ir.IntegerAttr)
-	return a.Value, ok
+	return a.Value(), ok
 }
 
 // truncate wraps v to the bit width of type t (two's complement).
@@ -292,7 +292,7 @@ func foldIndexCast(op *ir.Op) (*ir.Value, bool) {
 // NewConstant builds an arith.constant of value v and type t.
 func NewConstant(b *ir.Builder, v int64, t ir.Type) *ir.Value {
 	op := b.Create(OpConstant, nil, []ir.Type{t})
-	op.SetAttr("value", ir.IntegerAttr{Value: truncate(v, t), Type: t})
+	op.SetAttr("value", ir.IntegerAttrOf(truncate(v, t), t))
 	return op.Result(0)
 }
 
@@ -317,7 +317,7 @@ func NewShl(b *ir.Builder, lhs, rhs *ir.Value) *ir.Value { return NewBinary(b, O
 // NewCmp builds an arith.cmpi with the given predicate.
 func NewCmp(b *ir.Builder, pred string, lhs, rhs *ir.Value) *ir.Value {
 	op := b.Create(OpCmpI, []*ir.Value{lhs, rhs}, []ir.Type{ir.I1})
-	op.SetAttr("predicate", ir.StringAttr{Value: pred})
+	op.SetAttr("predicate", ir.StrAttr(pred))
 	return op.Result(0)
 }
 

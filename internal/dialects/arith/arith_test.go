@@ -195,3 +195,23 @@ func TestVerifierRejectsMalformed(t *testing.T) {
 		t.Error("verifier accepted single-operand addi")
 	}
 }
+
+// TestNewConstantAllocatesNoAttribute: a constant's value attribute is
+// interned, so building constants of values already seen costs exactly
+// what building the bare ops does — no boxed attribute per constant.
+func TestNewConstantAllocatesNoAttribute(t *testing.T) {
+	const ops = 64
+	build := func(constant func(b *ir.Builder, i int)) float64 {
+		return testing.AllocsPerRun(20, func() {
+			b := ir.AtEnd(ir.NewModule().Block())
+			for i := range ops {
+				constant(b, i)
+			}
+		})
+	}
+	bare := build(func(b *ir.Builder, _ int) { b.Create(arith.OpConstant, nil, []ir.Type{ir.I32}) })
+	built := build(func(b *ir.Builder, i int) { arith.NewConstant(b, int64(i%8), ir.I32) })
+	if built != bare {
+		t.Errorf("%d constants: %v allocations, %v for the bare ops: want no more", ops, built, bare)
+	}
+}

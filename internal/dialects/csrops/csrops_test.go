@@ -42,3 +42,24 @@ func TestVerifiers(t *testing.T) {
 		t.Error("verifier accepted malformed csr.write")
 	}
 }
+
+// TestNewWriteAllocatesNoAttribute: a write's address attribute is
+// interned, so building writes to addresses already seen costs exactly
+// what building the bare ops does — no boxed attribute per write.
+func TestNewWriteAllocatesNoAttribute(t *testing.T) {
+	const ops = 64
+	build := func(write func(b *ir.Builder, v *ir.Value, i int)) float64 {
+		return testing.AllocsPerRun(20, func() {
+			b := ir.AtEnd(ir.NewModule().Block())
+			v := arith.NewConstant(b, 9, ir.I64)
+			for i := range ops {
+				write(b, v, i)
+			}
+		})
+	}
+	bare := build(func(b *ir.Builder, v *ir.Value, _ int) { b.Create(csrops.OpWrite, []*ir.Value{v}, nil) })
+	built := build(func(b *ir.Builder, v *ir.Value, i int) { csrops.NewWrite(b, 0x3c0+uint32(i%8), v) })
+	if built != bare {
+		t.Errorf("%d writes: %v allocations, %v for the bare ops: want no more", ops, built, bare)
+	}
+}

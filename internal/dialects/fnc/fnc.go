@@ -91,7 +91,7 @@ func (f Func) Body() *ir.Block { return f.Op.Region(0).Block() }
 // block receives one argument per input type.
 func NewFunc(name string, ft ir.FunctionType) Func {
 	op := ir.NewOp(OpFunc, nil, nil)
-	op.SetAttr("sym_name", ir.StringAttr{Value: name})
+	op.SetAttr("sym_name", ir.StrAttr(name))
 	op.SetAttr("function_type", ir.TypeAttr{Type: ft})
 	r := op.AddRegion()
 	for _, t := range ft.In {

@@ -80,7 +80,7 @@ func foldDim(op *ir.Op) (*ir.Value, bool) {
 	}
 	b := ir.Before(op)
 	c := b.Create("arith.constant", nil, []ir.Type{op.Result(0).Type()})
-	c.SetAttr("value", ir.IntegerAttr{Value: int64(dims[idx]), Type: op.Result(0).Type()})
+	c.SetAttr("value", ir.IntegerAttrOf(int64(dims[idx]), op.Result(0).Type()))
 	return c.Result(0), false
 }
 

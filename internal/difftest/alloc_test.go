@@ -31,11 +31,14 @@ import (
 // 3 850 and 2 815, and with ops built one allocation each and a module
 // clone allocating per op rather than per kind of storage, 3 182 and 2 370;
 // with codegen growing unsized buffers and keeping labels in maps, and
-// every pass boxed again per pipeline, 2 006 and 1 747.
+// every pass boxed again per pipeline, 2 006 and 1 747; with an attribute
+// boxed per constant, CSR write and field name, and CSE spelling a key per
+// pure op into two maps made per run, 1 780 and 1 364 (before interning).
 //
 // The bytes hold the check's scratch reused and only the baseline's image
-// copied out: 0.90 and 0.61 MB here, some 50 and 35 kB of it the unused
-// tails of slab chunks (1.05 and 0.71 MB before codegen emitted once, 0.996
+// copied out: 0.77 and 0.53 MB here, some 50 and 35 kB of it the unused
+// tails of slab chunks (0.90 and 0.61 MB before interning, 1.05 and 0.71 MB
+// before codegen emitted once, 0.996
 // and 0.674 MB before slabs). With a sync.Pool of sandboxes (emptied
 // by every GC), a fresh trace per run and every run's image copied, the
 // parent of the PR that made the scratch a free list measured 1.53 and
@@ -51,8 +54,8 @@ func TestCheckAllocationBudget(t *testing.T) {
 		allocs float64
 		bytes  uint64
 	}{
-		{"gemmini", 1958, 990_000},  // measured 1 780 and 900 k
-		{"opengemm", 1500, 667_000}, // measured 1 364 and 606 k
+		{"gemmini", 1199, 850_000},  // measured 1 090 and 772 k
+		{"opengemm", 1076, 586_000}, // measured 978 and 532 k
 	} {
 		tgt, prof := targetAndProfile(t, tc.target)
 		prog, err := irgen.Generate(prof, irgen.DeriveSeed(1, tc.target, 0))

@@ -101,9 +101,9 @@ func TestOpIsOneAllocation(t *testing.T) {
 	a := b.Create("test.source", nil, []ir.Type{ir.I64}).Result(0)
 	c := b.Create("test.source", nil, []ir.Type{ir.I64}).Result(0)
 	d := b.Create("test.source", nil, []ir.Type{ir.I1}).Result(0)
-	// Boxed once here: turning an attribute value into an ir.Attribute is
-	// the caller's allocation, not the op's.
-	var value, pred ir.Attribute = ir.IntAttr(7), ir.StringAttr{Value: "slt"}
+	// Built once here: interning a value the first time is the intern
+	// table's allocation, not the op's (TestAttributesAreInterned).
+	var value, pred ir.Attribute = ir.IntAttr(7), ir.StrAttr("slt")
 	build := func(name string, operands []*ir.Value, results []ir.Type, attrs int) *ir.Op {
 		op := ir.NewOp(name, operands, results)
 		if attrs > 0 {

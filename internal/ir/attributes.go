@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unique"
 )
 
 // Attribute is compile-time metadata attached to operations. Attributes are
@@ -13,28 +14,86 @@ type Attribute interface {
 	String() string
 }
 
-// IntegerAttr holds a constant integer with an associated type.
+// IntegerAttr holds a constant integer with an associated type. It is
+// interned: the attribute is one pointer to the table's copy of its
+// (value, type) pair, so storing it in an Attribute allocates nothing, and
+// two IntegerAttrs are == exactly when their values and types are. Build
+// one with IntAttr, IndexAttr or IntegerAttrOf and read it with Value and
+// Type. The zero IntegerAttr (what a failed type assertion yields) reads
+// as 0 with a nil type.
 type IntegerAttr struct {
-	Value int64
-	Type  Type
+	h unique.Handle[intAttrKey]
+}
+
+// intAttrKey is an IntegerAttr's interned value. t is a comparable Type;
+// a function type, which holds slices, is kept behind fn instead.
+type intAttrKey struct {
+	v  int64
+	t  Type
+	fn *FunctionType
+}
+
+// IntegerAttrOf returns the integer attribute v : t.
+func IntegerAttrOf(v int64, t Type) IntegerAttr {
+	if _, ok := t.(FunctionType); ok {
+		// Not hashable: each such attribute is its own table entry, so ==
+		// on two of them is identity. Nothing builds one but the parser.
+		fn := new(FunctionType)
+		*fn = t.(FunctionType)
+		return IntegerAttr{unique.Make(intAttrKey{v: v, fn: fn})}
+	}
+	return IntegerAttr{unique.Make(intAttrKey{v: v, t: t})}
 }
 
 // IntAttr builds an IntegerAttr of type i64.
-func IntAttr(v int64) IntegerAttr { return IntegerAttr{Value: v, Type: I64} }
+func IntAttr(v int64) IntegerAttr { return IntegerAttrOf(v, I64) }
 
 // IndexAttr builds an IntegerAttr of type index.
-func IndexAttr(v int64) IntegerAttr { return IntegerAttr{Value: v, Type: Index} }
+func IndexAttr(v int64) IntegerAttr { return IntegerAttrOf(v, Index) }
+
+// Value returns the attribute's integer.
+func (a IntegerAttr) Value() int64 {
+	if a == (IntegerAttr{}) {
+		return 0
+	}
+	return a.h.Value().v
+}
+
+// Type returns the attribute's type.
+func (a IntegerAttr) Type() Type {
+	if a == (IntegerAttr{}) {
+		return nil
+	}
+	k := a.h.Value()
+	if k.fn != nil {
+		return *k.fn
+	}
+	return k.t
+}
 
 func (a IntegerAttr) String() string {
-	return strconv.FormatInt(a.Value, 10) + " : " + a.Type.String()
+	return strconv.FormatInt(a.Value(), 10) + " : " + a.Type().String()
 }
 
-// StringAttr holds a string constant.
+// StringAttr holds a string constant. Like IntegerAttr it is interned —
+// one pointer, == by value — built with StrAttr and read with Value; the
+// zero StringAttr reads as "".
 type StringAttr struct {
-	Value string
+	h unique.Handle[string]
 }
 
-func (a StringAttr) String() string { return quote(a.Value) }
+// StrAttr returns the string attribute s.
+func StrAttr(s string) StringAttr { return StringAttr{unique.Make(s)} }
+
+// Value returns the attribute's string.
+func (a StringAttr) Value() string {
+	if a == (StringAttr{}) {
+		return ""
+	}
+	return a.h.Value()
+}
+
+func (a StringAttr) String() string { return quote(a.Value()) }
 
 // BoolAttr holds a boolean constant.
 type BoolAttr struct {
@@ -85,7 +144,7 @@ func (a ArrayAttr) String() string {
 func StringsAttr(names ...string) ArrayAttr {
 	elems := make([]Attribute, len(names))
 	for i, n := range names {
-		elems[i] = StringAttr{n}
+		elems[i] = StrAttr(n)
 	}
 	return ArrayAttr{Elems: elems}
 }

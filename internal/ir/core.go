@@ -397,13 +397,13 @@ func (op *Op) AttrAt(i int) (key string, a Attribute) {
 // ok is false when the attribute is absent or not an integer.
 func (op *Op) IntAttrValue(key string) (v int64, ok bool) {
 	a, isInt := op.Attr(key).(IntegerAttr)
-	return a.Value, isInt
+	return a.Value(), isInt
 }
 
 // StringAttrValue returns the string value stored under key.
 func (op *Op) StringAttrValue(key string) (v string, ok bool) {
 	a, isStr := op.Attr(key).(StringAttr)
-	return a.Value, isStr
+	return a.Value(), isStr
 }
 
 // NumRegions returns the number of nested regions.

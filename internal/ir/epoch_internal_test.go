@@ -32,7 +32,7 @@ func newEpochFixture() *epochFixture {
 	fx.a = fx.body.AddArg(IndexType{})
 	fx.b = fx.body.AddArg(IndexType{})
 	fx.c = NewOp("test.const", nil, []Type{IndexType{}})
-	fx.c.SetAttr("value", IntegerAttr{Value: 1, Type: IndexType{}})
+	fx.c.SetAttr("value", IntegerAttrOf(1, IndexType{}))
 	fx.add = NewOp("test.add", []*Value{fx.a, fx.c.Result(0)}, []Type{IndexType{}})
 	fx.dead = NewOp("test.dead", nil, []Type{IndexType{}})
 	fx.ret = NewOp("test.yield", []*Value{fx.add.Result(0)}, nil)

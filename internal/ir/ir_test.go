@@ -481,7 +481,7 @@ func TestAttrDictionaryIsSorted(t *testing.T) {
 	}
 	op := ir.NewOp("test.attrs", nil, nil)
 	for _, k := range []string{"m", "z", "a", "q"} {
-		op.SetAttr(k, ir.StringAttr{Value: k})
+		op.SetAttr(k, ir.StrAttr(k))
 	}
 	op.SetAttr("m", ir.IntAttr(1)) // replaces, keeps its place
 	want := []string{"a", "m", "q", "z"}

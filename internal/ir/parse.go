@@ -448,13 +448,13 @@ func (p *parser) parseAttr() (Attribute, error) {
 			if err != nil {
 				return nil, err
 			}
-			return IntegerAttr{Value: v, Type: t}, nil
+			return IntegerAttrOf(v, t), nil
 		}
-		return IntegerAttr{Value: v, Type: I64}, nil
+		return IntAttr(v), nil
 	case tokString:
 		s := p.tok.text
 		p.next()
-		return StringAttr{Value: s}, nil
+		return StrAttr(s), nil
 	case tokAt:
 		s := p.tok.text
 		p.next()

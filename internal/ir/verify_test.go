@@ -129,7 +129,7 @@ func TestVerifyErrorPaths(t *testing.T) {
 				return wrap(func(b *ir.Builder) {
 					v := arith.NewConstant(b, 1, ir.I64)
 					op := b.Create(accfg.OpSetup, []*ir.Value{v}, []ir.Type{ir.StateType{Accelerator: "acc"}})
-					op.SetAttr("accelerator", ir.StringAttr{Value: "acc"})
+					op.SetAttr("accelerator", ir.StrAttr("acc"))
 					op.SetAttr("fields", ir.StringsAttr("x", "y"))
 					fnc.NewReturn(b)
 				})
@@ -142,7 +142,7 @@ func TestVerifyErrorPaths(t *testing.T) {
 				return wrap(func(b *ir.Builder) {
 					v := arith.NewConstant(b, 1, ir.I64)
 					op := b.Create(accfg.OpSetup, []*ir.Value{v, v}, []ir.Type{ir.StateType{Accelerator: "acc"}})
-					op.SetAttr("accelerator", ir.StringAttr{Value: "acc"})
+					op.SetAttr("accelerator", ir.StrAttr("acc"))
 					op.SetAttr("fields", ir.StringsAttr("x", "x"))
 					fnc.NewReturn(b)
 				})
@@ -155,7 +155,7 @@ func TestVerifyErrorPaths(t *testing.T) {
 				return wrap(func(b *ir.Builder) {
 					other := accfg.NewSetup(b, "other", nil, nil)
 					op := b.Create(accfg.OpSetup, []*ir.Value{other.State()}, []ir.Type{ir.StateType{Accelerator: "acc"}})
-					op.SetAttr("accelerator", ir.StringAttr{Value: "acc"})
+					op.SetAttr("accelerator", ir.StrAttr("acc"))
 					op.SetAttr("fields", ir.StringsAttr())
 					op.SetAttr("in_state", ir.UnitAttr{})
 					fnc.NewReturn(b)
@@ -168,7 +168,7 @@ func TestVerifyErrorPaths(t *testing.T) {
 			build: func() *ir.Module {
 				return wrap(func(b *ir.Builder) {
 					op := b.Create(accfg.OpSetup, nil, []ir.Type{ir.StateType{Accelerator: "wrong"}})
-					op.SetAttr("accelerator", ir.StringAttr{Value: "acc"})
+					op.SetAttr("accelerator", ir.StrAttr("acc"))
 					op.SetAttr("fields", ir.StringsAttr())
 					fnc.NewReturn(b)
 				})

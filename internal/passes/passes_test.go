@@ -1,6 +1,7 @@
 package passes_test
 
 import (
+	"slices"
 	"testing"
 
 	"configwall/internal/analysis"
@@ -500,6 +501,91 @@ func TestCSEScopes(t *testing.T) {
 		if s7, s9 := constants(tc.blk); s7 != tc.sevens || s9 != tc.nines {
 			t.Errorf("%s keeps %d sevens and %d nines, want %d and %d:\n%s", tc.where, s7, s9, tc.sevens, tc.nines, ir.PrintModule(m))
 		}
+	}
+}
+
+// TestCSEAllocatesNothingWarm: a CSE run takes its table from a free list
+// and keys ops by hash and structural equality, so on a warmed table it
+// allocates nothing of its own — no key string, no value numbers, no map.
+// Merging an op moves its uses onto the op it merges into, which may grow
+// that value's use list: at most one allocation per merged op.
+func TestCSEAllocatesNothingWarm(t *testing.T) {
+	const pairs = 32
+	build := func() *ir.Module {
+		m := ir.NewModule()
+		f := fnc.NewFunc("f", ir.FuncType([]ir.Type{ir.I64}, nil))
+		m.Append(f.Op)
+		b := ir.AtEnd(f.Body())
+		for i := range pairs {
+			x := arith.NewConstant(b, int64(i), ir.I64)
+			y := arith.NewConstant(b, int64(i), ir.I64)
+			b.Create("test.use", []*ir.Value{arith.NewAdd(b, f.Body().Arg(0), x), arith.NewAdd(b, f.Body().Arg(0), y)}, nil)
+		}
+		fnc.NewReturn(b)
+		return m
+	}
+	cse := passes.CSE()
+	const runs = 10
+	modules := make([]*ir.Module, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range modules {
+		modules[i] = build()
+	}
+	next := 0
+	merging := testing.AllocsPerRun(runs, func() {
+		if err := cse.Run(modules[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	for _, m := range modules {
+		if n := ir.CountOpsNamed(m, arith.OpConstant) + ir.CountOpsNamed(m, arith.OpAddI); n != 2*pairs {
+			t.Fatalf("CSE left %d constants and adds, want %d", n, 2*pairs)
+		}
+	}
+	t.Logf("a run merging %d ops: %v allocations", 2*pairs, merging)
+	if merging > 2*pairs {
+		t.Errorf("a run merging %d ops: %v allocations, want at most one per merged op", 2*pairs, merging)
+	}
+	if again := testing.AllocsPerRun(runs, func() { cse.Run(modules[0]) }); again != 0 {
+		t.Errorf("a run that merges nothing: %v allocations, want 0", again)
+	}
+}
+
+// TestCSEComparesArrayAttributes: an attribute that == panics on — an
+// ArrayAttr holds a slice — is compared element by element, so two ops
+// with equal lists merge and an op with another list stays.
+func TestCSEComparesArrayAttributes(t *testing.T) {
+	m := ir.NewModule()
+	f := fnc.NewFunc("f", ir.FuncType(nil, nil))
+	m.Append(f.Op)
+	b := ir.AtEnd(f.Body())
+	tagged := func(tags ...ir.Attribute) *ir.Value {
+		c := arith.NewConstant(b, 5, ir.I64)
+		c.DefiningOp().SetAttr("tags", ir.ArrayAttr{Elems: tags})
+		return c
+	}
+	one, two, three := ir.IntAttr(1), ir.IntAttr(2), ir.IntAttr(3)
+	b.Create("test.use", []*ir.Value{
+		tagged(one, two),
+		tagged(one, two),                      // merges with the first
+		tagged(one, three),                    // another element
+		tagged(one),                           // another length
+		tagged(ir.StringsAttr("a", "b"), two), // nested
+		tagged(ir.StringsAttr("a", "b"), two), // merges with the one before
+		tagged(ir.StringsAttr("a", "c"), two),
+	}, nil)
+	fnc.NewReturn(b)
+
+	runPipeline(t, m, passes.CSE())
+	var lists []string
+	for op := f.Body().First(); op != nil; op = op.Next() {
+		if op.Name() == arith.OpConstant {
+			lists = append(lists, op.Attr("tags").String())
+		}
+	}
+	want := []string{"[1 : i64, 2 : i64]", "[1 : i64, 3 : i64]", "[1 : i64]", `[["a", "b"], 2 : i64]`, `[["a", "c"], 2 : i64]`}
+	if !slices.Equal(lists, want) {
+		t.Errorf("CSE kept constants tagged %v, want %v", lists, want)
 	}
 }
 
