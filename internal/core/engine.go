@@ -149,9 +149,9 @@ func OpenGeMMTarget() Target {
 
 // PassPipeline assembles the pass sequence for a pipeline variant on a
 // target (paper Figure 8: shared accfg passes between target-specific
-// conversions). The stateless passes are shared values, so a pipeline
-// allocates its list, its manager and the two passes that close over the
-// target; the manager is the caller's own.
+// conversions). The stateless passes are shared values and the two that
+// close over the target's port are built once per port, so a pipeline
+// allocates its list and its manager, which is the caller's own.
 func (t Target) PassPipeline(p Pipeline) *ir.PassManager {
 	ps := make([]ir.Pass, 0, maxPipelinePasses)
 	if p == Baseline {
@@ -186,7 +186,7 @@ func (t Target) PassPipeline(p Pipeline) *ir.PassManager {
 		)
 	}
 	if p == OverlapOnly || p == AllOptimizations {
-		ps = append(ps, overlapPass(t.Port))
+		ps = append(ps, passesOf(t.Port).overlap)
 	}
 	if p != Baseline {
 		ps = append(ps, passes.Canonicalize(), passes.CSE())
@@ -194,28 +194,34 @@ func (t Target) PassPipeline(p Pipeline) *ir.PassManager {
 	// Target conversion (Figure 8, step 5), then post-lowering cleanups of
 	// the emitted packing arithmetic (accfg flows only — the baseline
 	// emits the packing verbatim, like Listing 1's macro expansion).
-	ps = append(ps, lower.Accfg(t.Port))
+	ps = append(ps, passesOf(t.Port).lower)
 	if p != Baseline {
 		ps = append(ps, passes.LICM(), passes.Canonicalize(), passes.CSE())
 	}
 	return ir.NewPassManager(ps...)
 }
 
-// overlapPass returns the overlap pass of port's target: it overlaps the
-// configuration of port's accelerator when the port configures
-// concurrently, and of no accelerator otherwise. It is built once per port.
-func overlapPass(port *accel.Port) ir.Pass {
-	if p, ok := overlapPasses.Load(port); ok {
-		return p.(ir.Pass)
-	}
-	p, _ := overlapPasses.LoadOrStore(port, passes.Overlap(func(accelName string) bool {
-		return port.Mode == accel.Concurrent && accelName == port.Accel
-	}))
-	return p.(ir.Pass)
-}
+// portPasses are the passes of a pipeline that close over the target's
+// port: its lowering, and the overlap pass, which overlaps the
+// configuration of the port's accelerator when the port configures
+// concurrently and of no accelerator otherwise.
+type portPasses struct{ lower, overlap ir.Pass }
 
-// overlapPasses maps each port overlapPass was asked for to its pass.
-var overlapPasses sync.Map // *accel.Port → ir.Pass
+// builtPasses holds each port's passes, built for its first pipeline.
+var builtPasses sync.Map // *accel.Port → portPasses
+
+func passesOf(port *accel.Port) portPasses {
+	if pp, ok := builtPasses.Load(port); ok {
+		return pp.(portPasses)
+	}
+	pp, _ := builtPasses.LoadOrStore(port, portPasses{
+		lower: lower.Accfg(port),
+		overlap: passes.Overlap(func(accelName string) bool {
+			return port.Mode == accel.Concurrent && accelName == port.Accel
+		}),
+	})
+	return pp.(portPasses)
+}
 
 // maxPipelinePasses is the length of the longest pipeline, AllOptimizations.
 const maxPipelinePasses = 19

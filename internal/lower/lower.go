@@ -7,7 +7,6 @@ package lower
 
 import (
 	"fmt"
-	"sync"
 
 	"configwall/internal/accel"
 	"configwall/internal/analysis"
@@ -30,20 +29,7 @@ import (
 // explicitly — this is the "parameter calculation" cost the paper's
 // effective configuration bandwidth models (§4.4). What such a write packs
 // for a field the setup does not carry is analysis.PackedMate's to say.
-//
-// The pass is built once per port; every later call returns that value.
 func Accfg(port *accel.Port) ir.Pass {
-	if p, ok := accfgPasses.Load(port); ok {
-		return p.(ir.Pass)
-	}
-	p, _ := accfgPasses.LoadOrStore(port, newAccfg(port))
-	return p.(ir.Pass)
-}
-
-// accfgPasses maps each port Accfg was asked for to its pass.
-var accfgPasses sync.Map // *accel.Port → ir.Pass
-
-func newAccfg(port *accel.Port) ir.Pass {
 	name := "lower-accfg-to-" + port.Accel
 	return ir.PassFunc{
 		PassName: name,

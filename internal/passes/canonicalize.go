@@ -177,9 +177,9 @@ func stringHash(s string) uint64 {
 }
 
 // opHash hashes what equivalent compares: the op's name, its operands by
-// identity, its attribute values and its result types. An attribute or
-// type it does not look into adds nothing, and equivalent tells such ops
-// apart.
+// identity, its attribute values and its result types. It reads integer
+// and string attributes and the width of a result type only; equivalent
+// tells apart the ops that differ in anything else.
 //
 //cwlint:hotpath
 func opHash(op *ir.Op) uint64 {
@@ -197,12 +197,7 @@ func opHash(op *ir.Op) uint64 {
 		}
 	}
 	for i := 0; i < op.NumResults(); i++ {
-		switch rt := op.Result(i).Type().(type) {
-		case ir.IntegerType:
-			h = mix(h, uint64(rt.Width))
-		case ir.IndexType:
-			h = mix(h, 64<<1|1)
-		}
+		h = mix(h, uint64(ir.IntegerWidth(op.Result(i).Type())))
 	}
 	return h ^ h>>32
 }
@@ -236,9 +231,9 @@ func equivalent(a, b *ir.Op) bool {
 	return true
 }
 
-// attrsEqual reports whether two attributes hold the same value. The
-// interned kinds and the other comparable ones compare with ==; an array
-// or a type attribute, which == may panic on, compares its parts.
+// attrsEqual reports whether two attributes hold the same value. An
+// array or a type attribute, which == may panic on, compares its parts;
+// every other kind is comparable, the interned ones by value.
 func attrsEqual(a, b ir.Attribute) bool {
 	switch x := a.(type) {
 	case ir.IntegerAttr:
@@ -246,8 +241,6 @@ func attrsEqual(a, b ir.Attribute) bool {
 		// function type, whose entries are its own.
 		y, ok := b.(ir.IntegerAttr)
 		return ok && (x == y || x.Value() == y.Value() && ir.TypesEqual(x.Type(), y.Type()))
-	case ir.StringAttr, ir.BoolAttr, ir.UnitAttr, ir.SymbolRefAttr, ir.EffectsAttr:
-		return a == b
 	case ir.ArrayAttr:
 		y, ok := b.(ir.ArrayAttr)
 		if !ok || len(x.Elems) != len(y.Elems) {
@@ -263,8 +256,7 @@ func attrsEqual(a, b ir.Attribute) bool {
 		y, ok := b.(ir.TypeAttr)
 		return ok && ir.TypesEqual(x.Type, y.Type)
 	}
-	// A kind from outside the ir package: compare as printed.
-	return a.String() == b.String()
+	return a == b
 }
 
 // LICM returns the loop-invariant-code-motion pass: pure ops inside scf.for

@@ -2,6 +2,7 @@ package passes_test
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"configwall/internal/analysis"
@@ -549,6 +550,57 @@ func TestCSEAllocatesNothingWarm(t *testing.T) {
 	if again := testing.AllocsPerRun(runs, func() { cse.Run(modules[0]) }); again != 0 {
 		t.Errorf("a run that merges nothing: %v allocations, want 0", again)
 	}
+}
+
+// TestCSEConcurrentRuns: CSE runs share the free list of tables, and every
+// goroutine interns into one attribute table. Runs on four goroutines at
+// once, over modules of several sizes (so a table made for one size serves
+// another) with a scope per branch, must each print what a serial run
+// printed.
+func TestCSEConcurrentRuns(t *testing.T) {
+	build := func(n int) *ir.Module {
+		m := ir.NewModule()
+		f := fnc.NewFunc("f", ir.FuncType([]ir.Type{ir.I1}, nil))
+		m.Append(f.Op)
+		b := ir.AtEnd(f.Body())
+		for i := range n {
+			x := arith.NewConstant(b, int64(i%7), ir.I64)
+			ifOp := scf.NewIf(b, f.Body().Arg(0))
+			tb := ir.AtEnd(ifOp.Then())
+			tb.Create("test.use", []*ir.Value{x, arith.NewConstant(tb, int64(i%7), ir.I64), arith.NewConstant(tb, int64(i%5), ir.I64)}, nil)
+			scf.NewYield(tb)
+			scf.NewYield(ir.AtEnd(ifOp.Else()))
+		}
+		fnc.NewReturn(b)
+		return m
+	}
+	sizes := []int{1, 3, 10, 40, 150}
+	want := make([]string, len(sizes))
+	for i, n := range sizes {
+		m := build(n)
+		runPipeline(t, m, passes.CSE())
+		want[i] = ir.PrintModule(m)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range 20 {
+				i := (g + r) % len(sizes)
+				m := build(sizes[i])
+				if err := passes.CSE().Run(m); err != nil {
+					t.Error(err)
+					return
+				}
+				if got := ir.PrintModule(m); got != want[i] {
+					t.Errorf("goroutine %d, %d branches: CSE printed\n%s\nwant\n%s", g, sizes[i], got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestCSEComparesArrayAttributes: an attribute that == panics on — an
