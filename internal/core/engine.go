@@ -153,6 +153,7 @@ func OpenGeMMTarget() Target {
 // close over the target's port are built once per port, so a pipeline
 // allocates its list and its manager, which is the caller's own.
 func (t Target) PassPipeline(p Pipeline) *ir.PassManager {
+	pp := passesOf(t.Port)
 	ps := make([]ir.Pass, 0, maxPipelinePasses)
 	if p == Baseline {
 		// The volatile-asm baseline still merges repeated pure
@@ -186,7 +187,7 @@ func (t Target) PassPipeline(p Pipeline) *ir.PassManager {
 		)
 	}
 	if p == OverlapOnly || p == AllOptimizations {
-		ps = append(ps, passesOf(t.Port).overlap)
+		ps = append(ps, pp.overlap)
 	}
 	if p != Baseline {
 		ps = append(ps, passes.Canonicalize(), passes.CSE())
@@ -194,7 +195,7 @@ func (t Target) PassPipeline(p Pipeline) *ir.PassManager {
 	// Target conversion (Figure 8, step 5), then post-lowering cleanups of
 	// the emitted packing arithmetic (accfg flows only — the baseline
 	// emits the packing verbatim, like Listing 1's macro expansion).
-	ps = append(ps, passesOf(t.Port).lower)
+	ps = append(ps, pp.lower)
 	if p != Baseline {
 		ps = append(ps, passes.LICM(), passes.Canonicalize(), passes.CSE())
 	}
