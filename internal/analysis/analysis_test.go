@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -493,6 +495,40 @@ func secondLaunchY(t *testing.T, accelerator string) AbsVal {
 	return sum.Funcs[0].Launches[1].Fields.Get("y")
 }
 
+// setupOf parses one setup on accelerator writing the named fields, each
+// from one constant. It is not verified, so a field may be named twice.
+func setupOf(t *testing.T, accelerator string, fields ...string) accfg.Setup {
+	t.Helper()
+	names := make([]string, len(fields))
+	operands := make([]string, len(fields))
+	types := make([]string, len(fields))
+	for i, f := range fields {
+		names[i], operands[i], types[i] = strconv.Quote(f), "%0", "i64"
+	}
+	m, err := ir.Parse(fmt.Sprintf(`
+"builtin.module"() ({
+  "fnc.func"() ({
+    %%0 = "arith.constant"() {value = 1 : i64} : () -> (i64)
+    %%1 = "accfg.setup"(%s) {accelerator = %q, fields = [%s]} : (%s) -> (!accfg.state<%q>)
+    "fnc.return"() : () -> ()
+  }) {function_type = () -> (), sym_name = "main"} : () -> ()
+}) : () -> ()
+`, strings.Join(operands, ", "), accelerator, strings.Join(names, ", "), strings.Join(types, ", "), accelerator))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	var s accfg.Setup
+	m.Walk(func(op *ir.Op) {
+		if found, ok := accfg.AsSetup(op); ok {
+			s = found
+		}
+	})
+	if s.Op == nil || s.NumFields() != len(fields) {
+		t.Fatalf("no setup of %d fields parsed", len(fields))
+	}
+	return s
+}
+
 func TestUnregisteredAcceleratorIsFieldGranular(t *testing.T) {
 	if accel.PortFor("nobody") != nil {
 		t.Fatal(`an accelerator named "nobody" is registered`)
@@ -500,7 +536,7 @@ func TestUnregisteredAcceleratorIsFieldGranular(t *testing.T) {
 	if got := secondLaunchY(t, "nobody"); !got.Equal(Const(2)) {
 		t.Errorf("y = %s after rewriting x on an unregistered accelerator, want 2", got)
 	}
-	if got := configInstrsFor("nobody", []string{"x", "y"}); got != 2 {
+	if got := configInstrsFor(setupOf(t, "nobody", "x", "y")); got != 2 {
 		t.Errorf("configInstrsFor = %d, want one write per field", got)
 	}
 }
@@ -541,10 +577,10 @@ func TestPackedMateFollowsTheChainOnAnyRegisteredPort(t *testing.T) {
 	if v, ok := PackedMate(fs, setups[0], "y"); !ok || v != nil {
 		t.Errorf("PackedMate on an unchained setup = %v, %v; want the reset value", v, ok)
 	}
-	if got := configInstrsFor("pairacc", []string{"x", "y"}); got != 1 {
+	if got := configInstrsFor(setupOf(t, "pairacc", "x", "y")); got != 1 {
 		t.Errorf("configInstrsFor = %d, want 1 (x and y share a write)", got)
 	}
-	if got := configInstrsFor("pairacc", []string{"x", "zz", "y", "zz"}); got != 3 {
+	if got := configInstrsFor(setupOf(t, "pairacc", "x", "zz", "y", "zz")); got != 3 {
 		t.Errorf("configInstrsFor = %d, want 3 (one shared write, two unknown fields)", got)
 	}
 }

@@ -57,7 +57,7 @@ func boundsBlock(blk *ir.Block) Bounds {
 		switch op.Name() {
 		case accfg.OpSetup:
 			s, _ := accfg.AsSetup(op)
-			b.MinConfigInstrs += configInstrsFor(s.Accelerator(), s.FieldNames())
+			b.MinConfigInstrs += configInstrsFor(s)
 		case accfg.OpLaunch:
 			b.MinLaunches++
 			b.MinConfigInstrs++ // the launch command is itself one interface write
@@ -76,19 +76,19 @@ func boundsBlock(blk *ir.Block) Bounds {
 }
 
 // configInstrsFor returns how many configuration instructions the lowering
-// emits for one setup writing the given fields: the number of distinct
-// writes of the registered port they touch, or one per field when the
-// accelerator or the field is unknown. Used by the static bounds analysis;
-// exact for lower.Accfg, and a valid lower bound for anything else.
-func configInstrsFor(accelerator string, fields []string) int {
-	port := accel.PortFor(accelerator)
+// emits for one setup: the number of distinct writes of the registered
+// port its fields touch, or one per field when the accelerator or the field
+// is unknown. Used by the static bounds analysis; exact for lower.Accfg,
+// and a valid lower bound for anything else.
+func configInstrsFor(s accfg.Setup) int {
+	port := accel.PortFor(s.Accelerator())
 	if port == nil {
-		return len(fields)
+		return s.NumFields()
 	}
 	touched := make([]*accel.ConfigWrite, 0, 32)
 	n := 0
-	for _, f := range fields {
-		w := port.WriteFor(f)
+	for i := 0; i < s.NumFields(); i++ {
+		w := port.WriteFor(s.FieldName(i))
 		if w != nil && slices.Contains(touched, w) {
 			continue
 		}

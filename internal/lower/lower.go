@@ -96,8 +96,8 @@ func emitWrite(b *ir.Builder, port *accel.Port, id uint32, regs [2]*ir.Value) {
 
 // emitSetup lowers one setup into writes inserted before it.
 func emitSetup(pass string, port *accel.Port, s accfg.Setup, fs *analysis.FieldStates) error {
-	for _, name := range s.FieldNames() {
-		if port.WriteFor(name) == nil {
+	for i := 0; i < s.NumFields(); i++ {
+		if name := s.FieldName(i); port.WriteFor(name) == nil {
 			return fmt.Errorf("%s: unknown field %q", pass, name)
 		}
 	}
