@@ -249,8 +249,8 @@ func bumpConstField() func(*ir.Module) error {
 					continue
 				}
 				onlySetups := true
-				for _, u := range v.Uses() {
-					if _, ok := accfg.AsSetup(u.Op); !ok {
+				for i := range v.NumUses() {
+					if _, ok := accfg.AsSetup(v.Use(i).Op); !ok {
 						onlySetups = false
 						break
 					}

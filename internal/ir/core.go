@@ -11,10 +11,11 @@ type Value struct {
 	def   *Op    // defining op; nil for block arguments
 	owner *Block // owning block for block arguments; nil for op results
 	index int    // result index or argument index
-	uses  []Use  // operand slots that read this value
+	uses  []Use  // operand slots that read this value, in the order recorded
 	name  string // optional printing hint ("%name")
 	// use0 backs uses until the second use: most values are read once, and
-	// their one use costs no allocation.
+	// their one use costs no allocation. A list that outgrows its capacity
+	// moves into a chunk carved from a slab (see reserve).
 	use0 [1]Use
 }
 
@@ -39,15 +40,12 @@ func (v *Value) ResultIndex() int { return v.index }
 // IsBlockArg reports whether the value is a block argument.
 func (v *Value) IsBlockArg() bool { return v.owner != nil }
 
-// Uses returns a snapshot of the operand slots reading this value.
-func (v *Value) Uses() []Use {
-	out := make([]Use, len(v.uses))
-	copy(out, v.uses)
-	return out
-}
-
 // NumUses returns the number of operand slots reading this value.
 func (v *Value) NumUses() int { return len(v.uses) }
+
+// Use returns the i-th operand slot reading this value, in the order the
+// uses were recorded.
+func (v *Value) Use(i int) Use { return v.uses[i] }
 
 // HasOneUse reports whether the value is read by exactly one operand slot.
 func (v *Value) HasOneUse() bool { return len(v.uses) == 1 }
@@ -64,21 +62,28 @@ func (v *Value) SetName(name string) {
 func (v *Value) Name() string { return v.name }
 
 // ReplaceAllUsesWith rewrites every use of v to read new instead. The uses
-// move to new in the order v recorded them.
+// move to new in the order v recorded them, after new's own; new's list
+// grows into the slab of the first user's root when that root owns it.
 func (v *Value) ReplaceAllUsesWith(new *Value) {
-	if v == new {
+	if v == new || len(v.uses) == 0 {
 		return
 	}
 	uses := v.uses
 	v.uses = nil
+	var root *Op
 	for _, u := range uses {
-		u.Op.touch()
+		if r := u.Op.touch(); root == nil {
+			root = r
+		}
 		u.Op.operands[u.Index] = new
 	}
-	if new != nil {
-		if new.uses == nil {
-			new.uses = new.use0[:0]
-		}
+	switch {
+	case new == nil:
+	case len(new.uses) == 0 && cap(uses) > 1:
+		// v's list is not its inline room: new takes it over as it is.
+		new.uses = uses
+	default:
+		new.reserve(len(uses), root.ownedSlab())
 		new.uses = append(new.uses, uses...)
 	}
 }
@@ -92,11 +97,31 @@ func (v *Value) touch() {
 	}
 }
 
-func (v *Value) addUse(op *Op, index int) {
-	if v.uses == nil {
-		v.uses = v.use0[:0]
-	}
+// addUse records operand slot index of op as a use of v, growing v's list
+// into s when it is full (see reserve).
+func (v *Value) addUse(op *Op, index int, s *slab) {
+	v.reserve(1, s)
 	v.uses = append(v.uses, Use{op, index})
+}
+
+// reserve makes room in v's use list for k more uses. An empty list takes
+// the inline room when one use fits it. A fuller list moves into a list of
+// twice its capacity, or the size it needs if that is more, taken from s —
+// the slab of the tree its new user hangs in, and never one another tree
+// owns, so a tree's goroutine is the only one that carves from it — and
+// the list it left becomes s's spare. With no slab the list is left to
+// grow by append.
+func (v *Value) reserve(k int, s *slab) {
+	n := len(v.uses) + k
+	switch {
+	case n <= cap(v.uses):
+	case n == 1:
+		v.uses = v.use0[:0]
+	case s != nil:
+		old := v.uses
+		v.uses = append(s.takeUses(max(n, 2*cap(old))), old...)
+		s.giveBack(old)
+	}
 }
 
 func (v *Value) removeUse(op *Op, index int) {
@@ -182,7 +207,7 @@ func build(op *Op, name string, operands []*Value, resultTypes []Type) *Op {
 	for i, v := range operands {
 		op.operands[i] = v
 		if v != nil {
-			v.addUse(op, i)
+			v.addUse(op, i, op.slab)
 		}
 	}
 	for i, t := range resultTypes {
@@ -247,22 +272,22 @@ func (op *Op) Operands() []*Value {
 
 // SetOperand replaces operand i, maintaining use lists.
 func (op *Op) SetOperand(i int, v *Value) {
-	op.touch()
+	root := op.touch()
 	if old := op.operands[i]; old != nil {
 		old.removeUse(op, i)
 	}
 	op.operands[i] = v
 	if v != nil {
-		v.addUse(op, i)
+		v.addUse(op, i, root.ownedSlab())
 	}
 }
 
 // AddOperand appends an operand, maintaining use lists.
 func (op *Op) AddOperand(v *Value) {
-	op.touch()
+	root := op.touch()
 	op.operands = append(op.operands, v)
 	if v != nil {
-		v.addUse(op, len(op.operands)-1)
+		v.addUse(op, len(op.operands)-1, root.ownedSlab())
 	}
 }
 
@@ -276,7 +301,7 @@ func (op *Op) EraseOperand(i int) {
 	for j := i + 1; j < len(op.operands); j++ {
 		if v := op.operands[j]; v != nil {
 			v.removeUse(op, j)
-			v.addUse(op, j-1)
+			v.addUse(op, j-1, nil) // the removal made room
 		}
 	}
 	op.operands = append(op.operands[:i], op.operands[i+1:]...)
@@ -513,11 +538,14 @@ func (op *Op) MoveAfter(other *Op) {
 }
 
 // touch records a mutation of the tree op hangs in: it bumps the epoch of
-// op's root. Every mutator calls it before it unlinks anything, so the
-// count lands on the tree the mutation left; PassManager.Run compares a
-// module's epoch across a pass to learn whether the pass changed it.
-func (op *Op) touch() {
-	op.root().seq++
+// op's root, and returns that root. Every mutator calls it before it
+// unlinks anything, so the count lands on the tree the mutation left;
+// PassManager.Run compares a module's epoch across a pass to learn whether
+// the pass changed it.
+func (op *Op) touch() *Op {
+	root := op.root()
+	root.seq++
+	return root
 }
 
 // root returns the root of the tree op hangs in: op itself when detached.

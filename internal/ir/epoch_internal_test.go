@@ -85,7 +85,7 @@ var epochReaders = []string{
 	"Block.Region", "Block.ParentOp", "Block.Args", "Block.NumArgs", "Block.Arg",
 	"Block.First", "Block.Last", "Block.Len", "Block.Ops",
 	"Value.Type", "Value.DefiningOp", "Value.OwnerBlock", "Value.ResultIndex",
-	"Value.IsBlockArg", "Value.Uses", "Value.NumUses", "Value.HasOneUse", "Value.Name",
+	"Value.IsBlockArg", "Value.NumUses", "Value.Use", "Value.HasOneUse", "Value.Name",
 	"Builder.Block",
 	"Module.Op", "Module.Block", "Module.Funcs", "Module.FindFunc", "Module.Walk", "Module.Clone",
 }

@@ -27,3 +27,29 @@ func SlabSlots(m *Module) (live, slots int) {
 	})
 	return live, slots
 }
+
+// UseSlots reports, over the slabs the ops of m's tree point to, how many
+// entries their use chunks hold and how many of those hold a use of the
+// tree now: the uses of every value of m whose list has left its inline
+// room.
+func UseSlots(m *Module) (live, slots int) {
+	seen := map[*slab]bool{}
+	count := func(vs []*Value) {
+		for _, v := range vs {
+			if cap(v.uses) > 1 {
+				live += len(v.uses)
+			}
+		}
+	}
+	Walk(m.op, func(op *Op) {
+		if s := op.slab; s != nil && !seen[s] {
+			seen[s] = true
+			slots += s.useSlots
+		}
+		count(op.results)
+		for _, r := range op.regions {
+			count(r.block.args)
+		}
+	})
+	return live, slots
+}

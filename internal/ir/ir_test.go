@@ -146,9 +146,8 @@ func TestEraseOperandShiftsUses(t *testing.T) {
 		t.Errorf("c2 uses = %d, want 0", c2.NumUses())
 	}
 	// c3's use record must have shifted to index 1.
-	uses := c3.Uses()
-	if len(uses) != 1 || uses[0].Index != 1 {
-		t.Errorf("c3 use = %+v, want index 1", uses)
+	if c3.NumUses() != 1 || c3.Use(0).Index != 1 {
+		t.Errorf("c3 has %d uses, the first %+v: want one, at index 1", c3.NumUses(), c3.Use(0))
 	}
 }
 
@@ -538,7 +537,10 @@ func TestInlineStorageKeepsIdentity(t *testing.T) {
 	}
 	users[0].Erase()
 	v.ReplaceAllUsesWith(w)
-	uses := w.Uses()
+	var uses []ir.Use
+	for i := range w.NumUses() {
+		uses = append(uses, w.Use(i))
+	}
 	if len(uses) != 3 || uses[0].Op != first || uses[1].Op != users[1] || uses[2].Op != users[2] || v.NumUses() != 0 {
 		t.Fatalf("uses after RAUW = %v, want first, users[1], users[2]", uses)
 	}

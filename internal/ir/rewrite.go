@@ -22,7 +22,7 @@ func ApplyPatternsGreedy(root *Op) bool {
 				changed = true
 			}
 		}
-		if eraseTriviallyDead(root) {
+		if eraseTriviallyDead(root, ops) {
 			changed = true
 		}
 		if !changed {
@@ -58,11 +58,11 @@ func tryFold(op *Op) bool {
 }
 
 // eraseTriviallyDead removes pure ops whose results are all unused,
-// iterating until fixpoint within the subtree. Returns whether anything was
-// erased.
-func eraseTriviallyDead(root *Op) bool {
+// iterating until fixpoint within the subtree, and collects them in buf,
+// whose contents it overwrites. Returns whether anything was erased.
+func eraseTriviallyDead(root *Op, buf []*Op) bool {
 	erased := false
-	var dead []*Op
+	dead := buf[:0]
 	for {
 		dead = dead[:0]
 		Walk(root, func(op *Op) {

@@ -1,14 +1,24 @@
 package ir
 
-// slab hands out the ops of one tree: Builder.Create and Builder.Clone
-// draw from the slab of the root they insert under, so the ops of a tree
-// built or grown in place share a few allocations instead of one each.
-// Chunks grow 4, 8, 16, then 32 ops: a tree of a handful of ops wastes a
-// handful of slots, and a large one allocates once per 32 ops.
+import "math/bits"
+
+// slab hands out the ops of one tree, and the use lists that outgrow their
+// value's inline room as the tree's ops read them: Builder.Create and
+// Builder.Clone draw from the slab of the root they insert under, so the
+// ops and use lists of a tree built or grown in place share a few
+// allocations instead of one each. Op chunks grow 4, 8, 16, then 32 ops: a
+// tree of a handful of ops wastes a handful of slots, and a large one
+// allocates once per 32 ops. Use chunks hold 32 uses.
 type slab struct {
-	owner *Op  // the root whose tree draws from the slab
-	free  []Op // the rest of the current chunk
-	slots int  // ops in every chunk so far, handed out or not
+	owner    *Op   // the root whose tree draws from the slab
+	free     []Op  // the rest of the current op chunk
+	slots    int   // ops in every chunk so far, handed out or not
+	uses     []Use // the rest of the current use chunk
+	useSlots int   // uses in every use chunk so far, handed out or not
+	// spare holds, for capacities 2, 4, 8 and 16, the list a value last
+	// left when its list grew out of that capacity in this tree; the next
+	// list of that capacity takes it rather than a new carve.
+	spare [4][]Use
 }
 
 // take returns a zeroed op from the slab.
@@ -24,11 +34,62 @@ func (s *slab) take() *Op {
 	return op
 }
 
+// useChunk is how many uses a use chunk holds: 512 bytes, a size class of
+// its own, on a 64-bit target.
+const useChunk = 32
+
+// takeUses returns an empty use list of capacity n carved from the slab. A
+// chunk too short for n is left with its tail unused; a list longer than a
+// chunk, when the current one (a Module.Clone's counted first chunk) has
+// no room for it, is a chunk of its own.
+func (s *slab) takeUses(n int) []Use {
+	if k := spareIndex(n); k >= 0 && s.spare[k] != nil {
+		list := s.spare[k]
+		s.spare[k] = nil
+		return list
+	}
+	if n > len(s.uses) {
+		if n > useChunk {
+			s.useSlots += n
+			return make([]Use, 0, n)
+		}
+		s.uses = make([]Use, useChunk)
+		s.useSlots += useChunk
+	}
+	return carve(&s.uses, n)[:0]
+}
+
+// giveBack keeps list, which its value has just left for a longer one, as
+// the spare of its capacity. Nothing reads a list its value has left, and
+// only the goroutine that owns the slab's tree gives back or takes.
+func (s *slab) giveBack(list []Use) {
+	if k := spareIndex(cap(list)); k >= 0 {
+		s.spare[k] = list[:0]
+	}
+}
+
+// spareIndex returns where a list of capacity n is kept spare, or -1.
+func spareIndex(n int) int {
+	if n < 2 || n > 16 || n&(n-1) != 0 {
+		return -1
+	}
+	return bits.Len(uint(n)) - 2
+}
+
+// ownedSlab returns the slab root's tree draws from, or nil when root has
+// none of its own.
+func (root *Op) ownedSlab() *slab {
+	if s := root.slab; s != nil && s.owner == root {
+		return s
+	}
+	return nil
+}
+
 // ownSlab returns the slab root's tree draws from, making it on first use.
 // A root that was drawn from another tree's slab (and has left that tree)
 // gets a slab of its own, so two trees never share one.
 func (root *Op) ownSlab() *slab {
-	if s := root.slab; s != nil && s.owner == root {
+	if s := root.ownedSlab(); s != nil {
 		return s
 	}
 	s := &slab{owner: root}
@@ -45,14 +106,13 @@ func (b *Block) slab() *slab {
 
 // storage holds the lists a clone carves for what spills out of an op's
 // inline room — operand lists past three, result blocks, block arguments,
-// use lists past one, attribute lists past two — and for regions. A
-// Module.Clone counts its source and fills each buffer once; a subtree
-// clone and a new op leave them empty, and then every list is a make of
-// its own.
+// attribute lists past two — and for regions. A Module.Clone counts its
+// source and fills each buffer once; a subtree clone and a new op leave
+// them empty, and then every list is a make of its own. (Use lists past
+// one come from the slab.)
 type storage struct {
 	values  []Value     // result blocks and block arguments
 	ptrs    []*Value    // operand, result and argument lists
-	uses    []Use       // use lists of values read more than once
 	attrs   []namedAttr // attribute lists past the inline room
 	regions []Region
 	regPtrs []*Region
@@ -116,13 +176,17 @@ func (n *sizes) countUses(vs []*Value) {
 	}
 }
 
-// cloner deep-copies ops: from slab, carving their lists from st, and
-// recording every value it copies in mapping.
+// cloner deep-copies ops: from slab, carving their lists from st and their
+// use lists from slab, and recording every value it copies in mapping.
+// counted is set when the clone counted its source first (Module.Clone):
+// then every copied value's use list is carved at the size of its
+// source's, which is what the copy ends with.
 type cloner struct {
 	kinds   map[string]*OpInfo
 	slab    *slab
 	st      storage
 	mapping map[*Value]*Value
+	counted bool
 }
 
 // clone returns a copy of op and everything nested in it. The copy is
@@ -137,7 +201,7 @@ func (c *cloner) clone(op *Op) *Op {
 		}
 		cl.operands[i] = v
 		if v != nil {
-			v.addUse(cl, i)
+			v.addUse(cl, i, c.slab)
 		}
 	}
 	if len(op.attrs) > inlineAttrs {
@@ -180,11 +244,11 @@ func (c *cloner) cloneBlock(src, dst *Block) {
 	}
 }
 
-// record maps the source value v to its copy nv, and gives nv a use list
-// the size of v's when the clone counted room for it.
+// record maps the source value v to its copy nv, and when the clone
+// counted its source gives nv a use list the size of v's.
 func (c *cloner) record(v, nv *Value) {
-	if k := len(v.uses); k > 1 && k <= len(c.st.uses) {
-		nv.uses = carve(&c.st.uses, k)[:0]
+	if k := len(v.uses); k > 1 && c.counted {
+		nv.uses = c.slab.takeUses(k)
 	}
 	c.mapping[v] = nv
 }
@@ -194,23 +258,26 @@ func (c *cloner) record(v, nv *Value) {
 // arguments and result blocks, the spilled lists, the use lists of values
 // read more than once, the value mapping presized to the count — so the
 // ops of a module cost no allocation each. The copy's ops form the first
-// chunk of its slab.
+// op chunk of its slab, and its use lists the first use chunk.
 func (m *Module) Clone() *Module {
 	var n sizes
 	n.count(m.op)
-	s := &slab{free: make([]Op, n.ops), slots: n.ops}
+	s := &slab{
+		free: make([]Op, n.ops), slots: n.ops,
+		uses: make([]Use, n.uses), useSlots: n.uses,
+	}
 	c := cloner{
 		kinds: kinds(),
 		slab:  s,
 		st: storage{
 			values:  make([]Value, n.values),
 			ptrs:    make([]*Value, n.ptrs),
-			uses:    make([]Use, n.uses),
 			attrs:   make([]namedAttr, n.attrs),
 			regions: make([]Region, n.regions),
 			regPtrs: make([]*Region, n.regions),
 		},
 		mapping: make(map[*Value]*Value, n.mapped),
+		counted: true,
 	}
 	root := c.clone(m.op)
 	s.owner = root

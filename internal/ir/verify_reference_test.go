@@ -29,8 +29,8 @@ func refVerifyOp(op *ir.Op, visible map[*ir.Value]bool) error {
 		}
 		// Use-list consistency.
 		found := false
-		for _, u := range operand.Uses() {
-			if u.Op == op && u.Index == i {
+		for j := range operand.NumUses() {
+			if u := operand.Use(j); u.Op == op && u.Index == i {
 				found = true
 				break
 			}
@@ -192,8 +192,8 @@ var corruptions = []corruption{
 		var moves []move
 		for _, def := range opsOf(m, hasResults) {
 			for _, r := range def.Results() {
-				for _, u := range r.Uses() {
-					if a := ancestorIn(u.Op, def.Block()); a != nil && a != def {
+				for i := range r.NumUses() {
+					if a := ancestorIn(r.Use(i).Op, def.Block()); a != nil && a != def {
 						moves = append(moves, move{def, a})
 					}
 				}
@@ -276,8 +276,8 @@ var corruptions = []corruption{
 		u := pick(rng, users)
 		i := rng.Intn(u.NumOperands())
 		v := u.Operand(i)
-		for j, use := range v.Uses() {
-			if use.Op == u && use.Index == i {
+		for j := range v.NumUses() {
+			if use := v.Use(j); use.Op == u && use.Index == i {
 				ir.DropUse(v, j)
 				return true
 			}

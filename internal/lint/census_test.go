@@ -404,9 +404,12 @@ var census = []censusRule{
 		reason: "The IR is read in place (DESIGN.md §1, \"The IR core\"): the core, the static " +
 			"analysis, the lowering and codegen step through NumX()/X(i), never through a " +
 			"snapshot of an operand, result, argument, use or op list or of a setup's fields or " +
-			"field names. A snapshot there is an allocation per op per pass, or per path, back.",
+			"field names. A snapshot there is an allocation per op per pass, or per path, back. " +
+			"The passes, some of which mutate the operand, op or field list they walk, never " +
+			"snapshot a result, argument or use list; a use list has no snapshot accessor at all.",
 		clauses: []clause{
 			grep{in: []string{"internal/ir", "internal/analysis", "internal/codegen", "internal/lower"}, re: `\.(Operands|Results|Args|Uses|Ops|Fields|FieldNames)\(\)`},
+			grep{in: []string{"internal/passes"}, re: `\.(Results|Args|Uses)\(\)`},
 		},
 	},
 	{

@@ -166,31 +166,28 @@ func packField(b *ir.Builder, v *ir.Value, slot accel.FieldSlot) *ir.Value {
 //  4. erase state/token block args and results of scf ops,
 //  5. erase the setup ops themselves.
 func StripAccfgTypes(m *ir.Module, accelerator string) error {
-	// Phase 1: awaits first (they consume tokens), then launches.
-	var awaits, launches, setups, scfOps, yields []*ir.Op
+	// One walk counts the ops of each phase's list and a second collects
+	// them, in walk order, into lists carved from one buffer.
+	var count [stripKinds]int
+	total := 0
 	m.Walk(func(op *ir.Op) {
-		switch op.Name() {
-		case accfg.OpAwait:
-			a, _ := accfg.AsAwait(op)
-			if a.Token().Type().(ir.TokenType).Accelerator == accelerator {
-				awaits = append(awaits, op)
-			}
-		case accfg.OpLaunch:
-			l, _ := accfg.AsLaunch(op)
-			if l.Accelerator() == accelerator {
-				launches = append(launches, op)
-			}
-		case accfg.OpSetup:
-			s, _ := accfg.AsSetup(op)
-			if s.Accelerator() == accelerator {
-				setups = append(setups, op)
-			}
-		case scf.OpFor, scf.OpIf:
-			scfOps = append(scfOps, op)
-		case scf.OpYield:
-			yields = append(yields, op)
+		if k := stripKind(op, accelerator); k >= 0 {
+			count[k]++
+			total++
 		}
 	})
+	var lists [stripKinds][]*ir.Op
+	buf := make([]*ir.Op, total)
+	for k, n := range count {
+		lists[k], buf = buf[:0:n], buf[n:]
+	}
+	m.Walk(func(op *ir.Op) {
+		if k := stripKind(op, accelerator); k >= 0 {
+			lists[k] = append(lists[k], op)
+		}
+	})
+	awaits, launches, setups, scfOps, yields := lists[stripAwait], lists[stripLaunch], lists[stripSetup], lists[stripSCF], lists[stripYield]
+	// Phase 1: awaits first (they consume tokens), then launches.
 	for _, op := range awaits {
 		op.Erase()
 	}
@@ -256,6 +253,41 @@ func StripAccfgTypes(m *ir.Module, accelerator string) error {
 		op.Erase()
 	}
 	return nil
+}
+
+// The lists StripAccfgTypes collects.
+const (
+	stripAwait = iota
+	stripLaunch
+	stripSetup
+	stripSCF
+	stripYield
+	stripKinds
+)
+
+// stripKind returns which of StripAccfgTypes' lists op goes on, or -1: the
+// accelerator's awaits, launches and setups, and every scf.for, scf.if and
+// scf.yield.
+func stripKind(op *ir.Op, accelerator string) int {
+	switch op.Name() {
+	case accfg.OpAwait:
+		if a, _ := accfg.AsAwait(op); a.Token().Type().(ir.TokenType).Accelerator == accelerator {
+			return stripAwait
+		}
+	case accfg.OpLaunch:
+		if l, _ := accfg.AsLaunch(op); l.Accelerator() == accelerator {
+			return stripLaunch
+		}
+	case accfg.OpSetup:
+		if s, _ := accfg.AsSetup(op); s.Accelerator() == accelerator {
+			return stripSetup
+		}
+	case scf.OpFor, scf.OpIf:
+		return stripSCF
+	case scf.OpYield:
+		return stripYield
+	}
+	return -1
 }
 
 func isAccfgType(t ir.Type, accelerator string) bool {

@@ -110,7 +110,7 @@ func mergeIntoSuccessor(aOp *ir.Op) bool {
 	if state.NumUses() != 1 {
 		return false
 	}
-	use := state.Uses()[0]
+	use := state.Use(0)
 	b, ok := accfg.AsSetup(use.Op)
 	if !ok || use.Index != 0 || !b.HasInState() || b.InState() != state {
 		return false

@@ -294,8 +294,9 @@ func overlapBlock(blk *ir.Block, concurrent func(string) bool) bool {
 		// Find the await of that launch between the launch and the setup.
 		l, _ := accfg.AsLaunch(launchOp)
 		var awaitOp *ir.Op
-		for _, u := range l.Token().Uses() {
-			if u.Op.Name() == accfg.OpAwait && u.Op.Block() == blk {
+		token := l.Token()
+		for i := range token.NumUses() {
+			if u := token.Use(i); u.Op.Name() == accfg.OpAwait && u.Op.Block() == blk {
 				awaitOp = u.Op
 			}
 		}
@@ -351,8 +352,8 @@ func movableContains(ops []*ir.Op, op *ir.Op) bool {
 
 // findLaunchOf returns the accfg.launch in blk whose state operand is state.
 func findLaunchOf(state *ir.Value, blk *ir.Block) *ir.Op {
-	for _, u := range state.Uses() {
-		if u.Op.Name() == accfg.OpLaunch && u.Op.Block() == blk {
+	for i := range state.NumUses() {
+		if u := state.Use(i); u.Op.Name() == accfg.OpLaunch && u.Op.Block() == blk {
 			return u.Op
 		}
 	}
